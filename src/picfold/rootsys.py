@@ -4,6 +4,14 @@ Weyl elements are stored as integer matrices acting on lattice
 coordinates (column vectors).  Group closure is a breadth-first
 multiplication by generators with deduplication by the raw matrix
 bytes; the result is sorted, so output order is canonical.
+
+Closures are memoized for the life of the process, keyed on the
+generator stack (its shape and bytes, not the cap): a group is closed
+once, however many claims ask for it.  A cached group larger than the
+cap of a later call raises ``BudgetExceededError`` exactly as a fresh
+closure would, and a closure that raised is never stored.  The cached
+``WeylSet.stack`` is read-only, so callers (threads included) share one
+object safely.
 """
 
 from __future__ import annotations
@@ -99,7 +107,10 @@ class WeylSet:
 
     def __init__(self, stack: np.ndarray):
         self.stack = stack
-        self._keys = {stack[i].tobytes(): i for i in range(stack.shape[0])}
+
+    @cached_property
+    def _keys(self) -> dict[bytes, int]:
+        return {self.stack[i].tobytes(): i for i in range(self.stack.shape[0])}
 
     @staticmethod
     def from_elements(elems) -> "WeylSet":
@@ -368,30 +379,37 @@ def simple_reflections(simple: SimpleSystem, lat: IntersectionLattice) -> list[W
 def _closure_stack(gen_stack: np.ndarray, cap: int) -> np.ndarray:
     rank = gen_stack.shape[1]
     ident = np.eye(rank, dtype=np.int64)
-    known = {ident.tobytes()}
-    elems = [ident]
-    frontier = np.stack([ident])
+    keys = [ident.tobytes()]
+    known = set(keys)
+    blocks = [ident[None]]
+    frontier = blocks[0]
     while frontier.shape[0]:
         prods = np.einsum("fij,gjk->fgik", frontier, gen_stack).reshape(-1, rank, rank)
-        fresh = []
-        for mat in prods:
+        fresh_idx = []
+        for n, mat in enumerate(prods):
             key = mat.tobytes()
             if key not in known:
                 known.add(key)
-                elems.append(mat)
-                fresh.append(mat)
-                if len(elems) > cap:
+                keys.append(key)
+                fresh_idx.append(n)
+                if len(keys) > cap:
                     raise BudgetExceededError(f"group closure exceeded cap {cap}")
-        frontier = np.stack(fresh) if fresh else np.empty((0, rank, rank), dtype=np.int64)
-    stack = np.stack(elems)
-    order = sorted(range(len(elems)), key=lambda i: elems[i].tobytes())
-    return stack[order]
+        # a copy of the fresh rows only, so each product block is freed
+        frontier = prods[fresh_idx]
+        blocks.append(frontier)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return np.concatenate(blocks)[order]
+
+
+_CLOSURES: dict[tuple, WeylSet] = {}
 
 
 def weyl_generate(gens, cap: int = DEFAULT_CAP, rank: int | None = None) -> WeylSet:
     """Closure of the generators under composition, canonically ordered.
 
     An empty generator list yields the trivial group (rank required).
+    The result is memoized per generator stack and its stack is
+    read-only; see the module docstring.
     """
     gens = list(gens)
     if not gens:
@@ -399,7 +417,15 @@ def weyl_generate(gens, cap: int = DEFAULT_CAP, rank: int | None = None) -> Weyl
             raise ValueError("empty generator list needs an explicit rank")
         return weyl_identity_set(rank)
     stack = np.stack([g.mat for g in gens]).astype(np.int64)
-    return WeylSet(_closure_stack(stack, cap))
+    key = (stack.shape, stack.tobytes())
+    group = _CLOSURES.get(key)
+    if group is None:
+        group = WeylSet(_closure_stack(stack, cap))
+        group.stack.flags.writeable = False
+        group = _CLOSURES.setdefault(key, group)
+    elif len(group) > cap:
+        raise BudgetExceededError(f"group closure exceeded cap {cap}")
+    return group
 
 
 def weyl_identity_set(rank: int) -> WeylSet:

@@ -3,7 +3,9 @@ import pytest
 from picfold.folding import folded_root_system
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.liealg import (
+    JacobiReport,
     StructureConstantTable,
+    _bracket_basis,
     build_lie_bundle,
     folded_simple_and_roots,
     root_string,
@@ -124,10 +126,55 @@ def test_h_alpha_integral(tables):
             assert acc == 2
 
 
-def test_sign_flip_breaks_jacobi(tables):
-    t = tables["G2"]
-    flip = None
+def _bracket(table, d1: dict, d2: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            for k, v in _bracket_basis(table, e1, e2).items():
+                out[k] = out.get(k, 0) + c1 * c2 * v
+    return {k: v for k, v in out.items() if v}
+
+
+def brute_force_jacobi(table: StructureConstantTable) -> JacobiReport:
+    """Oracle: evaluate the Jacobi sum of every basis triple, no grading."""
+    basis = [("h", i) for i in range(table.rank)]
+    basis += [("x", rt) for rt in table.roots]
+    singles = {b: {b: 1} for b in basis}
+    checked = 0
+    nb = len(basis)
+    for i in range(nb):
+        for j in range(i, nb):
+            bij = _bracket(table, singles[basis[i]], singles[basis[j]])
+            for k in range(j, nb):
+                checked += 1
+                acc = _bracket(table, bij, singles[basis[k]])
+                for key, val in _bracket(
+                    table, _bracket(table, singles[basis[j]], singles[basis[k]]),
+                    singles[basis[i]],
+                ).items():
+                    acc[key] = acc.get(key, 0) + val
+                for key, val in _bracket(
+                    table, _bracket(table, singles[basis[k]], singles[basis[i]]),
+                    singles[basis[j]],
+                ).items():
+                    acc[key] = acc.get(key, 0) + val
+                if any(v != 0 for v in acc.values()):
+                    return JacobiReport(False, checked, (basis[i], basis[j], basis[k]))
+    return JacobiReport(True, checked, None)
+
+
+def _with_n_map(t, n_map):
+    return StructureConstantTable(
+        lattice=t.lattice, simple=t.simple, roots=t.roots, positive=t.positive,
+        n_map=n_map, cartan=t.cartan, coroot_coords=t.coroot_coords,
+        extraspecial=t.extraspecial,
+    )
+
+
+def _sign_flipped(t):
+    """The table with one non-extraspecial constant (and its images) negated."""
     index = {rt: i for i, rt in enumerate(t.positive)}
+    flip = None
     for (a, b) in t.n_map:
         if a in index and b in index and index[a] < index[b] and (a, b) not in t.extraspecial:
             flip = (a, b)
@@ -137,12 +184,38 @@ def test_sign_flip_breaks_jacobi(tables):
     mutated = dict(t.n_map)
     for key in [(a, b), (b, a), (-a, -b), (-b, -a)]:
         mutated[key] = -mutated[key]
-    broken = StructureConstantTable(
-        lattice=t.lattice, simple=t.simple, roots=t.roots, positive=t.positive,
-        n_map=mutated, cartan=t.cartan, coroot_coords=t.coroot_coords,
-        extraspecial=t.extraspecial,
-    )
-    assert not verify_jacobi(broken).ok
+    return _with_n_map(t, mutated)
+
+
+def test_graded_jacobi_matches_brute_force(tables):
+    for case, t in tables.items():
+        rep = verify_jacobi(t)
+        assert rep == brute_force_jacobi(t), case
+        nb = t.rank + len(t.roots)
+        assert rep.triples_checked == nb * (nb + 1) * (nb + 2) // 6
+    assert verify_jacobi(tables["E6"]).triples_checked == 82160
+    assert verify_jacobi(tables["F4"]).triples_checked == 24804
+
+
+def test_graded_jacobi_matches_brute_force_on_broken_tables(tables):
+    for case in ("G2", "F4"):
+        broken = _sign_flipped(tables[case])
+        rep = verify_jacobi(broken)
+        assert not rep.ok
+        assert rep == brute_force_jacobi(broken), case
+
+
+def test_n_map_key_off_the_grading_fails(tables):
+    t = tables["B3"]
+    roots = set(t.roots)
+    a, b = next((a, b) for a in t.roots for b in t.roots
+                if a + b not in roots and a + b != t.lattice.zero)
+    rep = verify_jacobi(_with_n_map(t, {**t.n_map, (a, b): 1}))
+    assert rep == JacobiReport(False, 0, (("x", a), ("x", b)))
+
+
+def test_sign_flip_breaks_jacobi(tables):
+    assert not verify_jacobi(_sign_flipped(tables["G2"])).ok
 
 
 def test_bundle_decompositions():

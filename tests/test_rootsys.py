@@ -1,10 +1,15 @@
 import random
+import sys
+import threading
 import time
 
+import numpy as np
 import pytest
 
+from picfold import rootsys
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.rootsys import (
+    BudgetExceededError,
     NonIntegralReflectionError,
     WeylElement,
     cartan_matrix,
@@ -163,3 +168,68 @@ def test_enumerated_roots_closed_under_weyl(f1_4):
     roots = set(rs.roots)
     for g in w:
         assert {g.apply(r) for r in roots} == roots
+
+
+def test_closure_memo_returns_equal_readonly_stacks(cubic):
+    gens = simple_reflections(standard_simple_system("E6", cubic), cubic)
+    first = weyl_generate(gens)
+    again = weyl_generate(gens)
+    assert np.array_equal(first.stack, again.stack)
+    # a different generator order is a different key, with the same canonical result
+    assert np.array_equal(weyl_generate(gens[::-1]).stack, first.stack)
+    with pytest.raises(ValueError):
+        again.stack[0, 0, 0] = 7
+
+
+def test_closure_memo_keeps_the_cap(cubic):
+    gens = simple_reflections(standard_simple_system("E6", cubic), cubic)
+    assert len(weyl_generate(gens)) == 51840  # now cached
+    with pytest.raises(BudgetExceededError):
+        weyl_generate(gens, cap=1000)
+    assert len(weyl_generate(gens, cap=51840)) == 51840
+    with pytest.raises(BudgetExceededError):
+        weyl_generate(gens, cap=51839)
+
+
+def test_closure_that_raised_is_not_stored(f1_4):
+    gens = simple_reflections(standard_simple_system("D", f1_4), f1_4)
+    gens = gens[1:] + gens[:1] + gens[:1]  # a stack no other test closes
+    key_count = len(rootsys._CLOSURES)
+    with pytest.raises(BudgetExceededError):
+        weyl_generate(gens, cap=10)
+    assert len(rootsys._CLOSURES) == key_count
+    assert len(weyl_generate(gens)) == 192
+
+
+def test_closure_memo_shared_across_threads(f1_4):
+    gens = simple_reflections(standard_simple_system("D", f1_4), f1_4)
+    gens = gens + gens[:1] * 3  # a stack no other test closes
+    results = [None] * 6
+    start = threading.Barrier(len(results))
+
+    def close(n):
+        start.wait(timeout=10)
+        results[n] = weyl_generate(gens)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=close, args=(n,)) for n in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    # every caller gets the one stored group, even when several closed it at once
+    assert all(r is weyl_generate(gens) for r in results)
+    assert len(results[0]) == 192
+
+
+def test_weyl_set_keys_built_on_first_membership_test(f1_4):
+    gens = simple_reflections(standard_simple_system("D", f1_4), f1_4)
+    w = rootsys.WeylSet(rootsys._closure_stack(np.stack([g.mat for g in gens]), 1000))
+    assert "_keys" not in vars(w)
+    assert gens[0] in w and WeylElement.identity(f1_4.rank) in w
+    assert "_keys" in vars(w) and len(w.key_set()) == 192
