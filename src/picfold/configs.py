@@ -14,7 +14,9 @@ ambient Weyl group cannot reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations, product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,6 +38,10 @@ from .rootsys import (
 
 class NoRootFoundError(LookupError):
     """No reflection exchanges the two halves (malformed double-six)."""
+
+
+class ConfigurationError(ValueError):
+    """A configuration or double-six breaks one of its defining conditions."""
 
 
 def symbolic_point_rows(case: str) -> np.ndarray:
@@ -86,19 +92,25 @@ class GConfiguration:
         return self.classes
 
     def check_invariants(self, lat: IntersectionLattice):
+        """Raise ConfigurationError unless every defining condition holds."""
         flat = self.flat_classes()
         for e in flat:
-            assert lat.pair(e, e) == -1 and lat.pair(e, lat.K) == -1
+            if lat.pair(e, e) != -1 or lat.pair(e, lat.K) != -1:
+                raise ConfigurationError(f"{e} is not a (-1)-class")
         for a, b in combinations(flat, 2):
-            assert lat.pair(a, b) == 0
+            if lat.pair(a, b) != 0:
+                raise ConfigurationError(f"{a} and {b} meet")
         if lat.model == F1:
             for e in flat:
-                assert lat.pair(e, lat.f) == 0
+                if lat.pair(e, lat.f) != 0:
+                    raise ConfigurationError(f"{e} meets the fiber")
         if self.pa is not None:
             rows = symbolic_point_rows(self.case)
-            _check_case_points(self.case, [
+            if not _check_case_points(self.case, [
                 symbolic_point(lat, rows, e) for e in flat
-            ])
+            ]):
+                raise ConfigurationError(
+                    f"points break the {self.case} relations")
         return True
 
 
@@ -118,14 +130,18 @@ def _check_case_points(case: str, pts) -> bool:
     raise ValueError(case)
 
 
-def _hirzebruch_pattern(lat: IntersectionLattice, e: DivisorClass):
-    """(index, flipped) if e is l_i or f - l_i, else None."""
+@lru_cache(maxsize=None)
+def _hirzebruch_table(lat: IntersectionLattice):
+    """The classes l_i (flip 0) and f - l_i (flip 1) of the Hirzebruch model.
+
+    Returns the read-only maps {(i, flip): class} and {class: (i, flip)}.
+    """
+    classes = {}
     for i in range(1, lat.npoints + 1):
-        if e == lat.l(i):
-            return i, 0
-        if e == lat.f - lat.l(i):
-            return i, 1
-    return None
+        classes[i, 0] = lat.l(i)
+        classes[i, 1] = lat.f - classes[i, 0]
+    index = {e: key for key, e in classes.items()}
+    return MappingProxyType(classes), MappingProxyType(index)
 
 
 def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = None):
@@ -136,9 +152,14 @@ def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = N
     even number of flips (blow-down validity).  C: the definitional
     pairs (l_i, l_i^-) up to permutation and per-pair swaps.  F4:
     ordered 6-tuples of pairwise-disjoint lines whose points satisfy the
-    three-way sum condition.
+    three-way sum condition.  The tuple is computed once per (case, lat)
+    and shared between callers.
     """
-    lat = lat or case_lattice(case)
+    return _enumerate_systems(case, lat or case_lattice(case))
+
+
+@lru_cache(maxsize=None)
+def _enumerate_systems(case: str, lat: IntersectionLattice):
     if case.startswith("C"):
         n = case_rank(case)
         out = []
@@ -153,19 +174,18 @@ def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = N
     if case == "F4":
         return _f4_systems(lat)
     # B and G2: sign patterns on the Hirzebruch model
+    classes = _hirzebruch_table(lat)[0]
     rows = symbolic_point_rows(case)
+    pts = {key: symbolic_point(lat, rows, e) for key, e in classes.items()}
     m = lat.npoints
     out = []
     for sigma in permutations(range(1, m + 1)):
         for flips in product((0, 1), repeat=m):
             if sum(flips) % 2 != 0:
                 continue
-            classes = tuple(
-                (lat.f - lat.l(i)) if fl else lat.l(i) for i, fl in zip(sigma, flips)
-            )
-            pts = [symbolic_point(lat, rows, e) for e in classes]
-            if _check_case_points(case, pts):
-                out.append(classes)
+            keys = tuple(zip(sigma, flips))
+            if _check_case_points(case, [pts[k] for k in keys]):
+                out.append(tuple(classes[k] for k in keys))
     return tuple(out)
 
 
@@ -185,12 +205,14 @@ def _f4_systems(lat: IntersectionLattice):
             return
         slot = slot_order[depth]
         partner = 5 - slot
+        target = None
+        if partner in chosen and 0 in chosen and 5 in chosen:
+            # the first completed pair defines the common sum
+            target = add(pts[chosen[0]], pts[chosen[5]])
+            other = pts[chosen[partner]]
         for cand in sorted(allowed):
-            if partner in chosen and 0 in chosen and 5 in chosen:
-                # the first completed pair defines the common sum
-                target = add(pts[chosen[0]], pts[chosen[5]])
-                if add(pts[cand], pts[chosen[partner]]) != target:
-                    continue
+            if target is not None and add(pts[cand], other) != target:
+                continue
             chosen[slot] = cand
             rec(depth + 1, allowed & disjoint[cand])
             del chosen[slot]
@@ -214,7 +236,8 @@ def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
         if lat.pair(a, b) != 0:
             return False
     if lat.model == F1:
-        pat = [_hirzebruch_pattern(lat, e) for e in classes]
+        index = _hirzebruch_table(lat)[1]
+        pat = [index.get(e) for e in classes]
         if any(p is None for p in pat):
             return False
         idx = [i for i, _ in pat]
@@ -309,11 +332,14 @@ class DoubleSix:
 
     def validate(self, lat: IntersectionLattice):
         for half in (self.first, self.second):
-            assert len(half) == 6
+            if len(half) != 6:
+                raise ConfigurationError(f"a half has {len(half)} lines, not 6")
             for a, b in combinations(half, 2):
-                assert lat.pair(a, b) == 0
+                if lat.pair(a, b) != 0:
+                    raise ConfigurationError(f"{a} and {b} in one half meet")
         for a in self.first:
-            assert sum(1 for b in self.second if lat.pair(a, b) == 1) == 5
+            if sum(1 for b in self.second if lat.pair(a, b) == 1) != 5:
+                raise ConfigurationError(f"{a} does not meet 5 lines of the other half")
         return True
 
 
@@ -333,7 +359,8 @@ def cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
     triangles = []
     for a, b, c in combinations(lines, 3):
         if b in meets[a] and c in meets[a] and c in meets[b]:
-            assert a + b + c == -lat.K  # triangles sum to the anticanonical class
+            if a + b + c != -lat.K:
+                raise ConfigurationError(f"triangle {a}, {b}, {c} does not sum to -K")
             triangles.append(frozenset((a, b, c)))
 
     sixes = []

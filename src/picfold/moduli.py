@@ -426,7 +426,7 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     key_to_tuple = {}
     for t in range(dom_keys.shape[0]):
         key_to_tuple.setdefault(int(dom_keys[t]), t)
-    dom_key_set = set(int(x) for x in dom_keys)
+    dom_key_set = set(dom_keys.tolist())
 
     done: set[int] = set()
     orbits = 0
@@ -438,10 +438,10 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
         v1, v2 = dom1[t], dom2[t]
         small1 = np.einsum("nij,j->ni", m_small, v1) % mods[0]
         small2 = np.einsum("nij,j->ni", m_small, v2) % mods[1]
-        small_keys = set(int(x) for x in _encode([small1, small2], base))
+        small_keys = set(_encode([small1, small2], base).tolist())
         big1 = np.einsum("nij,j->ni", m_big, v1) % mods[0]
         big2 = np.einsum("nij,j->ni", m_big, v2) % mods[1]
-        big_keys = set(int(x) for x in _encode([big1, big2], base))
+        big_keys = set(_encode([big1, big2], base).tolist())
         reachable_in_domain = big_keys & dom_key_set
         if reachable_in_domain != small_keys:
             stray = sorted(reachable_in_domain - small_keys)[0]

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from picfold.folding import folded_weyl_group
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.configs import (
+    ConfigurationError,
     DoubleSix,
     GConfiguration,
     NoRootFoundError,
@@ -14,7 +20,10 @@ from picfold.configs import (
     in_general_position,
     is_blowdown_sequence,
     simple_transitivity_check,
+    symbolic_point,
+    symbolic_point_rows,
     triangle_stabilizer,
+    _check_case_points,
 )
 from picfold.moduli import PointAssignment, case_lattice
 from picfold.abelian import make_sigma_model
@@ -193,7 +202,7 @@ def test_double_six_reflection_involution(cubic):
 
 def test_malformed_double_six_rejected(cubic):
     lines = [cubic.l(i) for i in range(1, 7)]
-    with pytest.raises((NoRootFoundError, AssertionError)):
+    with pytest.raises((NoRootFoundError, ConfigurationError)):
         bad = DoubleSix(frozenset(lines), frozenset(lines))
         bad.validate(cubic)
         double_six_to_root(bad, cubic)
@@ -247,3 +256,117 @@ def test_general_position_predicate():
     assert in_general_position("G2", g2)
     g2bad = PointAssignment(sig, ((0, 0), (0, 1), (0, 10), (0, 0)))
     assert not in_general_position("G2", g2bad)
+
+
+def brute_force_systems(case, lat):
+    """B/G2 oracle: build every candidate's classes and points from scratch."""
+    rows = symbolic_point_rows(case)
+    m = lat.npoints
+    out = []
+    for sigma in permutations(range(1, m + 1)):
+        for flips in product((0, 1), repeat=m):
+            if sum(flips) % 2 != 0:
+                continue
+            classes = tuple(
+                (lat.f - lat.l(i)) if fl else lat.l(i) for i, fl in zip(sigma, flips)
+            )
+            pts = [symbolic_point(lat, rows, e) for e in classes]
+            if _check_case_points(case, pts):
+                out.append(classes)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("case", ["B2", "B3", "B4", "B5", "G2"])
+def test_systems_match_brute_force(case):
+    lat = case_lattice(case)
+    assert enumerate_exceptional_systems(case, lat) == brute_force_systems(case, lat)
+
+
+def test_systems_memoized_per_case_and_lattice():
+    first = enumerate_exceptional_systems("B3")
+    assert enumerate_exceptional_systems("B3") is first
+    assert enumerate_exceptional_systems("B3", case_lattice("B3")) is first
+    # an equal lattice built separately hits the same entry
+    assert enumerate_exceptional_systems("B3", make_blowup_lattice(F1, 4)) is first
+    # G2 lives on the same lattice but is a different case
+    assert enumerate_exceptional_systems("G2") != first
+    f4 = enumerate_exceptional_systems("F4")
+    assert enumerate_exceptional_systems("F4", make_blowup_lattice(P2, 6)) is f4
+
+
+def _loop_pattern(lat, e):
+    for i in range(1, lat.npoints + 1):
+        if e == lat.l(i):
+            return i, 0
+        if e == lat.f - lat.l(i):
+            return i, 1
+    return None
+
+
+def blowdown_oracle(lat, classes):
+    """is_blowdown_sequence on the Hirzebruch model, classes rebuilt per query."""
+    for e in classes:
+        if lat.pair(e, e) != -1 or lat.pair(e, lat.K) != -1:
+            return False
+    if any(lat.pair(a, b) != 0 for i, a in enumerate(classes) for b in classes[i + 1:]):
+        return False
+    pat = [_loop_pattern(lat, e) for e in classes]
+    if any(p is None for p in pat):
+        return False
+    idx = [i for i, _ in pat]
+    if len(set(idx)) != len(idx):
+        return False
+    return not (len(classes) == lat.npoints and sum(fl for _, fl in pat) % 2)
+
+
+def test_blowdown_matches_oracle_on_g2_lattice():
+    lat = case_lattice("G2")
+    l, f, s = lat.l, lat.f, lat.s
+    # every sign/permutation tuple of the four indices
+    for sigma in permutations(range(1, 5)):
+        for flips in product((0, 1), repeat=4):
+            tup = tuple((f - l(i)) if fl else l(i) for i, fl in zip(sigma, flips))
+            assert is_blowdown_sequence(lat, tup) == blowdown_oracle(lat, tup)
+    # shorter tuples, repeated indices, and classes outside the table
+    pool = [l(i) for i in range(1, 5)] + [f - l(i) for i in range(1, 5)]
+    pool += [s, s - l(1), f - l(1) - l(2)]
+    for k in (1, 2, 3):
+        for tup in product(pool, repeat=k):
+            assert is_blowdown_sequence(lat, tup) == blowdown_oracle(lat, tup), tup
+
+
+@pytest.mark.parametrize("case", ["B3", "C3", "G2", "F4"])
+def test_check_invariants_with_points_on_every_system(case):
+    lat = case_lattice(case)
+    pa = PointAssignment(make_sigma_model(1, 11), ())
+    for system in enumerate_exceptional_systems(case, lat):
+        assert GConfiguration(case, system, pa).check_invariants(lat)
+
+
+def test_check_invariants_rejects_broken_points():
+    lat = case_lattice("B3")
+    l = lat.l
+    pa = PointAssignment(make_sigma_model(1, 11), ())
+    bad = GConfiguration("B3", (l(2), l(1), l(3), l(4)), pa)
+    with pytest.raises(ConfigurationError):
+        bad.check_invariants(lat)
+    # without a point assignment only the incidence conditions are checked
+    assert GConfiguration("B3", bad.classes).check_invariants(lat)
+
+
+def test_check_invariants_raises_under_optimize():
+    code = (
+        "from picfold.configs import ConfigurationError, GConfiguration\n"
+        "from picfold.moduli import PointAssignment, case_lattice\n"
+        "lat = case_lattice('B3')\n"
+        "l = lat.l\n"
+        "cfg = GConfiguration('B3', (l(2), l(1), l(3), l(4)), PointAssignment(None, ()))\n"
+        "try:\n"
+        "    cfg.check_invariants(lat)\n"
+        "except ConfigurationError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
