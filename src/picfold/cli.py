@@ -109,6 +109,15 @@ def config_from(values: dict, args) -> RunConfig:
     return cfg
 
 
+class CheckFailed(Exception):
+    """A claim's check did not hold; unlike ``assert``, survives ``python -O``."""
+
+
+def check(cond, msg: str) -> None:
+    if not cond:
+        raise CheckFailed(msg)
+
+
 @dataclass
 class VerificationReport:
     claim_id: str
@@ -121,7 +130,7 @@ def _run_claims(claims) -> list[VerificationReport]:
     reports = []
     seen = set()
     for claim_id, fn in claims:
-        assert claim_id not in seen, f"duplicate claim id {claim_id}"
+        check(claim_id not in seen, f"duplicate claim id {claim_id}")
         seen.add(claim_id)
         t0 = time.perf_counter()
         try:
@@ -129,7 +138,7 @@ def _run_claims(claims) -> list[VerificationReport]:
             status = "pass"
         except SkipClaim as sk:
             witness, status = str(sk), "skipped"
-        except AssertionError as exc:
+        except (CheckFailed, AssertionError) as exc:
             witness, status = f"assertion failed: {exc}", "fail"
         except Exception as exc:  # noqa: BLE001 - a claim failure is data
             witness, status = f"{type(exc).__name__}: {exc}", "fail"
@@ -143,7 +152,7 @@ class SkipClaim(Exception):
 
 
 def _expect(value, expected, label):
-    assert value == expected, f"{label}: got {value}, expected {expected}"
+    check(value == expected, f"{label}: got {value}, expected {expected}")
     return value
 
 
@@ -167,7 +176,7 @@ def _suite_lattice(cfg: RunConfig):
         lines = lattice.exceptional_classes(lat)
         _expect(len(lines), 27, "line count")
         meets = lattice.lines_meeting(lat, lines)
-        assert all(len(m) == 10 for m in meets.values())
+        check(all(len(m) == 10 for m in meets.values()), "a line meets other than 10 lines")
         return {"lines": 27, "meets_each": 10, "disjoint_each": 16}
 
     def root_counts():
@@ -219,7 +228,7 @@ def _suite_folding(cfg: RunConfig):
         _expect(out["D4-triality"], "G2", "triality fold")
         _expect(out["E6"], "F4", "E6 fold")
         _expect(out["B"], "B3", "fork fold")
-        assert out["C"] in ("B2", "C2")
+        check(out["C"] in ("B2", "C2"), f"A fold gave {out['C']}, expected B2 or C2")
         return out
 
     claims.append(("fold.tags", folded_tags))
@@ -268,7 +277,8 @@ def _suite_folding(cfg: RunConfig):
             lat = lattice.make_blowup_lattice("F1", 2 * n)
             rows[f"C{n}"] = (len(folding.folded_weyl_group(f"C{n}", lat)),
                              2**n, factorial(n))
-            assert rows[f"C{n}"][0] == rows[f"C{n}"][1] * rows[f"C{n}"][2]
+            check(rows[f"C{n}"][0] == rows[f"C{n}"][1] * rows[f"C{n}"][2],
+                  f"C{n}: {rows[f'C{n}']}")
         for n in range(2, cfg.rank_b + 1):
             lat = lattice.make_blowup_lattice("F1", n + 1)
             lat_dn = lattice.make_blowup_lattice("F1", n)
@@ -277,19 +287,19 @@ def _suite_folding(cfg: RunConfig):
             )
             wbn = folding.folded_weyl_group(f"B{n}", lat)
             rows[f"B{n}"] = (len(wbn), len(wdn), 2)
-            assert len(wbn) == len(wdn) * 2
+            check(len(wbn) == len(wdn) * 2, f"B{n}: {rows[f'B{n}']}")
         f14 = lattice.make_blowup_lattice("F1", 4)
         l = f14.l
         a2 = [l(2) - l(3), l(3) - f14.f + l(4)]
         wa2 = rootsys.weyl_generate([rootsys.reflection(f14, r) for r in a2])
         rows["G2"] = (len(folding.folded_weyl_group("G2", f14)), len(wa2), 2)
-        assert rows["G2"][0] == rows["G2"][1] * rows["G2"][2] == 12
+        check(rows["G2"][0] == rows["G2"][1] * rows["G2"][2] == 12, f"G2: {rows['G2']}")
         cub = lattice.make_blowup_lattice("P2", 6)
         wd4 = rootsys.weyl_generate(
             rootsys.simple_reflections(rootsys.standard_simple_system("D", f14), f14)
         )
         rows["F4"] = (len(folding.folded_weyl_group("F4", cub)), len(wd4), 6)
-        assert rows["F4"][0] == rows["F4"][1] * rows["F4"][2] == 1152
+        check(rows["F4"][0] == rows["F4"][1] * rows["F4"][2] == 1152, f"F4: {rows['F4']}")
         return {k: list(v) for k, v in rows.items()}
 
     claims.append(("W.second.reduction.identities", second_reduction))
@@ -303,7 +313,7 @@ def _suite_folding(cfg: RunConfig):
         out = {}
         for case, lat in pairs:
             a, b, basis = folding.restricted_reflection_matrices(case, lat)
-            assert a == b, f"{case}: presentations differ"
+            check(a == b, f"{case}: presentations differ")
             out[case] = len(a)
         return out
 
@@ -323,7 +333,7 @@ def _suite_cubic(cfg: RunConfig):
         for tri in data.triangles:
             for e in tri:
                 per[e] += 1
-        assert set(per.values()) == {5}
+        check(set(per.values()) == {5}, f"triangles per line: {sorted(set(per.values()))}")
         return {"lines": 27, "triangles": 45, "double_sixes": 36, "per_line": 5}
 
     def weyl_order():
@@ -345,7 +355,7 @@ def _suite_cubic(cfg: RunConfig):
         ds0 = next(d for d in data.double_sixes if base in (d.first, d.second))
         alpha0 = configs.double_six_to_root(ds0, lat, simple)
         expected = 2 * lat.h - sum((lat.l(i) for i in range(2, 7)), lat.l(1))
-        assert alpha0 == expected
+        check(alpha0 == expected, f"base double six maps to {alpha0}, expected {expected}")
         return {"image_size": 36, "base_root": list(alpha0.coords)}
 
     def stabilizers():
@@ -362,7 +372,7 @@ def _suite_cubic(cfg: RunConfig):
         _expect(ordered.order, 192, "ordered stabilizer")
         _expect(ordered.orbit_size, 270, "ordered orbit")
         wf4 = folding.folded_weyl_group("F4", lat)
-        assert unord.elements.same_elements(wf4)
+        check(unord.elements.same_elements(wf4), "triangle stabilizer is not W(F4)")
         return {"unordered": 1152, "ordered": 192, "orbit": 45, "ordered_orbit": 270}
 
     return [
@@ -389,7 +399,8 @@ def _suite_configs(cfg: RunConfig):
             out[case] = len(systems)
         lat = moduli.case_lattice("G2")
         listed = (lat.f - lat.l(1), lat.f - lat.l(2), lat.l(4), lat.l(3))
-        assert listed in configs.enumerate_exceptional_systems("G2", lat)
+        check(listed in configs.enumerate_exceptional_systems("G2", lat),
+              f"listed G2 system {listed} not enumerated")
         return out
 
     def transitive():
@@ -399,16 +410,19 @@ def _suite_configs(cfg: RunConfig):
             systems = configs.enumerate_exceptional_systems(case, lat)
             w = folding.folded_weyl_group(case, lat, cap=cfg.weyl_cap)
             rep = configs.simple_transitivity_check(case, systems, w, lat)
-            assert rep.simply_transitive, f"{case}: {rep.offending}"
+            check(rep.simply_transitive, f"{case}: {rep.offending}")
             out[case] = rep.orbit_size
         return out
 
     def blowdown():
         lat = moduli.case_lattice("G2")
         l, f = lat.l, lat.f
-        assert configs.is_blowdown_sequence(lat, (l(1), l(2), l(3), l(4)))
-        assert configs.is_blowdown_sequence(lat, (f - l(1), f - l(2), l(4), l(3)))
-        assert not configs.is_blowdown_sequence(lat, (l(1), f - l(1), l(3), l(4)))
+        check(configs.is_blowdown_sequence(lat, (l(1), l(2), l(3), l(4))),
+              "(l1, l2, l3, l4) rejected")
+        check(configs.is_blowdown_sequence(lat, (f - l(1), f - l(2), l(4), l(3))),
+              "(f - l1, f - l2, l4, l3) rejected")
+        check(not configs.is_blowdown_sequence(lat, (l(1), f - l(1), l(3), l(4))),
+              "(l1, f - l1, l3, l4) accepted")
         return {"checked": 3}
 
     return [
@@ -447,7 +461,7 @@ def _suite_moduli(cfg: RunConfig):
         out = {}
         for case in ("B2", "B3", "C2", "G2"):
             rep = moduli.chi_injectivity_check(case, sigma, action_cap=cfg.action_cap)
-            assert rep.passed, f"{case}: {rep.counterexample}"
+            check(rep.passed, f"{case}: {rep.counterexample}")
             out[case] = {"domain": rep.domain_size, "orbits": rep.orbits_checked}
         return out
 
@@ -458,7 +472,7 @@ def _suite_moduli(cfg: RunConfig):
         if budget > cfg.action_cap:
             raise SkipClaim(f"budget {budget} exceeds action cap {cfg.action_cap}")
         rep = moduli.chi_injectivity_check("F4", sigma, action_cap=cfg.action_cap)
-        assert rep.passed, rep.counterexample
+        check(rep.passed, f"F4: {rep.counterexample}")
         return {"domain": rep.domain_size, "orbits": rep.orbits_checked}
 
     claims.append(("moduli.chi.injective.F4", chi_f4))
@@ -472,7 +486,8 @@ def _suite_moduli(cfg: RunConfig):
             for _ in range(20):
                 pa = _random_admissible(case, sigma, rng)
                 res = moduli.reconstruct_points(case, moduli.folded_restriction(case, pa), sigma)
-                assert res.solvable and pa in res.assignments
+                check(res.solvable and pa in res.assignments,
+                      f"{case}: {pa.points} not reconstructed")
                 hits += 1
             out[case] = hits
         return out
@@ -515,15 +530,15 @@ def _suite_liealg(cfg: RunConfig):
         for name, (rs, delta) in systems.items():
             table = liealg.structure_constants(rs, delta)
             rep = liealg.verify_jacobi(table)
-            assert rep.ok, f"{name}: Jacobi fails at {rep.first_failure}"
+            check(rep.ok, f"{name}: Jacobi fails at {rep.first_failure}")
             rootset = set(table.roots)
             for (a, b), v in table.n_map.items():
                 r, _ = liealg.root_string(None, a, b, roots=rootset)
-                assert abs(v) == r + 1
+                check(abs(v) == r + 1, f"{name}: N({a}, {b}) = {v}, string length {r}")
                 if abs(v) == 3:
                     seen3.add(name)
             out[name] = {"triples": rep.triples_checked, "pairs": len(table.n_map)}
-        assert seen3 == {"G2"}
+        check(seen3 == {"G2"}, f"|N| = 3 occurs in {sorted(seen3)}")
         return out
 
     return [("liealg.jacobi.all", tables)]
@@ -534,7 +549,7 @@ def _suite_repbundles(cfg: RunConfig):
         lat = lattice.make_blowup_lattice("F1", 3)
         sig = abelian.make_sigma_model(5, 5)
         ident, zero = repbundles.spinor_locus(lat, sig)
-        assert np.array_equal(ident, zero)
+        check(np.array_equal(ident, zero), "spinor identity locus differs from the zero locus")
         return {"tuples": int(ident.shape[1]), "indices": 3}
 
     def g2_iff():
@@ -543,14 +558,14 @@ def _suite_repbundles(cfg: RunConfig):
         masks = repbundles.g2_triple_locus(lat, sig)
         lhs = masks["sp_sm"] & masks["w_sp"]
         rhs = masks["x1_zero"] & masks["x4_sum"]
-        assert np.array_equal(lhs, rhs)
+        check(np.array_equal(lhs, rhs), "G2 triple locus differs from x1 = 0, x4 = x2 + x3")
         return {"tuples": int(lhs.shape[0]), "locus": int(rhs.sum())}
 
     def wedge_iff():
         lat = lattice.make_blowup_lattice("F1", 4)
         sig = abelian.make_sigma_model(7, 7)
         identity, paired, _ = repbundles.wedge_locus(lat, sig)
-        assert np.array_equal(identity, paired)
+        check(np.array_equal(identity, paired), "wedge identity locus differs from the paired locus")
         return {"tuples": int(identity.shape[0]), "locus": int(paired.sum())}
 
     def f4_decomp():

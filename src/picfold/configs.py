@@ -32,6 +32,7 @@ from .rootsys import (
     SimpleSystem,
     WeylSet,
     decompose_in_basis,
+    row_keys,
     standard_simple_system,
 )
 
@@ -302,10 +303,9 @@ def simple_transitivity_check(case: str, systems, weyl: WeylSet,
     base = _system_vector(systems[0])
     blocks = base.reshape(-1, rank)
     imgs = np.einsum("nij,bj->nbi", weyl.stack, blocks).reshape(len(weyl), -1)
-    keys = {imgs[i].tobytes(): i for i in range(len(weyl))}
-    orbit_size = len({imgs[i].tobytes() for i in range(len(weyl))})
+    reached = set(row_keys(imgs))
+    orbit_size = len(reached)
     target = {(_system_vector(s)).tobytes() for s in systems}
-    reached = set(keys)
     ok = (
         orbit_size == len(weyl) == len(systems)
         and reached == target

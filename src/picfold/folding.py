@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations, product
 
-from ._linalg import integer_kernel, rational_solve
+from ._linalg import integer_kernel, rational_solve, rational_solve_int
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     RootSystemData,
@@ -25,8 +25,10 @@ from .rootsys import (
     cartan_matrix_of,
     cartan_matrix_of_q,
     identify_cartan_type,
+    reflect,
     reflection,
     restrict_to_basis,
+    row_keys,
     standard_simple_system,
     weyl_generate,
 )
@@ -275,6 +277,19 @@ def f4_short_roots(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     return tuple(sorted(r for r in rs.roots if lat.pair(r, r) == -4))
 
 
+def _restricted_root_reflections(case: str, lat: IntersectionLattice,
+                                 basis) -> list[WeylElement]:
+    """Reflections in every folded root, as matrices on the sublattice basis."""
+    k = len(basis)
+    bmat = [[b.coords[i] for b in basis] for i in range(lat.rank)]
+    refl_mats = []
+    for root in sorted(folded_root_system(case, lat).roots):
+        cols = [rational_solve_int(bmat, list(reflect(lat, root, b).coords)) for b in basis]
+        mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+        refl_mats.append(WeylElement(mat))
+    return refl_mats
+
+
 def restricted_reflection_matrices(case: str, lat: IntersectionLattice, cap: int = 10**6):
     """Closure of the folded-root reflections on the fixed sublattice.
 
@@ -287,28 +302,11 @@ def restricted_reflection_matrices(case: str, lat: IntersectionLattice, cap: int
     """
     rho = outer_automorphism(_ambient_case(case), lat)
     basis = fixed_sublattice(rho)
-    k = len(basis)
-    bmat = [[b.coords[i] for b in basis] for i in range(lat.rank)]
-
-    def to_sub(x: DivisorClass):
-        from ._linalg import rational_solve_int
-
-        return rational_solve_int(bmat, list(x.coords))
-
-    from .rootsys import reflect
-
-    rs = folded_root_system(case, lat)
-    refl_mats = []
-    for root in sorted(rs.roots):
-        cols = [to_sub(reflect(lat, root, b)) for b in basis]
-        mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-        refl_mats.append(WeylElement(mat))
-    side_a = weyl_generate(refl_mats, cap=cap)
+    side_a = weyl_generate(_restricted_root_reflections(case, lat, basis), cap=cap)
 
     gens = folded_weyl_generators(rho.simple_system, rho)
     big = weyl_generate(gens, cap=cap)
     restricted = restrict_to_basis(big, basis, lat)
-    keys_b = frozenset(restricted[i].tobytes() for i in range(restricted.shape[0]))
-    keys_a = frozenset(side_a.stack[i].astype(restricted.dtype).tobytes()
-                       for i in range(len(side_a)))
+    keys_b = frozenset(row_keys(restricted))
+    keys_a = frozenset(row_keys(side_a.stack.astype(restricted.dtype)))
     return keys_a, keys_b, basis

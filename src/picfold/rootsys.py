@@ -2,8 +2,15 @@
 
 Weyl elements are stored as integer matrices acting on lattice
 coordinates (column vectors).  Group closure is a breadth-first
-multiplication by generators with deduplication by the raw matrix
-bytes; the result is sorted, so output order is canonical.
+multiplication by generators: each level is one int64 ``matmul`` of the
+frontier against the generator stack, deduplicated by the raw matrix
+bytes (``row_keys``: one void-dtype view per chunk of products, not one
+``tobytes`` per matrix); the result is sorted by those bytes, so output
+order is canonical.  Before each level the closure checks that no entry of the
+product can reach 2^62 (largest frontier entry times the largest
+absolute column sum of a generator) and raises ``OverflowError`` rather
+than let int64 wrap, so a closure of an infinite group ends in
+``BudgetExceededError`` or ``OverflowError``, never in wrapped integers.
 
 Closures are memoized for the life of the process, keyed on the
 generator stack (its shape and bytes, not the cap): a group is closed
@@ -19,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
@@ -39,6 +47,24 @@ class UnrecognizedDiagramError(ValueError):
 
 
 DEFAULT_CAP = 10**6
+
+# entries of an int64 product are kept below this, with room to spare
+_INT64_SAFE = 2**62
+# The closure keys this many products at a time.  The keys of a whole level
+# at once (up to ~9 MiB of small bytes objects for W(E6)) fragment the
+# small-object heap, and `picfold verify all` then peaked ~23 MiB higher.
+_KEY_CHUNK = 1024
+
+
+def row_keys(arr: np.ndarray) -> list[bytes]:
+    """The raw bytes of each ``arr[i]``, equal to ``arr[i].tobytes()``.
+
+    Built from one void-dtype view and one ``tolist``, so trailing zero
+    bytes are kept (a void item, unlike a bytes-string item, is not
+    stripped).
+    """
+    flat = np.ascontiguousarray(arr).reshape(arr.shape[0], prod(arr.shape[1:]))
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -110,7 +136,7 @@ class WeylSet:
 
     @cached_property
     def _keys(self) -> dict[bytes, int]:
-        return {self.stack[i].tobytes(): i for i in range(self.stack.shape[0])}
+        return {key: i for i, key in enumerate(row_keys(self.stack))}
 
     @staticmethod
     def from_elements(elems) -> "WeylSet":
@@ -151,8 +177,9 @@ def root_sublattice(lat: IntersectionLattice, orthogonal_to) -> RootSystemData:
         constraints.append((lat.K, 0))
     roots = enumerate_classes(lat, constraints)
     data = RootSystemData(lat, frozenset(roots))
-    for r in list(data.roots)[:4]:
-        assert -r in data.roots
+    for r in data.roots:
+        if -r not in data.roots:
+            raise ValueError(f"root set is not closed under negation: {r} without {-r}")
     return data
 
 
@@ -378,22 +405,29 @@ def simple_reflections(simple: SimpleSystem, lat: IntersectionLattice) -> list[W
 
 def _closure_stack(gen_stack: np.ndarray, cap: int) -> np.ndarray:
     rank = gen_stack.shape[1]
+    # |(f @ g)_ik| <= max|f| * sum_j |g_jk|: the largest absolute column sum
+    gen_bound = int(np.abs(gen_stack).sum(axis=1).max())
     ident = np.eye(rank, dtype=np.int64)
     keys = [ident.tobytes()]
     known = set(keys)
     blocks = [ident[None]]
     frontier = blocks[0]
     while frontier.shape[0]:
-        prods = np.einsum("fij,gjk->fgik", frontier, gen_stack).reshape(-1, rank, rank)
+        if int(np.abs(frontier).max()) * gen_bound >= _INT64_SAFE:
+            raise OverflowError(
+                f"group closure entries would exceed 2^62 after {len(keys)} elements"
+            )
+        prods = np.matmul(frontier[:, None], gen_stack[None]).reshape(-1, rank, rank)
         fresh_idx = []
-        for n, mat in enumerate(prods):
-            key = mat.tobytes()
-            if key not in known:
-                known.add(key)
-                keys.append(key)
-                fresh_idx.append(n)
-                if len(keys) > cap:
-                    raise BudgetExceededError(f"group closure exceeded cap {cap}")
+        for start in range(0, prods.shape[0], _KEY_CHUNK):
+            chunk = row_keys(prods[start:start + _KEY_CHUNK])
+            for n, key in enumerate(chunk, start):
+                if key not in known:
+                    known.add(key)
+                    keys.append(key)
+                    fresh_idx.append(n)
+                    if len(keys) > cap:
+                        raise BudgetExceededError(f"group closure exceeded cap {cap}")
         # a copy of the fresh rows only, so each product block is freed
         frontier = prods[fresh_idx]
         blocks.append(frontier)
@@ -500,16 +534,17 @@ def restrict_to_basis(ws: WeylSet, basis, lat: IntersectionLattice) -> np.ndarra
     """Matrices of the elements on the sublattice spanned by ``basis``.
 
     Every element must preserve the span; images must have integer
-    coordinates in the basis (asserted).  Returns an (N, k, k) array.
+    coordinates in the basis, else ``ValueError``.  Returns an (N, k, k)
+    array, computed as two matrix products ``L @ (W @ B)``.
     """
     bmat = [[b.coords[i] for b in basis] for i in range(lat.rank)]  # rank x k
     left, den = integer_left_inverse(bmat)
     b_np = np.array(bmat, dtype=np.int64)
     l_np = np.array(left, dtype=np.int64)
-    prod = np.einsum("ij,njk,kl->nil", l_np, ws.stack, b_np)
-    if not np.all(prod % den == 0):
+    images = l_np @ (ws.stack @ b_np)
+    if not np.all(images % den == 0):
         raise ValueError("an element does not preserve the sublattice integrally")
-    return prod // den
+    return images // den
 
 
 def decompose_in_basis(x: DivisorClass, basis, require_integral=True):

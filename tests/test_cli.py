@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +125,22 @@ def test_parallel_merge_matches_sequential(capsys):
     par = run_suites_parallel(["lattice", "configs"], cfg)
     assert [r.claim_id for r in par] == [r.claim_id for r in seq]
     assert [r.status for r in par] == [r.status for r in seq]
+
+
+def test_claim_check_fails_under_optimize():
+    # with no systems enumerated, configs.counts must fail even when -O strips asserts
+    code = (
+        "import json, sys\n"
+        "from picfold import cli, configs\n"
+        "configs.enumerate_exceptional_systems = lambda case, lat=None: ()\n"
+        "rc = cli.main(['verify', 'configs', '--format', 'json'])\n"
+        "sys.stdout.flush()\n"
+        "raise SystemExit(rc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+    assert status["configs.counts"]["status"] == "fail"
+    assert status["configs.counts"]["witness"].startswith("assertion failed: B2 system count")

@@ -1,8 +1,10 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from picfold import moduli
 from picfold.abelian import SymbolicSigma, make_sigma_model
 from picfold.lattice import F1, make_blowup_lattice
 from picfold.moduli import (
@@ -21,7 +23,15 @@ from picfold.moduli import (
     restriction_hom,
     u_point,
 )
-from picfold.rootsys import BudgetExceededError, standard_simple_system
+from picfold.rootsys import (
+    BudgetExceededError,
+    decompose_in_basis,
+    restrict_to_basis,
+    simple_reflections,
+    standard_simple_system,
+    weyl_generate,
+    weyl_identity_set,
+)
 from picfold._linalg import bareiss_det
 
 
@@ -221,3 +231,84 @@ def test_chi_injectivity_small(case, m1, m2):
 def test_chi_budget_respected():
     with pytest.raises(BudgetExceededError):
         chi_injectivity_check("F4", make_sigma_model(2, 2), action_cap=10)
+
+
+def full_group_chi_check(case, sigma):
+    """The chi check applying every element of W_big to each representative.
+
+    Reference for ``chi_injectivity_check``, which closes big orbits under
+    the generators instead.  Looks up ``moduli.folded_weyl_group`` at call
+    time, so a monkeypatched small group reaches both.
+    """
+    lat = case_lattice(case)
+    rho = moduli.outer_automorphism(moduli.ambient_case(case), lat)
+    delta = rho.simple_system
+    w_big = weyl_generate(simple_reflections(delta, lat))
+    w_small = moduli.folded_weyl_group(case, lat)
+    basis = moduli.fixed_sublattice(rho)
+    k = len(basis)
+    m_big = restrict_to_basis(w_big, delta.roots, lat)
+    m_small = restrict_to_basis(w_small, delta.roots, lat)
+    embed = np.array(
+        [decompose_in_basis(b, delta.roots) for b in basis], dtype=np.int64
+    ).T
+    mods = (sigma.m1, sigma.m2)
+    base = max(mods) if max(mods) > 1 else 2
+    coords1 = np.array(list(product(range(mods[0]), repeat=k)), dtype=np.int64)
+    coords2 = np.array(list(product(range(mods[1]), repeat=k)), dtype=np.int64)
+    i1 = np.repeat(np.arange(coords1.shape[0]), coords2.shape[0])
+    i2 = np.tile(np.arange(coords2.shape[0]), coords1.shape[0])
+    dom1 = coords1[i1] @ embed.T % mods[0]
+    dom2 = coords2[i2] @ embed.T % mods[1]
+    dom_keys = moduli._encode([dom1, dom2], base)
+    key_to_tuple = {}
+    for t in range(dom_keys.shape[0]):
+        key_to_tuple.setdefault(int(dom_keys[t]), t)
+    dom_key_set = set(dom_keys.tolist())
+    done = set()
+    orbits = 0
+    for t in range(dom_keys.shape[0]):
+        key = int(dom_keys[t])
+        if key in done:
+            continue
+        orbits += 1
+        v1, v2 = dom1[t], dom2[t]
+        small1 = np.einsum("nij,j->ni", m_small, v1) % mods[0]
+        small2 = np.einsum("nij,j->ni", m_small, v2) % mods[1]
+        small_keys = set(moduli._encode([small1, small2], base).tolist())
+        big1 = np.einsum("nij,j->ni", m_big, v1) % mods[0]
+        big2 = np.einsum("nij,j->ni", m_big, v2) % mods[1]
+        big_keys = set(moduli._encode([big1, big2], base).tolist())
+        reachable_in_domain = big_keys & dom_key_set
+        if reachable_in_domain != small_keys:
+            stray = sorted(reachable_in_domain - small_keys)[0]
+            x_idx, y_idx = key_to_tuple[key], key_to_tuple[stray]
+            cx = (tuple(coords1[i1[x_idx]]), tuple(coords2[i2[x_idx]]))
+            cy = (tuple(coords1[i1[y_idx]]), tuple(coords2[i2[y_idx]]))
+            return moduli.ChiReport(False, dom_keys.shape[0], len(w_big), orbits, (cx, cy))
+        done |= small_keys
+    return moduli.ChiReport(True, dom_keys.shape[0], len(w_big), orbits, None)
+
+
+@pytest.mark.parametrize(
+    "case,m1,m2",
+    [(case, m1, m2) for case in ("B2", "B3", "C2", "G2")
+     for m1, m2 in ((2, 2), (3, 3), (2, 4), (1, 6))] + [("F4", 2, 2)],
+)
+def test_chi_generator_orbits_match_full_group(case, m1, m2):
+    sigma = make_sigma_model(m1, m2)
+    rep = chi_injectivity_check(case, sigma)
+    assert rep.passed
+    assert rep == full_group_chi_check(case, sigma)
+
+
+@pytest.mark.parametrize("case", ["B2", "G2", "F4"])
+def test_chi_forced_failure_matches_full_group(case, monkeypatch):
+    # with a trivial small group every nontrivial big orbit is a counterexample
+    monkeypatch.setattr(
+        moduli, "folded_weyl_group", lambda case, lat, cap=10**6: weyl_identity_set(lat.rank)
+    )
+    sigma = make_sigma_model(2, 2)
+    rep = chi_injectivity_check(case, sigma)
+    assert not rep.passed and rep.counterexample is not None
+    assert rep == full_group_chi_check(case, sigma)

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from picfold import rootsys
+from picfold import folding, rootsys
+from picfold._linalg import integer_left_inverse
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.rootsys import (
     BudgetExceededError,
@@ -18,7 +19,9 @@ from picfold.rootsys import (
     orbit,
     reflect,
     reflection,
+    restrict_to_basis,
     root_sublattice,
+    row_keys,
     simple_reflections,
     standard_simple_system,
     weyl_generate,
@@ -233,3 +236,124 @@ def test_weyl_set_keys_built_on_first_membership_test(f1_4):
     assert "_keys" not in vars(w)
     assert gens[0] in w and WeylElement.identity(f1_4.rank) in w
     assert "_keys" in vars(w) and len(w.key_set()) == 192
+
+
+def einsum_closure_stack(gen_stack, cap):
+    """Reference closure: einsum products and one ``tobytes`` per matrix."""
+    rank = gen_stack.shape[1]
+    ident = np.eye(rank, dtype=np.int64)
+    keys = [ident.tobytes()]
+    known = set(keys)
+    blocks = [ident[None]]
+    frontier = blocks[0]
+    while frontier.shape[0]:
+        prods = np.einsum("fij,gjk->fgik", frontier, gen_stack).reshape(-1, rank, rank)
+        fresh_idx = []
+        for n, mat in enumerate(prods):
+            key = mat.tobytes()
+            if key not in known:
+                known.add(key)
+                keys.append(key)
+                fresh_idx.append(n)
+                if len(keys) > cap:
+                    raise BudgetExceededError(f"group closure exceeded cap {cap}")
+        frontier = prods[fresh_idx]
+        blocks.append(frontier)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return np.concatenate(blocks)[order]
+
+
+def _closure_cases():
+    cubic = make_blowup_lattice(P2, 6)
+    f1_6 = make_blowup_lattice(F1, 6)
+    f1_4 = make_blowup_lattice(F1, 4)
+    rho_g2 = folding.outer_automorphism("D4-triality", f1_4)
+    rho_f4 = folding.outer_automorphism("E6", cubic)
+    return {
+        "E6": (simple_reflections(standard_simple_system("E6", cubic), cubic), 51840),
+        # D5 on points 1..5 of the 6-point F1 blow-up
+        "D5": (simple_reflections(standard_simple_system("D", f1_6), f1_6)[:5], 1920),
+        "G2": (folding.folded_weyl_generators(rho_g2.simple_system, rho_g2), 12),
+        # the 48 reflections in the folded F4 roots, 4x4 on the fixed sublattice
+        "F4.roots": (folding._restricted_root_reflections(
+            "F4", cubic, folding.fixed_sublattice(rho_f4)), 1152),
+    }
+
+
+@pytest.mark.parametrize("name", ["E6", "D5", "G2", "F4.roots"])
+def test_matmul_closure_matches_einsum_oracle(name):
+    gens, order = _closure_cases()[name]
+    stack = np.stack([g.mat for g in gens]).astype(np.int64)
+    if name == "F4.roots":
+        assert stack.shape == (48, 4, 4)
+    got = rootsys._closure_stack(stack, cap=order)
+    want = einsum_closure_stack(stack, cap=order)
+    assert got.shape == (order,) + stack.shape[1:]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    with pytest.raises(BudgetExceededError):
+        rootsys._closure_stack(stack, cap=order - 1)
+
+
+def test_row_keys_equal_tobytes():
+    rng = np.random.default_rng(7)
+    arrays = [
+        rng.integers(-5, 6, size=(40, 3, 3)),
+        np.array([[1, 0], [0, 0], [256, 0], [0, 1]], dtype=np.int64),  # trailing zero bytes
+        np.zeros((5, 4), dtype=np.int64),
+        rng.integers(0, 3, size=(6, 8, 2)).transpose(0, 2, 1),  # not contiguous
+        np.zeros((0, 3, 3), dtype=np.int64),
+    ]
+    for arr in arrays:
+        assert row_keys(arr) == [arr[i].tobytes() for i in range(arr.shape[0])]
+
+
+def test_restrict_to_basis_matches_three_operand_einsum(cubic):
+    e6 = standard_simple_system("E6", cubic)
+    we6 = weyl_generate(simple_reflections(e6, cubic))
+    wf4 = folding.folded_weyl_group("F4", cubic)
+    fixed = folding.fixed_sublattice(folding.outer_automorphism("E6", cubic))
+    for group, basis in ((we6, e6.roots), (wf4, e6.roots), (wf4, fixed)):
+        bmat = [[b.coords[i] for b in basis] for i in range(cubic.rank)]
+        left, den = integer_left_inverse(bmat)
+        want = np.einsum("ij,njk,kl->nil", np.array(left, dtype=np.int64),
+                         group.stack, np.array(bmat, dtype=np.int64))
+        assert np.all(want % den == 0)
+        got = restrict_to_basis(group, basis, cubic)
+        assert got.dtype == np.int64 and np.array_equal(got, want // den)
+
+
+def test_restrict_to_basis_rejects_a_non_preserving_element(cubic):
+    rho = folding.outer_automorphism("E6", cubic)
+    we6 = weyl_generate(simple_reflections(standard_simple_system("E6", cubic), cubic))
+    with pytest.raises(ValueError):
+        restrict_to_basis(we6, folding.fixed_sublattice(rho), cubic)
+
+
+def test_closure_refuses_int64_overflow():
+    gen = WeylElement(((1, 2**40), (0, 1)))
+    with pytest.raises(OverflowError):
+        weyl_generate([gen])
+    with pytest.raises(OverflowError):
+        rootsys._closure_stack(gen.mat[None], cap=10**6)
+
+
+def test_affine_e8_closure_ends_in_budget_error():
+    # nine points on P2: the simple roots form affine E8, an infinite Weyl group
+    lat = make_blowup_lattice(P2, 9)
+    h, l = lat.h, lat.l
+    roots = [h - l(1) - l(2) - l(3)] + [l(i) - l(i + 1) for i in range(1, 9)]
+    gens = [reflection(lat, r) for r in roots]
+    key_count = len(rootsys._CLOSURES)
+    with pytest.raises(BudgetExceededError):
+        weyl_generate(gens, cap=20_000)
+    assert len(rootsys._CLOSURES) == key_count
+
+
+def test_root_sublattice_checks_negation_of_every_root(f1_4, monkeypatch):
+    roots = rootsys.enumerate_classes(f1_4, [(rootsys.SELF, -2), (f1_4.K, 0), (f1_4.f, 0)])
+    assert len(roots) == 24
+    for dropped in roots:
+        monkeypatch.setattr(rootsys, "enumerate_classes",
+                            lambda lat, constraints: [r for r in roots if r != dropped])
+        with pytest.raises(ValueError):
+            root_sublattice(f1_4, [f1_4.K, f1_4.f])
