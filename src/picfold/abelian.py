@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
+import numpy as np
+
 from ._linalg import SNFDecomposition, mat_vec
 from ._linalg import smith_normal_form as _snf_raw
 
@@ -61,11 +63,13 @@ class SigmaModel:
         return ((k * x[0]) % self.m1, (k * x[1]) % self.m2)
 
     def combine(self, coeffs, points) -> GroupElement:
-        acc = self.zero
+        """sum_j coeffs[j] points[j], reduced once at the end."""
+        a = b = 0
         for k, p in zip(coeffs, points):
             if k:
-                acc = self.add(acc, self.scale(k, p))
-        return acc
+                a += k * p[0]
+                b += k * p[1]
+        return (a % self.m1, b % self.m2)
 
     def elements(self):
         for a in range(self.m1):
@@ -83,6 +87,15 @@ class SigmaModel:
 
     def is_zero(self, x: GroupElement) -> bool:
         return x == (0, 0)
+
+    def point_grids(self, n: int):
+        """Component arrays (N, n), N = order^n, covering every n-tuple of elements.
+
+        Tuples come in the order of ``itertools.product(self.elements(), repeat=n)``.
+        """
+        grids = np.meshgrid(*([np.arange(self.order)] * n), indexing="ij")
+        idx = np.stack(grids).reshape(n, -1).T
+        return idx // self.m2 % self.m1, idx % self.m2
 
 
 class SymbolicSigma:
@@ -116,11 +129,8 @@ class SymbolicSigma:
         return tuple(k * a for a in x)
 
     def combine(self, coeffs, points):
-        acc = self.zero
-        for k, p in zip(coeffs, points):
-            if k:
-                acc = self.add(acc, self.scale(k, p))
-        return acc
+        terms = [(k, p) for k, p in zip(coeffs, points) if k]
+        return tuple(sum(k * p[i] for k, p in terms) for i in range(self.nfree))
 
     def is_zero(self, x) -> bool:
         return all(a == 0 for a in x)
@@ -233,7 +243,8 @@ def weierstrass_group(p: int, a: int, b: int):
         base = mul(i, g1) if g1 is not None else None
         for j in range(m2):
             table[_key(add(base, mul(j, g2)))] = (i, j)
-    assert len(table) == n
+    if len(table) != n:
+        raise AssertionError(f"the generators reach {len(table)} of {n} points")
 
     def encode(pt) -> GroupElement:
         return table[_key(pt)]
@@ -376,7 +387,8 @@ def solve_group_system(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> 
         for c1 in per_comp[0]:
             for c2 in per_comp[1]:
                 sols.add(tuple(sigma.element(c1[j], c2[j]) for j in range(ncols)))
-        assert len(sols) == kern_total
+        if len(sols) != kern_total:
+            raise AssertionError(f"{len(sols)} distinct solutions, kernel size {kern_total}")
         all_solutions = tuple(sorted(sols))
 
     return GroupSolveResult(True, particular, kern_total, all_solutions)

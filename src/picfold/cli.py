@@ -2,7 +2,7 @@
 
 Runs named suites of finite checks and emits human-readable or
 machine-readable certificates.  Claim ids are stable strings (the
-verification matrix in the README documents them); two runs with the
+``_suite_*`` builders below list them, suite by suite); two runs with the
 same configuration produce identical reports apart from timings.
 
 Exit codes: 0 all claims pass (or are skipped), 1 at least one claim
@@ -211,20 +211,10 @@ def _suite_folding(cfg: RunConfig):
 
     def folded_tags():
         out = {}
-        for case in ("B", "C", "E6", "D4-triality"):
-            if case == "B":
-                lat = lattice.make_blowup_lattice("F1", 4)
-                rho = folding.outer_automorphism("D", lat)
-            elif case == "C":
-                lat = lattice.make_blowup_lattice("F1", 4)
-                rho = folding.outer_automorphism("A", lat)
-            elif case == "E6":
-                lat = lattice.make_blowup_lattice("P2", 6)
-                rho = folding.outer_automorphism("E6", lat)
-            else:
-                lat = lattice.make_blowup_lattice("F1", 4)
-                rho = folding.outer_automorphism("D4-triality", lat)
-            out[case] = folding.fold_simple_system(rho.simple_system, rho).type_tag
+        # the fold of each ambient type, on the lattice of one case it folds to
+        for key, case in (("B", "B3"), ("C", "C2"), ("E6", "F4"), ("D4-triality", "G2")):
+            rho = folding.outer_automorphism(moduli.ambient_case(case), moduli.case_lattice(case))
+            out[key] = folding.fold_simple_system(rho.simple_system, rho).type_tag
         _expect(out["D4-triality"], "G2", "triality fold")
         _expect(out["E6"], "F4", "E6 fold")
         _expect(out["B"], "B3", "fork fold")
@@ -305,14 +295,9 @@ def _suite_folding(cfg: RunConfig):
     claims.append(("W.second.reduction.identities", second_reduction))
 
     def presentations():
-        pairs = [("B2", lattice.make_blowup_lattice("F1", 3)),
-                 ("B3", lattice.make_blowup_lattice("F1", 4)),
-                 ("C2", lattice.make_blowup_lattice("F1", 4)),
-                 ("G2", lattice.make_blowup_lattice("F1", 4)),
-                 ("F4", lattice.make_blowup_lattice("P2", 6))]
         out = {}
-        for case, lat in pairs:
-            a, b, basis = folding.restricted_reflection_matrices(case, lat)
+        for case in ("B2", "B3", "C2", "G2", "F4"):
+            a, b, basis = folding.restricted_reflection_matrices(case, moduli.case_lattice(case))
             check(a == b, f"{case}: presentations differ")
             out[case] = len(a)
         return out
@@ -394,7 +379,8 @@ def _suite_configs(cfg: RunConfig):
             lat = moduli.case_lattice(case)
             systems = configs.enumerate_exceptional_systems(case, lat)
             n = moduli.case_rank(case)
-            expected = 1152 if case == "F4" else (12 if case == "G2" else 2**n * factorial(n))
+            expected = {"G2": 12, "F4": 1152}.get(moduli.case_spec(case).family,
+                                                  2**n * factorial(n))
             _expect(len(systems), expected, f"{case} system count")
             out[case] = len(systems)
         lat = moduli.case_lattice("G2")
@@ -479,7 +465,6 @@ def _suite_moduli(cfg: RunConfig):
 
     def round_trip():
         rng = random.Random(20240801)
-        els = list(sigma.elements())
         out = {}
         for case in ("B2", "B3", "C2", "G2", "F4"):
             hits = 0
@@ -497,20 +482,10 @@ def _suite_moduli(cfg: RunConfig):
 
 
 def _random_admissible(case, sigma, rng):
+    """x = P t for rank random group elements t, drawn in order."""
     els = list(sigma.elements())
-    n = moduli.case_lattice(case).npoints
-    if case.startswith("B"):
-        pts = (sigma.zero,) + tuple(rng.choice(els) for _ in range(n - 1))
-    elif case.startswith("C"):
-        half = [rng.choice(els) for _ in range(n // 2)]
-        pts = tuple(half) + tuple(sigma.neg(p) for p in reversed(half))
-    elif case == "G2":
-        a, b = rng.choice(els), rng.choice(els)
-        pts = (sigma.zero, a, b, sigma.add(a, b))
-    else:
-        x1, x2, x3, p = (rng.choice(els) for _ in range(4))
-        pts = (x1, x2, x3, sigma.sub(p, x3), sigma.sub(p, x2), sigma.sub(p, x1))
-    return moduli.PointAssignment(sigma, pts)
+    t = [rng.choice(els) for _ in range(moduli.case_rank(case))]
+    return moduli.points_from_parameters(case, [t], sigma)[0]
 
 
 def _suite_liealg(cfg: RunConfig):
@@ -571,11 +546,7 @@ def _suite_repbundles(cfg: RunConfig):
     def f4_decomp():
         lat = lattice.make_blowup_lattice("P2", 6)
         sig = abelian.make_sigma_model(5, 5)
-        rng = random.Random(7)
-        els = list(sig.elements())
-        x1, x2, x3, p = (rng.choice(els) for _ in range(4))
-        pts = (x1, x2, x3, sig.sub(p, x3), sig.sub(p, x2), sig.sub(p, x1))
-        pa = moduli.PointAssignment(sig, pts)
+        pa = _random_admissible("F4", sig, random.Random(7))
         dec = repbundles.f4_rep_decomposition(lat, pa)
         return {"zero_lines": 3, "short_roots": len(dec.short_root_map),
                 "kernel_rank": dec.trace_kernel_rank}
@@ -608,18 +579,6 @@ def run_suite(name: str, cfg: RunConfig) -> list[VerificationReport]:
     if name not in _SUITE_BUILDERS:
         raise ConfigError(f"unknown suite {name!r}")
     return _run_claims(_SUITE_BUILDERS[name](cfg))
-
-
-def run_suites_parallel(names, cfg: RunConfig) -> list[VerificationReport]:
-    """Run suites concurrently; reports merge in suite order regardless."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-        futures = {name: pool.submit(run_suite, name, cfg) for name in names}
-    out = []
-    for name in names:
-        out.extend(futures[name].result())
-    return out
 
 
 def emit_report(reports, fmt: str, cfg: RunConfig) -> str:
@@ -671,8 +630,6 @@ def main(argv=None) -> int:
     verify.add_argument("--config", help="key = value configuration file")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", help="write the report to a file")
-    verify.add_argument("--parallel", action="store_true",
-                        help="run suites concurrently (deterministic merge)")
     args = parser.parse_args(argv)
 
     try:
@@ -684,10 +641,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if args.suite == "all" and args.parallel:
-            reports = run_suites_parallel(SUITES, cfg)
-        else:
-            reports = run_suite(args.suite, cfg)
+        reports = run_suite(args.suite, cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

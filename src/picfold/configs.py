@@ -27,7 +27,9 @@ from .lattice import (
     IntersectionLattice,
     exceptional_classes,
 )
-from .moduli import PointAssignment, case_lattice, case_rank
+from .abelian import SymbolicSigma
+from .cases import case_lattice, case_spec, holds
+from .moduli import PointAssignment
 from .rootsys import (
     SimpleSystem,
     WeylSet,
@@ -46,34 +48,8 @@ class ConfigurationError(ValueError):
 
 
 def symbolic_point_rows(case: str) -> np.ndarray:
-    """Integer rows expressing each blow-up point in free parameters.
-
-    Row i is the coefficient vector of x_{i+1} after substituting the
-    case's defining relations (B: x1 = 0; C: x_{2n+1-i} = -x_i;
-    G2: x1 = 0, x4 = x2 + x3; F4: x4 = p - x3, x5 = p - x2, x6 = p - x1).
-    """
-    if case.startswith("B"):
-        n = case_rank(case)
-        rows = np.zeros((n + 1, n), dtype=np.int64)
-        for i in range(1, n + 1):
-            rows[i, i - 1] = 1
-        return rows
-    if case.startswith("C"):
-        n = case_rank(case)
-        rows = np.zeros((2 * n, n), dtype=np.int64)
-        for i in range(n):
-            rows[i, i] = 1
-            rows[2 * n - 1 - i, i] = -1
-        return rows
-    if case == "G2":
-        return np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
-    if case == "F4":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
-             [0, 0, -1, 1], [0, -1, 0, 1], [-1, 0, 0, 1]],
-            dtype=np.int64,
-        )
-    raise ValueError(f"unknown case {case!r}")
+    """The case's P: row i expresses the blow-up point x_{i+1} in the free parameters."""
+    return np.array(case_spec(case).points, dtype=np.int64)
 
 
 def symbolic_point(lat: IntersectionLattice, rows: np.ndarray, d: DivisorClass):
@@ -88,12 +64,21 @@ class GConfiguration:
     pa: PointAssignment | None = None
 
     def flat_classes(self) -> tuple[DivisorClass, ...]:
-        if self.case.startswith("C"):
-            return tuple(c for pair_ in self.classes for c in pair_)
+        """The classes in the slot order of the case's points.
+
+        C pairs (a_i, b_i) flatten to (a_1, ..., a_n, b_n, ..., b_1).
+        """
+        if case_spec(self.case).family == "C":
+            return (tuple(a for a, _ in self.classes)
+                    + tuple(b for _, b in reversed(self.classes)))
         return self.classes
 
     def check_invariants(self, lat: IntersectionLattice):
-        """Raise ConfigurationError unless every defining condition holds."""
+        """Raise ConfigurationError unless every defining condition holds.
+
+        With a point assignment this includes the case's point relations,
+        both on the classes' symbolic points and on the assigned points.
+        """
         flat = self.flat_classes()
         for e in flat:
             if lat.pair(e, e) != -1 or lat.pair(e, lat.K) != -1:
@@ -111,24 +96,19 @@ class GConfiguration:
                 symbolic_point(lat, rows, e) for e in flat
             ]):
                 raise ConfigurationError(
-                    f"points break the {self.case} relations")
+                    f"the classes' points break the {self.case} relations")
+            relations = case_spec(self.case).relations
+            x = self.pa.points
+            if len(x) != lat.npoints or not holds(relations, self.pa.sigma, x):
+                raise ConfigurationError(
+                    f"the assigned points {x} break the {self.case} relations")
         return True
 
 
 def _check_case_points(case: str, pts) -> bool:
-    add = lambda u, v: tuple(a + b for a, b in zip(u, v))
-    zero = tuple(0 for _ in pts[0])
-    if case.startswith("B"):
-        return pts[0] == zero
-    if case.startswith("C"):
-        n = len(pts) // 2
-        return all(add(pts[2 * i], pts[2 * i + 1]) == zero for i in range(n))
-    if case == "G2":
-        return pts[0] == zero and add(pts[0], pts[3]) == add(pts[1], pts[2])
-    if case == "F4":
-        a = add(pts[0], pts[5])
-        return a == add(pts[1], pts[4]) and a == add(pts[2], pts[3])
-    raise ValueError(case)
+    """R x = 0 on symbolic points (integer vectors over the free parameters)."""
+    spec = case_spec(case)
+    return holds(spec.relations, SymbolicSigma(spec.rank), pts)
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +141,9 @@ def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = N
 
 @lru_cache(maxsize=None)
 def _enumerate_systems(case: str, lat: IntersectionLattice):
-    if case.startswith("C"):
-        n = case_rank(case)
+    spec = case_spec(case)
+    if spec.family == "C":
+        n = spec.rank
         out = []
         for sigma in permutations(range(1, n + 1)):
             for flips in product((0, 1), repeat=n):
@@ -172,51 +153,65 @@ def _enumerate_systems(case: str, lat: IntersectionLattice):
                     pairs.append((b, a) if fl else (a, b))
                 out.append(tuple(pairs))
         return tuple(out)
-    if case == "F4":
-        return _f4_systems(lat)
-    # B and G2: sign patterns on the Hirzebruch model
-    classes = _hirzebruch_table(lat)[0]
     rows = symbolic_point_rows(case)
-    pts = {key: symbolic_point(lat, rows, e) for key, e in classes.items()}
+    if spec.family == "F4":
+        return _f4_systems(lat, rows, spec.relations)
+    # B and G2: every (permutation, even flip pattern) on the Hirzebruch
+    # model, in that order, with R x = 0 evaluated for all of them at once
+    classes = _hirzebruch_table(lat)[0]
+    keys = list(classes)  # (i, flip) at position 2 (i - 1) + flip
+    pts = np.array([symbolic_point(lat, rows, classes[k]) for k in keys], dtype=np.int64)
     m = lat.npoints
-    out = []
-    for sigma in permutations(range(1, m + 1)):
-        for flips in product((0, 1), repeat=m):
-            if sum(flips) % 2 != 0:
-                continue
-            keys = tuple(zip(sigma, flips))
-            if _check_case_points(case, [pts[k] for k in keys]):
-                out.append(tuple(classes[k] for k in keys))
-    return tuple(out)
+    perms = np.array(list(permutations(range(m))), dtype=np.int64)
+    flips = np.array([f for f in product((0, 1), repeat=m) if sum(f) % 2 == 0], dtype=np.int64)
+    cand = (2 * perms[:, None] + flips[None]).reshape(-1, m)
+    ok = np.ones(cand.shape[0], dtype=bool)
+    for rel in spec.relations:
+        ok &= ~np.any(sum(c * pts[cand[:, j]] for j, c in enumerate(rel) if c), axis=1)
+    return tuple(tuple(classes[keys[k]] for k in row) for row in cand[ok].tolist())
 
 
-def _f4_systems(lat: IntersectionLattice):
+def _f4_systems(lat: IntersectionLattice, rows: np.ndarray, relations):
+    """Ordered 6-tuples of pairwise-disjoint lines whose points satisfy R x = 0.
+
+    The slots are filled relation by relation, and each relation is
+    checked as soon as its last slot is filled.
+    """
     lines = exceptional_classes(lat)
-    rows = symbolic_point_rows("F4")
     pts = {e: symbolic_point(lat, rows, e) for e in lines}
     disjoint = {e: {o for o in lines if o != e and lat.pair(e, o) == 0} for e in lines}
-    add = lambda u, v: tuple(a + b for a, b in zip(u, v))
-    slot_order = (0, 5, 1, 4, 2, 3)
+    sym = SymbolicSigma(rows.shape[1])
+    order = []
+    for rel in relations:
+        order += [j for j, c in enumerate(rel) if c and j not in order]
+    order += [j for j in range(lat.npoints) if j not in order]
+    pos = {slot: depth for depth, slot in enumerate(order)}
+    due = [[] for _ in order]  # the relations whose last slot is filled at each depth
+    for rel in relations:
+        due[max(pos[j] for j, c in enumerate(rel) if c)].append(rel)
+    by_point = {}
+    for e in lines:
+        by_point.setdefault(pts[e], set()).add(e)
     out = []
-    chosen: dict[int, DivisorClass] = {}
+    chosen = [sym.zero] * lat.npoints
+    picked = [None] * lat.npoints
 
     def rec(depth, allowed):
-        if depth == 6:
-            out.append(tuple(chosen[i] for i in range(6)))
+        if depth == len(order):
+            out.append(tuple(picked))
             return
-        slot = slot_order[depth]
-        partner = 5 - slot
-        target = None
-        if partner in chosen and 0 in chosen and 5 in chosen:
-            # the first completed pair defines the common sum
-            target = add(pts[chosen[0]], pts[chosen[5]])
-            other = pts[chosen[partner]]
-        for cand in sorted(allowed):
-            if target is not None and add(pts[cand], other) != target:
-                continue
-            chosen[slot] = cand
+        slot = order[depth]
+        cands = allowed
+        # each relation due here fixes c x_slot = -(the sum over its other slots)
+        for rel in due[depth]:
+            c, need = rel[slot], sym.neg(sym.combine(rel, chosen))
+            if any(v % c for v in need):
+                return
+            cands = cands & by_point.get(tuple(v // c for v in need), set())
+        for cand in cands:
+            chosen[slot], picked[slot] = pts[cand], cand
             rec(depth + 1, allowed & disjoint[cand])
-            del chosen[slot]
+        chosen[slot] = sym.zero
 
     rec(0, set(lines))
     return tuple(sorted(out))
@@ -458,20 +453,19 @@ def in_general_position(case: str, pa: PointAssignment) -> bool:
     x = pa.points
     if len(set(x)) != len(x):
         return False
-    if case.startswith("B"):
+    family = case_spec(case).family
+    if family == "B":
         return all(not s.is_zero(p) for p in x[1:])
-    if case.startswith("C"):
+    if family == "C":
         n = len(x) // 2
         half = x[:n]
         return all(
             not s.is_zero(s.add(half[i], half[j]))
             for i in range(n) for j in range(i, n)
         )
-    if case == "G2":
+    if family == "G2":
         vals = []
         for p in x[1:]:
             vals += [p, s.neg(p)]
         return len(set(vals + [x[0]])) == len(vals) + 1
-    if case == "F4":
-        return True
-    raise ValueError(case)
+    return True  # F4

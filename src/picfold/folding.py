@@ -16,6 +16,7 @@ from functools import cached_property, reduce
 from itertools import combinations, product
 
 from ._linalg import integer_kernel, rational_solve, rational_solve_int
+from .cases import FOLDED_TO_SIMPLY_LACED, ambient_case, case_spec  # noqa: F401 (re-exported)
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     RootSystemData,
@@ -32,8 +33,6 @@ from .rootsys import (
     standard_simple_system,
     weyl_generate,
 )
-
-FOLDED_TO_SIMPLY_LACED = {"B": "D", "C": "A", "F4": "E6", "G2": "D4-triality"}
 
 
 @dataclass(frozen=True)
@@ -124,12 +123,13 @@ def outer_automorphism(case: str, lat: IntersectionLattice) -> OuterAutomorphism
     rho = OuterAutomorphism(case, lat, delta, perm, order)
     a = cartan_matrix_of(list(delta.roots), lat)
     n = len(delta)
-    assert all(a[perm[i]][perm[j]] == a[i][j] for i in range(n) for j in range(n)), \
-        "permutation is not a diagram automorphism"
+    if any(a[perm[i]][perm[j]] != a[i][j] for i in range(n) for j in range(n)):
+        raise ValueError("permutation is not a diagram automorphism")
     p = perm
     for _ in range(order - 1):
         p = tuple(perm[i] for i in p)
-    assert p == tuple(range(n)), "permutation order mismatch"
+    if p != tuple(range(n)):
+        raise ValueError("permutation order mismatch")
     return rho
 
 
@@ -174,16 +174,8 @@ def folded_weyl_generators(delta: SimpleSystem, rho: OuterAutomorphism) -> list[
 
 def folded_weyl_group(case: str, lat: IntersectionLattice, cap: int = 10**6) -> WeylSet:
     """The Weyl group of the folded type as a subgroup of the ambient one."""
-    rho = outer_automorphism(_ambient_case(case), lat)
+    rho = outer_automorphism(ambient_case(case), lat)
     return weyl_generate(folded_weyl_generators(rho.simple_system, rho), cap=cap)
-
-
-def _ambient_case(case: str) -> str:
-    base = case[0] if case[0] in ("B", "C") else case
-    try:
-        return FOLDED_TO_SIMPLY_LACED[base]
-    except KeyError:
-        raise ValueError(f"unknown folded case {case!r}") from None
 
 
 def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:
@@ -208,8 +200,9 @@ def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:
 def folded_root_system(case: str, lat: IntersectionLattice) -> RootSystemData:
     """The literal integral divisor presentation of R(B_n), R(C_n), R(G2), R(F4)."""
     l = lat.l
+    family = case_spec(case).family
     roots: set[DivisorClass] = set()
-    if case.startswith("B"):
+    if family == "B":
         n = lat.npoints - 1
         idx = range(2, n + 2)
         for i in idx:
@@ -222,7 +215,7 @@ def folded_root_system(case: str, lat: IntersectionLattice) -> RootSystemData:
             roots.add(2 * (lat.f - l(i) - l(j)))
             roots.add(-2 * (lat.f - l(i) - l(j)))
         expected = 2 * n * n
-    elif case.startswith("C"):
+    elif family == "C":
         n = lat.npoints // 2
         eps = [l(k) - l(2 * n + 1 - k) for k in range(1, n + 1)]
         for e in eps:
@@ -232,7 +225,7 @@ def folded_root_system(case: str, lat: IntersectionLattice) -> RootSystemData:
             for sa, sb in product((1, -1), repeat=2):
                 roots.add(sa * a + sb * b)
         expected = 2 * n * n
-    elif case == "G2":
+    elif family == "G2":
         eps = (l(2), l(3), lat.f - l(4))
         for a, b in combinations(eps, 2):
             roots.add(3 * (a - b))
@@ -243,7 +236,7 @@ def folded_root_system(case: str, lat: IntersectionLattice) -> RootSystemData:
             roots.add(v)
             roots.add(-v)
         expected = 12
-    elif case == "F4":
+    else:  # F4
         h = lat.h
         eps = (
             l(2) - l(3) + l(4) - l(5),
@@ -261,13 +254,12 @@ def folded_root_system(case: str, lat: IntersectionLattice) -> RootSystemData:
             total = lat.zero
             for s, e in zip(signs, eps):
                 total = total + s * e
-            half = tuple(c // 2 for c in total.coords)
-            assert all(c % 2 == 0 for c in total.coords)
-            roots.add(DivisorClass(half))
+            if any(c % 2 for c in total.coords):
+                raise ValueError(f"{total} is not divisible by 2")
+            roots.add(DivisorClass(tuple(c // 2 for c in total.coords)))
         expected = 48
-    else:
-        raise ValueError(f"unknown folded case {case!r}")
-    assert len(roots) == expected, (case, len(roots))
+    if len(roots) != expected:
+        raise ValueError(f"{case} on {lat.npoints} points: {len(roots)} roots, not {expected}")
     return RootSystemData(lat, frozenset(roots))
 
 
@@ -300,7 +292,7 @@ def restricted_reflection_matrices(case: str, lat: IntersectionLattice, cap: int
     (matrix byte-key set from folded roots, same from folded generators,
     sublattice basis).
     """
-    rho = outer_automorphism(_ambient_case(case), lat)
+    rho = outer_automorphism(ambient_case(case), lat)
     basis = fixed_sublattice(rho)
     side_a = weyl_generate(_restricted_root_reflections(case, lat, basis), cap=cap)
 

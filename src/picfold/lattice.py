@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import mul
 
 F1 = "F1"
 P2 = "P2"
@@ -108,19 +109,13 @@ class IntersectionLattice:
         u, v = a.coords, b.coords
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        if self.model == F1:
-            head = -u[0] * v[0] + u[0] * v[1] + u[1] * v[0]
-        else:
-            head = u[0] * v[0]
-        return head - sum(x * y for x, y in zip(u[self.l_offset:], v[self.l_offset:]))
+        return self.pair_q(u, v)
 
     def pair_q(self, u, v):
         """The form on rational coordinate vectors (plain sequences)."""
         if self.model == F1:
-            head = -u[0] * v[0] + u[0] * v[1] + u[1] * v[0]
-        else:
-            head = u[0] * v[0]
-        return head - sum(x * y for x, y in zip(u[self.l_offset:], v[self.l_offset:]))
+            return -u[0] * v[0] + u[0] * v[1] + u[1] * v[0] - sum(map(mul, u[2:], v[2:]))
+        return u[0] * v[0] - sum(map(mul, u[1:], v[1:]))
 
     def deg(self, d: DivisorClass) -> int:
         """Degree against the anticanonical class, d.(-K)."""
@@ -170,14 +165,6 @@ def make_blowup_lattice(model: str, n: int) -> IntersectionLattice:
         gram=tuple(tuple(row) for row in gram),
         K=DivisorClass(k),
     )
-
-
-def pair(lat: IntersectionLattice, a: DivisorClass, b: DivisorClass) -> int:
-    return lat.pair(a, b)
-
-
-def canonical_class(lat: IntersectionLattice) -> DivisorClass:
-    return lat.K
 
 
 SELF = "self"

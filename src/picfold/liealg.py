@@ -34,9 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._linalg import rational_solve
+from .cases import case_lattice, case_rank, case_spec
 from .folding import folded_root_system
 from .lattice import DivisorClass, IntersectionLattice
-from .moduli import case_lattice, case_rank
 from .rootsys import RootSystemData, SimpleSystem, decompose_in_basis
 
 
@@ -308,5 +308,5 @@ def folded_simple_and_roots(case: str, lat: IntersectionLattice | None = None):
 
     lat = lat or case_lattice(case)
     rs = folded_root_system(case, lat)
-    delta = standard_simple_system(case[0] if case[0] in "BC" else case, lat)
+    delta = standard_simple_system(case_spec(case).family, lat)
     return rs, delta

@@ -16,8 +16,9 @@ from itertools import product
 import numpy as np
 
 from .abelian import SigmaModel, SymbolicSigma, solve_group_system
+from .cases import ambient_case, case_lattice, case_rank, case_spec, holds, point_relations
 from .folding import fixed_sublattice, folded_weyl_group, outer_automorphism
-from .lattice import F1, P2, DivisorClass, IntersectionLattice, make_blowup_lattice
+from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     BudgetExceededError,
     WeylSet,
@@ -27,42 +28,6 @@ from .rootsys import (
     standard_simple_system,
     weyl_generate,
 )
-
-CASES = ("B", "C", "G2", "F4")
-
-
-def case_rank(case: str) -> int:
-    if case in ("G2",):
-        return 2
-    if case in ("F4",):
-        return 4
-    return int(case[1:])
-
-
-@lru_cache(maxsize=None)
-def case_lattice(case: str) -> IntersectionLattice:
-    """The blow-up lattice on which the case's configurations live."""
-    if case.startswith("B"):
-        return make_blowup_lattice(F1, case_rank(case) + 1)
-    if case.startswith("C"):
-        return make_blowup_lattice(F1, 2 * case_rank(case))
-    if case == "G2":
-        return make_blowup_lattice(F1, 4)
-    if case == "F4":
-        return make_blowup_lattice(P2, 6)
-    raise ValueError(f"unknown case {case!r}")
-
-
-def ambient_case(case: str) -> str:
-    if case.startswith("B"):
-        return "D"
-    if case.startswith("C"):
-        return "A"
-    if case == "G2":
-        return "D4-triality"
-    if case == "F4":
-        return "E6"
-    raise ValueError(f"unknown case {case!r}")
 
 
 @dataclass(frozen=True)
@@ -76,31 +41,20 @@ class PointAssignment:
         return len(self.points)
 
     def validate(self, constraint: str | None):
-        """Check the case's defining point relations; returns self."""
-        s = self.sigma
-        x = self.points
+        """Check the point relations of a case (see cases.point_relations); returns self."""
         if constraint is None:
             return self
-        if constraint.startswith("B"):
-            ok = s.is_zero(x[0])
-        elif constraint.startswith("A"):
-            acc = s.zero
-            for p in x:
-                acc = s.add(acc, p)
-            ok = s.is_zero(acc)
-        elif constraint.startswith("C"):
-            n = len(x) // 2
-            ok = all(s.is_zero(s.add(x[i], x[2 * n - 1 - i])) for i in range(n))
-        elif constraint == "G2":
-            ok = s.is_zero(x[0]) and s.add(x[0], x[3]) == s.add(x[1], x[2])
-        elif constraint == "F4":
-            p16 = s.add(x[0], x[5])
-            ok = p16 == s.add(x[1], x[4]) and p16 == s.add(x[2], x[3])
-        else:
-            raise ValueError(f"unknown constraint {constraint!r}")
-        if not ok:
+        if not holds(point_relations(constraint, len(self.points)), self.sigma, self.points):
             raise ValueError(f"points violate the {constraint} relations")
         return self
+
+
+def points_from_parameters(case: str, params, sigma: SigmaModel) -> list[PointAssignment]:
+    """The admissible assignments x = P t, one for each tuple t of free parameters."""
+    spec = case_spec(case)
+    t = np.array(params, dtype=np.int64).reshape(len(params), spec.rank, 2)
+    x = np.array(spec.points, dtype=np.int64) @ t % np.array([sigma.m1, sigma.m2])
+    return [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in x.tolist()]
 
 
 def u_point(lat: IntersectionLattice, pa: PointAssignment, d: DivisorClass):
@@ -123,39 +77,22 @@ def restriction_hom(lat: IntersectionLattice, pa: PointAssignment, basis) -> Res
     return RestrictionHom(basis, tuple(u_point(lat, pa, b) for b in basis))
 
 
-def _pair_sums(pa: PointAssignment):
-    s, x = pa.sigma, pa.points
-    n = len(x) // 2
-    return [s.add(x[i], x[2 * n - 1 - i]) for i in range(n)]
-
-
 def invariance_closed_form(case: str, pa: PointAssignment) -> bool:
-    """The closed-form fixed-point condition on the blow-up points.
+    """The closed-form fixed-point condition on the blow-up points: Q x = 0.
 
     For C_n the n pair sums must share a single common value (an
     n-torsion point, automatically, since the points sum to zero); the
     weaker elementwise condition n (x_i + x_{2n+1-i}) = 0 is equivalent
     only for n = 2.
     """
-    s, x = pa.sigma, pa.points
-    if case.startswith("B"):
-        return s.is_zero(s.scale(2, x[0]))
-    if case.startswith("C"):
-        sums = _pair_sums(pa)
-        return all(t == sums[0] for t in sums[1:])
-    if case == "G2":
-        return s.is_zero(s.scale(2, x[0])) and s.add(x[0], x[3]) == s.add(x[1], x[2])
-    if case == "F4":
-        p16 = s.add(x[0], x[5])
-        return p16 == s.add(x[1], x[4]) and p16 == s.add(x[2], x[3])
-    raise ValueError(f"unknown case {case!r}")
+    return holds(case_spec(case).invariance, pa.sigma, pa.points)
 
 
 def invariance_literal_c(pa: PointAssignment) -> bool:
     """n (x_i + x_{2n+1-i}) = 0 for every i (necessary, not sufficient for n >= 3)."""
-    s = pa.sigma
-    n = len(pa.points) // 2
-    return all(s.is_zero(s.scale(n, t)) for t in _pair_sums(pa))
+    s, x = pa.sigma, pa.points
+    n = len(x) // 2
+    return all(s.is_zero(s.scale(n, s.add(x[i], x[2 * n - 1 - i]))) for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +114,7 @@ def invariance_direct(case: str, pa: PointAssignment) -> bool:
 
 def invariance_condition(case: str, pa: PointAssignment) -> bool:
     """Fixed-point condition, evaluated both ways; the two must agree."""
-    if case.startswith("C"):
+    if case_spec(case).family == "C":
         pa.validate("A")  # the ambient configuration assumes sum x_i = 0
     closed = invariance_closed_form(case, pa)
     direct = invariance_direct(case, pa)
@@ -205,17 +142,8 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
     zero label.  When the group lacks full torsion the count degrades
     and a warning is emitted.
     """
-    n = case_rank(case)
-    if case.startswith("B"):
-        labels, expected, free = sigma.torsion(2), 4, n
-    elif case.startswith("C"):
-        labels, expected, free = sigma.torsion(n), n * n, n
-    elif case == "G2":
-        labels, expected, free = sigma.torsion(2), 4, 2
-    elif case == "F4":
-        labels, expected, free = [sigma.zero], 1, 4
-    else:
-        raise ValueError(f"unknown case {case!r}")
+    spec = case_spec(case)
+    labels, expected = sigma.torsion(spec.torsion), spec.torsion**2
     full = len(labels) == expected
     if not full:
         warnings.warn(
@@ -225,57 +153,24 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
         )
     return FixedComponents(
         labels=tuple(sorted(labels)),
-        component_size=sigma.order**free,
+        component_size=sigma.order**spec.rank,
         identity_label=sigma.zero,
         full_torsion=full,
     )
 
 
-def case_system_matrix(case: str):
-    """Coefficient matrix of the point-reconstruction system.
+@lru_cache(maxsize=None)
+def case_system_matrix(case: str) -> tuple[tuple[int, ...], ...]:
+    """Coefficient matrix M P of the point-reconstruction system.
 
-    Unknowns are the free points of the case (B_n: x2..x_{n+1};
-    C_n: x1..xn; G2: x2, x3; F4: x1..x6 with two homogeneous rows)."""
-    n = case_rank(case)
-    if case.startswith("B"):
-        a = [[0] * n for _ in range(n)]
-        a[0][0] = -2
-        for k in range(1, n):
-            a[k][k - 1] = 2
-            a[k][k] = -2
-        return a
-    if case.startswith("C"):
-        a = [[0] * n for _ in range(n)]
-        for k in range(n - 1):
-            a[k][k] = 2
-            a[k][k + 1] = -2
-        a[n - 1][n - 1] = 4
-        return a
-    if case == "G2":
-        return [[-3, 0], [3, -3]]
-    if case == "F4":
-        return [
-            [1, -1, 0, 0, 1, -1],
-            [0, 1, -1, 1, -1, 0],
-            [-2, -2, -2, 0, 0, 0],
-            [0, 0, 2, -2, 0, 0],
-            [1, -1, 0, 0, -1, 1],
-            [0, 1, -1, -1, 1, 0],
-        ]
-    raise ValueError(f"unknown case {case!r}")
-
-
-def _solution_to_points(case: str, sol, sigma) -> PointAssignment:
-    if case.startswith("B"):
-        pts = (sigma.zero,) + tuple(sol)
-    elif case.startswith("C"):
-        pts = tuple(sol) + tuple(sigma.neg(p) for p in reversed(sol))
-    elif case == "G2":
-        x2, x3 = sol
-        pts = (sigma.zero, x2, x3, sigma.add(x2, x3))
-    else:
-        pts = tuple(sol)
-    return PointAssignment(sigma, pts).validate(case)
+    M holds the l-coefficients of the folded simple roots, so M P t is the
+    folded restriction of the points x = P t; the unknowns are the free
+    parameters t.
+    """
+    spec = case_spec(case)
+    delta = standard_simple_system(spec.family, spec.lattice)
+    return tuple(tuple(sum(c * row[j] for c, row in zip(spec.lattice.l_coeffs(b), spec.points))
+                       for j in range(spec.rank)) for b in delta.roots)
 
 
 @dataclass(frozen=True)
@@ -287,35 +182,32 @@ class ReconstructionResult:
 
 def reconstruct_points(case: str, p_images, sigma: SigmaModel,
                        enumerate_cap: int = 4096) -> ReconstructionResult:
-    """Recover all point assignments whose folded restriction data is p_images."""
-    a = case_system_matrix(case)
+    """Recover all point assignments whose folded restriction data is p_images.
+
+    Solves M P t = p_images over the group and returns every x = P t,
+    sorted by points.  Raises BudgetExceededError when the solution set
+    is larger than ``enumerate_cap``, rather than return part of it.
+    """
     rank = case_rank(case)
     if len(p_images) != rank:
         raise ValueError(f"{case} expects {rank} image points")
-    rhs = list(p_images)
-    if case == "F4":
-        rhs = rhs + [sigma.zero, sigma.zero]
-    res = solve_group_system(a, rhs, sigma, enumerate_cap=enumerate_cap)
+    res = solve_group_system(case_system_matrix(case), list(p_images), sigma,
+                             enumerate_cap=enumerate_cap)
     if not res.solvable:
         return ReconstructionResult(False, res.kernel_size, ())
-    sols = res.solutions if res.solutions is not None else (res.solution,)
-    assignments = tuple(_solution_to_points(case, sol, sigma) for sol in sols)
-    return ReconstructionResult(True, res.kernel_size, assignments)
+    if res.solutions is None:
+        raise BudgetExceededError(
+            f"{case}: {res.kernel_size} solutions exceed the enumerate cap {enumerate_cap}")
+    assignments = sorted(points_from_parameters(case, res.solutions, sigma),
+                         key=lambda pa: pa.points)
+    return ReconstructionResult(True, res.kernel_size, tuple(assignments))
 
 
 def folded_restriction(case: str, pa: PointAssignment):
     """The images of the folded simple system under restriction."""
-    lat = case_lattice(case)
-    delta = standard_simple_system(case[0] if case[0] in "BC" else case, lat)
-    return tuple(u_point(lat, pa, b) for b in delta.roots)
-
-
-def _all_point_grids(sigma: SigmaModel, n: int):
-    """Component coordinate arrays (N, n) covering every point tuple."""
-    total = sigma.order
-    grids = np.meshgrid(*([np.arange(total)] * n), indexing="ij")
-    idx = np.stack(grids).reshape(n, -1).T
-    return idx // sigma.m2 % sigma.m1, idx % sigma.m2
+    spec = case_spec(case)
+    delta = standard_simple_system(spec.family, spec.lattice)
+    return tuple(u_point(spec.lattice, pa, b) for b in delta.roots)
 
 
 def invariance_agreement_exhaustive(case: str, sigma: SigmaModel) -> int:
@@ -327,8 +219,8 @@ def invariance_agreement_exhaustive(case: str, sigma: SigmaModel) -> int:
     """
     lat, perm, coeffs = _invariance_data(case)
     n = lat.npoints
-    x1, x2 = _all_point_grids(sigma, n)
-    if case.startswith("C"):
+    x1, x2 = sigma.point_grids(n)
+    if case_spec(case).family == "C":
         keep = ((x1.sum(axis=1) % sigma.m1) == 0) & ((x2.sum(axis=1) % sigma.m2) == 0)
         x1, x2 = x1[keep], x2[keep]
 
@@ -343,21 +235,11 @@ def invariance_agreement_exhaustive(case: str, sigma: SigmaModel) -> int:
             continue
         direct &= (i1[:, p] == i1[:, i]) & (i2[:, p] == i2[:, i])
 
-    def closed(x, m):
-        if case.startswith("B"):
-            return 2 * x[:, 0] % m == 0
-        if case.startswith("C"):
-            half = x.shape[1] // 2
-            sums = (x + x[:, ::-1]) % m
-            return np.all(sums[:, :half] == sums[:, :1], axis=1)
-        if case == "G2":
-            return (2 * x[:, 0] % m == 0) & (
-                (x[:, 0] + x[:, 3]) % m == (x[:, 1] + x[:, 2]) % m
-            )
-        if case == "F4":
-            a = (x[:, 0] + x[:, 5]) % m
-            return (a == (x[:, 1] + x[:, 4]) % m) & (a == (x[:, 2] + x[:, 3]) % m)
-        raise ValueError(case)
+    def closed(x, m):  # Q x = 0
+        ok = np.ones(x.shape[0], dtype=bool)
+        for row in case_spec(case).invariance:
+            ok &= sum(c * x[:, j] for j, c in enumerate(row) if c) % m == 0
+        return ok
 
     closed_mask = closed(x1, sigma.m1) & closed(x2, sigma.m2)
     if not np.array_equal(closed_mask, direct):

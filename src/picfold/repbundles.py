@@ -23,6 +23,7 @@ import numpy as np
 
 from ._linalg import rational_solve
 from .abelian import SigmaModel
+from .cases import case_spec, holds
 from .folding import f4_short_roots, fixed_sublattice, outer_automorphism
 from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes
 from .moduli import PointAssignment, u_point
@@ -54,7 +55,8 @@ def weight_bundle(kind: str, lat: IntersectionLattice) -> WeightBundle:
     """The weight-class multiset of a named representation bundle."""
     if kind == "lines":
         summands = enumerate_classes(lat, [(SELF, -1), (lat.K, -1)])
-        assert len(summands) == 27
+        if len(summands) != 27:
+            raise ValueError(f"{len(summands)} lines, not 27: not the cubic surface")
         return WeightBundle(kind, summands)
     if kind not in _F1_KINDS:
         raise ValueError(f"unknown bundle kind {kind!r}")
@@ -66,7 +68,8 @@ def weight_bundle(kind: str, lat: IntersectionLattice) -> WeightBundle:
     m = lat.npoints
     expected = {"vector": 2 * m, "spinor_plus": 2 ** (m - 1),
                 "spinor_minus": 2 ** (m - 1), "standard": m}[kind]
-    assert len(summands) == expected, (kind, len(summands))
+    if len(summands) != expected:
+        raise ValueError(f"{kind}: {len(summands)} summands, not {expected}")
     return WeightBundle(kind, summands)
 
 
@@ -121,13 +124,6 @@ def wedge_power(bundle: WeightBundle, i: int) -> WeightBundle:
 # exhaustive loci over finite groups (vectorized)
 
 
-def _point_grids(sigma: SigmaModel, n: int):
-    total = sigma.order
-    grids = np.meshgrid(*([np.arange(total)] * n), indexing="ij")
-    idx = np.stack(grids).reshape(n, -1).T
-    return idx // sigma.m2 % sigma.m1, idx % sigma.m2
-
-
 def _encoded_points(x1, x2, coeffs, sigma):
     """(N, k) array of encoded points 'sum_j coeffs[k][j] x_j'."""
     c = np.asarray(coeffs, dtype=np.int64)
@@ -155,7 +151,7 @@ def spinor_locus(lat: IntersectionLattice, sigma: SigmaModel):
     spinor_minus', resp. 'x_{i+1} = 0', for every point tuple.
     """
     m = lat.npoints
-    x1, x2 = _point_grids(sigma, m)
+    x1, x2 = sigma.point_grids(m)
     n = x1.shape[0]
     sp = weight_bundle("spinor_plus", lat)
     sm = weight_bundle("spinor_minus", lat)
@@ -179,7 +175,7 @@ def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel):
     'x4_sum' (x4 = x2 + x3).
     """
     m = lat.npoints
-    x1, x2 = _point_grids(sigma, m)
+    x1, x2 = sigma.point_grids(m)
     sp = weight_bundle("spinor_plus", lat)
     sm = weight_bundle("spinor_minus", lat)
     w = weight_bundle("vector", lat)
@@ -205,7 +201,7 @@ def wedge_locus(lat: IntersectionLattice, sigma: SigmaModel):
     symmetric under negation' (the pairing condition up to renumbering).
     """
     m = lat.npoints
-    x1, x2 = _point_grids(sigma, m - 1)
+    x1, x2 = sigma.point_grids(m - 1)
     x1 = np.hstack([x1, (-x1.sum(axis=1, keepdims=True)) % sigma.m1])
     x2 = np.hstack([x2, (-x2.sum(axis=1, keepdims=True)) % sigma.m2])
     v = weight_bundle("standard", lat)
@@ -267,33 +263,38 @@ def f4_rep_decomposition(lat: IntersectionLattice, pa: PointAssignment) -> F4Rep
     """
     s = pa.sigma
     x = pa.points
-    p = s.add(x[0], x[5])
-    if p != s.add(x[1], x[4]) or p != s.add(x[2], x[3]):
+    if len(x) != 6 or not holds(case_spec("F4").relations, s, x):
         raise ConstraintViolatedError("points do not satisfy the three-way sum")
+    p = s.add(x[0], x[5])
     h, l = lat.h, lat.l
     zero_lines = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
     common = (1, s.neg(p))
     total = lat.zero
     for e in zero_lines:
-        assert line_class_of(lat, pa, e) == common
+        if line_class_of(lat, pa, e) != common:
+            raise AssertionError(f"{e} does not restrict to the common class {common}")
         total = total + e
-    assert total == -lat.K
+    if total != -lat.K:
+        raise AssertionError("the three zero lines do not sum to -K")
 
     project = _fixed_part_projection(lat)
     shorts = set(f4_short_roots(lat))
     lines = weight_bundle("lines", lat).summands
     short_map = {}
     for e in lines:
-        if e in zero_lines:
-            assert project(e) == lat.zero
-            continue
         img = project(e)
-        assert img in shorts, f"projection of {e} is not a short root"
+        if e in zero_lines:
+            if img != lat.zero:
+                raise AssertionError(f"projection of the zero line {e} is {img}")
+            continue
+        if img not in shorts:
+            raise AssertionError(f"projection of {e} is not a short root")
         short_map[e] = img
         # compatibility between the two levels of restriction data
         rel = s.add(u_point(lat, pa, e), p)
-        assert u_point(lat, pa, img) == s.scale(2, rel)
-    assert len(short_map) == 24
-    assert set(short_map.values()) == shorts
+        if u_point(lat, pa, img) != s.scale(2, rel):
+            raise AssertionError(f"restriction of {img} is not twice that of {e}")
+    if len(short_map) != 24 or set(short_map.values()) != shorts:
+        raise AssertionError("the 24 lines do not project onto the 24 short roots")
     det = (2, s.scale(-2, p))
     return F4RepDecomposition(zero_lines, common, short_map, 2, det)

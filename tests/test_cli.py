@@ -117,16 +117,6 @@ def test_trivial_group_passes_moduli(capsys):
     capsys.readouterr()
 
 
-def test_parallel_merge_matches_sequential(capsys):
-    from picfold.cli import run_suites_parallel
-
-    cfg = RunConfig()
-    seq = run_suite("lattice", cfg) + run_suite("configs", cfg)
-    par = run_suites_parallel(["lattice", "configs"], cfg)
-    assert [r.claim_id for r in par] == [r.claim_id for r in seq]
-    assert [r.status for r in par] == [r.status for r in seq]
-
-
 def test_claim_check_fails_under_optimize():
     # with no systems enumerated, configs.counts must fail even when -O strips asserts
     code = (
@@ -144,3 +134,23 @@ def test_claim_check_fails_under_optimize():
     status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
     assert status["configs.counts"]["status"] == "fail"
     assert status["configs.counts"]["witness"].startswith("assertion failed: B2 system count")
+
+
+def test_f4_decomposition_fails_under_optimize():
+    # with one short root missing, bundles.F4.rep.27=3+24 must fail even under -O
+    code = (
+        "import json, sys\n"
+        "from picfold import cli, repbundles\n"
+        "roots = repbundles.f4_short_roots\n"
+        "repbundles.f4_short_roots = lambda lat: roots(lat)[1:]\n"
+        "rc = cli.main(['verify', 'repbundles', '--format', 'json'])\n"
+        "sys.stdout.flush()\n"
+        "raise SystemExit(rc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+    assert status["bundles.F4.rep.27=3+24"]["status"] == "fail"
+    assert [r for r, v in status.items() if v["status"] == "fail"] == ["bundles.F4.rep.27=3+24"]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from picfold.folding import folded_weyl_group
-from picfold.lattice import F1, P2, make_blowup_lattice
+from picfold.lattice import F1, P2, exceptional_classes, make_blowup_lattice
 from picfold.configs import (
     ConfigurationError,
     DoubleSix,
@@ -25,7 +25,7 @@ from picfold.configs import (
     triangle_stabilizer,
     _check_case_points,
 )
-from picfold.moduli import PointAssignment, case_lattice
+from picfold.moduli import PointAssignment, case_lattice, case_rank, points_from_parameters
 from picfold.abelian import make_sigma_model
 from picfold.rootsys import (
     decompose_in_basis,
@@ -276,6 +276,42 @@ def brute_force_systems(case, lat):
     return tuple(out)
 
 
+def pair_sum_f4_systems(lat):
+    """F4 oracle: the depth-first search on the three pair sums x1 + x6 = x2 + x5 = x3 + x4."""
+    lines = exceptional_classes(lat)
+    rows = symbolic_point_rows("F4")
+    pts = {e: symbolic_point(lat, rows, e) for e in lines}
+    disjoint = {e: {o for o in lines if o != e and lat.pair(e, o) == 0} for e in lines}
+    add = lambda u, v: tuple(a + b for a, b in zip(u, v))
+    slot_order = (0, 5, 1, 4, 2, 3)
+    out = []
+    chosen = {}
+
+    def rec(depth, allowed):
+        if depth == 6:
+            out.append(tuple(chosen[i] for i in range(6)))
+            return
+        slot = slot_order[depth]
+        partner = 5 - slot
+        target = None
+        if partner in chosen and 0 in chosen and 5 in chosen:
+            target = add(pts[chosen[0]], pts[chosen[5]])
+            other = pts[chosen[partner]]
+        for cand in sorted(allowed):
+            if target is not None and add(pts[cand], other) != target:
+                continue
+            chosen[slot] = cand
+            rec(depth + 1, allowed & disjoint[cand])
+            del chosen[slot]
+
+    rec(0, set(lines))
+    return tuple(sorted(out))
+
+
+def test_f4_systems_match_pair_sum_search(cubic):
+    assert enumerate_exceptional_systems("F4", cubic) == pair_sum_f4_systems(cubic)
+
+
 @pytest.mark.parametrize("case", ["B2", "B3", "B4", "B5", "G2"])
 def test_systems_match_brute_force(case):
     lat = case_lattice(case)
@@ -335,18 +371,37 @@ def test_blowdown_matches_oracle_on_g2_lattice():
             assert is_blowdown_sequence(lat, tup) == blowdown_oracle(lat, tup), tup
 
 
+def _admissible(case):
+    """x = P t for t = (1, 2, ..., rank) in Z/11."""
+    sigma = make_sigma_model(1, 11)
+    return points_from_parameters(case, [[(0, k + 1) for k in range(case_rank(case))]], sigma)[0]
+
+
 @pytest.mark.parametrize("case", ["B3", "C3", "G2", "F4"])
 def test_check_invariants_with_points_on_every_system(case):
     lat = case_lattice(case)
-    pa = PointAssignment(make_sigma_model(1, 11), ())
+    pa = _admissible(case)
     for system in enumerate_exceptional_systems(case, lat):
         assert GConfiguration(case, system, pa).check_invariants(lat)
+
+
+@pytest.mark.parametrize("case", ["B3", "C3", "G2", "F4"])
+def test_check_invariants_checks_the_assigned_points(case):
+    lat = case_lattice(case)
+    system = enumerate_exceptional_systems(case, lat)[0]
+    good = _admissible(case)
+    sigma = good.sigma
+    # every case has a relation on x1, so moving x1 alone breaks one
+    moved = PointAssignment(sigma, (sigma.add(good.points[0], (0, 1)),) + good.points[1:])
+    for pa in (PointAssignment(sigma, ()), PointAssignment(sigma, good.points[:-1]), moved):
+        with pytest.raises(ConfigurationError):
+            GConfiguration(case, system, pa).check_invariants(lat)
 
 
 def test_check_invariants_rejects_broken_points():
     lat = case_lattice("B3")
     l = lat.l
-    pa = PointAssignment(make_sigma_model(1, 11), ())
+    pa = _admissible("B3")
     bad = GConfiguration("B3", (l(2), l(1), l(3), l(4)), pa)
     with pytest.raises(ConfigurationError):
         bad.check_invariants(lat)
