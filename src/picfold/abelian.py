@@ -259,29 +259,6 @@ def _key(pt):
 
 
 @dataclass(frozen=True)
-class SNFResult:
-    """A = U S V with U, V unimodular, S diagonal with d1 | d2 | ..."""
-
-    U: tuple[tuple[int, ...], ...]
-    S: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-
-    @property
-    def diagonal(self):
-        m, n = len(self.S), len(self.S[0]) if self.S else 0
-        return tuple(self.S[i][i] for i in range(min(m, n)))
-
-
-def smith_normal_form(a) -> SNFResult:
-    dec = _snf_raw([list(row) for row in a])
-    return SNFResult(
-        tuple(tuple(r) for r in dec.u),
-        tuple(tuple(r) for r in dec.s),
-        tuple(tuple(r) for r in dec.v),
-    )
-
-
-@dataclass(frozen=True)
 class GroupSolveResult:
     solvable: bool
     solution: tuple[GroupElement, ...] | None

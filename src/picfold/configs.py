@@ -32,9 +32,9 @@ from .cases import case_lattice, case_spec, holds
 from .moduli import PointAssignment
 from .rootsys import (
     SimpleSystem,
-    WeylSet,
+    WeylGroup,
     decompose_in_basis,
-    row_keys,
+    orbit,
     standard_simple_system,
 )
 
@@ -271,53 +271,31 @@ class TransitivityReport:
     offending: tuple | None
 
 
-def _system_vector(system) -> np.ndarray:
-    if system and isinstance(system[0], tuple):
-        flat = [c for pair_ in system for c in pair_]
-    else:
-        flat = list(system)
-    return np.concatenate([np.array(c.coords, dtype=np.int64) for c in flat])
+def simple_transitivity_check(case: str, systems, weyl: WeylGroup) -> TransitivityReport:
+    """Verify the Weyl group permutes the systems simply transitively.
 
-
-def _vector_system(vec, template):
-    rank = len(template[0][0].coords) if isinstance(template[0], tuple) else len(template[0].coords)
-    blocks = vec.reshape(-1, rank)
-    classes = [DivisorClass(tuple(int(x) for x in b)) for b in blocks]
-    if isinstance(template[0], tuple):
-        it = iter(classes)
-        return tuple(tuple(next(it) for _ in pair_) for pair_ in template)
-    return tuple(classes)
-
-
-def simple_transitivity_check(case: str, systems, weyl: WeylSet,
-                              lat: IntersectionLattice | None = None) -> TransitivityReport:
-    """Verify the Weyl group permutes the systems simply transitively."""
+    The orbit of the first system under the generators must be the whole
+    set of systems, with as many elements as the group has.  Systems are
+    compared as the raw bytes of their concatenated int64 coordinates.
+    """
     systems = list(systems)
-    lat = lat or case_lattice(case)
-    rank = lat.rank
-    base = _system_vector(systems[0])
-    blocks = base.reshape(-1, rank)
-    imgs = np.einsum("nij,bj->nbi", weyl.stack, blocks).reshape(len(weyl), -1)
-    reached = set(row_keys(imgs))
-    orbit_size = len(reached)
-    target = {(_system_vector(s)).tobytes() for s in systems}
-    ok = (
-        orbit_size == len(weyl) == len(systems)
-        and reached == target
-    )
+    flat = np.array([[c for e in GConfiguration(case, s).flat_classes() for c in e.coords]
+                     for s in systems], dtype=np.int64)
+    target = {row.tobytes(): n for n, row in enumerate(flat)}
+    reached = {row.tobytes() for row in weyl.orbit_rows(flat[0])}
+    ok = len(reached) == len(weyl) == len(systems) and reached == target.keys()
     offending = None
     if not ok:
-        missing = target - reached
-        extra = reached - target
+        missing = [n for key, n in target.items() if key not in reached]
+        extra = sorted(reached - target.keys())
         if missing:
-            offending = ("unreached", _vector_system(
-                np.frombuffer(next(iter(missing)), dtype=np.int64), systems[0]))
+            offending = ("unreached", systems[missing[0]])
         elif extra:
-            offending = ("outside", _vector_system(
-                np.frombuffer(next(iter(extra)), dtype=np.int64), systems[0]))
+            coords = np.frombuffer(extra[0], dtype=np.int64).reshape(-1, weyl.rank)
+            offending = ("outside", tuple(DivisorClass(tuple(v)) for v in coords.tolist()))
         else:
-            offending = ("stabilizer", len(weyl) // max(orbit_size, 1))
-    return TransitivityReport(ok, len(weyl), len(systems), orbit_size, offending)
+            offending = ("stabilizer", len(weyl) // max(len(reached), 1))
+    return TransitivityReport(ok, len(weyl), len(systems), len(reached), offending)
 
 
 @dataclass(frozen=True)
@@ -416,31 +394,20 @@ def double_six_to_root(ds: DoubleSix, lat: IntersectionLattice,
 
 @dataclass(frozen=True)
 class StabilizerResult:
-    elements: WeylSet
     order: int
     orbit_size: int
 
 
-def triangle_stabilizer(triangle, ordered: bool, weyl: WeylSet,
-                        lat: IntersectionLattice) -> StabilizerResult:
-    """Stabilizer of a (possibly ordered) triangle inside the given group."""
-    tri = list(triangle)
-    targets = [np.array(t.coords, dtype=np.int64) for t in tri]
-    imgs = [np.einsum("nij,j->ni", weyl.stack, v) for v in targets]
-    n = len(weyl)
-    if ordered:
-        mask = np.ones(n, dtype=bool)
-        for img, tgt in zip(imgs, targets):
-            mask &= (img == tgt).all(axis=1)
-    else:
-        mask = np.ones(n, dtype=bool)
-        for img in imgs:
-            hit = np.zeros(n, dtype=bool)
-            for tgt in targets:
-                hit |= (img == tgt).all(axis=1)
-            mask &= hit
-    sub = weyl.select(mask)
-    return StabilizerResult(sub, len(sub), len(weyl) // max(len(sub), 1))
+def triangle_stabilizer(triangle, ordered: bool, weyl: WeylGroup) -> StabilizerResult:
+    """Order of the stabilizer of a (possibly ordered) triangle in the group.
+
+    The orbit of the ordered triangle is walked by the generators; the
+    unordered orbit is its set of underlying triangles.  The stabilizer
+    order is |W| / |orbit|.
+    """
+    ordered_orbit = orbit(weyl.gens, tuple(triangle)).elements
+    size = len(ordered_orbit) if ordered else len({frozenset(t) for t in ordered_orbit})
+    return StabilizerResult(len(weyl) // size, size)
 
 
 def in_general_position(case: str, pa: PointAssignment) -> bool:

@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations, product
 
+import numpy as np
+
 from ._linalg import integer_kernel, rational_solve, rational_solve_int
 from .cases import FOLDED_TO_SIMPLY_LACED, ambient_case, case_spec  # noqa: F401 (re-exported)
 from .lattice import DivisorClass, IntersectionLattice
@@ -22,14 +24,13 @@ from .rootsys import (
     RootSystemData,
     SimpleSystem,
     WeylElement,
-    WeylSet,
+    WeylGroup,
     cartan_matrix_of,
     cartan_matrix_of_q,
     identify_cartan_type,
     reflect,
     reflection,
     restrict_to_basis,
-    row_keys,
     standard_simple_system,
     weyl_generate,
 )
@@ -172,7 +173,7 @@ def folded_weyl_generators(delta: SimpleSystem, rho: OuterAutomorphism) -> list[
     return gens
 
 
-def folded_weyl_group(case: str, lat: IntersectionLattice, cap: int = 10**6) -> WeylSet:
+def folded_weyl_group(case: str, lat: IntersectionLattice, cap: int = 10**6) -> WeylGroup:
     """The Weyl group of the folded type as a subgroup of the ambient one."""
     rho = outer_automorphism(ambient_case(case), lat)
     return weyl_generate(folded_weyl_generators(rho.simple_system, rho), cap=cap)
@@ -283,22 +284,19 @@ def _restricted_root_reflections(case: str, lat: IntersectionLattice,
 
 
 def restricted_reflection_matrices(case: str, lat: IntersectionLattice, cap: int = 10**6):
-    """Closure of the folded-root reflections on the fixed sublattice.
+    """The two presentations of the folded Weyl group on the fixed sublattice.
 
     Folded roots have self-intersection -4, -6, -8, -18, so their
     reflections are not integral on the whole blow-up lattice; they are
     integral on the automorphism-fixed sublattice, and there they
     generate the same group as the folded Weyl generators. Returns
-    (matrix byte-key set from folded roots, same from folded generators,
-    sublattice basis).
+    (group of the folded-root reflections, group of the restricted folded
+    generators, sublattice basis); the two groups should be equal.
     """
     rho = outer_automorphism(ambient_case(case), lat)
     basis = fixed_sublattice(rho)
     side_a = weyl_generate(_restricted_root_reflections(case, lat, basis), cap=cap)
-
-    gens = folded_weyl_generators(rho.simple_system, rho)
-    big = weyl_generate(gens, cap=cap)
-    restricted = restrict_to_basis(big, basis, lat)
-    keys_b = frozenset(row_keys(restricted))
-    keys_a = frozenset(row_keys(side_a.stack.astype(restricted.dtype)))
-    return keys_a, keys_b, basis
+    gens = np.stack([g.mat for g in folded_weyl_generators(rho.simple_system, rho)])
+    side_b = weyl_generate(map(WeylElement.from_matrix, restrict_to_basis(gens, basis, lat)),
+                           cap=cap)
+    return side_a, side_b, basis

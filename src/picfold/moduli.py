@@ -21,7 +21,6 @@ from .folding import fixed_sublattice, folded_weyl_group, outer_automorphism
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     BudgetExceededError,
-    WeylSet,
     decompose_in_basis,
     restrict_to_basis,
     simple_reflections,
@@ -60,21 +59,6 @@ def points_from_parameters(case: str, params, sigma: SigmaModel) -> list[PointAs
 def u_point(lat: IntersectionLattice, pa: PointAssignment, d: DivisorClass):
     """The point part of the restriction of O(d): sum of c_i x_i."""
     return pa.sigma.combine(lat.l_coeffs(d), pa.points)
-
-
-@dataclass(frozen=True)
-class RestrictionHom:
-    basis: tuple[DivisorClass, ...]
-    images: tuple
-
-
-def restriction_hom(lat: IntersectionLattice, pa: PointAssignment, basis) -> RestrictionHom:
-    """Images of degree-zero classes under restriction to the curve."""
-    basis = tuple(basis)
-    for b in basis:
-        if lat.pair(b, lat.K) != 0:
-            raise ValueError(f"{b} is not orthogonal to K")
-    return RestrictionHom(basis, tuple(u_point(lat, pa, b) for b in basis))
 
 
 def invariance_closed_form(case: str, pa: PointAssignment) -> bool:
@@ -276,18 +260,17 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     the folded Weyl group already does.  Budgeted; refuses rather than
     samples, since the value of the statement is exhaustiveness.
 
-    The big orbit of each representative is its breadth-first closure
-    under the simple reflections of the big group (restricted to the
-    simple-root coordinates), which is the set {w.v : w in W_big} since
-    W_big is generated by them; the work is the sum of the big orbit
-    sizes times the number of generators.  W_big is still closed (once,
-    memoized) for its order, which the budget and the report use.
+    Each orbit is the breadth-first closure of a representative under the
+    generators of its group (the simple reflections of the big group, the
+    folded generators of the small one), restricted to the simple-root
+    coordinates, which is the set {w.v : w in W} since W is generated by
+    them.  The budget is the domain size times |W_big|, read from the
+    stabilizer chain of W_big, and is checked before any orbit is walked.
     """
     lat = case_lattice(case)
     rho = outer_automorphism(ambient_case(case), lat)
     delta = rho.simple_system
-    gens = simple_reflections(delta, lat)
-    w_big = weyl_generate(gens)
+    w_big = weyl_generate(simple_reflections(delta, lat))
     w_small = folded_weyl_group(case, lat)
     basis = fixed_sublattice(rho)
     k = len(basis)
@@ -299,19 +282,23 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
             f"exceeds the action cap {action_cap}"
         )
 
-    g_big = restrict_to_basis(WeylSet.from_elements(gens), delta.roots, lat)
-    m_small = restrict_to_basis(w_small, delta.roots, lat)
     embed = np.array(
         [decompose_in_basis(b, delta.roots) for b in basis], dtype=np.int64
     ).T  # (r', k)
 
     mods = (sigma.m1, sigma.m2)
     base = max(mods) if max(mods) > 1 else 2
-    # every generator acting on rows [x1 | x2], side by side: one product per level
-    act = np.hstack([np.kron(np.eye(2, dtype=np.int64), g.T) for g in g_big])
     row_mods = np.repeat(np.array(mods, dtype=np.int64), rprime)
 
-    def big_orbit_keys(v):
+    def action(group):
+        """Every generator acting on rows [x1 | x2], side by side: one product per level."""
+        g = restrict_to_basis(group.mats, delta.roots, lat).transpose(0, 2, 1)
+        return np.einsum("ab,gij->aigbj", np.eye(2, dtype=np.int64), g).reshape(
+            2 * rprime, 2 * rprime * len(g))
+
+    act_big, act_small = action(w_big), action(w_small)
+
+    def orbit_keys(v, act):
         seen = {int(_encode([v], base))}
         frontier = v[None]
         while frontier.shape[0]:
@@ -344,12 +331,9 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
         if key in done:
             continue
         orbits += 1
-        v1, v2 = dom1[t], dom2[t]
-        small1 = np.einsum("nij,j->ni", m_small, v1) % mods[0]
-        small2 = np.einsum("nij,j->ni", m_small, v2) % mods[1]
-        small_keys = set(_encode([small1, small2], base).tolist())
-        big_keys = big_orbit_keys(np.concatenate([v1, v2]))
-        reachable_in_domain = big_keys & dom_key_set
+        v = np.concatenate([dom1[t], dom2[t]])
+        small_keys = orbit_keys(v, act_small)
+        reachable_in_domain = orbit_keys(v, act_big) & dom_key_set
         if reachable_in_domain != small_keys:
             stray = sorted(reachable_in_domain - small_keys)[0]
             x_idx = key_to_tuple[key]

@@ -171,14 +171,15 @@ def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel):
 
     Returns a dict of boolean arrays: 'sp_sm' (spinor identity with
     twist -l1), 'w_sp' (vector identity: spinor_plus = vector ⊗
-    O(s - l4)), 'w_sm' (vector ⊗ O(-l4) = spinor_minus), 'x1_zero',
-    'x4_sum' (x4 = x2 + x3).
+    O(s - l4)), 'w_sm' (vector ⊗ O(-l4) = spinor_minus) and 'relations'
+    (the G2 point relations R x = 0 of the case registry).
     """
     m = lat.npoints
     x1, x2 = sigma.point_grids(m)
     sp = weight_bundle("spinor_plus", lat)
     sm = weight_bundle("spinor_minus", lat)
     w = weight_bundle("vector", lat)
+    rel = np.array(case_spec("G2").relations, dtype=np.int64)
     enc = lambda summands, twist=None: _encoded_points(
         x1, x2, _side_matrix(lat, summands, twist), sigma
     )
@@ -186,9 +187,8 @@ def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel):
         "sp_sm": _sorted_eq(enc(sp.summands, -lat.l(1)), enc(sm.summands)),
         "w_sp": _sorted_eq(enc(w.summands, lat.s - lat.l(4)), enc(sp.summands)),
         "w_sm": _sorted_eq(enc(w.summands, -lat.l(4)), enc(sm.summands)),
-        "x1_zero": (x1[:, 0] == 0) & (x2[:, 0] == 0),
-        "x4_sum": ((x1[:, 3] - x1[:, 1] - x1[:, 2]) % sigma.m1 == 0)
-        & ((x2[:, 3] - x2[:, 1] - x2[:, 2]) % sigma.m2 == 0),
+        "relations": ~np.any(x1 @ rel.T % sigma.m1, axis=1)
+        & ~np.any(x2 @ rel.T % sigma.m2, axis=1),
     }
     return out
 

@@ -1,24 +1,24 @@
 """Root systems inside Picard lattices, and their Weyl groups.
 
-Weyl elements are stored as integer matrices acting on lattice
-coordinates (column vectors).  Group closure is a breadth-first
-multiplication by generators: each level is one int64 ``matmul`` of the
-frontier against the generator stack, deduplicated by the raw matrix
-bytes (``row_keys``: one void-dtype view per chunk of products, not one
-``tobytes`` per matrix); the result is sorted by those bytes, so output
-order is canonical.  Before each level the closure checks that no entry of the
-product can reach 2^62 (largest frontier entry times the largest
-absolute column sum of a generator) and raises ``OverflowError`` rather
-than let int64 wrap, so a closure of an infinite group ends in
-``BudgetExceededError`` or ``OverflowError``, never in wrapped integers.
+Weyl elements are integer matrices acting on lattice coordinates (column
+vectors).  A Weyl group is never enumerated: ``weyl_generate`` keeps the
+generators and a stabilizer chain of their permutation action on a
+finite domain, the union of the orbits of the unit vectors.  The domain
+contains a basis, so the action is faithful and the permutation group has
+the order of the matrix group.  The chain is a base and strong generating
+set from a deterministic Schreier-Sims (Sims, "Computational methods in
+the study of permutation groups", 1970; Seress, *Permutation Group
+Algorithms*, ch. 4): each base point is the first point a generator
+moves, and every Schreier generator is sifted, with no random choice and
+no early stop, so the order (the product of the basic orbit sizes) is a
+proof.  Membership is decided by sifting.
 
-Closures are memoized for the life of the process, keyed on the
-generator stack (its shape and bytes, not the cap): a group is closed
-once, however many claims ask for it.  A cached group larger than the
-cap of a later call raises ``BudgetExceededError`` exactly as a fresh
-closure would, and a closure that raised is never stored.  The cached
-``WeylSet.stack`` is read-only, so callers (threads included) share one
-object safely.
+The orbit walk that builds the domain refuses with ``BudgetExceededError``
+once one orbit has more than ``cap`` points (an orbit is never larger
+than the group), and raises ``OverflowError`` before an int64 entry
+could reach 2^62, so the generators of an infinite group end in one of
+these errors, never in wrapped integers.  A finite group of order above
+``cap`` raises ``BudgetExceededError`` too.
 """
 
 from __future__ import annotations
@@ -50,21 +50,6 @@ DEFAULT_CAP = 10**6
 
 # entries of an int64 product are kept below this, with room to spare
 _INT64_SAFE = 2**62
-# The closure keys this many products at a time.  The keys of a whole level
-# at once (up to ~9 MiB of small bytes objects for W(E6)) fragment the
-# small-object heap, and `picfold verify all` then peaked ~23 MiB higher.
-_KEY_CHUNK = 1024
-
-
-def row_keys(arr: np.ndarray) -> list[bytes]:
-    """The raw bytes of each ``arr[i]``, equal to ``arr[i].tobytes()``.
-
-    Built from one void-dtype view and one ``tolist``, so trailing zero
-    bytes are kept (a void item, unlike a bytes-string item, is not
-    stripped).
-    """
-    flat = np.ascontiguousarray(arr).reshape(arr.shape[0], prod(arr.shape[1:]))
-    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -108,11 +93,7 @@ class WeylElement:
 
     @staticmethod
     def from_matrix(m) -> "WeylElement":
-        return WeylElement(tuple(tuple(int(x) for x in row) for row in m))
-
-    @staticmethod
-    def identity(rank: int) -> "WeylElement":
-        return WeylElement.from_matrix(np.eye(rank, dtype=np.int64))
+        return WeylElement(tuple(map(tuple, np.asarray(m, dtype=np.int64).tolist())))
 
     def __matmul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement.from_matrix(self.mat @ other.mat)
@@ -126,48 +107,6 @@ class WeylElement:
 
     def fixes(self, d: DivisorClass) -> bool:
         return self.apply(d) == d
-
-
-class WeylSet:
-    """A finite set of Weyl elements backed by a stacked integer array."""
-
-    def __init__(self, stack: np.ndarray):
-        self.stack = stack
-
-    @cached_property
-    def _keys(self) -> dict[bytes, int]:
-        return {key: i for i, key in enumerate(row_keys(self.stack))}
-
-    @staticmethod
-    def from_elements(elems) -> "WeylSet":
-        return WeylSet(np.stack([e.mat for e in elems]).astype(np.int64))
-
-    def __len__(self):
-        return self.stack.shape[0]
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield WeylElement.from_matrix(self.stack[i])
-
-    def __getitem__(self, i) -> WeylElement:
-        return WeylElement.from_matrix(self.stack[i])
-
-    def __contains__(self, w: WeylElement) -> bool:
-        return w.mat.astype(np.int64).tobytes() in self._keys
-
-    def key_set(self) -> frozenset[bytes]:
-        return frozenset(self._keys)
-
-    def same_elements(self, other: "WeylSet") -> bool:
-        return self.key_set() == other.key_set()
-
-    def select(self, mask) -> "WeylSet":
-        return WeylSet(self.stack[np.asarray(mask, dtype=bool)])
-
-    def apply_all(self, d: DivisorClass) -> np.ndarray:
-        """Images of a class under every element, as an (N, rank) array."""
-        v = np.array(d.coords, dtype=np.int64)
-        return np.einsum("nij,j->ni", self.stack, v)
 
 
 def root_sublattice(lat: IntersectionLattice, orthogonal_to) -> RootSystemData:
@@ -352,13 +291,6 @@ def identify_cartan_type(a) -> str:
     raise UnrecognizedDiagramError(f"no catalogue match for rank-{n} matrix")
 
 
-def cartan_matrix(simple: SimpleSystem | list, lat: IntersectionLattice):
-    """Cartan matrix of a simple system plus its recognized type tag."""
-    roots = list(simple.roots) if isinstance(simple, SimpleSystem) else list(simple)
-    a = cartan_matrix_of(roots, lat)
-    return a, identify_cartan_type(a)
-
-
 def _primitive(alpha: DivisorClass) -> DivisorClass:
     g = 0
     for c in alpha.coords:
@@ -403,67 +335,175 @@ def simple_reflections(simple: SimpleSystem, lat: IntersectionLattice) -> list[W
     return [reflection(lat, r) for r in simple.roots]
 
 
-def _closure_stack(gen_stack: np.ndarray, cap: int) -> np.ndarray:
-    rank = gen_stack.shape[1]
-    # |(f @ g)_ik| <= max|f| * sum_j |g_jk|: the largest absolute column sum
-    gen_bound = int(np.abs(gen_stack).sum(axis=1).max())
-    ident = np.eye(rank, dtype=np.int64)
-    keys = [ident.tobytes()]
-    known = set(keys)
-    blocks = [ident[None]]
-    frontier = blocks[0]
+def _orbit_rows(mats: np.ndarray, vec: np.ndarray, cap: int) -> list[np.ndarray]:
+    """Breadth-first orbit of an int64 row under the matrices, in visiting order.
+
+    The row is a concatenation of lattice vectors, and each matrix acts on
+    every one of them.  Raises ``BudgetExceededError`` past ``cap`` points
+    and ``OverflowError`` before an entry could reach 2^62.
+    """
+    rank = mats.shape[1]
+    # |(m @ v)_i| <= max|v| * sum_j |m_ij|: the largest absolute row sum
+    bound = int(np.abs(mats).sum(axis=2).max()) if len(mats) else 0
+    seen = {vec.tobytes(): vec}
+    frontier = vec[None]
     while frontier.shape[0]:
-        if int(np.abs(frontier).max()) * gen_bound >= _INT64_SAFE:
-            raise OverflowError(
-                f"group closure entries would exceed 2^62 after {len(keys)} elements"
-            )
-        prods = np.matmul(frontier[:, None], gen_stack[None]).reshape(-1, rank, rank)
-        fresh_idx = []
-        for start in range(0, prods.shape[0], _KEY_CHUNK):
-            chunk = row_keys(prods[start:start + _KEY_CHUNK])
-            for n, key in enumerate(chunk, start):
-                if key not in known:
-                    known.add(key)
-                    keys.append(key)
-                    fresh_idx.append(n)
-                    if len(keys) > cap:
-                        raise BudgetExceededError(f"group closure exceeded cap {cap}")
-        # a copy of the fresh rows only, so each product block is freed
-        frontier = prods[fresh_idx]
-        blocks.append(frontier)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return np.concatenate(blocks)[order]
+        if int(np.abs(frontier).max()) * bound >= _INT64_SAFE:
+            raise OverflowError(f"orbit entries would exceed 2^62 after {len(seen)} points")
+        blocks = frontier.reshape(-1, rank)
+        fresh = []
+        for m in mats:
+            for row in (blocks @ m.T).reshape(frontier.shape):
+                key = row.tobytes()
+                if key not in seen:
+                    seen[key] = row
+                    fresh.append(row)
+                    if len(seen) > cap:
+                        raise BudgetExceededError(f"orbit exceeded cap {cap}")
+        frontier = np.array(fresh, dtype=np.int64).reshape(-1, vec.shape[0])
+    return list(seen.values())
 
 
-_CLOSURES: dict[tuple, WeylSet] = {}
+def _sift(base, levels, g: np.ndarray, start: int):
+    """Strip g through the chain from level ``start``.
+
+    Returns the residue and the level where it stopped (``len(base)`` when
+    it passed every level); g is in the group iff the residue is the identity.
+    """
+    for j in range(start, len(base)):
+        entry = levels[j].get(int(g[base[j]]))
+        if entry is None:
+            return g, j
+        g = entry[1][g]
+    return g, len(base)
 
 
-def weyl_generate(gens, cap: int = DEFAULT_CAP, rank: int | None = None) -> WeylSet:
-    """Closure of the generators under composition, canonically ordered.
+def _schreier_sims(perms, n: int):
+    """Base and basic transversals of the group generated by the permutations.
+
+    A permutation is an array p of range(n) with p[x] the image of x, and
+    "p then q" is ``q[p]``.  ``levels[i]`` maps each point of the i-th basic
+    orbit to (u, u^-1), u carrying ``base[i]`` there.  Deterministic
+    Schreier-Sims, one generator at a time: a generator that sifts to the
+    identity is already a member and is skipped; otherwise its residue
+    becomes a strong generator at the depth d where it stopped (it fixes
+    ``base[:d]``; past the last level, its first moved point becomes a new
+    base point).  The levels are then completed from that depth up: every
+    Schreier generator u_beta s u_gamma^-1 of a level is sifted through the
+    levels below it, and a nontrivial residue is added the same way.
+    """
+    ident = np.arange(n)
+    base, levels, strong = [], [], []  # strong: (permutation, depth)
+    tested = set()  # (level, beta, index into strong) of every sifted Schreier generator
+
+    def extend(i):
+        orbit, gens = levels[i], [s for s, d in strong if d >= i]
+        queue = list(orbit)
+        for beta in queue:
+            u = orbit[beta][0]
+            for s in gens:
+                gamma = int(s[beta])
+                if gamma not in orbit:
+                    v = s[u]
+                    orbit[gamma] = (v, np.argsort(v))
+                    queue.append(gamma)
+
+    def add(h, depth, top):
+        if depth == len(base):
+            base.append(int(np.flatnonzero(h != ident)[0]))
+            levels.append({base[-1]: (ident, ident)})
+        strong.append((h, depth))
+        for level in range(top, depth + 1):
+            extend(level)
+
+    def residue_at(i):
+        for beta, (u, _) in list(levels[i].items()):
+            for k, (s, d) in enumerate(strong):
+                if d < i or (i, beta, k) in tested:
+                    continue
+                tested.add((i, beta, k))
+                h, j = _sift(base, levels, levels[i][int(s[beta])][1][s[u]], i + 1)
+                if not np.array_equal(h, ident):
+                    return h, j
+        return None
+
+    for g in perms:
+        h, i = _sift(base, levels, g, 0)
+        if np.array_equal(h, ident):
+            continue
+        add(h, i, 0)
+        while i >= 0:
+            found = residue_at(i)
+            if found is None:
+                i -= 1
+            else:
+                add(*found, i + 1)
+                i = found[1]
+    return base, levels
+
+
+class WeylGroup:
+    """A finite group of lattice matrices: its generators and a stabilizer chain.
+
+    ``len`` is the order, ``w in group`` tests a ``WeylElement`` by sifting
+    its permutation of the domain, and two groups are equal when they have
+    the same order and every generator of one is a member of the other
+    (a subgroup of equal order is the whole group).  See the module
+    docstring for the domain and the chain.
+    """
+
+    def __init__(self, gens, rank: int, cap: int):
+        self.gens = tuple(gens)
+        self.rank = rank
+        self.mats = np.array([g.mat for g in self.gens], dtype=np.int64).reshape(-1, rank, rank)
+        points = {}
+        for e in np.eye(rank, dtype=np.int64):
+            if e.tobytes() not in points:
+                points.update((row.tobytes(), row) for row in _orbit_rows(self.mats, e, cap))
+        self._points = np.array(list(points.values()), dtype=np.int64)
+        self._index = {key: n for n, key in enumerate(points)}
+        self._row = np.dtype((np.void, 8 * rank))  # one int64 row as one item
+        perms = [self._permutation(m) for m in self.mats]
+        self._base, self._levels = _schreier_sims(perms, len(points))
+        self.order = prod(len(level) for level in self._levels)
+        if self.order > cap:
+            raise BudgetExceededError(f"group order {self.order} exceeds cap {cap}")
+
+    def _permutation(self, mat: np.ndarray) -> np.ndarray | None:
+        """The action of a matrix on the domain, or None if it leaves the domain."""
+        keys = (self._points @ mat.T).view(self._row).ravel().tolist()
+        idx = list(map(self._index.get, keys))
+        return None if None in idx else np.array(idx)
+
+    def orbit_rows(self, row: np.ndarray) -> list[np.ndarray]:
+        """The orbit of an int64 row of lattice vectors side by side, by generators."""
+        return _orbit_rows(self.mats, row, self.order)
+
+    def __len__(self):
+        return self.order
+
+    def __contains__(self, w: WeylElement) -> bool:
+        perm = self._permutation(w.mat) if w.mat.shape == (self.rank, self.rank) else None
+        if perm is None:
+            return False
+        residue, _ = _sift(self._base, self._levels, perm, 0)
+        return bool(np.array_equal(residue, np.arange(len(perm))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeylGroup):
+            return NotImplemented
+        return self.order == other.order and all(g in self for g in other.gens)
+
+
+def weyl_generate(gens, cap: int = DEFAULT_CAP, rank: int | None = None) -> WeylGroup:
+    """The group the matrices generate, as a ``WeylGroup``.
 
     An empty generator list yields the trivial group (rank required).
-    The result is memoized per generator stack and its stack is
-    read-only; see the module docstring.
     """
     gens = list(gens)
-    if not gens:
-        if rank is None:
-            raise ValueError("empty generator list needs an explicit rank")
-        return weyl_identity_set(rank)
-    stack = np.stack([g.mat for g in gens]).astype(np.int64)
-    key = (stack.shape, stack.tobytes())
-    group = _CLOSURES.get(key)
-    if group is None:
-        group = WeylSet(_closure_stack(stack, cap))
-        group.stack.flags.writeable = False
-        group = _CLOSURES.setdefault(key, group)
-    elif len(group) > cap:
-        raise BudgetExceededError(f"group closure exceeded cap {cap}")
-    return group
-
-
-def weyl_identity_set(rank: int) -> WeylSet:
-    return WeylSet(np.eye(rank, dtype=np.int64)[None, :, :])
+    if not gens and rank is None:
+        raise ValueError("empty generator list needs an explicit rank")
+    return WeylGroup(gens, gens[0].mat.shape[0] if gens else rank, cap)
 
 
 @dataclass(frozen=True)
@@ -474,74 +514,40 @@ class OrbitResult:
     def __len__(self):
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
 
-    def __contains__(self, x):
-        return x in self.elements
-
-
-def _seed_to_vec(seed):
-    if isinstance(seed, DivisorClass):
-        return np.array(seed.coords, dtype=np.int64), None
-    parts = [np.array(s.coords, dtype=np.int64) for s in seed]
-    return np.concatenate(parts), len(parts)
-
-
-def _vec_to_seed(vec, nparts, rank):
-    if nparts is None:
-        return DivisorClass(tuple(int(x) for x in vec))
-    return tuple(
-        DivisorClass(tuple(int(x) for x in vec[i * rank:(i + 1) * rank]))
-        for i in range(nparts)
-    )
-
-
-def orbit(gens, seed, group: WeylSet | None = None, cap: int = DEFAULT_CAP) -> OrbitResult:
+def orbit(gens, seed, group: WeylGroup | None = None, cap: int = DEFAULT_CAP) -> OrbitResult:
     """Orbit of a class (or tuple of classes) under the generated group.
 
-    When the full group is supplied, the stabilizer size |G| / |orbit|
-    is reported alongside.
+    When the group is supplied, the stabilizer size |G| / |orbit| is
+    reported alongside.
     """
-    gens = list(gens)
-    vec, nparts = _seed_to_vec(seed)
-    rank = gens[0].mat.shape[0] if gens else len(vec)
-    mats = [g.mat for g in gens]
-    seen = {vec.tobytes(): vec}
-    frontier = [vec]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            blocks = v.reshape(-1, rank)
-            for m in mats:
-                w = (blocks @ m.T).reshape(-1)
-                key = w.tobytes()
-                if key not in seen:
-                    seen[key] = w
-                    nxt.append(w)
-                    if len(seen) > cap:
-                        raise BudgetExceededError(f"orbit exceeded cap {cap}")
-        frontier = nxt
-    elems = tuple(sorted(_vec_to_seed(v, nparts, rank) for v in seen.values()))
+    parts = [seed] if isinstance(seed, DivisorClass) else list(seed)
+    rank = len(parts[0].coords)
+    vec = np.array([c for p in parts for c in p.coords], dtype=np.int64)
+    mats = np.array([g.mat for g in gens], dtype=np.int64).reshape(-1, rank, rank)
+    elems = []
+    for row in _orbit_rows(mats, vec, cap):
+        classes = [DivisorClass(tuple(row[i:i + rank].tolist())) for i in range(0, len(row), rank)]
+        elems.append(classes[0] if isinstance(seed, DivisorClass) else tuple(classes))
+    elems = tuple(sorted(elems))
     stab = None
-    if group is not None:
-        if len(group) % len(elems) == 0:
-            stab = len(group) // len(elems)
+    if group is not None and len(group) % len(elems) == 0:
+        stab = len(group) // len(elems)
     return OrbitResult(elems, stab)
 
 
-def restrict_to_basis(ws: WeylSet, basis, lat: IntersectionLattice) -> np.ndarray:
-    """Matrices of the elements on the sublattice spanned by ``basis``.
+def restrict_to_basis(mats: np.ndarray, basis, lat: IntersectionLattice) -> np.ndarray:
+    """The matrices of an (N, rank, rank) stack on the span of ``basis``.
 
-    Every element must preserve the span; images must have integer
+    Every matrix must preserve the span; images must have integer
     coordinates in the basis, else ``ValueError``.  Returns an (N, k, k)
-    array, computed as two matrix products ``L @ (W @ B)``.
+    array, computed as two matrix products ``L @ (M @ B)``.
     """
     bmat = [[b.coords[i] for b in basis] for i in range(lat.rank)]  # rank x k
     left, den = integer_left_inverse(bmat)
     b_np = np.array(bmat, dtype=np.int64)
     l_np = np.array(left, dtype=np.int64)
-    images = l_np @ (ws.stack @ b_np)
+    images = l_np @ (np.asarray(mats, dtype=np.int64) @ b_np)
     if not np.all(images % den == 0):
         raise ValueError("an element does not preserve the sublattice integrally")
     return images // den

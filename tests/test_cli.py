@@ -154,3 +154,16 @@ def test_f4_decomposition_fails_under_optimize():
     status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
     assert status["bundles.F4.rep.27=3+24"]["status"] == "fail"
     assert [r for r, v in status.items() if v["status"] == "fail"] == ["bundles.F4.rep.27=3+24"]
+
+
+def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
+    # 9^4 domain tuples x |W(E6)| = 340,122,240 exceeds the default action cap of 10^8
+    out = tmp_path / "r.json"
+    rc = main(["verify", "moduli", "--sigma", "3,3", "--format", "json", "--out", str(out)])
+    assert rc == 0
+    status = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    assert status["moduli.chi.injective.F4"]["status"] == "skipped"
+    assert "exceeds the action cap 100000000" in status["moduli.chi.injective.F4"]["witness"]
+    others = [r["status"] for cid, r in status.items() if cid != "moduli.chi.injective.F4"]
+    assert set(others) == {"pass"}
+    capsys.readouterr()

@@ -94,11 +94,11 @@ def test_simple_transitivity_all_cases(cubic):
         lat = case_lattice(case)
         systems = enumerate_exceptional_systems(case, lat)
         w = folded_weyl_group(case, lat)
-        rep = simple_transitivity_check(case, systems, w, lat)
+        rep = simple_transitivity_check(case, systems, w)
         assert rep.simply_transitive, (case, rep.offending)
     systems = enumerate_exceptional_systems("F4", cubic)
     w = folded_weyl_group("F4", cubic)
-    rep = simple_transitivity_check("F4", systems, w, cubic)
+    rep = simple_transitivity_check("F4", systems, w)
     assert rep.simply_transitive
 
 
@@ -106,7 +106,7 @@ def test_transitivity_fails_for_trivial_group():
     lat = case_lattice("G2")
     systems = enumerate_exceptional_systems("G2", lat)
     trivial = weyl_generate([], rank=lat.rank)
-    rep = simple_transitivity_check("G2", systems, trivial, lat)
+    rep = simple_transitivity_check("G2", systems, trivial)
     assert not rep.simply_transitive
     assert rep.offending is not None
 
@@ -211,21 +211,25 @@ def test_malformed_double_six_rejected(cubic):
 def test_triangle_stabilizers(cubic, weyl_e6):
     h, l = cubic.h, cubic.l
     tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
-    unord = triangle_stabilizer(tri, False, weyl_e6, cubic)
+    unord = triangle_stabilizer(tri, False, weyl_e6)
     assert unord.order == 1152
     assert unord.orbit_size == 45
-    ordered = triangle_stabilizer(tri, True, weyl_e6, cubic)
+    ordered = triangle_stabilizer(tri, True, weyl_e6)
     assert ordered.order == 192
     assert ordered.orbit_size == 270
-    # the unordered stabilizer is exactly the folded Weyl group
+    # the unordered stabilizer is exactly the folded Weyl group: W(F4) fixes
+    # the triangle as a set and has the stabilizer's order
     wf4 = folded_weyl_group("F4", cubic)
-    assert unord.elements.same_elements(wf4)
-    # the ordered stabilizer is the Weyl group of the fixed sub-root-system
+    assert len(wf4) == unord.order
+    assert all({g.apply(e) for e in tri} == set(tri) for g in wf4.gens)
+    # the ordered stabilizer is the Weyl group of the fixed sub-root-system:
+    # W(D4) fixes each line of the triangle and has the stabilizer's order
     d4_simple = [l(1) - l(6), l(2) - l(5), l(3) - l(4), h - l(1) - l(2) - l(3)]
     from picfold.rootsys import reflection
 
     wd4 = weyl_generate([reflection(cubic, r) for r in d4_simple])
-    assert ordered.elements.same_elements(wd4)
+    assert len(wd4) == ordered.order
+    assert all(g.fixes(e) for g in wd4.gens for e in tri)
 
 
 def test_triangle_orbits(cubic, weyl_e6):

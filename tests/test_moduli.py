@@ -20,7 +20,6 @@ from picfold.moduli import (
     invariance_direct,
     invariance_literal_c,
     reconstruct_points,
-    restriction_hom,
     u_point,
 )
 from picfold.rootsys import (
@@ -30,9 +29,10 @@ from picfold.rootsys import (
     simple_reflections,
     standard_simple_system,
     weyl_generate,
-    weyl_identity_set,
 )
 from picfold._linalg import bareiss_det
+
+from test_rootsys import einsum_closure_stack
 
 
 def _pa(sigma, *pts):
@@ -44,20 +44,12 @@ def test_restriction_values_on_simple_roots():
     sym = SymbolicSigma(3)
     pa = _pa(sym, sym.gen(0), sym.gen(1), sym.gen(2))
     d = standard_simple_system("D", lat)
-    hom = restriction_hom(lat, pa, d.roots)
+    images = [u_point(lat, pa, b) for b in d.roots]
     x1, x2, x3 = pa.points
-    assert hom.images[0] == sym.sub(x1, x2)         # l1 - l2
-    assert hom.images[1] == sym.neg(sym.add(x1, x2))  # f - l1 - l2
-    assert hom.images[2] == sym.sub(x2, x3)
+    assert images[0] == sym.sub(x1, x2)         # l1 - l2
+    assert images[1] == sym.neg(sym.add(x1, x2))  # f - l1 - l2
+    assert images[2] == sym.sub(x2, x3)
     assert u_point(lat, pa, lat.zero) == sym.zero
-
-
-def test_restriction_rejects_non_degree_zero():
-    lat = make_blowup_lattice(F1, 3)
-    sym = SymbolicSigma(3)
-    pa = _pa(sym, sym.gen(0), sym.gen(1), sym.gen(2))
-    with pytest.raises(ValueError):
-        restriction_hom(lat, pa, [lat.l(1)])
 
 
 def test_invariance_b_case():
@@ -234,17 +226,18 @@ def test_chi_budget_respected():
 
 
 def full_group_chi_check(case, sigma):
-    """The chi check applying every element of W_big to each representative.
+    """The chi check applying every element of W_big and W_small to each representative.
 
-    Reference for ``chi_injectivity_check``, which closes big orbits under
-    the generators instead.  Looks up ``moduli.folded_weyl_group`` at call
-    time, so a monkeypatched small group reaches both.
+    Reference for ``chi_injectivity_check``, which closes both orbits under
+    the generators instead; the elements come from the closure oracle.
+    Looks up ``moduli.folded_weyl_group`` at call time, so a monkeypatched
+    small group reaches both.
     """
     lat = case_lattice(case)
     rho = moduli.outer_automorphism(moduli.ambient_case(case), lat)
     delta = rho.simple_system
-    w_big = weyl_generate(simple_reflections(delta, lat))
-    w_small = moduli.folded_weyl_group(case, lat)
+    w_big = einsum_closure_stack(weyl_generate(simple_reflections(delta, lat)).mats, 10**6)
+    w_small = einsum_closure_stack(moduli.folded_weyl_group(case, lat).mats, 10**6)
     basis = moduli.fixed_sublattice(rho)
     k = len(basis)
     m_big = restrict_to_basis(w_big, delta.roots, lat)
@@ -306,7 +299,7 @@ def test_chi_generator_orbits_match_full_group(case, m1, m2):
 def test_chi_forced_failure_matches_full_group(case, monkeypatch):
     # with a trivial small group every nontrivial big orbit is a counterexample
     monkeypatch.setattr(
-        moduli, "folded_weyl_group", lambda case, lat, cap=10**6: weyl_identity_set(lat.rank)
+        moduli, "folded_weyl_group", lambda case, lat, cap=10**6: weyl_generate([], rank=lat.rank)
     )
     sigma = make_sigma_model(2, 2)
     rep = chi_injectivity_check(case, sigma)

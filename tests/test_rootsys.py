@@ -1,19 +1,17 @@
 import random
-import sys
-import threading
-import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from picfold import folding, rootsys
 from picfold._linalg import integer_left_inverse
+from picfold.cases import ambient_case, case_lattice
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.rootsys import (
     BudgetExceededError,
     NonIntegralReflectionError,
     WeylElement,
-    cartan_matrix,
     cartan_matrix_of,
     identify_cartan_type,
     orbit,
@@ -21,7 +19,6 @@ from picfold.rootsys import (
     reflection,
     restrict_to_basis,
     root_sublattice,
-    row_keys,
     simple_reflections,
     standard_simple_system,
     weyl_generate,
@@ -58,26 +55,22 @@ def test_root_system_invariants(f1_4):
 
 def test_simple_systems_and_cartan_tags(f1_4, cubic):
     ds = standard_simple_system("D", f1_4)
-    _, tag = cartan_matrix(ds, f1_4)
-    assert tag == "D4"
+    assert identify_cartan_type(cartan_matrix_of(ds.roots, f1_4)) == "D4"
     e6 = standard_simple_system("E6", cubic)
-    _, tag = cartan_matrix(e6, cubic)
-    assert tag == "E6"
+    assert identify_cartan_type(cartan_matrix_of(e6.roots, cubic)) == "E6"
     a3 = standard_simple_system("A", f1_4)
-    _, tag = cartan_matrix(a3, f1_4)
-    assert tag == "A3"
+    assert identify_cartan_type(cartan_matrix_of(a3.roots, f1_4)) == "A3"
 
 
 def test_b2_and_g2_simple_systems():
     lat3 = make_blowup_lattice(F1, 3)
     b2 = standard_simple_system("B", lat3)
     assert b2.roots == (lat3.f - 2 * lat3.l(2), 2 * (lat3.l(2) - lat3.l(3)))
-    a, tag = cartan_matrix(b2, lat3)
-    assert tag == "B2"
+    assert identify_cartan_type(cartan_matrix_of(b2.roots, lat3)) == "B2"
     lat4 = make_blowup_lattice(F1, 4)
     g2 = standard_simple_system("G2", lat4)
-    a, tag = cartan_matrix(g2, lat4)
-    assert tag == "G2"
+    a = cartan_matrix_of(g2.roots, lat4)
+    assert identify_cartan_type(a) == "G2"
     assert sorted(x for row in a for x in row) == [-3, -1, 2, 2]
 
 
@@ -90,8 +83,7 @@ def test_f4_simple_system(cubic):
         2 * (h - l(1) - l(2) - l(3)),
         2 * (l(3) - l(4)),
     )
-    _, tag = cartan_matrix(f4, cubic)
-    assert tag == "F4"
+    assert identify_cartan_type(cartan_matrix_of(f4.roots, cubic)) == "F4"
 
 
 def test_single_root_is_a1(f1_4):
@@ -136,16 +128,15 @@ def test_weyl_group_orders(f1_4, cubic):
 
 
 def test_weyl_elements_preserve_structure(f1_4, cubic):
-    wd4 = weyl_generate(simple_reflections(standard_simple_system("D", f1_4), f1_4))
-    for w in wd4:
+    for m in _oracle_closure("D4"):
+        w = WeylElement.from_matrix(m)
         assert w.preserves_gram(f1_4)
         assert w.fixes(f1_4.K)
         assert w.fixes(f1_4.f)
-    we6 = weyl_generate(simple_reflections(standard_simple_system("E6", cubic), cubic))
+    we6 = _oracle_closure("E6")
     rng = random.Random(5)
-    idx = [rng.randrange(len(we6)) for _ in range(25)]
-    for i in idx:
-        w = we6[i]
+    for i in [rng.randrange(len(we6)) for _ in range(25)]:
+        w = WeylElement.from_matrix(we6[i])
         assert w.preserves_gram(cubic)
         assert w.fixes(cubic.K)
 
@@ -165,77 +156,10 @@ def test_orbit_of_k_is_fixed(f1_4):
 
 
 def test_enumerated_roots_closed_under_weyl(f1_4):
-    rs = root_sublattice(f1_4, [f1_4.K, f1_4.f])
-    gens = simple_reflections(standard_simple_system("D", f1_4), f1_4)
-    w = weyl_generate(gens)
-    roots = set(rs.roots)
-    for g in w:
+    roots = set(root_sublattice(f1_4, [f1_4.K, f1_4.f]).roots)
+    for m in _oracle_closure("D4"):
+        g = WeylElement.from_matrix(m)
         assert {g.apply(r) for r in roots} == roots
-
-
-def test_closure_memo_returns_equal_readonly_stacks(cubic):
-    gens = simple_reflections(standard_simple_system("E6", cubic), cubic)
-    first = weyl_generate(gens)
-    again = weyl_generate(gens)
-    assert np.array_equal(first.stack, again.stack)
-    # a different generator order is a different key, with the same canonical result
-    assert np.array_equal(weyl_generate(gens[::-1]).stack, first.stack)
-    with pytest.raises(ValueError):
-        again.stack[0, 0, 0] = 7
-
-
-def test_closure_memo_keeps_the_cap(cubic):
-    gens = simple_reflections(standard_simple_system("E6", cubic), cubic)
-    assert len(weyl_generate(gens)) == 51840  # now cached
-    with pytest.raises(BudgetExceededError):
-        weyl_generate(gens, cap=1000)
-    assert len(weyl_generate(gens, cap=51840)) == 51840
-    with pytest.raises(BudgetExceededError):
-        weyl_generate(gens, cap=51839)
-
-
-def test_closure_that_raised_is_not_stored(f1_4):
-    gens = simple_reflections(standard_simple_system("D", f1_4), f1_4)
-    gens = gens[1:] + gens[:1] + gens[:1]  # a stack no other test closes
-    key_count = len(rootsys._CLOSURES)
-    with pytest.raises(BudgetExceededError):
-        weyl_generate(gens, cap=10)
-    assert len(rootsys._CLOSURES) == key_count
-    assert len(weyl_generate(gens)) == 192
-
-
-def test_closure_memo_shared_across_threads(f1_4):
-    gens = simple_reflections(standard_simple_system("D", f1_4), f1_4)
-    gens = gens + gens[:1] * 3  # a stack no other test closes
-    results = [None] * 6
-    start = threading.Barrier(len(results))
-
-    def close(n):
-        start.wait(timeout=10)
-        results[n] = weyl_generate(gens)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=close, args=(n,)) for n in range(len(results))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    # every caller gets the one stored group, even when several closed it at once
-    assert all(r is weyl_generate(gens) for r in results)
-    assert len(results[0]) == 192
-
-
-def test_weyl_set_keys_built_on_first_membership_test(f1_4):
-    gens = simple_reflections(standard_simple_system("D", f1_4), f1_4)
-    w = rootsys.WeylSet(rootsys._closure_stack(np.stack([g.mat for g in gens]), 1000))
-    assert "_keys" not in vars(w)
-    assert gens[0] in w and WeylElement.identity(f1_4.rank) in w
-    assert "_keys" in vars(w) and len(w.key_set()) == 192
 
 
 def einsum_closure_stack(gen_stack, cap):
@@ -263,78 +187,111 @@ def einsum_closure_stack(gen_stack, cap):
     return np.concatenate(blocks)[order]
 
 
-def _closure_cases():
+def _group_gens():
+    """Generators of the groups checked against the closure oracle."""
     cubic = make_blowup_lattice(P2, 6)
-    f1_6 = make_blowup_lattice(F1, 6)
     f1_4 = make_blowup_lattice(F1, 4)
-    rho_g2 = folding.outer_automorphism("D4-triality", f1_4)
-    rho_f4 = folding.outer_automorphism("E6", cubic)
-    return {
-        "E6": (simple_reflections(standard_simple_system("E6", cubic), cubic), 51840),
+    f1_6 = make_blowup_lattice(F1, 6)
+    out = {
+        "D4": simple_reflections(standard_simple_system("D", f1_4), f1_4),
+        "E6": simple_reflections(standard_simple_system("E6", cubic), cubic),
         # D5 on points 1..5 of the 6-point F1 blow-up
-        "D5": (simple_reflections(standard_simple_system("D", f1_6), f1_6)[:5], 1920),
-        "G2": (folding.folded_weyl_generators(rho_g2.simple_system, rho_g2), 12),
-        # the 48 reflections in the folded F4 roots, 4x4 on the fixed sublattice
-        "F4.roots": (folding._restricted_root_reflections(
-            "F4", cubic, folding.fixed_sublattice(rho_f4)), 1152),
+        "D5": simple_reflections(standard_simple_system("D", f1_6), f1_6)[:5],
+        "D6": simple_reflections(standard_simple_system("D", f1_6), f1_6),
     }
+    for case in ("B5", "C4", "G2", "F4"):
+        lat = case_lattice(case)
+        rho = folding.outer_automorphism(ambient_case(case), lat)
+        out[case] = folding.folded_weyl_generators(rho.simple_system, rho)
+    # both sides of fold.presentations.agree, on the fixed sublattice
+    for case in ("B2", "B3", "C2", "G2", "F4"):
+        side_a, side_b, _ = folding.restricted_reflection_matrices(case, case_lattice(case))
+        out[f"{case}.roots"], out[f"{case}.restricted"] = side_a.gens, side_b.gens
+    return out
 
 
-@pytest.mark.parametrize("name", ["E6", "D5", "G2", "F4.roots"])
-def test_matmul_closure_matches_einsum_oracle(name):
-    gens, order = _closure_cases()[name]
-    stack = np.stack([g.mat for g in gens]).astype(np.int64)
-    if name == "F4.roots":
-        assert stack.shape == (48, 4, 4)
-    got = rootsys._closure_stack(stack, cap=order)
-    want = einsum_closure_stack(stack, cap=order)
-    assert got.shape == (order,) + stack.shape[1:]
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+GROUP_GENS = _group_gens()
+
+
+@lru_cache(maxsize=None)
+def _oracle_closure(name):
+    gens = GROUP_GENS[name]
+    return einsum_closure_stack(np.stack([g.mat for g in gens]).astype(np.int64), cap=10**6)
+
+
+# |W| by type; "F4.roots" and "F4.restricted" are W(F4) on the fixed sublattice
+ORDERS = {"D4": 192, "E6": 51840, "D5": 1920, "D6": 23040, "B2": 8, "B3": 48, "B5": 3840,
+          "C2": 8, "C4": 384, "G2": 12, "F4": 1152}
+
+
+@pytest.mark.parametrize("name", list(GROUP_GENS))
+def test_chain_matches_closure_oracle(name):
+    gens = GROUP_GENS[name]
+    closure = _oracle_closure(name)
+    order = len(closure)
+    assert order == ORDERS[name.split(".")[0]]
+    group = weyl_generate(gens)
+    assert len(group) == order
+    assert all(WeylElement.from_matrix(m) in group for m in closure)
+    rank = closure.shape[1]
+    minus = -np.eye(rank, dtype=np.int64)
+    minus_listed = any(np.array_equal(m, minus) for m in closure)
+    assert (WeylElement.from_matrix(minus) in group) == minus_listed
+    # orbits by generators equal {w x : w in W}, for every unit vector and a generic vector
+    for x in list(np.eye(rank, dtype=np.int64)) + [np.arange(1, rank + 1, dtype=np.int64)]:
+        want = {tuple(v) for v in (closure @ x).tolist()}
+        got = orbit(gens, DivisorClass(tuple(x.tolist())), group=group)
+        assert {d.coords for d in got.elements} == want
+        assert got.stabilizer_size == order // len(want)
+    assert len(weyl_generate(gens, cap=order)) == order
     with pytest.raises(BudgetExceededError):
-        rootsys._closure_stack(stack, cap=order - 1)
+        weyl_generate(gens, cap=order - 1)
 
 
-def test_row_keys_equal_tobytes():
-    rng = np.random.default_rng(7)
-    arrays = [
-        rng.integers(-5, 6, size=(40, 3, 3)),
-        np.array([[1, 0], [0, 0], [256, 0], [0, 1]], dtype=np.int64),  # trailing zero bytes
-        np.zeros((5, 4), dtype=np.int64),
-        rng.integers(0, 3, size=(6, 8, 2)).transpose(0, 2, 1),  # not contiguous
-        np.zeros((0, 3, 3), dtype=np.int64),
-    ]
-    for arr in arrays:
-        assert row_keys(arr) == [arr[i].tobytes() for i in range(arr.shape[0])]
+@pytest.mark.parametrize("name", ["E6", "D6", "B5", "F4"])
+def test_minus_identity_is_not_in_a_group_fixing_k(name):
+    # -I maps K to -K, and each of these groups fixes K
+    group = weyl_generate(GROUP_GENS[name])
+    assert WeylElement.from_matrix(-np.eye(group.rank, dtype=np.int64)) not in group
+
+
+def test_group_equality_is_by_elements():
+    f4 = weyl_generate(GROUP_GENS["F4.roots"])
+    assert f4 == weyl_generate(GROUP_GENS["F4.restricted"])
+    assert f4 == weyl_generate(GROUP_GENS["F4.roots"][::-1])
+    assert f4 != weyl_generate(GROUP_GENS["F4.roots"][:1])  # a proper subgroup
+    # a conjugate: the same order, other elements
+    gens = GROUP_GENS["B2.roots"]
+    p, p_inv = np.array([[1, 1], [0, 1]]), np.array([[1, -1], [0, 1]])
+    conj = weyl_generate([WeylElement.from_matrix(p @ g.mat @ p_inv) for g in gens])
+    b2 = weyl_generate(gens)
+    assert len(conj) == len(b2) and conj != b2 and b2 != conj
 
 
 def test_restrict_to_basis_matches_three_operand_einsum(cubic):
     e6 = standard_simple_system("E6", cubic)
-    we6 = weyl_generate(simple_reflections(e6, cubic))
-    wf4 = folding.folded_weyl_group("F4", cubic)
     fixed = folding.fixed_sublattice(folding.outer_automorphism("E6", cubic))
-    for group, basis in ((we6, e6.roots), (wf4, e6.roots), (wf4, fixed)):
+    we6, wf4 = _oracle_closure("E6"), _oracle_closure("F4")
+    for stack, basis in ((we6, e6.roots), (wf4, e6.roots), (wf4, fixed)):
         bmat = [[b.coords[i] for b in basis] for i in range(cubic.rank)]
         left, den = integer_left_inverse(bmat)
         want = np.einsum("ij,njk,kl->nil", np.array(left, dtype=np.int64),
-                         group.stack, np.array(bmat, dtype=np.int64))
+                         stack, np.array(bmat, dtype=np.int64))
         assert np.all(want % den == 0)
-        got = restrict_to_basis(group, basis, cubic)
+        got = restrict_to_basis(stack, basis, cubic)
         assert got.dtype == np.int64 and np.array_equal(got, want // den)
 
 
 def test_restrict_to_basis_rejects_a_non_preserving_element(cubic):
     rho = folding.outer_automorphism("E6", cubic)
-    we6 = weyl_generate(simple_reflections(standard_simple_system("E6", cubic), cubic))
     with pytest.raises(ValueError):
-        restrict_to_basis(we6, folding.fixed_sublattice(rho), cubic)
+        restrict_to_basis(_oracle_closure("E6"), folding.fixed_sublattice(rho), cubic)
 
 
 def test_closure_refuses_int64_overflow():
     gen = WeylElement(((1, 2**40), (0, 1)))
     with pytest.raises(OverflowError):
         weyl_generate([gen])
-    with pytest.raises(OverflowError):
-        rootsys._closure_stack(gen.mat[None], cap=10**6)
 
 
 def test_affine_e8_closure_ends_in_budget_error():
@@ -343,10 +300,8 @@ def test_affine_e8_closure_ends_in_budget_error():
     h, l = lat.h, lat.l
     roots = [h - l(1) - l(2) - l(3)] + [l(i) - l(i + 1) for i in range(1, 9)]
     gens = [reflection(lat, r) for r in roots]
-    key_count = len(rootsys._CLOSURES)
     with pytest.raises(BudgetExceededError):
         weyl_generate(gens, cap=20_000)
-    assert len(rootsys._CLOSURES) == key_count
 
 
 def test_root_sublattice_checks_negation_of_every_root(f1_4, monkeypatch):
