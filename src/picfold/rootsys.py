@@ -52,6 +52,12 @@ DEFAULT_CAP = 10**6
 _INT64_SAFE = 2**62
 
 
+def row_keys(arr: np.ndarray) -> list[bytes]:
+    """``arr[i].tobytes()`` for each i, from one void view (trailing zero bytes kept)."""
+    flat = np.ascontiguousarray(arr).reshape(arr.shape[0], prod(arr.shape[1:]))
+    return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
+
+
 @dataclass(frozen=True)
 class RootSystemData:
     ambient: IntersectionLattice
@@ -456,13 +462,13 @@ class WeylGroup:
         self.gens = tuple(gens)
         self.rank = rank
         self.mats = np.array([g.mat for g in self.gens], dtype=np.int64).reshape(-1, rank, rank)
+        self.mats.flags.writeable = False  # the chain is built from these
         points = {}
         for e in np.eye(rank, dtype=np.int64):
             if e.tobytes() not in points:
                 points.update((row.tobytes(), row) for row in _orbit_rows(self.mats, e, cap))
         self._points = np.array(list(points.values()), dtype=np.int64)
         self._index = {key: n for n, key in enumerate(points)}
-        self._row = np.dtype((np.void, 8 * rank))  # one int64 row as one item
         perms = [self._permutation(m) for m in self.mats]
         self._base, self._levels = _schreier_sims(perms, len(points))
         self.order = prod(len(level) for level in self._levels)
@@ -471,8 +477,7 @@ class WeylGroup:
 
     def _permutation(self, mat: np.ndarray) -> np.ndarray | None:
         """The action of a matrix on the domain, or None if it leaves the domain."""
-        keys = (self._points @ mat.T).view(self._row).ravel().tolist()
-        idx = list(map(self._index.get, keys))
+        idx = list(map(self._index.get, row_keys(self._points @ mat.T)))
         return None if None in idx else np.array(idx)
 
     def orbit_rows(self, row: np.ndarray) -> list[np.ndarray]:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -19,6 +21,7 @@ from picfold.rootsys import (
     reflection,
     restrict_to_basis,
     root_sublattice,
+    row_keys,
     simple_reflections,
     standard_simple_system,
     weyl_generate,
@@ -162,6 +165,67 @@ def test_enumerated_roots_closed_under_weyl(f1_4):
         assert {g.apply(r) for r in roots} == roots
 
 
+def test_closure_memo_returns_equal_readonly_stacks(cubic):
+    gens = simple_reflections(standard_simple_system("E6", cubic), cubic)
+    first = weyl_generate(gens)
+    again = weyl_generate(gens)
+    assert first == again and np.array_equal(first.mats, again.mats)
+    # a different generator order gives the same group
+    assert weyl_generate(gens[::-1]) == first
+    # the chain is built from the generator stack, so it cannot be changed under it
+    with pytest.raises(ValueError):
+        again.mats[0, 0, 0] = 7
+
+
+def test_closure_memo_keeps_the_cap(cubic):
+    gens = simple_reflections(standard_simple_system("E6", cubic), cubic)
+    assert len(weyl_generate(gens)) == 51840
+    with pytest.raises(BudgetExceededError):
+        weyl_generate(gens, cap=1000)
+    assert len(weyl_generate(gens, cap=51840)) == 51840
+    with pytest.raises(BudgetExceededError):
+        weyl_generate(gens, cap=51839)
+
+
+def test_closure_memo_shared_across_threads(f1_4):
+    gens = simple_reflections(standard_simple_system("D", f1_4), f1_4)
+    gens = gens + gens[:1] * 3
+    results = [None] * 6
+    start = threading.Barrier(len(results))
+
+    def close(n):
+        start.wait(timeout=10)
+        results[n] = weyl_generate(gens)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=close, args=(n,)) for n in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    # no state is shared between calls, so groups built at once are all the same group
+    assert all(r == weyl_generate(gens) for r in results)
+    assert len(results[0]) == 192
+
+
+def test_row_keys_equal_tobytes():
+    rng = np.random.default_rng(7)
+    arrays = [
+        rng.integers(-5, 6, size=(40, 3, 3)),
+        np.array([[1, 0], [0, 0], [256, 0], [0, 1]], dtype=np.int64),  # trailing zero bytes
+        np.zeros((5, 4), dtype=np.int64),
+        rng.integers(0, 3, size=(6, 8, 2)).transpose(0, 2, 1),  # not contiguous
+        np.zeros((0, 3, 3), dtype=np.int64),
+    ]
+    for arr in arrays:
+        assert row_keys(arr) == [arr[i].tobytes() for i in range(arr.shape[0])]
+
+
 def einsum_closure_stack(gen_stack, cap):
     """Reference closure: einsum products and one ``tobytes`` per matrix."""
     rank = gen_stack.shape[1]
@@ -225,7 +289,9 @@ ORDERS = {"D4": 192, "E6": 51840, "D5": 1920, "D6": 23040, "B2": 8, "B3": 48, "B
 
 
 @pytest.mark.parametrize("name", list(GROUP_GENS))
-def test_chain_matches_closure_oracle(name):
+def test_matmul_closure_matches_einsum_oracle(name):
+    """The group the generators close to under matrix products, held as a
+    chain, against the einsum closure oracle."""
     gens = GROUP_GENS[name]
     closure = _oracle_closure(name)
     order = len(closure)
