@@ -198,42 +198,19 @@ def weierstrass_group(p: int, a: int, b: int):
 
     orders = {pt: order_of(pt) for pt in points}
     m2 = 1
-    g2 = None
-    for pt, o in orders.items():
+    for o in orders.values():
         m2 = m2 * o // gcd(m2, o)
-    for pt, o in orders.items():
-        if o == m2:
-            g2 = pt
-            break
+    # groups of rank <= 2 always contain an element of maximal order
+    g2 = next((pt for pt, o in orders.items() if o == m2), None)
     if g2 is None:
-        # exponent realized only as an lcm; groups of rank <= 2 always
-        # contain an element of maximal order, so this cannot happen
         raise AssertionError("no element of maximal order")
     m1 = n // m2
-    sub2 = set()
-    cur = None
-    for _ in range(m2):
-        cur = add(cur, g2)
-        sub2.add(cur)
-    sub2.add(None)
+    sub2 = {mul(j, g2) for j in range(m2)}
     g1 = None
-    if m1 == 1:
-        g1 = None
-    else:
-        for pt, o in orders.items():
-            if o != m1:
-                continue
-            cyc = set()
-            cur = None
-            ok = True
-            for _ in range(o):
-                cur = add(cur, pt)
-                if cur in sub2 and cur is not None:
-                    ok = False
-                    break
-            if ok:
-                g1 = pt
-                break
+    if m1 > 1:
+        # an element of order m1 whose nonzero multiples all avoid <g2>
+        g1 = next((pt for pt, o in orders.items()
+                   if o == m1 and all(mul(j, pt) not in sub2 for j in range(1, o))), None)
         if g1 is None:
             raise AssertionError("no complement generator found")
 

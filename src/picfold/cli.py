@@ -542,15 +542,17 @@ def _suite_repbundles(cfg: RunConfig):
     def wedge_iff():
         lat = lattice.make_blowup_lattice("F1", 4)
         sig = abelian.make_sigma_model(7, 7)
-        identity, paired, _ = repbundles.wedge_locus(lat, sig)
+        identity, paired = repbundles.wedge_locus(lat, sig)
         check(np.array_equal(identity, paired), "wedge identity locus differs from the paired locus")
         return {"tuples": int(identity.shape[0]), "locus": int(paired.sum())}
 
     def f4_decomp():
-        lat = lattice.make_blowup_lattice("P2", 6)
-        sig = abelian.make_sigma_model(5, 5)
-        pa = _random_admissible("F4", sig, random.Random(7))
-        dec = repbundles.f4_rep_decomposition(lat, pa)
+        # x = P t over free generators t: one symbolic run covers every group
+        sym = abelian.SymbolicSigma(4)
+        t = [sym.gen(j) for j in range(4)]
+        x = tuple(sym.combine(row, t) for row in moduli.case_spec("F4").points)
+        dec = repbundles.f4_rep_decomposition(lattice.make_blowup_lattice("P2", 6),
+                                              moduli.PointAssignment(sym, x))
         return {"zero_lines": 3, "short_roots": len(dec.short_root_map),
                 "kernel_rank": dec.trace_kernel_rank}
 

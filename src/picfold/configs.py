@@ -22,7 +22,6 @@ import numpy as np
 
 from .lattice import (
     F1,
-    P2,
     DivisorClass,
     IntersectionLattice,
     exceptional_classes,

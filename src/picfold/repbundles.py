@@ -11,19 +11,27 @@ twisting class.  The published vector/spinor comparisons for the
 triality case only balance with the twists O(-l4), resp. O(s - l4); the
 exhaustive searches below confirm those twisted identities hold exactly
 on the constrained point locus.
+
+The searches share one integer kernel, ``_locus_masks``.  A summand's
+point is a linear form in the blow-up points.  Sigma^k is walked in
+chunks of at most ``_CHUNK_ROWS`` tuples, and each bundle's forms are
+evaluated once per chunk, in unsigned residue arithmetic; a twist adds
+its own point to every summand (-x_i for -l_i; s and f restrict to 0).
+The degree multisets of two compared sides are checked once (a mismatch
+raises), then their points are compared per degree after a sorting
+network.  A relation side R x = 0 is a block of forms that must vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from ._linalg import rational_solve
 from .abelian import SigmaModel
-from .cases import case_spec, holds
+from .cases import case_spec, holds, point_relations
 from .folding import f4_short_roots, fixed_sublattice, outer_automorphism
 from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes
 from .moduli import PointAssignment, u_point
@@ -60,11 +68,8 @@ def weight_bundle(kind: str, lat: IntersectionLattice) -> WeightBundle:
         return WeightBundle(kind, summands)
     if kind not in _F1_KINDS:
         raise ValueError(f"unknown bundle kind {kind!r}")
-    named = {"K": lat.K, "f": lat.f, "s": lat.s}
-    constraints = [
-        (c if c == SELF else named[c], v) for c, v in _F1_KINDS[kind]
-    ]
-    summands = enumerate_classes(lat, constraints)
+    named = {"K": lat.K, "f": lat.f, "s": lat.s, SELF: SELF}
+    summands = enumerate_classes(lat, [(named[c], v) for c, v in _F1_KINDS[kind]])
     m = lat.npoints
     expected = {"vector": 2 * m, "spinor_plus": 2 ** (m - 1),
                 "spinor_minus": 2 ** (m - 1), "standard": m}[kind]
@@ -73,8 +78,7 @@ def weight_bundle(kind: str, lat: IntersectionLattice) -> WeightBundle:
     return WeightBundle(kind, summands)
 
 
-def restrict_bundle(bundle: WeightBundle, lat: IntersectionLattice,
-                    pa: PointAssignment) -> tuple:
+def restrict_bundle(bundle: WeightBundle, lat: IntersectionLattice, pa: PointAssignment) -> tuple:
     """Sorted multiset of (degree, point) pairs of the restricted summands."""
     return tuple(sorted((lat.deg(d), u_point(lat, pa, d)) for d in bundle.summands))
 
@@ -97,8 +101,7 @@ def check_identification(lhs, rhs) -> bool:
     return tuple(sorted(lhs)) == tuple(sorted(rhs))
 
 
-def twisted_identity(lat, pa, lhs_kind: str, twist: DivisorClass | None,
-                     rhs_kind: str) -> bool:
+def twisted_identity(lat, pa, lhs_kind: str, twist: DivisorClass | None, rhs_kind: str) -> bool:
     """Whether lhs ⊗ O(twist) and rhs restrict to the same multiset."""
     lhs = restrict_bundle(weight_bundle(lhs_kind, lat), lat, pa)
     if twist is not None:
@@ -111,36 +114,93 @@ def wedge_power(bundle: WeightBundle, i: int) -> WeightBundle:
     """Summands are all i-fold sums of distinct summands."""
     if not 1 <= i <= bundle.rank:
         raise ValueError("wedge power out of range")
-    sums = []
-    for combo in combinations(range(bundle.rank), i):
-        acc = bundle.summands[combo[0]]
-        for t in combo[1:]:
-            acc = acc + bundle.summands[t]
-        sums.append(acc)
+    sums = [sum(combo[1:], combo[0]) for combo in combinations(bundle.summands, i)]
     return WeightBundle(f"wedge{i}({bundle.name})", tuple(sorted(sums)))
 
 
 # ---------------------------------------------------------------------------
-# exhaustive loci over finite groups (vectorized)
+# exhaustive loci over finite groups (one chunked integer kernel)
+
+_CHUNK_ROWS = 1 << 15  # the most tuples the kernel holds at once
+_TABLE_ROWS = 1 << 11  # the most tuples of trailing coordinates tabulated once
 
 
-def _encoded_points(x1, x2, coeffs, sigma):
-    """(N, k) array of encoded points 'sum_j coeffs[k][j] x_j'."""
-    c = np.asarray(coeffs, dtype=np.int64)
-    return (x1 @ c.T % sigma.m1) * sigma.m2 + (x2 @ c.T % sigma.m2)
+def _form_values(idx, forms, sigma, dtype):
+    """(2, K, n): both components of K forms on tuples numbered idx (base-|Sigma| digits)."""
+    digits = np.empty((forms.shape[1], len(idx)), dtype=np.int64)
+    for j in reversed(range(forms.shape[1])):
+        idx, digits[j] = np.divmod(idx, sigma.order)
+    return np.stack([forms @ (digits // sigma.m2) % sigma.m1,
+                     forms @ (digits % sigma.m2) % sigma.m2]).astype(dtype)
 
 
-def _side_matrix(lat, bundle_summands, twist=None):
-    rows = []
-    for d in bundle_summands:
-        if twist is not None:
-            d = d + twist
-        rows.append(lat.l_coeffs(d))
+def _wrap(total, mods):
+    """Reduce sums of two residues mod (m1, m2) along axis 0 in place: a wrap and a min."""
+    return np.minimum(total, total - mods, out=total)
+
+
+def _sorted_rows(rows):
+    """Sort every column of a (k, n) array: odd-even transposition, k rounds."""
+    rows = list(rows)
+    for r in range(len(rows)):
+        for i in range(r % 2, len(rows) - 1, 2):
+            rows[i:i + 2] = np.minimum(rows[i], rows[i + 1]), np.maximum(rows[i], rows[i + 1])
     return rows
 
 
-def _sorted_eq(a, b):
-    return np.all(np.sort(a, axis=1) == np.sort(b, axis=1), axis=1)
+def _locus_masks(lat, sigma, params, pairs, relations=()):
+    """Masks over t in Sigma^k, in ``point_grids`` order, with the points x = params t.
+
+    One row per pair ((summands, twist), (summands, twist)) of sides that
+    restrict alike, then one per relation block R: R x = 0.
+    """
+    forms, where, plan = [], {}, []
+
+    def place(key, rows):
+        if key not in where:
+            where[key] = (len(forms), len(forms) + len(rows))
+            forms.extend(rows)
+        return where[key]
+
+    for pair in pairs:
+        sides = [(place(summands, [lat.l_coeffs(d) for d in summands]),
+                  place(lat.l_coeffs(tw), [lat.l_coeffs(tw)])[0] if any(lat.l_coeffs(tw)) else None,
+                  np.array([lat.deg(d + tw) for d in summands])) for summands, tw in pair]
+        lhs, rhs = (sorted(side[2].tolist()) for side in sides)
+        if lhs != rhs:
+            raise ValueError(f"summand degrees {lhs} and {rhs} differ: no identification")
+        plan.append(sides)
+    vanish = [place(("R", tuple(rows)), list(rows)) for rows in relations]
+
+    F = np.array(forms, dtype=np.int64) @ params
+    k, order = F.shape[1], sigma.order
+    t = max(j for j in range(k + 1) if order**j <= min(_CHUNK_ROWS, _TABLE_ROWS))
+    width, nlead, step = order**t, order ** (k - t), _CHUNK_ROWS // order**t
+    dtype = np.min_scalar_type(max(2 * sigma.m2, order))  # holds two residues and a key
+    mods = np.array([sigma.m1, sigma.m2], dtype=dtype)[:, None, None]
+    tail = _form_values(np.arange(width), F[:, k - t:], sigma, dtype)[:, :, None, :]
+    out = np.empty((len(plan) + len(vanish), nlead * width), dtype=bool)
+    for g0 in range(0, nlead, step):  # a chunk: step leading tuples, each with every tail
+        head = _form_values(np.arange(g0, min(g0 + step, nlead)), F[:, : k - t], sigma, dtype)
+        c = _wrap((tail + head[..., None]).reshape(2, len(F), -1), mods)
+        cols, done = slice(g0 * width, g0 * width + c.shape[2]), {}
+
+        def side_sorted(side, deg):
+            (a, b), s, degs = side
+            if (a, b, s, deg) not in done:
+                p = c[:, a:b][:, degs == deg]
+                if s is not None:  # a twist adds its point to every summand's
+                    p = _wrap(p + c[:, s, None], mods)
+                done[a, b, s, deg] = _sorted_rows(p[0] * mods[1] + p[1])
+            return done[a, b, s, deg]
+
+        for row, (lhs, rhs) in enumerate(plan):
+            out[row, cols] = np.logical_and.reduce(
+                [u == v for deg in set(lhs[2].tolist())
+                 for u, v in zip(side_sorted(lhs, deg), side_sorted(rhs, deg))])
+        for row, (a, b) in enumerate(vanish, len(plan)):
+            out[row, cols] = ~c[:, a:b].any(axis=(0, 1))
+    return out
 
 
 def spinor_locus(lat: IntersectionLattice, sigma: SigmaModel):
@@ -148,22 +208,15 @@ def spinor_locus(lat: IntersectionLattice, sigma: SigmaModel):
 
     Returns (per_index_identity, per_index_zero): two boolean arrays of
     shape (m, N) where row i states 'spinor_plus ⊗ O(-l_{i+1}) matches
-    spinor_minus', resp. 'x_{i+1} = 0', for every point tuple.
+    spinor_minus', resp. the registry's B relation x_1 = 0 with index
+    i + 1 moved first, for every point tuple.
     """
-    m = lat.npoints
-    x1, x2 = sigma.point_grids(m)
-    n = x1.shape[0]
-    sp = weight_bundle("spinor_plus", lat)
-    sm = weight_bundle("spinor_minus", lat)
-    rhs = _encoded_points(x1, x2, _side_matrix(lat, sm.summands), sigma)
-    ident = np.zeros((m, n), dtype=bool)
-    zero = np.zeros((m, n), dtype=bool)
-    for i in range(m):
-        coeffs = _side_matrix(lat, sp.summands, twist=-lat.l(i + 1))
-        lhs = _encoded_points(x1, x2, coeffs, sigma)
-        ident[i] = _sorted_eq(lhs, rhs)
-        zero[i] = (x1[:, i] == 0) & (x2[:, i] == 0)
-    return ident, zero
+    m, rel = lat.npoints, point_relations("B", lat.npoints)
+    sp, sm = (weight_bundle(kind, lat).summands for kind in ("spinor_plus", "spinor_minus"))
+    masks = _locus_masks(lat, sigma, np.eye(m, dtype=np.int64),
+                         [((sp, -lat.l(i + 1)), (sm, lat.zero)) for i in range(m)],
+                         [tuple(r[1:i + 1] + r[:1] + r[i + 1:] for r in rel) for i in range(m)])
+    return masks[:m], masks[m:]
 
 
 def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel):
@@ -174,49 +227,28 @@ def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel):
     O(s - l4)), 'w_sm' (vector ⊗ O(-l4) = spinor_minus) and 'relations'
     (the G2 point relations R x = 0 of the case registry).
     """
-    m = lat.npoints
-    x1, x2 = sigma.point_grids(m)
-    sp = weight_bundle("spinor_plus", lat)
-    sm = weight_bundle("spinor_minus", lat)
-    w = weight_bundle("vector", lat)
-    rel = np.array(case_spec("G2").relations, dtype=np.int64)
-    enc = lambda summands, twist=None: _encoded_points(
-        x1, x2, _side_matrix(lat, summands, twist), sigma
-    )
-    out = {
-        "sp_sm": _sorted_eq(enc(sp.summands, -lat.l(1)), enc(sm.summands)),
-        "w_sp": _sorted_eq(enc(w.summands, lat.s - lat.l(4)), enc(sp.summands)),
-        "w_sm": _sorted_eq(enc(w.summands, -lat.l(4)), enc(sm.summands)),
-        "relations": ~np.any(x1 @ rel.T % sigma.m1, axis=1)
-        & ~np.any(x2 @ rel.T % sigma.m2, axis=1),
-    }
-    return out
+    sp, sm, w = (weight_bundle(k, lat).summands for k in ("spinor_plus", "spinor_minus", "vector"))
+    pairs = [((sp, -lat.l(1)), (sm, lat.zero)), ((w, lat.s - lat.l(4)), (sp, lat.zero)),
+             ((w, -lat.l(4)), (sm, lat.zero))]
+    masks = _locus_masks(lat, sigma, np.eye(4, dtype=np.int64), pairs, [case_spec("G2").relations])
+    return dict(zip(("sp_sm", "w_sp", "w_sm", "relations"), masks))
 
 
 def wedge_locus(lat: IntersectionLattice, sigma: SigmaModel):
-    """Masks over zero-sum tuples in Sigma^{2n} for the wedge identity.
+    """Masks over zero-sum tuples x = (t, -sum t), t in Sigma^{2n-1}, for the wedge identity.
 
     Returns (identity, paired): 'standard ⊗ O((n-i) f) matches
     wedge^{2n-i}(standard)' for i = 1, and 'the point multiset is
-    symmetric under negation' (the pairing condition up to renumbering).
+    symmetric under negation' (the pairing condition up to renumbering),
+    compared as standard against its dual twisted by f, which has degree
+    2 and restricts to the identity.
     """
-    m = lat.npoints
-    x1, x2 = sigma.point_grids(m - 1)
-    x1 = np.hstack([x1, (-x1.sum(axis=1, keepdims=True)) % sigma.m1])
-    x2 = np.hstack([x2, (-x2.sum(axis=1, keepdims=True)) % sigma.m2])
-    v = weight_bundle("standard", lat)
-    n = m // 2
-    i = 1
-    lhs_rows = _side_matrix(lat, v.summands)  # f adds no l-coefficients
-    top = wedge_power(v, 2 * n - i)
-    rhs_rows = _side_matrix(lat, top.summands)
-    lhs = _encoded_points(x1, x2, lhs_rows, sigma)
-    rhs = _encoded_points(x1, x2, rhs_rows, sigma)
-    identity = _sorted_eq(lhs, rhs)
-    negated = ((-x1) % sigma.m1) * sigma.m2 + ((-x2) % sigma.m2)
-    plain = x1 * sigma.m2 + x2
-    paired = _sorted_eq(plain, negated)
-    return identity, paired, (x1, x2)
+    m, v = lat.npoints, weight_bundle("standard", lat)
+    n, i = m // 2, 1
+    zero_sum = np.vstack([np.eye(m - 1, dtype=np.int64), -np.ones((1, m - 1), dtype=np.int64)])
+    return tuple(_locus_masks(lat, sigma, zero_sum, [
+        ((v.summands, (n - i) * lat.f), (wedge_power(v, 2 * n - i).summands, lat.zero)),
+        ((v.summands, lat.zero), (tuple(-d for d in v.summands), lat.f))]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +267,12 @@ class F4RepDecomposition:
 def _fixed_part_projection(lat: IntersectionLattice):
     rho = outer_automorphism("E6", lat)
     basis = fixed_sublattice(rho)
-    bmat = [[b.coords[i] for b in basis] for i in range(lat.rank)]
     gram = [[lat.pair(a, b) for b in basis] for a in basis]
 
     def project_doubled(x: DivisorClass) -> DivisorClass:
         rhs = [lat.pair(x, b) for b in basis]
         sol = rational_solve(gram, rhs)
-        out = [Fraction(0)] * lat.rank
-        for c, b in zip(sol, basis):
-            for t in range(lat.rank):
-                out[t] += 2 * c * b.coords[t]
+        out = [2 * sum(c * b.coords[t] for c, b in zip(sol, basis)) for t in range(lat.rank)]
         if any(v.denominator != 1 for v in out):
             raise ValueError("doubled projection is not integral")
         return DivisorClass(tuple(int(v) for v in out))
@@ -269,12 +297,10 @@ def f4_rep_decomposition(lat: IntersectionLattice, pa: PointAssignment) -> F4Rep
     h, l = lat.h, lat.l
     zero_lines = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
     common = (1, s.neg(p))
-    total = lat.zero
     for e in zero_lines:
         if line_class_of(lat, pa, e) != common:
             raise AssertionError(f"{e} does not restrict to the common class {common}")
-        total = total + e
-    if total != -lat.K:
+    if sum(zero_lines, lat.zero) != -lat.K:
         raise AssertionError("the three zero lines do not sum to -K")
 
     project = _fixed_part_projection(lat)

@@ -63,10 +63,6 @@ class RootSystemData:
     ambient: IntersectionLattice
     roots: frozenset[DivisorClass]
 
-    @cached_property
-    def norm_values(self) -> frozenset[int]:
-        return frozenset(self.ambient.pair(r, r) for r in self.roots)
-
     def __len__(self):
         return len(self.roots)
 

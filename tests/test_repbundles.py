@@ -1,9 +1,13 @@
 import random
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 
+from picfold import repbundles
 from picfold.abelian import SymbolicSigma, make_sigma_model
+from picfold.cases import case_spec, holds, point_relations
 from picfold.configs import enumerate_exceptional_systems
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.moduli import PointAssignment, u_point
@@ -58,7 +62,7 @@ def test_degree_bookkeeping(lat4):
         bundle = weight_bundle(kind, lat4)
         restricted = restrict_bundle(bundle, lat4, pa)
         assert all(d == deg for d, _ in restricted)
-        assert all(d == lat4.deg(s) for s, (d, _) in zip(sorted(bundle.summands), ())) or True
+        assert [d for d, _ in restricted] == sorted(lat4.deg(s) for s in bundle.summands)
     det = sum(weight_bundle("standard", lat4).summands, lat4.zero)
     assert lat4.deg(det) == 4
 
@@ -167,7 +171,7 @@ def test_determinant_restricts_to_trivial_point(lat4):
 def test_wedge_identity_iff_pairing_exhaustive():
     lat = make_blowup_lattice(F1, 4)
     sigma = make_sigma_model(7, 7)
-    identity, paired, _ = wedge_locus(lat, sigma)
+    identity, paired = wedge_locus(lat, sigma)
     assert identity.shape[0] == 49**3
     assert np.array_equal(identity, paired)
 
@@ -216,3 +220,94 @@ def test_f4_decomposition_symbolic(cubic):
     dec = f4_rep_decomposition(cubic, pa)
     assert dec.common_class == (1, sym.neg(p))
     assert len(set(dec.short_root_map.values())) == 24
+
+
+def _all_loci(sigma):
+    lat3, lat4 = make_blowup_lattice(F1, 3), make_blowup_lattice(F1, 4)
+    return (*spinor_locus(lat3, sigma), *g2_triple_locus(lat4, sigma).values(),
+            *wedge_locus(lat4, sigma))
+
+
+@pytest.mark.parametrize("m1, m2", [(2, 2), (1, 3), (1, 4)])
+def test_loci_match_the_scalar_oracle(lat3, lat4, m1, m2):
+    sigma = make_sigma_model(m1, m2)
+    els = list(sigma.elements())
+    ident, zero = spinor_locus(lat3, sigma)
+    b_rel = point_relations("B", 3)
+    for col, x in enumerate(product(els, repeat=3)):
+        pa = PointAssignment(sigma, x)
+        for i in range(3):
+            twisted = twisted_identity(lat3, pa, "spinor_plus", -lat3.l(i + 1), "spinor_minus")
+            assert ident[i, col] == twisted
+            assert zero[i, col] == holds(b_rel, sigma, (x[i],) + x[:i] + x[i + 1:])
+    masks = g2_triple_locus(lat4, sigma)
+    g2_rel = case_spec("G2").relations
+    for col, x in enumerate(product(els, repeat=4)):
+        pa = PointAssignment(sigma, x)
+        l1, l4, s = lat4.l(1), lat4.l(4), lat4.s
+        assert masks["sp_sm"][col] == twisted_identity(lat4, pa, "spinor_plus", -l1, "spinor_minus")
+        assert masks["w_sp"][col] == twisted_identity(lat4, pa, "vector", s - l4, "spinor_plus")
+        assert masks["w_sm"][col] == twisted_identity(lat4, pa, "vector", -l4, "spinor_minus")
+        assert masks["relations"][col] == holds(g2_rel, sigma, x)
+    identity, paired = wedge_locus(lat4, sigma)
+    v = weight_bundle("standard", lat4)
+    for col, t in enumerate(product(els, repeat=3)):
+        x = t + (sigma.neg(sigma.combine((1, 1, 1), t)),)
+        pa = PointAssignment(sigma, x).validate("A")
+        lhs = tensor_line(restrict_bundle(v, lat4, pa), line_class_of(lat4, pa, lat4.f), sigma)
+        assert identity[col] == check_identification(
+            lhs, restrict_bundle(wedge_power(v, 3), lat4, pa))
+        assert paired[col] == (sorted(x) == sorted(sigma.neg(p) for p in x))
+    # at 2x2 every point is 2-torsion: every tuple is paired and the identities hold everywhere
+    assert paired.all() == masks["sp_sm"].all() == (m1 == 2)
+
+
+@pytest.mark.parametrize("rows", [7, 200])
+def test_loci_do_not_depend_on_the_chunk_size(monkeypatch, rows):
+    # |Sigma| = 8: 8^3 and 8^4 tuples, which neither row count divides
+    sigma = make_sigma_model(2, 4)
+    default = _all_loci(sigma)
+    seen = []
+    sort_rows = repbundles._sorted_rows
+    monkeypatch.setattr(repbundles, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(repbundles, "_sorted_rows", lambda r: seen.append(r.shape[1]) or sort_rows(r))
+    chunked = _all_loci(sigma)
+    assert len(seen) > 0 and max(seen) <= rows
+    assert len(chunked) == len(default) == 8
+    for a, b in zip(default, chunked):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def test_degree_mismatch_is_refused(lat4):
+    sp = weight_bundle("spinor_plus", lat4).summands
+    sm = weight_bundle("spinor_minus", lat4).summands
+    with pytest.raises(ValueError, match="degrees"):
+        repbundles._locus_masks(lat4, make_sigma_model(1, 2), np.eye(4, dtype=np.int64),
+                                [((sp, lat4.zero), (sm, lat4.zero))])
+
+
+def test_g2_locus_memory_is_bounded(lat4):
+    sigma = make_sigma_model(5, 5)
+    g2_triple_locus(lat4, sigma)  # bundles and lattice caches filled outside the trace
+    tracemalloc.start()
+    try:
+        masks = g2_triple_locus(lat4, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks["relations"].shape == (5**8,)
+    assert peak < 16 * 2**20
+
+
+def test_mixed_degree_sides_compare_per_degree(lat4):
+    # degrees {1, 3} on both sides and always the same points {x1, x2}; as
+    # (degree, point) multisets the sides agree exactly where x1 = x2
+    l1, l2, f = lat4.l(1), lat4.l(2), lat4.f
+    sigma = make_sigma_model(1, 3)
+    lhs, rhs = (l1, l2 + f), (l2, l1 + f)
+    (mask,) = repbundles._locus_masks(lat4, sigma, np.eye(4, dtype=np.int64),
+                                      [((lhs, lat4.zero), (rhs, lat4.zero))])
+    for col, x in enumerate(product(list(sigma.elements()), repeat=4)):
+        pa = PointAssignment(sigma, x)
+        restricted = [[line_class_of(lat4, pa, d) for d in side] for side in (lhs, rhs)]
+        assert mask[col] == check_identification(*restricted) == (x[0] == x[1])
