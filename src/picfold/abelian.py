@@ -6,6 +6,9 @@ the configuration checks.  Group elements are canonical residue pairs.
 The Weierstrass adapter grounds the group law on an actual curve over a
 small prime field by brute-force point enumeration.
 
+Every exhaustive check over point tuples walks Sigma^k in bounded chunks
+through one generator, ``SigmaModel.form_chunks``.
+
 Integer linear systems over a SigmaModel are solved through the Smith
 normal form, one cyclic factor at a time.
 """
@@ -22,6 +25,9 @@ from ._linalg import SNFDecomposition, mat_vec
 from ._linalg import smith_normal_form as _snf_raw
 
 GroupElement = tuple[int, int]
+
+_CHUNK_ROWS = 1 << 15  # the most tuples in a chunk of SigmaModel.form_chunks
+_TABLE_ROWS = 1 << 11  # the most tuples of trailing coordinates tabulated once
 
 
 class SingularCurveError(ValueError):
@@ -88,14 +94,32 @@ class SigmaModel:
     def is_zero(self, x: GroupElement) -> bool:
         return x == (0, 0)
 
-    def point_grids(self, n: int):
-        """Component arrays (N, n), N = order^n, covering every n-tuple of elements.
+    def form_chunks(self, forms):
+        """Yield (cols, residues) for integer forms (K, k) at every t in Sigma^k, chunk by chunk.
 
-        Tuples come in the order of ``itertools.product(self.elements(), repeat=n)``.
+        Tuples come in the order of ``itertools.product(self.elements(),
+        repeat=k)``; ``cols`` is the chunk's slice of tuple numbers, at most
+        ``_CHUNK_ROWS`` long, and ``residues`` is (2, K, len) holding forms @ t
+        mod (m1, m2) in the smallest unsigned dtype that holds two residues.
+        The trailing coordinates' values are tabulated once (at most
+        ``_TABLE_ROWS`` tuples); each chunk adds the leading ones to them.
         """
-        grids = np.meshgrid(*([np.arange(self.order)] * n), indexing="ij")
-        idx = np.stack(grids).reshape(n, -1).T
-        return idx // self.m2 % self.m1, idx % self.m2
+        k, order = forms.shape[1], self.order
+        t = max(j for j in range(k + 1) if order**j <= min(_CHUNK_ROWS, _TABLE_ROWS))
+        width, nlead, step = order**t, order ** (k - t), _CHUNK_ROWS // order**t
+        mods = np.array([[[self.m1]], [[self.m2]]], np.min_scalar_type(max(2 * self.m2, order)))
+
+        def values(idx, f):  # f on the tuples numbered idx, read as base-|Sigma| digits
+            e = idx // order ** np.arange(f.shape[1])[::-1, None] % order
+            return (np.stack([f @ (e // self.m2), f @ (e % self.m2)]) % mods).astype(mods.dtype)
+
+        tail = values(np.arange(width), forms[:, k - t:])[:, :, None, :]
+        for g0 in range(0, nlead, step):  # step leading tuples, each with every tail
+            head = values(np.arange(g0, min(g0 + step, nlead)), forms[:, :k - t])
+            total = (tail + head[..., None]).reshape(2, len(forms), -1)  # wrap, then min
+            yield (slice(g0 * width, g0 * width + total.shape[2]),
+                   np.minimum(total, total - mods, out=total))
+            del total  # once the caller drops it too, the next chunk reuses its memory
 
 
 class SymbolicSigma:

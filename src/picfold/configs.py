@@ -323,7 +323,12 @@ class CubicData:
 
 
 def cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
-    """Lines, triangles and double-sixes of the six-point plane blow-up."""
+    """Lines, triangles and double-sixes of the six-point plane blow-up, built once per lattice."""
+    return _cubic_combinatorics(lat)
+
+
+@lru_cache(maxsize=None)
+def _cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
     lines = exceptional_classes(lat)
     meets = {
         a: {b for b in lines if b != a and lat.pair(a, b) == 1} for a in lines

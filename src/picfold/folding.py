@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._linalg import integer_kernel, rational_solve, rational_solve_int
+from ._linalg import integer_kernel, rational_solve
 from .cases import FOLDED_TO_SIMPLY_LACED, ambient_case, case_spec  # noqa: F401 (re-exported)
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
@@ -25,6 +25,7 @@ from .rootsys import (
     SimpleSystem,
     WeylElement,
     WeylGroup,
+    basis_coordinates,
     cartan_matrix_of,
     cartan_matrix_of_q,
     identify_cartan_type,
@@ -273,14 +274,10 @@ def f4_short_roots(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
 def _restricted_root_reflections(case: str, lat: IntersectionLattice,
                                  basis) -> list[WeylElement]:
     """Reflections in every folded root, as matrices on the sublattice basis."""
-    k = len(basis)
-    bmat = [[b.coords[i] for b in basis] for i in range(lat.rank)]
-    refl_mats = []
-    for root in sorted(folded_root_system(case, lat).roots):
-        cols = [rational_solve_int(bmat, list(reflect(lat, root, b).coords)) for b in basis]
-        mat = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-        refl_mats.append(WeylElement(mat))
-    return refl_mats
+    bmat = np.array([[b.coords[i] for b in basis] for i in range(lat.rank)], dtype=np.int64)
+    images = np.array([[reflect(lat, root, b).coords for b in basis]
+                       for root in sorted(folded_root_system(case, lat).roots)], dtype=np.int64)
+    return [WeylElement.from_matrix(m) for m in basis_coordinates(bmat, images.transpose(0, 2, 1))]
 
 
 def restricted_reflection_matrices(case: str, lat: IntersectionLattice, cap: int = 10**6):

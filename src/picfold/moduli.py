@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -195,44 +195,27 @@ def folded_restriction(case: str, pa: PointAssignment):
 
 
 def invariance_agreement_exhaustive(case: str, sigma: SigmaModel) -> int:
-    """Assert closed-form == direct comparison on every point tuple.
+    """Check closed form == direct comparison on every point tuple; raise at the first miss.
 
-    Vectorized over the whole of Sigma^n (restricted to zero-sum tuples
-    for the C cases, where the ambient configuration assumes it).
-    Returns the number of assignments checked.
+    Both sides are forms in x = params t that must vanish, over every t in
+    Sigma^k (``SigmaModel.form_chunks``): u(a_{perm(i)}) - u(a_i) on the
+    simple roots, and Q.  params is the identity, or x = (t, -sum t) for
+    the C cases, where the ambient configuration assumes a zero sum.
+    Returns the number of tuples checked.
     """
     lat, perm, coeffs = _invariance_data(case)
-    n = lat.npoints
-    x1, x2 = sigma.point_grids(n)
-    if case_spec(case).family == "C":
-        keep = ((x1.sum(axis=1) % sigma.m1) == 0) & ((x2.sum(axis=1) % sigma.m2) == 0)
-        x1, x2 = x1[keep], x2[keep]
-
-    def images(x, m):
-        c = np.array(coeffs, dtype=np.int64)  # (nroots, n)
-        return x @ c.T % m
-
-    i1, i2 = images(x1, sigma.m1), images(x2, sigma.m2)
-    direct = np.ones(x1.shape[0], dtype=bool)
-    for i, p in enumerate(perm):
-        if p == i:
-            continue
-        direct &= (i1[:, p] == i1[:, i]) & (i2[:, p] == i2[:, i])
-
-    def closed(x, m):  # Q x = 0
-        ok = np.ones(x.shape[0], dtype=bool)
-        for row in case_spec(case).invariance:
-            ok &= sum(c * x[:, j] for j, c in enumerate(row) if c) % m == 0
-        return ok
-
-    closed_mask = closed(x1, sigma.m1) & closed(x2, sigma.m2)
-    if not np.array_equal(closed_mask, direct):
-        bad = int(np.nonzero(closed_mask != direct)[0][0])
-        raise AssertionError(
-            f"{case}: closed form and direct comparison disagree at "
-            f"{[tuple(p) for p in zip(x1[bad], x2[bad])]}"
-        )
-    return x1.shape[0]
+    k = lat.npoints - (case_spec(case).family == "C")  # C: x = (t, -sum t)
+    params = np.vstack([np.eye(k, dtype=np.int64), -np.ones((lat.npoints - k, k), dtype=np.int64)])
+    direct = [np.subtract(coeffs[p], coeffs[i]) for i, p in enumerate(perm) if p != i]
+    forms = np.array(direct + list(case_spec(case).invariance), dtype=np.int64) @ params
+    for cols, r in sigma.form_chunks(forms):
+        hit = r.any(axis=0)  # (forms, tuples): the form is nonzero there
+        miss = np.flatnonzero(hit[:len(direct)].any(axis=0) != hit[len(direct):].any(axis=0))
+        if len(miss):
+            t = next(islice(product(sigma.elements(), repeat=k), cols.start + miss[0], None))
+            raise AssertionError(f"{case}: closed form and direct comparison disagree at "
+                                 f"{tuple(sigma.combine(row, t) for row in params.tolist())}")
+    return sigma.order**k
 
 
 @dataclass(frozen=True)

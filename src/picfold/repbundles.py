@@ -13,13 +13,13 @@ exhaustive searches below confirm those twisted identities hold exactly
 on the constrained point locus.
 
 The searches share one integer kernel, ``_locus_masks``.  A summand's
-point is a linear form in the blow-up points.  Sigma^k is walked in
-chunks of at most ``_CHUNK_ROWS`` tuples, and each bundle's forms are
-evaluated once per chunk, in unsigned residue arithmetic; a twist adds
-its own point to every summand (-x_i for -l_i; s and f restrict to 0).
-The degree multisets of two compared sides are checked once (a mismatch
-raises), then their points are compared per degree after a sorting
-network.  A relation side R x = 0 is a block of forms that must vanish.
+point is a linear form in the blow-up points, and a twisted summand's
+form is the sum of the two (-x_i for -l_i; s and f restrict to 0).
+Sigma^k is walked chunk by chunk through ``SigmaModel.form_chunks``, and
+each distinct block of forms is evaluated once per chunk.  The degree
+multisets of two compared sides are checked once (a mismatch raises),
+then their points are compared per degree after a sorting network.  A
+relation side R x = 0 is a block of forms that must vanish.
 """
 
 from __future__ import annotations
@@ -121,24 +121,6 @@ def wedge_power(bundle: WeightBundle, i: int) -> WeightBundle:
 # ---------------------------------------------------------------------------
 # exhaustive loci over finite groups (one chunked integer kernel)
 
-_CHUNK_ROWS = 1 << 15  # the most tuples the kernel holds at once
-_TABLE_ROWS = 1 << 11  # the most tuples of trailing coordinates tabulated once
-
-
-def _form_values(idx, forms, sigma, dtype):
-    """(2, K, n): both components of K forms on tuples numbered idx (base-|Sigma| digits)."""
-    digits = np.empty((forms.shape[1], len(idx)), dtype=np.int64)
-    for j in reversed(range(forms.shape[1])):
-        idx, digits[j] = np.divmod(idx, sigma.order)
-    return np.stack([forms @ (digits // sigma.m2) % sigma.m1,
-                     forms @ (digits % sigma.m2) % sigma.m2]).astype(dtype)
-
-
-def _wrap(total, mods):
-    """Reduce sums of two residues mod (m1, m2) along axis 0 in place: a wrap and a min."""
-    return np.minimum(total, total - mods, out=total)
-
-
 def _sorted_rows(rows):
     """Sort every column of a (k, n) array: odd-even transposition, k rounds."""
     rows = list(rows)
@@ -149,57 +131,48 @@ def _sorted_rows(rows):
 
 
 def _locus_masks(lat, sigma, params, pairs, relations=()):
-    """Masks over t in Sigma^k, in ``point_grids`` order, with the points x = params t.
+    """Masks over t in Sigma^k, in ``SigmaModel.form_chunks`` order, with the points x = params t.
 
     One row per pair ((summands, twist), (summands, twist)) of sides that
     restrict alike, then one per relation block R: R x = 0.
     """
     forms, where, plan = [], {}, []
 
-    def place(key, rows):
-        if key not in where:
-            where[key] = (len(forms), len(forms) + len(rows))
+    def place(rows):
+        if rows not in where:
+            where[rows] = (len(forms), len(forms) + len(rows))
             forms.extend(rows)
-        return where[key]
+        return where[rows]
 
     for pair in pairs:
-        sides = [(place(summands, [lat.l_coeffs(d) for d in summands]),
-                  place(lat.l_coeffs(tw), [lat.l_coeffs(tw)])[0] if any(lat.l_coeffs(tw)) else None,
+        sides = [(place(tuple(lat.l_coeffs(d + tw) for d in summands)),
                   np.array([lat.deg(d + tw) for d in summands])) for summands, tw in pair]
-        lhs, rhs = (sorted(side[2].tolist()) for side in sides)
+        lhs, rhs = (sorted(side[1].tolist()) for side in sides)
         if lhs != rhs:
             raise ValueError(f"summand degrees {lhs} and {rhs} differ: no identification")
         plan.append(sides)
-    vanish = [place(("R", tuple(rows)), list(rows)) for rows in relations]
+    vanish = [place(rows) for rows in relations]
 
-    F = np.array(forms, dtype=np.int64) @ params
-    k, order = F.shape[1], sigma.order
-    t = max(j for j in range(k + 1) if order**j <= min(_CHUNK_ROWS, _TABLE_ROWS))
-    width, nlead, step = order**t, order ** (k - t), _CHUNK_ROWS // order**t
-    dtype = np.min_scalar_type(max(2 * sigma.m2, order))  # holds two residues and a key
-    mods = np.array([sigma.m1, sigma.m2], dtype=dtype)[:, None, None]
-    tail = _form_values(np.arange(width), F[:, k - t:], sigma, dtype)[:, :, None, :]
-    out = np.empty((len(plan) + len(vanish), nlead * width), dtype=bool)
-    for g0 in range(0, nlead, step):  # a chunk: step leading tuples, each with every tail
-        head = _form_values(np.arange(g0, min(g0 + step, nlead)), F[:, : k - t], sigma, dtype)
-        c = _wrap((tail + head[..., None]).reshape(2, len(F), -1), mods)
-        cols, done = slice(g0 * width, g0 * width + c.shape[2]), {}
+    out = np.empty((len(plan) + len(vanish), sigma.order ** params.shape[1]), dtype=bool)
+    for cols, c in sigma.form_chunks(np.array(forms, dtype=np.int64) @ params):
+        done = {}
 
         def side_sorted(side, deg):
-            (a, b), s, degs = side
-            if (a, b, s, deg) not in done:
-                p = c[:, a:b][:, degs == deg]
-                if s is not None:  # a twist adds its point to every summand's
-                    p = _wrap(p + c[:, s, None], mods)
-                done[a, b, s, deg] = _sorted_rows(p[0] * mods[1] + p[1])
-            return done[a, b, s, deg]
+            (a, b), degs = side
+            pick = degs == deg
+            key = (a, b, pick.tobytes())
+            if key not in done:
+                p = c[:, a:b][:, pick]
+                done[key] = _sorted_rows(p[0] * sigma.m2 + p[1])
+            return done[key]
 
         for row, (lhs, rhs) in enumerate(plan):
             out[row, cols] = np.logical_and.reduce(
-                [u == v for deg in set(lhs[2].tolist())
+                [u == v for deg in set(lhs[1].tolist())
                  for u, v in zip(side_sorted(lhs, deg), side_sorted(rhs, deg))])
         for row, (a, b) in enumerate(vanish, len(plan)):
             out[row, cols] = ~c[:, a:b].any(axis=(0, 1))
+        del c  # let the walk build the next chunk in this one's memory
     return out
 
 

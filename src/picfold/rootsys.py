@@ -537,21 +537,28 @@ def orbit(gens, seed, group: WeylGroup | None = None, cap: int = DEFAULT_CAP) ->
     return OrbitResult(elems, stab)
 
 
+def basis_coordinates(bmat: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Integer Y with bmat @ Y = X for a stack X (..., rank, k) of image columns.
+
+    bmat (rank x k) has independent columns.  One integer left inverse L
+    (L bmat = den I) gives every block as L X / den; an image outside the
+    integer span of the columns raises ``ValueError``.
+    """
+    left, den = integer_left_inverse(bmat.tolist())
+    coords, rem = np.divmod(np.array(left, dtype=np.int64) @ images, den)
+    if rem.any() or not np.array_equal(bmat @ coords, images):
+        raise ValueError("an image has no integer coordinates in the basis")
+    return coords
+
+
 def restrict_to_basis(mats: np.ndarray, basis, lat: IntersectionLattice) -> np.ndarray:
     """The matrices of an (N, rank, rank) stack on the span of ``basis``.
 
-    Every matrix must preserve the span; images must have integer
-    coordinates in the basis, else ``ValueError``.  Returns an (N, k, k)
-    array, computed as two matrix products ``L @ (M @ B)``.
+    Every matrix must preserve the span integrally, else ``ValueError``.
+    Returns an (N, k, k) array, ``basis_coordinates`` of the images M @ B.
     """
-    bmat = [[b.coords[i] for b in basis] for i in range(lat.rank)]  # rank x k
-    left, den = integer_left_inverse(bmat)
-    b_np = np.array(bmat, dtype=np.int64)
-    l_np = np.array(left, dtype=np.int64)
-    images = l_np @ (np.asarray(mats, dtype=np.int64) @ b_np)
-    if not np.all(images % den == 0):
-        raise ValueError("an element does not preserve the sublattice integrally")
-    return images // den
+    bmat = np.array([[b.coords[i] for b in basis] for i in range(lat.rank)], dtype=np.int64)
+    return basis_coordinates(bmat, np.asarray(mats, dtype=np.int64) @ bmat)
 
 
 def decompose_in_basis(x: DivisorClass, basis, require_integral=True):

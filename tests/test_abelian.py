@@ -1,9 +1,14 @@
 import random
 from itertools import product
 from math import gcd
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from picfold import abelian
 from picfold._linalg import bareiss_det, mat_mul, smith_normal_form
 from picfold.abelian import (
     SingularCurveError,
@@ -182,3 +187,29 @@ def test_b2_style_system_over_coprime_and_torsion():
         if not r.solvable:
             unsolvable += 1
     assert unsolvable == 15  # image has size |Sigma|^2 / 16 = 1
+
+
+_SMALL_GROUPS = [(m1, m2) for m2 in range(1, 9) for m1 in range(1, m2 + 1)
+                 if m2 % m1 == 0 and m1 * m2 <= 8]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_SMALL_GROUPS), st.integers(0, 4), st.data(),
+       st.integers(1, 70), st.integers(1, 70))
+def test_form_chunks_match_brute_force(group, k, data, chunk_rows, table_rows):
+    sigma = make_sigma_model(*group)
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                              min_size=1, max_size=4))
+    forms = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    with mock.patch.multiple(abelian, _CHUNK_ROWS=chunk_rows, _TABLE_ROWS=table_rows):
+        chunks = list(sigma.form_chunks(forms))
+    expected = [[sigma.combine(row, t) for row in forms.tolist()]
+                for t in product(sigma.elements(), repeat=k)]
+    start, got = 0, []
+    for cols, residues in chunks:
+        assert cols.start == start and 0 < cols.stop - start <= chunk_rows
+        assert residues.shape == (2, len(forms), cols.stop - start)
+        assert residues.dtype.kind == "u"
+        got += [list(map(tuple, col)) for col in residues.transpose(2, 1, 0).tolist()]
+        start = cols.stop
+    assert got == expected

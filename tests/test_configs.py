@@ -167,6 +167,11 @@ def test_cubic_combinatorics(cubic):
     assert delta0 in data.triangles
 
 
+def test_cubic_combinatorics_is_built_once_per_lattice(cubic):
+    # the E6 bijection claim reads the combinatorics the cubic claim just built
+    assert cubic_combinatorics(cubic) is cubic_combinatorics(make_blowup_lattice(P2, 6))
+
+
 def test_double_six_bijection(cubic, weyl_e6):
     data = cubic_combinatorics(cubic)
     simple = standard_simple_system("E6", cubic)

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -99,6 +101,41 @@ def test_closed_vs_direct_exhaustive(case, m1, m2):
     zero_sum = case.startswith("C")
     checked = invariance_agreement_exhaustive(case, sigma)
     assert checked == sigma.order ** (n - 1 if zero_sum else n)
+
+
+def drop_last_invariance_row(monkeypatch):
+    """Make moduli read every case with the last row of Q removed."""
+    spec_of = moduli.case_spec
+    monkeypatch.setattr(moduli, "case_spec", lambda name: dataclasses.replace(
+        spec_of(name), invariance=spec_of(name).invariance[:-1]))
+
+
+@pytest.mark.parametrize("case, first", [
+    ("B2", ((0, 1), (0, 0), (0, 0))),
+    ("C2", ((0, 0), (0, 0), (0, 1), (0, 2))),
+    ("G2", ((0, 0), (0, 0), (0, 0), (0, 1))),
+    ("F4", ((0, 0),) * 4 + ((0, 1), (0, 1))),
+])
+def test_agreement_fails_without_a_row_of_q(monkeypatch, case, first):
+    # the closed form loses a condition, so it holds where the direct comparison fails;
+    # the check names the first such tuple in product order, with plain ints
+    drop_last_invariance_row(monkeypatch)
+    with pytest.raises(AssertionError) as err:
+        invariance_agreement_exhaustive(case, make_sigma_model(3, 3))
+    assert str(err.value) == f"{case}: closed form and direct comparison disagree at {first}"
+
+
+def test_agreement_memory_is_bounded():
+    sigma = make_sigma_model(3, 3)
+    invariance_agreement_exhaustive("F4", sigma)  # lattice and automorphism caches filled outside
+    tracemalloc.start()
+    try:
+        checked = invariance_agreement_exhaustive("F4", sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == 9**6
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("case", ["B2", "C2", "G2", "F4"])

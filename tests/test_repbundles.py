@@ -5,12 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from picfold import repbundles
-from picfold.abelian import SymbolicSigma, make_sigma_model
+from picfold import abelian, repbundles
+from picfold.abelian import SigmaModel, SymbolicSigma, make_sigma_model
 from picfold.cases import case_spec, holds, point_relations
 from picfold.configs import enumerate_exceptional_systems
 from picfold.lattice import F1, P2, make_blowup_lattice
-from picfold.moduli import PointAssignment, u_point
+from picfold.moduli import PointAssignment, invariance_agreement_exhaustive, u_point
 from picfold.repbundles import (
     ConstraintViolatedError,
     check_identification,
@@ -26,6 +26,8 @@ from picfold.repbundles import (
     wedge_power,
     weight_bundle,
 )
+
+from test_moduli import drop_last_invariance_row
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +112,8 @@ def test_g2_triple_identification_iff_conditions(lat4):
     sigma = make_sigma_model(5, 5)
     masks = g2_triple_locus(lat4, sigma)
     # the spinor half detects x1 = 0, the vector half detects x1+x2+x3 = x4
-    x1, x2 = sigma.point_grids(4)
-    assert np.array_equal(masks["sp_sm"], (x1[:, 0] == 0) & (x2[:, 0] == 0))
+    # tuples come in product order, so x1 = 0 exactly on the first |Sigma|^3 of them
+    assert np.array_equal(masks["sp_sm"], np.arange(sigma.order**4) < sigma.order**3)
     combined = masks["sp_sm"] & masks["w_sp"]
     rhs = masks["relations"]
     assert np.array_equal(combined, rhs)
@@ -262,20 +264,42 @@ def test_loci_match_the_scalar_oracle(lat3, lat4, m1, m2):
     assert paired.all() == masks["sp_sm"].all() == (m1 == 2)
 
 
+def _invariance_outcomes(sigma, monkeypatch):
+    """Tuple counts of the agreement check, then its first miss with a row of Q dropped."""
+    counts = [invariance_agreement_exhaustive(case, sigma) for case in ("B2", "C2", "G2")]
+    misses = []
+    with monkeypatch.context() as m:
+        drop_last_invariance_row(m)
+        for case in ("B2", "C2", "G2"):
+            with pytest.raises(AssertionError) as err:
+                invariance_agreement_exhaustive(case, sigma)
+            misses.append(str(err.value))
+    return counts, misses
+
+
 @pytest.mark.parametrize("rows", [7, 200])
 def test_loci_do_not_depend_on_the_chunk_size(monkeypatch, rows):
     # |Sigma| = 8: 8^3 and 8^4 tuples, which neither row count divides
     sigma = make_sigma_model(2, 4)
     default = _all_loci(sigma)
+    default_checks = _invariance_outcomes(sigma, monkeypatch)
     seen = []
-    sort_rows = repbundles._sorted_rows
-    monkeypatch.setattr(repbundles, "_CHUNK_ROWS", rows)
-    monkeypatch.setattr(repbundles, "_sorted_rows", lambda r: seen.append(r.shape[1]) or sort_rows(r))
+    walk = SigmaModel.form_chunks
+
+    def spy(self, forms):
+        for cols, residues in walk(self, forms):
+            seen.append(residues.shape[2])
+            yield cols, residues
+
+    monkeypatch.setattr(abelian, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(SigmaModel, "form_chunks", spy)
     chunked = _all_loci(sigma)
     assert len(seen) > 0 and max(seen) <= rows
     assert len(chunked) == len(default) == 8
     for a, b in zip(default, chunked):
         assert a.shape == b.shape and np.array_equal(a, b)
+    assert _invariance_outcomes(sigma, monkeypatch) == default_checks
+    assert default_checks[0] == [8**3, 8**3, 8**4]
 
 
 def test_degree_mismatch_is_refused(lat4):

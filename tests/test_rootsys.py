@@ -14,6 +14,7 @@ from picfold.rootsys import (
     BudgetExceededError,
     NonIntegralReflectionError,
     WeylElement,
+    basis_coordinates,
     cartan_matrix_of,
     identify_cartan_type,
     orbit,
@@ -352,6 +353,16 @@ def test_restrict_to_basis_rejects_a_non_preserving_element(cubic):
     rho = folding.outer_automorphism("E6", cubic)
     with pytest.raises(ValueError):
         restrict_to_basis(_oracle_closure("E6"), folding.fixed_sublattice(rho), cubic)
+
+
+def test_basis_coordinates_refuse_an_image_outside_the_span():
+    # L = (1 0) sends (0, 1) to the integer 0, but B 0 is not (0, 1)
+    bmat = np.array([[1], [0]], dtype=np.int64)
+    assert basis_coordinates(bmat, np.array([[[3], [0]]])).tolist() == [[[3]]]
+    with pytest.raises(ValueError):
+        basis_coordinates(bmat, np.array([[[0], [1]]]))
+    with pytest.raises(ValueError):
+        basis_coordinates(np.array([[2], [0]], dtype=np.int64), np.array([[[1], [0]]]))
 
 
 def test_closure_refuses_int64_overflow():
