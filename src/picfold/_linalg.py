@@ -1,8 +1,9 @@
-"""Exact integer / rational linear algebra used across the package.
+"""Exact integer linear algebra used across the package.
 
-Everything works on plain Python ints (arbitrary precision) or Fractions;
-numpy enters only as a convenient container at call sites.  Matrices are
-lists of lists (rows).
+Everything works on plain Python ints (arbitrary precision); ``Fraction``
+enters only in ``rational_solve``, the one solver over Q.  numpy enters
+only as a convenient container at call sites.  Matrices are lists of
+lists (rows).
 """
 
 from __future__ import annotations
@@ -65,8 +66,14 @@ class SNFDecomposition:
 def smith_normal_form(a) -> SNFDecomposition:
     """Diagonalize an integer matrix by elementary row/column operations.
 
-    Pivots on the smallest nonzero entry; entries stay small for the
-    matrix sizes used here (dimension <= 8, entries <= 4).
+    Each round pivots on the smallest nonzero entry of the remaining block
+    and reduces the pivot's row and column by rounded division.  A nonzero
+    remainder, at most half the pivot, makes the next round pick a smaller
+    pivot; a block entry the pivot does not divide is first added into the
+    pivot row.  So d_1 | d_2 | ... holds when the block is done.  A fresh
+    pivot each round keeps the growth moderate, but U, V and their inverses
+    are Python ints of no fixed size (up to 2^62 on random 8 x 8 matrices
+    with entries <= 4): a caller that moves them into int64 checks first.
     """
     m = len(a)
     n = len(a[0]) if m else 0
@@ -109,13 +116,6 @@ def smith_normal_form(a) -> SNFDecomposition:
             vinv[r][j] += q * vinv[r][k]
         v[k] = [x - q * y for x, y in zip(v[k], v[j])]
 
-    def col_neg(j):
-        for r in range(m):
-            s[r][j] = -s[r][j]
-        for r in range(n):
-            vinv[r][j] = -vinv[r][j]
-        v[j] = [-x for x in v[j]]
-
     def pivot_from(t):
         best = None
         for i in range(t, m):
@@ -136,64 +136,20 @@ def smith_normal_form(a) -> SNFDecomposition:
             col_swap(t, j)
         if s[t][t] < 0:
             row_neg(t)
-        done = False
-        while not done:
-            done = True
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_add(i, t, -q)
-                    if s[i][t] != 0:  # remainder became the smaller pivot
-                        row_swap(t, i)
-                        if s[t][t] < 0:
-                            row_neg(t)
-                        done = False
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_add(j, t, -q)
-                    if s[t][j] != 0:
-                        col_swap(t, j)
-                        if s[t][t] < 0:
-                            col_neg(t)
-                        done = False
+        p = s[t][t]
+        for i in range(t + 1, m):
+            if s[i][t]:
+                row_add(i, t, -((2 * s[i][t] + p) // (2 * p)))
+        for j in range(t + 1, n):
+            if s[t][j]:
+                col_add(j, t, -((2 * s[t][j] + p) // (2 * p)))
+        if any(s[i][t] for i in range(t + 1, m)) or any(s[t][j] for j in range(t + 1, n)):
+            continue
+        bad = next((i for i in range(t + 1, m) for j in range(t + 1, n) if s[i][j] % p), None)
+        if bad is not None:
+            row_add(t, bad, 1)
+            continue
         t += 1
-
-    # Enforce the divisibility chain d_i | d_{i+1}.
-    r = min(m, n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            di, dj = s[i][i], s[i + 1][i + 1]
-            if dj != 0 and di != 0 and dj % di != 0:
-                col_add(i, i + 1, 1)
-                # re-clear the 2x2 block
-                q = s[i + 1][i] // s[i][i]
-                row_add(i + 1, i, -q)
-                if s[i + 1][i] != 0:
-                    row_swap(i, i + 1)
-                    if s[i][i] < 0:
-                        row_neg(i)
-                    # full local re-reduction
-                    while s[i + 1][i] != 0:
-                        q = s[i + 1][i] // s[i][i]
-                        row_add(i + 1, i, -q)
-                        if s[i + 1][i] != 0:
-                            row_swap(i, i + 1)
-                            if s[i][i] < 0:
-                                row_neg(i)
-                while s[i][i + 1] != 0:
-                    q = s[i][i + 1] // s[i][i]
-                    col_add(i + 1, i, -q)
-                    if s[i][i + 1] != 0:
-                        col_swap(i, i + 1)
-                        if s[i][i] < 0:
-                            col_neg(i)
-                changed = True
-    for i in range(r):
-        if s[i][i] < 0:
-            row_neg(i)
     return SNFDecomposition(u, s, v, uinv, vinv)
 
 
@@ -252,32 +208,17 @@ def rational_solve(a, b):
     return sol
 
 
-def rational_solve_int(a, b):
-    """Like rational_solve but demands an integral solution."""
-    sol = rational_solve(a, b)
-    if any(x.denominator != 1 for x in sol):
-        raise ValueError("solution is not integral")
-    return [int(x) for x in sol]
-
-
 def integer_left_inverse(b):
-    """(L, den) with L integer, L @ b = den * I, for b with independent columns."""
-    m, n = len(b), len(b[0])
-    gram = [[sum(b[r][i] * b[r][j] for r in range(m)) for j in range(n)] for i in range(n)]
-    # L = gram^-1 * b^T, assembled column by column (one per row of b)
-    cols = []
-    for j in range(m):
-        rhs = [b[j][i] for i in range(n)]
-        cols.append(rational_solve(gram, rhs))
-    lden = 1
-    for col in cols:
-        for x in col:
-            lden = lden * x.denominator // _gcd(lden, x.denominator)
-    lmat = [[int(cols[j][i] * lden) for j in range(m)] for i in range(n)]
-    return lmat, lden
+    """(L, den) with L integer and L @ b = den * I, for b with independent columns.
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+    From the Smith form b = U S V with invariant factors d_1 | ... | d_k:
+    (U^-1)[:k] b = diag(d) V, so L = V^-1 diag(d_k / d_i) (U^-1)[:k] and
+    den = d_k.  Raises ValueError when the columns are dependent.
+    """
+    k = len(b[0])
+    snf = smith_normal_form(b)
+    if len(snf.diag) < k or snf.diag[-1] == 0:
+        raise ValueError("columns are not independent")
+    den = snf.diag[-1]
+    scaled = [[den // d * x for x in row] for d, row in zip(snf.diag, snf.uinv)]
+    return mat_mul(snf.vinv, scaled), den

@@ -33,7 +33,7 @@ from .rootsys import (
     SimpleSystem,
     WeylGroup,
     decompose_in_basis,
-    orbit,
+    row_keys,
     standard_simple_system,
 )
 
@@ -405,13 +405,14 @@ class StabilizerResult:
 def triangle_stabilizer(triangle, ordered: bool, weyl: WeylGroup) -> StabilizerResult:
     """Order of the stabilizer of a (possibly ordered) triangle in the group.
 
-    The orbit of the ordered triangle is walked by the generators; the
-    unordered orbit is its set of underlying triangles.  The stabilizer
-    order is |W| / |orbit|.
+    The orbit of the ordered triangle, as one int64 row of its three lines,
+    is walked by the generators; the unordered orbit is its set of
+    underlying triangles.  The stabilizer order is |W| / |orbit|.
     """
-    ordered_orbit = orbit(weyl.gens, tuple(triangle)).elements
-    size = len(ordered_orbit) if ordered else len({frozenset(t) for t in ordered_orbit})
-    return StabilizerResult(len(weyl) // size, size)
+    rows = weyl.orbit_rows(np.array([c for line in triangle for c in line.coords], dtype=np.int64))
+    if not ordered:
+        rows = {frozenset(row_keys(r.reshape(len(triangle), -1))) for r in rows}
+    return StabilizerResult(len(weyl) // len(rows), len(rows))
 
 
 def in_general_position(case: str, pa: PointAssignment) -> bool:

@@ -17,7 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._linalg import integer_kernel, rational_solve
+from ._linalg import integer_kernel
 from .cases import FOLDED_TO_SIMPLY_LACED, ambient_case, case_spec  # noqa: F401 (re-exported)
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
@@ -52,10 +52,9 @@ class OuterAutomorphism:
     order: int
 
     @cached_property
-    def _basis_matrix(self):
-        roots = self.simple_system.roots
-        return [[r.coords[i] for r in roots] + [self.lattice.K.coords[i]]
-                for i in range(self.lattice.rank)]
+    def _basis_matrix(self) -> np.ndarray:
+        return np.array([r.coords for r in self.simple_system.roots] + [self.lattice.K.coords],
+                        dtype=np.int64).T
 
     def orbits(self) -> list[tuple[int, ...]]:
         seen = set()
@@ -74,20 +73,14 @@ class OuterAutomorphism:
         return out
 
     def apply(self, x: DivisorClass) -> DivisorClass:
-        """Image of a class in the span of the simple roots and K."""
-        coeffs = rational_solve(self._basis_matrix, list(x.coords))
-        root_part = coeffs[:-1]
-        if any(c.denominator != 1 for c in root_part):
-            raise ValueError(f"{x} is not in the root sublattice plus ZK")
-        roots = self.simple_system.roots
-        out = [coeffs[-1] * Fraction(k) for k in self.lattice.K.coords]
-        for i, c in enumerate(root_part):
-            img = roots[self.permutation[i]]
-            for t in range(self.lattice.rank):
-                out[t] += c * img.coords[t]
-        if any(v.denominator != 1 for v in out):
-            raise ValueError("automorphism image left the lattice")
-        return DivisorClass(tuple(int(v) for v in out))
+        """Image of a class in the span of the simple roots and K.
+
+        Raises ValueError unless x has integer coordinates in (simple roots,
+        K); K is primitive, so an integral image needs an integral K part.
+        """
+        coeffs = basis_coordinates(self._basis_matrix, np.array(x.coords, dtype=np.int64))
+        perm = list(self.permutation) + [len(self.permutation)]
+        return DivisorClass(tuple((self._basis_matrix[:, perm] @ coeffs).tolist()))
 
     def fixes(self, x: DivisorClass) -> bool:
         return self.apply(x) == x

@@ -17,6 +17,14 @@ invariant-form identities
 together with N(a,b) = -N(b,a) = -N(-a,-b).  Any consistent convention
 yields an isomorphic algebra; the Jacobi check is the arbiter.
 
+Everything is computed in Python ints (Carter, ch. 4: root coordinates,
+coroots and constants of a Chevalley basis are integers).  The root
+coordinates come from one integer change of basis,
+``rootsys.basis_coordinates``.  The four-root identity is summed over
+the lcm of the root norms, where each of its terms is an integer; each
+coroot coordinate is c_i (a_i, a_i) / (a, a) for a = sum c_i a_i.  Every
+division is checked, and a remainder raises ``StructureConstantError``.
+
 The Jacobi check uses the root grading (Carter, *Simple Groups of Lie
 Type*, ch. 4): give h_i weight 0 and x_a weight a.  Every bracket of two
 basis vectors lies in the span of the basis vectors of the summed
@@ -31,13 +39,14 @@ result: the skipped ones are certified zero, not left out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
-from ._linalg import rational_solve
+import numpy as np
+
 from .cases import case_lattice, case_rank, case_spec
 from .folding import folded_root_system
 from .lattice import DivisorClass, IntersectionLattice
-from .rootsys import RootSystemData, SimpleSystem, decompose_in_basis
+from .rootsys import RootSystemData, SimpleSystem, basis_coordinates
 
 
 class StructureConstantError(ValueError):
@@ -87,19 +96,27 @@ def structure_constants(rs: RootSystemData, simple: SimpleSystem) -> StructureCo
     roots = set(rs.roots)
     srl = list(simple.roots)
 
-    coords = {}
-    for rt in roots:
-        c = decompose_in_basis(rt, srl)
+    listed = sorted(roots)
+    cols = basis_coordinates(np.array([rt.coords for rt in srl], dtype=np.int64).T,
+                             np.array([rt.coords for rt in listed], dtype=np.int64).T)
+    coords = dict(zip(listed, map(tuple, cols.T.tolist())))
+    for c in coords.values():
         if not (all(v >= 0 for v in c) or all(v <= 0 for v in c)):
             raise StructureConstantError(
                 "root is neither positive nor negative for the given simple system")
-        coords[rt] = tuple(c)
     positive = sorted(
         (rt for rt in roots if all(v >= 0 for v in coords[rt])),
         key=lambda rt: (sum(coords[rt]), coords[rt]),
     )
     index = {rt: i for i, rt in enumerate(positive)}
     norm = {rt: lat.pair(rt, rt) for rt in roots}
+    scale = lcm(*norm.values())  # each term of the four-root identity is an integer over it
+
+    def exact(num, den, message, *args):
+        q, r = divmod(num, den)
+        if r:
+            raise StructureConstantError(message.format(*args))
+        return q
 
     pos_n: dict[tuple, int] = {}
     extraspecial = set()
@@ -121,12 +138,10 @@ def structure_constants(rs: RootSystemData, simple: SimpleSystem) -> StructureCo
             return -n_any(-a, -b)
         if a_pos and not b_pos:
             if s in index:
-                val = Fraction(norm[s], norm[a]) * (-n_any(-b, s))
+                num, den = -n_any(-b, s) * norm[s], norm[a]
             else:
-                val = Fraction(norm[s], norm[b]) * n_any(-s, a)
-            if val.denominator != 1:
-                raise StructureConstantError("a structure constant is not an integer")
-            return int(val)
+                num, den = n_any(-s, a) * norm[s], norm[b]
+            return exact(num, den, "a structure constant is not an integer")
         return -n_any(b, a)
 
     for gamma in positive:
@@ -144,26 +159,21 @@ def structure_constants(rs: RootSystemData, simple: SimpleSystem) -> StructureCo
         r0, _ = root_string(None, a0, b0, roots=roots)
         pos_n[(a0, b0)] = r0 + 1
         extraspecial.add((a0, b0))
-        gnorm = Fraction(norm[gamma])
         for alpha, beta in decomps[1:]:
             if index[alpha] >= index[beta]:
                 continue  # stored once per unordered pair
-            t2 = Fraction(0)
+            terms = 0  # scale times the sum over the two other pairings
             if b0 - alpha in roots:
-                t2 = Fraction(n_any(b0, -alpha) * n_any(a0, -beta),
-                              norm[b0 - alpha])
-            t3 = Fraction(0)
+                terms += n_any(b0, -alpha) * n_any(a0, -beta) * (scale // norm[b0 - alpha])
             if a0 - alpha in roots:
-                t3 = Fraction(n_any(-alpha, a0) * n_any(b0, -beta),
-                              norm[a0 - alpha])
-            val = gnorm * (t2 + t3) / pos_n[(a0, b0)]
-            if val.denominator != 1:
-                raise StructureConstantError("sign propagation produced a non-integer")
+                terms += n_any(-alpha, a0) * n_any(b0, -beta) * (scale // norm[a0 - alpha])
+            val = exact(norm[gamma] * terms, scale * pos_n[(a0, b0)],
+                        "sign propagation produced a non-integer")
             r, _ = root_string(None, alpha, beta, roots=roots)
-            if abs(int(val)) != r + 1:
+            if abs(val) != r + 1:
                 raise StructureConstantError(
                     f"sign-propagation conflict at {alpha}, {beta}")
-            pos_n[(alpha, beta)] = int(val)
+            pos_n[(alpha, beta)] = val
 
     n_map = {}
     for a in roots:
@@ -171,31 +181,21 @@ def structure_constants(rs: RootSystemData, simple: SimpleSystem) -> StructureCo
             if a + b in roots:
                 n_map[(a, b)] = n_any(a, b)
 
-    cartan = {}
-    for rt in roots:
-        for i, si in enumerate(srl):
-            num = 2 * lat.pair(rt, si)
-            den = lat.pair(si, si)
-            if num % den != 0:
-                raise StructureConstantError(f"non-integral Cartan pairing of {rt}")
-            cartan[(rt, i)] = num // den
+    cartan = {(rt, i): exact(2 * lat.pair(rt, si), lat.pair(si, si),
+                             "non-integral Cartan pairing of {}", rt)
+              for rt in roots for i, si in enumerate(srl)}
 
-    # coroot of each root in the basis of simple coroots, integrally
-    dim = lat.rank
-    cols = [[Fraction(2 * si.coords[t], lat.pair(si, si)) for si in srl]
-            for t in range(dim)]
-    coroot_coords = {}
-    for rt in roots:
-        target = [Fraction(2 * c, norm[rt]) for c in rt.coords]
-        sol = rational_solve(cols, target)
-        if any(x.denominator != 1 for x in sol):
-            raise StructureConstantError(f"coroot of {rt} is not integral")
-        coroot_coords[rt] = tuple(int(x) for x in sol)
+    # a = sum c_i a_i gives a^v = 2a/(a,a) = sum c_i (a_i,a_i)/(a,a) a_i^v
+    coroot_coords = {
+        rt: tuple(exact(c * norm[si], norm[rt], "coroot of {} is not integral", rt)
+                  for c, si in zip(coords[rt], srl))
+        for rt in listed
+    }
 
     return StructureConstantTable(
         lattice=lat,
         simple=simple,
-        roots=tuple(sorted(roots)),
+        roots=tuple(listed),
         positive=tuple(positive),
         n_map=n_map,
         cartan=cartan,

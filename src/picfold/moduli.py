@@ -21,7 +21,7 @@ from .folding import fixed_sublattice, folded_weyl_group, outer_automorphism
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     BudgetExceededError,
-    decompose_in_basis,
+    basis_coordinates,
     restrict_to_basis,
     simple_reflections,
     standard_simple_system,
@@ -94,19 +94,6 @@ def invariance_direct(case: str, pa: PointAssignment) -> bool:
         raise ValueError(f"{case} expects {lat.npoints} points")
     imgs = [pa.sigma.combine(c, pa.points) for c in coeffs]
     return all(imgs[perm[i]] == imgs[i] for i in range(len(imgs)))
-
-
-def invariance_condition(case: str, pa: PointAssignment) -> bool:
-    """Fixed-point condition, evaluated both ways; the two must agree."""
-    if case_spec(case).family == "C":
-        pa.validate("A")  # the ambient configuration assumes sum x_i = 0
-    closed = invariance_closed_form(case, pa)
-    direct = invariance_direct(case, pa)
-    if closed != direct:
-        raise AssertionError(
-            f"{case}: closed form and direct comparison disagree at {pa.points}"
-        )
-    return closed
 
 
 @dataclass(frozen=True)
@@ -265,9 +252,8 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
             f"exceeds the action cap {action_cap}"
         )
 
-    embed = np.array(
-        [decompose_in_basis(b, delta.roots) for b in basis], dtype=np.int64
-    ).T  # (r', k)
+    embed = basis_coordinates(np.array([r.coords for r in delta.roots], dtype=np.int64).T,
+                              np.array([b.coords for b in basis], dtype=np.int64).T)  # (r', k)
 
     mods = (sigma.m1, sigma.m2)
     base = max(mods) if max(mods) > 1 else 2

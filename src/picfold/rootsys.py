@@ -30,7 +30,7 @@ from math import prod
 
 import numpy as np
 
-from ._linalg import integer_left_inverse, rational_solve_int
+from ._linalg import integer_left_inverse
 from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes
 
 
@@ -542,13 +542,20 @@ def basis_coordinates(bmat: np.ndarray, images: np.ndarray) -> np.ndarray:
 
     bmat (rank x k) has independent columns.  One integer left inverse L
     (L bmat = den I) gives every block as L X / den; an image outside the
-    integer span of the columns raises ``ValueError``.
+    integer span of the columns raises ``ValueError``.  The products are
+    taken in int64 while no entry of L X or bmat Y can reach 2^62, and in
+    Python ints otherwise, so none wraps; Y is returned as int64, and a
+    coordinate beyond int64 raises ``OverflowError``.
     """
     left, den = integer_left_inverse(bmat.tolist())
-    coords, rem = np.divmod(np.array(left, dtype=np.int64) @ images, den)
-    if rem.any() or not np.array_equal(bmat @ coords, images):
+    top = max(sum(map(abs, row)) for row in left) * int(np.abs(images).max(initial=0))
+    bound = max(top, int(np.abs(bmat).sum(axis=1).max()) * (top // den))  # |L X|, |bmat Y|
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    lx = np.array(left, dtype=dtype) @ images.astype(dtype)
+    coords = lx // den
+    if (lx % den).any() or not np.array_equal(bmat.astype(dtype) @ coords, images):
         raise ValueError("an image has no integer coordinates in the basis")
-    return coords
+    return coords.astype(np.int64)
 
 
 def restrict_to_basis(mats: np.ndarray, basis, lat: IntersectionLattice) -> np.ndarray:
@@ -561,11 +568,7 @@ def restrict_to_basis(mats: np.ndarray, basis, lat: IntersectionLattice) -> np.n
     return basis_coordinates(bmat, np.asarray(mats, dtype=np.int64) @ bmat)
 
 
-def decompose_in_basis(x: DivisorClass, basis, require_integral=True):
-    """Coordinates of x in the given (independent) class basis."""
-    bmat = [[b.coords[i] for b in basis] for i in range(len(x.coords))]
-    if require_integral:
-        return rational_solve_int(bmat, list(x.coords))
-    from ._linalg import rational_solve
-
-    return rational_solve(bmat, list(x.coords))
+def decompose_in_basis(x: DivisorClass, basis) -> list[int]:
+    """Integer coordinates of x in the given (independent) class basis."""
+    bmat = np.array([b.coords for b in basis], dtype=np.int64).T
+    return basis_coordinates(bmat, np.array(x.coords, dtype=np.int64)).tolist()

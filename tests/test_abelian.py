@@ -95,17 +95,31 @@ def test_snf_examples():
     assert r.diag == [0, 0]
 
 
+# Swapping each division remainder into the pivot position grew the entries
+# of this matrix's elimination without bound (past 10^4000 within seconds).
+_GROWTH_8X8 = [[-2, -3, 4, 1, -3, 4, -2, -2], [-2, -2, 1, 0, -3, 4, 0, -2],
+               [-1, -2, 4, -4, 1, 4, -1, -2], [0, 2, 4, -2, -4, -1, 0, -3],
+               [3, 2, 4, 0, 4, 3, 4, 3], [-4, 2, 1, -2, 0, 3, -4, 2],
+               [-4, -4, 1, -2, -2, -2, 0, 0], [2, 2, -2, -3, -1, 3, -4, -2]]
+
+
+def _random_matrix(rng, size):
+    m, n = rng.randint(1, size), rng.randint(1, size)
+    return [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+
+
 def test_snf_invariants_random():
     rng = random.Random(9)
-    for _ in range(60):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 5)
-        a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    mats = [_random_matrix(rng, 5) for _ in range(60)]
+    mats += [_random_matrix(rng, 8) for _ in range(60)] + [_GROWTH_8X8]
+    for a in mats:
         res = smith_normal_form(a)
         u, s, v = [list(map(list, x)) for x in (res.u, res.s, res.v)]
         assert mat_mul(mat_mul(u, s), v) == [list(r) for r in a]
         assert abs(bareiss_det(u)) == 1
         assert abs(bareiss_det(v)) == 1
+        assert all(abs(x) < 2**62 for t in (res.u, res.v, res.uinv, res.vinv)
+                   for row in t for x in row)
         diag = res.diag
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:

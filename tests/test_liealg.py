@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
+from picfold._linalg import rational_solve
 from picfold.folding import folded_root_system
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.liealg import (
     JacobiReport,
+    StructureConstantError,
     StructureConstantTable,
     _bracket_basis,
     build_lie_bundle,
@@ -13,7 +17,7 @@ from picfold.liealg import (
     verify_jacobi,
 )
 from picfold.moduli import case_lattice
-from picfold.rootsys import root_sublattice, standard_simple_system
+from picfold.rootsys import RootSystemData, SimpleSystem, root_sublattice, standard_simple_system
 
 
 def _simply_laced(case, lat):
@@ -53,6 +57,126 @@ def tables():
     for case in ("B2", "B3", "B4", "C2", "C3", "G2", "F4"):
         out[case] = structure_constants(*folded_simple_and_roots(case))
     return out
+
+
+def fraction_structure_constants(rs, simple):
+    """Oracle: the table computed in Fractions, with a rational solve per coroot."""
+    lat = rs.ambient
+    roots = set(rs.roots)
+    srl = list(simple.roots)
+
+    def integral_solve(a, b, message):
+        sol = rational_solve(a, b)
+        if any(x.denominator != 1 for x in sol):
+            raise StructureConstantError(message)
+        return tuple(int(x) for x in sol)
+
+    bmat = [[b.coords[i] for b in srl] for i in range(lat.rank)]
+    coords = {}
+    for rt in roots:
+        c = integral_solve(bmat, list(rt.coords), f"{rt} is not integral in the simple roots")
+        if not (all(v >= 0 for v in c) or all(v <= 0 for v in c)):
+            raise StructureConstantError(
+                "root is neither positive nor negative for the given simple system")
+        coords[rt] = c
+    positive = sorted(
+        (rt for rt in roots if all(v >= 0 for v in coords[rt])),
+        key=lambda rt: (sum(coords[rt]), coords[rt]),
+    )
+    index = {rt: i for i, rt in enumerate(positive)}
+    norm = {rt: lat.pair(rt, rt) for rt in roots}
+    pos_n, extraspecial = {}, set()
+
+    def n_any(a, b):
+        s = a + b
+        if s not in roots:
+            return 0
+        a_pos, b_pos = a in index, b in index
+        if a_pos and b_pos:
+            return pos_n[(a, b)] if index[a] < index[b] else -pos_n[(b, a)]
+        if not a_pos and not b_pos:
+            return -n_any(-a, -b)
+        if a_pos and not b_pos:
+            if s in index:
+                val = Fraction(norm[s], norm[a]) * (-n_any(-b, s))
+            else:
+                val = Fraction(norm[s], norm[b]) * n_any(-s, a)
+            if val.denominator != 1:
+                raise StructureConstantError("a structure constant is not an integer")
+            return int(val)
+        return -n_any(b, a)
+
+    for gamma in positive:
+        if sum(coords[gamma]) == 1:
+            continue
+        decomps = [(alpha, gamma - alpha) for alpha in positive[:index[gamma]]
+                   if gamma - alpha in index]
+        a0, b0 = decomps[0]
+        pos_n[(a0, b0)] = root_string(None, a0, b0, roots=roots)[0] + 1
+        extraspecial.add((a0, b0))
+        for alpha, beta in decomps[1:]:
+            if index[alpha] >= index[beta]:
+                continue
+            t2 = t3 = Fraction(0)
+            if b0 - alpha in roots:
+                t2 = Fraction(n_any(b0, -alpha) * n_any(a0, -beta), norm[b0 - alpha])
+            if a0 - alpha in roots:
+                t3 = Fraction(n_any(-alpha, a0) * n_any(b0, -beta), norm[a0 - alpha])
+            val = Fraction(norm[gamma]) * (t2 + t3) / pos_n[(a0, b0)]
+            if val.denominator != 1:
+                raise StructureConstantError("sign propagation produced a non-integer")
+            if abs(int(val)) != root_string(None, alpha, beta, roots=roots)[0] + 1:
+                raise StructureConstantError(f"sign-propagation conflict at {alpha}, {beta}")
+            pos_n[(alpha, beta)] = int(val)
+
+    n_map = {(a, b): n_any(a, b) for a in roots for b in roots if a + b in roots}
+    cartan = {}
+    for rt in roots:
+        for i, si in enumerate(srl):
+            val = Fraction(2 * lat.pair(rt, si), lat.pair(si, si))
+            if val.denominator != 1:
+                raise StructureConstantError(f"non-integral Cartan pairing of {rt}")
+            cartan[(rt, i)] = int(val)
+    cols = [[Fraction(2 * si.coords[t], lat.pair(si, si)) for si in srl]
+            for t in range(lat.rank)]
+    coroot_coords = {
+        rt: integral_solve(cols, [Fraction(2 * c, norm[rt]) for c in rt.coords],
+                           f"coroot of {rt} is not integral")
+        for rt in roots
+    }
+    return StructureConstantTable(
+        lattice=lat, simple=simple, roots=tuple(sorted(roots)), positive=tuple(positive),
+        n_map=n_map, cartan=cartan, coroot_coords=coroot_coords,
+        extraspecial=frozenset(extraspecial),
+    )
+
+
+def test_integer_tables_match_the_fraction_oracle(tables):
+    assert set(tables) == {"D4", "E6", "B2", "B3", "B4", "C2", "C3", "G2", "F4"}
+    for case, t in tables.items():
+        want = fraction_structure_constants(RootSystemData(t.lattice, frozenset(t.roots)),
+                                            t.simple)
+        assert t.roots == want.roots, case
+        assert t.positive == want.positive, case
+        assert t.n_map == want.n_map, case
+        assert t.cartan == want.cartan, case
+        assert t.coroot_coords == want.coroot_coords, case
+        assert t.extraspecial == want.extraspecial, case
+        values = list(t.n_map.values()) + list(t.cartan.values())
+        values += [c for cs in t.coroot_coords.values() for c in cs]
+        assert all(type(v) is int for v in values), case
+
+
+def test_a_root_set_without_integral_constants_is_refused():
+    # a1 and a2 span a B2-shaped set, but (a1, a1) = -2, (a2, a2) = -8 and
+    # (a1 + a2, a1 + a2) = -6, so no Chevalley table exists
+    lat = make_blowup_lattice(F1, 3)
+    a1, a2 = lat.l(1) - lat.l(2), 2 * (lat.l(2) - lat.l(3))
+    rs = RootSystemData(lat, frozenset({a1, -a1, a2, -a2, a1 + a2, -a1 - a2}))
+    simple = SimpleSystem((a1, a2), "B2")
+    for build in (structure_constants, fraction_structure_constants):
+        with pytest.raises(StructureConstantError, match="not an integer"):
+            build(rs, simple)
 
 
 def test_single_pair_table():

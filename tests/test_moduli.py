@@ -18,7 +18,6 @@ from picfold.moduli import (
     folded_restriction,
     invariance_agreement_exhaustive,
     invariance_closed_form,
-    invariance_condition,
     invariance_direct,
     invariance_literal_c,
     reconstruct_points,
@@ -54,23 +53,28 @@ def test_restriction_values_on_simple_roots():
     assert u_point(lat, pa, lat.zero) == sym.zero
 
 
+def _both(case, pa):
+    """The fixed-point condition in closed form and by direct comparison."""
+    return invariance_closed_form(case, pa), invariance_direct(case, pa)
+
+
 def test_invariance_b_case():
     sig = make_sigma_model(2, 2)
     nonzero_tors = (1, 0)
     pa = _pa(sig, nonzero_tors, (0, 1), (1, 1))
-    assert invariance_condition("B2", pa)  # 2 x1 = 0 holds, not the identity component
+    assert _both("B2", pa) == (True, True)  # 2 x1 = 0 holds, not the identity component
     pa2 = _pa(make_sigma_model(1, 5), (0, 1), (0, 2), (0, 3))
-    assert not invariance_condition("B2", pa2)
-    assert invariance_condition("B2", _pa(make_sigma_model(1, 5), (0, 0), (0, 2), (0, 3)))
+    assert _both("B2", pa2) == (False, False)
+    assert _both("B2", _pa(make_sigma_model(1, 5), (0, 0), (0, 2), (0, 3))) == (True, True)
 
 
 def test_invariance_g2_case():
     sig = make_sigma_model(1, 7)
     a, b = (0, 2), (0, 3)
     pa = _pa(sig, sig.zero, a, b, sig.add(a, b))
-    assert invariance_condition("G2", pa)
+    assert _both("G2", pa) == (True, True)
     bad = _pa(sig, sig.zero, a, b, (0, 1))
-    assert not invariance_condition("G2", bad)
+    assert _both("G2", bad) == (False, False)
 
 
 def test_invariance_trivial_bundle_all_cases():
@@ -78,7 +82,7 @@ def test_invariance_trivial_bundle_all_cases():
         sig = make_sigma_model(2, 2)
         n = case_lattice(case).npoints
         pa = _pa(sig, *([sig.zero] * n))
-        assert invariance_condition(case, pa)
+        assert _both(case, pa) == (True, True)
 
 
 def _all_assignments(sigma, n, zero_sum=False):

@@ -2,12 +2,16 @@ import random
 import sys
 import threading
 from functools import lru_cache
+from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picfold import folding, rootsys
-from picfold._linalg import integer_left_inverse
+from picfold._linalg import bareiss_det, integer_left_inverse, mat_mul, mat_vec, rational_solve
 from picfold.cases import ambient_case, case_lattice
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.rootsys import (
@@ -363,6 +367,67 @@ def test_basis_coordinates_refuse_an_image_outside_the_span():
         basis_coordinates(bmat, np.array([[[0], [1]]]))
     with pytest.raises(ValueError):
         basis_coordinates(np.array([[2], [0]], dtype=np.int64), np.array([[[1], [0]]]))
+    # bmat Y would wrap to X in int64 (2^32 * 2^32 = 2^64): the products are exact
+    tall = np.array([[2**32], [1]], dtype=np.int64)
+    assert basis_coordinates(tall, np.array([5 * 2**32, 5])).tolist() == [5]
+    with pytest.raises(ValueError):
+        basis_coordinates(tall, np.array([0, 2**32]))
+
+
+def _last_invariant_factor(b):
+    """D_k / D_(k-1) for m x k b, D_j the gcd of its j x j minors."""
+    def minors_gcd(j):
+        return gcd(*(bareiss_det([[b[r][c] for c in cols] for r in rows])
+                     for rows in combinations(range(len(b)), j)
+                     for cols in combinations(range(len(b[0])), j)))
+    return minors_gcd(len(b[0])) // minors_gcd(len(b[0]) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_left_inverse_and_basis_coordinates_match_rational_solve(data):
+    """L B = den I with den the last invariant factor; coordinates as over Q, when integral."""
+    m = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, m))
+    entry = st.integers(-4, 4)
+    b = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    try:
+        rational_solve(b, [0] * m)
+    except ValueError:  # dependent columns
+        with pytest.raises(ValueError):
+            integer_left_inverse(b)
+        return
+    left, den = integer_left_inverse(b)
+    assert den == _last_invariant_factor(b) > 0
+    assert mat_mul(left, b) == [[den * (i == j) for j in range(k)] for i in range(k)]
+    bmat = np.array(b, dtype=np.int64)
+    images, integral = [], []
+    for kind in data.draw(st.lists(st.sampled_from(["span", "divided", "any"]),
+                                   min_size=1, max_size=3)):
+        x = mat_vec(b, data.draw(st.lists(entry, min_size=k, max_size=k)))
+        if kind == "divided":  # in the rational span, often off the integer span
+            x = [v // (gcd(*x) or 1) for v in x]
+        elif kind == "any":
+            x = data.draw(st.lists(st.integers(-16, 16), min_size=m, max_size=m))
+        try:
+            want = rational_solve(b, x)
+        except ValueError:  # inconsistent
+            want = None
+        images.append(x)
+        if want is None or any(v.denominator != 1 for v in want):
+            integral.append(False)
+            with pytest.raises(ValueError):
+                basis_coordinates(bmat, np.array(x, dtype=np.int64))
+        else:
+            integral.append(True)
+            got = basis_coordinates(bmat, np.array(x, dtype=np.int64))
+            assert got.tolist() == [int(v) for v in want]
+    stack = np.array(images, dtype=np.int64).T  # the images as columns
+    if all(integral):
+        assert np.array_equal(bmat @ basis_coordinates(bmat, stack), stack)
+    else:
+        with pytest.raises(ValueError):
+            basis_coordinates(bmat, stack)
 
 
 def test_closure_refuses_int64_overflow():
