@@ -214,11 +214,7 @@ class ChiReport:
     counterexample: tuple | None
 
 
-def _encode(arrs, base):
-    """Pack rows of stacked small nonneg integer arrays into int64 keys."""
-    flat = np.concatenate(arrs, axis=-1).astype(np.int64)
-    weights = base ** np.arange(flat.shape[-1], dtype=np.int64)
-    return flat @ weights
+_WALKED, _DOMAIN, _DONE = 1, 2, 4  # state bits of a point of Sigma^r'
 
 
 def chi_injectivity_check(case: str, sigma: SigmaModel,
@@ -230,12 +226,25 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     the folded Weyl group already does.  Budgeted; refuses rather than
     samples, since the value of the statement is exhaustiveness.
 
-    Each orbit is the breadth-first closure of a representative under the
-    generators of its group (the simple reflections of the big group, the
-    folded generators of the small one), restricted to the simple-root
-    coordinates, which is the set {w.v : w in W} since W is generated by
-    them.  The budget is the domain size times |W_big|, read from the
-    stabilizer chain of W_big, and is checked before any orbit is walked.
+    Points of Sigma^r' = (Z/m1)^r' x (Z/m2)^r', in the r' simple-root
+    coordinates, are integer codes c1 + m1^r' c2, each factor little-endian
+    with x2 the more significant half, so codes order tuples as digit rows
+    compared from the last digit of x2.  Every generator of each group (the
+    simple reflections of the big group, the folded generators of the small
+    one, restricted to the simple-root coordinates) is tabulated once as a
+    permutation of each factor's m^r' codes, so a frontier's images are two
+    gathers.  Each orbit is the breadth-first closure of a representative
+    under these tables, which is the set {w.v : w in W} since W is
+    generated by them.  One byte per point of Sigma^r' holds three bits:
+    walked (cleared after each walk), in the domain, and done (in the small
+    orbit of an earlier representative).  Domain tuples are visited in
+    product order, and the first orbit whose big orbit meets the domain
+    outside its small orbit is reported with the least such code.
+
+    Two budget terms are checked against ``action_cap`` before anything
+    is allocated: the domain size times |W_big|, read from the stabilizer
+    chain of W_big, and the walk's arrays, |Sigma|^r' state bytes plus one
+    table entry per generator and per point of each factor.
     """
     lat = case_lattice(case)
     rho = outer_automorphism(ambient_case(case), lat)
@@ -251,64 +260,77 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
             f"{domain_size} domain elements x {len(w_big)} group elements "
             f"exceeds the action cap {action_cap}"
         )
+    mods = (sigma.m1, sigma.m2)
+    sizes = [m**rprime for m in mods]
+    points = sigma.order**rprime
+    walk_entries = points + (len(w_big.mats) + len(w_small.mats)) * sum(sizes)
+    if walk_entries > action_cap:
+        raise BudgetExceededError(
+            f"{walk_entries} orbit-walk entries ({sigma.order}^{rprime} states and the "
+            f"generator tables) exceed the action cap {action_cap}"
+        )
 
     embed = basis_coordinates(np.array([r.coords for r in delta.roots], dtype=np.int64).T,
                               np.array([b.coords for b in basis], dtype=np.int64).T)  # (r', k)
+    weights = [m ** np.arange(rprime, dtype=np.int64) for m in mods]
+    size1 = sizes[0]
 
-    mods = (sigma.m1, sigma.m2)
-    base = max(mods) if max(mods) > 1 else 2
-    row_mods = np.repeat(np.array(mods, dtype=np.int64), rprime)
-
-    def action(group):
-        """Every generator acting on rows [x1 | x2], side by side: one product per level."""
+    def tables(group):
+        """Per factor, the (gens, m^r') codes of every generator's image of every code."""
         g = restrict_to_basis(group.mats, delta.roots, lat).transpose(0, 2, 1)
-        return np.einsum("ab,gij->aigbj", np.eye(2, dtype=np.int64), g).reshape(
-            2 * rprime, 2 * rprime * len(g))
+        out = []
+        for m, w, size in zip(mods, weights, sizes):
+            digits = np.arange(size, dtype=np.int64)[:, None] // w % m  # (m^r', r')
+            out.append(digits @ g % m @ w)
+        return out
 
-    act_big, act_small = action(w_big), action(w_small)
+    state = np.zeros(points, dtype=np.uint8)
 
-    def orbit_keys(v, act):
-        seen = {int(_encode([v], base))}
-        frontier = v[None]
-        while frontier.shape[0]:
-            imgs = (frontier @ act).reshape(-1, 2 * rprime) % row_mods
-            img_keys, first = np.unique(_encode([imgs], base), return_index=True)
-            img_keys = img_keys.tolist()
-            fresh = [n for key, n in zip(img_keys, first.tolist()) if key not in seen]
-            seen.update(img_keys)
-            frontier = imgs[fresh]
-        return seen
+    def orbit(v, t1, t2):
+        """The codes of the orbit of code v, marked walked while it is walked."""
+        frontier = np.array([v], dtype=np.int64)
+        state[frontier] |= _WALKED
+        levels = [frontier]
+        while frontier.size:
+            imgs = (t1[:, frontier % size1] + size1 * t2[:, frontier // size1]).ravel()
+            fresh = np.sort(imgs[state[imgs] & _WALKED == 0])  # sort and diff beat np.unique
+            first = np.ones(len(fresh), dtype=bool)
+            np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
+            frontier = fresh[first]
+            state[frontier] |= _WALKED
+            levels.append(frontier)
+        codes = np.concatenate(levels)
+        state[codes] ^= _WALKED
+        return codes
 
-    # all domain tuples, embedded into simple-root coordinates mod each factor
+    big, small = tables(w_big), tables(w_small)
+    # all domain tuples in product order, t = i1 * len(coords2) + i2
     coords1 = np.array(list(product(range(mods[0]), repeat=k)), dtype=np.int64)
     coords2 = np.array(list(product(range(mods[1]), repeat=k)), dtype=np.int64)
-    # cartesian product of the two component grids
-    i1 = np.repeat(np.arange(coords1.shape[0]), coords2.shape[0])
-    i2 = np.tile(np.arange(coords2.shape[0]), coords1.shape[0])
-    dom1 = coords1[i1] @ embed.T % mods[0]
-    dom2 = coords2[i2] @ embed.T % mods[1]
-    dom_keys = _encode([dom1, dom2], base)
-    key_to_tuple = {}
-    for t in range(dom_keys.shape[0]):
-        key_to_tuple.setdefault(int(dom_keys[t]), t)
-    dom_key_set = set(dom_keys.tolist())
+    codes1 = coords1 @ embed.T % mods[0] @ weights[0]
+    codes2 = coords2 @ embed.T % mods[1] @ weights[1]
+    dom_codes = (codes1[:, None] + size1 * codes2[None, :]).ravel()
+    state[dom_codes] |= _DOMAIN
 
-    done: set[int] = set()
+    def pair(t):
+        """The domain tuple t as (coordinates mod m1, coordinates mod m2)."""
+        i1, i2 = divmod(t, len(coords2))
+        return tuple(coords1[i1]), tuple(coords2[i2])
+
     orbits = 0
-    for t in range(dom_keys.shape[0]):
-        key = int(dom_keys[t])
-        if key in done:
+    for t, code in enumerate(dom_codes.tolist()):
+        if state[code] & _DONE:
             continue
         orbits += 1
-        v = np.concatenate([dom1[t], dom2[t]])
-        small_keys = orbit_keys(v, act_small)
-        reachable_in_domain = orbit_keys(v, act_big) & dom_key_set
-        if reachable_in_domain != small_keys:
-            stray = sorted(reachable_in_domain - small_keys)[0]
-            x_idx = key_to_tuple[key]
-            y_idx = key_to_tuple[stray]
-            cx = (tuple(coords1[i1[x_idx]]), tuple(coords2[i2[x_idx]]))
-            cy = (tuple(coords1[i1[y_idx]]), tuple(coords2[i2[y_idx]]))
-            return ChiReport(False, dom_keys.shape[0], len(w_big), orbits, (cx, cy))
-        done |= small_keys
-    return ChiReport(True, dom_keys.shape[0], len(w_big), orbits, None)
+        small_codes = orbit(code, *small)
+        state[small_codes] |= _DONE
+        big_codes = orbit(code, *big)
+        reached = big_codes[state[big_codes] & _DOMAIN != 0]
+        # earlier big orbits are disjoint from this one, so done here means in small_codes
+        outside = reached[state[reached] & _DONE == 0]
+        if len(outside):
+            y = int(np.flatnonzero(dom_codes == outside.min())[0])
+            return ChiReport(False, domain_size, len(w_big), orbits, (pair(t), pair(y)))
+        if len(reached) != len(small_codes):
+            raise ValueError(f"{case}: a small orbit leaves the domain part of its big orbit")
+    return ChiReport(True, domain_size, len(w_big), orbits, None)

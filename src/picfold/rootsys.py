@@ -24,7 +24,7 @@ these errors, never in wrapped integers.  A finite group of order above
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import prod
 
@@ -537,6 +537,13 @@ def orbit(gens, seed, group: WeylGroup | None = None, cap: int = DEFAULT_CAP) ->
     return OrbitResult(elems, stab)
 
 
+@lru_cache(maxsize=128)
+def _left_inverse(bmat: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``integer_left_inverse`` of a basis matrix given by its rows, one Smith form per basis."""
+    left, den = integer_left_inverse([list(row) for row in bmat])
+    return tuple(map(tuple, left)), den
+
+
 def basis_coordinates(bmat: np.ndarray, images: np.ndarray) -> np.ndarray:
     """Integer Y with bmat @ Y = X for a stack X (..., rank, k) of image columns.
 
@@ -547,7 +554,7 @@ def basis_coordinates(bmat: np.ndarray, images: np.ndarray) -> np.ndarray:
     Python ints otherwise, so none wraps; Y is returned as int64, and a
     coordinate beyond int64 raises ``OverflowError``.
     """
-    left, den = integer_left_inverse(bmat.tolist())
+    left, den = _left_inverse(tuple(map(tuple, bmat.tolist())))
     top = max(sum(map(abs, row)) for row in left) * int(np.abs(images).max(initial=0))
     bound = max(top, int(np.abs(bmat).sum(axis=1).max()) * (top // den))  # |L X|, |bmat Y|
     dtype = np.int64 if bound < _INT64_SAFE else object

@@ -195,6 +195,19 @@ def test_double_six_bijection(cubic, weyl_e6):
     assert alpha0 == expected
 
 
+def test_double_six_bijection_takes_one_smith_form(cubic, monkeypatch):
+    from picfold import rootsys
+
+    calls = []
+    inverse = rootsys.integer_left_inverse
+    monkeypatch.setattr(rootsys, "integer_left_inverse", lambda b: calls.append(b) or inverse(b))
+    rootsys._left_inverse.cache_clear()
+    simple = standard_simple_system("E6", cubic)
+    roots = [double_six_to_root(ds, cubic, simple) for ds in cubic_combinatorics(cubic).double_sixes]
+    assert len(set(roots)) == 36
+    assert len(calls) == 1  # the 36 double sixes share the simple-root basis
+
+
 def test_double_six_reflection_involution(cubic):
     data = cubic_combinatorics(cubic)
     ds = data.double_sixes[0]

@@ -266,6 +266,45 @@ def test_chi_budget_respected():
         chi_injectivity_check("F4", make_sigma_model(2, 2), action_cap=10)
 
 
+def test_chi_refuses_a_small_group_that_leaves_the_domain(monkeypatch):
+    # W_big in place of W_small: its orbits leave the fixed domain, so no check applies
+    def big_as_small(case, lat, cap=10**6):
+        delta = moduli.outer_automorphism(moduli.ambient_case(case), lat).simple_system
+        return weyl_generate(simple_reflections(delta, lat))
+
+    monkeypatch.setattr(moduli, "folded_weyl_group", big_as_small)
+    with pytest.raises(ValueError, match="leaves the domain part of its big orbit"):
+        chi_injectivity_check("B2", make_sigma_model(2, 2))
+
+
+def test_chi_walk_budget_refuses_before_allocating():
+    # B2 in A3 at Sigma = Z/30: 30^2 domain tuples x |W(A3)| = 21,600 fit the cap,
+    # the 30^3 = 27,000 states of the walk over Sigma^3 do not
+    with pytest.raises(BudgetExceededError, match=r"orbit-walk entries \(30\^3 states"):
+        chi_injectivity_check("B2", make_sigma_model(1, 30), action_cap=25_000)
+
+
+def test_chi_memory_is_bounded():
+    sigma = make_sigma_model(3, 3)
+    chi_injectivity_check("F4", sigma, action_cap=10**10)  # lattice and automorphism caches
+    tracemalloc.start()
+    try:
+        rep = chi_injectivity_check("F4", sigma, action_cap=10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.passed, rep.domain_size, rep.orbits_checked) == (True, 6561, 40)
+    # one int64 per point of Sigma^6 alone would take 4.05 MiB
+    assert peak < 4 * 2**20
+
+
+def _encode(arrs, base):
+    """Pack rows of stacked small nonneg integer arrays into int64 keys."""
+    flat = np.concatenate(arrs, axis=-1).astype(np.int64)
+    weights = base ** np.arange(flat.shape[-1], dtype=np.int64)
+    return flat @ weights
+
+
 def full_group_chi_check(case, sigma):
     """The chi check applying every element of W_big and W_small to each representative.
 
@@ -294,7 +333,7 @@ def full_group_chi_check(case, sigma):
     i2 = np.tile(np.arange(coords2.shape[0]), coords1.shape[0])
     dom1 = coords1[i1] @ embed.T % mods[0]
     dom2 = coords2[i2] @ embed.T % mods[1]
-    dom_keys = moduli._encode([dom1, dom2], base)
+    dom_keys = _encode([dom1, dom2], base)
     key_to_tuple = {}
     for t in range(dom_keys.shape[0]):
         key_to_tuple.setdefault(int(dom_keys[t]), t)
@@ -309,10 +348,10 @@ def full_group_chi_check(case, sigma):
         v1, v2 = dom1[t], dom2[t]
         small1 = np.einsum("nij,j->ni", m_small, v1) % mods[0]
         small2 = np.einsum("nij,j->ni", m_small, v2) % mods[1]
-        small_keys = set(moduli._encode([small1, small2], base).tolist())
+        small_keys = set(_encode([small1, small2], base).tolist())
         big1 = np.einsum("nij,j->ni", m_big, v1) % mods[0]
         big2 = np.einsum("nij,j->ni", m_big, v2) % mods[1]
-        big_keys = set(moduli._encode([big1, big2], base).tolist())
+        big_keys = set(_encode([big1, big2], base).tolist())
         reachable_in_domain = big_keys & dom_key_set
         if reachable_in_domain != small_keys:
             stray = sorted(reachable_in_domain - small_keys)[0]
@@ -336,13 +375,18 @@ def test_chi_generator_orbits_match_full_group(case, m1, m2):
     assert rep == full_group_chi_check(case, sigma)
 
 
-@pytest.mark.parametrize("case", ["B2", "G2", "F4"])
-def test_chi_forced_failure_matches_full_group(case, monkeypatch):
-    # with a trivial small group every nontrivial big orbit is a counterexample
+@pytest.mark.parametrize(
+    "case,m1,m2",
+    [pytest.param(case, 2, 2, id=case) for case in ("B2", "G2", "F4")]
+    + [(case, m1, m2) for case in ("B2", "G2") for m1, m2 in ((2, 4), (1, 6))],
+)
+def test_chi_forced_failure_matches_full_group(case, m1, m2, monkeypatch):
+    # with a trivial small group every nontrivial big orbit is a counterexample;
+    # unequal moduli give different code weights per factor, the oracle one uniform base
     monkeypatch.setattr(
         moduli, "folded_weyl_group", lambda case, lat, cap=10**6: weyl_generate([], rank=lat.rank)
     )
-    sigma = make_sigma_model(2, 2)
+    sigma = make_sigma_model(m1, m2)
     rep = chi_injectivity_check(case, sigma)
     assert not rep.passed and rep.counterexample is not None
     assert rep == full_group_chi_check(case, sigma)
