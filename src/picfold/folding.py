@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -41,8 +41,8 @@ from .rootsys import (
 class OuterAutomorphism:
     """A diagram automorphism acting on a chosen simple system.
 
-    ``permutation`` maps simple-root indices (0-based) to indices; the
-    lattice action is defined on the span of the simple roots plus K.
+    ``permutation`` maps simple-root indices (0-based) to indices; it acts
+    on the span of the simple roots plus K, fixing K.
     """
 
     case: str
@@ -50,11 +50,6 @@ class OuterAutomorphism:
     simple_system: SimpleSystem
     permutation: tuple[int, ...]
     order: int
-
-    @cached_property
-    def _basis_matrix(self) -> np.ndarray:
-        return np.array([r.coords for r in self.simple_system.roots] + [self.lattice.K.coords],
-                        dtype=np.int64).T
 
     def orbits(self) -> list[tuple[int, ...]]:
         seen = set()
@@ -71,19 +66,6 @@ class OuterAutomorphism:
                 j = self.permutation[j]
             out.append(tuple(orb))
         return out
-
-    def apply(self, x: DivisorClass) -> DivisorClass:
-        """Image of a class in the span of the simple roots and K.
-
-        Raises ValueError unless x has integer coordinates in (simple roots,
-        K); K is primitive, so an integral image needs an integral K part.
-        """
-        coeffs = basis_coordinates(self._basis_matrix, np.array(x.coords, dtype=np.int64))
-        perm = list(self.permutation) + [len(self.permutation)]
-        return DivisorClass(tuple((self._basis_matrix[:, perm] @ coeffs).tolist()))
-
-    def fixes(self, x: DivisorClass) -> bool:
-        return self.apply(x) == x
 
 
 def outer_automorphism(case: str, lat: IntersectionLattice) -> OuterAutomorphism:

@@ -1,17 +1,23 @@
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from picfold import liealg
 from picfold._linalg import rational_solve
+from picfold.cases import case_rank
 from picfold.folding import folded_root_system
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.liealg import (
     JacobiReport,
     StructureConstantError,
     StructureConstantTable,
-    _bracket_basis,
-    build_lie_bundle,
     folded_simple_and_roots,
+    root_codes,
     root_string,
     structure_constants,
     verify_jacobi,
@@ -214,8 +220,12 @@ def test_n_values_match_string_lengths(tables):
     seen_three = set()
     for case, t in tables.items():
         roots = set(t.roots)
+        code = root_codes(t.roots)
+        codes = set(code.values())
         for (a, b), v in t.n_map.items():
-            r, _ = root_string(None, a, b, roots=roots)
+            string = root_string(None, a, b, roots=roots)
+            assert root_string(None, code[a], code[b], roots=codes) == string
+            r = string[0]
             assert abs(v) == r + 1
             assert abs(v) in (1, 2, 3)
             if abs(v) == 3:
@@ -248,6 +258,23 @@ def test_h_alpha_integral(tables):
             # h_alpha acting on x_alpha gives 2
             acc = sum(c * t.cartan[(rt, i)] for i, c in enumerate(coords))
             assert acc == 2
+
+
+def _bracket_basis(table: StructureConstantTable, e1, e2):
+    """[e1, e2] for two basis labels, as a dict of basis labels to coefficients."""
+    k1, v1 = e1
+    k2, v2 = e2
+    if k1 == "h" and k2 == "h":
+        return {}
+    if k1 == "h" and k2 == "x":
+        return {("x", v2): table.cartan[(v2, v1)]}
+    if k1 == "x" and k2 == "h":
+        return {("x", v1): -table.cartan[(v1, v2)]}
+    s = v1 + v2
+    if all(c == 0 for c in s.coords):
+        return {("h", i): c for i, c in enumerate(table.coroot_coords[v1]) if c}
+    n = table.n_map.get((v1, v2), 0)
+    return {("x", s): n} if n else {}
 
 
 def _bracket(table, d1: dict, d2: dict) -> dict:
@@ -342,12 +369,70 @@ def test_sign_flip_breaks_jacobi(tables):
     assert not verify_jacobi(_sign_flipped(tables["G2"])).ok
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_graded_jacobi_matches_brute_force_on_mutated_tables(tables, monkeypatch, data):
+    """One to three entries of n_map (alone or with their images), cartan or coroot_coords.
+
+    The slab size is drawn too, so that slab boundaries fall between many i values.
+    """
+    monkeypatch.setattr(liealg, "_SLAB", data.draw(st.sampled_from([1, 50, 1000, 1 << 14])))
+    t = tables[data.draw(st.sampled_from(["B2", "B3", "G2", "F4"]))]
+    n_map, cartan, coroots = dict(t.n_map), dict(t.cartan), dict(t.coroot_coords)
+    delta = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["n_map", "n_map_images", "cartan", "coroot"]))
+        if kind == "cartan":
+            key = data.draw(st.sampled_from(sorted(cartan)))
+            cartan[key] += data.draw(delta)
+        elif kind == "coroot":
+            rt = data.draw(st.sampled_from(t.roots))
+            i = data.draw(st.integers(0, t.rank - 1))
+            coroots[rt] = tuple(c + data.draw(delta) * (n == i) for n, c in enumerate(coroots[rt]))
+        else:
+            a, b = data.draw(st.sampled_from(sorted(n_map)))
+            v = n_map[(a, b)] + data.draw(delta)
+            n_map[(a, b)] = v
+            if kind == "n_map_images":
+                n_map[(b, a)], n_map[(-a, -b)], n_map[(-b, -a)] = -v, -v, v
+    mutated = replace(t, n_map=n_map, cartan=cartan, coroot_coords=coroots)
+    assert verify_jacobi(mutated) == brute_force_jacobi(mutated)
+
+
+def test_root_codes_are_injective_on_sums_of_three_roots(tables):
+    for case in ("D4", "B3", "C3", "G2", "F4"):
+        t = tables[case]
+        code = root_codes(t.roots)
+        rows = np.array([rt.coords for rt in t.roots], dtype=np.int64)
+        codes = np.array([code[rt] for rt in t.roots], dtype=np.int64)
+        sums = rows[:, None, None] + rows[None, :, None] + rows[None, None, :]
+        sum_codes = codes[:, None, None] + codes[None, :, None] + codes[None, None, :]
+        assert (len(np.unique(sums.reshape(-1, rows.shape[1]), axis=0))
+                == len(np.unique(sum_codes))), case
+
+
+def test_a_constant_beyond_int64_sums_is_refused(tables):
+    t = tables["B3"]
+    key = next(iter(t.n_map))
+    with pytest.raises(OverflowError):
+        verify_jacobi(_with_n_map(t, {**t.n_map, key: 2**40}))
+
+
+def test_jacobi_memory_is_bounded(tables):
+    verify_jacobi(tables["E6"])
+    tracemalloc.start()
+    try:
+        rep = verify_jacobi(tables["E6"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.triples_checked == 82160
+    assert peak < 4 * 2**20
+
+
 def test_bundle_decompositions():
-    b3 = build_lie_bundle("B3")
-    assert b3.trivial_rank == 3 and len(b3.summands) == 18
-    g2 = build_lie_bundle("G2")
-    assert g2.trivial_rank == 2 and len(g2.summands) == 12
-    f4 = build_lie_bundle("F4")
-    assert f4.trivial_rank == 4 and len(f4.summands) == 48
-    lat = case_lattice("G2")
-    assert set(g2.summands) == set(folded_root_system("G2", lat).roots)
+    """The Lie(G)-bundle is O^rank plus one line bundle per root of the folded system."""
+    for case, rank, nroots in (("B3", 3, 18), ("G2", 2, 12), ("F4", 4, 48)):
+        assert case_rank(case) == rank
+        assert len(folded_root_system(case, case_lattice(case)).roots) == nroots
