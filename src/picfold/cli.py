@@ -271,10 +271,8 @@ def _suite_folding(cfg: RunConfig):
                   f"C{n}: {rows[f'C{n}']}")
         for n in range(2, cfg.rank_b + 1):
             lat = lattice.make_blowup_lattice("F1", n + 1)
-            lat_dn = lattice.make_blowup_lattice("F1", n)
-            wdn = rootsys.weyl_generate(
-                rootsys.simple_reflections(rootsys.standard_simple_system("D", lat_dn), lat_dn)
-            )
+            # W(D_n), the ambient group of B_{n-1}, on n points
+            wdn = folding.ambient_weyl_group(f"B{n - 1}", lattice.make_blowup_lattice("F1", n))
             wbn = folding.folded_weyl_group(f"B{n}", lat)
             rows[f"B{n}"] = (len(wbn), len(wdn), 2)
             check(len(wbn) == len(wdn) * 2, f"B{n}: {rows[f'B{n}']}")
@@ -285,9 +283,7 @@ def _suite_folding(cfg: RunConfig):
         rows["G2"] = (len(folding.folded_weyl_group("G2", f14)), len(wa2), 2)
         check(rows["G2"][0] == rows["G2"][1] * rows["G2"][2] == 12, f"G2: {rows['G2']}")
         cub = lattice.make_blowup_lattice("P2", 6)
-        wd4 = rootsys.weyl_generate(
-            rootsys.simple_reflections(rootsys.standard_simple_system("D", f14), f14)
-        )
+        wd4 = folding.ambient_weyl_group("G2", f14)  # W(D4)
         rows["F4"] = (len(folding.folded_weyl_group("F4", cub)), len(wd4), 6)
         check(rows["F4"][0] == rows["F4"][1] * rows["F4"][2] == 1152, f"F4: {rows['F4']}")
         return {k: list(v) for k, v in rows.items()}
@@ -322,11 +318,7 @@ def _suite_cubic(cfg: RunConfig):
         return {"lines": 27, "triangles": 45, "double_sixes": 36, "per_line": 5}
 
     def weyl_order():
-        w = rootsys.weyl_generate(
-            rootsys.simple_reflections(rootsys.standard_simple_system("E6", lat), lat),
-            cap=cfg.weyl_cap,
-        )
-        _expect(len(w), 51840, "|W(E6)|")
+        _expect(len(folding.ambient_weyl_group("F4", lat, cfg.weyl_cap)), 51840, "|W(E6)|")
         return {"order": 51840}
 
     def bijection():
@@ -344,10 +336,7 @@ def _suite_cubic(cfg: RunConfig):
         return {"image_size": 36, "base_root": list(alpha0.coords)}
 
     def stabilizers():
-        w = rootsys.weyl_generate(
-            rootsys.simple_reflections(rootsys.standard_simple_system("E6", lat), lat),
-            cap=cfg.weyl_cap,
-        )
+        w = folding.ambient_weyl_group("F4", lat, cfg.weyl_cap)  # W(E6)
         h, l = lat.h, lat.l
         tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
         unord = configs.triangle_stabilizer(tri, False, w)

@@ -9,14 +9,19 @@ the Hirzebruch model) carries it to the standard exceptional classes.
 On the Hirzebruch model this amounts to a sign-pattern with an even
 number of l -> f - l flips; the odd patterns are exactly the ones the
 ambient Weyl group cannot reach.
+
+Systems are enumerated as int64 rows of indices into one class table per
+case (l_i and f - l_i for B and G2, l_i for C, the 27 sorted lines for F4),
+with incidences read off the table's Gram matrix and relations off its
+symbolic points; the transitivity check codes the systems it is given on
+a table of their own classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
-from types import MappingProxyType
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
@@ -25,11 +30,13 @@ from .lattice import (
     DivisorClass,
     IntersectionLattice,
     exceptional_classes,
+    gram_matrix,
 )
 from .abelian import SymbolicSigma
 from .cases import case_lattice, case_spec, holds
 from .moduli import PointAssignment
 from .rootsys import (
+    BudgetExceededError,
     SimpleSystem,
     WeylGroup,
     decompose_in_basis,
@@ -111,17 +118,9 @@ def _check_case_points(case: str, pts) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _hirzebruch_table(lat: IntersectionLattice):
-    """The classes l_i (flip 0) and f - l_i (flip 1) of the Hirzebruch model.
-
-    Returns the read-only maps {(i, flip): class} and {class: (i, flip)}.
-    """
-    classes = {}
-    for i in range(1, lat.npoints + 1):
-        classes[i, 0] = lat.l(i)
-        classes[i, 1] = lat.f - classes[i, 0]
-    index = {e: key for key, e in classes.items()}
-    return MappingProxyType(classes), MappingProxyType(index)
+def _hirzebruch_table(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
+    """l_i (flip 0) and f - l_i (flip 1) of the Hirzebruch model, at index 2 (i - 1) + flip."""
+    return tuple(e for i in range(1, lat.npoints + 1) for e in (lat.l(i), lat.f - lat.l(i)))
 
 
 def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = None):
@@ -141,79 +140,67 @@ def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = N
 @lru_cache(maxsize=None)
 def _enumerate_systems(case: str, lat: IntersectionLattice):
     spec = case_spec(case)
-    if spec.family == "C":
-        n = spec.rank
-        out = []
-        for sigma in permutations(range(1, n + 1)):
-            for flips in product((0, 1), repeat=n):
-                pairs = []
-                for idx, fl in zip(sigma, flips):
-                    a, b = lat.l(idx), lat.l(2 * n + 1 - idx)
-                    pairs.append((b, a) if fl else (a, b))
-                out.append(tuple(pairs))
-        return tuple(out)
-    rows = symbolic_point_rows(case)
-    if spec.family == "F4":
-        return _f4_systems(lat, rows, spec.relations)
-    # B and G2: every (permutation, even flip pattern) on the Hirzebruch
-    # model, in that order, with R x = 0 evaluated for all of them at once
-    classes = _hirzebruch_table(lat)[0]
-    keys = list(classes)  # (i, flip) at position 2 (i - 1) + flip
-    pts = np.array([symbolic_point(lat, rows, classes[k]) for k in keys], dtype=np.int64)
     m = lat.npoints
-    perms = np.array(list(permutations(range(m))), dtype=np.int64)
-    flips = np.array([f for f in product((0, 1), repeat=m) if sum(f) % 2 == 0], dtype=np.int64)
-    cand = (2 * perms[:, None] + flips[None]).reshape(-1, m)
-    ok = np.ones(cand.shape[0], dtype=bool)
-    for rel in spec.relations:
-        ok &= ~np.any(sum(c * pts[cand[:, j]] for j, c in enumerate(rel) if c), axis=1)
-    return tuple(tuple(classes[keys[k]] for k in row) for row in cand[ok].tolist())
+    if spec.family == "C":
+        # (l_i, l_{2n+1-i}) or its swap, for every permutation and flip pattern, in that order
+        table = tuple(lat.l(i) for i in range(1, m + 1))
+        a = np.array(list(permutations(range(spec.rank))), dtype=np.int64)[:, None]
+        flips = np.array(list(product((0, 1), repeat=spec.rank)), dtype=bool)
+        first = np.where(flips, m - 1 - a, a)
+        idx = np.stack([first, m - 1 - first], axis=-1).reshape(-1, m)
+    elif spec.family == "F4":
+        table, idx = _f4_systems(lat, symbolic_point_rows(case), spec.relations)
+    else:
+        # B and G2: every (permutation, even flip pattern) on the Hirzebruch
+        # model, in that order, with R x = 0 evaluated for all of them at once
+        table = _hirzebruch_table(lat)
+        perms = np.array(list(permutations(range(m))), dtype=np.int64)
+        flips = np.array([f for f in product((0, 1), repeat=m) if sum(f) % 2 == 0],
+                         dtype=np.int64)
+        idx = (2 * perms[:, None] + flips[None]).reshape(-1, m)
+        pts = np.array([lat.l_coeffs(e) for e in table], dtype=np.int64) @ symbolic_point_rows(case)
+        for rel in spec.relations:
+            idx = idx[~np.any(sum(c * pts[idx[:, j]] for j, c in enumerate(rel) if c), axis=1)]
+    systems = [tuple(map(table.__getitem__, row)) for row in idx.tolist()]
+    if spec.family == "C":
+        return tuple(tuple(zip(s[::2], s[1::2])) for s in systems)
+    return tuple(systems)
 
 
 def _f4_systems(lat: IntersectionLattice, rows: np.ndarray, relations):
     """Ordered 6-tuples of pairwise-disjoint lines whose points satisfy R x = 0.
 
-    The slots are filled relation by relation, and each relation is
-    checked as soon as its last slot is filled.
+    Returns the sorted lines and the sorted (S, 6) rows of indices into
+    them.  The slots are filled relation by relation, a level at a time,
+    each partial tuple with a mask of the lines that miss all of its own;
+    a relation whose last slot is next narrows the mask to its solutions.
     """
     lines = exceptional_classes(lat)
-    pts = {e: symbolic_point(lat, rows, e) for e in lines}
-    disjoint = {e: {o for o in lines if o != e and lat.pair(e, o) == 0} for e in lines}
-    sym = SymbolicSigma(rows.shape[1])
+    if any(a >= b for a, b in zip(lines, lines[1:])):
+        raise ValueError("the lines are not strictly sorted, so index order is not class order")
+    pts = np.array([lat.l_coeffs(e) for e in lines], dtype=np.int64) @ rows  # symbolic points
     order = []
     for rel in relations:
         order += [j for j, c in enumerate(rel) if c and j not in order]
     order += [j for j in range(lat.npoints) if j not in order]
     pos = {slot: depth for depth, slot in enumerate(order)}
-    due = [[] for _ in order]  # the relations whose last slot is filled at each depth
+    due = [[] for _ in order]  # per depth, the relations whose last slot it fills, in depth order
     for rel in relations:
-        due[max(pos[j] for j, c in enumerate(rel) if c)].append(rel)
-    by_point = {}
-    for e in lines:
-        by_point.setdefault(pts[e], set()).add(e)
-    out = []
-    chosen = [sym.zero] * lat.npoints
-    picked = [None] * lat.npoints
-
-    def rec(depth, allowed):
-        if depth == len(order):
-            out.append(tuple(picked))
-            return
-        slot = order[depth]
-        cands = allowed
-        # each relation due here fixes c x_slot = -(the sum over its other slots)
-        for rel in due[depth]:
-            c, need = rel[slot], sym.neg(sym.combine(rel, chosen))
-            if any(v % c for v in need):
-                return
-            cands = cands & by_point.get(tuple(v // c for v in need), set())
-        for cand in cands:
-            chosen[slot], picked[slot] = pts[cand], cand
-            rec(depth + 1, allowed & disjoint[cand])
-        chosen[slot] = sym.zero
-
-    rec(0, set(lines))
-    return tuple(sorted(out))
+        due[max(pos[j] for j, c in enumerate(rel) if c)].append([rel[j] for j in order])
+    disjoint = gram_matrix(lat, lines) == 0
+    picked = np.zeros((1, 0), dtype=np.int64)  # one column per depth
+    allowed = np.ones((1, len(lines)), dtype=bool)
+    for depth, rels in enumerate(due):
+        choice = allowed
+        for rel in rels:  # rel fixes c x_slot = -(the sum over its other slots)
+            rest = sum((c * pts[picked[:, j]] for j, c in enumerate(rel[:depth]) if c),
+                       np.zeros((len(picked), pts.shape[1]), dtype=np.int64))
+            for k in range(pts.shape[1]):
+                choice = choice & (rest[:, k, None] + rel[depth] * pts[:, k] == 0)
+        f, c = np.nonzero(choice)  # rows come out in row-major order of (row, line)
+        picked, allowed = np.column_stack([picked[f], c]), allowed[f] & disjoint[c]
+    idx = picked[:, [pos[j] for j in range(lat.npoints)]]
+    return lines, idx[np.lexsort(idx.T[::-1])]
 
 
 def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
@@ -231,7 +218,7 @@ def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
         if lat.pair(a, b) != 0:
             return False
     if lat.model == F1:
-        index = _hirzebruch_table(lat)[1]
+        index = {e: divmod(k, 2) for k, e in enumerate(_hirzebruch_table(lat))}
         pat = [index.get(e) for e in classes]
         if any(p is None for p in pat):
             return False
@@ -274,27 +261,59 @@ def simple_transitivity_check(case: str, systems, weyl: WeylGroup) -> Transitivi
     """Verify the Weyl group permutes the systems simply transitively.
 
     The orbit of the first system under the generators must be the whole
-    set of systems, with as many elements as the group has.  Systems are
-    compared as the raw bytes of their concatenated int64 coordinates.
+    set of systems, with as many elements as the group has.  A system is
+    coded as the mixed-radix int64 of its indices into the table of the
+    systems' classes (slots as in ``GConfiguration.flat_classes``), and
+    each generator as a partial permutation of that table (-1 off it).
+    The walk stays on the systems; the first image that is not one is
+    reported as outside, ahead of unreached systems.  Raises
+    ``OverflowError`` unless the codes fit in int64.
     """
     systems = list(systems)
-    flat = np.array([[c for e in GConfiguration(case, s).flat_classes() for c in e.coords]
-                     for s in systems], dtype=np.int64)
-    target = {row.tobytes(): n for n, row in enumerate(flat)}
-    reached = {row.tobytes() for row in weyl.orbit_rows(flat[0])}
-    ok = len(reached) == len(weyl) == len(systems) and reached == target.keys()
+    family_c = case_spec(case).family == "C"
+    flat = chain.from_iterable(chain.from_iterable(systems) if family_c else systems)
+    index = {}
+    idx = np.array([index.setdefault(e.coords, len(index)) for e in flat],
+                   dtype=np.int64).reshape(len(systems), -1)
+    if family_c:  # (a_1, b_1, ..., a_n, b_n) to (a_1, ..., a_n, b_n, ..., b_1)
+        idx = np.concatenate([idx[:, 0::2], idx[:, -1::-2]], axis=1)
+    n, m = len(index), idx.shape[1]
+    if n**m >= 2**63:
+        raise OverflowError(f"codes of {m} slots over {n} classes do not fit in int64")
+    radix = n ** np.arange(m, dtype=np.int64)
+    coords = np.array(list(index), dtype=np.int64)
+    where = {key: i for i, key in enumerate(row_keys(coords))}
+    perms = np.array([[where.get(key, -1) for key in row_keys(coords @ g.T)] for g in weyl.mats],
+                     dtype=np.int64).reshape(-1, n)
+    codes = idx @ radix
+    targets = np.sort(codes)
+    seen = np.arange(targets.size) == np.searchsorted(targets, codes[0])  # per first occurrence
+    frontier = codes[:1]
+    witness = None  # (code, generator) of the first image that is not a system
+    while frontier.size:
+        imgs = perms[:, frontier[:, None] // radix % n]  # (generators, frontier, slots)
+        out = np.where((imgs < 0).any(axis=2), -1, imgs @ radix)
+        pos = np.minimum(np.searchsorted(targets, out), targets.size - 1)
+        hit = targets[pos] == out
+        if witness is None and not hit.all():
+            g, f = divmod(int(np.argmin(hit)), frontier.size)
+            witness = (int(frontier[f]), g)
+        fresh = np.bincount(pos[hit], minlength=seen.size).astype(bool) & ~seen
+        seen |= fresh
+        frontier = targets[fresh]
+        if seen.sum() > len(weyl):
+            raise BudgetExceededError(f"orbit exceeded cap {len(weyl)}")
+    reached = int(seen.sum())
+    missing = np.flatnonzero(~seen[np.searchsorted(targets, codes)])
     offending = None
-    if not ok:
-        missing = [n for key, n in target.items() if key not in reached]
-        extra = sorted(reached - target.keys())
-        if missing:
-            offending = ("unreached", systems[missing[0]])
-        elif extra:
-            coords = np.frombuffer(extra[0], dtype=np.int64).reshape(-1, weyl.rank)
-            offending = ("outside", tuple(DivisorClass(tuple(v)) for v in coords.tolist()))
-        else:
-            offending = ("stabilizer", len(weyl) // max(len(reached), 1))
-    return TransitivityReport(ok, len(weyl), len(systems), len(reached), offending)
+    if witness is not None:
+        images = coords[witness[0] // radix % n] @ weyl.mats[witness[1]].T
+        offending = ("outside", tuple(DivisorClass(tuple(v)) for v in images.tolist()))
+    elif missing.size:
+        offending = ("unreached", systems[missing[0]])
+    elif not reached == len(weyl) == len(systems):
+        offending = ("stabilizer", len(weyl) // max(reached, 1))
+    return TransitivityReport(offending is None, len(weyl), len(systems), reached, offending)
 
 
 @dataclass(frozen=True)
@@ -303,15 +322,16 @@ class DoubleSix:
     second: frozenset
 
     def validate(self, lat: IntersectionLattice):
-        for half in (self.first, self.second):
-            if len(half) != 6:
-                raise ConfigurationError(f"a half has {len(half)} lines, not 6")
-            for a, b in combinations(half, 2):
-                if lat.pair(a, b) != 0:
-                    raise ConfigurationError(f"{a} and {b} in one half meet")
-        for a in self.first:
-            if sum(1 for b in self.second if lat.pair(a, b) == 1) != 5:
-                raise ConfigurationError(f"{a} does not meet 5 lines of the other half")
+        lines = sorted(self.first) + sorted(self.second)
+        if len(self.first) != 6 or len(self.second) != 6:
+            raise ConfigurationError(f"halves of {len(self.first)} and {len(self.second)} lines")
+        gram = gram_matrix(lat, lines)
+        for h in (0, 6):
+            for i, j in h + np.argwhere(np.triu(gram[h:h + 6, h:h + 6], 1))[:1]:
+                raise ConfigurationError(f"{lines[i]} and {lines[j]} in one half meet")
+        short = np.flatnonzero((gram[:6, 6:] == 1).sum(axis=1) != 5)
+        if short.size:
+            raise ConfigurationError(f"{lines[short[0]]} does not meet 5 lines of the other half")
         return True
 
 
@@ -330,42 +350,33 @@ def cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
 @lru_cache(maxsize=None)
 def _cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
     lines = exceptional_classes(lat)
-    meets = {
-        a: {b for b in lines if b != a and lat.pair(a, b) == 1} for a in lines
-    }
+    gram = gram_matrix(lat, lines)
+    meets = np.triu(gram == 1, 1)  # meets[i, j]: i < j and the lines meet
     triangles = []
-    for a, b, c in combinations(lines, 3):
-        if b in meets[a] and c in meets[a] and c in meets[b]:
-            if a + b + c != -lat.K:
-                raise ConfigurationError(f"triangle {a}, {b}, {c} does not sum to -K")
-            triangles.append(frozenset((a, b, c)))
+    for i, j, k in zip(*np.nonzero(meets[:, :, None] & meets[None] & meets[:, None])):
+        a, b, c = lines[i], lines[j], lines[k]
+        if a + b + c != -lat.K:
+            raise ConfigurationError(f"triangle {a}, {b}, {c} does not sum to -K")
+        triangles.append(frozenset((a, b, c)))
 
-    sixes = []
-
-    def grow(current, start):
-        if len(current) == 6:
-            sixes.append(frozenset(current))
-            return
-        for i in range(start, len(lines)):
-            cand = lines[i]
-            if all(lat.pair(cand, e) == 0 for e in current):
-                grow(current + [cand], i + 1)
-
-    grow([], 0)
-    paired = set()
-    double_sixes = []
-    for six in sixes:
-        if six in paired:
+    # sixes level by level, as increasing index rows (so in lexicographic order)
+    later = np.triu(gram == 0, 1)
+    sixes = np.zeros((1, 0), dtype=np.int64)
+    allowed = np.ones((1, len(lines)), dtype=bool)
+    for _ in range(6):
+        f, c = np.nonzero(allowed)
+        sixes, allowed = np.column_stack([sixes[f], c]), allowed[f] & later[c]
+    sixes = [tuple(six) for six in sixes.tolist()]
+    # hits[l, s]: the lines of six s that line l meets (none, for a line of the six)
+    hits = (gram == 1)[:, sixes].sum(axis=2)
+    known, paired, double_sixes = set(sixes), set(), []
+    for n, six in enumerate(sixes):
+        partner = tuple(np.flatnonzero(hits[:, n] == 5).tolist())
+        if six in paired or partner not in known:
             continue
-        partner = frozenset(
-            m for m in lines
-            if m not in six and sum(1 for a in six if lat.pair(m, a) == 1) == 5
-        )
-        if len(partner) != 6 or partner not in set(sixes):
-            continue
-        paired.add(six)
-        paired.add(partner)
-        ds = DoubleSix(*sorted((six, partner), key=lambda s: sorted(s)))
+        paired.update((six, partner))
+        first, second = sorted((six, partner), key=lambda h: sorted(lines[i] for i in h))
+        ds = DoubleSix(frozenset(lines[i] for i in first), frozenset(lines[i] for i in second))
         ds.validate(lat)
         double_sixes.append(ds)
     return CubicData(lines, tuple(triangles), tuple(double_sixes))

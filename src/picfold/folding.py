@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -32,6 +32,7 @@ from .rootsys import (
     reflect,
     reflection,
     restrict_to_basis,
+    simple_reflections,
     standard_simple_system,
     weyl_generate,
 )
@@ -150,9 +151,22 @@ def folded_weyl_generators(delta: SimpleSystem, rho: OuterAutomorphism) -> list[
 
 
 def folded_weyl_group(case: str, lat: IntersectionLattice, cap: int = 10**6) -> WeylGroup:
-    """The Weyl group of the folded type as a subgroup of the ambient one."""
+    """The Weyl group of the folded type as a subgroup of the ambient one, built once."""
+    return _weyl_group(case, lat, cap, True)
+
+
+def ambient_weyl_group(case: str, lat: IntersectionLattice, cap: int = 10**6) -> WeylGroup:
+    """The Weyl group of the case's simply-laced ambient type, built once."""
+    return _weyl_group(case, lat, cap, False)
+
+
+@lru_cache(maxsize=None)
+def _weyl_group(case: str, lat: IntersectionLattice, cap: int, folded: bool) -> WeylGroup:
+    """One shared group per positional key (case, lat, cap, folded); its arrays are read-only."""
     rho = outer_automorphism(ambient_case(case), lat)
-    return weyl_generate(folded_weyl_generators(rho.simple_system, rho), cap=cap)
+    delta = rho.simple_system
+    gens = folded_weyl_generators(delta, rho) if folded else simple_reflections(delta, lat)
+    return weyl_generate(gens, cap=cap)
 
 
 def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:

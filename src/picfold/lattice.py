@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from operator import mul
+
+import numpy as np
 
 F1 = "F1"
 P2 = "P2"
@@ -321,11 +322,16 @@ def exceptional_classes(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     return enumerate_classes(lat, [(SELF, -1), (lat.K, -1)])
 
 
+def gram_matrix(lat: IntersectionLattice, classes) -> np.ndarray:
+    """The (k, k) int64 intersection numbers C G C^T; ``OverflowError`` before 2^62."""
+    c = np.array([d.coords for d in classes], dtype=np.int64).reshape(-1, lat.rank)
+    g = np.array(lat.gram, dtype=np.int64)
+    if int(np.abs(c).max(initial=0)) ** 2 * int(np.abs(g).sum()) >= 2**62:
+        raise OverflowError("intersection numbers could exceed 2^62")
+    return c @ g @ c.T
+
+
 def lines_meeting(lat, lines):
-    """Incidence map: line -> set of lines it meets (pairing 1)."""
-    meets = {a: set() for a in lines}
-    for a, b in combinations(lines, 2):
-        if lat.pair(a, b) == 1:
-            meets[a].add(b)
-            meets[b].add(a)
-    return meets
+    """Incidence map: line -> set of the other lines it meets (pairing 1)."""
+    meets = (gram_matrix(lat, lines) == 1) & ~np.eye(len(lines), dtype=bool)
+    return {a: {lines[j] for j in np.flatnonzero(row)} for a, row in zip(lines, meets)}

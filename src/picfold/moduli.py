@@ -17,15 +17,14 @@ import numpy as np
 
 from .abelian import SigmaModel, SymbolicSigma, solve_group_system
 from .cases import ambient_case, case_lattice, case_rank, case_spec, holds, point_relations
-from .folding import fixed_sublattice, folded_weyl_group, outer_automorphism
+from .folding import ambient_weyl_group, fixed_sublattice, folded_weyl_group, outer_automorphism
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     BudgetExceededError,
     basis_coordinates,
     restrict_to_basis,
-    simple_reflections,
     standard_simple_system,
-    weyl_generate,
+    weyl_generate,  # noqa: F401 (perfbench/tracer.py binds it here by name)
 )
 
 
@@ -249,7 +248,7 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     lat = case_lattice(case)
     rho = outer_automorphism(ambient_case(case), lat)
     delta = rho.simple_system
-    w_big = weyl_generate(simple_reflections(delta, lat))
+    w_big = ambient_weyl_group(case, lat)
     w_small = folded_weyl_group(case, lat)
     basis = fixed_sublattice(rho)
     k = len(basis)

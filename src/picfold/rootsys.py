@@ -458,7 +458,6 @@ class WeylGroup:
         self.gens = tuple(gens)
         self.rank = rank
         self.mats = np.array([g.mat for g in self.gens], dtype=np.int64).reshape(-1, rank, rank)
-        self.mats.flags.writeable = False  # the chain is built from these
         points = {}
         for e in np.eye(rank, dtype=np.int64):
             if e.tobytes() not in points:
@@ -470,6 +469,10 @@ class WeylGroup:
         self.order = prod(len(level) for level in self._levels)
         if self.order > cap:
             raise BudgetExceededError(f"group order {self.order} exceeds cap {cap}")
+        # groups are cached and shared (folding._weyl_group): nothing may write to them
+        for arr in (self.mats, self._points, *(g.mat for g in self.gens),
+                    *(a for level in self._levels for pair in level.values() for a in pair)):
+            arr.flags.writeable = False
 
     def _permutation(self, mat: np.ndarray) -> np.ndarray | None:
         """The action of a matrix on the domain, or None if it leaves the domain."""

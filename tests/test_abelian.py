@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picfold import abelian
-from picfold._linalg import bareiss_det, mat_mul, smith_normal_form
+from picfold._linalg import bareiss_det, integer_kernel, mat_mul, mat_vec, smith_normal_form
 from picfold.abelian import (
     SingularCurveError,
     make_sigma_model,
@@ -125,6 +125,29 @@ def test_snf_invariants_random():
             if diag[i + 1] != 0:
                 assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
             assert diag[i] >= 0
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """A = B C with B (m x r) and C (r x n), so every rank up to min(m, n) occurs."""
+    m, n, r = draw(st.integers(1, 5)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    b = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+    c = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    return mat_mul(b, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_low_rank_matrices())
+def test_integer_kernel_is_saturated(a):
+    # A K^T = 0, the kernel has full rank n - rank A, and the Smith form of K is
+    # all ones: K spans every integer vector of its rational span
+    n = len(a[0])
+    kernel = integer_kernel(a)
+    assert all(mat_vec(a, k) == [0] * len(a) for k in kernel)
+    assert len(kernel) == n - np.linalg.matrix_rank(np.array(a, dtype=float))
+    if kernel:
+        assert smith_normal_form(kernel).diag == [1] * len(kernel)
 
 
 def _brute_solutions(a, rhs, sigma):

@@ -5,15 +5,18 @@ from itertools import permutations, product
 from math import factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from picfold.folding import folded_weyl_group
-from picfold.lattice import F1, P2, exceptional_classes, make_blowup_lattice
+from picfold.cases import case_spec
+from picfold.folding import ambient_weyl_group, folded_weyl_group
+from picfold.lattice import F1, P2, DivisorClass, exceptional_classes, make_blowup_lattice
 from picfold.configs import (
     ConfigurationError,
     DoubleSix,
     GConfiguration,
     NoRootFoundError,
+    TransitivityReport,
     cubic_combinatorics,
     double_six_to_root,
     enumerate_exceptional_systems,
@@ -24,11 +27,14 @@ from picfold.configs import (
     symbolic_point_rows,
     triangle_stabilizer,
     _check_case_points,
+    _f4_systems,
 )
 from picfold.moduli import PointAssignment, case_lattice, case_rank, points_from_parameters
 from picfold.abelian import make_sigma_model
 from picfold.rootsys import (
+    BudgetExceededError,
     decompose_in_basis,
+    orbit,
     root_sublattice,
     simple_reflections,
     standard_simple_system,
@@ -109,6 +115,114 @@ def test_transitivity_fails_for_trivial_group():
     rep = simple_transitivity_check("G2", systems, trivial)
     assert not rep.simply_transitive
     assert rep.offending is not None
+
+
+def bytes_transitivity_check(case, systems, weyl):
+    """Reference for ``simple_transitivity_check``: whole systems as the raw
+    bytes of their int64 coordinates, walked by ``WeylGroup.orbit_rows``
+    through every image, in or out of the set."""
+    systems = list(systems)
+    flat = np.array([[c for e in GConfiguration(case, s).flat_classes() for c in e.coords]
+                     for s in systems], dtype=np.int64)
+    target = {row.tobytes(): n for n, row in enumerate(flat)}
+    reached = {row.tobytes() for row in weyl.orbit_rows(flat[0])}
+    ok = len(reached) == len(weyl) == len(systems) and reached == target.keys()
+    offending = None
+    if not ok:
+        missing = [n for key, n in target.items() if key not in reached]
+        extra = sorted(reached - target.keys())
+        if missing:
+            offending = ("unreached", systems[missing[0]])
+        elif extra:
+            coords = np.frombuffer(extra[0], dtype=np.int64).reshape(-1, weyl.rank)
+            offending = ("outside", tuple(DivisorClass(tuple(v)) for v in coords.tolist()))
+        else:
+            offending = ("stabilizer", len(weyl) // max(len(reached), 1))
+    return TransitivityReport(ok, len(weyl), len(systems), len(reached), offending)
+
+
+@pytest.mark.parametrize("case", ["B2", "B3", "B4", "C2", "C3", "G2", "F4"])
+def test_transitivity_matches_the_bytes_walk(case):
+    lat = case_lattice(case)
+    systems = enumerate_exceptional_systems(case, lat)
+    w = folded_weyl_group(case, lat)
+    rep = simple_transitivity_check(case, systems, w)
+    assert rep == bytes_transitivity_check(case, systems, w)
+    assert rep.simply_transitive and rep.orbit_size == len(w)
+
+
+@pytest.mark.parametrize("case", ["B3", "F4"])
+def test_transitivity_reports_unreached_for_a_proper_subgroup(case):
+    lat = case_lattice(case)
+    systems = enumerate_exceptional_systems(case, lat)
+    w = folded_weyl_group(case, lat)
+    sub = weyl_generate(w.gens[:-1])
+    rep = simple_transitivity_check(case, systems, sub)
+    assert rep.offending[0] == "unreached"
+    assert rep.orbit_size == len(orbit(sub.gens, systems[0]).elements) < len(systems)
+    assert rep.offending[1] not in orbit(sub.gens, systems[0]).elements
+    assert rep == bytes_transitivity_check(case, systems, sub)
+
+
+@pytest.mark.parametrize("case", ["B3", "C3", "G2"])
+def test_transitivity_reports_outside_for_a_removed_system(case):
+    lat = case_lattice(case)
+    systems = list(enumerate_exceptional_systems(case, lat))
+    removed = systems.pop(len(systems) // 2)
+    w = folded_weyl_group(case, lat)
+    rep = simple_transitivity_check(case, systems, w)
+    flat = GConfiguration(case, removed).flat_classes()
+    assert rep.offending == ("outside", flat)
+    assert not rep.simply_transitive and rep.orbit_size == len(systems)
+    assert rep.offending == bytes_transitivity_check(case, systems, w).offending
+
+
+def test_transitivity_reports_outside_for_a_class_off_the_table(cubic):
+    # the reflection in h - l1 - l3 - l4 takes l1 to h - l3 - l4, a line no F4 system uses
+    from picfold.rootsys import reflect, reflection
+
+    h, l = cubic.h, cubic.l
+    alpha = h - l(1) - l(3) - l(4)
+    systems = enumerate_exceptional_systems("F4", cubic)
+    assert h - l(3) - l(4) not in {e for s in systems for e in s}
+    rep = simple_transitivity_check("F4", systems, weyl_generate([reflection(cubic, alpha)]))
+    assert rep.offending == ("outside", tuple(reflect(cubic, alpha, e) for e in systems[0]))
+    assert h - l(3) - l(4) in rep.offending[1] and rep.orbit_size == 1
+
+
+def test_transitivity_reports_the_stabilizer_of_a_partial_system():
+    # the orbit of the first two slots of a B3 system is the whole set,
+    # but W(B3) also permutes and flips the last two slots
+    lat = case_lattice("B3")
+    w = folded_weyl_group("B3", lat)
+    head = enumerate_exceptional_systems("B3", lat)[0][:2]
+    systems = orbit(w.gens, head).elements
+    rep = simple_transitivity_check("B3", systems, w)
+    assert rep.offending == ("stabilizer", len(w) // len(systems))
+    assert len(systems) < len(w) and rep.orbit_size == len(systems)
+    assert rep == bytes_transitivity_check("B3", systems, w)
+
+
+def test_transitivity_walk_refuses_past_its_caps():
+    lat = case_lattice("B3")
+    systems = enumerate_exceptional_systems("B3", lat)
+    w = folded_weyl_group("B3", lat)
+
+    class Shrunk:  # the generators of W(B3), claiming an order of 4
+        mats, rank = w.mats, w.rank
+
+        def __len__(self):
+            return 4
+
+    with pytest.raises(BudgetExceededError, match="orbit exceeded cap 4"):
+        simple_transitivity_check("B3", systems, Shrunk())
+    # 20 slots over 22 classes: 22^20 codes do not fit in int64
+    big = make_blowup_lattice(F1, 20)
+    l, f = big.l, big.f
+    rest = tuple(l(i) for i in range(3, 21))
+    pair = [(l(1), l(2)) + rest, (f - l(1), f - l(2)) + rest]
+    with pytest.raises(OverflowError):
+        simple_transitivity_check("B19", pair, weyl_generate([], rank=big.rank))
 
 
 def test_blowdown_examples():
@@ -226,6 +340,18 @@ def test_malformed_double_six_rejected(cubic):
         double_six_to_root(bad, cubic)
 
 
+def test_double_six_validate_names_the_broken_condition(cubic):
+    l, h = cubic.l, cubic.h
+    six = frozenset(l(i) for i in range(1, 7))
+    bad = frozenset([l(1), h - l(1) - l(2), l(3), l(4), l(5), l(6)])
+    with pytest.raises(ConfigurationError, match="in one half meet"):
+        DoubleSix(six, bad).validate(cubic)
+    with pytest.raises(ConfigurationError, match="does not meet 5 lines"):
+        DoubleSix(six, six).validate(cubic)
+    with pytest.raises(ConfigurationError, match="halves of 6 and 5 lines"):
+        DoubleSix(six, frozenset(sorted(six)[:5])).validate(cubic)
+
+
 def test_triangle_stabilizers(cubic, weyl_e6):
     h, l = cubic.h, cubic.l
     tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
@@ -334,10 +460,62 @@ def test_f4_systems_match_pair_sum_search(cubic):
     assert enumerate_exceptional_systems("F4", cubic) == pair_sum_f4_systems(cubic)
 
 
+@pytest.fixture(scope="module")
+def skew_sixes(cubic):
+    """Every ordered 6-tuple of pairwise-disjoint lines, with its symbolic points."""
+    lines = exceptional_classes(cubic)
+    disjoint = {e: {o for o in lines if cubic.pair(e, o) == 0} for e in lines}
+    out = []
+
+    def rec(current, allowed):
+        if len(current) == 6:
+            out.append(tuple(current))
+            return
+        for e in sorted(allowed):
+            rec(current + [e], allowed & disjoint[e])
+
+    rec([], set(lines))
+    rows = symbolic_point_rows("F4")
+    point = {e: symbolic_point(cubic, rows, e) for e in lines}
+    return out, np.array([[point[e] for e in six] for six in out])
+
+
+@pytest.mark.parametrize("relations", [
+    case_spec("F4").relations,
+    ((1, 1, -2, -2, 1, 1),),  # the sum of the F4 relations, alone
+    ((0, 1, -1, 1, -1, 0),),  # other slots, checked at another depth
+    ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)),  # no solutions
+])
+def test_f4_level_search_matches_brute_force_filter(cubic, skew_sixes, relations):
+    sixes, pts = skew_sixes
+    assert len(sixes) == 51840
+    ok = ~np.einsum("rj,sjk->srk", np.array(relations), pts).any(axis=(1, 2))
+    lines, idx = _f4_systems(cubic, symbolic_point_rows("F4"), relations)
+    assert [tuple(lines[i] for i in row) for row in idx.tolist()] == sorted(
+        s for s, keep in zip(sixes, ok) if keep)
+
+
 @pytest.mark.parametrize("case", ["B2", "B3", "B4", "B5", "G2"])
 def test_systems_match_brute_force(case):
     lat = case_lattice(case)
     assert enumerate_exceptional_systems(case, lat) == brute_force_systems(case, lat)
+
+
+def definitional_c_systems(case, lat):
+    """C oracle: the pairs (l_i, l_{2n+1-i}), per permutation and then per swap pattern."""
+    n = case_rank(case)
+    out = []
+    for sigma in permutations(range(1, n + 1)):
+        for flips in product((0, 1), repeat=n):
+            pairs = [(lat.l(i), lat.l(2 * n + 1 - i)) for i in sigma]
+            out.append(tuple((b, a) if fl else (a, b) for (a, b), fl in zip(pairs, flips)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("case", ["C2", "C3", "C4"])
+def test_c_systems_match_the_definition_in_order(case):
+    lat = case_lattice(case)
+    assert enumerate_exceptional_systems(case, lat) == definitional_c_systems(case, lat)
 
 
 def test_systems_memoized_per_case_and_lattice():

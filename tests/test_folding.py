@@ -7,6 +7,7 @@ import pytest
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.folding import (
     FOLDED_TO_SIMPLY_LACED,
+    ambient_weyl_group,
     f4_short_roots,
     fixed_sublattice,
     fold_simple_system,
@@ -209,3 +210,20 @@ def test_non_orthogonal_orbit_rejected(f1_4):
     bad = type(rho)(rho.case, rho.lattice, rho.simple_system, (2, 1, 0, 3), 2)
     with pytest.raises(ValueError):
         folded_weyl_generators(rho.simple_system, bad)
+
+
+def test_groups_are_built_once_and_read_only():
+    lat = make_blowup_lattice(F1, 4)
+    w = folded_weyl_group("B3", lat)
+    # an equal lattice and a positional or keyword cap all hit the same entry
+    assert folded_weyl_group("B3", make_blowup_lattice(F1, 4), 10**6) is w
+    assert folded_weyl_group("B3", lat, cap=10**6) is w
+    big = ambient_weyl_group("B3", lat)
+    assert ambient_weyl_group("B3", lat, cap=10**6) is big
+    assert (len(w), len(big)) == (48, 192)
+    for group in (w, big):
+        arrays = [group.mats, group._points, *(g.mat for g in group.gens),
+                  *(a for level in group._levels for pair in level.values() for a in pair)]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 7

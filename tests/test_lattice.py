@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from picfold.lattice import (
@@ -11,6 +12,7 @@ from picfold.lattice import (
     UnboundedSearchError,
     enumerate_classes,
     exceptional_classes,
+    gram_matrix,
     lines_meeting,
     make_blowup_lattice,
 )
@@ -158,3 +160,23 @@ def test_a3_root_count_with_section_constraint():
         lat, [(SELF, -2), (lat.K, 0), (lat.f, 0), (lat.s, 0)]
     )
     assert len(roots) == 12
+
+
+def test_lines_meeting_leaves_out_the_class_itself():
+    # h.h = 1, so the diagonal of the Gram matrix must not count as meeting
+    lat = make_blowup_lattice(P2, 6)
+    h, l1 = lat.h, lat.l(1)
+    assert lines_meeting(lat, [h, h - l1, l1]) == {h: {h - l1}, h - l1: {h, l1}, l1: {h - l1}}
+
+
+def test_gram_matrix_matches_pair_and_refuses_overflow():
+    for lat in (make_blowup_lattice(F1, 4), make_blowup_lattice(P2, 6)):
+        rng = random.Random(lat.rank)
+        classes = [DivisorClass(tuple(rng.randint(-5, 5) for _ in range(lat.rank)))
+                   for _ in range(8)]
+        g = gram_matrix(lat, classes)
+        assert g.dtype == np.int64
+        assert g.tolist() == [[lat.pair(a, b) for b in classes] for a in classes]
+    lat = make_blowup_lattice(P2, 6)
+    with pytest.raises(OverflowError):
+        gram_matrix(lat, [lat.h * 2**32])  # h.h = 2^64 would wrap in int64

@@ -1,7 +1,7 @@
 import random
 import sys
 import threading
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
 
@@ -454,3 +454,34 @@ def test_root_sublattice_checks_negation_of_every_root(f1_4, monkeypatch):
                             lambda lat, constraints: [r for r in roots if r != dropped])
         with pytest.raises(ValueError):
             root_sublattice(f1_4, [f1_4.K, f1_4.f])
+
+
+@lru_cache(maxsize=None)
+def _chain(name):
+    return weyl_generate(GROUP_GENS[name])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("F4", "E6"), ("B5", "D6")]),
+       st.lists(st.integers(0, 99), max_size=24), st.lists(st.integers(0, 99), max_size=24))
+def test_chain_membership_of_random_products(pair, word, ambient_word):
+    # a product of the group's generators is accepted; a product of the ambient
+    # group's simple reflections is accepted exactly when the closure lists it
+    name, ambient = pair
+    group, listed = _chain(name), {m.tobytes() for m in _oracle_closure(name)}
+
+    def product_of(gens, letters):
+        ident = np.eye(group.rank, dtype=np.int64)
+        return reduce(np.matmul, [gens[i % len(gens)].mat for i in letters], ident)
+
+    inside = product_of(GROUP_GENS[name], word)
+    assert inside.tobytes() in listed and WeylElement.from_matrix(inside) in group
+    other = product_of(GROUP_GENS[ambient], ambient_word)
+    assert (WeylElement.from_matrix(other) in group) == (other.tobytes() in listed)
+
+
+@pytest.mark.parametrize("name, ambient", [("F4", "E6"), ("B5", "D6")])
+def test_chain_rejects_an_ambient_reflection(name, ambient):
+    group, listed = _chain(name), {m.tobytes() for m in _oracle_closure(name)}
+    outside = [g for g in GROUP_GENS[ambient] if g.mat.tobytes() not in listed]
+    assert outside and not any(g in group for g in outside)
