@@ -72,7 +72,7 @@ def smith_normal_form(a) -> SNFDecomposition:
     pivot; a block entry the pivot does not divide is first added into the
     pivot row.  So d_1 | d_2 | ... holds when the block is done.  A fresh
     pivot each round keeps the growth moderate, but U, V and their inverses
-    are Python ints of no fixed size (up to 2^62 on random 8 x 8 matrices
+    are Python ints of no fixed size (past 2^62 on random 8 x 8 matrices
     with entries <= 4): a caller that moves them into int64 checks first.
     """
     m = len(a)

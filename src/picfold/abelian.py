@@ -15,13 +15,12 @@ normal form, one cyclic factor at a time.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, prod
 
 import numpy as np
 
-from ._linalg import SNFDecomposition, mat_vec
 from ._linalg import smith_normal_form as _snf_raw
 
 GroupElement = tuple[int, int]
@@ -52,9 +51,6 @@ class SigmaModel:
     @property
     def zero(self) -> GroupElement:
         return (0, 0)
-
-    def element(self, a: int, b: int) -> GroupElement:
-        return (a % self.m1, b % self.m2)
 
     def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
         return ((x[0] + y[0]) % self.m1, (x[1] + y[1]) % self.m2)
@@ -259,59 +255,55 @@ def _key(pt):
     return pt if pt is not None else "O"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupSolveResult:
+    """Solvability, one solution, the kernel size and, within the cap, every solution.
+
+    ``table`` is a read-only (n, ncols, 2) int64 array, row k the k-th solution's
+    (mod m1, mod m2) residue pairs, rows sorted; ``solutions`` and iteration read it.
+    """
+
     solvable: bool
     solution: tuple[GroupElement, ...] | None
     kernel_size: int
-    solutions: tuple[tuple[GroupElement, ...], ...] | None
+    table: np.ndarray | None
+
+    @property
+    def solutions(self) -> tuple[tuple[GroupElement, ...], ...] | None:
+        if self.table is None:
+            return None
+        return tuple(tuple(map(tuple, rows)) for rows in self.table.tolist())
 
     def __iter__(self):
         return iter(self.solutions or ())
 
 
-def _cyclic_kernel(dec: SNFDecomposition, m: int, ncols: int, nrows: int):
-    """Kernel structure of A acting on (Z/m)^ncols, from the SNF of A.
+@lru_cache(maxsize=1024)
+def _smith_data(a: tuple[tuple[int, ...], ...]):
+    """(d, U^-1, V^-1) of A = U S V as tuples; d is padded with zeros to the column count."""
+    dec = _snf_raw([list(row) for row in a])
+    ncols = len(a[0]) if a else 0
+    d = tuple(dec.diag) + (0,) * (ncols - len(dec.diag))
+    return d, tuple(map(tuple, dec.uinv)), tuple(map(tuple, dec.vinv))
 
-    Each entry (i, step, order) says coordinate i of y = V x moves in
-    increments of ``step`` with ``order`` choices; kernel size is the
-    product of the orders.
+
+def _cyclic_particular(d, uinv, rhs, m: int):
+    """One solution of A x = rhs over Z/m in y = V x coordinates, or None.
+
+    With c = U^-1 rhs, coordinate i solves d_i y_i = c_i mod m: for
+    g = gcd(d_i, m) it has g solutions, m/g apart, when g divides c_i.
+    Rows past the column count need c_i = 0 mod m.
     """
-    kernel = []
-    for i in range(ncols):
-        d = dec.s[i][i] if i < min(nrows, ncols) else 0
-        dm = d % m
-        if dm == 0:
-            if m > 1:
-                kernel.append((i, 1, m))
-        else:
-            g = gcd(dm, m)
-            if g > 1:
-                kernel.append((i, m // g, g))
-    return kernel
-
-
-def _cyclic_particular(dec: SNFDecomposition, rhs, m: int, ncols: int, nrows: int):
-    """One solution of A x = rhs over Z/m in y-coordinates, or None."""
-    c = mat_vec(dec.uinv, rhs)
-    for i in range(ncols, nrows):
-        if c[i] % m != 0:
+    c = [sum(u * r for u, r in zip(row, rhs)) % m for row in uinv]
+    if any(c[len(d):]):
+        return None
+    y = []
+    for i, di in enumerate(d):
+        ci, g = (c[i] if i < len(c) else 0), gcd(di, m)
+        if ci % g:
             return None
-    y = [0] * ncols
-    for i in range(ncols):
-        d = dec.s[i][i] if i < min(nrows, ncols) else 0
-        ci = c[i] % m if i < nrows else 0
-        dm = d % m
-        if dm == 0:
-            if ci != 0:
-                return None
-        else:
-            g = gcd(dm, m)
-            if ci % g != 0:
-                return None
-            step = m // g
-            if step > 1:
-                y[i] = (ci // g) * pow(dm // g, -1, step) % step
+        step = m // g
+        y.append(ci // g * pow(di // g, -1, step) % step if step > 1 else 0)
     return y
 
 
@@ -319,54 +311,45 @@ def solve_group_system(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> 
     """Solve A x = rhs over the group, where A is an integer matrix.
 
     rhs is a vector of group elements.  Solvability, one particular
-    solution, and the kernel size come from the Smith normal form; all
-    solutions are materialized when the kernel is at most the cap.
+    solution, and the kernel size come from the Smith normal form, computed
+    once per matrix and cached as tuples.  Within the cap, each cyclic
+    factor's solutions, y plus every combination of kernel steps, go
+    through V^-1 mod m in one int64 matmul (V^-1 is reduced first: its
+    entries reach 2^62), so ``OverflowError`` is raised when ncols * m^2
+    could reach 2^62.  The factors are paired and sorted into the table.
     """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if len(rhs) != nrows:
         raise ValueError("rhs length does not match the matrix")
-    dec = _snf_raw([list(row) for row in a])
+    if sigma.m2 * sigma.m2 * ncols >= 1 << 62:
+        raise OverflowError(f"solutions mod {sigma.m2} in {ncols} unknowns could exceed 2^62")
+    d, uinv, vinv = _smith_data(tuple(map(tuple, a)))
+    mods = (sigma.m1, sigma.m2)
+    orders = [[gcd(di, m) for di in d] for m in mods]
+    kernel_size = prod(orders[0]) * prod(orders[1])
+    ys = [_cyclic_particular(d, uinv, [pt[k] for pt in rhs], m) for k, m in enumerate(mods)]
+    if None in ys:
+        return GroupSolveResult(False, None, kernel_size, None)
 
-    comps = []
-    kern_total = 1
-    for ci, m in enumerate((sigma.m1, sigma.m2)):
-        r = [pt[ci] for pt in rhs]
-        kernel = _cyclic_kernel(dec, m, ncols, nrows)
-        y = _cyclic_particular(dec, r, m, ncols, nrows)
-        ksize = prod(order for _, _, order in kernel) if kernel else 1
-        comps.append((y, kernel, m))
-        kern_total *= ksize
-    if any(y is None for y, _, _ in comps):
-        return GroupSolveResult(False, None, kern_total, None)
+    vinv_mod = [np.array([[v % m for v in row] for row in vinv], dtype=np.int64) for m in mods]
+    x1, x2 = (vm @ np.array(y, dtype=np.int64) % m for vm, y, m in zip(vinv_mod, ys, mods))
+    particular = tuple(zip(x1.tolist(), x2.tolist()))
+    if kernel_size > enumerate_cap:
+        return GroupSolveResult(True, particular, kernel_size, None)
 
-    def to_x(yvec, m):
-        x = mat_vec(dec.vinv, yvec)
-        return [v % m for v in x]
-
-    sol_parts = [to_x(y, m) for y, _, m in comps]
-    particular = tuple(
-        sigma.element(sol_parts[0][j], sol_parts[1][j]) for j in range(ncols)
-    )
-
-    all_solutions = None
-    if kern_total <= enumerate_cap:
-        per_comp = []
-        for y, kernel, m in comps:
-            combos = []
-            ranges = [range(order) for _, _, order in kernel]
-            for ticks in itertools.product(*ranges):
-                yy = list(y)
-                for (i, step, _), t in zip(kernel, ticks):
-                    yy[i] = (yy[i] + t * step) % m
-                combos.append(to_x(yy, m))
-            per_comp.append(combos)
-        sols = set()
-        for c1 in per_comp[0]:
-            for c2 in per_comp[1]:
-                sols.add(tuple(sigma.element(c1[j], c2[j]) for j in range(ncols)))
-        if len(sols) != kern_total:
-            raise AssertionError(f"{len(sols)} distinct solutions, kernel size {kern_total}")
-        all_solutions = tuple(sorted(sols))
-
-    return GroupSolveResult(True, particular, kern_total, all_solutions)
+    cosets = []  # per factor, (K, ncols): every solution mod m
+    for vm, y, g, m in zip(vinv_mod, ys, orders, mods):
+        ticks = np.indices(g).reshape(ncols, prod(g))
+        steps = m // np.array(g, dtype=np.int64).reshape(ncols, 1)
+        cosets.append((vm @ (np.array(y, dtype=np.int64).reshape(ncols, 1) + steps * ticks) % m).T)
+    c1, c2 = cosets
+    flat = np.stack([np.repeat(c1, len(c2), axis=0), np.tile(c2, (len(c1), 1))],
+                    axis=2).reshape(kernel_size, 2 * ncols)
+    flat = flat[np.lexsort(flat.T[::-1])]
+    distinct = 1 + int(np.count_nonzero((flat[1:] != flat[:-1]).any(axis=1)))
+    if distinct != kernel_size:
+        raise AssertionError(f"{distinct} distinct solutions, kernel size {kernel_size}")
+    table = flat.reshape(kernel_size, ncols, 2)
+    table.flags.writeable = False
+    return GroupSolveResult(True, particular, kernel_size, table)

@@ -463,7 +463,7 @@ def _suite_moduli(cfg: RunConfig):
             for _ in range(20):
                 pa = _random_admissible(case, sigma, rng)
                 res = moduli.reconstruct_points(case, moduli.folded_restriction(case, pa), sigma)
-                check(res.solvable and pa in res.assignments,
+                check(res.solvable and pa in res,
                       f"{case}: {pa.points} not reconstructed")
                 hits += 1
             out[case] = hits

@@ -48,6 +48,9 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
+    def __hash__(self):  # the generated hash builds (coords,) on every lookup
+        return hash(self.coords)
+
     def __repr__(self):
         return f"DivisorClass{self.coords}"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
 
 import numpy as np
@@ -47,12 +47,19 @@ class PointAssignment:
         return self
 
 
+def _point_table(case: str, t: np.ndarray, sigma: SigmaModel) -> np.ndarray:
+    """x = P t mod (m1, m2): an (n, rank, 2) int64 table of parameters to (n, npoints, 2)."""
+    return np.array(case_spec(case).points, dtype=np.int64) @ t % np.array([sigma.m1, sigma.m2])
+
+
+def _assignments(sigma: SigmaModel, x: np.ndarray) -> list[PointAssignment]:
+    return [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in x.tolist()]
+
+
 def points_from_parameters(case: str, params, sigma: SigmaModel) -> list[PointAssignment]:
     """The admissible assignments x = P t, one for each tuple t of free parameters."""
-    spec = case_spec(case)
-    t = np.array(params, dtype=np.int64).reshape(len(params), spec.rank, 2)
-    x = np.array(spec.points, dtype=np.int64) @ t % np.array([sigma.m1, sigma.m2])
-    return [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in x.tolist()]
+    t = np.array(params, dtype=np.int64).reshape(len(params), case_rank(case), 2)
+    return _assignments(sigma, _point_table(case, t, sigma))
 
 
 def u_point(lat: IntersectionLattice, pa: PointAssignment, d: DivisorClass):
@@ -130,6 +137,14 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
 
 
 @lru_cache(maxsize=None)
+def _folded_simple_coeffs(case: str) -> tuple[tuple[int, ...], ...]:
+    """The l-coefficients of the folded simple roots, in the simple system's order."""
+    spec = case_spec(case)
+    return tuple(spec.lattice.l_coeffs(b)
+                 for b in standard_simple_system(spec.family, spec.lattice).roots)
+
+
+@lru_cache(maxsize=None)
 def case_system_matrix(case: str) -> tuple[tuple[int, ...], ...]:
     """Coefficient matrix M P of the point-reconstruction system.
 
@@ -138,46 +153,62 @@ def case_system_matrix(case: str) -> tuple[tuple[int, ...], ...]:
     parameters t.
     """
     spec = case_spec(case)
-    delta = standard_simple_system(spec.family, spec.lattice)
-    return tuple(tuple(sum(c * row[j] for c, row in zip(spec.lattice.l_coeffs(b), spec.points))
-                       for j in range(spec.rank)) for b in delta.roots)
+    return tuple(tuple(sum(c * row[j] for c, row in zip(coeffs, spec.points))
+                       for j in range(spec.rank)) for coeffs in _folded_simple_coeffs(case))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconstructionResult:
+    """The assignments x = P t that solve a reconstruction system.
+
+    ``table`` is a read-only (n, npoints, 2) int64 array of the points' (mod m1,
+    mod m2) residue pairs, rows sorted by points, empty when unsolvable.
+    ``assignments`` is built on first access; ``pa in result`` reads the rows.
+    """
+
     solvable: bool
     kernel_size: int
-    assignments: tuple[PointAssignment, ...]
+    sigma: SigmaModel
+    table: np.ndarray
+
+    @cached_property
+    def assignments(self) -> tuple[PointAssignment, ...]:
+        return tuple(_assignments(self.sigma, self.table))
+
+    def __contains__(self, pa: PointAssignment) -> bool:
+        if pa.sigma != self.sigma or len(pa.points) != self.table.shape[1]:
+            return False
+        return bool((self.table == np.array(pa.points, dtype=np.int64)).all(axis=(1, 2)).any())
 
 
 def reconstruct_points(case: str, p_images, sigma: SigmaModel,
                        enumerate_cap: int = 4096) -> ReconstructionResult:
     """Recover all point assignments whose folded restriction data is p_images.
 
-    Solves M P t = p_images over the group and returns every x = P t,
-    sorted by points.  Raises BudgetExceededError when the solution set
-    is larger than ``enumerate_cap``, rather than return part of it.
+    Solves M P t = p_images over the group (``solve_group_system``, which
+    caches the Smith form of M P), maps the solution table through P in
+    one matmul mod (m1, m2) and sorts the rows by points.  Raises
+    BudgetExceededError when the solution set is larger than
+    ``enumerate_cap``, rather than return part of it.
     """
     rank = case_rank(case)
     if len(p_images) != rank:
         raise ValueError(f"{case} expects {rank} image points")
     res = solve_group_system(case_system_matrix(case), list(p_images), sigma,
                              enumerate_cap=enumerate_cap)
-    if not res.solvable:
-        return ReconstructionResult(False, res.kernel_size, ())
-    if res.solutions is None:
+    if res.solvable and res.table is None:
         raise BudgetExceededError(
             f"{case}: {res.kernel_size} solutions exceed the enumerate cap {enumerate_cap}")
-    assignments = sorted(points_from_parameters(case, res.solutions, sigma),
-                         key=lambda pa: pa.points)
-    return ReconstructionResult(True, res.kernel_size, tuple(assignments))
+    t = res.table if res.solvable else np.zeros((0, rank, 2), dtype=np.int64)
+    x = _point_table(case, t, sigma)
+    x = x[np.lexsort(x.reshape(len(x), 2 * x.shape[1]).T[::-1])]
+    x.flags.writeable = False
+    return ReconstructionResult(res.solvable, res.kernel_size, sigma, x)
 
 
 def folded_restriction(case: str, pa: PointAssignment):
     """The images of the folded simple system under restriction."""
-    spec = case_spec(case)
-    delta = standard_simple_system(spec.family, spec.lattice)
-    return tuple(u_point(spec.lattice, pa, b) for b in delta.roots)
+    return tuple(pa.sigma.combine(c, pa.points) for c in _folded_simple_coeffs(case))
 
 
 def invariance_agreement_exhaustive(case: str, sigma: SigmaModel) -> int:

@@ -325,12 +325,20 @@ def reflect(lat: IntersectionLattice, alpha: DivisorClass, x: DivisorClass) -> D
 
 
 def reflection(lat: IntersectionLattice, alpha: DivisorClass) -> WeylElement:
-    """The reflection in alpha as a lattice matrix."""
-    cols = []
-    for i in range(lat.rank):
-        cols.append(reflect(lat, alpha, lat.unit(i)).coords)
-    mat = np.array(cols, dtype=np.int64).T
-    return WeylElement.from_matrix(mat)
+    """The reflection in alpha as a lattice matrix: I - a q^T, q = 2 G a / (a, a).
+
+    a is alpha made primitive, as in ``reflect``; an error names the first e_i it fails on.
+    """
+    if lat.pair(alpha, alpha) == 0:
+        raise ValueError("cannot reflect in an isotropic class")
+    alpha = _primitive(alpha)
+    a = np.array(alpha.coords, dtype=np.int64)
+    num, n2 = 2 * np.array(lat.gram, dtype=np.int64) @ a, lat.pair(alpha, alpha)
+    bad = np.flatnonzero(num % n2)
+    if len(bad):
+        raise NonIntegralReflectionError(
+            f"reflection of {lat.unit(int(bad[0]))} in {alpha} leaves the lattice")
+    return WeylElement.from_matrix(np.eye(lat.rank, dtype=np.int64) - np.outer(a, num // n2))
 
 
 def simple_reflections(simple: SimpleSystem, lat: IntersectionLattice) -> list[WeylElement]:

@@ -250,3 +250,46 @@ def test_form_chunks_match_brute_force(group, k, data, chunk_rows, table_rows):
         got += [list(map(tuple, col)) for col in residues.transpose(2, 1, 0).tolist()]
         start = cols.stop
     assert got == expected
+
+
+# V^-1 of this matrix's Smith form has an entry past 2^62: a few of them times a
+# residue overflow int64 unless V^-1 is reduced mod m first.
+_WIDE_VINV_8X8 = [[-2, 0, 4, -1, 2, 0, 3, 3], [4, 0, -1, 4, -1, 4, 2, 0],
+                  [-3, 2, 3, 3, 3, -3, 1, 3], [-4, 2, -4, -2, -4, -2, 4, 2],
+                  [2, 3, -3, -3, 2, -2, 2, 2], [-2, 0, 0, 2, 0, 1, 1, -4],
+                  [-2, 1, -1, 0, -4, 3, -2, 1], [2, -1, 0, 0, -2, 4, 3, -3]]
+
+
+@pytest.mark.parametrize("a", [_GROWTH_8X8, _WIDE_VINV_8X8])
+def test_solver_reduces_vinv_before_int64(a):
+    sigma = make_sigma_model(1, 3)
+    if a is _WIDE_VINV_8X8:
+        assert max(abs(x) for row in smith_normal_form(a).vinv for x in row) >= 2**62
+    rng = random.Random(8)
+    for _ in range(4):
+        x0 = [rng.choice(list(sigma.elements())) for _ in range(8)]
+        rhs = [sigma.combine(row, x0) for row in a]
+        res = solve_group_system(a, rhs, sigma)
+        brute = _brute_solutions(a, rhs, sigma)
+        assert res.solvable and list(res.solutions) == list(res) == brute
+        assert res.solution in brute and res.kernel_size == len(brute)
+
+
+def test_solver_tables_are_read_only_and_the_cache_holds():
+    sigma = make_sigma_model(2, 4)
+    a, rhs = [[-2, 0], [2, -2]], [(0, 0), (0, 2)]
+    first = solve_group_system(a, rhs, sigma)
+    assert first.table.shape == (first.kernel_size, 2, 2)
+    with pytest.raises(ValueError):
+        first.table[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        first.table[...] = 0
+    again = solve_group_system(a, rhs, sigma)
+    assert np.array_equal(again.table, first.table) and again.solutions == first.solutions
+    assert again.solutions == tuple(_brute_solutions(a, rhs, sigma))
+
+
+def test_solver_refuses_moduli_that_could_overflow():
+    with pytest.raises(OverflowError):
+        solve_group_system([[1, 0]], [(0, 0)], make_sigma_model(1, 2**31))
+    assert solve_group_system([[1]], [(0, 5)], make_sigma_model(1, 2**30)).solution == ((0, 5),)

@@ -156,6 +156,36 @@ def test_f4_decomposition_fails_under_optimize():
     assert [r for r, v in status.items() if v["status"] == "fail"] == ["bundles.F4.rep.27=3+24"]
 
 
+def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
+    # reconstruct_points drops the row of the drawn assignment: the roundtrip must fail under -O
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from picfold import cli, moduli\n"
+        "restrict, solve, drawn = moduli.folded_restriction, moduli.reconstruct_points, []\n"
+        "def folded_restriction(case, pa):\n"
+        "    drawn.append(pa)\n"
+        "    return restrict(case, pa)\n"
+        "def reconstruct_points(case, imgs, sigma, **kw):\n"
+        "    res = solve(case, imgs, sigma, **kw)\n"
+        "    keep = ~(res.table == np.array(drawn[-1].points)).all(axis=(1, 2))\n"
+        "    return moduli.ReconstructionResult(res.solvable, res.kernel_size, sigma,\n"
+        "                                       res.table[keep])\n"
+        "moduli.folded_restriction, moduli.reconstruct_points = folded_restriction, reconstruct_points\n"
+        "rc = cli.main(['verify', 'moduli', '--format', 'json'])\n"
+        "sys.stdout.flush()\n"
+        "raise SystemExit(rc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+    assert [r for r, v in status.items() if v["status"] == "fail"] == [
+        "moduli.reconstruction.roundtrip"]
+    assert "not reconstructed" in status["moduli.reconstruction.roundtrip"]["witness"]
+
+
 def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
     # 9^4 domain tuples x |W(E6)| = 340,122,240 exceeds the default action cap of 10^8
     out = tmp_path / "r.json"

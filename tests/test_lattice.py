@@ -180,3 +180,15 @@ def test_gram_matrix_matches_pair_and_refuses_overflow():
     lat = make_blowup_lattice(P2, 6)
     with pytest.raises(OverflowError):
         gram_matrix(lat, [lat.h * 2**32])  # h.h = 2^64 would wrap in int64
+
+
+def test_divisor_class_hash_agrees_with_equality():
+    lat = make_blowup_lattice(F1, 4)
+    built = [lat.f - lat.l(1) - lat.l(2), 2 * (lat.l(3) - lat.l(4)), -lat.s, lat.K - lat.K]
+    literal = [DivisorClass((0, 1, -1, -1, 0, 0)), DivisorClass((0, 0, 0, 0, 2, -2)),
+               DivisorClass((-1, 0, 0, 0, 0, 0)), DivisorClass((0,) * 6)]
+    table = {c: i for i, c in enumerate(built)}
+    for i, (b, c) in enumerate(zip(built, literal)):
+        assert b == c and hash(b) == hash(c) == hash(c.coords)
+        assert table[c] == i and c in set(built)
+    assert DivisorClass((1, 0)) not in {DivisorClass((0, 1))}

@@ -20,6 +20,7 @@ from picfold.moduli import (
     invariance_closed_form,
     invariance_direct,
     invariance_literal_c,
+    points_from_parameters,
     reconstruct_points,
     u_point,
 )
@@ -249,6 +250,22 @@ def test_reconstruction_round_trip(case):
             for cand in res.assignments:
                 assert folded_restriction(case, cand) == tuple(p_imgs)
             assert len(res.assignments) == res.kernel_size
+
+
+@pytest.mark.parametrize("case", ["B2", "C2", "G2"])
+@pytest.mark.parametrize("m1,m2,other", [(2, 2, (1, 4)), (3, 3, (1, 9))])
+def test_reconstruction_membership_matches_the_assignments(case, m1, m2, other):
+    sigma, elsewhere = make_sigma_model(m1, m2), make_sigma_model(*other)
+    for t in product(list(sigma.elements()), repeat=moduli.case_rank(case)):
+        pa = points_from_parameters(case, [t], sigma)[0]
+        res = reconstruct_points(case, folded_restriction(case, pa), sigma)
+        assert pa in res and pa in res.assignments
+        moved = _pa(sigma, sigma.add(pa.points[0], (0, 1)), *pa.points[1:])
+        assert moved not in res and moved not in res.assignments
+        foreign = PointAssignment(elsewhere, pa.points)
+        assert foreign not in res and foreign not in res.assignments
+        with pytest.raises(ValueError):
+            res.table[0, 0, 0] = 1
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,32 @@ def test_non_integral_reflection_reported(f1_4):
         reflection(f1_4, beta)
 
 
+def _reflect_error(lat, alpha):
+    """The error ``reflect`` raises at the first unit vector it cannot reflect."""
+    for i in range(lat.rank):
+        try:
+            reflect(lat, alpha, lat.unit(i))
+        except ValueError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def test_reflection_matrix_matches_reflect_column_by_column(f1_4, cubic):
+    f1_5 = make_blowup_lattice(F1, 5)
+    l, f = f1_4.l, f1_4.f
+    cases = [(f1_5, r) for r in root_sublattice(f1_5, [f1_5.K, f1_5.f])]  # D5
+    cases += [(cubic, r) for r in root_sublattice(cubic, [cubic.K])]  # E6
+    cases += [(f1_4, 2 * (f - l(1) - l(2))), (f1_4, 3 * (l(1) - l(2)))]
+    assert len(cases) == 40 + 72 + 2
+    for lat, alpha in cases:
+        cols = [reflect(lat, alpha, lat.unit(i)).coords for i in range(lat.rank)]
+        assert np.array_equal(reflection(lat, alpha).mat, np.array(cols).T)
+    for alpha in (f, f1_4.zero, f - 2 * l(2), l(1) - 3 * l(2)):  # isotropic, or not integral
+        with pytest.raises(ValueError) as exc:
+            reflection(f1_4, alpha)
+        assert _reflect_error(f1_4, alpha) == (exc.type, str(exc.value))
+
+
 def test_weyl_group_orders(f1_4, cubic):
     wd4 = weyl_generate(simple_reflections(standard_simple_system("D", f1_4), f1_4))
     assert len(wd4) == 192
