@@ -4,6 +4,10 @@ The restriction homomorphism is normalized by u(s) = u(f) = u(h) = 0 and
 u(l_i) = x_i; this is the convention forced by the displayed values of u
 on simple roots (for instance u(f - l1 - l2) = -x1 - x2).  Points live in
 a SigmaModel (or a SymbolicSigma for generic arguments).
+
+The folded Weyl group is the centralizer of the diagram automorphism in
+the ambient one, W(G) = W(G~)^sigma (Steinberg, *Endomorphisms of linear
+algebraic groups*, 1968); ``chi_injectivity_check`` certifies it per case.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .rootsys import (
     BudgetExceededError,
     basis_coordinates,
     restrict_to_basis,
+    row_keys,
     standard_simple_system,
     weyl_generate,  # noqa: F401 (perfbench/tracer.py binds it here by name)
 )
@@ -244,7 +249,27 @@ class ChiReport:
     counterexample: tuple | None
 
 
-_WALKED, _DOMAIN, _DONE = 1, 2, 4  # state bits of a point of Sigma^r'
+def conjugacy_class_walk(perm: np.ndarray, gens: np.ndarray):
+    """The class of perm under conjugation by the group of the involutions gens, level by level.
+
+    Returns (us, taus, edges): the class is {us[j] perm us[j]^-1} and taus[j] = us[j]^-1, so
+    the group is the disjoint union of the cosets C taus[j], C the centralizer of perm; edges
+    are index arrays (i, g, j), one entry per j and g, with gens[g] conjugating j into i.
+    """
+    conj, us = perm[None], np.eye(len(perm), dtype=np.int64)[None]
+    taus, index, edges, done = us, {perm.tobytes(): 0}, [], 0
+    while done < len(conj):
+        gen, src = (a.ravel() for a in np.indices((len(gens), len(conj) - done)))
+        src += done
+        ids = np.array([index.setdefault(key, len(index))
+                        for key in row_keys(gens[gen] @ conj[src] @ gens[gen])], dtype=np.int64)
+        edges.append((ids, gen, src))
+        fresh, at = np.unique(ids, return_index=True)
+        g, j = gen[at[fresh >= len(conj)]], src[at[fresh >= len(conj)]]
+        done = len(conj)
+        conj = np.concatenate([conj, gens[g] @ conj[j] @ gens[g]])
+        us, taus = np.concatenate([us, gens[g] @ us[j]]), np.concatenate([taus, taus[j] @ gens[g]])
+    return us, taus, tuple(map(np.concatenate, zip(*edges)))
 
 
 def chi_injectivity_check(case: str, sigma: SigmaModel,
@@ -256,25 +281,28 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     the folded Weyl group already does.  Budgeted; refuses rather than
     samples, since the value of the statement is exhaustiveness.
 
-    Points of Sigma^r' = (Z/m1)^r' x (Z/m2)^r', in the r' simple-root
-    coordinates, are integer codes c1 + m1^r' c2, each factor little-endian
-    with x2 the more significant half, so codes order tuples as digit rows
-    compared from the last digit of x2.  Every generator of each group (the
-    simple reflections of the big group, the folded generators of the small
-    one, restricted to the simple-root coordinates) is tabulated once as a
-    permutation of each factor's m^r' codes, so a frontier's images are two
-    gathers.  Each orbit is the breadth-first closure of a representative
-    under these tables, which is the set {w.v : w in W} since W is
-    generated by them.  One byte per point of Sigma^r' holds three bits:
-    walked (cleared after each walk), in the domain, and done (in the small
-    orbit of an earlier representative).  Domain tuples are visited in
-    product order, and the first orbit whose big orbit meets the domain
-    outside its small orbit is reported with the least such code.
+    In the r' simple-root coordinates of Sigma^r' the diagram automorphism
+    is a permutation matrix P, and the domain is the set of points P fixes.
+    Its centralizer C in W_big preserves the domain, and W_big is the union
+    of the cosets C tau, tau in T (``conjugacy_class_walk``), so the big
+    orbit of x meets the domain in the C-orbits of the tau x inside it.
+    A small generator that leaves the domain or W_big raises ``ValueError``
+    before any orbit is compared.  W_small = C is certified when its
+    generators commute with P and |W_small| |T| = |W_big|; otherwise the
+    C-orbits are labelled from the Schreier generators of C.  Orbits of
+    domain tuples (positions in product order) are labelled with their
+    least position by min-label propagation and pointer jumping, and T is
+    applied to these orbit representatives only.  The first representative
+    whose big orbit meets the domain outside its small orbit fails, with
+    the point there of least code c1 + m1^r' c2 (each factor little-endian,
+    x2 the more significant half) and the representatives checked so far.
 
     Two budget terms are checked against ``action_cap`` before anything
     is allocated: the domain size times |W_big|, read from the stabilizer
-    chain of W_big, and the walk's arrays, |Sigma|^r' state bytes plus one
-    table entry per generator and per point of each factor.
+    chain of W_big, and |Sigma|^r' plus one entry per generator and per
+    point of each factor, what an orbit walk over Sigma^r' would store.
+    Nothing that large is allocated, so the second term is conservative;
+    it is kept so that the same inputs run or refuse.
     """
     lat = case_lattice(case)
     rho = outer_automorphism(ambient_case(case), lat)
@@ -292,8 +320,7 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
         )
     mods = (sigma.m1, sigma.m2)
     sizes = [m**rprime for m in mods]
-    points = sigma.order**rprime
-    walk_entries = points + (len(w_big.mats) + len(w_small.mats)) * sum(sizes)
+    walk_entries = sigma.order**rprime + (len(w_big.mats) + len(w_small.mats)) * sum(sizes)
     if walk_entries > action_cap:
         raise BudgetExceededError(
             f"{walk_entries} orbit-walk entries ({sigma.order}^{rprime} states and the "
@@ -302,65 +329,60 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
 
     embed = basis_coordinates(np.array([r.coords for r in delta.roots], dtype=np.int64).T,
                               np.array([b.coords for b in basis], dtype=np.int64).T)  # (r', k)
+    coords = [np.array(list(product(range(m), repeat=k)), dtype=np.int64) for m in mods]
     weights = [m ** np.arange(rprime, dtype=np.int64) for m in mods]
-    size1 = sizes[0]
+    pts = [c @ embed.T % m for c, m in zip(coords, mods)]  # each factor's domain, (m^k, r')
+    codes = [p @ w for p, w in zip(pts, weights)]
+    where = [np.full(size, -1, dtype=np.int64) for size in sizes]  # code -> factor position
+    for at, c in zip(where, codes):
+        at[c] = np.arange(len(c))
+    n2 = len(codes[1])
 
-    def tables(group):
-        """Per factor, the (gens, m^r') codes of every generator's image of every code."""
-        g = restrict_to_basis(group.mats, delta.roots, lat).transpose(0, 2, 1)
-        out = []
-        for m, w, size in zip(mods, weights, sizes):
-            digits = np.arange(size, dtype=np.int64)[:, None] // w % m  # (m^r', r')
-            out.append(digits @ g % m @ w)
-        return out
+    def maps(mats):
+        """Per factor, the (N, m^k) positions of the domain's images under mats; -1 outside."""
+        return [at[p @ mats.transpose(0, 2, 1) % m @ w]
+                for at, p, m, w in zip(where, pts, mods, weights)]
 
-    state = np.zeros(points, dtype=np.uint8)
+    def labels(maps1, maps2):
+        """The least position of each domain tuple's orbit under the generators."""
+        gens = [(a[:, None] * n2 + b).ravel() for a, b in zip(maps1, maps2)]  # maps of positions
+        lab, prev = np.arange(domain_size), None
+        while not np.array_equal(lab, prev):
+            prev = lab
+            for p in gens:
+                lab = np.minimum(lab, lab[p])
+            while not np.array_equal(lab, jumped := lab[lab]):
+                lab = jumped
+        return lab
 
-    def orbit(v, t1, t2):
-        """The codes of the orbit of code v, marked walked while it is walked."""
-        frontier = np.array([v], dtype=np.int64)
-        state[frontier] |= _WALKED
-        levels = [frontier]
-        while frontier.size:
-            imgs = (t1[:, frontier % size1] + size1 * t2[:, frontier // size1]).ravel()
-            fresh = np.sort(imgs[state[imgs] & _WALKED == 0])  # sort and diff beat np.unique
-            first = np.ones(len(fresh), dtype=bool)
-            np.not_equal(fresh[1:], fresh[:-1], out=first[1:])
-            frontier = fresh[first]
-            state[frontier] |= _WALKED
-            levels.append(frontier)
-        codes = np.concatenate(levels)
-        state[codes] ^= _WALKED
-        return codes
+    small = restrict_to_basis(w_small.mats, delta.roots, lat)
+    small_maps = maps(small)
+    if any((m < 0).any() for m in small_maps):
+        raise ValueError(f"{case}: a small orbit leaves the domain part of its big orbit")
+    if not all(g in w_big for g in w_small.gens):
+        raise ValueError(f"{case}: the small group is not a subgroup of the big one")
+    lab = labels(*small_maps)
+    big = restrict_to_basis(w_big.mats, delta.roots, lat)
+    perm = np.eye(rprime, dtype=np.int64)[:, list(rho.permutation)]
+    us, taus, (ids, gen, src) = conjugacy_class_walk(perm, big)
+    certified = (np.array_equal(small @ perm, perm @ small)
+                 and len(w_small) * len(taus) == len(w_big))
+    clab = lab
+    if not certified:  # the orbits of C, from its distinct Schreier generators
+        clab = labels(*maps(np.unique(taus[ids] @ big[gen] @ us[src], axis=0)))
 
-    big, small = tables(w_big), tables(w_small)
-    # all domain tuples in product order, t = i1 * len(coords2) + i2
-    coords1 = np.array(list(product(range(mods[0]), repeat=k)), dtype=np.int64)
-    coords2 = np.array(list(product(range(mods[1]), repeat=k)), dtype=np.int64)
-    codes1 = coords1 @ embed.T % mods[0] @ weights[0]
-    codes2 = coords2 @ embed.T % mods[1] @ weights[1]
-    dom_codes = (codes1[:, None] + size1 * codes2[None, :]).ravel()
-    state[dom_codes] |= _DOMAIN
-
-    def pair(t):
-        """The domain tuple t as (coordinates mod m1, coordinates mod m2)."""
-        i1, i2 = divmod(t, len(coords2))
-        return tuple(coords1[i1]), tuple(coords2[i2])
-
-    orbits = 0
-    for t, code in enumerate(dom_codes.tolist()):
-        if state[code] & _DONE:
-            continue
-        orbits += 1
-        small_codes = orbit(code, *small)
-        state[small_codes] |= _DONE
-        big_codes = orbit(code, *big)
-        reached = big_codes[state[big_codes] & _DOMAIN != 0]
-        # earlier big orbits are disjoint from this one, so done here means in small_codes
-        outside = reached[state[reached] & _DONE == 0]
-        if len(outside):
-            y = int(np.flatnonzero(dom_codes == outside.min())[0])
-            return ChiReport(False, domain_size, len(w_big), orbits, (pair(t), pair(y)))
-        if len(reached) != len(small_codes):
-            raise ValueError(f"{case}: a small orbit leaves the domain part of its big orbit")
-    return ChiReport(True, domain_size, len(w_big), orbits, None)
+    reps = np.flatnonzero(lab == np.arange(domain_size))
+    t1, t2 = maps(taus)
+    a, b = t1[:, reps // n2], t2[:, reps % n2]
+    reached = np.sort(np.where((a >= 0) & (b >= 0), clab[a * n2 + b], domain_size), axis=0)
+    first = np.diff(reached, axis=0, prepend=-1) != 0
+    # met: the size of the big orbit on the domain; it holds the small one, so equal iff as big
+    met = (np.append(np.bincount(clab, minlength=domain_size), 0)[reached] * first).sum(axis=0)
+    bad = np.flatnonzero(met > np.bincount(lab, minlength=domain_size)[reps])
+    if not len(bad):
+        return ChiReport(True, domain_size, len(w_big), len(reps), None)
+    x = reps[bad[0]]
+    ys = np.flatnonzero(np.isin(clab, reached[:, bad[0]]) & (lab != x))
+    y = ys[np.argmin(codes[0][ys // n2] + sizes[0] * codes[1][ys % n2])]
+    return ChiReport(False, domain_size, len(w_big), int(bad[0]) + 1,
+                     tuple((tuple(coords[0][t // n2]), tuple(coords[1][t % n2])) for t in (x, y)))

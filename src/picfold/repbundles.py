@@ -29,11 +29,11 @@ from itertools import combinations
 
 import numpy as np
 
-from ._linalg import rational_solve
+from ._linalg import integer_left_inverse
 from .abelian import SigmaModel
 from .cases import case_spec, holds, point_relations
 from .folding import f4_short_roots, fixed_sublattice, outer_automorphism
-from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes
+from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes, gram_matrix
 from .moduli import PointAssignment, u_point
 
 
@@ -237,20 +237,22 @@ class F4RepDecomposition:
     kernel_det: tuple
 
 
-def _fixed_part_projection(lat: IntersectionLattice):
-    rho = outer_automorphism("E6", lat)
-    basis = fixed_sublattice(rho)
-    gram = [[lat.pair(a, b) for b in basis] for a in basis]
+def _fixed_part_projection(lat: IntersectionLattice, classes) -> list[DivisorClass]:
+    """Twice the orthogonal projection of each class onto the E6 folding's fixed sublattice.
 
-    def project_doubled(x: DivisorClass) -> DivisorClass:
-        rhs = [lat.pair(x, b) for b in basis]
-        sol = rational_solve(gram, rhs)
-        out = [2 * sum(c * b.coords[t] for c, b in zip(sol, basis)) for t in range(lat.rank)]
-        if any(v.denominator != 1 for v in out):
-            raise ValueError("doubled projection is not integral")
-        return DivisorClass(tuple(int(v) for v in out))
-
-    return project_doubled
+    With B the basis columns and G the lattice's Gram matrix,
+    ``integer_left_inverse`` gives L (B^T G B) = den I, and the doubled
+    projection of x is M x / den for M = 2 B L B^T G: one integer product
+    for all classes.  A remainder raises ``ValueError``.
+    """
+    basis = fixed_sublattice(outer_automorphism("E6", lat))
+    b = np.array([d.coords for d in basis], dtype=np.int64).T
+    left, den = integer_left_inverse(gram_matrix(lat, basis).tolist())
+    m = 2 * b @ np.array(left, dtype=np.int64) @ b.T @ np.array(lat.gram, dtype=np.int64)
+    num = m @ np.array([d.coords for d in classes], dtype=np.int64).T
+    if (num % den).any():
+        raise ValueError("doubled projection is not integral")
+    return [DivisorClass(tuple(col)) for col in (num // den).T.tolist()]
 
 
 def f4_rep_decomposition(lat: IntersectionLattice, pa: PointAssignment) -> F4RepDecomposition:
@@ -276,12 +278,10 @@ def f4_rep_decomposition(lat: IntersectionLattice, pa: PointAssignment) -> F4Rep
     if sum(zero_lines, lat.zero) != -lat.K:
         raise AssertionError("the three zero lines do not sum to -K")
 
-    project = _fixed_part_projection(lat)
     shorts = set(f4_short_roots(lat))
     lines = weight_bundle("lines", lat).summands
     short_map = {}
-    for e in lines:
-        img = project(e)
+    for e, img in zip(lines, _fixed_part_projection(lat, lines)):
         if e in zero_lines:
             if img != lat.zero:
                 raise AssertionError(f"projection of the zero line {e} is {img}")

@@ -186,6 +186,28 @@ def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
     assert "not reconstructed" in status["moduli.reconstruction.roundtrip"]["witness"]
 
 
+def test_chi_claims_fail_under_optimize_with_a_trivial_small_group():
+    # with W(G) replaced by the trivial group, both chi claims must fail under -O, and only they
+    code = (
+        "import json, sys\n"
+        "from picfold import cli, moduli\n"
+        "from picfold.rootsys import weyl_generate\n"
+        "moduli.folded_weyl_group = lambda case, lat, cap=10**6: weyl_generate([], rank=lat.rank)\n"
+        "rc = cli.main(['verify', 'moduli', '--format', 'json'])\n"
+        "sys.stdout.flush()\n"
+        "raise SystemExit(rc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+    assert [r for r, v in status.items() if v["status"] == "fail"] == [
+        "moduli.chi.injective.small", "moduli.chi.injective.F4"]
+    assert {v["status"] for r, v in status.items() if "chi" not in r} == {"pass"}
+    assert status["moduli.chi.injective.small"]["witness"].startswith("assertion failed: B2: ")
+
+
 def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
     # 9^4 domain tuples x |W(E6)| = 340,122,240 exceeds the default action cap of 10^8
     out = tmp_path / "r.json"

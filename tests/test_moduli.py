@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picfold import moduli
 from picfold.abelian import SymbolicSigma, make_sigma_model
@@ -14,6 +16,7 @@ from picfold.moduli import (
     case_lattice,
     case_system_matrix,
     chi_injectivity_check,
+    conjugacy_class_walk,
     fixed_components,
     folded_restriction,
     invariance_agreement_exhaustive,
@@ -26,6 +29,7 @@ from picfold.moduli import (
 )
 from picfold.rootsys import (
     BudgetExceededError,
+    WeylElement,
     decompose_in_basis,
     restrict_to_basis,
     simple_reflections,
@@ -311,8 +315,9 @@ def test_chi_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert (rep.passed, rep.domain_size, rep.orbits_checked) == (True, 6561, 40)
-    # one int64 per point of Sigma^6 alone would take 4.05 MiB
-    assert peak < 4 * 2**20
+    # nothing sized |Sigma|^6 = 531,441 is allocated: the domain state is a few int64
+    # vectors of 6,561 entries, and coordinates are taken per factor, not per domain tuple
+    assert peak < 2 * 2**20
 
 
 def _encode(arrs, base):
@@ -407,3 +412,70 @@ def test_chi_forced_failure_matches_full_group(case, m1, m2, monkeypatch):
     rep = chi_injectivity_check(case, sigma)
     assert not rep.passed and rep.counterexample is not None
     assert rep == full_group_chi_check(case, sigma)
+
+
+@pytest.mark.parametrize(
+    "case,class_size",
+    [("B2", 3), ("B3", 4), ("B4", 5), ("B5", 6), ("C2", 3), ("C3", 15), ("C4", 105),
+     ("G2", 16), ("F4", 45)],
+)
+def test_folded_group_is_the_centralizer_of_sigma(case, class_size):
+    # the certificate of chi_injectivity_check: W(G) commutes with sigma and has the
+    # order of its centralizer, |W(G~)| / |class of sigma|
+    lat = case_lattice(case)
+    rho = moduli.outer_automorphism(moduli.ambient_case(case), lat)
+    w_big, w_small = moduli.ambient_weyl_group(case, lat), moduli.folded_weyl_group(case, lat)
+    big, small = (restrict_to_basis(g.mats, rho.simple_system.roots, lat) for g in (w_big, w_small))
+    perm = np.eye(len(rho.permutation), dtype=np.int64)[:, list(rho.permutation)]
+    assert (small @ perm == perm @ small).all()
+    us, taus, (ids, gen, src) = conjugacy_class_walk(perm, big)
+    assert len(taus) == class_size
+    assert (taus @ us == np.eye(len(perm), dtype=np.int64)).all()
+    assert (big[gen] @ us[src] @ perm @ taus[src] @ big[gen] == us[ids] @ perm @ taus[ids]).all()
+    assert class_size * len(w_small) == len(w_big)
+
+
+def _drop_generator(monkeypatch, drop):
+    """Monkeypatch the small group to the one of every folded generator but ``drop``."""
+    folded = moduli.folded_weyl_group
+
+    def fewer(case, lat, cap=10**6):
+        gens = folded(case, lat, cap).gens
+        return weyl_generate([g for i, g in enumerate(gens) if i != drop], rank=lat.rank)
+
+    monkeypatch.setattr(moduli, "folded_weyl_group", fewer)
+    return folded
+
+
+@pytest.mark.parametrize("case,drop", [("B3", 0), ("B3", 2), ("F4", 1), ("F4", 3)])
+def test_chi_with_a_proper_subgroup_matches_full_group(case, drop, monkeypatch):
+    # a nontrivial proper subgroup of the centralizer fails the certificate: the
+    # centralizer's orbits then come from its Schreier generators
+    folded = _drop_generator(monkeypatch, drop)
+    lat, sigma = case_lattice(case), make_sigma_model(2, 2)
+    assert 1 < len(moduli.folded_weyl_group(case, lat)) < len(folded(case, lat))
+    rep = chi_injectivity_check(case, sigma)
+    assert not rep.passed
+    assert rep == full_group_chi_check(case, sigma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("B2", "C2", "G2")),
+       st.sampled_from([(m1, m2) for m1 in range(1, 9) for m2 in range(m1, 9)
+                        if m2 % m1 == 0 and m1 * m2 <= 8]),
+       st.sampled_from((None, 0, 1)))
+def test_chi_matches_full_group_over_small_sigma(case, m, drop):
+    # the certified path (drop None) and the Schreier path (one folded generator dropped)
+    sigma = make_sigma_model(*m)
+    with pytest.MonkeyPatch.context() as mp:
+        if drop is not None:
+            _drop_generator(mp, drop)
+        assert chi_injectivity_check(case, sigma) == full_group_chi_check(case, sigma)
+
+
+def test_chi_refuses_a_small_group_outside_the_big_one(monkeypatch):
+    # -1 preserves the domain and commutes with sigma, but is not in W(A3)
+    monkeypatch.setattr(moduli, "folded_weyl_group", lambda case, lat, cap=10**6: weyl_generate(
+        [WeylElement.from_matrix(-np.eye(lat.rank, dtype=np.int64))]))
+    with pytest.raises(ValueError, match="not a subgroup of the big one"):
+        chi_injectivity_check("B2", make_sigma_model(2, 2))

@@ -8,7 +8,9 @@ import pytest
 from picfold import abelian, repbundles
 from picfold.abelian import SigmaModel, SymbolicSigma, make_sigma_model
 from picfold.cases import case_spec, holds, point_relations
+from picfold._linalg import rational_solve
 from picfold.configs import enumerate_exceptional_systems
+from picfold.folding import fixed_sublattice, outer_automorphism
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.moduli import PointAssignment, invariance_agreement_exhaustive, u_point
 from picfold.repbundles import (
@@ -211,6 +213,18 @@ def test_f4_rep_decomposition(cubic):
     bad = PointAssignment(sigma, ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)))
     with pytest.raises(ConstraintViolatedError):
         f4_rep_decomposition(cubic, bad)
+
+
+def test_fixed_part_projection_matches_rational_solve(cubic):
+    # oracle: solve the basis Gram system over Q for each line, then double the projection
+    lines = weight_bundle("lines", cubic).summands
+    basis = fixed_sublattice(outer_automorphism("E6", cubic))
+    gram = [[cubic.pair(a, b) for b in basis] for a in basis]
+    for line, img in zip(lines, repbundles._fixed_part_projection(cubic, lines)):
+        sol = rational_solve(gram, [cubic.pair(line, b) for b in basis])
+        want = [2 * sum(c * b.coords[t] for c, b in zip(sol, basis)) for t in range(cubic.rank)]
+        assert all(v.denominator == 1 for v in want)
+        assert img.coords == tuple(int(v) for v in want)
 
 
 def test_f4_decomposition_symbolic(cubic):
