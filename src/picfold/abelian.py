@@ -9,19 +9,24 @@ small prime field by brute-force point enumeration.
 Every exhaustive check over point tuples walks Sigma^k in bounded chunks
 through one generator, ``SigmaModel.form_chunks``.
 
-Integer linear systems over a SigmaModel are solved through the Smith
-normal form, one cyclic factor at a time.
+Integer linear systems A x = b over a SigmaModel are solved through the
+Smith normal form, both cyclic factors at once, for a whole (n, nrows, 2)
+stack of right-hand sides b (``solve_group_stack``); a single b is the
+one-row case (``solve_group_system``).  What depends only on (A, m1, m2),
+U^-1 and V^-1 reduced mod each factor, the invariant orders gcd(d_i, m)
+and the sorted homogeneous solution table, is computed once and cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
 import numpy as np
 
 from ._linalg import smith_normal_form as _snf_raw
+from .rootsys import BudgetExceededError
 
 GroupElement = tuple[int, int]
 
@@ -278,6 +283,25 @@ class GroupSolveResult:
         return iter(self.solutions or ())
 
 
+@dataclass(frozen=True, eq=False)
+class GroupSolveStack:
+    """The solutions of A x = b for a stack of n right-hand sides b.
+
+    ``solvable`` is (n,) bool and ``particular`` (n, ncols, 2) int64, one solution
+    per solvable b (its rows for an unsolvable b mean nothing).  ``table`` holds
+    every solution of every solvable b, (N, ncols, 2) with N = kernel_size times
+    the solvable count, block by block in the order of b: row k of a block is its
+    particular solution plus row k of the sorted homogeneous table.  ``image`` (N,)
+    is the index of the b each row solves.
+    """
+
+    solvable: np.ndarray
+    particular: np.ndarray
+    kernel_size: int
+    table: np.ndarray
+    image: np.ndarray
+
+
 @lru_cache(maxsize=1024)
 def _smith_data(a: tuple[tuple[int, ...], ...]):
     """(d, U^-1, V^-1) of A = U S V as tuples; d is padded with zeros to the column count."""
@@ -287,69 +311,129 @@ def _smith_data(a: tuple[tuple[int, ...], ...]):
     return d, tuple(map(tuple, dec.uinv)), tuple(map(tuple, dec.vinv))
 
 
-def _cyclic_particular(d, uinv, rhs, m: int):
-    """One solution of A x = rhs over Z/m in y = V x coordinates, or None.
+class _SolverData:
+    """What solving A x = b over Z/m1 x Z/m2 reads that depends on (A, m1, m2) only.
 
-    With c = U^-1 rhs, coordinate i solves d_i y_i = c_i mod m: for
-    g = gcd(d_i, m) it has g solutions, m/g apart, when g divides c_i.
-    Rows past the column count need c_i = 0 mod m.
+    Arrays are int64 with a leading axis of length 2, one entry per factor m:
+    ``uinv`` is U^-1 mod m, padded with zero rows to max(nrows, ncols) rows;
+    ``vinv`` is V^-1 mod m; ``orders`` holds g_i = gcd(d_i, m), and m on the rows
+    past the column count, where c_i = 0 is needed; ``steps`` holds m / g_i and
+    ``units`` the inverse of d_i / g_i mod m / g_i (0 where m / g_i = 1).  All
+    are read-only; the homogeneous table is built on first use.
     """
-    c = [sum(u * r for u, r in zip(row, rhs)) % m for row in uinv]
-    if any(c[len(d):]):
-        return None
-    y = []
-    for i, di in enumerate(d):
-        ci, g = (c[i] if i < len(c) else 0), gcd(di, m)
-        if ci % g:
-            return None
-        step = m // g
-        y.append(ci // g * pow(di // g, -1, step) % step if step > 1 else 0)
-    return y
+
+    def __init__(self, a, m1: int, m2: int):
+        nrows = len(a)
+        self.ncols = ncols = len(a[0]) if nrows else 0
+        if m2 * m2 * max(nrows, ncols) >= 1 << 62:
+            raise OverflowError(f"solutions mod {m2} of {nrows} x {ncols} systems could exceed 2^62")
+        d, uinv, vinv = _smith_data(a)
+        self.mods = mods = (m1, m2)
+        orders = [[gcd(di, m) for di in d] + [m] * (nrows - ncols) for m in mods]
+        self.kernel_size = prod(orders[0][:ncols]) * prod(orders[1][:ncols])
+        pad = [(0,) * nrows] * (ncols - nrows)
+        self.uinv = np.array([[[u % m for u in row] for row in uinv + tuple(pad)] for m in mods],
+                             dtype=np.int64).reshape(2, len(orders[0]), nrows)
+        self.vinv = np.array([[[v % m for v in row] for row in vinv] for m in mods],
+                             dtype=np.int64).reshape(2, ncols, ncols)
+        self.orders = np.array(orders, dtype=np.int64).reshape(2, -1, 1)
+        self.steps = np.array(mods, dtype=np.int64).reshape(2, 1, 1) // self.orders[:, :ncols]
+        self.units = np.array([[pow(di // g, -1, m // g) if g < m else 0
+                                for di, g in zip(d, gs)] for gs, m in zip(orders, mods)],
+                              dtype=np.int64).reshape(2, ncols, 1)
+        for arr in (self.uinv, self.vinv, self.orders, self.steps, self.units):
+            arr.flags.writeable = False  # cached and shared (_solver_data)
+
+    def particular(self, b: np.ndarray):
+        """(solvable, particular) for b, an (n, nrows, 2) stack of right-hand sides.
+
+        With c = U^-1 b mod m, coordinate i solves d_i y_i = c_i mod m, which has
+        g_i solutions m / g_i apart when g_i divides c_i; x = V^-1 y mod m.
+        """
+        mods = np.array(self.mods, dtype=np.int64).reshape(2, 1, 1)
+        c = self.uinv @ (b.transpose(2, 1, 0) % mods) % mods  # (2, rows, n)
+        solvable = ~(c % self.orders).any(axis=(0, 1))
+        y = c[:, :self.ncols] // self.orders[:, :self.ncols] * self.units % self.steps
+        return solvable, (self.vinv @ y % mods).transpose(2, 1, 0)
+
+    def solutions(self, particular: np.ndarray) -> np.ndarray:
+        """(n, kernel_size, ncols, 2): each particular solution plus the homogeneous table."""
+        return (particular[:, None] + self.kernel[None]) % np.array(self.mods, dtype=np.int64)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The read-only (kernel_size, ncols, 2) table of solutions of A x = 0, sorted.
+
+        Per factor: V^-1 applied to every combination of the steps m / g_i, in
+        one int64 matmul; the factors are paired, sorted and checked distinct.
+        """
+        ncols, cosets = self.ncols, []
+        for vinv, g, step, m in zip(self.vinv, self.orders[:, :ncols, 0], self.steps, self.mods):
+            ticks = np.indices(tuple(g.tolist())).reshape(ncols, -1)
+            cosets.append((vinv @ (step * ticks) % m).T)
+        c1, c2 = cosets
+        flat = np.stack([np.repeat(c1, len(c2), axis=0), np.tile(c2, (len(c1), 1))],
+                        axis=2).reshape(self.kernel_size, 2 * ncols)
+        flat = flat[np.lexsort(flat.T[::-1])]
+        distinct = 1 + int(np.count_nonzero((flat[1:] != flat[:-1]).any(axis=1)))
+        if distinct != self.kernel_size:
+            raise AssertionError(f"{distinct} distinct solutions, kernel size {self.kernel_size}")
+        table = flat.reshape(self.kernel_size, ncols, 2)
+        table.flags.writeable = False
+        return table
+
+
+@lru_cache(maxsize=1024)
+def _solver_data(a: tuple[tuple[int, ...], ...], m1: int, m2: int) -> _SolverData:
+    return _SolverData(a, m1, m2)
+
+
+def solve_group_stack(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> GroupSolveStack:
+    """Solve A x = b over the group for each b of rhs, an (n, nrows, 2) stack.
+
+    Everything that depends on (A, m1, m2) alone is cached (``_solver_data``):
+    the Smith form, U^-1 and V^-1 reduced mod each factor, the invariant
+    orders gcd(d_i, m) and the sorted homogeneous table.  The stack itself
+    costs a few int64 operations: c = U^-1 b mod m, one solvability mask,
+    the particular solutions and (particular + homogeneous) mod m.
+    ``OverflowError`` is raised when max(nrows, ncols) * m^2 could reach
+    2^62.  When some b is solvable and the kernel is larger than
+    ``enumerate_cap``, ``BudgetExceededError`` is raised before the table is
+    built: the cap refuses, it never truncates.
+    """
+    data = _solver_data(tuple(map(tuple, a)), sigma.m1, sigma.m2)
+    b = np.asarray(rhs, dtype=np.int64)
+    if b.ndim != 3 or b.shape[1:] != (len(a), 2):
+        raise ValueError(f"need an (n, {len(a)}, 2) stack of right-hand sides, not {b.shape}")
+    solvable, particular = data.particular(b)
+    image = np.flatnonzero(solvable)
+    if len(image) and data.kernel_size > enumerate_cap:
+        raise BudgetExceededError(
+            f"{data.kernel_size} solutions per image exceed the enumerate cap {enumerate_cap}")
+    table = (data.solutions(particular[image]).reshape(-1, data.ncols, 2) if len(image)
+             else np.zeros((0, data.ncols, 2), dtype=np.int64))
+    return GroupSolveStack(solvable, particular, data.kernel_size, table,
+                           np.repeat(image, data.kernel_size))
 
 
 def solve_group_system(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> GroupSolveResult:
     """Solve A x = rhs over the group, where A is an integer matrix.
 
-    rhs is a vector of group elements.  Solvability, one particular
-    solution, and the kernel size come from the Smith normal form, computed
-    once per matrix and cached as tuples.  Within the cap, each cyclic
-    factor's solutions, y plus every combination of kernel steps, go
-    through V^-1 mod m in one int64 matmul (V^-1 is reduced first: its
-    entries reach 2^62), so ``OverflowError`` is raised when ncols * m^2
-    could reach 2^62.  The factors are paired and sorted into the table.
+    rhs is a vector of group elements: the one-row case of
+    ``solve_group_stack``, with the same cached data and overflow guard.
+    Past ``enumerate_cap`` the result keeps the particular solution and the
+    kernel size and has no table; within it, the table is sorted.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if len(rhs) != nrows:
+    if len(rhs) != len(a):
         raise ValueError("rhs length does not match the matrix")
-    if sigma.m2 * sigma.m2 * ncols >= 1 << 62:
-        raise OverflowError(f"solutions mod {sigma.m2} in {ncols} unknowns could exceed 2^62")
-    d, uinv, vinv = _smith_data(tuple(map(tuple, a)))
-    mods = (sigma.m1, sigma.m2)
-    orders = [[gcd(di, m) for di in d] for m in mods]
-    kernel_size = prod(orders[0]) * prod(orders[1])
-    ys = [_cyclic_particular(d, uinv, [pt[k] for pt in rhs], m) for k, m in enumerate(mods)]
-    if None in ys:
-        return GroupSolveResult(False, None, kernel_size, None)
-
-    vinv_mod = [np.array([[v % m for v in row] for row in vinv], dtype=np.int64) for m in mods]
-    x1, x2 = (vm @ np.array(y, dtype=np.int64) % m for vm, y, m in zip(vinv_mod, ys, mods))
-    particular = tuple(zip(x1.tolist(), x2.tolist()))
-    if kernel_size > enumerate_cap:
-        return GroupSolveResult(True, particular, kernel_size, None)
-
-    cosets = []  # per factor, (K, ncols): every solution mod m
-    for vm, y, g, m in zip(vinv_mod, ys, orders, mods):
-        ticks = np.indices(g).reshape(ncols, prod(g))
-        steps = m // np.array(g, dtype=np.int64).reshape(ncols, 1)
-        cosets.append((vm @ (np.array(y, dtype=np.int64).reshape(ncols, 1) + steps * ticks) % m).T)
-    c1, c2 = cosets
-    flat = np.stack([np.repeat(c1, len(c2), axis=0), np.tile(c2, (len(c1), 1))],
-                    axis=2).reshape(kernel_size, 2 * ncols)
-    flat = flat[np.lexsort(flat.T[::-1])]
-    distinct = 1 + int(np.count_nonzero((flat[1:] != flat[:-1]).any(axis=1)))
-    if distinct != kernel_size:
-        raise AssertionError(f"{distinct} distinct solutions, kernel size {kernel_size}")
-    table = flat.reshape(kernel_size, ncols, 2)
+    data = _solver_data(tuple(map(tuple, a)), sigma.m1, sigma.m2)
+    solvable, particular = data.particular(np.array(rhs, dtype=np.int64).reshape(1, len(a), 2))
+    if not solvable[0]:
+        return GroupSolveResult(False, None, data.kernel_size, None)
+    solution = tuple(map(tuple, particular[0].tolist()))
+    if data.kernel_size > enumerate_cap:
+        return GroupSolveResult(True, solution, data.kernel_size, None)
+    table = data.solutions(particular)[0]
+    table = table[np.lexsort(table.reshape(len(table), -1).T[::-1])]
     table.flags.writeable = False
-    return GroupSolveResult(True, particular, kernel_size, table)
+    return GroupSolveResult(True, solution, data.kernel_size, table)

@@ -3,10 +3,13 @@
 Runs named suites of finite checks and emits human-readable or
 machine-readable certificates.  Claim ids are stable strings (the
 ``_suite_*`` builders below list them, suite by suite); two runs with the
-same configuration produce identical reports apart from timings.
+same configuration produce identical reports apart from timings, and
+``picfold report diff A.json B.json`` checks that of two JSON reports.
 
 Exit codes: 0 all claims pass (or are skipped), 1 at least one claim
-failed, 2 usage or configuration error.
+failed, 2 usage or configuration error.  ``report diff`` exits 0 when the
+reports differ only in ``ms``, 1 when they differ (it names the first
+claim id that does, or ``run``) and 2 when a report cannot be read.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import factorial
 
 import numpy as np
@@ -459,25 +463,24 @@ def _suite_moduli(cfg: RunConfig):
         rng = random.Random(20240801)
         out = {}
         for case in ("B2", "B3", "C2", "G2", "F4"):
-            hits = 0
-            for _ in range(20):
-                pa = _random_admissible(case, sigma, rng)
-                res = moduli.reconstruct_points(case, moduli.folded_restriction(case, pa), sigma)
-                check(res.solvable and pa in res,
-                      f"{case}: {pa.points} not reconstructed")
-                hits += 1
-            out[case] = hits
+            x = _random_admissible(case, sigma, rng, 20)
+            res = moduli.reconstruct_points(case, moduli.folded_images(case, x, sigma), sigma)
+            missing = np.flatnonzero(~res.contains(x))
+            if len(missing):
+                points = tuple(map(tuple, x[missing[0]].tolist()))
+                raise CheckFailed(f"{case}: {points} not reconstructed")
+            out[case] = len(x)
         return out
 
     claims.append(("moduli.reconstruction.roundtrip", round_trip))
     return claims
 
 
-def _random_admissible(case, sigma, rng):
-    """x = P t for rank random group elements t, drawn in order."""
+def _random_admissible(case, sigma, rng, count):
+    """x = P t for count draws of rank random group elements t, drawn in order: (count, npoints, 2)."""
     els = list(sigma.elements())
-    t = [rng.choice(els) for _ in range(moduli.case_rank(case))]
-    return moduli.points_from_parameters(case, [t], sigma)[0]
+    t = [[rng.choice(els) for _ in range(moduli.case_rank(case))] for _ in range(count)]
+    return moduli.point_table(case, np.array(t, dtype=np.int64).reshape(count, -1, 2), sigma)
 
 
 def _suite_liealg(cfg: RunConfig):
@@ -612,11 +615,45 @@ def _jsonable(obj):
     return str(obj)
 
 
+def report_difference(a: dict, b: dict) -> str | None:
+    """Where two JSON reports first differ apart from ``ms``: "run", a claim id, or None."""
+    if a.get("run") != b.get("run"):
+        return "run"
+    for x, y in zip_longest(a["results"], b["results"], fillvalue={}):
+        if {k: v for k, v in x.items() if k != "ms"} != {k: v for k, v in y.items() if k != "ms"}:
+            return x.get("id", y.get("id"))
+    return None
+
+
+def _report_diff(paths) -> int:
+    try:
+        docs = []
+        for path in paths:
+            with open(path, encoding="utf-8") as fh:
+                docs.append(json.load(fh))
+    except (OSError, ValueError) as exc:
+        print(f"cannot read report: {exc}", file=sys.stderr)
+        return 2
+    if not all(isinstance(d, dict) and isinstance(d.get("results"), list)
+               and all(isinstance(r, dict) for r in d["results"]) for d in docs):
+        print("cannot read report: not a JSON report of picfold verify", file=sys.stderr)
+        return 2
+    where = report_difference(*docs)
+    if where is None:
+        print("reports differ only in ms")
+        return 0
+    print(f"reports differ at {where}")
+    return 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="picfold", description="exact verification suites"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report = sub.add_parser("report", help="compare JSON reports")
+    report.add_argument("action", choices=("diff",))
+    report.add_argument("reports", nargs=2, metavar="REPORT")
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=SUITES + ("all",))
     verify.add_argument("--sigma", help="m1,m2 for the finite group model")
@@ -627,6 +664,8 @@ def main(argv=None) -> int:
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", help="write the report to a file")
     args = parser.parse_args(argv)
+    if args.command == "report":
+        return _report_diff(args.reports)
 
     try:
         values = load_config_file(args.config) if args.config else {}

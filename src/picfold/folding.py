@@ -69,13 +69,15 @@ class OuterAutomorphism:
         return out
 
 
+@lru_cache(maxsize=None)
 def outer_automorphism(case: str, lat: IntersectionLattice) -> OuterAutomorphism:
-    """The folding automorphism for the A, D, E6 or D4-triality case.
+    """The folding automorphism for the A, D, E6 or D4-triality case, built once.
 
     Index conventions follow the simple systems of standard_simple_system:
     the A chain is reversed; the D fork ends (first two roots) swap; for
     the cubic-surface E6 labelling the two chain ends swap (1<->6, 2<->5);
-    triality cycles the three D4 fork ends.
+    triality cycles the three D4 fork ends.  The Cartan-matrix check runs
+    once per (case, lat); callers share the frozen result.
     """
     if case == "A":
         delta = standard_simple_system("A", lat)
@@ -169,8 +171,9 @@ def _weyl_group(case: str, lat: IntersectionLattice, cap: int, folded: bool) -> 
     return weyl_generate(gens, cap=cap)
 
 
+@lru_cache(maxsize=None)
 def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:
-    """Integral basis of the automorphism-fixed part of the root lattice.
+    """Integral basis of the automorphism-fixed part of the root lattice, computed once per rho.
 
     Computed as the integer kernel of (P - id) in simple-root
     coordinates, so the result is a saturated sublattice.

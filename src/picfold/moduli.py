@@ -8,6 +8,12 @@ a SigmaModel (or a SymbolicSigma for generic arguments).
 The folded Weyl group is the centralizer of the diagram automorphism in
 the ambient one, W(G) = W(G~)^sigma (Steinberg, *Endomorphisms of linear
 algebraic groups*, 1968); ``chi_injectivity_check`` certifies it per case.
+
+Point tables are int64 arrays: x = P t (``point_table``) maps an
+(n, rank, 2) stack of parameters to (n, npoints, 2) points, M x
+(``folded_images``) maps points to (n, rank, 2) folded restriction data,
+and ``reconstruct_points`` inverts M P t for a whole stack of images in one
+call, on the solver data ``abelian`` caches per (M P, m1, m2).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .abelian import SigmaModel, SymbolicSigma, solve_group_system
+from .abelian import SigmaModel, SymbolicSigma, solve_group_stack
 from .cases import ambient_case, case_lattice, case_rank, case_spec, holds, point_relations
 from .folding import ambient_weyl_group, fixed_sublattice, folded_weyl_group, outer_automorphism
 from .lattice import DivisorClass, IntersectionLattice
@@ -52,7 +58,7 @@ class PointAssignment:
         return self
 
 
-def _point_table(case: str, t: np.ndarray, sigma: SigmaModel) -> np.ndarray:
+def point_table(case: str, t: np.ndarray, sigma: SigmaModel) -> np.ndarray:
     """x = P t mod (m1, m2): an (n, rank, 2) int64 table of parameters to (n, npoints, 2)."""
     return np.array(case_spec(case).points, dtype=np.int64) @ t % np.array([sigma.m1, sigma.m2])
 
@@ -64,7 +70,7 @@ def _assignments(sigma: SigmaModel, x: np.ndarray) -> list[PointAssignment]:
 def points_from_parameters(case: str, params, sigma: SigmaModel) -> list[PointAssignment]:
     """The admissible assignments x = P t, one for each tuple t of free parameters."""
     t = np.array(params, dtype=np.int64).reshape(len(params), case_rank(case), 2)
-    return _assignments(sigma, _point_table(case, t, sigma))
+    return _assignments(sigma, point_table(case, t, sigma))
 
 
 def u_point(lat: IntersectionLattice, pa: PointAssignment, d: DivisorClass):
@@ -186,34 +192,69 @@ class ReconstructionResult:
         return bool((self.table == np.array(pa.points, dtype=np.int64)).all(axis=(1, 2)).any())
 
 
+@dataclass(frozen=True, eq=False)
+class ReconstructionStack:
+    """The assignments x = P t that solve a stack of n reconstruction systems.
+
+    ``table`` is a read-only (N, npoints, 2) int64 array of points, block by
+    block in the order of the images, each block sorted by points; ``image``
+    (N,) is the index of the image each row solves, ``solvable`` is (n,) bool.
+    """
+
+    solvable: np.ndarray
+    kernel_size: int
+    sigma: SigmaModel
+    table: np.ndarray
+    image: np.ndarray
+
+    def block(self, i: int) -> ReconstructionResult:
+        """The result for image i alone."""
+        lo, hi = np.searchsorted(self.image, [i, i + 1]).tolist()
+        return ReconstructionResult(bool(self.solvable[i]), self.kernel_size, self.sigma,
+                                    self.table[lo:hi])
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        """(n,) bool: whether row i of the (n, npoints, 2) point table x is in block i."""
+        hit = (self.table == x[self.image]).all(axis=(1, 2))
+        return np.bincount(self.image[hit], minlength=len(x)) > 0
+
+
 def reconstruct_points(case: str, p_images, sigma: SigmaModel,
-                       enumerate_cap: int = 4096) -> ReconstructionResult:
+                       enumerate_cap: int = 4096) -> ReconstructionResult | ReconstructionStack:
     """Recover all point assignments whose folded restriction data is p_images.
 
-    Solves M P t = p_images over the group (``solve_group_system``, which
-    caches the Smith form of M P), maps the solution table through P in
-    one matmul mod (m1, m2) and sorts the rows by points.  Raises
-    BudgetExceededError when the solution set is larger than
-    ``enumerate_cap``, rather than return part of it.
+    p_images is one image, rank points, or an (n, rank, 2) stack of them;
+    the result is a ``ReconstructionResult`` or a ``ReconstructionStack``.
+    Solves M P t = p_images over the group for the whole stack at once
+    (``solve_group_stack``, which caches the Smith form of M P, its reduced
+    inverses and the homogeneous solutions), maps every solution through P
+    in one matmul mod (m1, m2) and sorts each image's block by points (one
+    lexsort, keyed on the image index first).  Raises BudgetExceededError
+    when the solution set of an image is larger than ``enumerate_cap``,
+    rather than return part of it.
     """
     rank = case_rank(case)
-    if len(p_images) != rank:
+    imgs = np.asarray(p_images, dtype=np.int64)
+    stacked = imgs.ndim == 3
+    if imgs.shape[stacked:] != (rank, 2):
         raise ValueError(f"{case} expects {rank} image points")
-    res = solve_group_system(case_system_matrix(case), list(p_images), sigma,
-                             enumerate_cap=enumerate_cap)
-    if res.solvable and res.table is None:
-        raise BudgetExceededError(
-            f"{case}: {res.kernel_size} solutions exceed the enumerate cap {enumerate_cap}")
-    t = res.table if res.solvable else np.zeros((0, rank, 2), dtype=np.int64)
-    x = _point_table(case, t, sigma)
-    x = x[np.lexsort(x.reshape(len(x), 2 * x.shape[1]).T[::-1])]
+    res = solve_group_stack(case_system_matrix(case), imgs.reshape(-1, rank, 2), sigma,
+                            enumerate_cap=enumerate_cap)
+    x = point_table(case, res.table, sigma)
+    x = x[np.lexsort(np.vstack([x.reshape(len(x), 2 * x.shape[1]).T[::-1], res.image]))]
     x.flags.writeable = False
-    return ReconstructionResult(res.solvable, res.kernel_size, sigma, x)
+    out = ReconstructionStack(res.solvable, res.kernel_size, sigma, x, res.image)
+    return out if stacked else out.block(0)
 
 
 def folded_restriction(case: str, pa: PointAssignment):
     """The images of the folded simple system under restriction."""
     return tuple(pa.sigma.combine(c, pa.points) for c in _folded_simple_coeffs(case))
+
+
+def folded_images(case: str, x: np.ndarray, sigma: SigmaModel) -> np.ndarray:
+    """M x mod (m1, m2): the folded restriction of an (n, npoints, 2) point table, (n, rank, 2)."""
+    return np.array(_folded_simple_coeffs(case), dtype=np.int64) @ x % np.array([sigma.m1, sigma.m2])
 
 
 def invariance_agreement_exhaustive(case: str, sigma: SigmaModel) -> int:

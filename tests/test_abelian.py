@@ -16,6 +16,7 @@ from picfold.abelian import (
     solve_group_system,
     weierstrass_group,
 )
+from picfold.rootsys import BudgetExceededError
 
 
 def test_model_basics():
@@ -293,3 +294,66 @@ def test_solver_refuses_moduli_that_could_overflow():
     with pytest.raises(OverflowError):
         solve_group_system([[1, 0]], [(0, 0)], make_sigma_model(1, 2**31))
     assert solve_group_system([[1]], [(0, 5)], make_sigma_model(1, 2**30)).solution == ((0, 5),)
+
+
+_STACK_GROUPS = [(m1, m2) for m2 in range(1, 13) for m1 in range(1, m2 + 1)
+                 if m2 % m1 == 0 and m1 * m2 <= 12]
+
+
+@st.composite
+def _stacked_systems(draw):
+    """(sigma, A, rhs): A is 1-3 x 1-3 (2 columns past |Sigma| = 6, to bound the brute force),
+    rhs a batch of 1-5 right-hand sides, each A x0 for a drawn x0 or drawn outright."""
+    sigma = make_sigma_model(*draw(st.sampled_from(_STACK_GROUPS)))
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3 if sigma.order <= 6 else 2))
+    a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    point = st.sampled_from(list(sigma.elements()))
+    rhs = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            x0 = draw(st.lists(point, min_size=ncols, max_size=ncols))
+            rhs.append([sigma.combine(row, x0) for row in a])
+        else:
+            rhs.append(draw(st.lists(point, min_size=nrows, max_size=nrows)))
+    return sigma, a, rhs
+
+
+def _rows(table):
+    return sorted(tuple(map(tuple, rows)) for rows in table.tolist())
+
+
+@settings(max_examples=120, deadline=None)
+@given(_stacked_systems())
+def test_stacked_solver_matches_brute_force_and_the_one_row_solver(system):
+    sigma, a, rhs = system
+    stack = abelian.solve_group_stack(a, rhs, sigma)
+    assert stack.solvable.shape == (len(rhs),) and len(stack.table) == len(stack.image)
+    for i, b in enumerate(rhs):
+        one, brute = solve_group_system(a, b, sigma), _brute_solutions(a, b, sigma)
+        assert bool(stack.solvable[i]) == one.solvable == bool(brute)
+        assert stack.kernel_size == one.kernel_size
+        assert _rows(stack.table[stack.image == i]) == list(one) == brute
+        if brute:
+            assert one.kernel_size == len(brute)
+            assert tuple(map(tuple, stack.particular[i].tolist())) == one.solution
+    # one cap below the kernel: a batch with a solvable row refuses before any table is built
+    with mock.patch.object(abelian._SolverData, "solutions", side_effect=AssertionError("built")):
+        if stack.solvable.any():
+            with pytest.raises(BudgetExceededError):
+                abelian.solve_group_stack(a, rhs, sigma, enumerate_cap=stack.kernel_size - 1)
+        else:
+            empty = abelian.solve_group_stack(a, rhs, sigma, enumerate_cap=stack.kernel_size - 1)
+            assert empty.table.shape == (0, len(a[0]), 2)
+
+
+def test_stacked_solver_mixes_solvable_and_unsolvable_rows():
+    # determinant 4: over (2, 2) only the zero image is solvable, with 16 solutions
+    sigma, b2 = make_sigma_model(2, 2), [[-2, 0], [2, -2]]
+    rhs = [[(1, 0), (0, 0)], [(0, 0), (0, 0)], [(0, 1), (1, 1)], [(0, 0), (0, 0)]]
+    stack = abelian.solve_group_stack(b2, rhs, sigma)
+    assert stack.solvable.tolist() == [False, True, False, True]
+    assert stack.image.tolist() == [1] * 16 + [3] * 16
+    assert _rows(stack.table[:16]) == _rows(stack.table[16:]) == _brute_solutions(b2, rhs[1], sigma)
+    with pytest.raises(ValueError):
+        abelian.solve_group_stack(b2, rhs[0], sigma)

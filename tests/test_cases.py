@@ -193,13 +193,16 @@ def test_f4_reconstruction_matches_the_six_unknown_system(m1, m2):
 
 @pytest.mark.parametrize("case", CASES)
 def test_random_admissible_is_p_times_t(case):
+    # one batched draw equals 20 sequential oracle draws from the same seed, and uses as much
     for sigma in (make_sigma_model(2, 2), make_sigma_model(2, 4), make_sigma_model(1, 5)):
         for seed in (7, 42, 20240801):
             new, old = random.Random(seed), random.Random(seed)
-            for _ in range(10):
-                pa = cli._random_admissible(case, sigma, new)
-                assert pa == random_admissible_oracle(case, sigma, old)
-                assert pa.validate(case) is pa
+            x = cli._random_admissible(case, sigma, new, 20)
+            assert x.shape == (20, case_spec(case).npoints, 2)
+            drawn = [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in x.tolist()]
+            assert drawn == [random_admissible_oracle(case, sigma, old) for _ in range(20)]
+            assert all(pa.validate(case) is pa for pa in drawn)
+            assert new.random() == old.random()
 
 
 def test_reconstruction_refuses_more_solutions_than_the_cap():

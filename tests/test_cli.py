@@ -157,21 +157,20 @@ def test_f4_decomposition_fails_under_optimize():
 
 
 def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
-    # reconstruct_points drops the row of the drawn assignment: the roundtrip must fail under -O
+    # reconstruct_points drops the rows of the drawn assignments: the roundtrip must fail under -O
     code = (
         "import json, sys\n"
-        "import numpy as np\n"
         "from picfold import cli, moduli\n"
-        "restrict, solve, drawn = moduli.folded_restriction, moduli.reconstruct_points, []\n"
-        "def folded_restriction(case, pa):\n"
-        "    drawn.append(pa)\n"
-        "    return restrict(case, pa)\n"
+        "draw, solve, drawn = cli._random_admissible, moduli.reconstruct_points, []\n"
+        "def random_admissible(case, sigma, rng, count):\n"
+        "    drawn.append(draw(case, sigma, rng, count))\n"
+        "    return drawn[-1]\n"
         "def reconstruct_points(case, imgs, sigma, **kw):\n"
         "    res = solve(case, imgs, sigma, **kw)\n"
-        "    keep = ~(res.table == np.array(drawn[-1].points)).all(axis=(1, 2))\n"
-        "    return moduli.ReconstructionResult(res.solvable, res.kernel_size, sigma,\n"
-        "                                       res.table[keep])\n"
-        "moduli.folded_restriction, moduli.reconstruct_points = folded_restriction, reconstruct_points\n"
+        "    keep = ~(res.table == drawn[-1][res.image]).all(axis=(1, 2))\n"
+        "    return moduli.ReconstructionStack(res.solvable, res.kernel_size, sigma,\n"
+        "                                      res.table[keep], res.image[keep])\n"
+        "cli._random_admissible, moduli.reconstruct_points = random_admissible, reconstruct_points\n"
         "rc = cli.main(['verify', 'moduli', '--format', 'json'])\n"
         "sys.stdout.flush()\n"
         "raise SystemExit(rc)\n"
@@ -219,3 +218,29 @@ def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
     others = [r["status"] for cid, r in status.items() if cid != "moduli.chi.injective.F4"]
     assert set(others) == {"pass"}
     capsys.readouterr()
+
+
+def test_report_diff_ignores_ms_and_names_the_first_differing_claim(tmp_path, capsys):
+    a, b, edited = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "edited.json"
+    for out in (a, b):
+        assert main(["verify", "all", "--format", "json", "--out", str(out)]) == 0
+    assert main(["report", "diff", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.strip() == "reports differ only in ms"
+
+    doc = json.loads(b.read_text())
+    for r in doc["results"]:  # timings alone never count
+        r["ms"] = -1.0
+    target = doc["results"][len(doc["results"]) // 2]
+    target["witness"] = {"edited": True}
+    edited.write_text(json.dumps(doc))
+    assert main(["report", "diff", str(a), str(edited)]) == 1
+    assert capsys.readouterr().out.strip() == f"reports differ at {target['id']}"
+
+    doc = json.loads(a.read_text())
+    dropped = doc["results"].pop()
+    edited.write_text(json.dumps(doc))
+    assert main(["report", "diff", str(edited), str(a)]) == 1
+    assert capsys.readouterr().out.strip() == f"reports differ at {dropped['id']}"
+    assert main(["report", "diff", str(a), str(tmp_path / "missing.json")]) == 2
+    edited.write_text("[]")
+    assert main(["report", "diff", str(edited), str(a)]) == 2

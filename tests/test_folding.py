@@ -227,3 +227,24 @@ def test_groups_are_built_once_and_read_only():
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 7
+
+
+def test_automorphisms_and_fixed_sublattices_are_built_once_and_not_mutated(f1_4, cubic):
+    from picfold.abelian import make_sigma_model
+    from picfold.moduli import chi_injectivity_check
+
+    rho = outer_automorphism("D", f1_4)
+    basis = fixed_sublattice(rho)
+    before = (rho.permutation, rho.simple_system.roots, basis)
+    big = ambient_weyl_group("B3", f1_4)
+    mats = big.mats.copy()
+    assert chi_injectivity_check("B3", make_sigma_model(2, 2)).passed  # reads all three
+    # an equal lattice hits the same entries, which the check left as they were
+    assert outer_automorphism("D", make_blowup_lattice(F1, 4)) is rho
+    assert fixed_sublattice(outer_automorphism("D", f1_4)) is basis
+    assert (rho.permutation, rho.simple_system.roots, basis) == before
+    assert rho.permutation == (1, 0, 2, 3)
+    assert np.array_equal(big.mats, mats) and not big.mats.flags.writeable
+    assert outer_automorphism("E6", cubic) is outer_automorphism("E6", cubic)
+    with pytest.raises(ValueError, match="unknown folding case"):
+        outer_automorphism("E7", f1_4)

@@ -257,6 +257,31 @@ def test_reconstruction_round_trip(case):
 
 
 @pytest.mark.parametrize("case", ["B2", "C2", "G2"])
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_stacked_reconstruction_is_blockwise_the_single_image_result(case, m):
+    # every t in Sigma^rank at once; at 5 x 5 the map t -> M P t is injective
+    sigma = make_sigma_model(m, m)
+    t = np.array(list(product(sigma.elements(), repeat=moduli.case_rank(case))), dtype=np.int64)
+    x = moduli.point_table(case, t, sigma)
+    imgs = moduli.folded_images(case, x, sigma)
+    stack = reconstruct_points(case, imgs, sigma)
+    assert stack.solvable.all() and stack.contains(x).all()
+    moved = x.copy()  # x1 + (0, 1) breaks the case's point relations
+    moved[:, 0, 1] = (moved[:, 0, 1] + 1) % m
+    assert not stack.contains(moved).any()
+    assert np.array_equal(stack.image, np.repeat(np.arange(len(t)), stack.kernel_size))
+    assert np.array_equal(moduli.folded_images(case, stack.table, sigma), imgs[stack.image])
+    for i, img in enumerate(imgs.tolist()):
+        block, one = stack.block(i), reconstruct_points(case, img, sigma)
+        assert (block.solvable, block.kernel_size) == (one.solvable, one.kernel_size)
+        assert np.array_equal(block.table, one.table) and not block.table.flags.writeable
+        pa = PointAssignment(sigma, tuple(map(tuple, x[i].tolist())))
+        assert pa in block and folded_restriction(case, pa) == tuple(map(tuple, img))
+    if m == 5:
+        assert stack.kernel_size == 1 and len(stack.table) == len(t)
+
+
+@pytest.mark.parametrize("case", ["B2", "C2", "G2"])
 @pytest.mark.parametrize("m1,m2,other", [(2, 2, (1, 4)), (3, 3, (1, 9))])
 def test_reconstruction_membership_matches_the_assignments(case, m1, m2, other):
     sigma, elsewhere = make_sigma_model(m1, m2), make_sigma_model(*other)
