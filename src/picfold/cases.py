@@ -5,7 +5,9 @@ live on, the simply-laced type whose diagram automorphism folds to it,
 the linear relations among its blow-up points x_1, ..., x_m on the
 curve, and the closed form of the automorphism's fixed-point condition.
 They are written here once.  Every other module reads them from
-``case_spec(name)`` and parses no case name.
+``case_spec(name)`` and parses no case name.  The folded roots and simple
+roots are not case facts: ``folding`` derives them from the ambient type's
+diagram automorphism.
 
 The point relations are written as one integer matrix P, x = P t, over
 one free parameter per rank.  The relation rows R (R x = 0) are derived
@@ -37,7 +39,7 @@ class CaseSpec:
     """Everything the other modules need to know about one case."""
 
     name: str
-    family: str  # "B", "C", "G2" or "F4"; also the standard_simple_system type
+    family: str  # "B", "C", "G2" or "F4"
     rank: int
     model: str  # the lattice model, F1 or P2
     npoints: int

@@ -186,9 +186,9 @@ def _suite_lattice(cfg: RunConfig):
     def root_counts():
         f14 = lattice.make_blowup_lattice("F1", 4)
         cub = lattice.make_blowup_lattice("P2", 6)
-        d4 = rootsys.root_sublattice(f14, [f14.K, f14.f])
-        a3 = rootsys.root_sublattice(f14, [f14.K, f14.f, f14.s])
-        e6 = rootsys.root_sublattice(cub, [cub.K])
+        d4 = folding.ambient_root_system("D", f14)
+        a3 = folding.ambient_root_system("A", f14)
+        e6 = folding.ambient_root_system("E6", cub)
         return {
             "D4": _expect(len(d4), 24, "D4 roots"),
             "A3": _expect(len(a3), 12, "A3 roots"),
@@ -229,20 +229,10 @@ def _suite_folding(cfg: RunConfig):
 
     def root_counts():
         out = {}
-        for n in range(2, cfg.rank_b + 1):
-            lat = lattice.make_blowup_lattice("F1", n + 1)
-            out[f"B{n}"] = _expect(
-                len(folding.folded_root_system(f"B{n}", lat)), 2 * n * n, f"R(B{n})"
-            )
-        for n in range(2, cfg.rank_c + 1):
-            lat = lattice.make_blowup_lattice("F1", 2 * n)
-            out[f"C{n}"] = _expect(
-                len(folding.folded_root_system(f"C{n}", lat)), 2 * n * n, f"R(C{n})"
-            )
-        lat = lattice.make_blowup_lattice("F1", 4)
-        out["G2"] = _expect(len(folding.folded_root_system("G2", lat)), 12, "R(G2)")
-        cub = lattice.make_blowup_lattice("P2", 6)
-        out["F4"] = _expect(len(folding.folded_root_system("F4", cub)), 48, "R(F4)")
+        for case in _case_names(cfg):
+            n = moduli.case_rank(case)
+            out[case] = _expect(len(folding.folded_root_system(case, moduli.case_lattice(case))),
+                                {"G2": 12, "F4": 48}.get(case, 2 * n * n), f"R({case})")
         return out
 
     claims.append(("fold.root.counts", root_counts))
@@ -364,10 +354,14 @@ def _suite_cubic(cfg: RunConfig):
     ]
 
 
+def _case_names(cfg: RunConfig) -> list[str]:
+    """B2..B{rank_b}, C2..C{rank_c}, G2 and F4, in that order."""
+    return ([f"B{n}" for n in range(2, cfg.rank_b + 1)]
+            + [f"C{n}" for n in range(2, cfg.rank_c + 1)] + ["G2", "F4"])
+
+
 def _suite_configs(cfg: RunConfig):
-    cases = [f"B{n}" for n in range(2, cfg.rank_b + 1)]
-    cases += [f"C{n}" for n in range(2, cfg.rank_c + 1)]
-    cases += ["G2", "F4"]
+    cases = _case_names(cfg)
 
     def counts():
         out = {}
@@ -489,9 +483,9 @@ def _suite_liealg(cfg: RunConfig):
         f14 = lattice.make_blowup_lattice("F1", 4)
         cub = lattice.make_blowup_lattice("P2", 6)
         systems = {
-            "D4": (rootsys.root_sublattice(f14, [f14.K, f14.f]),
+            "D4": (folding.ambient_root_system("D", f14),
                    rootsys.standard_simple_system("D", f14)),
-            "E6": (rootsys.root_sublattice(cub, [cub.K]),
+            "E6": (folding.ambient_root_system("E6", cub),
                    rootsys.standard_simple_system("E6", cub)),
         }
         for case in ("B2", "B3", "C2", "G2", "F4"):

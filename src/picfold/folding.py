@@ -1,4 +1,10 @@
-"""Diagram automorphisms and folded root systems: B, C, F4, G2.
+"""Diagram automorphisms and the folded root systems B, C, F4, G2 they give.
+
+A diagram automorphism sigma of the ambient type (A, D, E6, D4-triality)
+permutes its simple roots.  The folded roots and simple roots are the
+sigma-orbit sums sum_{k < ord sigma} sigma^k alpha of the ambient ones
+(Steinberg, *Lectures on Chevalley groups*, 1967; Carter, *Simple Groups of
+Lie Type*, 1972, ch. 13); none is written out by hand.
 
 The folding automorphism of a simply-laced system is realized on the
 root sublattice only, in simple-root coordinates.  It cannot extend to
@@ -13,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations
+from math import lcm
 
 import numpy as np
 
 from ._linalg import integer_kernel
-from .cases import FOLDED_TO_SIMPLY_LACED, ambient_case, case_spec  # noqa: F401 (re-exported)
+from .cases import FOLDED_TO_SIMPLY_LACED, ambient_case  # noqa: F401 (re-exported)
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     RootSystemData,
@@ -32,6 +39,7 @@ from .rootsys import (
     reflect,
     reflection,
     restrict_to_basis,
+    root_sublattice,
     simple_reflections,
     standard_simple_system,
     weyl_generate,
@@ -43,29 +51,30 @@ class OuterAutomorphism:
     """A diagram automorphism acting on a chosen simple system.
 
     ``permutation`` maps simple-root indices (0-based) to indices; it acts
-    on the span of the simple roots plus K, fixing K.
+    on the span of the simple roots plus K, fixing K.  Besides K, the
+    ambient roots are orthogonal to the classes ``orthogonal_to``.
     """
 
     case: str
     lattice: IntersectionLattice
     simple_system: SimpleSystem
     permutation: tuple[int, ...]
-    order: int
+    orthogonal_to: tuple[DivisorClass, ...] = ()
+
+    @property
+    def order(self) -> int:
+        """ord sigma: the lcm of the cycle lengths."""
+        return lcm(*map(len, self.orbits()))
 
     def orbits(self) -> list[tuple[int, ...]]:
-        seen = set()
-        out = []
-        for i in range(len(self.permutation)):
-            if i in seen:
-                continue
-            orb = [i]
-            seen.add(i)
-            j = self.permutation[i]
-            while j != i:
-                orb.append(j)
-                seen.add(j)
-                j = self.permutation[j]
-            out.append(tuple(orb))
+        """The cycles of ``permutation``, each from its least index, in that order."""
+        out, p = [], self.permutation
+        for i in range(len(p)):
+            if all(i not in orb for orb in out):
+                orb = [i]
+                while p[orb[-1]] != i:
+                    orb.append(p[orb[-1]])
+                out.append(tuple(orb))
         return out
 
 
@@ -76,41 +85,62 @@ def outer_automorphism(case: str, lat: IntersectionLattice) -> OuterAutomorphism
     Index conventions follow the simple systems of standard_simple_system:
     the A chain is reversed; the D fork ends (first two roots) swap; for
     the cubic-surface E6 labelling the two chain ends swap (1<->6, 2<->5);
-    triality cycles the three D4 fork ends.  The Cartan-matrix check runs
-    once per (case, lat); callers share the frozen result.
+    triality cycles the three D4 fork ends.  The ambient roots are
+    orthogonal to K and to f (D, triality), to f and s (A) or to K alone
+    (E6).  The Cartan-matrix check runs once per (case, lat); callers share
+    the frozen result.
     """
     if case == "A":
-        delta = standard_simple_system("A", lat)
-        m = len(delta)  # 2n - 1
-        perm = tuple(m - 1 - i for i in range(m))
-        order = 2
+        delta, others = standard_simple_system("A", lat), (lat.f, lat.s)
+        perm = tuple(reversed(range(len(delta))))  # the chain of 2n - 1 roots, reversed
     elif case == "D":
-        delta = standard_simple_system("D", lat)
+        delta, others = standard_simple_system("D", lat), (lat.f,)
         perm = (1, 0) + tuple(range(2, len(delta)))
-        order = 2
     elif case == "E6":
-        delta = standard_simple_system("E6", lat)
+        delta, others = standard_simple_system("E6", lat), ()
         perm = (5, 4, 2, 3, 1, 0)
-        order = 2
     elif case == "D4-triality":
-        delta = standard_simple_system("D", lat)
+        delta, others = standard_simple_system("D", lat), (lat.f,)
         if len(delta) != 4:
             raise ValueError("triality needs the 4-point blow-up")
         perm = (1, 3, 2, 0)  # a1 -> a2 -> a4 -> a1, a3 fixed
-        order = 3
     else:
         raise ValueError(f"unknown folding case {case!r}")
-    rho = OuterAutomorphism(case, lat, delta, perm, order)
-    a = cartan_matrix_of(list(delta.roots), lat)
-    n = len(delta)
-    if any(a[perm[i]][perm[j]] != a[i][j] for i in range(n) for j in range(n)):
+    a, n = cartan_matrix_of(list(delta.roots), lat), len(delta)
+    if sorted(perm) != list(range(n)) or any(a[perm[i]][perm[j]] != a[i][j]
+                                             for i in range(n) for j in range(n)):
         raise ValueError("permutation is not a diagram automorphism")
-    p = perm
-    for _ in range(order - 1):
-        p = tuple(perm[i] for i in p)
-    if p != tuple(range(n)):
-        raise ValueError("permutation order mismatch")
-    return rho
+    return OuterAutomorphism(case, lat, delta, perm, others)
+
+
+def ambient_root_system(ambient: str, lat: IntersectionLattice) -> RootSystemData:
+    """The ambient type's roots, built once per (lat, orthogonal_to): D and triality share."""
+    return _root_sublattice(lat, outer_automorphism(ambient, lat).orthogonal_to)
+
+
+_root_sublattice = lru_cache(maxsize=None)(root_sublattice)
+
+
+def _columns(classes) -> np.ndarray:
+    return np.array([c.coords for c in classes], dtype=np.int64).T
+
+
+def _orbit_sums(coords: np.ndarray, rho: OuterAutomorphism) -> np.ndarray:
+    """sum_{k < ord sigma} sigma^k c per column c of simple-root coordinates.
+
+    sigma moves coordinate i to permutation[i]: c goes to c[argsort(permutation)].
+    """
+    inv, images, total = np.argsort(rho.permutation), coords, coords
+    for _ in range(rho.order - 1):
+        images = images[inv]
+        total = total + images
+    return total
+
+
+def _simple_orbit_sums(delta: SimpleSystem, rho: OuterAutomorphism) -> np.ndarray:
+    """The orbit sums of delta's roots, as lattice columns in ``rho.orbits()`` order."""
+    unit = np.eye(len(rho.permutation), dtype=np.int64)[:, [orb[0] for orb in rho.orbits()]]
+    return _columns(delta.roots) @ _orbit_sums(unit, rho)
 
 
 @dataclass(frozen=True)
@@ -122,20 +152,14 @@ class FoldedSimpleSystem:
 
 
 def fold_simple_system(delta: SimpleSystem, rho: OuterAutomorphism) -> FoldedSimpleSystem:
-    """Average each automorphism orbit of simple roots.
+    """Average each orbit O of simple roots, as its orbit sum over ord sigma.
 
-    The averages satisfy the Cartan relations of the folded type; they
-    are genuinely rational and are kept out of DivisorClass on purpose.
+    The sum counts each root of O ord sigma / |O| times.  The averages are
+    genuinely rational and are kept out of DivisorClass on purpose.
     """
-    lat = rho.lattice
-    vecs = []
-    for orb in rho.orbits():
-        total = [Fraction(0)] * lat.rank
-        for i in orb:
-            for t, c in enumerate(delta.roots[i].coords):
-                total[t] += c
-        vecs.append(tuple(v / len(orb) for v in total))
-    tag = identify_cartan_type(cartan_matrix_of_q(vecs, lat))
+    sums = _simple_orbit_sums(delta, rho)
+    vecs = [tuple(Fraction(c, rho.order) for c in col) for col in sums.T.tolist()]
+    tag = identify_cartan_type(cartan_matrix_of_q(vecs, rho.lattice))
     return FoldedSimpleSystem(tuple(vecs), tag)
 
 
@@ -178,95 +202,53 @@ def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:
     Computed as the integer kernel of (P - id) in simple-root
     coordinates, so the result is a saturated sublattice.
     """
-    roots = rho.simple_system.roots
-    n = len(roots)
-    p_minus_id = [[(1 if rho.permutation[j] == i else 0) - (1 if i == j else 0)
-                   for j in range(n)] for i in range(n)]
-    basis = []
-    for combo in integer_kernel(p_minus_id):
-        acc = rho.lattice.zero
-        for c, r in zip(combo, roots):
-            acc = acc + c * r
-        basis.append(acc)
-    return tuple(basis)
+    unit = np.eye(len(rho.permutation), dtype=np.int64)
+    kernel = np.array(integer_kernel((unit[:, rho.permutation] - unit).tolist()), dtype=np.int64)
+    basis = kernel @ _columns(rho.simple_system.roots).T
+    return tuple(DivisorClass(tuple(v)) for v in basis.tolist())
+
+
+def folded_simple_system(case: str, lat: IntersectionLattice) -> SimpleSystem:
+    """The orbit sums of the ambient simple roots, in ``rho.orbits()`` order."""
+    rho = outer_automorphism(ambient_case(case), lat)
+    sums = _simple_orbit_sums(rho.simple_system, rho)
+    return SimpleSystem(tuple(DivisorClass(tuple(col)) for col in sums.T.tolist()), case)
 
 
 def folded_root_system(case: str, lat: IntersectionLattice) -> RootSystemData:
-    """The literal integral divisor presentation of R(B_n), R(C_n), R(G2), R(F4)."""
-    l = lat.l
-    family = case_spec(case).family
-    roots: set[DivisorClass] = set()
-    if family == "B":
-        n = lat.npoints - 1
-        idx = range(2, n + 2)
-        for i in idx:
-            roots.add(lat.f - 2 * l(i))
-            roots.add(-(lat.f - 2 * l(i)))
-        for i, j in product(idx, idx):
-            if i != j:
-                roots.add(2 * (l(i) - l(j)))
-        for i, j in combinations(idx, 2):
-            roots.add(2 * (lat.f - l(i) - l(j)))
-            roots.add(-2 * (lat.f - l(i) - l(j)))
-        expected = 2 * n * n
-    elif family == "C":
-        n = lat.npoints // 2
-        eps = [l(k) - l(2 * n + 1 - k) for k in range(1, n + 1)]
-        for e in eps:
-            roots.add(2 * e)
-            roots.add(-2 * e)
-        for a, b in combinations(eps, 2):
-            for sa, sb in product((1, -1), repeat=2):
-                roots.add(sa * a + sb * b)
-        expected = 2 * n * n
-    elif family == "G2":
-        eps = (l(2), l(3), lat.f - l(4))
-        for a, b in combinations(eps, 2):
-            roots.add(3 * (a - b))
-            roots.add(-3 * (a - b))
-        for i in range(3):
-            j, k = [t for t in range(3) if t != i]
-            v = 2 * eps[i] - eps[j] - eps[k]
-            roots.add(v)
-            roots.add(-v)
-        expected = 12
-    else:  # F4
-        h = lat.h
-        eps = (
-            l(2) - l(3) + l(4) - l(5),
-            l(2) + l(3) - l(4) - l(5),
-            2 * h - 2 * l(1) - l(2) - l(3) - l(4) - l(5),
-            2 * h - 2 * l(6) - l(2) - l(3) - l(4) - l(5),
-        )
-        for e in eps:
-            roots.add(e)
-            roots.add(-e)
-        for a, b in combinations(eps, 2):
-            for sa, sb in product((1, -1), repeat=2):
-                roots.add(sa * a + sb * b)
-        for signs in product((1, -1), repeat=4):
-            total = lat.zero
-            for s, e in zip(signs, eps):
-                total = total + s * e
-            if any(c % 2 for c in total.coords):
-                raise ValueError(f"{total} is not divisible by 2")
-            roots.add(DivisorClass(tuple(c // 2 for c in total.coords)))
-        expected = 48
-    if len(roots) != expected:
-        raise ValueError(f"{case} on {lat.npoints} points: {len(roots)} roots, not {expected}")
-    return RootSystemData(lat, frozenset(roots))
+    """R(G) of a folded case, the sigma-orbit sums of the ambient roots, built once."""
+    return _folded_roots(case, lat)
+
+
+@lru_cache(maxsize=None)
+def _folded_roots(case: str, lat: IntersectionLattice) -> RootSystemData:
+    """The sums in simple-root coordinates; ``ValueError`` unless nonzero, one per orbit.
+
+    The orbits are counted by Burnside's lemma, (1/ord sigma) sum_k |Fix(sigma^k)|.
+    """
+    rho = outer_automorphism(ambient_case(case), lat)
+    bmat = _columns(rho.simple_system.roots)
+    coords = basis_coordinates(bmat, _columns(ambient_root_system(rho.case, lat).roots))
+    sums = {DivisorClass(tuple(col)) for col in (bmat @ _orbit_sums(coords, rho)).T.tolist()}
+    inv, images, fixed = np.argsort(rho.permutation), coords, 0
+    for _ in range(rho.order):
+        fixed += int((images == coords).all(axis=0).sum())
+        images = images[inv]
+    if lat.zero in sums or len(sums) * rho.order != fixed:
+        raise ValueError(f"{case} on {lat.npoints} points: {len(sums)} orbit sums "
+                         f"for {fixed // rho.order} sigma-orbits")
+    return RootSystemData(lat, frozenset(sums))
 
 
 def f4_short_roots(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     """The 24 short roots (self-intersection -4) of the F4 presentation."""
-    rs = folded_root_system("F4", lat)
-    return tuple(sorted(r for r in rs.roots if lat.pair(r, r) == -4))
+    return tuple(sorted(r for r in folded_root_system("F4", lat).roots if lat.pair(r, r) == -4))
 
 
 def _restricted_root_reflections(case: str, lat: IntersectionLattice,
                                  basis) -> list[WeylElement]:
     """Reflections in every folded root, as matrices on the sublattice basis."""
-    bmat = np.array([[b.coords[i] for b in basis] for i in range(lat.rank)], dtype=np.int64)
+    bmat = _columns(basis)
     images = np.array([[reflect(lat, root, b).coords for b in basis]
                        for root in sorted(folded_root_system(case, lat).roots)], dtype=np.int64)
     return [WeylElement.from_matrix(m) for m in basis_coordinates(bmat, images.transpose(0, 2, 1))]

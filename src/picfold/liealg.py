@@ -62,8 +62,8 @@ from math import lcm
 
 import numpy as np
 
-from .cases import case_lattice, case_spec
-from .folding import folded_root_system
+from .cases import case_lattice
+from .folding import folded_root_system, folded_simple_system
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import _INT64_SAFE, RootSystemData, SimpleSystem, basis_coordinates
 
@@ -319,9 +319,5 @@ def verify_jacobi(table: StructureConstantTable) -> JacobiReport:
 
 def folded_simple_and_roots(case: str, lat: IntersectionLattice | None = None):
     """Convenience: (RootSystemData, SimpleSystem) for a folded case."""
-    from .rootsys import standard_simple_system
-
     lat = lat or case_lattice(case)
-    rs = folded_root_system(case, lat)
-    delta = standard_simple_system(case_spec(case).family, lat)
-    return rs, delta
+    return folded_root_system(case, lat), folded_simple_system(case, lat)

@@ -27,14 +27,19 @@ import numpy as np
 
 from .abelian import SigmaModel, SymbolicSigma, solve_group_stack
 from .cases import ambient_case, case_lattice, case_rank, case_spec, holds, point_relations
-from .folding import ambient_weyl_group, fixed_sublattice, folded_weyl_group, outer_automorphism
+from .folding import (
+    ambient_weyl_group,
+    fixed_sublattice,
+    folded_simple_system,
+    folded_weyl_group,
+    outer_automorphism,
+)
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     BudgetExceededError,
     basis_coordinates,
     restrict_to_basis,
     row_keys,
-    standard_simple_system,
     weyl_generate,  # noqa: F401 (perfbench/tracer.py binds it here by name)
 )
 
@@ -151,8 +156,7 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
 def _folded_simple_coeffs(case: str) -> tuple[tuple[int, ...], ...]:
     """The l-coefficients of the folded simple roots, in the simple system's order."""
     spec = case_spec(case)
-    return tuple(spec.lattice.l_coeffs(b)
-                 for b in standard_simple_system(spec.family, spec.lattice).roots)
+    return tuple(spec.lattice.l_coeffs(b) for b in folded_simple_system(case, spec.lattice).roots)
 
 
 @lru_cache(maxsize=None)

@@ -125,7 +125,7 @@ def root_sublattice(lat: IntersectionLattice, orthogonal_to) -> RootSystemData:
 
 
 def standard_simple_system(case: str, lat: IntersectionLattice) -> SimpleSystem:
-    """The fixed simple systems used throughout, as printed divisor classes."""
+    """The simple systems of the types A, D and E6; ``folding`` derives the folded ones."""
     m = lat.npoints
     l = lat.l
     if case == "D":
@@ -146,34 +146,6 @@ def standard_simple_system(case: str, lat: IntersectionLattice) -> SimpleSystem:
         roots = (l(1) - l(2), l(2) - l(3), h - l(1) - l(2) - l(3),
                  l(3) - l(4), l(4) - l(5), l(5) - l(6))
         return SimpleSystem(roots, "E6")
-    if case == "B":
-        n = m - 1
-        if lat.model != "F1" or n < 2:
-            raise ValueError("B_n needs an F1 blow-up of n+1 >= 3 points")
-        roots = [lat.f - 2 * l(2)] + [2 * (l(k) - l(k + 1)) for k in range(2, n + 1)]
-        return SimpleSystem(tuple(roots), f"B{n}")
-    if case == "C":
-        if lat.model != "F1" or m % 2 != 0:
-            raise ValueError("C_n needs an F1 blow-up of 2n points")
-        n = m // 2
-        eps = [l(k) - l(2 * n + 1 - k) for k in range(1, n + 1)]
-        roots = [eps[k] - eps[k + 1] for k in range(n - 1)] + [2 * eps[n - 1]]
-        return SimpleSystem(tuple(roots), f"C{n}")
-    if case == "G2":
-        if lat.model != "F1" or m != 4:
-            raise ValueError("G2 needs the 4-point F1 blow-up")
-        return SimpleSystem((lat.f - 2 * l(2) + l(3) - l(4), 3 * (l(2) - l(3))), "G2")
-    if case == "F4":
-        if lat.model != "P2" or m != 6:
-            raise ValueError("F4 needs the 6-point P2 blow-up")
-        h = lat.h
-        return SimpleSystem(
-            (l(1) - l(2) + l(5) - l(6),
-             l(2) - l(3) + l(4) - l(5),
-             2 * (h - l(1) - l(2) - l(3)),
-             2 * (l(3) - l(4))),
-            "F4",
-        )
     raise ValueError(f"unknown simple-system case {case!r}")
 
 

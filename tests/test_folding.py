@@ -1,17 +1,21 @@
 from fractions import Fraction
+from itertools import combinations, product
 from math import factorial
 
 import numpy as np
 import pytest
 
+from picfold import folding
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.folding import (
     FOLDED_TO_SIMPLY_LACED,
+    ambient_root_system,
     ambient_weyl_group,
     f4_short_roots,
     fixed_sublattice,
     fold_simple_system,
     folded_root_system,
+    folded_simple_system,
     folded_weyl_generators,
     folded_weyl_group,
     outer_automorphism,
@@ -108,7 +112,7 @@ def test_fold_simple_system_tags(f1_4, cubic):
 def test_identity_fold_is_noop(f1_4):
     rho = outer_automorphism("D", f1_4)
     ident = type(rho)(rho.case, rho.lattice, rho.simple_system,
-                      tuple(range(len(rho.simple_system))), 1)
+                      tuple(range(len(rho.simple_system))))
     folded = fold_simple_system(rho.simple_system, ident)
     assert len(folded.vectors) == len(rho.simple_system)
     for v, r in zip(folded.vectors, rho.simple_system.roots):
@@ -136,6 +140,153 @@ def test_folded_root_counts(cubic):
     assert len(folded_root_system("G2", lat4)) == 12
     assert len(folded_root_system("F4", cubic)) == 48
     assert len(f4_short_roots(cubic)) == 24
+
+
+def _literal_roots(case, lat):
+    """The folded root systems written out by hand: the oracle of the orbit sums."""
+    l = lat.l
+    roots = set()
+    if case[0] == "B":
+        idx = range(2, lat.npoints + 1)
+        for i in idx:
+            roots |= {lat.f - 2 * l(i), -(lat.f - 2 * l(i))}
+        for i, j in product(idx, idx):
+            if i != j:
+                roots.add(2 * (l(i) - l(j)))
+        for i, j in combinations(idx, 2):
+            roots |= {2 * (lat.f - l(i) - l(j)), -2 * (lat.f - l(i) - l(j))}
+        return roots
+    if case == "G2":
+        eps = (l(2), l(3), lat.f - l(4))
+        for a, b in combinations(eps, 2):
+            roots |= {3 * (a - b), -3 * (a - b)}
+        for i in range(3):
+            j, k = [t for t in range(3) if t != i]
+            roots |= {2 * eps[i] - eps[j] - eps[k], -(2 * eps[i] - eps[j] - eps[k])}
+        return roots
+    if case[0] == "C":
+        n = lat.npoints // 2
+        eps = [l(k) - l(2 * n + 1 - k) for k in range(1, n + 1)]
+        roots |= {2 * e for e in eps} | {-2 * e for e in eps}
+    else:  # F4
+        h = lat.h
+        eps = (l(2) - l(3) + l(4) - l(5), l(2) + l(3) - l(4) - l(5),
+               2 * h - 2 * l(1) - l(2) - l(3) - l(4) - l(5),
+               2 * h - 2 * l(6) - l(2) - l(3) - l(4) - l(5))
+        roots |= set(eps) | {-e for e in eps}
+        for signs in product((1, -1), repeat=4):
+            total = sum((s * e for s, e in zip(signs, eps)), lat.zero)
+            assert all(c % 2 == 0 for c in total.coords)
+            roots.add(DivisorClass(tuple(c // 2 for c in total.coords)))
+    for a, b in combinations(eps, 2):
+        roots |= {sa * a + sb * b for sa, sb in product((1, -1), repeat=2)}
+    return roots
+
+
+def _literal_simple_roots(case, lat):
+    """The folded simple systems written out by hand, in the orbit order of the fold."""
+    l = lat.l
+    if case == "G2":
+        return (lat.f - 2 * l(2) + l(3) - l(4), 3 * (l(2) - l(3)))
+    if case == "F4":
+        return (l(1) - l(2) + l(5) - l(6), l(2) - l(3) + l(4) - l(5),
+                2 * (lat.h - l(1) - l(2) - l(3)), 2 * (l(3) - l(4)))
+    n = int(case[1:])
+    if case[0] == "B":
+        return (lat.f - 2 * l(2),) + tuple(2 * (l(k) - l(k + 1)) for k in range(2, n + 1))
+    eps = [l(k) - l(2 * n + 1 - k) for k in range(1, n + 1)]
+    return tuple(eps[k] - eps[k + 1] for k in range(n - 1)) + (2 * eps[n - 1],)
+
+
+LITERAL_CASES = ([(f"B{n}", (F1, n + 1)) for n in range(2, 7)]
+                 + [(f"C{n}", (F1, 2 * n)) for n in range(2, 6)]
+                 + [("G2", (F1, 4)), ("F4", (P2, 6))])
+
+
+@pytest.mark.parametrize("case,model", LITERAL_CASES)
+def test_folded_roots_are_the_literal_presentations(case, model):
+    lat = make_blowup_lattice(*model)
+    assert set(folded_root_system(case, lat).roots) == _literal_roots(case, lat)
+
+
+def test_b2_and_g2_simple_systems():
+    lat3 = make_blowup_lattice(F1, 3)
+    b2 = folded_simple_system("B2", lat3)
+    assert b2.roots == (lat3.f - 2 * lat3.l(2), 2 * (lat3.l(2) - lat3.l(3)))
+    assert identify_cartan_type(cartan_matrix_of(b2.roots, lat3)) == "B2"
+    lat4 = make_blowup_lattice(F1, 4)
+    g2 = folded_simple_system("G2", lat4)
+    a = cartan_matrix_of(g2.roots, lat4)
+    assert identify_cartan_type(a) == "G2"
+    assert sorted(x for row in a for x in row) == [-3, -1, 2, 2]
+
+
+def test_f4_simple_system(cubic):
+    f4 = folded_simple_system("F4", cubic)
+    l, h = cubic.l, cubic.h
+    assert f4.roots == (
+        l(1) - l(2) + l(5) - l(6),
+        l(2) - l(3) + l(4) - l(5),
+        2 * (h - l(1) - l(2) - l(3)),
+        2 * (l(3) - l(4)),
+    )
+    assert identify_cartan_type(cartan_matrix_of(f4.roots, cubic)) == "F4"
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_b_and_c_simple_systems(n):
+    for case, lat, tag in ((f"B{n}", make_blowup_lattice(F1, n + 1), f"B{n}"),
+                           (f"C{n}", make_blowup_lattice(F1, 2 * n), "B2" if n == 2 else f"C{n}")):
+        simple = folded_simple_system(case, lat)
+        assert simple.roots == _literal_simple_roots(case, lat)
+        assert identify_cartan_type(cartan_matrix_of(simple.roots, lat)) == tag
+        # every folded root is an integral combination of the simple roots
+        for root in folded_root_system(case, lat):
+            decompose_in_basis(root, simple.roots)
+
+
+def _sum_over_orbit(coords, rho):
+    """The mutant sum over the distinct images, k < |O|: the fixed roots lose ord sigma."""
+    inv = np.argsort(rho.permutation)
+    images, total = coords[inv], coords
+    closed = np.zeros(coords.shape[1:], dtype=bool)
+    for _ in range(rho.order - 1):
+        closed |= (images == coords).all(axis=0)
+        total = total + np.where(closed, 0, images)
+        images = images[inv]
+    return total
+
+
+def test_summing_over_the_orbit_instead_of_ord_sigma_fails(monkeypatch):
+    monkeypatch.setattr(folding, "_orbit_sums", _sum_over_orbit)
+    folding._folded_roots.cache_clear()
+    try:
+        for case, model in LITERAL_CASES:
+            lat = make_blowup_lattice(*model)
+            assert set(folded_root_system(case, lat).roots) != _literal_roots(case, lat), case
+            assert folded_simple_system(case, lat).roots != _literal_simple_roots(case, lat), case
+    finally:
+        folding._folded_roots.cache_clear()
+
+
+def test_folded_roots_refuse_sums_that_are_not_one_per_orbit(monkeypatch, f1_4):
+    # without the sum every root of a 2-orbit survives on its own: more sums than orbits
+    monkeypatch.setattr(folding, "_orbit_sums", lambda coords, rho: coords)
+    folding._folded_roots.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="24 orbit sums for 18 sigma-orbits"):
+            folded_root_system("B3", f1_4)
+    finally:
+        folding._folded_roots.cache_clear()
+
+
+def test_root_systems_are_built_once(f1_4):
+    rs = folded_root_system("B3", f1_4)
+    assert folded_root_system("B3", make_blowup_lattice(F1, 4)) is rs
+    d4 = ambient_root_system("D", f1_4)
+    assert ambient_root_system("D", make_blowup_lattice(F1, 4)) is d4
+    assert ambient_root_system("D4-triality", f1_4) is d4  # one root set, two folds
+    assert (len(d4), len(ambient_root_system("A", f1_4))) == (24, 12)
 
 
 def test_folded_roots_are_rho_fixed(f1_4, cubic):
@@ -170,7 +321,7 @@ def test_fixed_sublattice_triality_rank2(f1_4):
 def test_fixed_sublattice_identity_is_whole(f1_4):
     rho = outer_automorphism("D", f1_4)
     ident = type(rho)(rho.case, rho.lattice, rho.simple_system,
-                      tuple(range(len(rho.simple_system))), 1)
+                      tuple(range(len(rho.simple_system))))
     assert len(fixed_sublattice(ident)) == len(rho.simple_system)
 
 
@@ -207,7 +358,7 @@ def test_second_reduction_order_identities(f1_4, cubic):
 
 def test_non_orthogonal_orbit_rejected(f1_4):
     rho = outer_automorphism("D", f1_4)
-    bad = type(rho)(rho.case, rho.lattice, rho.simple_system, (2, 1, 0, 3), 2)
+    bad = type(rho)(rho.case, rho.lattice, rho.simple_system, (2, 1, 0, 3))
     with pytest.raises(ValueError):
         folded_weyl_generators(rho.simple_system, bad)
 

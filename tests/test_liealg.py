@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from picfold import liealg
 from picfold._linalg import rational_solve
 from picfold.cases import case_rank
-from picfold.folding import folded_root_system
+from picfold.folding import ambient_root_system, folded_root_system
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.liealg import (
     JacobiReport,
@@ -23,17 +23,11 @@ from picfold.liealg import (
     verify_jacobi,
 )
 from picfold.moduli import case_lattice
-from picfold.rootsys import RootSystemData, SimpleSystem, root_sublattice, standard_simple_system
+from picfold.rootsys import RootSystemData, SimpleSystem, standard_simple_system
 
 
 def _simply_laced(case, lat):
-    if case == "E6":
-        rs = root_sublattice(lat, [lat.K])
-    elif case == "A":
-        rs = root_sublattice(lat, [lat.K, lat.f, lat.s])
-    else:
-        rs = root_sublattice(lat, [lat.K, lat.f])
-    return rs, standard_simple_system(case, lat)
+    return ambient_root_system(case, lat), standard_simple_system(case, lat)
 
 
 def test_root_string_b2():
@@ -44,7 +38,7 @@ def test_root_string_b2():
     assert root_string(rs, b1, b2) == (0, 2)
     # D4 is simply laced: strings have length at most 2
     lat4 = make_blowup_lattice(F1, 4)
-    d4 = root_sublattice(lat4, [lat4.K, lat4.f])
+    d4 = ambient_root_system("D", lat4)
     a = lat4.l(1) - lat4.l(2)
     b = lat4.l(2) - lat4.l(3)
     assert lat4.pair(a, b) == 1 and root_string(d4, a, b) == (0, 1)
