@@ -48,6 +48,32 @@ def bareiss_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def bareiss_solve(a, b) -> tuple[list[int], int]:
+    """(x, d) with a x = d b, d = +-det(a), for a nonsingular square integer matrix a.
+
+    Fraction-free elimination on [a | b]: each row step divides exactly by
+    the previous pivot, and d, the last pivot, is the determinant of a with
+    its rows permuted.  The solution d a^-1 b = +-adj(a) b is integral, so
+    the back substitution divides exactly too.  Raises ValueError when a
+    is singular.
+    """
+    n = len(a)
+    m = [list(map(int, row)) + [int(v)] for row, v in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            raise ValueError("singular matrix")
+        m[k], m[p] = m[p], m[k]
+        for i in range(k + 1, n):
+            m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
+        prev = m[k][k]
+    x = [0] * n
+    for i in reversed(range(n)):
+        x[i] = (prev * m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) // m[i][i]
+    return x, prev
+
+
 class SNFDecomposition:
     """A = U * S * V with U, V unimodular and S diagonal, d1 | d2 | ...
 

@@ -28,6 +28,7 @@ from ._linalg import integer_kernel
 from .cases import FOLDED_TO_SIMPLY_LACED, ambient_case  # noqa: F401 (re-exported)
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
+    CoxeterWeylGroup,
     RootSystemData,
     SimpleSystem,
     WeylElement,
@@ -188,11 +189,18 @@ def ambient_weyl_group(case: str, lat: IntersectionLattice, cap: int = 10**6) ->
 
 @lru_cache(maxsize=None)
 def _weyl_group(case: str, lat: IntersectionLattice, cap: int, folded: bool) -> WeylGroup:
-    """One shared group per positional key (case, lat, cap, folded); its arrays are read-only."""
+    """One shared group per positional key (case, lat, cap, folded); its arrays are read-only.
+
+    Built from the Cartan matrix of its simple system (``CoxeterWeylGroup``):
+    the folded simple system with one generator per sigma-orbit, or the
+    ambient one with its simple reflections.
+    """
     rho = outer_automorphism(ambient_case(case), lat)
     delta = rho.simple_system
-    gens = folded_weyl_generators(delta, rho) if folded else simple_reflections(delta, lat)
-    return weyl_generate(gens, cap=cap)
+    if folded:
+        return CoxeterWeylGroup(folded_weyl_generators(delta, rho),
+                                folded_simple_system(case, lat), lat, cap)
+    return CoxeterWeylGroup(simple_reflections(delta, lat), delta, lat, cap)
 
 
 @lru_cache(maxsize=None)
@@ -215,6 +223,12 @@ def folded_simple_system(case: str, lat: IntersectionLattice) -> SimpleSystem:
     return SimpleSystem(tuple(DivisorClass(tuple(col)) for col in sums.T.tolist()), case)
 
 
+def _ambient_root_coords(rho: OuterAutomorphism) -> tuple[np.ndarray, np.ndarray]:
+    """The simple roots as lattice columns, and the ambient roots in their coordinates."""
+    bmat = _columns(rho.simple_system.roots)
+    return bmat, basis_coordinates(bmat, _columns(ambient_root_system(rho.case, rho.lattice).roots))
+
+
 def folded_root_system(case: str, lat: IntersectionLattice) -> RootSystemData:
     """R(G) of a folded case, the sigma-orbit sums of the ambient roots, built once."""
     return _folded_roots(case, lat)
@@ -227,8 +241,7 @@ def _folded_roots(case: str, lat: IntersectionLattice) -> RootSystemData:
     The orbits are counted by Burnside's lemma, (1/ord sigma) sum_k |Fix(sigma^k)|.
     """
     rho = outer_automorphism(ambient_case(case), lat)
-    bmat = _columns(rho.simple_system.roots)
-    coords = basis_coordinates(bmat, _columns(ambient_root_system(rho.case, lat).roots))
+    bmat, coords = _ambient_root_coords(rho)
     sums = {DivisorClass(tuple(col)) for col in (bmat @ _orbit_sums(coords, rho)).T.tolist()}
     inv, images, fixed = np.argsort(rho.permutation), coords, 0
     for _ in range(rho.order):
@@ -241,8 +254,12 @@ def _folded_roots(case: str, lat: IntersectionLattice) -> RootSystemData:
 
 
 def f4_short_roots(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
-    """The 24 short roots (self-intersection -4) of the F4 presentation."""
-    return tuple(sorted(r for r in folded_root_system("F4", lat).roots if lat.pair(r, r) == -4))
+    """The 24 short roots of F4: the sums alpha + sigma alpha over the 2-orbits of R(E6)."""
+    rho = outer_automorphism("E6", lat)
+    bmat, coords = _ambient_root_coords(rho)
+    moved = coords[:, (coords[np.argsort(rho.permutation)] != coords).any(axis=0)]
+    sums = bmat @ _orbit_sums(moved, rho)
+    return tuple(sorted({DivisorClass(tuple(c)) for c in sums.T.tolist()}))
 
 
 def _restricted_root_reflections(case: str, lat: IntersectionLattice,

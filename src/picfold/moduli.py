@@ -342,12 +342,17 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     the point there of least code c1 + m1^r' c2 (each factor little-endian,
     x2 the more significant half) and the representatives checked so far.
 
+    Both groups come from ``folding`` as ``CoxeterWeylGroup``s: |W_big| and
+    |W_small| are products of fundamental-weight orbit sizes, read from the
+    Cartan matrices, and the subgroup test descends each small generator
+    to the dominant chamber of W_big.
+
     Two budget terms are checked against ``action_cap`` before anything
-    is allocated: the domain size times |W_big|, read from the stabilizer
-    chain of W_big, and |Sigma|^r' plus one entry per generator and per
-    point of each factor, what an orbit walk over Sigma^r' would store.
-    Nothing that large is allocated, so the second term is conservative;
-    it is kept so that the same inputs run or refuse.
+    is allocated: the domain size times |W_big|, and |Sigma|^r' plus one
+    entry per generator and per point of each factor, what an orbit walk
+    over Sigma^r' would store.  Nothing that large is allocated, so the
+    second term is conservative; it is kept so that the same inputs run or
+    refuse.
     """
     lat = case_lattice(case)
     rho = outer_automorphism(ambient_case(case), lat)

@@ -1,24 +1,42 @@
 """Root systems inside Picard lattices, and their Weyl groups.
 
 Weyl elements are integer matrices acting on lattice coordinates (column
-vectors).  A Weyl group is never enumerated: ``weyl_generate`` keeps the
-generators and a stabilizer chain of their permutation action on a
-finite domain, the union of the orbits of the unit vectors.  The domain
-contains a basis, so the action is faithful and the permutation group has
-the order of the matrix group.  The chain is a base and strong generating
-set from a deterministic Schreier-Sims (Sims, "Computational methods in
-the study of permutation groups", 1970; Seress, *Permutation Group
-Algorithms*, ch. 4): each base point is the first point a generator
-moves, and every Schreier generator is sifted, with no random choice and
-no early stop, so the order (the product of the basic orbit sizes) is a
-proof.  Membership is decided by sifting.
+vectors).  A Weyl group is never enumerated.  It is built in one of two
+ways, and both keep the same surface (``WeylGroup``: generators, order,
+membership, equality, orbits).
 
-The orbit walk that builds the domain refuses with ``BudgetExceededError``
-once one orbit has more than ``cap`` points (an orbit is never larger
-than the group), and raises ``OverflowError`` before an int64 entry
-could reach 2^62, so the generators of an infinite group end in one of
-these errors, never in wrapped integers.  A finite group of order above
-``cap`` raises ``BudgetExceededError`` too.
+``weyl_generate`` takes arbitrary generators.  It keeps a stabilizer
+chain of their permutation action on a finite domain, the union of the
+orbits of the unit vectors.  The domain contains a basis, so the action is
+faithful and the permutation group has the order of the matrix group.  The
+chain is a base and strong generating set from a deterministic
+Schreier-Sims (Sims, "Computational methods in the study of permutation
+groups", 1970; Seress, *Permutation Group Algorithms*, ch. 4): each base
+point is the first point a generator moves, and every Schreier generator is
+sifted, with no random choice and no early stop, so the order (the product
+of the basic orbit sizes) is a proof.  Membership is decided by sifting.
+
+``CoxeterWeylGroup`` takes the generators of a simple system b_1..b_n and
+reads the group from its Cartan matrix A instead.  No two roots may be at
+an acute angle, each generator must act on span(b) as the reflection in
+its root, and the generators must satisfy the Coxeter relations of A on
+the whole lattice, so the matrix group is the Coxeter group of A
+(Humphreys, *Reflection Groups and Coxeter Groups*, 1990, §1.9).  The
+stabilizer of a dominant weight is the standard parabolic subgroup of the
+simple reflections that fix it (ibid., Theorem 1.12), so
+|W| = prod_j |W_J omega_j| for J = {j, ..., n}: each orbit of a
+fundamental weight is walked in weight coordinates with Python ints.
+Membership descends g v, v regular dominant, to the dominant chamber by
+the simple reflections; g is in W iff the product u of the steps has
+u g = I (Casselman, "Machine calculations in Weyl groups", Invent. Math.
+1994).
+
+The orbit walks refuse with ``BudgetExceededError`` once one orbit has more
+than ``cap`` points (an orbit is never larger than the group), and the
+lattice walks raise ``OverflowError`` before an int64 entry could reach
+2^62, so the generators of an infinite group end in one of these errors,
+never in wrapped integers.  A finite group of order above ``cap`` raises
+``BudgetExceededError`` too.
 """
 
 from __future__ import annotations
@@ -30,7 +48,7 @@ from math import prod
 
 import numpy as np
 
-from ._linalg import integer_left_inverse
+from ._linalg import bareiss_solve, integer_left_inverse
 from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes
 
 
@@ -477,6 +495,118 @@ class WeylGroup:
         if not isinstance(other, WeylGroup):
             return NotImplemented
         return self.order == other.order and all(g in self for g in other.gens)
+
+
+# m_ij of the Coxeter relation (s_i s_j)^m_ij = 1, by A_ij A_ji for a finite type
+_COXETER_M = (2, 3, 4, 6)
+
+
+def _fundamental_orbit_sizes(a, cap: int) -> list[int]:
+    """|W_J omega_j| for J = {j, ..., n - 1}, j = 0 .. n - 1: the factors of |W|.
+
+    Each orbit is walked in weight coordinates, s_i lambda = lambda - lambda_i A_i.
+    From a dominant weight, s_i with lambda_i > 0 reaches every orbit point (the
+    descent to the chamber, reversed).  Raises ``BudgetExceededError`` once an
+    orbit or the product of the sizes passes ``cap``.
+    """
+    n, sizes = len(a), []
+    for j in range(n):
+        start = tuple(int(i == j) for i in range(n))
+        seen, frontier = {start}, [start]
+        while frontier:
+            fresh = []
+            for lam in frontier:
+                for i in range(j, n):
+                    if (c := lam[i]) > 0:
+                        mu = tuple(x - c * y for x, y in zip(lam, a[i]))
+                        if mu not in seen:
+                            seen.add(mu)
+                            fresh.append(mu)
+                            if len(seen) > cap:
+                                raise BudgetExceededError(f"orbit exceeded cap {cap}")
+            frontier = fresh
+        sizes.append(len(seen))
+        if prod(sizes) > cap:
+            raise BudgetExceededError(f"group order {prod(sizes)}+ exceeds cap {cap}")
+    return sizes
+
+
+class CoxeterWeylGroup(WeylGroup):
+    """The Weyl group of a simple system, read from its Cartan matrix; no stabilizer chain.
+
+    ``gens[i]`` belongs to ``simple.roots[i]`` = b_i.  With A the
+    ``cartan_matrix_of`` the roots, no two roots may be at an acute angle
+    (A_ij <= 0 for i != j), every generator must map each b_j to
+    b_j - A_ji b_i (the tie check), and the generators must satisfy the
+    Coxeter relations (g_i g_j)^m_ij = I on the whole lattice, m_ii = 1;
+    otherwise ``ValueError``.  Then the matrix group is the Coxeter group of
+    A, acting faithfully on span(b).  For a folded group
+    (``folding.folded_weyl_group``) the generators are products of commuting
+    ambient reflections, and the relations hold because W(G) < W(G~) acts
+    faithfully on span(b): that span holds the sigma-fixed regular rho of
+    the ambient roots, which only the identity of W(G~) fixes.
+
+    ``len``, ``==`` and ``orbit_rows`` are ``WeylGroup``'s, so ``==`` works
+    across the two classes; ``in`` is the descent test of the module docstring.
+    """
+
+    def __init__(self, gens, simple: SimpleSystem, lat: IntersectionLattice,
+                 cap: int = DEFAULT_CAP):
+        self.gens, self.rank = tuple(gens), lat.rank
+        self.mats = np.array([g.mat for g in self.gens], dtype=np.int64).reshape(-1, lat.rank,
+                                                                                 lat.rank)
+        a = cartan_matrix_of(simple.roots, lat)
+        n = len(a)
+        bmat = np.array([b.coords for b in simple.roots], dtype=np.int64).reshape(n, lat.rank).T
+        at = np.array(a, dtype=np.int64).reshape(n, n).T  # at[i, j] = A_ji
+        rowsum = int(np.abs(self.mats).sum(axis=2).max(initial=1))
+        if rowsum ** 12 * int(np.abs(bmat).max(initial=1)) >= _INT64_SAFE:
+            raise OverflowError("generator entries too large for exact int64 relation checks")
+        if any(a[i][j] > 0 for i in range(n) for j in range(n) if i != j):
+            raise ValueError("the roots are not a simple system: an acute pair")
+        if len(self.gens) != n or not np.array_equal(
+                self.mats @ bmat, bmat[None] - bmat.T[:, :, None] * at[:, None, :]):
+            raise ValueError("a generator does not act as the reflection in its simple root")
+        self.order = prod(_fundamental_orbit_sizes(a, cap))
+        # finite type now, so A_ij A_ji <= 3; the relations need words of up to 12 letters
+        m = np.array([[1 if i == j else _COXETER_M[a[i][j] * a[j][i]] for j in range(n)]
+                      for i in range(n)], dtype=np.int64).reshape(n, n)
+        power = pairs = self.mats[:, None] @ self.mats[None]
+        for k in range(1, int(m.max(initial=1)) + 1):
+            if k > 1:
+                power = power @ pairs
+            if not (power[m == k] == np.eye(lat.rank, dtype=np.int64)).all():
+                raise ValueError(f"the generators break a Coxeter relation of order {k}")
+        # v = sum_j c_j b_j with weights A^T c = d (1, ..., 1), d = det(A) > 0: regular, dominant
+        c = np.array(bareiss_solve(at.tolist(), [1] * n)[0], dtype=np.int64)
+        if not (at @ c > 0).all():
+            raise ValueError("no regular dominant vector found in span(b)")
+        self._cartan = a
+        self._regular = bmat @ c
+        self._dual = np.array(lat.gram, dtype=np.int64) @ bmat  # (x, b_j) = x @ _dual[:, j]
+        self._norms = tuple(int(x) for x in (bmat * self._dual).sum(axis=0))
+        for arr in (self.mats, self._regular, self._dual, *(g.mat for g in self.gens)):
+            arr.flags.writeable = False
+
+    def __contains__(self, w: WeylElement) -> bool:
+        if w.mat.shape != (self.rank, self.rank):
+            return False
+        # Python ints from here on: any matrix may be asked about, and none may wrap
+        lam = []
+        for p, n2 in zip(((w.mat.astype(object) @ self._regular) @ self._dual).tolist(),
+                         self._norms):
+            if 2 * p % n2:
+                return False  # the weights of g v are integral when g is in W
+            lam.append(2 * p // n2)
+        word = np.eye(self.rank, dtype=object)
+        for _ in range(self.order):  # a member descends in at most |R+| < |W| steps
+            i = next((i for i, c in enumerate(lam) if c < 0), None)
+            if i is None:  # u g v = v: g is in W iff g = u^-1, the word of the steps
+                return bool(np.array_equal(word, w.mat))
+            c = lam[i]
+            lam = [x - c * y for x, y in zip(lam, self._cartan[i])]
+            word = word @ self.mats[i]
+        return False
 
 
 def weyl_generate(gens, cap: int = DEFAULT_CAP, rank: int | None = None) -> WeylGroup:

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import factorial
 
 import numpy as np
 import pytest
 
-from picfold import folding
+from picfold import folding, rootsys
+from picfold.abelian import make_sigma_model
+from picfold.cases import case_lattice
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.folding import (
     FOLDED_TO_SIMPLY_LACED,
@@ -21,11 +25,16 @@ from picfold.folding import (
     outer_automorphism,
     restricted_reflection_matrices,
 )
+from picfold.moduli import chi_injectivity_check
 from picfold.rootsys import (
+    BudgetExceededError,
+    CoxeterWeylGroup,
+    WeylElement,
     basis_coordinates,
     cartan_matrix_of,
     decompose_in_basis,
     identify_cartan_type,
+    reflection,
     simple_reflections,
     standard_simple_system,
     weyl_generate,
@@ -139,6 +148,9 @@ def test_folded_root_counts(cubic):
     lat4 = make_blowup_lattice(F1, 4)
     assert len(folded_root_system("G2", lat4)) == 12
     assert len(folded_root_system("F4", cubic)) == 48
+    # the 2-orbit sums are exactly the roots of self-intersection -4
+    assert f4_short_roots(cubic) == tuple(sorted(
+        r for r in folded_root_system("F4", cubic).roots if cubic.pair(r, r) == -4))
     assert len(f4_short_roots(cubic)) == 24
 
 
@@ -373,9 +385,9 @@ def test_groups_are_built_once_and_read_only():
     assert ambient_weyl_group("B3", lat, cap=10**6) is big
     assert (len(w), len(big)) == (48, 192)
     for group in (w, big):
-        arrays = [group.mats, group._points, *(g.mat for g in group.gens),
-                  *(a for level in group._levels for pair in level.values() for a in pair)]
-        for arr in arrays:
+        arrays = [a for a in vars(group).values() if isinstance(a, np.ndarray)]
+        assert any(a is group.mats for a in arrays)
+        for arr in arrays + [g.mat for g in group.gens]:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 7
 
@@ -399,3 +411,131 @@ def test_automorphisms_and_fixed_sublattices_are_built_once_and_not_mutated(f1_4
     assert outer_automorphism("E6", cubic) is outer_automorphism("E6", cubic)
     with pytest.raises(ValueError, match="unknown folding case"):
         outer_automorphism("E7", f1_4)
+
+
+# every case folding._weyl_group serves; C5's ambient A9 (10!) needs a raised cap
+SERVED = [f"B{n}" for n in range(1, 7)] + [f"C{n}" for n in range(2, 6)] + ["G2", "F4"]
+
+
+def _cap(case, folded):
+    return 4 * 10**6 if (case, folded) == ("C5", False) else 10**6
+
+
+def _agrees_with_oracle(group, lat, letters, seed):
+    """The group against ``weyl_generate`` on its generators: order, == both ways, membership.
+
+    Membership is compared on seeded random words in ``letters``, on -I, on -I
+    times a word, and on a matrix of the wrong shape.  Raises AssertionError.
+    """
+    oracle = rootsys.weyl_generate(group.gens, cap=4 * 10**6)
+    assert len(group) == len(oracle)
+    assert group == oracle and oracle == group
+    sub = rootsys.weyl_generate(group.gens[:-1], rank=lat.rank)
+    assert group != sub and sub != group
+    rng, ident = random.Random(seed), np.eye(lat.rank, dtype=np.int64)
+    words = [reduce(np.matmul, [rng.choice(letters).mat for _ in range(rng.randrange(13))], ident)
+             for _ in range(40)]
+    tests = words + [-ident, -words[0], -words[-1], np.eye(lat.rank + 1, dtype=np.int64)]
+    got = [WeylElement.from_matrix(m) in group for m in tests]
+    assert got == [WeylElement.from_matrix(m) in oracle for m in tests]
+    assert not any(got[-4:])
+    return got
+
+
+@pytest.mark.parametrize("case", SERVED)
+@pytest.mark.parametrize("folded", [True, False])
+def test_coxeter_groups_match_the_schreier_sims_oracle(case, folded):
+    lat = case_lattice(case)
+    rho = outer_automorphism(folding.ambient_case(case), lat)
+    group = folding._weyl_group(case, lat, _cap(case, folded), folded)
+    assert isinstance(group, CoxeterWeylGroup)
+    # the ambient simple reflections are members of the ambient group and, mostly, not
+    # of the folded one; the reflection in l1 moves K, so it is in neither
+    letters = (list(group.gens) + simple_reflections(rho.simple_system, lat)
+               + [reflection(lat, lat.l(1))])
+    got = _agrees_with_oracle(group, lat, letters, seed=f"{case}.{folded}")
+    assert any(got) and not all(got)
+
+
+def test_ambient_a9_refuses_at_the_default_cap():
+    lat = case_lattice("C5")
+    with pytest.raises(BudgetExceededError):
+        ambient_weyl_group("C5", lat)
+    rho = outer_automorphism("A", lat)
+    with pytest.raises(BudgetExceededError):
+        weyl_generate(simple_reflections(rho.simple_system, lat))
+
+
+def test_caps_refuse_as_before(cubic):
+    with pytest.raises(BudgetExceededError):
+        folded_weyl_group("F4", cubic, cap=1151)
+    with pytest.raises(BudgetExceededError):
+        ambient_weyl_group("F4", cubic, cap=51839)
+    assert len(folded_weyl_group("F4", cubic, cap=1152)) == 1152
+    assert len(ambient_weyl_group("F4", cubic, cap=51840)) == 51840
+
+
+def test_a_generator_off_its_root_fails_the_tie_check(f1_4, cubic):
+    e6 = outer_automorphism("E6", cubic)
+    gens = simple_reflections(e6.simple_system, cubic)
+    other = reflection(cubic, cubic.h - cubic.l(4) - cubic.l(5) - cubic.l(6))  # a root of E6
+    with pytest.raises(ValueError, match="reflection in its simple root"):
+        CoxeterWeylGroup([other] + gens[1:], e6.simple_system, cubic)
+    # W(F4): one reflection of the orbit {a1, a6} in place of their product
+    folded = folded_weyl_generators(e6.simple_system, e6)
+    with pytest.raises(ValueError, match="reflection in its simple root"):
+        CoxeterWeylGroup([gens[0]] + folded[1:], folded_simple_system("F4", cubic), cubic)
+    with pytest.raises(ValueError, match="reflection in its simple root"):
+        CoxeterWeylGroup(folded[:-1], folded_simple_system("F4", cubic), cubic)
+    CoxeterWeylGroup(folded, folded_simple_system("F4", cubic), cubic)
+
+
+def test_a_negated_simple_root_is_refused(cubic):
+    # the reflections and the tie check do not see the sign, but the chain would:
+    # on (-b1, b2, ..., b6) it multiplies out to 3840, not 51840
+    e6 = outer_automorphism("E6", cubic).simple_system
+    flipped = type(e6)((-e6.roots[0],) + e6.roots[1:], "E6")
+    with pytest.raises(ValueError, match="not a simple system"):
+        CoxeterWeylGroup(simple_reflections(e6, cubic), flipped, cubic)
+
+
+def test_a_generator_that_breaks_a_relation_is_refused(f1_4):
+    # g0 + b3 (K, .) acts as g0 on span(b), since the roots are orthogonal to K, but
+    # (g0 + b3 (K, .))^2 = I + 2 b3 (K, .): g0 fixes b3 and K, and (K, b3) = 0
+    delta = outer_automorphism("D", f1_4).simple_system
+    gens = simple_reflections(delta, f1_4)
+    b3, k = (np.array(c.coords, dtype=np.int64) for c in (delta.roots[3], f1_4.K))
+    bent = gens[0].mat + np.outer(b3, np.array(f1_4.gram, dtype=np.int64) @ k)
+    with pytest.raises(ValueError, match="Coxeter relation of order 1"):
+        CoxeterWeylGroup([WeylElement.from_matrix(bent)] + gens[1:], delta, f1_4)
+
+
+def test_a_chain_that_skips_a_level_is_caught_by_the_oracle(monkeypatch):
+    sizes = rootsys._fundamental_orbit_sizes
+    monkeypatch.setattr(rootsys, "_fundamental_orbit_sizes", lambda a, cap: sizes(a, cap)[1:])
+    for case in ("B3", "C3", "G2", "F4"):
+        lat = case_lattice(case)
+        rho = outer_automorphism(folding.ambient_case(case), lat)
+        for group in (CoxeterWeylGroup(folded_weyl_generators(rho.simple_system, rho),
+                                       folded_simple_system(case, lat), lat),
+                      CoxeterWeylGroup(simple_reflections(rho.simple_system, lat),
+                                       rho.simple_system, lat)):
+            with pytest.raises(AssertionError):
+                _agrees_with_oracle(group, lat, list(group.gens), seed=1)
+
+
+def test_chi_checks_and_folded_groups_never_sift(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("Schreier-Sims was called")
+
+    monkeypatch.setattr(rootsys, "_schreier_sims", refuse)
+    # a fresh cache, so that no group built before the patch is read
+    monkeypatch.setattr(folding, "_weyl_group", lru_cache(maxsize=None)(
+        folding._weyl_group.__wrapped__))
+    sigma = make_sigma_model(3, 3)
+    for case in ("B2", "B3", "C2", "G2", "F4"):
+        assert chi_injectivity_check(case, sigma, action_cap=10**10).passed
+    for case in ("B2", "B3", "B4", "B5", "C2", "C3", "C4", "G2", "F4"):
+        assert len(folded_weyl_group(case, case_lattice(case))) > 1
+    with pytest.raises(RuntimeError, match="Schreier-Sims"):
+        weyl_generate(folding._weyl_group("B2", case_lattice("B2"), 10**6, True).gens)

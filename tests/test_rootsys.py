@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import gcd
@@ -11,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picfold import folding, rootsys
-from picfold._linalg import bareiss_det, integer_left_inverse, mat_mul, mat_vec, rational_solve
+from picfold._linalg import (
+    bareiss_det,
+    bareiss_solve,
+    integer_left_inverse,
+    mat_mul,
+    mat_vec,
+    rational_solve,
+)
 from picfold.cases import ambient_case, case_lattice
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.rootsys import (
@@ -439,6 +447,24 @@ def test_left_inverse_and_basis_coordinates_match_rational_solve(data):
     else:
         with pytest.raises(ValueError):
             basis_coordinates(bmat, stack)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bareiss_solve_matches_rational_solve(data):
+    """a x = d b with d = +-det(a) and x / d the rational solution; singular a raises."""
+    n = data.draw(st.integers(1, 6))
+    a = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    b = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    if bareiss_det(a) == 0:
+        with pytest.raises(ValueError):
+            bareiss_solve(a, b)
+        return
+    x, d = bareiss_solve(a, b)
+    assert abs(d) == abs(bareiss_det(a))
+    assert mat_vec(a, x) == [d * v for v in b]
+    assert [Fraction(v, d) for v in x] == rational_solve(a, b)
 
 
 def test_closure_refuses_int64_overflow():
