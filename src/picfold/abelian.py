@@ -104,6 +104,11 @@ class SigmaModel:
         mod (m1, m2) in the smallest unsigned dtype that holds two residues.
         The trailing coordinates' values are tabulated once (at most
         ``_TABLE_ROWS`` tuples); each chunk adds the leading ones to them.
+
+        Every chunk is built in two buffers allocated once per walk, the sum
+        and its wrapped difference, and ``residues`` is a view into the
+        first: a chunk is valid until the next one is requested.  A caller
+        that keeps one must copy it.
         """
         k, order = forms.shape[1], self.order
         t = max(j for j in range(k + 1) if order**j <= min(_CHUNK_ROWS, _TABLE_ROWS))
@@ -115,12 +120,15 @@ class SigmaModel:
             return (np.stack([f @ (e // self.m2), f @ (e % self.m2)]) % mods).astype(mods.dtype)
 
         tail = values(np.arange(width), forms[:, k - t:])[:, :, None, :]
+        total, wrapped = (np.empty((2, len(forms), min(step, nlead), width), mods.dtype)
+                          for _ in range(2))
         for g0 in range(0, nlead, step):  # step leading tuples, each with every tail
             head = values(np.arange(g0, min(g0 + step, nlead)), forms[:, :k - t])
-            total = (tail + head[..., None]).reshape(2, len(forms), -1)  # wrap, then min
-            yield (slice(g0 * width, g0 * width + total.shape[2]),
-                   np.minimum(total, total - mods, out=total))
-            del total  # once the caller drops it too, the next chunk reuses its memory
+            s, d = (buf[:, :, :head.shape[2]] for buf in (total, wrapped))
+            np.add(tail, head[..., None], out=s)
+            np.subtract(s, mods[..., None], out=d)  # wrap, then min
+            yield (slice(g0 * width, g0 * width + s.shape[2] * width),
+                   np.minimum(s, d, out=s).reshape(2, len(forms), -1))
 
 
 class SymbolicSigma:

@@ -15,16 +15,21 @@ on the constrained point locus.
 The searches share one integer kernel, ``_locus_masks``.  A summand's
 point is a linear form in the blow-up points, and a twisted summand's
 form is the sum of the two (-x_i for -l_i; s and f restrict to 0).
-Sigma^k is walked chunk by chunk through ``SigmaModel.form_chunks``, and
-each distinct block of forms is evaluated once per chunk.  The degree
-multisets of two compared sides are checked once (a mismatch raises),
-then their points are compared per degree after a sorting network.  A
-relation side R x = 0 is a block of forms that must vanish.
+The degree multisets of two compared sides are checked once (a mismatch
+raises), and the (degree, form) summands the sides share are cancelled.
+Sigma^k is walked chunk by chunk through ``SigmaModel.form_chunks``;
+each distinct form left is evaluated once per chunk, as one row of point
+codes a m2 + b, and the rest of each side is compared per degree after
+Batcher's odd-even merge network (*Sorting networks and their
+applications*, 1968).  A relation side R x = 0 is a block of forms whose
+codes must vanish.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -121,12 +126,32 @@ def wedge_power(bundle: WeightBundle, i: int) -> WeightBundle:
 # ---------------------------------------------------------------------------
 # exhaustive loci over finite groups (one chunked integer kernel)
 
+@lru_cache(maxsize=None)
+def _merge_network(k: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sorting network on k wires, as (low, high) comparators.
+
+    Built for the next power of two and restricted to the comparators on
+    wires below k: the padded wires act as +inf, so the others never move
+    anything (Batcher, *Sorting networks and their applications*, 1968).
+    """
+    n, net, p = 1 << (k - 1).bit_length(), [], 1
+    while p < n:
+        q = p
+        while q:
+            for j in range(q % p, n - q, 2 * q):
+                for i in range(j, j + q):
+                    if i // (2 * p) == (i + q) // (2 * p) and i + q < k:
+                        net.append((i, i + q))
+            q //= 2
+        p *= 2
+    return tuple(net)
+
+
 def _sorted_rows(rows):
-    """Sort every column of a (k, n) array: odd-even transposition, k rounds."""
+    """Sort every column of k rows through ``_merge_network(k)``."""
     rows = list(rows)
-    for r in range(len(rows)):
-        for i in range(r % 2, len(rows) - 1, 2):
-            rows[i:i + 2] = np.minimum(rows[i], rows[i + 1]), np.maximum(rows[i], rows[i + 1])
+    for i, j in _merge_network(len(rows)):
+        rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
     return rows
 
 
@@ -134,45 +159,60 @@ def _locus_masks(lat, sigma, params, pairs, relations=()):
     """Masks over t in Sigma^k, in ``SigmaModel.form_chunks`` order, with the points x = params t.
 
     One row per pair ((summands, twist), (summands, twist)) of sides that
-    restrict alike, then one per relation block R: R x = 0.
+    restrict alike, then one per relation block R: R x = 0.  A side is the
+    multiset of its summands' (degree, form in t); the degree multisets of
+    the full sides must agree (else ``ValueError``).  The summands the two
+    sides share are cancelled first, which is exact: A ⊎ C = B ⊎ C as
+    multisets at a point iff A = B there.  What is left is compared per
+    degree, point codes a m2 + b sorted by a merge network; a degree with
+    nothing left holds everywhere.  Each distinct form is one row of codes
+    per chunk.
     """
-    forms, where, plan = [], {}, []
+    where = {}  # form in t -> its row
 
     def place(rows):
-        if rows not in where:
-            where[rows] = (len(forms), len(forms) + len(rows))
-            forms.extend(rows)
-        return where[rows]
+        forms = np.array(rows, dtype=np.int64).reshape(-1, len(params)) @ params
+        return [where.setdefault(form, len(where)) for form in map(tuple, forms.tolist())]
 
+    plan = []
     for pair in pairs:
-        sides = [(place(tuple(lat.l_coeffs(d + tw) for d in summands)),
-                  np.array([lat.deg(d + tw) for d in summands])) for summands, tw in pair]
-        lhs, rhs = (sorted(side[1].tolist()) for side in sides)
+        sides = [Counter(zip([lat.deg(d + tw) for d in summands],
+                             place([lat.l_coeffs(d + tw) for d in summands]))) for summands, tw in pair]
+        lhs, rhs = (sorted(deg for deg, _ in side.elements()) for side in sides)
         if lhs != rhs:
             raise ValueError(f"summand degrees {lhs} and {rhs} differ: no identification")
-        plan.append(sides)
+        left, right = sides[0] - sides[1], sides[1] - sides[0]
+        plan.append([tuple(tuple(sorted(r for d, r in side.elements() if d == deg))
+                           for side in (left, right))
+                     for deg in sorted({d for d, _ in left})])
     vanish = [place(rows) for rows in relations]
 
     out = np.empty((len(plan) + len(vanish), sigma.order ** params.shape[1]), dtype=bool)
-    for cols, c in sigma.form_chunks(np.array(forms, dtype=np.int64) @ params):
+    code = None
+    for cols, c in sigma.form_chunks(np.array(list(where), dtype=np.int64).reshape(len(where), -1)):
+        if code is None:  # the first chunk is the longest
+            code = np.empty(c.shape[1:], np.min_scalar_type(sigma.order - 1))
+        x = code[:, :c.shape[2]]
+        np.multiply(c[0], sigma.m2, out=x)
+        np.add(x, c[1], out=x)
         done = {}
 
-        def side_sorted(side, deg):
-            (a, b), degs = side
-            pick = degs == deg
-            key = (a, b, pick.tobytes())
-            if key not in done:
-                p = c[:, a:b][:, pick]
-                done[key] = _sorted_rows(p[0] * sigma.m2 + p[1])
-            return done[key]
+        def sorted_codes(rows):
+            if rows not in done:
+                done[rows] = _sorted_rows(x[r] for r in rows)
+            return done[rows]
 
-        for row, (lhs, rhs) in enumerate(plan):
-            out[row, cols] = np.logical_and.reduce(
-                [u == v for deg in set(lhs[1].tolist())
-                 for u, v in zip(side_sorted(lhs, deg), side_sorted(rhs, deg))])
-        for row, (a, b) in enumerate(vanish, len(plan)):
-            out[row, cols] = ~c[:, a:b].any(axis=(0, 1))
-        del c  # let the walk build the next chunk in this one's memory
+        for row, groups in enumerate(plan):
+            mask = out[row, cols]
+            mask[...] = True
+            for lhs, rhs in groups:
+                for u, v in zip(sorted_codes(lhs), sorted_codes(rhs)):
+                    mask &= u == v
+        for row, rows in enumerate(vanish, len(plan)):
+            mask = out[row, cols]
+            mask[...] = True
+            for r in rows:
+                mask &= x[r] == 0
     return out
 
 

@@ -49,7 +49,7 @@ from math import prod
 import numpy as np
 
 from ._linalg import bareiss_solve, integer_left_inverse
-from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes
+from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes, gram_matrix
 
 
 class BudgetExceededError(RuntimeError):
@@ -168,17 +168,12 @@ def standard_simple_system(case: str, lat: IntersectionLattice) -> SimpleSystem:
 
 
 def cartan_matrix_of(roots, lat: IntersectionLattice):
-    """A_ij = 2 (b_i, b_j) / (b_j, b_j) for a list of classes."""
-    n = len(roots)
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            num = 2 * lat.pair(roots[i], roots[j])
-            den = lat.pair(roots[j], roots[j])
-            if num % den != 0:
-                raise UnrecognizedDiagramError("non-integral Cartan pairing")
-            a[i][j] = num // den
-    return tuple(tuple(row) for row in a)
+    """A_ij = 2 (b_i, b_j) / (b_j, b_j) for a list of classes, from one Gram matrix."""
+    g = gram_matrix(lat, roots)
+    den = np.diagonal(g)
+    if not den.all() or (2 * g % den).any():  # a zero diagonal raises before any division
+        raise UnrecognizedDiagramError("non-integral Cartan pairing")
+    return tuple(map(tuple, (2 * g // den).tolist()))
 
 
 def cartan_matrix_of_q(vectors, lat: IntersectionLattice):

@@ -240,7 +240,8 @@ def test_form_chunks_match_brute_force(group, k, data, chunk_rows, table_rows):
                               min_size=1, max_size=4))
     forms = np.array(rows, dtype=np.int64).reshape(len(rows), k)
     with mock.patch.multiple(abelian, _CHUNK_ROWS=chunk_rows, _TABLE_ROWS=table_rows):
-        chunks = list(sigma.form_chunks(forms))
+        # a chunk is valid until the next one is requested: keep copies
+        chunks = [(cols, residues.copy()) for cols, residues in sigma.form_chunks(forms)]
     expected = [[sigma.combine(row, t) for row in forms.tolist()]
                 for t in product(sigma.elements(), repeat=k)]
     start, got = 0, []
@@ -251,6 +252,25 @@ def test_form_chunks_match_brute_force(group, k, data, chunk_rows, table_rows):
         got += [list(map(tuple, col)) for col in residues.transpose(2, 1, 0).tolist()]
         start = cols.stop
     assert got == expected
+
+
+def test_form_chunks_reuse_one_buffer():
+    # 5^3 tuples in chunks of 50, 50 and 25 (two leading values at a time,
+    # each with all 25 tails): every chunk, the short last one too, is a
+    # view into the same memory
+    sigma = make_sigma_model(1, 5)
+    forms = np.array([[1, 2, 3], [-1, 0, 4]], dtype=np.int64)
+    with mock.patch.multiple(abelian, _CHUNK_ROWS=50, _TABLE_ROWS=25):
+        walk = sigma.form_chunks(forms)
+        first = next(walk)[1]
+        kept = first.copy()
+        rest = [residues for _, residues in walk]
+    assert [r.shape[2] for r in rest] == [50, 25]
+    assert all(np.shares_memory(first, r) for r in rest)
+    assert not np.array_equal(first, kept)  # the walk overwrote the first chunk
+    expected = [[sigma.combine(row, t) for row in forms.tolist()]
+                for t in product(sigma.elements(), repeat=3)][:50]
+    assert [list(map(tuple, col)) for col in kept.transpose(2, 1, 0).tolist()] == expected
 
 
 # V^-1 of this matrix's Smith form has an entry past 2^62: a few of them times a

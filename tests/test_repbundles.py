@@ -1,9 +1,12 @@
 import random
 import tracemalloc
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picfold import abelian, repbundles
 from picfold.abelian import SigmaModel, SymbolicSigma, make_sigma_model
@@ -349,3 +352,132 @@ def test_mixed_degree_sides_compare_per_degree(lat4):
         pa = PointAssignment(sigma, x)
         restricted = [[line_class_of(lat4, pa, d) for d in side] for side in (lhs, rhs)]
         assert mask[col] == check_identification(*restricted) == (x[0] == x[1])
+
+
+# ---------------------------------------------------------------------------
+# the merge network, and the kernel against its odd-even transposition form
+
+
+def _sorts_every_01_column(k):
+    """The 0/1 principle: a comparator network sorts all inputs iff it sorts all 0/1 inputs."""
+    bits = (np.arange(2**k) >> np.arange(k)[:, None] & 1).astype(np.uint8)
+    rows = repbundles._sorted_rows(bits)
+    return all((u <= v).all() for u, v in zip(rows, rows[1:])) and (sum(rows) == bits.sum(0)).all()
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_merge_network_sorts_every_01_input(k):
+    assert _sorts_every_01_column(k)
+    assert all(0 <= i < j < k for i, j in repbundles._merge_network(k))
+
+
+def test_merge_network_sizes():
+    assert [len(repbundles._merge_network(k)) for k in (2, 3, 4, 8)] == [1, 3, 5, 19]
+
+
+def test_dropping_any_comparator_fails_the_01_check(monkeypatch):
+    net = repbundles._merge_network(8)
+    for drop in range(len(net)):
+        monkeypatch.setattr(repbundles, "_merge_network", lambda k: net[:drop] + net[drop + 1:])
+        assert not _sorts_every_01_column(8), f"comparator {net[drop]} is redundant"
+
+
+def _transposition_sorted(rows):
+    """Sort every column of a (k, n) array: odd-even transposition, k rounds."""
+    rows = list(rows)
+    for r in range(len(rows)):
+        for i in range(r % 2, len(rows) - 1, 2):
+            rows[i:i + 2] = np.minimum(rows[i], rows[i + 1]), np.maximum(rows[i], rows[i + 1])
+    return rows
+
+
+def _transposition_locus_masks(lat, sigma, params, pairs, relations=()):
+    """The kernel before cancellation: whole sides, blocks of forms, transposition sorts."""
+    forms, where, plan = [], {}, []
+
+    def place(rows):
+        if rows not in where:
+            where[rows] = (len(forms), len(forms) + len(rows))
+            forms.extend(rows)
+        return where[rows]
+
+    for pair in pairs:
+        sides = [(place(tuple(lat.l_coeffs(d + tw) for d in summands)),
+                  np.array([lat.deg(d + tw) for d in summands])) for summands, tw in pair]
+        lhs, rhs = (sorted(side[1].tolist()) for side in sides)
+        if lhs != rhs:
+            raise ValueError(f"summand degrees {lhs} and {rhs} differ: no identification")
+        plan.append(sides)
+    vanish = [place(rows) for rows in relations]
+
+    out = np.empty((len(plan) + len(vanish), sigma.order ** params.shape[1]), dtype=bool)
+    for cols, c in sigma.form_chunks(np.array(forms, dtype=np.int64) @ params):
+        done = {}
+
+        def side_sorted(side, deg):
+            (a, b), degs = side
+            pick = degs == deg
+            key = (a, b, pick.tobytes())
+            if key not in done:
+                p = c[:, a:b][:, pick]
+                done[key] = _transposition_sorted(p[0] * sigma.m2 + p[1])
+            return done[key]
+
+        for row, (lhs, rhs) in enumerate(plan):
+            out[row, cols] = np.logical_and.reduce(
+                [u == v for deg in set(lhs[1].tolist())
+                 for u, v in zip(side_sorted(lhs, deg), side_sorted(rhs, deg))])
+        for row, (a, b) in enumerate(vanish, len(plan)):
+            out[row, cols] = ~c[:, a:b].any(axis=(0, 1))
+    return out
+
+
+_LAT4 = make_blowup_lattice(F1, 4)
+_SIGMAS = [(m1, m2) for m2 in range(1, 9) for m1 in range(1, m2 + 1)
+           if m2 % m1 == 0 and m1 * m2 <= 8]
+_COEFFS = st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+
+
+def _of_degree(deg, coeffs):
+    """n f + e s + sum a_i l_i of the given degree: f has degree 2, s and every l_i degree 1."""
+    r = deg - sum(coeffs)
+    return sum((a * _LAT4.l(i + 1) for i, a in enumerate(coeffs)), r // 2 * _LAT4.f + r % 2 * _LAT4.s)
+
+
+@st.composite
+def _side_pairs(draw):
+    """Sides of equal degree multisets: each rhs summand is the lhs one after the twists
+    (shared), or a fresh class of its degree; twists are random classes."""
+    lhs = [_of_degree(draw(st.integers(-3, 3)), draw(_COEFFS))
+           for _ in range(draw(st.integers(1, 7)))]
+    tw_l, tw_r = (_of_degree(draw(st.integers(-2, 2)), draw(_COEFFS)) for _ in range(2))
+    share = draw(st.sampled_from(["all", "some", "none"]))
+    rhs = []
+    for d in lhs:
+        target = _LAT4.deg(d + tw_l)
+        if share == "all" or share == "some" and draw(st.booleans()):
+            rhs.append(d + tw_l - tw_r)
+        else:
+            rhs.append(_of_degree(target, draw(_COEFFS)) - tw_r)
+    rhs = draw(st.permutations(rhs))
+    return ((tuple(lhs), tw_l), (tuple(rhs), tw_r)), share == "all"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_SIGMAS), st.booleans(), st.lists(_side_pairs(), min_size=1, max_size=3),
+       st.lists(st.lists(_COEFFS, min_size=1, max_size=2).map(lambda b: tuple(map(tuple, b))),
+                max_size=2),
+       st.sampled_from([5, 64, 1 << 15]))
+def test_locus_masks_match_the_transposition_kernel(group, zero_sum, drawn, relations, rows):
+    sigma = make_sigma_model(*group)
+    params = np.eye(4, dtype=np.int64)
+    if zero_sum:  # x = (t, -sum t), as for the wedge locus
+        params = np.vstack([params[:3, :3], -np.ones((1, 3), dtype=np.int64)])
+    pairs = [pair for pair, _ in drawn]
+    with mock.patch.object(abelian, "_CHUNK_ROWS", rows):
+        got = repbundles._locus_masks(_LAT4, sigma, params, pairs, relations)
+    want = _transposition_locus_masks(_LAT4, sigma, params, pairs, relations)
+    assert got.shape == want.shape == (len(pairs) + len(relations), sigma.order ** params.shape[1])
+    assert np.array_equal(got, want)
+    for row, (_, identical) in enumerate(drawn):
+        assert got[row].all() or not identical

@@ -25,6 +25,7 @@ from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.rootsys import (
     BudgetExceededError,
     NonIntegralReflectionError,
+    UnrecognizedDiagramError,
     WeylElement,
     basis_coordinates,
     cartan_matrix_of,
@@ -91,6 +92,22 @@ def test_single_root_is_a1(f1_4):
     a = cartan_matrix_of([f1_4.l(1) - f1_4.l(2)], f1_4)
     assert a == ((2,),)
     assert identify_cartan_type(a) == "A1"
+
+
+def test_cartan_matrix_matches_the_pairings(f1_4, cubic):
+    for lat, case in ((f1_4, "D"), (f1_4, "A"), (cubic, "E6")):
+        roots = standard_simple_system(case, lat).roots
+        assert cartan_matrix_of(roots, lat) == tuple(
+            tuple(2 * lat.pair(a, b) // lat.pair(b, b) for b in roots) for a in roots)
+
+
+def test_cartan_matrix_refuses_a_non_integral_pairing(f1_4):
+    l, f = f1_4.l, f1_4.f
+    # (b1, b2) = 1 and (b2, b2) = -3: A_12 = -2/3; and f is isotropic
+    with pytest.raises(UnrecognizedDiagramError, match="non-integral"):
+        cartan_matrix_of([l(1) - l(2), l(2) + l(3) + l(4)], f1_4)
+    with pytest.raises(UnrecognizedDiagramError, match="non-integral"):
+        cartan_matrix_of([l(1) - l(2), f], f1_4)
 
 
 def test_reflect_examples(f1_4, cubic):
