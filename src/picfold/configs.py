@@ -10,30 +10,34 @@ On the Hirzebruch model this amounts to a sign-pattern with an even
 number of l -> f - l flips; the odd patterns are exactly the ones the
 ambient Weyl group cannot reach.
 
-Systems are enumerated as int64 rows of indices into one class table per
-case (l_i and f - l_i for B and G2, l_i for C, the 27 sorted lines for F4),
-with incidences read off the table's Gram matrix and relations off its
-symbolic points; the transitivity check codes the systems it is given on
-a table of their own classes.
+Systems are enumerated by one search for every case, as sorted int64 rows
+of indices into a class table derived from the fold: the (-1)-classes
+orthogonal to what the ambient roots are orthogonal to (l_i and f - l_i
+for B and G2, l_i for C, the 27 sorted lines for F4).  Incidences are
+read off the table's Gram matrix and relations off its symbolic points;
+the transitivity check codes the systems on the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
+from itertools import combinations
 
 import numpy as np
 
 from .lattice import (
     F1,
+    SELF,
     DivisorClass,
     IntersectionLattice,
+    enumerate_classes,
     exceptional_classes,
     gram_matrix,
 )
 from .abelian import SymbolicSigma
 from .cases import case_lattice, case_spec, holds
+from .folding import outer_automorphism
 from .moduli import PointAssignment
 from .rootsys import (
     BudgetExceededError,
@@ -66,18 +70,8 @@ def symbolic_point(lat: IntersectionLattice, rows: np.ndarray, d: DivisorClass):
 @dataclass(frozen=True)
 class GConfiguration:
     case: str
-    classes: tuple
+    classes: tuple  # in the slot order of the case's points
     pa: PointAssignment | None = None
-
-    def flat_classes(self) -> tuple[DivisorClass, ...]:
-        """The classes in the slot order of the case's points.
-
-        C pairs (a_i, b_i) flatten to (a_1, ..., a_n, b_n, ..., b_1).
-        """
-        if case_spec(self.case).family == "C":
-            return (tuple(a for a, _ in self.classes)
-                    + tuple(b for _, b in reversed(self.classes)))
-        return self.classes
 
     def check_invariants(self, lat: IntersectionLattice):
         """Raise ConfigurationError unless every defining condition holds.
@@ -85,36 +79,27 @@ class GConfiguration:
         With a point assignment this includes the case's point relations,
         both on the classes' symbolic points and on the assigned points.
         """
-        flat = self.flat_classes()
-        for e in flat:
+        classes = self.classes
+        for e in classes:
             if lat.pair(e, e) != -1 or lat.pair(e, lat.K) != -1:
                 raise ConfigurationError(f"{e} is not a (-1)-class")
-        for a, b in combinations(flat, 2):
+        for a, b in combinations(classes, 2):
             if lat.pair(a, b) != 0:
                 raise ConfigurationError(f"{a} and {b} meet")
         if lat.model == F1:
-            for e in flat:
+            for e in classes:
                 if lat.pair(e, lat.f) != 0:
                     raise ConfigurationError(f"{e} meets the fiber")
         if self.pa is not None:
-            rows = symbolic_point_rows(self.case)
-            if not _check_case_points(self.case, [
-                symbolic_point(lat, rows, e) for e in flat
-            ]):
-                raise ConfigurationError(
-                    f"the classes' points break the {self.case} relations")
-            relations = case_spec(self.case).relations
+            spec, rows = case_spec(self.case), symbolic_point_rows(self.case)
+            if not holds(spec.relations, SymbolicSigma(spec.rank),
+                         [symbolic_point(lat, rows, e) for e in classes]):
+                raise ConfigurationError(f"the classes' points break the {self.case} relations")
             x = self.pa.points
-            if len(x) != lat.npoints or not holds(relations, self.pa.sigma, x):
+            if len(x) != lat.npoints or not holds(spec.relations, self.pa.sigma, x):
                 raise ConfigurationError(
                     f"the assigned points {x} break the {self.case} relations")
         return True
-
-
-def _check_case_points(case: str, pts) -> bool:
-    """R x = 0 on symbolic points (integer vectors over the free parameters)."""
-    spec = case_spec(case)
-    return holds(spec.relations, SymbolicSigma(spec.rank), pts)
 
 
 @lru_cache(maxsize=None)
@@ -123,62 +108,72 @@ def _hirzebruch_table(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     return tuple(e for i in range(1, lat.npoints + 1) for e in (lat.l(i), lat.f - lat.l(i)))
 
 
-def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = None):
-    """The complete list of class tuples forming exceptional systems.
+class ExceptionalSystems:
+    """Systems as int64 rows of indices into a sorted class table, one slot per point.
 
-    B/G2: tuples (e_1, ..., e_m) of pairwise-disjoint fiber-degree-zero
-    exceptional classes meeting the symbolic point constraints, with an
-    even number of flips (blow-down validity).  C: the definitional
-    pairs (l_i, l_i^-) up to permutation and per-pair swaps.  F4:
-    ordered 6-tuples of pairwise-disjoint lines whose points satisfy the
-    three-way sum condition.  The tuple is computed once per (case, lat)
-    and shared between callers.
+    The rows are read-only and sorted, so the systems come in sorted class
+    order.  ``systems[k]`` and iteration give class tuples; ``in`` is False
+    for a tuple of the wrong length or with a class off the table.
+    """
+
+    def __init__(self, table, rows):
+        rows = np.asarray(rows, dtype=np.int64)
+        self.table = tuple(table)
+        self.rows = rows[np.lexsort(rows.T[::-1])]
+        self.rows.flags.writeable = False
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        return tuple(map(self.table.__getitem__, self.rows[k].tolist()))
+
+    def __iter__(self):
+        return (tuple(map(self.table.__getitem__, row)) for row in self.rows.tolist())
+
+    def __contains__(self, system):
+        index = {e: i for i, e in enumerate(self.table)}
+        row = [index.get(e, -1) for e in system]
+        return (len(row) == self.rows.shape[1] and -1 not in row
+                and bool((self.rows == row).all(axis=1).any()))
+
+
+def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = None):
+    """Every exceptional system of the case, as ``ExceptionalSystems``.
+
+    The table is the orbit of l_1 under the ambient Weyl group: the classes
+    e with e.e = e.K = -1 orthogonal to what the fold's ambient roots are
+    orthogonal to (l_i and f - l_i for D and triality, l_i for A, the 27
+    lines for E6).  A system picks pairwise-disjoint table classes e_i whose
+    symbolic points satisfy R x = 0 and for which b_0 + (sum e - sum l) / |K_0|
+    is integral (b_0 is s on F1 and h on P2, K_0 is K's coefficient on b_0).
+    That class is the image of b_0 under the isometry fixing K (and f) that
+    carries (l_1, ..., l_m) to the system, so the test is blow-down validity:
+    on F1 an even number of l -> f - l flips; on the A and E6 tables it
+    always holds.  Computed once per (case, lat) and shared between callers.
     """
     return _enumerate_systems(case, lat or case_lattice(case))
 
 
 @lru_cache(maxsize=None)
-def _enumerate_systems(case: str, lat: IntersectionLattice):
+def _enumerate_systems(case: str, lat: IntersectionLattice) -> ExceptionalSystems:
     spec = case_spec(case)
-    m = lat.npoints
-    if spec.family == "C":
-        # (l_i, l_{2n+1-i}) or its swap, for every permutation and flip pattern, in that order
-        table = tuple(lat.l(i) for i in range(1, m + 1))
-        a = np.array(list(permutations(range(spec.rank))), dtype=np.int64)[:, None]
-        flips = np.array(list(product((0, 1), repeat=spec.rank)), dtype=bool)
-        first = np.where(flips, m - 1 - a, a)
-        idx = np.stack([first, m - 1 - first], axis=-1).reshape(-1, m)
-    elif spec.family == "F4":
-        table, idx = _f4_systems(lat, symbolic_point_rows(case), spec.relations)
-    else:
-        # B and G2: every (permutation, even flip pattern) on the Hirzebruch
-        # model, in that order, with R x = 0 evaluated for all of them at once
-        table = _hirzebruch_table(lat)
-        perms = np.array(list(permutations(range(m))), dtype=np.int64)
-        flips = np.array([f for f in product((0, 1), repeat=m) if sum(f) % 2 == 0],
-                         dtype=np.int64)
-        idx = (2 * perms[:, None] + flips[None]).reshape(-1, m)
-        pts = np.array([lat.l_coeffs(e) for e in table], dtype=np.int64) @ symbolic_point_rows(case)
-        for rel in spec.relations:
-            idx = idx[~np.any(sum(c * pts[idx[:, j]] for j, c in enumerate(rel) if c), axis=1)]
-    systems = [tuple(map(table.__getitem__, row)) for row in idx.tolist()]
-    if spec.family == "C":
-        return tuple(tuple(zip(s[::2], s[1::2])) for s in systems)
-    return tuple(systems)
+    orthogonal = outer_automorphism(spec.ambient, lat).orthogonal_to
+    table = enumerate_classes(lat, [(SELF, -1), (lat.K, -1)] + [(c, 0) for c in orthogonal])
+    return ExceptionalSystems(table, _relation_search(lat, table, symbolic_point_rows(case),
+                                                      spec.relations))
 
 
-def _f4_systems(lat: IntersectionLattice, rows: np.ndarray, relations):
-    """Ordered 6-tuples of pairwise-disjoint lines whose points satisfy R x = 0.
+def _relation_search(lat: IntersectionLattice, table, rows: np.ndarray, relations):
+    """The (S, m) index rows into ``table`` of the systems (as above), in search order.
 
-    Returns the sorted lines and the sorted (S, 6) rows of indices into
-    them.  The slots are filled relation by relation, a level at a time,
-    each partial tuple with a mask of the lines that miss all of its own;
-    a relation whose last slot is next narrows the mask to its solutions.
+    The slots are filled relation by relation, a level at a time, each
+    partial row with a mask of the classes that miss all of its own and
+    its sum e - sum l; a relation whose last slot is next narrows the mask
+    to its solutions.
     """
-    lines = exceptional_classes(lat)
-    if any(a >= b for a, b in zip(lines, lines[1:])):
-        raise ValueError("the lines are not strictly sorted, so index order is not class order")
-    pts = np.array([lat.l_coeffs(e) for e in lines], dtype=np.int64) @ rows  # symbolic points
+    coords = np.array([e.coords for e in table], dtype=np.int64)
+    pts = coords[:, lat.l_offset:] @ rows  # symbolic points
     order = []
     for rel in relations:
         order += [j for j, c in enumerate(rel) if c and j not in order]
@@ -187,9 +182,11 @@ def _f4_systems(lat: IntersectionLattice, rows: np.ndarray, relations):
     due = [[] for _ in order]  # per depth, the relations whose last slot it fills, in depth order
     for rel in relations:
         due[max(pos[j] for j, c in enumerate(rel) if c)].append([rel[j] for j in order])
-    disjoint = gram_matrix(lat, lines) == 0
+    disjoint = gram_matrix(lat, table) == 0
     picked = np.zeros((1, 0), dtype=np.int64)  # one column per depth
-    allowed = np.ones((1, len(lines)), dtype=bool)
+    allowed = np.ones((1, len(table)), dtype=bool)
+    total = np.zeros((1, lat.rank), dtype=np.int64)  # sum e - sum l, per row
+    total[0, lat.l_offset:] = -1
     for depth, rels in enumerate(due):
         choice = allowed
         for rel in rels:  # rel fixes c x_slot = -(the sum over its other slots)
@@ -197,10 +194,11 @@ def _f4_systems(lat: IntersectionLattice, rows: np.ndarray, relations):
                        np.zeros((len(picked), pts.shape[1]), dtype=np.int64))
             for k in range(pts.shape[1]):
                 choice = choice & (rest[:, k, None] + rel[depth] * pts[:, k] == 0)
-        f, c = np.nonzero(choice)  # rows come out in row-major order of (row, line)
-        picked, allowed = np.column_stack([picked[f], c]), allowed[f] & disjoint[c]
-    idx = picked[:, [pos[j] for j in range(lat.npoints)]]
-    return lines, idx[np.lexsort(idx.T[::-1])]
+        f, c = np.nonzero(choice)
+        picked, allowed, total = (np.column_stack([picked[f], c]), allowed[f] & disjoint[c],
+                                  total[f] + coords[c])
+    integral = ~(total % abs(lat.K.coords[0])).any(axis=1)
+    return picked[integral][:, [pos[j] for j in range(lat.npoints)]]
 
 
 def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
@@ -257,35 +255,27 @@ class TransitivityReport:
     offending: tuple | None
 
 
-def simple_transitivity_check(case: str, systems, weyl: WeylGroup) -> TransitivityReport:
+def simple_transitivity_check(systems: ExceptionalSystems, weyl: WeylGroup) -> TransitivityReport:
     """Verify the Weyl group permutes the systems simply transitively.
 
     The orbit of the first system under the generators must be the whole
     set of systems, with as many elements as the group has.  A system is
-    coded as the mixed-radix int64 of its indices into the table of the
-    systems' classes (slots as in ``GConfiguration.flat_classes``), and
-    each generator as a partial permutation of that table (-1 off it).
-    The walk stays on the systems; the first image that is not one is
-    reported as outside, ahead of unreached systems.  Raises
+    coded as the mixed-radix int64 of its row of indices into the systems'
+    table, and each generator as a partial permutation of that table (-1
+    off it).  The walk stays on the systems; the first image that is not
+    one is reported as outside, ahead of unreached systems.  Raises
     ``OverflowError`` unless the codes fit in int64.
     """
-    systems = list(systems)
-    family_c = case_spec(case).family == "C"
-    flat = chain.from_iterable(chain.from_iterable(systems) if family_c else systems)
-    index = {}
-    idx = np.array([index.setdefault(e.coords, len(index)) for e in flat],
-                   dtype=np.int64).reshape(len(systems), -1)
-    if family_c:  # (a_1, b_1, ..., a_n, b_n) to (a_1, ..., a_n, b_n, ..., b_1)
-        idx = np.concatenate([idx[:, 0::2], idx[:, -1::-2]], axis=1)
-    n, m = len(index), idx.shape[1]
+    rows = systems.rows
+    n, m = len(systems.table), rows.shape[1]
     if n**m >= 2**63:
         raise OverflowError(f"codes of {m} slots over {n} classes do not fit in int64")
     radix = n ** np.arange(m, dtype=np.int64)
-    coords = np.array(list(index), dtype=np.int64)
+    coords = np.array([e.coords for e in systems.table], dtype=np.int64)
     where = {key: i for i, key in enumerate(row_keys(coords))}
     perms = np.array([[where.get(key, -1) for key in row_keys(coords @ g.T)] for g in weyl.mats],
                      dtype=np.int64).reshape(-1, n)
-    codes = idx @ radix
+    codes = rows @ radix
     targets = np.sort(codes)
     seen = np.arange(targets.size) == np.searchsorted(targets, codes[0])  # per first occurrence
     frontier = codes[:1]
@@ -310,7 +300,7 @@ def simple_transitivity_check(case: str, systems, weyl: WeylGroup) -> Transitivi
         images = coords[witness[0] // radix % n] @ weyl.mats[witness[1]].T
         offending = ("outside", tuple(DivisorClass(tuple(v)) for v in images.tolist()))
     elif missing.size:
-        offending = ("unreached", systems[missing[0]])
+        offending = ("unreached", systems[int(missing[0])])
     elif not reached == len(weyl) == len(systems):
         offending = ("stabilizer", len(weyl) // max(reached, 1))
     return TransitivityReport(offending is None, len(weyl), len(systems), reached, offending)
@@ -424,31 +414,3 @@ def triangle_stabilizer(triangle, ordered: bool, weyl: WeylGroup) -> StabilizerR
     if not ordered:
         rows = {frozenset(row_keys(r.reshape(len(triangle), -1))) for r in rows}
     return StabilizerResult(len(weyl) // len(rows), len(rows))
-
-
-def in_general_position(case: str, pa: PointAssignment) -> bool:
-    """Interior (non-boundary) test for a constraint-satisfying assignment.
-
-    Distinctness plus the case conditions: nonzero unconstrained points
-    for B and G2; x_i + x_j != 0 (all i, j) for C; distinct points for F4.
-    """
-    s = pa.sigma
-    x = pa.points
-    if len(set(x)) != len(x):
-        return False
-    family = case_spec(case).family
-    if family == "B":
-        return all(not s.is_zero(p) for p in x[1:])
-    if family == "C":
-        n = len(x) // 2
-        half = x[:n]
-        return all(
-            not s.is_zero(s.add(half[i], half[j]))
-            for i in range(n) for j in range(i, n)
-        )
-    if family == "G2":
-        vals = []
-        for p in x[1:]:
-            vals += [p, s.neg(p)]
-        return len(set(vals + [x[0]])) == len(vals) + 1
-    return True  # F4

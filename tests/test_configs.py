@@ -14,20 +14,19 @@ from picfold.lattice import F1, P2, DivisorClass, exceptional_classes, make_blow
 from picfold.configs import (
     ConfigurationError,
     DoubleSix,
+    ExceptionalSystems,
     GConfiguration,
     NoRootFoundError,
     TransitivityReport,
     cubic_combinatorics,
     double_six_to_root,
     enumerate_exceptional_systems,
-    in_general_position,
     is_blowdown_sequence,
     simple_transitivity_check,
     symbolic_point,
     symbolic_point_rows,
     triangle_stabilizer,
-    _check_case_points,
-    _f4_systems,
+    _relation_search,
 )
 from picfold.moduli import PointAssignment, case_lattice, case_rank, points_from_parameters
 from picfold.abelian import make_sigma_model
@@ -68,7 +67,7 @@ def test_b_system_counts():
         lat = case_lattice(f"B{n}")
         systems = enumerate_exceptional_systems(f"B{n}", lat)
         assert len(systems) == 2**n * factorial(n)
-        for s in systems[:20]:
+        for s in list(systems)[:20]:
             GConfiguration(f"B{n}", s).check_invariants(lat)
 
 
@@ -77,7 +76,7 @@ def test_c_system_counts():
         lat = case_lattice(f"C{n}")
         systems = enumerate_exceptional_systems(f"C{n}", lat)
         assert len(systems) == 2**n * factorial(n)
-        for s in systems[:20]:
+        for s in list(systems)[:20]:
             GConfiguration(f"C{n}", s).check_invariants(lat)
 
 
@@ -86,7 +85,7 @@ def test_f4_systems(cubic):
     assert len(systems) == 1152
     ls = tuple(cubic.l(i) for i in range(1, 7))
     assert ls in systems
-    for s in systems[:20]:
+    for s in list(systems)[:20]:
         GConfiguration("F4", s).check_invariants(cubic)
     # no system uses the three special lines
     h, l = cubic.h, cubic.l
@@ -100,11 +99,11 @@ def test_simple_transitivity_all_cases(cubic):
         lat = case_lattice(case)
         systems = enumerate_exceptional_systems(case, lat)
         w = folded_weyl_group(case, lat)
-        rep = simple_transitivity_check(case, systems, w)
+        rep = simple_transitivity_check(systems, w)
         assert rep.simply_transitive, (case, rep.offending)
     systems = enumerate_exceptional_systems("F4", cubic)
     w = folded_weyl_group("F4", cubic)
-    rep = simple_transitivity_check("F4", systems, w)
+    rep = simple_transitivity_check(systems, w)
     assert rep.simply_transitive
 
 
@@ -112,18 +111,17 @@ def test_transitivity_fails_for_trivial_group():
     lat = case_lattice("G2")
     systems = enumerate_exceptional_systems("G2", lat)
     trivial = weyl_generate([], rank=lat.rank)
-    rep = simple_transitivity_check("G2", systems, trivial)
+    rep = simple_transitivity_check(systems, trivial)
     assert not rep.simply_transitive
     assert rep.offending is not None
 
 
-def bytes_transitivity_check(case, systems, weyl):
+def bytes_transitivity_check(systems, weyl):
     """Reference for ``simple_transitivity_check``: whole systems as the raw
     bytes of their int64 coordinates, walked by ``WeylGroup.orbit_rows``
     through every image, in or out of the set."""
     systems = list(systems)
-    flat = np.array([[c for e in GConfiguration(case, s).flat_classes() for c in e.coords]
-                     for s in systems], dtype=np.int64)
+    flat = np.array([[c for e in s for c in e.coords] for s in systems], dtype=np.int64)
     target = {row.tobytes(): n for n, row in enumerate(flat)}
     reached = {row.tobytes() for row in weyl.orbit_rows(flat[0])}
     ok = len(reached) == len(weyl) == len(systems) and reached == target.keys()
@@ -141,13 +139,19 @@ def bytes_transitivity_check(case, systems, weyl):
     return TransitivityReport(ok, len(weyl), len(systems), len(reached), offending)
 
 
+def rows_over(table, systems):
+    """Hand-made systems (class tuples) as ``ExceptionalSystems`` over ``table``."""
+    index = {e: i for i, e in enumerate(table)}
+    return ExceptionalSystems(table, [[index[e] for e in s] for s in systems])
+
+
 @pytest.mark.parametrize("case", ["B2", "B3", "B4", "C2", "C3", "G2", "F4"])
 def test_transitivity_matches_the_bytes_walk(case):
     lat = case_lattice(case)
     systems = enumerate_exceptional_systems(case, lat)
     w = folded_weyl_group(case, lat)
-    rep = simple_transitivity_check(case, systems, w)
-    assert rep == bytes_transitivity_check(case, systems, w)
+    rep = simple_transitivity_check(systems, w)
+    assert rep == bytes_transitivity_check(systems, w)
     assert rep.simply_transitive and rep.orbit_size == len(w)
 
 
@@ -157,37 +161,48 @@ def test_transitivity_reports_unreached_for_a_proper_subgroup(case):
     systems = enumerate_exceptional_systems(case, lat)
     w = folded_weyl_group(case, lat)
     sub = weyl_generate(w.gens[:-1])
-    rep = simple_transitivity_check(case, systems, sub)
+    rep = simple_transitivity_check(systems, sub)
     assert rep.offending[0] == "unreached"
     assert rep.orbit_size == len(orbit(sub.gens, systems[0]).elements) < len(systems)
     assert rep.offending[1] not in orbit(sub.gens, systems[0]).elements
-    assert rep == bytes_transitivity_check(case, systems, sub)
+    assert rep == bytes_transitivity_check(systems, sub)
 
 
 @pytest.mark.parametrize("case", ["B3", "C3", "G2"])
 def test_transitivity_reports_outside_for_a_removed_system(case):
     lat = case_lattice(case)
-    systems = list(enumerate_exceptional_systems(case, lat))
-    removed = systems.pop(len(systems) // 2)
+    full = enumerate_exceptional_systems(case, lat)
+    k = len(full) // 2
+    systems = ExceptionalSystems(full.table, np.delete(full.rows, k, axis=0))
     w = folded_weyl_group(case, lat)
-    rep = simple_transitivity_check(case, systems, w)
-    flat = GConfiguration(case, removed).flat_classes()
-    assert rep.offending == ("outside", flat)
-    assert not rep.simply_transitive and rep.orbit_size == len(systems)
-    assert rep.offending == bytes_transitivity_check(case, systems, w).offending
+    rep = simple_transitivity_check(systems, w)
+    assert rep.offending == ("outside", full[k])
+    assert not rep.simply_transitive and rep.orbit_size == len(systems) == len(full) - 1
+    assert rep.offending == bytes_transitivity_check(systems, w).offending
 
 
 def test_transitivity_reports_outside_for_a_class_off_the_table(cubic):
-    # the reflection in h - l1 - l3 - l4 takes l1 to h - l3 - l4, a line no F4 system uses
     from picfold.rootsys import reflect, reflection
 
+    # the reflection in h - l1 - l3 - l4 takes l1 to h - l3 - l4: a line of
+    # the F4 table (all 27) that no F4 system uses
     h, l = cubic.h, cubic.l
     alpha = h - l(1) - l(3) - l(4)
     systems = enumerate_exceptional_systems("F4", cubic)
+    assert h - l(3) - l(4) in systems.table
     assert h - l(3) - l(4) not in {e for s in systems for e in s}
-    rep = simple_transitivity_check("F4", systems, weyl_generate([reflection(cubic, alpha)]))
+    rep = simple_transitivity_check(systems, weyl_generate([reflection(cubic, alpha)]))
     assert rep.offending == ("outside", tuple(reflect(cubic, alpha, e) for e in systems[0]))
     assert h - l(3) - l(4) in rep.offending[1] and rep.orbit_size == 1
+    # the reflection in s - l1 takes l1 to s, off the B3 table (s meets f)
+    lat = case_lattice("B3")
+    beta = lat.s - lat.l(1)
+    systems = enumerate_exceptional_systems("B3", lat)
+    w = weyl_generate([reflection(lat, beta)])
+    rep = simple_transitivity_check(systems, w)
+    assert lat.s not in systems.table and lat.s in rep.offending[1]
+    assert rep.offending == ("outside", tuple(reflect(lat, beta, e) for e in systems[0]))
+    assert rep.orbit_size == 1
 
 
 def test_transitivity_reports_the_stabilizer_of_a_partial_system():
@@ -195,12 +210,12 @@ def test_transitivity_reports_the_stabilizer_of_a_partial_system():
     # but W(B3) also permutes and flips the last two slots
     lat = case_lattice("B3")
     w = folded_weyl_group("B3", lat)
-    head = enumerate_exceptional_systems("B3", lat)[0][:2]
-    systems = orbit(w.gens, head).elements
-    rep = simple_transitivity_check("B3", systems, w)
+    full = enumerate_exceptional_systems("B3", lat)
+    systems = rows_over(full.table, orbit(w.gens, full[0][:2]).elements)
+    rep = simple_transitivity_check(systems, w)
     assert rep.offending == ("stabilizer", len(w) // len(systems))
     assert len(systems) < len(w) and rep.orbit_size == len(systems)
-    assert rep == bytes_transitivity_check("B3", systems, w)
+    assert rep == bytes_transitivity_check(systems, w)
 
 
 def test_transitivity_walk_refuses_past_its_caps():
@@ -215,14 +230,16 @@ def test_transitivity_walk_refuses_past_its_caps():
             return 4
 
     with pytest.raises(BudgetExceededError, match="orbit exceeded cap 4"):
-        simple_transitivity_check("B3", systems, Shrunk())
+        simple_transitivity_check(systems, Shrunk())
     # 20 slots over 22 classes: 22^20 codes do not fit in int64
     big = make_blowup_lattice(F1, 20)
     l, f = big.l, big.f
     rest = tuple(l(i) for i in range(3, 21))
     pair = [(l(1), l(2)) + rest, (f - l(1), f - l(2)) + rest]
+    table = sorted({e for s in pair for e in s})
+    assert len(table) == 22
     with pytest.raises(OverflowError):
-        simple_transitivity_check("B19", pair, weyl_generate([], rank=big.rank))
+        simple_transitivity_check(rows_over(table, pair), weyl_generate([], rank=big.rank))
 
 
 def test_blowdown_examples():
@@ -390,38 +407,25 @@ def test_triangle_orbits(cubic, weyl_e6):
     assert unordered == set(data.triangles)  # transitive on all triangles
 
 
-def test_general_position_predicate():
-    sig = make_sigma_model(1, 11)
-    pa = PointAssignment(sig, ((0, 0), (0, 1), (0, 2), (0, 3)))
-    assert in_general_position("B3", pa)
-    assert not in_general_position("B3", PointAssignment(sig, ((0, 0), (0, 0), (0, 2), (0, 3))))
-    # C: a pair summing to zero is a boundary case (x2 = -x1 duplicates points)
-    bad = PointAssignment(sig, ((0, 3), (0, 8), (0, 3), (0, 8)))
-    assert not in_general_position("C2", bad)
-    ok = PointAssignment(sig, ((0, 1), (0, 3), (0, 8), (0, 10)))
-    assert in_general_position("C2", ok)
-    g2 = PointAssignment(sig, ((0, 0), (0, 1), (0, 3), (0, 4)))
-    assert in_general_position("G2", g2)
-    g2bad = PointAssignment(sig, ((0, 0), (0, 1), (0, 10), (0, 0)))
-    assert not in_general_position("G2", g2bad)
+def in_class_order(systems):
+    return tuple(sorted(systems, key=lambda s: [e.coords for e in s]))
 
 
 def brute_force_systems(case, lat):
-    """B/G2 oracle: build every candidate's classes and points from scratch."""
-    rows = symbolic_point_rows(case)
+    """B/G2 oracle: every permutation of the indices times every even pattern
+    of l_i -> f - l_i flips, kept when its points satisfy R x = 0."""
     m = lat.npoints
-    out = []
-    for sigma in permutations(range(1, m + 1)):
-        for flips in product((0, 1), repeat=m):
-            if sum(flips) % 2 != 0:
-                continue
-            classes = tuple(
-                (lat.f - lat.l(i)) if fl else lat.l(i) for i, fl in zip(sigma, flips)
-            )
-            pts = [symbolic_point(lat, rows, e) for e in classes]
-            if _check_case_points(case, pts):
-                out.append(classes)
-    return tuple(out)
+    classes = [(lat.l(i), lat.f - lat.l(i)) for i in range(1, m + 1)]
+    rows = symbolic_point_rows(case)
+    point = np.array([[symbolic_point(lat, rows, e) for e in pair] for pair in classes])
+    perms = np.array(list(permutations(range(m))))
+    flips = np.array([f for f in product((0, 1), repeat=m) if sum(f) % 2 == 0])
+    keep = np.ones((len(perms), len(flips)), dtype=bool)
+    for rel in case_spec(case).relations:
+        total = sum(c * point[perms[:, None, j], flips[None, :, j]] for j, c in enumerate(rel) if c)
+        keep &= ~total.any(axis=-1)
+    return in_class_order(tuple(classes[i][fl] for i, fl in zip(perms[p], flips[f]))
+                          for p, f in zip(*np.nonzero(keep)))
 
 
 def pair_sum_f4_systems(lat):
@@ -457,7 +461,7 @@ def pair_sum_f4_systems(lat):
 
 
 def test_f4_systems_match_pair_sum_search(cubic):
-    assert enumerate_exceptional_systems("F4", cubic) == pair_sum_f4_systems(cubic)
+    assert tuple(enumerate_exceptional_systems("F4", cubic)) == pair_sum_f4_systems(cubic)
 
 
 @pytest.fixture(scope="module")
@@ -490,32 +494,35 @@ def test_f4_level_search_matches_brute_force_filter(cubic, skew_sixes, relations
     sixes, pts = skew_sixes
     assert len(sixes) == 51840
     ok = ~np.einsum("rj,sjk->srk", np.array(relations), pts).any(axis=(1, 2))
-    lines, idx = _f4_systems(cubic, symbolic_point_rows("F4"), relations)
-    assert [tuple(lines[i] for i in row) for row in idx.tolist()] == sorted(
+    lines = exceptional_classes(cubic)
+    idx = _relation_search(cubic, lines, symbolic_point_rows("F4"), relations)
+    assert sorted(tuple(lines[i] for i in row) for row in idx.tolist()) == sorted(
         s for s, keep in zip(sixes, ok) if keep)
 
 
-@pytest.mark.parametrize("case", ["B2", "B3", "B4", "B5", "G2"])
+@pytest.mark.parametrize("case", ["B2", "B3", "B4", "B5", "B6", "G2"])
 def test_systems_match_brute_force(case):
     lat = case_lattice(case)
-    assert enumerate_exceptional_systems(case, lat) == brute_force_systems(case, lat)
+    assert tuple(enumerate_exceptional_systems(case, lat)) == brute_force_systems(case, lat)
 
 
 def definitional_c_systems(case, lat):
-    """C oracle: the pairs (l_i, l_{2n+1-i}), per permutation and then per swap pattern."""
+    """C oracle: the pairs (l_i, l_{2n+1-i}), per permutation and swap pattern,
+    in the slot order (a_1, ..., a_n, b_n, ..., b_1) of the points."""
     n = case_rank(case)
     out = []
     for sigma in permutations(range(1, n + 1)):
         for flips in product((0, 1), repeat=n):
             pairs = [(lat.l(i), lat.l(2 * n + 1 - i)) for i in sigma]
-            out.append(tuple((b, a) if fl else (a, b) for (a, b), fl in zip(pairs, flips)))
-    return tuple(out)
+            pairs = [(b, a) if fl else (a, b) for (a, b), fl in zip(pairs, flips)]
+            out.append(tuple(a for a, _ in pairs) + tuple(b for _, b in reversed(pairs)))
+    return in_class_order(out)
 
 
-@pytest.mark.parametrize("case", ["C2", "C3", "C4"])
+@pytest.mark.parametrize("case", ["C2", "C3", "C4", "C5"])
 def test_c_systems_match_the_definition_in_order(case):
     lat = case_lattice(case)
-    assert enumerate_exceptional_systems(case, lat) == definitional_c_systems(case, lat)
+    assert tuple(enumerate_exceptional_systems(case, lat)) == definitional_c_systems(case, lat)
 
 
 def test_systems_memoized_per_case_and_lattice():
@@ -525,9 +532,36 @@ def test_systems_memoized_per_case_and_lattice():
     # an equal lattice built separately hits the same entry
     assert enumerate_exceptional_systems("B3", make_blowup_lattice(F1, 4)) is first
     # G2 lives on the same lattice but is a different case
-    assert enumerate_exceptional_systems("G2") != first
+    assert tuple(enumerate_exceptional_systems("G2")) != tuple(first)
     f4 = enumerate_exceptional_systems("F4")
     assert enumerate_exceptional_systems("F4", make_blowup_lattice(P2, 6)) is f4
+
+
+def test_exceptional_systems_contract():
+    lat = case_lattice("B3")
+    systems = enumerate_exceptional_systems("B3", lat)
+    rows = systems.rows
+    assert rows.shape == (48, 4) and not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+    assert list(systems.table) == sorted(systems.table)
+    assert [tuple(r) for r in rows.tolist()] == sorted(tuple(r) for r in rows.tolist())
+    assert tuple(systems) == in_class_order(systems)
+    assert [systems[k] for k in range(len(systems))] == list(systems)
+    assert systems[-1] == list(systems)[-1]
+    for s in systems:
+        assert s in systems
+    l, f = lat.l, lat.f
+    assert (l(1), l(2), l(3), l(4)) in systems
+    assert (l(1), l(2), l(3)) not in systems  # wrong length
+    assert (l(1), l(2), l(3), l(4), l(4)) not in systems
+    assert (l(1), l(2), l(3), lat.s) not in systems  # s is off the table
+    assert (l(1), l(2), l(3), f - l(4)) not in systems  # on the table, odd flips
+    # a hand-made set is sorted on the way in, and the caller's array is left alone
+    mine = np.array(rows[::-1])
+    again = ExceptionalSystems(systems.table, mine)
+    assert np.array_equal(again.rows, rows) and mine.flags.writeable
+    assert np.array_equal(mine, rows[::-1])
 
 
 def _loop_pattern(lat, e):
