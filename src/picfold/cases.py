@@ -123,16 +123,3 @@ def holds(rows: Rows, sigma, points) -> bool:
     if any(len(r) != len(points) for r in rows):
         raise ValueError(f"relations on {len(rows[0])} points applied to {len(points)}")
     return all(sigma.is_zero(sigma.combine(r, points)) for r in rows)
-
-
-def case_rank(case: str) -> int:
-    return case_spec(case).rank
-
-
-def case_lattice(case: str) -> IntersectionLattice:
-    """The blow-up lattice on which the case's configurations live."""
-    return case_spec(case).lattice
-
-
-def ambient_case(case: str) -> str:
-    return case_spec(case).ambient

@@ -25,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from . import abelian, configs, folding, lattice, liealg, moduli, repbundles, rootsys
+from . import abelian, cases, configs, folding, lattice, liealg, moduli, repbundles, rootsys
 
 VERSION = "0.1.0"
 
@@ -217,8 +217,9 @@ def _suite_folding(cfg: RunConfig):
         out = {}
         # the fold of each ambient type, on the lattice of one case it folds to
         for key, case in (("B", "B3"), ("C", "C2"), ("E6", "F4"), ("D4-triality", "G2")):
-            rho = folding.outer_automorphism(moduli.ambient_case(case), moduli.case_lattice(case))
-            out[key] = folding.fold_simple_system(rho.simple_system, rho).type_tag
+            roots = folding.folded_simple_system(case).roots
+            out[key] = rootsys.identify_cartan_type(
+                rootsys.cartan_matrix_of(roots, cases.case_spec(case).lattice))
         _expect(out["D4-triality"], "G2", "triality fold")
         _expect(out["E6"], "F4", "E6 fold")
         _expect(out["B"], "B3", "fork fold")
@@ -230,8 +231,8 @@ def _suite_folding(cfg: RunConfig):
     def root_counts():
         out = {}
         for case in _case_names(cfg):
-            n = moduli.case_rank(case)
-            out[case] = _expect(len(folding.folded_root_system(case, moduli.case_lattice(case))),
+            n = cases.case_spec(case).rank
+            out[case] = _expect(len(folding.folded_root_system(case)),
                                 {"G2": 12, "F4": 48}.get(case, 2 * n * n), f"R({case})")
         return out
 
@@ -240,45 +241,34 @@ def _suite_folding(cfg: RunConfig):
     def weyl_orders():
         out = {}
         for n in range(2, cfg.rank_b + 1):
-            lat = lattice.make_blowup_lattice("F1", n + 1)
-            out[f"W.B{n}"] = _expect(
-                len(folding.folded_weyl_group(f"B{n}", lat, cap=cfg.weyl_cap)),
-                2**n * factorial(n), f"|W(B{n})|",
-            )
-        lat = lattice.make_blowup_lattice("F1", 4)
-        out["W.G2"] = _expect(len(folding.folded_weyl_group("G2", lat)), 12, "|W(G2)|")
-        cub = lattice.make_blowup_lattice("P2", 6)
-        out["W.F4"] = _expect(
-            len(folding.folded_weyl_group("F4", cub, cap=cfg.weyl_cap)), 1152, "|W(F4)|"
-        )
+            out[f"W.B{n}"] = _expect(len(folding.folded_weyl_group(f"B{n}", cfg.weyl_cap)),
+                                     2**n * factorial(n), f"|W(B{n})|")
+        out["W.G2"] = _expect(len(folding.folded_weyl_group("G2", cfg.weyl_cap)), 12, "|W(G2)|")
+        out["W.F4"] = _expect(len(folding.folded_weyl_group("F4", cfg.weyl_cap)), 1152, "|W(F4)|")
         return out
 
     claims.append(("W.folded.orders", weyl_orders))
 
     def second_reduction():
-        rows = {}
+        rows, cap = {}, cfg.weyl_cap
         for n in range(2, cfg.rank_c + 1):
-            lat = lattice.make_blowup_lattice("F1", 2 * n)
-            rows[f"C{n}"] = (len(folding.folded_weyl_group(f"C{n}", lat)),
-                             2**n, factorial(n))
+            rows[f"C{n}"] = (len(folding.folded_weyl_group(f"C{n}", cap)), 2**n, factorial(n))
             check(rows[f"C{n}"][0] == rows[f"C{n}"][1] * rows[f"C{n}"][2],
                   f"C{n}: {rows[f'C{n}']}")
         for n in range(2, cfg.rank_b + 1):
-            lat = lattice.make_blowup_lattice("F1", n + 1)
             # W(D_n), the ambient group of B_{n-1}, on n points
-            wdn = folding.ambient_weyl_group(f"B{n - 1}", lattice.make_blowup_lattice("F1", n))
-            wbn = folding.folded_weyl_group(f"B{n}", lat)
+            wdn = folding.ambient_weyl_group(f"B{n - 1}", cap)
+            wbn = folding.folded_weyl_group(f"B{n}", cap)
             rows[f"B{n}"] = (len(wbn), len(wdn), 2)
             check(len(wbn) == len(wdn) * 2, f"B{n}: {rows[f'B{n}']}")
-        f14 = lattice.make_blowup_lattice("F1", 4)
+        f14 = cases.case_spec("G2").lattice
         l = f14.l
         a2 = [l(2) - l(3), l(3) - f14.f + l(4)]
-        wa2 = rootsys.weyl_generate([rootsys.reflection(f14, r) for r in a2])
-        rows["G2"] = (len(folding.folded_weyl_group("G2", f14)), len(wa2), 2)
+        wa2 = rootsys.weyl_generate([rootsys.reflection(f14, r) for r in a2], cap=cap)
+        rows["G2"] = (len(folding.folded_weyl_group("G2", cap)), len(wa2), 2)
         check(rows["G2"][0] == rows["G2"][1] * rows["G2"][2] == 12, f"G2: {rows['G2']}")
-        cub = lattice.make_blowup_lattice("P2", 6)
-        wd4 = folding.ambient_weyl_group("G2", f14)  # W(D4)
-        rows["F4"] = (len(folding.folded_weyl_group("F4", cub)), len(wd4), 6)
+        wd4 = folding.ambient_weyl_group("G2", cap)  # W(D4)
+        rows["F4"] = (len(folding.folded_weyl_group("F4", cap)), len(wd4), 6)
         check(rows["F4"][0] == rows["F4"][1] * rows["F4"][2] == 1152, f"F4: {rows['F4']}")
         return {k: list(v) for k, v in rows.items()}
 
@@ -287,7 +277,7 @@ def _suite_folding(cfg: RunConfig):
     def presentations():
         out = {}
         for case in ("B2", "B3", "C2", "G2", "F4"):
-            a, b, _ = folding.restricted_reflection_matrices(case, moduli.case_lattice(case))
+            a, b, _ = folding.restricted_reflection_matrices(case, cfg.weyl_cap)
             check(a == b, f"{case}: presentations differ")
             out[case] = len(a)
         return out
@@ -312,7 +302,7 @@ def _suite_cubic(cfg: RunConfig):
         return {"lines": 27, "triangles": 45, "double_sixes": 36, "per_line": 5}
 
     def weyl_order():
-        _expect(len(folding.ambient_weyl_group("F4", lat, cfg.weyl_cap)), 51840, "|W(E6)|")
+        _expect(len(folding.ambient_weyl_group("F4", cfg.weyl_cap)), 51840, "|W(E6)|")
         return {"order": 51840}
 
     def bijection():
@@ -330,7 +320,7 @@ def _suite_cubic(cfg: RunConfig):
         return {"image_size": 36, "base_root": list(alpha0.coords)}
 
     def stabilizers():
-        w = folding.ambient_weyl_group("F4", lat, cfg.weyl_cap)  # W(E6)
+        w = folding.ambient_weyl_group("F4", cfg.weyl_cap)  # W(E6)
         h, l = lat.h, lat.l
         tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
         unord = configs.triangle_stabilizer(tri, False, w)
@@ -340,7 +330,7 @@ def _suite_cubic(cfg: RunConfig):
         _expect(ordered.order, 192, "ordered stabilizer")
         _expect(ordered.orbit_size, 270, "ordered orbit")
         # W(F4) fixes the triangle and has the stabilizer's order, so it is the stabilizer
-        wf4 = folding.folded_weyl_group("F4", lat)
+        wf4 = folding.folded_weyl_group("F4", cfg.weyl_cap)
         check(len(wf4) == unord.order
               and all({g.apply(e) for e in tri} == set(tri) for g in wf4.gens),
               "triangle stabilizer is not W(F4)")
@@ -361,36 +351,34 @@ def _case_names(cfg: RunConfig) -> list[str]:
 
 
 def _suite_configs(cfg: RunConfig):
-    cases = _case_names(cfg)
+    names = _case_names(cfg)
 
     def counts():
         out = {}
-        for case in cases:
-            lat = moduli.case_lattice(case)
-            systems = configs.enumerate_exceptional_systems(case, lat)
-            n = moduli.case_rank(case)
+        for case in names:
+            systems = configs.enumerate_exceptional_systems(case)
+            n = cases.case_spec(case).rank
             expected = {"G2": 12, "F4": 1152}.get(case, 2**n * factorial(n))
             _expect(len(systems), expected, f"{case} system count")
             out[case] = len(systems)
-        lat = moduli.case_lattice("G2")
+        lat = cases.case_spec("G2").lattice
         listed = (lat.f - lat.l(1), lat.f - lat.l(2), lat.l(4), lat.l(3))
-        check(listed in configs.enumerate_exceptional_systems("G2", lat),
+        check(listed in configs.enumerate_exceptional_systems("G2"),
               f"listed G2 system {listed} not enumerated")
         return out
 
     def transitive():
         out = {}
-        for case in cases:
-            lat = moduli.case_lattice(case)
-            systems = configs.enumerate_exceptional_systems(case, lat)
-            w = folding.folded_weyl_group(case, lat, cap=cfg.weyl_cap)
+        for case in names:
+            systems = configs.enumerate_exceptional_systems(case)
+            w = folding.folded_weyl_group(case, cfg.weyl_cap)
             rep = configs.simple_transitivity_check(systems, w)
             check(rep.simply_transitive, f"{case}: {rep.offending}")
             out[case] = rep.orbit_size
         return out
 
     def blowdown():
-        lat = moduli.case_lattice("G2")
+        lat = cases.case_spec("G2").lattice
         l, f = lat.l, lat.f
         check(configs.is_blowdown_sequence(lat, (l(1), l(2), l(3), l(4))),
               "(l1, l2, l3, l4) rejected")
@@ -472,7 +460,7 @@ def _suite_moduli(cfg: RunConfig):
 def _random_admissible(case, sigma, rng, count):
     """x = P t for count draws of rank random group elements t, drawn in order: (count, npoints, 2)."""
     els = list(sigma.elements())
-    t = [[rng.choice(els) for _ in range(moduli.case_rank(case))] for _ in range(count)]
+    t = [[rng.choice(els) for _ in range(cases.case_spec(case).rank)] for _ in range(count)]
     return moduli.point_table(case, np.array(t, dtype=np.int64).reshape(count, -1, 2), sigma)
 
 
@@ -488,7 +476,7 @@ def _suite_liealg(cfg: RunConfig):
                    rootsys.standard_simple_system("E6", cub)),
         }
         for case in ("B2", "B3", "C2", "G2", "F4"):
-            systems[case] = liealg.folded_simple_and_roots(case)
+            systems[case] = (folding.folded_root_system(case), folding.folded_simple_system(case))
         seen3 = set()
         for name, (rs, delta) in systems.items():
             table = liealg.structure_constants(rs, delta)
@@ -537,7 +525,7 @@ def _suite_repbundles(cfg: RunConfig):
         # x = P t over free generators t: one symbolic run covers every group
         sym = abelian.SymbolicSigma(4)
         t = [sym.gen(j) for j in range(4)]
-        x = tuple(sym.combine(row, t) for row in moduli.case_spec("F4").points)
+        x = tuple(sym.combine(row, t) for row in cases.case_spec("F4").points)
         dec = repbundles.f4_rep_decomposition(lattice.make_blowup_lattice("P2", 6),
                                               moduli.PointAssignment(sym, x))
         return {"zero_lines": 3, "short_roots": len(dec.short_root_map),

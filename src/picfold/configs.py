@@ -36,8 +36,8 @@ from .lattice import (
     gram_matrix,
 )
 from .abelian import SymbolicSigma
-from .cases import case_lattice, case_spec, holds
-from .folding import outer_automorphism
+from .cases import case_spec, holds
+from .folding import case_fold
 from .moduli import PointAssignment
 from .rootsys import (
     BudgetExceededError,
@@ -138,7 +138,7 @@ class ExceptionalSystems:
                 and bool((self.rows == row).all(axis=1).any()))
 
 
-def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = None):
+def enumerate_exceptional_systems(case: str) -> ExceptionalSystems:
     """Every exceptional system of the case, as ``ExceptionalSystems``.
 
     The table is the orbit of l_1 under the ambient Weyl group: the classes
@@ -150,16 +150,17 @@ def enumerate_exceptional_systems(case: str, lat: IntersectionLattice | None = N
     That class is the image of b_0 under the isometry fixing K (and f) that
     carries (l_1, ..., l_m) to the system, so the test is blow-down validity:
     on F1 an even number of l -> f - l flips; on the A and E6 tables it
-    always holds.  Computed once per (case, lat) and shared between callers.
+    always holds.  Computed once per case, on the case's lattice, and shared
+    between callers.
     """
-    return _enumerate_systems(case, lat or case_lattice(case))
+    return _enumerate_systems(case)
 
 
 @lru_cache(maxsize=None)
-def _enumerate_systems(case: str, lat: IntersectionLattice) -> ExceptionalSystems:
-    spec = case_spec(case)
-    orthogonal = outer_automorphism(spec.ambient, lat).orthogonal_to
-    table = enumerate_classes(lat, [(SELF, -1), (lat.K, -1)] + [(c, 0) for c in orthogonal])
+def _enumerate_systems(case: str) -> ExceptionalSystems:
+    spec, rho = case_spec(case), case_fold(case)
+    lat = rho.lattice
+    table = enumerate_classes(lat, [(SELF, -1), (lat.K, -1)] + [(c, 0) for c in rho.orthogonal_to])
     return ExceptionalSystems(table, _relation_search(lat, table, symbolic_point_rows(case),
                                                       spec.relations))
 

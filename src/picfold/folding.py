@@ -17,7 +17,6 @@ coordinates.  Nothing downstream needs more than the root-lattice action
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import lcm
@@ -25,7 +24,7 @@ from math import lcm
 import numpy as np
 
 from ._linalg import integer_kernel
-from .cases import FOLDED_TO_SIMPLY_LACED, ambient_case  # noqa: F401 (re-exported)
+from .cases import case_spec
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
     CoxeterWeylGroup,
@@ -35,8 +34,6 @@ from .rootsys import (
     WeylGroup,
     basis_coordinates,
     cartan_matrix_of,
-    cartan_matrix_of_q,
-    identify_cartan_type,
     reflect,
     reflection,
     restrict_to_basis,
@@ -56,7 +53,7 @@ class OuterAutomorphism:
     ambient roots are orthogonal to the classes ``orthogonal_to``.
     """
 
-    case: str
+    ambient: str  # the simply-laced type: "A", "D", "E6" or "D4-triality"
     lattice: IntersectionLattice
     simple_system: SimpleSystem
     permutation: tuple[int, ...]
@@ -80,38 +77,45 @@ class OuterAutomorphism:
 
 
 @lru_cache(maxsize=None)
-def outer_automorphism(case: str, lat: IntersectionLattice) -> OuterAutomorphism:
-    """The folding automorphism for the A, D, E6 or D4-triality case, built once.
+def outer_automorphism(ambient: str, lat: IntersectionLattice) -> OuterAutomorphism:
+    """The folding automorphism of an ambient type (A, D, E6 or D4-triality) on lat, built once.
 
     Index conventions follow the simple systems of standard_simple_system:
     the A chain is reversed; the D fork ends (first two roots) swap; for
     the cubic-surface E6 labelling the two chain ends swap (1<->6, 2<->5);
     triality cycles the three D4 fork ends.  The ambient roots are
     orthogonal to K and to f (D, triality), to f and s (A) or to K alone
-    (E6).  The Cartan-matrix check runs once per (case, lat); callers share
-    the frozen result.
+    (E6).  The key is the ambient type, not a case name: one D lives on
+    many lattices.  The Cartan-matrix check runs once per (ambient, lat);
+    callers share the frozen result.
     """
-    if case == "A":
+    if ambient == "A":
         delta, others = standard_simple_system("A", lat), (lat.f, lat.s)
         perm = tuple(reversed(range(len(delta))))  # the chain of 2n - 1 roots, reversed
-    elif case == "D":
+    elif ambient == "D":
         delta, others = standard_simple_system("D", lat), (lat.f,)
         perm = (1, 0) + tuple(range(2, len(delta)))
-    elif case == "E6":
+    elif ambient == "E6":
         delta, others = standard_simple_system("E6", lat), ()
         perm = (5, 4, 2, 3, 1, 0)
-    elif case == "D4-triality":
+    elif ambient == "D4-triality":
         delta, others = standard_simple_system("D", lat), (lat.f,)
         if len(delta) != 4:
             raise ValueError("triality needs the 4-point blow-up")
         perm = (1, 3, 2, 0)  # a1 -> a2 -> a4 -> a1, a3 fixed
     else:
-        raise ValueError(f"unknown folding case {case!r}")
+        raise ValueError(f"unknown ambient type {ambient!r}")
     a, n = cartan_matrix_of(list(delta.roots), lat), len(delta)
     if sorted(perm) != list(range(n)) or any(a[perm[i]][perm[j]] != a[i][j]
                                              for i in range(n) for j in range(n)):
         raise ValueError("permutation is not a diagram automorphism")
-    return OuterAutomorphism(case, lat, delta, perm, others)
+    return OuterAutomorphism(ambient, lat, delta, perm, others)
+
+
+def case_fold(case: str) -> OuterAutomorphism:
+    """The folding automorphism of a case name, on the case's own lattice."""
+    spec = case_spec(case)
+    return outer_automorphism(spec.ambient, spec.lattice)
 
 
 def ambient_root_system(ambient: str, lat: IntersectionLattice) -> RootSystemData:
@@ -138,35 +142,15 @@ def _orbit_sums(coords: np.ndarray, rho: OuterAutomorphism) -> np.ndarray:
     return total
 
 
-def _simple_orbit_sums(delta: SimpleSystem, rho: OuterAutomorphism) -> np.ndarray:
-    """The orbit sums of delta's roots, as lattice columns in ``rho.orbits()`` order."""
+def _simple_orbit_sums(rho: OuterAutomorphism) -> np.ndarray:
+    """The orbit sums of rho's simple roots, as lattice columns in ``rho.orbits()`` order."""
     unit = np.eye(len(rho.permutation), dtype=np.int64)[:, [orb[0] for orb in rho.orbits()]]
-    return _columns(delta.roots) @ _orbit_sums(unit, rho)
+    return _columns(rho.simple_system.roots) @ _orbit_sums(unit, rho)
 
 
-@dataclass(frozen=True)
-class FoldedSimpleSystem:
-    """Orbit-averages of simple roots; rational coordinates."""
-
-    vectors: tuple[tuple[Fraction, ...], ...]
-    type_tag: str
-
-
-def fold_simple_system(delta: SimpleSystem, rho: OuterAutomorphism) -> FoldedSimpleSystem:
-    """Average each orbit O of simple roots, as its orbit sum over ord sigma.
-
-    The sum counts each root of O ord sigma / |O| times.  The averages are
-    genuinely rational and are kept out of DivisorClass on purpose.
-    """
-    sums = _simple_orbit_sums(delta, rho)
-    vecs = [tuple(Fraction(c, rho.order) for c in col) for col in sums.T.tolist()]
-    tag = identify_cartan_type(cartan_matrix_of_q(vecs, rho.lattice))
-    return FoldedSimpleSystem(tuple(vecs), tag)
-
-
-def folded_weyl_generators(delta: SimpleSystem, rho: OuterAutomorphism) -> list[WeylElement]:
+def folded_weyl_generators(rho: OuterAutomorphism) -> list[WeylElement]:
     """One generator per orbit: the product of its (commuting) reflections."""
-    lat = rho.lattice
+    delta, lat = rho.simple_system, rho.lattice
     gens = []
     for orb in rho.orbits():
         for i, j in combinations(orb, 2):
@@ -177,29 +161,28 @@ def folded_weyl_generators(delta: SimpleSystem, rho: OuterAutomorphism) -> list[
     return gens
 
 
-def folded_weyl_group(case: str, lat: IntersectionLattice, cap: int = 10**6) -> WeylGroup:
+def folded_weyl_group(case: str, cap: int = 10**6) -> WeylGroup:
     """The Weyl group of the folded type as a subgroup of the ambient one, built once."""
-    return _weyl_group(case, lat, cap, True)
+    return _weyl_group(case, cap, True)
 
 
-def ambient_weyl_group(case: str, lat: IntersectionLattice, cap: int = 10**6) -> WeylGroup:
+def ambient_weyl_group(case: str, cap: int = 10**6) -> WeylGroup:
     """The Weyl group of the case's simply-laced ambient type, built once."""
-    return _weyl_group(case, lat, cap, False)
+    return _weyl_group(case, cap, False)
 
 
 @lru_cache(maxsize=None)
-def _weyl_group(case: str, lat: IntersectionLattice, cap: int, folded: bool) -> WeylGroup:
-    """One shared group per positional key (case, lat, cap, folded); its arrays are read-only.
+def _weyl_group(case: str, cap: int, folded: bool) -> WeylGroup:
+    """One shared group per positional key (case, cap, folded); its arrays are read-only.
 
-    Built from the Cartan matrix of its simple system (``CoxeterWeylGroup``):
-    the folded simple system with one generator per sigma-orbit, or the
-    ambient one with its simple reflections.
+    Built on the case's lattice from the Cartan matrix of its simple system
+    (``CoxeterWeylGroup``): the folded simple system with one generator per
+    sigma-orbit, or the ambient one with its simple reflections.
     """
-    rho = outer_automorphism(ambient_case(case), lat)
-    delta = rho.simple_system
+    rho = case_fold(case)
+    delta, lat = rho.simple_system, rho.lattice
     if folded:
-        return CoxeterWeylGroup(folded_weyl_generators(delta, rho),
-                                folded_simple_system(case, lat), lat, cap)
+        return CoxeterWeylGroup(folded_weyl_generators(rho), folded_simple_system(case), lat, cap)
     return CoxeterWeylGroup(simple_reflections(delta, lat), delta, lat, cap)
 
 
@@ -216,31 +199,31 @@ def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:
     return tuple(DivisorClass(tuple(v)) for v in basis.tolist())
 
 
-def folded_simple_system(case: str, lat: IntersectionLattice) -> SimpleSystem:
+def folded_simple_system(case: str) -> SimpleSystem:
     """The orbit sums of the ambient simple roots, in ``rho.orbits()`` order."""
-    rho = outer_automorphism(ambient_case(case), lat)
-    sums = _simple_orbit_sums(rho.simple_system, rho)
+    sums = _simple_orbit_sums(case_fold(case))
     return SimpleSystem(tuple(DivisorClass(tuple(col)) for col in sums.T.tolist()), case)
 
 
 def _ambient_root_coords(rho: OuterAutomorphism) -> tuple[np.ndarray, np.ndarray]:
     """The simple roots as lattice columns, and the ambient roots in their coordinates."""
-    bmat = _columns(rho.simple_system.roots)
-    return bmat, basis_coordinates(bmat, _columns(ambient_root_system(rho.case, rho.lattice).roots))
+    bmat, ambient = _columns(rho.simple_system.roots), ambient_root_system(rho.ambient, rho.lattice)
+    return bmat, basis_coordinates(bmat, _columns(ambient.roots))
 
 
-def folded_root_system(case: str, lat: IntersectionLattice) -> RootSystemData:
+def folded_root_system(case: str) -> RootSystemData:
     """R(G) of a folded case, the sigma-orbit sums of the ambient roots, built once."""
-    return _folded_roots(case, lat)
+    return _folded_roots(case)
 
 
 @lru_cache(maxsize=None)
-def _folded_roots(case: str, lat: IntersectionLattice) -> RootSystemData:
+def _folded_roots(case: str) -> RootSystemData:
     """The sums in simple-root coordinates; ``ValueError`` unless nonzero, one per orbit.
 
     The orbits are counted by Burnside's lemma, (1/ord sigma) sum_k |Fix(sigma^k)|.
     """
-    rho = outer_automorphism(ambient_case(case), lat)
+    rho = case_fold(case)
+    lat = rho.lattice
     bmat, coords = _ambient_root_coords(rho)
     sums = {DivisorClass(tuple(col)) for col in (bmat @ _orbit_sums(coords, rho)).T.tolist()}
     inv, images, fixed = np.argsort(rho.permutation), coords, 0
@@ -262,16 +245,15 @@ def f4_short_roots(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     return tuple(sorted({DivisorClass(tuple(c)) for c in sums.T.tolist()}))
 
 
-def _restricted_root_reflections(case: str, lat: IntersectionLattice,
-                                 basis) -> list[WeylElement]:
+def _restricted_root_reflections(case: str, basis) -> list[WeylElement]:
     """Reflections in every folded root, as matrices on the sublattice basis."""
-    bmat = _columns(basis)
+    bmat, lat = _columns(basis), case_fold(case).lattice
     images = np.array([[reflect(lat, root, b).coords for b in basis]
-                       for root in sorted(folded_root_system(case, lat).roots)], dtype=np.int64)
+                       for root in sorted(folded_root_system(case).roots)], dtype=np.int64)
     return [WeylElement.from_matrix(m) for m in basis_coordinates(bmat, images.transpose(0, 2, 1))]
 
 
-def restricted_reflection_matrices(case: str, lat: IntersectionLattice, cap: int = 10**6):
+def restricted_reflection_matrices(case: str, cap: int = 10**6):
     """The two presentations of the folded Weyl group on the fixed sublattice.
 
     Folded roots have self-intersection -4, -6, -8, -18, so their
@@ -281,10 +263,10 @@ def restricted_reflection_matrices(case: str, lat: IntersectionLattice, cap: int
     (group of the folded-root reflections, group of the restricted folded
     generators, sublattice basis); the two groups should be equal.
     """
-    rho = outer_automorphism(ambient_case(case), lat)
+    rho = case_fold(case)
     basis = fixed_sublattice(rho)
-    side_a = weyl_generate(_restricted_root_reflections(case, lat, basis), cap=cap)
-    gens = np.stack([g.mat for g in folded_weyl_generators(rho.simple_system, rho)])
-    side_b = weyl_generate(map(WeylElement.from_matrix, restrict_to_basis(gens, basis, lat)),
-                           cap=cap)
+    side_a = weyl_generate(_restricted_root_reflections(case, basis), cap=cap)
+    gens = restrict_to_basis(np.stack([g.mat for g in folded_weyl_generators(rho)]), basis,
+                             rho.lattice)
+    side_b = weyl_generate(map(WeylElement.from_matrix, gens), cap=cap)
     return side_a, side_b, basis

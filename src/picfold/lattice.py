@@ -113,10 +113,6 @@ class IntersectionLattice:
         u, v = a.coords, b.coords
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("coordinate length does not match lattice rank")
-        return self.pair_q(u, v)
-
-    def pair_q(self, u, v):
-        """The form on rational coordinate vectors (plain sequences)."""
         if self.model == F1:
             return -u[0] * v[0] + u[0] * v[1] + u[1] * v[0] - sum(map(mul, u[2:], v[2:]))
         return u[0] * v[0] - sum(map(mul, u[1:], v[1:]))

@@ -62,8 +62,6 @@ from math import lcm
 
 import numpy as np
 
-from .cases import case_lattice
-from .folding import folded_root_system, folded_simple_system
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import _INT64_SAFE, RootSystemData, SimpleSystem, basis_coordinates
 
@@ -316,8 +314,3 @@ def verify_jacobi(table: StructureConstantTable) -> JacobiReport:
         i0 = i1
     return JacobiReport(True, int(before[nb]), None)
 
-
-def folded_simple_and_roots(case: str, lat: IntersectionLattice | None = None):
-    """Convenience: (RootSystemData, SimpleSystem) for a folded case."""
-    lat = lat or case_lattice(case)
-    return folded_root_system(case, lat), folded_simple_system(case, lat)

@@ -11,28 +11,29 @@ algebraic groups*, 1968); ``chi_injectivity_check`` certifies it per case.
 
 Point tables are int64 arrays: x = P t (``point_table``) maps an
 (n, rank, 2) stack of parameters to (n, npoints, 2) points, M x
-(``folded_images``) maps points to (n, rank, 2) folded restriction data,
-and ``reconstruct_points`` inverts M P t for a whole stack of images in one
-call, on the solver data ``abelian`` caches per (M P, m1, m2).
+(``folded_images``) maps points to an (n, rank, 2) stack of folded
+restriction data, and ``reconstruct_points`` inverts M P t on such a
+stack in one call, on the solver data ``abelian`` caches per
+(M P, m1, m2).  A single image is a stack of one.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice, product
 
 import numpy as np
 
-from .abelian import SigmaModel, SymbolicSigma, solve_group_stack
-from .cases import ambient_case, case_lattice, case_rank, case_spec, holds, point_relations
+from .abelian import SigmaModel, solve_group_stack
+from .cases import case_spec, holds, point_relations
 from .folding import (
     ambient_weyl_group,
+    case_fold,
     fixed_sublattice,
     folded_simple_system,
     folded_weyl_group,
-    outer_automorphism,
 )
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
@@ -68,16 +69,6 @@ def point_table(case: str, t: np.ndarray, sigma: SigmaModel) -> np.ndarray:
     return np.array(case_spec(case).points, dtype=np.int64) @ t % np.array([sigma.m1, sigma.m2])
 
 
-def _assignments(sigma: SigmaModel, x: np.ndarray) -> list[PointAssignment]:
-    return [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in x.tolist()]
-
-
-def points_from_parameters(case: str, params, sigma: SigmaModel) -> list[PointAssignment]:
-    """The admissible assignments x = P t, one for each tuple t of free parameters."""
-    t = np.array(params, dtype=np.int64).reshape(len(params), case_rank(case), 2)
-    return _assignments(sigma, point_table(case, t, sigma))
-
-
 def u_point(lat: IntersectionLattice, pa: PointAssignment, d: DivisorClass):
     """The point part of the restriction of O(d): sum of c_i x_i."""
     return pa.sigma.combine(lat.l_coeffs(d), pa.points)
@@ -103,8 +94,8 @@ def invariance_literal_c(pa: PointAssignment) -> bool:
 
 @lru_cache(maxsize=None)
 def _invariance_data(case: str):
-    lat = case_lattice(case)
-    rho = outer_automorphism(ambient_case(case), lat)
+    rho = case_fold(case)
+    lat = rho.lattice
     coeffs = tuple(lat.l_coeffs(r) for r in rho.simple_system.roots)
     return lat, rho.permutation, coeffs
 
@@ -155,8 +146,8 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
 @lru_cache(maxsize=None)
 def _folded_simple_coeffs(case: str) -> tuple[tuple[int, ...], ...]:
     """The l-coefficients of the folded simple roots, in the simple system's order."""
-    spec = case_spec(case)
-    return tuple(spec.lattice.l_coeffs(b) for b in folded_simple_system(case, spec.lattice).roots)
+    lat = case_spec(case).lattice
+    return tuple(lat.l_coeffs(b) for b in folded_simple_system(case).roots)
 
 
 @lru_cache(maxsize=None)
@@ -170,30 +161,6 @@ def case_system_matrix(case: str) -> tuple[tuple[int, ...], ...]:
     spec = case_spec(case)
     return tuple(tuple(sum(c * row[j] for c, row in zip(coeffs, spec.points))
                        for j in range(spec.rank)) for coeffs in _folded_simple_coeffs(case))
-
-
-@dataclass(frozen=True, eq=False)
-class ReconstructionResult:
-    """The assignments x = P t that solve a reconstruction system.
-
-    ``table`` is a read-only (n, npoints, 2) int64 array of the points' (mod m1,
-    mod m2) residue pairs, rows sorted by points, empty when unsolvable.
-    ``assignments`` is built on first access; ``pa in result`` reads the rows.
-    """
-
-    solvable: bool
-    kernel_size: int
-    sigma: SigmaModel
-    table: np.ndarray
-
-    @cached_property
-    def assignments(self) -> tuple[PointAssignment, ...]:
-        return tuple(_assignments(self.sigma, self.table))
-
-    def __contains__(self, pa: PointAssignment) -> bool:
-        if pa.sigma != self.sigma or len(pa.points) != self.table.shape[1]:
-            return False
-        return bool((self.table == np.array(pa.points, dtype=np.int64)).all(axis=(1, 2)).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +178,10 @@ class ReconstructionStack:
     table: np.ndarray
     image: np.ndarray
 
-    def block(self, i: int) -> ReconstructionResult:
-        """The result for image i alone."""
+    def block(self, i: int) -> np.ndarray:
+        """The read-only (k, npoints, 2) rows that solve image i, sorted by points."""
         lo, hi = np.searchsorted(self.image, [i, i + 1]).tolist()
-        return ReconstructionResult(bool(self.solvable[i]), self.kernel_size, self.sigma,
-                                    self.table[lo:hi])
+        return self.table[lo:hi]
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """(n,) bool: whether row i of the (n, npoints, 2) point table x is in block i."""
@@ -224,11 +190,11 @@ class ReconstructionStack:
 
 
 def reconstruct_points(case: str, p_images, sigma: SigmaModel,
-                       enumerate_cap: int = 4096) -> ReconstructionResult | ReconstructionStack:
-    """Recover all point assignments whose folded restriction data is p_images.
+                       enumerate_cap: int = 4096) -> ReconstructionStack:
+    """Recover all point assignments whose folded restriction data is each image of p_images.
 
-    p_images is one image, rank points, or an (n, rank, 2) stack of them;
-    the result is a ``ReconstructionResult`` or a ``ReconstructionStack``.
+    p_images is an (n, rank, 2) stack of images, rank points each; a single
+    image is passed as a stack of one and read back with ``block(0)``.
     Solves M P t = p_images over the group for the whole stack at once
     (``solve_group_stack``, which caches the Smith form of M P, its reduced
     inverses and the homogeneous solutions), maps every solution through P
@@ -237,23 +203,15 @@ def reconstruct_points(case: str, p_images, sigma: SigmaModel,
     when the solution set of an image is larger than ``enumerate_cap``,
     rather than return part of it.
     """
-    rank = case_rank(case)
+    rank = case_spec(case).rank
     imgs = np.asarray(p_images, dtype=np.int64)
-    stacked = imgs.ndim == 3
-    if imgs.shape[stacked:] != (rank, 2):
-        raise ValueError(f"{case} expects {rank} image points")
-    res = solve_group_stack(case_system_matrix(case), imgs.reshape(-1, rank, 2), sigma,
-                            enumerate_cap=enumerate_cap)
+    if imgs.ndim != 3 or imgs.shape[1:] != (rank, 2):
+        raise ValueError(f"{case} expects an (n, {rank}, 2) stack of images")
+    res = solve_group_stack(case_system_matrix(case), imgs, sigma, enumerate_cap=enumerate_cap)
     x = point_table(case, res.table, sigma)
     x = x[np.lexsort(np.vstack([x.reshape(len(x), 2 * x.shape[1]).T[::-1], res.image]))]
     x.flags.writeable = False
-    out = ReconstructionStack(res.solvable, res.kernel_size, sigma, x, res.image)
-    return out if stacked else out.block(0)
-
-
-def folded_restriction(case: str, pa: PointAssignment):
-    """The images of the folded simple system under restriction."""
-    return tuple(pa.sigma.combine(c, pa.points) for c in _folded_simple_coeffs(case))
+    return ReconstructionStack(res.solvable, res.kernel_size, sigma, x, res.image)
 
 
 def folded_images(case: str, x: np.ndarray, sigma: SigmaModel) -> np.ndarray:
@@ -354,11 +312,10 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     second term is conservative; it is kept so that the same inputs run or
     refuse.
     """
-    lat = case_lattice(case)
-    rho = outer_automorphism(ambient_case(case), lat)
-    delta = rho.simple_system
-    w_big = ambient_weyl_group(case, lat)
-    w_small = folded_weyl_group(case, lat)
+    rho = case_fold(case)
+    delta, lat = rho.simple_system, rho.lattice
+    w_big = ambient_weyl_group(case)
+    w_small = folded_weyl_group(case)
     basis = fixed_sublattice(rho)
     k = len(basis)
     rprime = len(delta)

@@ -176,19 +176,6 @@ def cartan_matrix_of(roots, lat: IntersectionLattice):
     return tuple(map(tuple, (2 * g // den).tolist()))
 
 
-def cartan_matrix_of_q(vectors, lat: IntersectionLattice):
-    """Cartan matrix for rational coordinate vectors (e.g. folded averages)."""
-    n = len(vectors)
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            val = 2 * lat.pair_q(vectors[i], vectors[j]) / lat.pair_q(vectors[j], vectors[j])
-            if val.denominator != 1:
-                raise UnrecognizedDiagramError("non-integral Cartan pairing")
-            a[i][j] = int(val)
-    return tuple(tuple(row) for row in a)
-
-
 def catalogue_cartan(series: str, rank: int):
     """Cartan matrix of a Dynkin type in a fixed labelling.
 

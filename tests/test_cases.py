@@ -9,6 +9,7 @@ reconstruction system had before every case fact was read from
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from picfold import cli
@@ -18,7 +19,7 @@ from picfold.cases import case_spec, point_relations
 from picfold.moduli import (
     PointAssignment,
     case_system_matrix,
-    folded_restriction,
+    folded_images,
     invariance_closed_form,
     reconstruct_points,
 )
@@ -185,10 +186,10 @@ def _six_unknown_f4(p_images, sigma):
 def test_f4_reconstruction_matches_the_six_unknown_system(m1, m2):
     sigma = make_sigma_model(m1, m2)
     for imgs in product(list(sigma.elements()), repeat=4):
-        res = reconstruct_points("F4", imgs, sigma)
+        res = reconstruct_points("F4", [imgs], sigma)
         solvable, kernel, pts = _six_unknown_f4(imgs, sigma)
-        assert (res.solvable, res.kernel_size) == (solvable, kernel)
-        assert [pa.points for pa in res.assignments] == pts
+        assert (res.solvable[0], res.kernel_size) == (solvable, kernel)
+        assert [tuple(map(tuple, x)) for x in res.block(0).tolist()] == pts
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -207,8 +208,7 @@ def test_random_admissible_is_p_times_t(case):
 
 def test_reconstruction_refuses_more_solutions_than_the_cap():
     sigma = make_sigma_model(2, 4)
-    pa = PointAssignment(sigma, (sigma.zero,) * 4)
-    imgs = folded_restriction("C2", pa)
+    imgs = folded_images("C2", np.zeros((1, 4, 2), dtype=np.int64), sigma)  # of x = 0
     assert reconstruct_points("C2", imgs, sigma).kernel_size > 1
     with pytest.raises(BudgetExceededError):
         reconstruct_points("C2", imgs, sigma, enumerate_cap=1)

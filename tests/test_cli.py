@@ -122,7 +122,7 @@ def test_claim_check_fails_under_optimize():
     code = (
         "import json, sys\n"
         "from picfold import cli, configs\n"
-        "configs.enumerate_exceptional_systems = lambda case, lat=None: ()\n"
+        "configs.enumerate_exceptional_systems = lambda case: ()\n"
         "rc = cli.main(['verify', 'configs', '--format', 'json'])\n"
         "sys.stdout.flush()\n"
         "raise SystemExit(rc)\n"
@@ -190,8 +190,10 @@ def test_chi_claims_fail_under_optimize_with_a_trivial_small_group():
     code = (
         "import json, sys\n"
         "from picfold import cli, moduli\n"
+        "from picfold.cases import case_spec\n"
         "from picfold.rootsys import weyl_generate\n"
-        "moduli.folded_weyl_group = lambda case, lat, cap=10**6: weyl_generate([], rank=lat.rank)\n"
+        "moduli.folded_weyl_group = lambda case, cap=10**6: weyl_generate(\n"
+        "    [], rank=case_spec(case).lattice.rank)\n"
         "rc = cli.main(['verify', 'moduli', '--format', 'json'])\n"
         "sys.stdout.flush()\n"
         "raise SystemExit(rc)\n"
@@ -217,6 +219,20 @@ def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
     assert "exceeds the action cap 100000000" in status["moduli.chi.injective.F4"]["witness"]
     others = [r["status"] for cid, r in status.items() if cid != "moduli.chi.injective.F4"]
     assert set(others) == {"pass"}
+    capsys.readouterr()
+
+
+def test_weyl_cap_reaches_every_group_the_folding_suite_builds(tmp_path, capsys):
+    # |W(B4)| = 384 and |W(F4)| = 1152 exceed the cap; the two claims that build no group pass
+    cfg, out = tmp_path / "cap.cfg", tmp_path / "r.json"
+    cfg.write_text("budget.weyl_cap = 100\n")
+    assert main(["verify", "folding", "--config", str(cfg), "--format", "json",
+                 "--out", str(out)]) == 1
+    status = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    for claim in ("W.folded.orders", "W.second.reduction.identities", "fold.presentations.agree"):
+        assert status[claim]["status"] == "fail"
+        assert status[claim]["witness"].startswith("BudgetExceededError"), claim
+    assert status["fold.tags"]["status"] == status["fold.root.counts"]["status"] == "pass"
     capsys.readouterr()
 
 

@@ -28,7 +28,7 @@ from picfold.configs import (
     triangle_stabilizer,
     _relation_search,
 )
-from picfold.moduli import PointAssignment, case_lattice, case_rank, points_from_parameters
+from picfold.moduli import PointAssignment, point_table
 from picfold.abelian import make_sigma_model
 from picfold.rootsys import (
     BudgetExceededError,
@@ -52,8 +52,8 @@ def weyl_e6(cubic):
 
 
 def test_g2_systems(cubic):
-    lat = case_lattice("G2")
-    systems = enumerate_exceptional_systems("G2", lat)
+    lat = case_spec("G2").lattice
+    systems = enumerate_exceptional_systems("G2")
     assert len(systems) == 12
     f, l = lat.f, lat.l
     assert (f - l(1), f - l(2), l(4), l(3)) in systems
@@ -64,8 +64,8 @@ def test_g2_systems(cubic):
 
 def test_b_system_counts():
     for n in (2, 3, 4):
-        lat = case_lattice(f"B{n}")
-        systems = enumerate_exceptional_systems(f"B{n}", lat)
+        lat = case_spec(f"B{n}").lattice
+        systems = enumerate_exceptional_systems(f"B{n}")
         assert len(systems) == 2**n * factorial(n)
         for s in list(systems)[:20]:
             GConfiguration(f"B{n}", s).check_invariants(lat)
@@ -73,15 +73,15 @@ def test_b_system_counts():
 
 def test_c_system_counts():
     for n in (2, 3):
-        lat = case_lattice(f"C{n}")
-        systems = enumerate_exceptional_systems(f"C{n}", lat)
+        lat = case_spec(f"C{n}").lattice
+        systems = enumerate_exceptional_systems(f"C{n}")
         assert len(systems) == 2**n * factorial(n)
         for s in list(systems)[:20]:
             GConfiguration(f"C{n}", s).check_invariants(lat)
 
 
 def test_f4_systems(cubic):
-    systems = enumerate_exceptional_systems("F4", cubic)
+    systems = enumerate_exceptional_systems("F4")
     assert len(systems) == 1152
     ls = tuple(cubic.l(i) for i in range(1, 7))
     assert ls in systems
@@ -96,20 +96,20 @@ def test_f4_systems(cubic):
 
 def test_simple_transitivity_all_cases(cubic):
     for case in ("B2", "B3", "C2", "G2"):
-        lat = case_lattice(case)
-        systems = enumerate_exceptional_systems(case, lat)
-        w = folded_weyl_group(case, lat)
+        lat = case_spec(case).lattice
+        systems = enumerate_exceptional_systems(case)
+        w = folded_weyl_group(case)
         rep = simple_transitivity_check(systems, w)
         assert rep.simply_transitive, (case, rep.offending)
-    systems = enumerate_exceptional_systems("F4", cubic)
-    w = folded_weyl_group("F4", cubic)
+    systems = enumerate_exceptional_systems("F4")
+    w = folded_weyl_group("F4")
     rep = simple_transitivity_check(systems, w)
     assert rep.simply_transitive
 
 
 def test_transitivity_fails_for_trivial_group():
-    lat = case_lattice("G2")
-    systems = enumerate_exceptional_systems("G2", lat)
+    lat = case_spec("G2").lattice
+    systems = enumerate_exceptional_systems("G2")
     trivial = weyl_generate([], rank=lat.rank)
     rep = simple_transitivity_check(systems, trivial)
     assert not rep.simply_transitive
@@ -147,9 +147,9 @@ def rows_over(table, systems):
 
 @pytest.mark.parametrize("case", ["B2", "B3", "B4", "C2", "C3", "G2", "F4"])
 def test_transitivity_matches_the_bytes_walk(case):
-    lat = case_lattice(case)
-    systems = enumerate_exceptional_systems(case, lat)
-    w = folded_weyl_group(case, lat)
+    lat = case_spec(case).lattice
+    systems = enumerate_exceptional_systems(case)
+    w = folded_weyl_group(case)
     rep = simple_transitivity_check(systems, w)
     assert rep == bytes_transitivity_check(systems, w)
     assert rep.simply_transitive and rep.orbit_size == len(w)
@@ -157,9 +157,9 @@ def test_transitivity_matches_the_bytes_walk(case):
 
 @pytest.mark.parametrize("case", ["B3", "F4"])
 def test_transitivity_reports_unreached_for_a_proper_subgroup(case):
-    lat = case_lattice(case)
-    systems = enumerate_exceptional_systems(case, lat)
-    w = folded_weyl_group(case, lat)
+    lat = case_spec(case).lattice
+    systems = enumerate_exceptional_systems(case)
+    w = folded_weyl_group(case)
     sub = weyl_generate(w.gens[:-1])
     rep = simple_transitivity_check(systems, sub)
     assert rep.offending[0] == "unreached"
@@ -170,11 +170,11 @@ def test_transitivity_reports_unreached_for_a_proper_subgroup(case):
 
 @pytest.mark.parametrize("case", ["B3", "C3", "G2"])
 def test_transitivity_reports_outside_for_a_removed_system(case):
-    lat = case_lattice(case)
-    full = enumerate_exceptional_systems(case, lat)
+    lat = case_spec(case).lattice
+    full = enumerate_exceptional_systems(case)
     k = len(full) // 2
     systems = ExceptionalSystems(full.table, np.delete(full.rows, k, axis=0))
-    w = folded_weyl_group(case, lat)
+    w = folded_weyl_group(case)
     rep = simple_transitivity_check(systems, w)
     assert rep.offending == ("outside", full[k])
     assert not rep.simply_transitive and rep.orbit_size == len(systems) == len(full) - 1
@@ -188,16 +188,16 @@ def test_transitivity_reports_outside_for_a_class_off_the_table(cubic):
     # the F4 table (all 27) that no F4 system uses
     h, l = cubic.h, cubic.l
     alpha = h - l(1) - l(3) - l(4)
-    systems = enumerate_exceptional_systems("F4", cubic)
+    systems = enumerate_exceptional_systems("F4")
     assert h - l(3) - l(4) in systems.table
     assert h - l(3) - l(4) not in {e for s in systems for e in s}
     rep = simple_transitivity_check(systems, weyl_generate([reflection(cubic, alpha)]))
     assert rep.offending == ("outside", tuple(reflect(cubic, alpha, e) for e in systems[0]))
     assert h - l(3) - l(4) in rep.offending[1] and rep.orbit_size == 1
     # the reflection in s - l1 takes l1 to s, off the B3 table (s meets f)
-    lat = case_lattice("B3")
+    lat = case_spec("B3").lattice
     beta = lat.s - lat.l(1)
-    systems = enumerate_exceptional_systems("B3", lat)
+    systems = enumerate_exceptional_systems("B3")
     w = weyl_generate([reflection(lat, beta)])
     rep = simple_transitivity_check(systems, w)
     assert lat.s not in systems.table and lat.s in rep.offending[1]
@@ -208,9 +208,9 @@ def test_transitivity_reports_outside_for_a_class_off_the_table(cubic):
 def test_transitivity_reports_the_stabilizer_of_a_partial_system():
     # the orbit of the first two slots of a B3 system is the whole set,
     # but W(B3) also permutes and flips the last two slots
-    lat = case_lattice("B3")
-    w = folded_weyl_group("B3", lat)
-    full = enumerate_exceptional_systems("B3", lat)
+    lat = case_spec("B3").lattice
+    w = folded_weyl_group("B3")
+    full = enumerate_exceptional_systems("B3")
     systems = rows_over(full.table, orbit(w.gens, full[0][:2]).elements)
     rep = simple_transitivity_check(systems, w)
     assert rep.offending == ("stabilizer", len(w) // len(systems))
@@ -219,9 +219,9 @@ def test_transitivity_reports_the_stabilizer_of_a_partial_system():
 
 
 def test_transitivity_walk_refuses_past_its_caps():
-    lat = case_lattice("B3")
-    systems = enumerate_exceptional_systems("B3", lat)
-    w = folded_weyl_group("B3", lat)
+    lat = case_spec("B3").lattice
+    systems = enumerate_exceptional_systems("B3")
+    w = folded_weyl_group("B3")
 
     class Shrunk:  # the generators of W(B3), claiming an order of 4
         mats, rank = w.mats, w.rank
@@ -243,7 +243,7 @@ def test_transitivity_walk_refuses_past_its_caps():
 
 
 def test_blowdown_examples():
-    lat = case_lattice("G2")
+    lat = case_spec("G2").lattice
     l, f = lat.l, lat.f
     assert is_blowdown_sequence(lat, (l(1), l(2), l(3), l(4)))
     assert is_blowdown_sequence(lat, (f - l(1), f - l(2), l(4), l(3)))
@@ -255,7 +255,7 @@ def test_blowdown_examples():
 
 
 def test_blowdown_matches_weyl_orbit_exactly():
-    lat = case_lattice("G2")
+    lat = case_spec("G2").lattice
     gens = simple_reflections(standard_simple_system("D", lat), lat)
     w = weyl_generate(gens)
     base = tuple(lat.l(i) for i in range(1, 5))
@@ -380,7 +380,7 @@ def test_triangle_stabilizers(cubic, weyl_e6):
     assert ordered.orbit_size == 270
     # the unordered stabilizer is exactly the folded Weyl group: W(F4) fixes
     # the triangle as a set and has the stabilizer's order
-    wf4 = folded_weyl_group("F4", cubic)
+    wf4 = folded_weyl_group("F4")
     assert len(wf4) == unord.order
     assert all({g.apply(e) for e in tri} == set(tri) for g in wf4.gens)
     # the ordered stabilizer is the Weyl group of the fixed sub-root-system:
@@ -461,7 +461,7 @@ def pair_sum_f4_systems(lat):
 
 
 def test_f4_systems_match_pair_sum_search(cubic):
-    assert tuple(enumerate_exceptional_systems("F4", cubic)) == pair_sum_f4_systems(cubic)
+    assert tuple(enumerate_exceptional_systems("F4")) == pair_sum_f4_systems(cubic)
 
 
 @pytest.fixture(scope="module")
@@ -502,14 +502,14 @@ def test_f4_level_search_matches_brute_force_filter(cubic, skew_sixes, relations
 
 @pytest.mark.parametrize("case", ["B2", "B3", "B4", "B5", "B6", "G2"])
 def test_systems_match_brute_force(case):
-    lat = case_lattice(case)
-    assert tuple(enumerate_exceptional_systems(case, lat)) == brute_force_systems(case, lat)
+    lat = case_spec(case).lattice
+    assert tuple(enumerate_exceptional_systems(case)) == brute_force_systems(case, lat)
 
 
 def definitional_c_systems(case, lat):
     """C oracle: the pairs (l_i, l_{2n+1-i}), per permutation and swap pattern,
     in the slot order (a_1, ..., a_n, b_n, ..., b_1) of the points."""
-    n = case_rank(case)
+    n = case_spec(case).rank
     out = []
     for sigma in permutations(range(1, n + 1)):
         for flips in product((0, 1), repeat=n):
@@ -521,25 +521,22 @@ def definitional_c_systems(case, lat):
 
 @pytest.mark.parametrize("case", ["C2", "C3", "C4", "C5"])
 def test_c_systems_match_the_definition_in_order(case):
-    lat = case_lattice(case)
-    assert tuple(enumerate_exceptional_systems(case, lat)) == definitional_c_systems(case, lat)
+    lat = case_spec(case).lattice
+    assert tuple(enumerate_exceptional_systems(case)) == definitional_c_systems(case, lat)
 
 
-def test_systems_memoized_per_case_and_lattice():
+def test_systems_memoized_per_case():
     first = enumerate_exceptional_systems("B3")
     assert enumerate_exceptional_systems("B3") is first
-    assert enumerate_exceptional_systems("B3", case_lattice("B3")) is first
-    # an equal lattice built separately hits the same entry
-    assert enumerate_exceptional_systems("B3", make_blowup_lattice(F1, 4)) is first
     # G2 lives on the same lattice but is a different case
     assert tuple(enumerate_exceptional_systems("G2")) != tuple(first)
     f4 = enumerate_exceptional_systems("F4")
-    assert enumerate_exceptional_systems("F4", make_blowup_lattice(P2, 6)) is f4
+    assert enumerate_exceptional_systems("F4") is f4
 
 
 def test_exceptional_systems_contract():
-    lat = case_lattice("B3")
-    systems = enumerate_exceptional_systems("B3", lat)
+    lat = case_spec("B3").lattice
+    systems = enumerate_exceptional_systems("B3")
     rows = systems.rows
     assert rows.shape == (48, 4) and not rows.flags.writeable
     with pytest.raises(ValueError):
@@ -590,7 +587,7 @@ def blowdown_oracle(lat, classes):
 
 
 def test_blowdown_matches_oracle_on_g2_lattice():
-    lat = case_lattice("G2")
+    lat = case_spec("G2").lattice
     l, f, s = lat.l, lat.f, lat.s
     # every sign/permutation tuple of the four indices
     for sigma in permutations(range(1, 5)):
@@ -608,21 +605,22 @@ def test_blowdown_matches_oracle_on_g2_lattice():
 def _admissible(case):
     """x = P t for t = (1, 2, ..., rank) in Z/11."""
     sigma = make_sigma_model(1, 11)
-    return points_from_parameters(case, [[(0, k + 1) for k in range(case_rank(case))]], sigma)[0]
+    t = np.array([[(0, k + 1) for k in range(case_spec(case).rank)]], dtype=np.int64)
+    return PointAssignment(sigma, tuple(map(tuple, point_table(case, t, sigma)[0].tolist())))
 
 
 @pytest.mark.parametrize("case", ["B3", "C3", "G2", "F4"])
 def test_check_invariants_with_points_on_every_system(case):
-    lat = case_lattice(case)
+    lat = case_spec(case).lattice
     pa = _admissible(case)
-    for system in enumerate_exceptional_systems(case, lat):
+    for system in enumerate_exceptional_systems(case):
         assert GConfiguration(case, system, pa).check_invariants(lat)
 
 
 @pytest.mark.parametrize("case", ["B3", "C3", "G2", "F4"])
 def test_check_invariants_checks_the_assigned_points(case):
-    lat = case_lattice(case)
-    system = enumerate_exceptional_systems(case, lat)[0]
+    lat = case_spec(case).lattice
+    system = enumerate_exceptional_systems(case)[0]
     good = _admissible(case)
     sigma = good.sigma
     # every case has a relation on x1, so moving x1 alone breaks one
@@ -633,7 +631,7 @@ def test_check_invariants_checks_the_assigned_points(case):
 
 
 def test_check_invariants_rejects_broken_points():
-    lat = case_lattice("B3")
+    lat = case_spec("B3").lattice
     l = lat.l
     pa = _admissible("B3")
     bad = GConfiguration("B3", (l(2), l(1), l(3), l(4)), pa)
@@ -646,8 +644,9 @@ def test_check_invariants_rejects_broken_points():
 def test_check_invariants_raises_under_optimize():
     code = (
         "from picfold.configs import ConfigurationError, GConfiguration\n"
-        "from picfold.moduli import PointAssignment, case_lattice\n"
-        "lat = case_lattice('B3')\n"
+        "from picfold.cases import case_spec\n"
+        "from picfold.moduli import PointAssignment\n"
+        "lat = case_spec('B3').lattice\n"
         "l = lat.l\n"
         "cfg = GConfiguration('B3', (l(2), l(1), l(3), l(4)), PointAssignment(None, ()))\n"
         "try:\n"

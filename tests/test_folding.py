@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import factorial
@@ -9,15 +8,14 @@ import pytest
 
 from picfold import folding, rootsys
 from picfold.abelian import make_sigma_model
-from picfold.cases import case_lattice
+from picfold.cases import case_spec
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.folding import (
-    FOLDED_TO_SIMPLY_LACED,
     ambient_root_system,
     ambient_weyl_group,
+    case_fold,
     f4_short_roots,
     fixed_sublattice,
-    fold_simple_system,
     folded_root_system,
     folded_simple_system,
     folded_weyl_generators,
@@ -99,58 +97,54 @@ def test_rho_rejects_classes_outside_domain(f1_4):
         _apply(rho, f1_4.l(1))  # not in root lattice + ZK
 
 
-def test_fold_simple_system_tags(f1_4, cubic):
+def _tag(case):
+    return identify_cartan_type(cartan_matrix_of(folded_simple_system(case).roots,
+                                                 case_spec(case).lattice))
+
+
+def test_fold_simple_system_tags(f1_4):
     tri = outer_automorphism("D4-triality", f1_4)
-    folded = fold_simple_system(tri.simple_system, tri)
-    assert folded.type_tag == "G2"
-    third = Fraction(1, 3)
     d = tri.simple_system.roots
-    avg = tuple(third * (d[0].coords[i] + d[1].coords[i] + d[3].coords[i]) for i in range(6))
-    assert folded.vectors[0] == avg
-
-    e6 = outer_automorphism("E6", cubic)
-    assert fold_simple_system(e6.simple_system, e6).type_tag == "F4"
-
-    rho_d = outer_automorphism("D", f1_4)
-    assert fold_simple_system(rho_d.simple_system, rho_d).type_tag == "B3"
-
-    a3 = outer_automorphism("A", f1_4)
-    assert fold_simple_system(a3.simple_system, a3).type_tag in ("B2", "C2")
+    # the triality orbit {a1, a2, a4} sums to one simple root of G2, in integers
+    assert folded_simple_system("G2").roots[0] == d[0] + d[1] + d[3]
+    assert (_tag("G2"), _tag("F4"), _tag("B3")) == ("G2", "F4", "B3")
+    assert _tag("C2") in ("B2", "C2")
 
 
 def test_identity_fold_is_noop(f1_4):
     rho = outer_automorphism("D", f1_4)
-    ident = type(rho)(rho.case, rho.lattice, rho.simple_system,
+    ident = type(rho)(rho.ambient, rho.lattice, rho.simple_system,
                       tuple(range(len(rho.simple_system))))
-    folded = fold_simple_system(rho.simple_system, ident)
-    assert len(folded.vectors) == len(rho.simple_system)
-    for v, r in zip(folded.vectors, rho.simple_system.roots):
-        assert tuple(int(x) for x in v) == r.coords
+    sums = folding._simple_orbit_sums(ident)
+    assert [tuple(col) for col in sums.T.tolist()] == [r.coords for r in rho.simple_system.roots]
 
 
-def test_folded_weyl_orders(f1_4, cubic):
-    assert len(folded_weyl_group("G2", f1_4)) == 12
-    assert len(folded_weyl_group("B3", f1_4)) == 2**3 * factorial(3)
-    assert len(folded_weyl_group("C2", f1_4)) == 8
-    assert len(folded_weyl_group("F4", cubic)) == 1152
-    lat5 = make_blowup_lattice(F1, 5)
-    assert len(folded_weyl_group("B4", lat5)) == 2**4 * factorial(4)
-    lat6 = make_blowup_lattice(F1, 6)
-    assert len(folded_weyl_group("C3", lat6)) == 2**3 * factorial(3)
+def test_folded_weyl_orders():
+    assert len(folded_weyl_group("G2")) == 12
+    assert len(folded_weyl_group("B3")) == 2**3 * factorial(3)
+    assert len(folded_weyl_group("C2")) == 8
+    assert len(folded_weyl_group("F4")) == 1152
+    assert len(folded_weyl_group("B4")) == 2**4 * factorial(4)
+    assert len(folded_weyl_group("C3")) == 2**3 * factorial(3)
+
+
+@pytest.mark.parametrize("case", [f"B{n}" for n in range(2, 7)] + [f"C{n}" for n in range(2, 6)]
+                         + ["G2", "F4"])
+def test_a_case_name_keys_its_fold_and_groups_on_its_own_lattice(case):
+    spec = case_spec(case)
+    assert case_fold(case) is outer_automorphism(spec.ambient, spec.lattice)
+    assert folded_weyl_group(case).rank == spec.lattice.rank
 
 
 def test_folded_root_counts(cubic):
     for n in (2, 3, 4):
-        lat = make_blowup_lattice(F1, n + 1)
-        assert len(folded_root_system(f"B{n}", lat)) == 2 * n * n
-        lat_c = make_blowup_lattice(F1, 2 * n)
-        assert len(folded_root_system(f"C{n}", lat_c)) == 2 * n * n
-    lat4 = make_blowup_lattice(F1, 4)
-    assert len(folded_root_system("G2", lat4)) == 12
-    assert len(folded_root_system("F4", cubic)) == 48
+        assert len(folded_root_system(f"B{n}")) == 2 * n * n
+        assert len(folded_root_system(f"C{n}")) == 2 * n * n
+    assert len(folded_root_system("G2")) == 12
+    assert len(folded_root_system("F4")) == 48
     # the 2-orbit sums are exactly the roots of self-intersection -4
     assert f4_short_roots(cubic) == tuple(sorted(
-        r for r in folded_root_system("F4", cubic).roots if cubic.pair(r, r) == -4))
+        r for r in folded_root_system("F4").roots if cubic.pair(r, r) == -4))
     assert len(f4_short_roots(cubic)) == 24
 
 
@@ -218,23 +212,23 @@ LITERAL_CASES = ([(f"B{n}", (F1, n + 1)) for n in range(2, 7)]
 @pytest.mark.parametrize("case,model", LITERAL_CASES)
 def test_folded_roots_are_the_literal_presentations(case, model):
     lat = make_blowup_lattice(*model)
-    assert set(folded_root_system(case, lat).roots) == _literal_roots(case, lat)
+    assert set(folded_root_system(case).roots) == _literal_roots(case, lat)
 
 
 def test_b2_and_g2_simple_systems():
     lat3 = make_blowup_lattice(F1, 3)
-    b2 = folded_simple_system("B2", lat3)
+    b2 = folded_simple_system("B2")
     assert b2.roots == (lat3.f - 2 * lat3.l(2), 2 * (lat3.l(2) - lat3.l(3)))
     assert identify_cartan_type(cartan_matrix_of(b2.roots, lat3)) == "B2"
     lat4 = make_blowup_lattice(F1, 4)
-    g2 = folded_simple_system("G2", lat4)
+    g2 = folded_simple_system("G2")
     a = cartan_matrix_of(g2.roots, lat4)
     assert identify_cartan_type(a) == "G2"
     assert sorted(x for row in a for x in row) == [-3, -1, 2, 2]
 
 
 def test_f4_simple_system(cubic):
-    f4 = folded_simple_system("F4", cubic)
+    f4 = folded_simple_system("F4")
     l, h = cubic.l, cubic.h
     assert f4.roots == (
         l(1) - l(2) + l(5) - l(6),
@@ -249,11 +243,11 @@ def test_f4_simple_system(cubic):
 def test_b_and_c_simple_systems(n):
     for case, lat, tag in ((f"B{n}", make_blowup_lattice(F1, n + 1), f"B{n}"),
                            (f"C{n}", make_blowup_lattice(F1, 2 * n), "B2" if n == 2 else f"C{n}")):
-        simple = folded_simple_system(case, lat)
+        simple = folded_simple_system(case)
         assert simple.roots == _literal_simple_roots(case, lat)
         assert identify_cartan_type(cartan_matrix_of(simple.roots, lat)) == tag
         # every folded root is an integral combination of the simple roots
-        for root in folded_root_system(case, lat):
+        for root in folded_root_system(case):
             decompose_in_basis(root, simple.roots)
 
 
@@ -275,26 +269,26 @@ def test_summing_over_the_orbit_instead_of_ord_sigma_fails(monkeypatch):
     try:
         for case, model in LITERAL_CASES:
             lat = make_blowup_lattice(*model)
-            assert set(folded_root_system(case, lat).roots) != _literal_roots(case, lat), case
-            assert folded_simple_system(case, lat).roots != _literal_simple_roots(case, lat), case
+            assert set(folded_root_system(case).roots) != _literal_roots(case, lat), case
+            assert folded_simple_system(case).roots != _literal_simple_roots(case, lat), case
     finally:
         folding._folded_roots.cache_clear()
 
 
-def test_folded_roots_refuse_sums_that_are_not_one_per_orbit(monkeypatch, f1_4):
+def test_folded_roots_refuse_sums_that_are_not_one_per_orbit(monkeypatch):
     # without the sum every root of a 2-orbit survives on its own: more sums than orbits
     monkeypatch.setattr(folding, "_orbit_sums", lambda coords, rho: coords)
     folding._folded_roots.cache_clear()
     try:
         with pytest.raises(ValueError, match="24 orbit sums for 18 sigma-orbits"):
-            folded_root_system("B3", f1_4)
+            folded_root_system("B3")
     finally:
         folding._folded_roots.cache_clear()
 
 
 def test_root_systems_are_built_once(f1_4):
-    rs = folded_root_system("B3", f1_4)
-    assert folded_root_system("B3", make_blowup_lattice(F1, 4)) is rs
+    rs = folded_root_system("B3")
+    assert folded_root_system("B3") is rs
     d4 = ambient_root_system("D", f1_4)
     assert ambient_root_system("D", make_blowup_lattice(F1, 4)) is d4
     assert ambient_root_system("D4-triality", f1_4) is d4  # one root set, two folds
@@ -302,12 +296,12 @@ def test_root_systems_are_built_once(f1_4):
 
 
 def test_folded_roots_are_rho_fixed(f1_4, cubic):
-    cases = [("B3", outer_automorphism("D", f1_4), f1_4),
-             ("C2", outer_automorphism("A", f1_4), f1_4),
-             ("G2", outer_automorphism("D4-triality", f1_4), f1_4),
-             ("F4", outer_automorphism("E6", cubic), cubic)]
-    for case, rho, lat in cases:
-        for root in folded_root_system(case, lat):
+    cases = [("B3", outer_automorphism("D", f1_4)),
+             ("C2", outer_automorphism("A", f1_4)),
+             ("G2", outer_automorphism("D4-triality", f1_4)),
+             ("F4", outer_automorphism("E6", cubic))]
+    for case, rho in cases:
+        for root in folded_root_system(case):
             assert _apply(rho, root) == root
 
 
@@ -332,57 +326,53 @@ def test_fixed_sublattice_triality_rank2(f1_4):
 
 def test_fixed_sublattice_identity_is_whole(f1_4):
     rho = outer_automorphism("D", f1_4)
-    ident = type(rho)(rho.case, rho.lattice, rho.simple_system,
+    ident = type(rho)(rho.ambient, rho.lattice, rho.simple_system,
                       tuple(range(len(rho.simple_system))))
     assert len(fixed_sublattice(ident)) == len(rho.simple_system)
 
 
-def test_presentations_agree(f1_4, cubic):
-    lat3 = make_blowup_lattice(F1, 3)
-    for case, lat in [("B2", lat3), ("B3", f1_4), ("C2", f1_4), ("G2", f1_4), ("F4", cubic)]:
-        side_a, side_b, _ = restricted_reflection_matrices(case, lat)
+def test_presentations_agree():
+    for case in ("B2", "B3", "C2", "G2", "F4"):
+        side_a, side_b, _ = restricted_reflection_matrices(case)
         assert side_a == side_b, case
 
 
 def test_second_reduction_order_identities(f1_4, cubic):
     # |W(G)| = |W(G'')| * |Out(G'')| for the four folded families
     lat3 = make_blowup_lattice(F1, 3)
-    lat5 = make_blowup_lattice(F1, 5)
     # C_n: G'' = n copies of A1, Out = S_n
-    for n, lat in ((2, f1_4), (3, make_blowup_lattice(F1, 6))):
-        assert len(folded_weyl_group(f"C{n}", lat)) == 2**n * factorial(n)
+    for n in (2, 3):
+        assert len(folded_weyl_group(f"C{n}")) == 2**n * factorial(n)
     # G2: G'' = A2, Out = Z2
     l = f1_4.l
     a2 = [3 * (l(2) - l(3)), 3 * (l(3) - (f1_4.f - l(4)))]
     a2_scaled = [l(2) - l(3), l(3) - f1_4.f + l(4)]
     wa2 = weyl_generate([r for r in simple_reflections(
         type(standard_simple_system("D", f1_4))(tuple(a2_scaled), "A2"), f1_4)])
-    assert len(folded_weyl_group("G2", f1_4)) == len(wa2) * 2 == 12
+    assert len(folded_weyl_group("G2")) == len(wa2) * 2 == 12
     # B_n: G'' = D_n, Out = Z2
-    for n, lat, lat_dn in ((2, lat3, make_blowup_lattice(F1, 2)),
-                           (3, f1_4, lat3), (4, lat5, f1_4)):
+    for n, lat_dn in ((2, make_blowup_lattice(F1, 2)), (3, lat3), (4, f1_4)):
         wdn = weyl_generate(simple_reflections(standard_simple_system("D", lat_dn), lat_dn))
-        assert len(folded_weyl_group(f"B{n}", lat)) == len(wdn) * 2
+        assert len(folded_weyl_group(f"B{n}")) == len(wdn) * 2
     # F4: G'' = D4, Out = S3
     wd4 = weyl_generate(simple_reflections(standard_simple_system("D", f1_4), f1_4))
-    assert len(folded_weyl_group("F4", cubic)) == len(wd4) * 6 == 1152
+    assert len(folded_weyl_group("F4")) == len(wd4) * 6 == 1152
 
 
 def test_non_orthogonal_orbit_rejected(f1_4):
     rho = outer_automorphism("D", f1_4)
-    bad = type(rho)(rho.case, rho.lattice, rho.simple_system, (2, 1, 0, 3))
+    bad = type(rho)(rho.ambient, rho.lattice, rho.simple_system, (2, 1, 0, 3))
     with pytest.raises(ValueError):
-        folded_weyl_generators(rho.simple_system, bad)
+        folded_weyl_generators(bad)
 
 
 def test_groups_are_built_once_and_read_only():
-    lat = make_blowup_lattice(F1, 4)
-    w = folded_weyl_group("B3", lat)
-    # an equal lattice and a positional or keyword cap all hit the same entry
-    assert folded_weyl_group("B3", make_blowup_lattice(F1, 4), 10**6) is w
-    assert folded_weyl_group("B3", lat, cap=10**6) is w
-    big = ambient_weyl_group("B3", lat)
-    assert ambient_weyl_group("B3", lat, cap=10**6) is big
+    w = folded_weyl_group("B3")
+    # the default, a positional and a keyword cap all hit the same entry
+    assert folded_weyl_group("B3", 10**6) is w
+    assert folded_weyl_group("B3", cap=10**6) is w
+    big = ambient_weyl_group("B3")
+    assert ambient_weyl_group("B3", cap=10**6) is big
     assert (len(w), len(big)) == (48, 192)
     for group in (w, big):
         arrays = [a for a in vars(group).values() if isinstance(a, np.ndarray)]
@@ -399,7 +389,7 @@ def test_automorphisms_and_fixed_sublattices_are_built_once_and_not_mutated(f1_4
     rho = outer_automorphism("D", f1_4)
     basis = fixed_sublattice(rho)
     before = (rho.permutation, rho.simple_system.roots, basis)
-    big = ambient_weyl_group("B3", f1_4)
+    big = ambient_weyl_group("B3")
     mats = big.mats.copy()
     assert chi_injectivity_check("B3", make_sigma_model(2, 2)).passed  # reads all three
     # an equal lattice hits the same entries, which the check left as they were
@@ -409,7 +399,7 @@ def test_automorphisms_and_fixed_sublattices_are_built_once_and_not_mutated(f1_4
     assert rho.permutation == (1, 0, 2, 3)
     assert np.array_equal(big.mats, mats) and not big.mats.flags.writeable
     assert outer_automorphism("E6", cubic) is outer_automorphism("E6", cubic)
-    with pytest.raises(ValueError, match="unknown folding case"):
+    with pytest.raises(ValueError, match="unknown ambient type"):
         outer_automorphism("E7", f1_4)
 
 
@@ -445,9 +435,9 @@ def _agrees_with_oracle(group, lat, letters, seed):
 @pytest.mark.parametrize("case", SERVED)
 @pytest.mark.parametrize("folded", [True, False])
 def test_coxeter_groups_match_the_schreier_sims_oracle(case, folded):
-    lat = case_lattice(case)
-    rho = outer_automorphism(folding.ambient_case(case), lat)
-    group = folding._weyl_group(case, lat, _cap(case, folded), folded)
+    rho = case_fold(case)
+    lat = rho.lattice
+    group = folding._weyl_group(case, _cap(case, folded), folded)
     assert isinstance(group, CoxeterWeylGroup)
     # the ambient simple reflections are members of the ambient group and, mostly, not
     # of the folded one; the reflection in l1 moves K, so it is in neither
@@ -458,21 +448,21 @@ def test_coxeter_groups_match_the_schreier_sims_oracle(case, folded):
 
 
 def test_ambient_a9_refuses_at_the_default_cap():
-    lat = case_lattice("C5")
+    lat = case_spec("C5").lattice
     with pytest.raises(BudgetExceededError):
-        ambient_weyl_group("C5", lat)
+        ambient_weyl_group("C5")
     rho = outer_automorphism("A", lat)
     with pytest.raises(BudgetExceededError):
         weyl_generate(simple_reflections(rho.simple_system, lat))
 
 
-def test_caps_refuse_as_before(cubic):
+def test_caps_refuse_as_before():
     with pytest.raises(BudgetExceededError):
-        folded_weyl_group("F4", cubic, cap=1151)
+        folded_weyl_group("F4", cap=1151)
     with pytest.raises(BudgetExceededError):
-        ambient_weyl_group("F4", cubic, cap=51839)
-    assert len(folded_weyl_group("F4", cubic, cap=1152)) == 1152
-    assert len(ambient_weyl_group("F4", cubic, cap=51840)) == 51840
+        ambient_weyl_group("F4", cap=51839)
+    assert len(folded_weyl_group("F4", cap=1152)) == 1152
+    assert len(ambient_weyl_group("F4", cap=51840)) == 51840
 
 
 def test_a_generator_off_its_root_fails_the_tie_check(f1_4, cubic):
@@ -482,12 +472,12 @@ def test_a_generator_off_its_root_fails_the_tie_check(f1_4, cubic):
     with pytest.raises(ValueError, match="reflection in its simple root"):
         CoxeterWeylGroup([other] + gens[1:], e6.simple_system, cubic)
     # W(F4): one reflection of the orbit {a1, a6} in place of their product
-    folded = folded_weyl_generators(e6.simple_system, e6)
+    folded = folded_weyl_generators(e6)
     with pytest.raises(ValueError, match="reflection in its simple root"):
-        CoxeterWeylGroup([gens[0]] + folded[1:], folded_simple_system("F4", cubic), cubic)
+        CoxeterWeylGroup([gens[0]] + folded[1:], folded_simple_system("F4"), cubic)
     with pytest.raises(ValueError, match="reflection in its simple root"):
-        CoxeterWeylGroup(folded[:-1], folded_simple_system("F4", cubic), cubic)
-    CoxeterWeylGroup(folded, folded_simple_system("F4", cubic), cubic)
+        CoxeterWeylGroup(folded[:-1], folded_simple_system("F4"), cubic)
+    CoxeterWeylGroup(folded, folded_simple_system("F4"), cubic)
 
 
 def test_a_negated_simple_root_is_refused(cubic):
@@ -514,10 +504,10 @@ def test_a_chain_that_skips_a_level_is_caught_by_the_oracle(monkeypatch):
     sizes = rootsys._fundamental_orbit_sizes
     monkeypatch.setattr(rootsys, "_fundamental_orbit_sizes", lambda a, cap: sizes(a, cap)[1:])
     for case in ("B3", "C3", "G2", "F4"):
-        lat = case_lattice(case)
-        rho = outer_automorphism(folding.ambient_case(case), lat)
-        for group in (CoxeterWeylGroup(folded_weyl_generators(rho.simple_system, rho),
-                                       folded_simple_system(case, lat), lat),
+        rho = case_fold(case)
+        lat = rho.lattice
+        for group in (CoxeterWeylGroup(folded_weyl_generators(rho), folded_simple_system(case),
+                                       lat),
                       CoxeterWeylGroup(simple_reflections(rho.simple_system, lat),
                                        rho.simple_system, lat)):
             with pytest.raises(AssertionError):
@@ -536,6 +526,6 @@ def test_chi_checks_and_folded_groups_never_sift(monkeypatch):
     for case in ("B2", "B3", "C2", "G2", "F4"):
         assert chi_injectivity_check(case, sigma, action_cap=10**10).passed
     for case in ("B2", "B3", "B4", "B5", "C2", "C3", "C4", "G2", "F4"):
-        assert len(folded_weyl_group(case, case_lattice(case))) > 1
+        assert len(folded_weyl_group(case)) > 1
     with pytest.raises(RuntimeError, match="Schreier-Sims"):
-        weyl_generate(folding._weyl_group("B2", case_lattice("B2"), 10**6, True).gens)
+        weyl_generate(folding._weyl_group("B2", 10**6, True).gens)

@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 
 from picfold import liealg
 from picfold._linalg import rational_solve
-from picfold.cases import case_rank
-from picfold.folding import ambient_root_system, folded_root_system
+from picfold.cases import case_spec
+from picfold.folding import ambient_root_system, folded_root_system, folded_simple_system
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.liealg import (
     JacobiReport,
     StructureConstantError,
     StructureConstantTable,
-    folded_simple_and_roots,
     root_codes,
     root_string,
     structure_constants,
     verify_jacobi,
 )
-from picfold.moduli import case_lattice
 from picfold.rootsys import RootSystemData, SimpleSystem, standard_simple_system
 
 
@@ -31,8 +29,8 @@ def _simply_laced(case, lat):
 
 
 def test_root_string_b2():
-    lat = case_lattice("B2")
-    rs = folded_root_system("B2", lat)
+    lat = case_spec("B2").lattice
+    rs = folded_root_system("B2")
     b1 = lat.f - 2 * lat.l(2)
     b2 = 2 * (lat.l(2) - lat.l(3))
     assert root_string(rs, b1, b2) == (0, 2)
@@ -55,7 +53,7 @@ def tables():
     cubic = make_blowup_lattice(P2, 6)
     out["E6"] = structure_constants(*_simply_laced("E6", cubic))
     for case in ("B2", "B3", "B4", "C2", "C3", "G2", "F4"):
-        out[case] = structure_constants(*folded_simple_and_roots(case))
+        out[case] = structure_constants(folded_root_system(case), folded_simple_system(case))
     return out
 
 
@@ -428,5 +426,5 @@ def test_jacobi_memory_is_bounded(tables):
 def test_bundle_decompositions():
     """The Lie(G)-bundle is O^rank plus one line bundle per root of the folded system."""
     for case, rank, nroots in (("B3", 3, 18), ("G2", 2, 12), ("F4", 4, 48)):
-        assert case_rank(case) == rank
-        assert len(folded_root_system(case, case_lattice(case)).roots) == nroots
+        assert case_spec(case).rank == rank
+        assert len(folded_root_system(case).roots) == nroots

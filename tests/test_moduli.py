@@ -10,20 +10,19 @@ from hypothesis import strategies as st
 
 from picfold import moduli
 from picfold.abelian import SymbolicSigma, make_sigma_model
+from picfold.cases import case_spec
+from picfold.folding import ambient_weyl_group, case_fold, fixed_sublattice, folded_simple_system
 from picfold.lattice import F1, make_blowup_lattice
 from picfold.moduli import (
     PointAssignment,
-    case_lattice,
     case_system_matrix,
     chi_injectivity_check,
     conjugacy_class_walk,
     fixed_components,
-    folded_restriction,
     invariance_agreement_exhaustive,
     invariance_closed_form,
     invariance_direct,
     invariance_literal_c,
-    points_from_parameters,
     reconstruct_points,
     u_point,
 )
@@ -85,7 +84,7 @@ def test_invariance_g2_case():
 def test_invariance_trivial_bundle_all_cases():
     for case in ("B2", "B3", "C2", "C3", "G2", "F4"):
         sig = make_sigma_model(2, 2)
-        n = case_lattice(case).npoints
+        n = case_spec(case).npoints
         pa = _pa(sig, *([sig.zero] * n))
         assert _both(case, pa) == (True, True)
 
@@ -106,7 +105,7 @@ def _all_assignments(sigma, n, zero_sum=False):
 @pytest.mark.parametrize("case", ["B2", "C2", "G2", "F4"])
 def test_closed_vs_direct_exhaustive(case, m1, m2):
     sigma = make_sigma_model(m1, m2)
-    n = case_lattice(case).npoints
+    n = case_spec(case).npoints
     zero_sum = case.startswith("C")
     checked = invariance_agreement_exhaustive(case, sigma)
     assert checked == sigma.order ** (n - 1 if zero_sum else n)
@@ -151,7 +150,7 @@ def test_agreement_memory_is_bounded():
 def test_vectorized_agreement_matches_scalar_path(case):
     # the vectorized helper and the per-assignment functions see the same truth
     sigma = make_sigma_model(2, 4)
-    n = case_lattice(case).npoints
+    n = case_spec(case).npoints
     rng = random.Random(13)
     els = list(sigma.elements())
     for _ in range(200):
@@ -214,20 +213,33 @@ def test_system_matrices_and_determinants():
     assert bareiss_det(case_system_matrix("F4")) != 0
 
 
+def _assignments(sigma, rows):
+    """The (k, npoints, 2) point rows of a reconstruction block, as assignments."""
+    return [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in rows.tolist()]
+
+
+def folded_restriction(case, pa):
+    """The images of the folded simple roots under restriction, one assignment at a time."""
+    lat = case_spec(case).lattice
+    return tuple(u_point(lat, pa, b) for b in folded_simple_system(case).roots)
+
+
 def test_reconstruct_trivial_and_unique():
     sig = make_sigma_model(1, 5)
-    res = reconstruct_points("B3", [sig.zero] * 3, sig)
-    assert res.solvable and res.kernel_size == 1
-    assert all(p == sig.zero for p in res.assignments[0].points)
+    res = reconstruct_points("B3", [[sig.zero] * 3], sig)
+    assert res.solvable[0] and res.kernel_size == 1
+    assert all(p == sig.zero for p in _assignments(sig, res.block(0))[0].points)
     sig7 = make_sigma_model(1, 7)
     for p in product(list(sig7.elements()), repeat=2):
-        r = reconstruct_points("G2", list(p), sig7)
-        assert r.solvable and r.kernel_size == 1
+        r = reconstruct_points("G2", [list(p)], sig7)
+        assert r.solvable[0] and r.kernel_size == 1
+    with pytest.raises(ValueError, match="stack of images"):
+        reconstruct_points("G2", [(0, 1), (0, 2)], sig7)  # one image, not a stack of one
 
 
 def _random_admissible(case, sigma, rng):
     els = list(sigma.elements())
-    n = case_lattice(case).npoints
+    n = case_spec(case).npoints
     if case.startswith("B"):
         return _pa(sigma, sigma.zero, *(rng.choice(els) for _ in range(n - 1)))
     if case.startswith("C"):
@@ -247,13 +259,14 @@ def test_reconstruction_round_trip(case):
         for _ in range(25):
             pa = _random_admissible(case, sigma, rng)
             p_imgs = folded_restriction(case, pa)
-            res = reconstruct_points(case, p_imgs, sigma)
-            assert res.solvable
-            assert pa in res.assignments
+            res = reconstruct_points(case, [p_imgs], sigma)
+            assert res.solvable[0]
+            block = _assignments(sigma, res.block(0))
+            assert pa in block
             # every returned assignment restricts back to the same data
-            for cand in res.assignments:
+            for cand in block:
                 assert folded_restriction(case, cand) == tuple(p_imgs)
-            assert len(res.assignments) == res.kernel_size
+            assert len(block) == res.kernel_size
 
 
 @pytest.mark.parametrize("case", ["B2", "C2", "G2"])
@@ -261,7 +274,7 @@ def test_reconstruction_round_trip(case):
 def test_stacked_reconstruction_is_blockwise_the_single_image_result(case, m):
     # every t in Sigma^rank at once; at 5 x 5 the map t -> M P t is injective
     sigma = make_sigma_model(m, m)
-    t = np.array(list(product(sigma.elements(), repeat=moduli.case_rank(case))), dtype=np.int64)
+    t = np.array(list(product(sigma.elements(), repeat=case_spec(case).rank)), dtype=np.int64)
     x = moduli.point_table(case, t, sigma)
     imgs = moduli.folded_images(case, x, sigma)
     stack = reconstruct_points(case, imgs, sigma)
@@ -272,11 +285,12 @@ def test_stacked_reconstruction_is_blockwise_the_single_image_result(case, m):
     assert np.array_equal(stack.image, np.repeat(np.arange(len(t)), stack.kernel_size))
     assert np.array_equal(moduli.folded_images(case, stack.table, sigma), imgs[stack.image])
     for i, img in enumerate(imgs.tolist()):
-        block, one = stack.block(i), reconstruct_points(case, img, sigma)
-        assert (block.solvable, block.kernel_size) == (one.solvable, one.kernel_size)
-        assert np.array_equal(block.table, one.table) and not block.table.flags.writeable
+        block, one = stack.block(i), reconstruct_points(case, [img], sigma)
+        assert (stack.solvable[i], stack.kernel_size) == (one.solvable[0], one.kernel_size)
+        assert np.array_equal(block, one.block(0)) and not block.flags.writeable
         pa = PointAssignment(sigma, tuple(map(tuple, x[i].tolist())))
-        assert pa in block and folded_restriction(case, pa) == tuple(map(tuple, img))
+        assert pa in _assignments(sigma, block)
+        assert folded_restriction(case, pa) == tuple(map(tuple, img))
     if m == 5:
         assert stack.kernel_size == 1 and len(stack.table) == len(t)
 
@@ -285,16 +299,19 @@ def test_stacked_reconstruction_is_blockwise_the_single_image_result(case, m):
 @pytest.mark.parametrize("m1,m2,other", [(2, 2, (1, 4)), (3, 3, (1, 9))])
 def test_reconstruction_membership_matches_the_assignments(case, m1, m2, other):
     sigma, elsewhere = make_sigma_model(m1, m2), make_sigma_model(*other)
-    for t in product(list(sigma.elements()), repeat=moduli.case_rank(case)):
-        pa = points_from_parameters(case, [t], sigma)[0]
-        res = reconstruct_points(case, folded_restriction(case, pa), sigma)
-        assert pa in res and pa in res.assignments
-        moved = _pa(sigma, sigma.add(pa.points[0], (0, 1)), *pa.points[1:])
-        assert moved not in res and moved not in res.assignments
-        foreign = PointAssignment(elsewhere, pa.points)
-        assert foreign not in res and foreign not in res.assignments
-        with pytest.raises(ValueError):
-            res.table[0, 0, 0] = 1
+    for t in product(list(sigma.elements()), repeat=case_spec(case).rank):
+        x = moduli.point_table(case, np.array([t], dtype=np.int64), sigma)
+        res = reconstruct_points(case, moduli.folded_images(case, x, sigma), sigma)
+        rows = _assignments(sigma, res.block(0))
+        pa = _assignments(sigma, x)[0]
+        assert res.contains(x)[0] and pa in rows
+        moved = x.copy()  # x1 + (0, 1)
+        moved[0, 0, 1] = (moved[0, 0, 1] + 1) % m2
+        assert not res.contains(moved)[0] and _assignments(sigma, moved)[0] not in rows
+        assert PointAssignment(elsewhere, pa.points) not in rows
+        for table in (res.table, res.block(0)):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1
 
 
 @pytest.mark.parametrize(
@@ -314,9 +331,9 @@ def test_chi_budget_respected():
 
 def test_chi_refuses_a_small_group_that_leaves_the_domain(monkeypatch):
     # W_big in place of W_small: its orbits leave the fixed domain, so no check applies
-    def big_as_small(case, lat, cap=10**6):
-        delta = moduli.outer_automorphism(moduli.ambient_case(case), lat).simple_system
-        return weyl_generate(simple_reflections(delta, lat))
+    def big_as_small(case, cap=10**6):
+        rho = case_fold(case)
+        return weyl_generate(simple_reflections(rho.simple_system, rho.lattice))
 
     monkeypatch.setattr(moduli, "folded_weyl_group", big_as_small)
     with pytest.raises(ValueError, match="leaves the domain part of its big orbit"):
@@ -360,12 +377,11 @@ def full_group_chi_check(case, sigma):
     Looks up ``moduli.folded_weyl_group`` at call time, so a monkeypatched
     small group reaches both.
     """
-    lat = case_lattice(case)
-    rho = moduli.outer_automorphism(moduli.ambient_case(case), lat)
-    delta = rho.simple_system
+    rho = case_fold(case)
+    delta, lat = rho.simple_system, rho.lattice
     w_big = einsum_closure_stack(weyl_generate(simple_reflections(delta, lat)).mats, 10**6)
-    w_small = einsum_closure_stack(moduli.folded_weyl_group(case, lat).mats, 10**6)
-    basis = moduli.fixed_sublattice(rho)
+    w_small = einsum_closure_stack(moduli.folded_weyl_group(case).mats, 10**6)
+    basis = fixed_sublattice(rho)
     k = len(basis)
     m_big = restrict_to_basis(w_big, delta.roots, lat)
     m_small = restrict_to_basis(w_small, delta.roots, lat)
@@ -430,9 +446,8 @@ def test_chi_generator_orbits_match_full_group(case, m1, m2):
 def test_chi_forced_failure_matches_full_group(case, m1, m2, monkeypatch):
     # with a trivial small group every nontrivial big orbit is a counterexample;
     # unequal moduli give different code weights per factor, the oracle one uniform base
-    monkeypatch.setattr(
-        moduli, "folded_weyl_group", lambda case, lat, cap=10**6: weyl_generate([], rank=lat.rank)
-    )
+    monkeypatch.setattr(moduli, "folded_weyl_group", lambda case, cap=10**6: weyl_generate(
+        [], rank=case_spec(case).lattice.rank))
     sigma = make_sigma_model(m1, m2)
     rep = chi_injectivity_check(case, sigma)
     assert not rep.passed and rep.counterexample is not None
@@ -447,9 +462,9 @@ def test_chi_forced_failure_matches_full_group(case, m1, m2, monkeypatch):
 def test_folded_group_is_the_centralizer_of_sigma(case, class_size):
     # the certificate of chi_injectivity_check: W(G) commutes with sigma and has the
     # order of its centralizer, |W(G~)| / |class of sigma|
-    lat = case_lattice(case)
-    rho = moduli.outer_automorphism(moduli.ambient_case(case), lat)
-    w_big, w_small = moduli.ambient_weyl_group(case, lat), moduli.folded_weyl_group(case, lat)
+    rho = case_fold(case)
+    lat = rho.lattice
+    w_big, w_small = ambient_weyl_group(case), moduli.folded_weyl_group(case)
     big, small = (restrict_to_basis(g.mats, rho.simple_system.roots, lat) for g in (w_big, w_small))
     perm = np.eye(len(rho.permutation), dtype=np.int64)[:, list(rho.permutation)]
     assert (small @ perm == perm @ small).all()
@@ -464,9 +479,10 @@ def _drop_generator(monkeypatch, drop):
     """Monkeypatch the small group to the one of every folded generator but ``drop``."""
     folded = moduli.folded_weyl_group
 
-    def fewer(case, lat, cap=10**6):
-        gens = folded(case, lat, cap).gens
-        return weyl_generate([g for i, g in enumerate(gens) if i != drop], rank=lat.rank)
+    def fewer(case, cap=10**6):
+        gens = folded(case, cap).gens
+        return weyl_generate([g for i, g in enumerate(gens) if i != drop],
+                             rank=case_spec(case).lattice.rank)
 
     monkeypatch.setattr(moduli, "folded_weyl_group", fewer)
     return folded
@@ -477,8 +493,8 @@ def test_chi_with_a_proper_subgroup_matches_full_group(case, drop, monkeypatch):
     # a nontrivial proper subgroup of the centralizer fails the certificate: the
     # centralizer's orbits then come from its Schreier generators
     folded = _drop_generator(monkeypatch, drop)
-    lat, sigma = case_lattice(case), make_sigma_model(2, 2)
-    assert 1 < len(moduli.folded_weyl_group(case, lat)) < len(folded(case, lat))
+    sigma = make_sigma_model(2, 2)
+    assert 1 < len(moduli.folded_weyl_group(case)) < len(folded(case))
     rep = chi_injectivity_check(case, sigma)
     assert not rep.passed
     assert rep == full_group_chi_check(case, sigma)
@@ -500,7 +516,7 @@ def test_chi_matches_full_group_over_small_sigma(case, m, drop):
 
 def test_chi_refuses_a_small_group_outside_the_big_one(monkeypatch):
     # -1 preserves the domain and commutes with sigma, but is not in W(A3)
-    monkeypatch.setattr(moduli, "folded_weyl_group", lambda case, lat, cap=10**6: weyl_generate(
-        [WeylElement.from_matrix(-np.eye(lat.rank, dtype=np.int64))]))
+    monkeypatch.setattr(moduli, "folded_weyl_group", lambda case, cap=10**6: weyl_generate(
+        [WeylElement.from_matrix(-np.eye(case_spec(case).lattice.rank, dtype=np.int64))]))
     with pytest.raises(ValueError, match="not a subgroup of the big one"):
         chi_injectivity_check("B2", make_sigma_model(2, 2))

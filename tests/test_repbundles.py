@@ -131,7 +131,7 @@ def test_g2_identity_invariant_under_configuration_action(lat4):
     sigma = make_sigma_model(5, 5)
     rng = random.Random(8)
     els = list(sigma.elements())
-    systems = enumerate_exceptional_systems("G2", lat4)
+    systems = enumerate_exceptional_systems("G2")
     for _ in range(5):
         a, b = rng.choice(els), rng.choice(els)
         pa = PointAssignment(sigma, (sigma.zero, a, b, sigma.add(a, b)))

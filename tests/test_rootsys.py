@@ -20,7 +20,6 @@ from picfold._linalg import (
     mat_vec,
     rational_solve,
 )
-from picfold.cases import ambient_case, case_lattice
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.rootsys import (
     BudgetExceededError,
@@ -305,12 +304,10 @@ def _group_gens():
         "D6": simple_reflections(standard_simple_system("D", f1_6), f1_6),
     }
     for case in ("B5", "C4", "G2", "F4"):
-        lat = case_lattice(case)
-        rho = folding.outer_automorphism(ambient_case(case), lat)
-        out[case] = folding.folded_weyl_generators(rho.simple_system, rho)
+        out[case] = folding.folded_weyl_generators(folding.case_fold(case))
     # both sides of fold.presentations.agree, on the fixed sublattice
     for case in ("B2", "B3", "C2", "G2", "F4"):
-        side_a, side_b, _ = folding.restricted_reflection_matrices(case, case_lattice(case))
+        side_a, side_b, _ = folding.restricted_reflection_matrices(case)
         out[f"{case}.roots"], out[f"{case}.restricted"] = side_a.gens, side_b.gens
     return out
 
