@@ -1,9 +1,9 @@
 """Exact integer linear algebra used across the package.
 
 Everything works on plain Python ints (arbitrary precision); ``Fraction``
-enters only in ``rational_solve``, the one solver over Q.  numpy enters
-only as a convenient container at call sites.  Matrices are lists of
-lists (rows).
+enters only in ``reduced_echelon``, the one elimination over Q.  numpy
+enters only as a convenient container at call sites.  Matrices are lists
+of lists (rows).
 """
 
 from __future__ import annotations
@@ -87,6 +87,11 @@ class SNFDecomposition:
         self.u, self.s, self.v, self.uinv, self.vinv = u, s, v, uinv, vinv
         m, n = len(s), len(s[0]) if s else 0
         self.diag = [s[i][i] for i in range(min(m, n))]
+
+    def kernel(self) -> list[list[int]]:
+        """A basis of the integer kernel of A: the columns of V^-1 past the nonzero diagonal."""
+        rank = sum(1 for d in self.diag if d)
+        return [[row[j] for row in self.vinv] for j in range(rank, len(self.vinv))]
 
 
 def smith_normal_form(a) -> SNFDecomposition:
@@ -184,17 +189,29 @@ def integer_kernel(a):
 
     The basis spans a saturated (primitive) sublattice.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
+    if not a or not a[0]:
         return []
-    snf = smith_normal_form(a)
-    basis = []
-    for j in range(n):
-        d = snf.s[j][j] if j < min(m, n) else 0
-        if j >= m or d == 0:
-            basis.append([snf.vinv[i][j] for i in range(n)])
-    return basis
+    return smith_normal_form(a).kernel()
+
+
+def reduced_echelon(a) -> tuple[list[list[Fraction]], list[int]]:
+    """(E, pivots): the reduced row echelon form E of a over Q without its zero rows.
+
+    A column is a pivot when it is independent of the columns before it.
+    Rows stay integral until each pivot row is divided by its pivot.
+    """
+    rows, pivots = [list(row) for row in a], []
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(len(pivots), len(rows)) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[p] = rows[p], rows[r]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                rows[i] = [rows[r][c] * x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)], pivots
 
 
 def rational_solve(a, b):
@@ -203,35 +220,13 @@ def rational_solve(a, b):
     ``a`` is m x n with independent columns; raises ValueError if the
     system is inconsistent or underdetermined.  Returns Fractions.
     """
-    m, n = len(a), len(a[0])
-    rows = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pr = rows[r]
-        inv = 1 / pr[c]
-        rows[r] = [x * inv for x in pr]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    if len(piv_cols) < n:
+    n = len(a[0])
+    rows, pivots = reduced_echelon([list(row) + [v] for row, v in zip(a, b)])
+    if pivots[:n] != list(range(n)):
         raise ValueError("columns are not independent")
-    for i in range(r, m):
-        if rows[i][n] != 0:
-            raise ValueError("inconsistent system")
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = rows[i][n]
-    return sol
+    if len(pivots) > n:
+        raise ValueError("inconsistent system")
+    return [row[n] for row in rows]
 
 
 def integer_left_inverse(b):

@@ -1,19 +1,14 @@
 """The folded cases B_n, C_n, G2 and F4: one record per case name.
 
-A case is fixed by a few facts: the blow-up lattice its configurations
-live on, the simply-laced type whose diagram automorphism folds to it,
-the linear relations among its blow-up points x_1, ..., x_m on the
-curve, and the closed form of the automorphism's fixed-point condition.
-They are written here once.  Every other module reads them from
-``case_spec(name)`` and parses no case name.  The folded roots and simple
-roots are not case facts: ``folding`` derives them from the ambient type's
-diagram automorphism.
-
-The point relations are written as one integer matrix P, x = P t, over
-one free parameter per rank.  The relation rows R (R x = 0) are derived
-from it as an integer basis of its left kernel.  P has Smith normal form
-all ones, so its image is saturated: R x = 0 holds exactly on the image
-of P, over the integers and over every finite abelian group.
+A case name fixes the blow-up lattice its configurations live on, the
+simply-laced type whose diagram automorphism folds to it, and the closed
+form of the automorphism's fixed-point condition.  They are written here
+once.  Every other module reads them from ``case_spec(name)`` and parses
+no case name.  Everything else about a case follows from its diagram
+automorphism and is derived in ``folding``: the folded roots and simple
+roots, the Weyl groups, and the relations among the blow-up points
+x_1, ..., x_m on the curve with the order of their torsion points
+(``folding.case_points``).
 
 The invariance rows Q (the fixed-point condition is Q x = 0) are written
 out by hand, because ``moduli.invariance_agreement_exhaustive`` checks
@@ -25,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from ._linalg import integer_kernel
 from .lattice import F1, P2, IntersectionLattice, make_blowup_lattice
 
 # the simply-laced type folded to each family
@@ -36,7 +30,7 @@ Rows = tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """Everything the other modules need to know about one case."""
+    """The record of one case name: the facts that are not derived from its fold."""
 
     name: str
     family: str  # "B", "C", "G2" or "F4"
@@ -44,14 +38,7 @@ class CaseSpec:
     model: str  # the lattice model, F1 or P2
     npoints: int
     ambient: str  # the folded simply-laced type: "D", "A", "D4-triality" or "E6"
-    torsion: int  # order of the torsion points that label the fixed components
-    points: Rows  # P: x = P t, one row per blow-up point
     invariance: Rows  # Q: the fixed-point condition is Q x = 0
-
-    @cached_property
-    def relations(self) -> Rows:
-        """R: a basis of the integer vectors r with r P = 0."""
-        return tuple(tuple(r) for r in integer_kernel([list(c) for c in zip(*self.points)]))
 
     @cached_property
     def lattice(self) -> IntersectionLattice:
@@ -74,48 +61,20 @@ def case_spec(name: str) -> CaseSpec:
         raise ValueError(f"unknown case {name!r}")
     n = int(name[1:])
     ambient = FOLDED_TO_SIMPLY_LACED[family]
-    if family == "B":
-        # x1 = 0; x2, ..., x_{n+1} free
-        return CaseSpec(name, family, n, F1, n + 1, ambient, 2,
-                        ((0,) * n,) + tuple(_row(n, (i, 1)) for i in range(1, n + 1)),
-                        (_row(n + 1, (1, 2)),))
-    if family == "C":
-        # x_{2n+1-i} = -x_i; slot order (a_1, ..., a_n, b_n, ..., b_1) of the pairs
+    if family == "B":  # 2 x1 = 0
+        return CaseSpec(name, family, n, F1, n + 1, ambient, (_row(n + 1, (1, 2)),))
+    if family == "C":  # the pair sums x_i + x_{2n+1-i} are all equal
         m = 2 * n
-        return CaseSpec(name, family, n, F1, m, ambient, n,
-                        tuple(_row(n, (i, 1)) for i in range(1, n + 1))
-                        + tuple(_row(n, (i, -1)) for i in range(n, 0, -1)),
+        return CaseSpec(name, family, n, F1, m, ambient,
                         tuple(_row(m, (i, 1), (m + 1 - i, 1), (1, -1), (m, -1))
                               for i in range(2, n + 1)))
-    if family == "G2":
-        # x1 = 0, x4 = x2 + x3
-        return CaseSpec(name, family, n, F1, 4, ambient, 2,
-                        ((0, 0), (1, 0), (0, 1), (1, 1)),
+    if family == "G2":  # 2 x1 = 0, x1 + x4 = x2 + x3
+        return CaseSpec(name, family, n, F1, 4, ambient,
                         (_row(4, (1, 2)), _row(4, (1, 1), (2, -1), (3, -1), (4, 1))))
-    # F4: x1 + x6 = x2 + x5 = x3 + x4 = p, with t = (x1, x2, x3, p)
-    return CaseSpec(name, family, n, P2, 6, ambient, 1,
-                    ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                     (0, 0, -1, 1), (0, -1, 0, 1), (-1, 0, 0, 1)),
+    # F4: x1 + x6 = x2 + x5 = x3 + x4
+    return CaseSpec(name, family, n, P2, 6, ambient,
                     (_row(6, (1, 1), (6, 1), (2, -1), (5, -1)),
                      _row(6, (1, 1), (6, 1), (3, -1), (4, -1))))
-
-
-def point_relations(constraint: str, npoints: int) -> Rows:
-    """The rows R of a point constraint on an npoints-tuple.
-
-    ``constraint`` is a case name, a bare "B" or "C" (the rank taken from
-    the number of points), or "A": the ambient zero-sum condition.
-    """
-    if constraint == "A":
-        return ((1,) * npoints,)
-    if constraint == "B":
-        constraint = f"B{npoints - 1}"
-    elif constraint == "C":
-        constraint = f"C{npoints // 2}"
-    spec = case_spec(constraint)
-    if spec.npoints != npoints:
-        raise ValueError(f"{constraint} expects {spec.npoints} points, got {npoints}")
-    return spec.relations
 
 
 def holds(rows: Rows, sigma, points) -> bool:

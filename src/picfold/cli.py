@@ -423,7 +423,7 @@ def _suite_moduli(cfg: RunConfig):
     def chi_small():
         out = {}
         for case in ("B2", "B3", "C2", "G2"):
-            rep = moduli.chi_injectivity_check(case, sigma, action_cap=cfg.action_cap)
+            rep = moduli.chi_injectivity_check(case, sigma, cfg.action_cap, cfg.weyl_cap)
             check(rep.passed, f"{case}: {rep.counterexample}")
             out[case] = {"domain": rep.domain_size, "orbits": rep.orbits_checked}
         return out
@@ -432,7 +432,7 @@ def _suite_moduli(cfg: RunConfig):
 
     def chi_f4():
         try:
-            rep = moduli.chi_injectivity_check("F4", sigma, action_cap=cfg.action_cap)
+            rep = moduli.chi_injectivity_check("F4", sigma, cfg.action_cap, cfg.weyl_cap)
         except rootsys.BudgetExceededError as exc:
             raise SkipClaim(str(exc)) from None
         check(rep.passed, f"F4: {rep.counterexample}")
@@ -525,7 +525,7 @@ def _suite_repbundles(cfg: RunConfig):
         # x = P t over free generators t: one symbolic run covers every group
         sym = abelian.SymbolicSigma(4)
         t = [sym.gen(j) for j in range(4)]
-        x = tuple(sym.combine(row, t) for row in cases.case_spec("F4").points)
+        x = tuple(sym.combine(row, t) for row in folding.case_points("F4").points)
         dec = repbundles.f4_rep_decomposition(lattice.make_blowup_lattice("P2", 6),
                                               moduli.PointAssignment(sym, x))
         return {"zero_lines": 3, "short_roots": len(dec.short_root_map),

@@ -36,8 +36,8 @@ from .lattice import (
     gram_matrix,
 )
 from .abelian import SymbolicSigma
-from .cases import case_spec, holds
-from .folding import case_fold
+from .cases import holds
+from .folding import case_fold, case_points
 from .moduli import PointAssignment
 from .rootsys import (
     BudgetExceededError,
@@ -55,11 +55,6 @@ class NoRootFoundError(LookupError):
 
 class ConfigurationError(ValueError):
     """A configuration or double-six breaks one of its defining conditions."""
-
-
-def symbolic_point_rows(case: str) -> np.ndarray:
-    """The case's P: row i expresses the blow-up point x_{i+1} in the free parameters."""
-    return np.array(case_spec(case).points, dtype=np.int64)
 
 
 def symbolic_point(lat: IntersectionLattice, rows: np.ndarray, d: DivisorClass):
@@ -91,12 +86,13 @@ class GConfiguration:
                 if lat.pair(e, lat.f) != 0:
                     raise ConfigurationError(f"{e} meets the fiber")
         if self.pa is not None:
-            spec, rows = case_spec(self.case), symbolic_point_rows(self.case)
-            if not holds(spec.relations, SymbolicSigma(spec.rank),
+            points = case_points(self.case)
+            rows = np.array(points.points, dtype=np.int64)
+            if not holds(points.relations, SymbolicSigma(rows.shape[1]),
                          [symbolic_point(lat, rows, e) for e in classes]):
                 raise ConfigurationError(f"the classes' points break the {self.case} relations")
             x = self.pa.points
-            if len(x) != lat.npoints or not holds(spec.relations, self.pa.sigma, x):
+            if len(x) != lat.npoints or not holds(points.relations, self.pa.sigma, x):
                 raise ConfigurationError(
                     f"the assigned points {x} break the {self.case} relations")
         return True
@@ -158,11 +154,11 @@ def enumerate_exceptional_systems(case: str) -> ExceptionalSystems:
 
 @lru_cache(maxsize=None)
 def _enumerate_systems(case: str) -> ExceptionalSystems:
-    spec, rho = case_spec(case), case_fold(case)
+    rho, points = case_fold(case), case_points(case)
     lat = rho.lattice
     table = enumerate_classes(lat, [(SELF, -1), (lat.K, -1)] + [(c, 0) for c in rho.orthogonal_to])
-    return ExceptionalSystems(table, _relation_search(lat, table, symbolic_point_rows(case),
-                                                      spec.relations))
+    return ExceptionalSystems(table, _relation_search(
+        lat, table, np.array(points.points, dtype=np.int64), points.relations))
 
 
 def _relation_search(lat: IntersectionLattice, table, rows: np.ndarray, relations):

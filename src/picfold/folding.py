@@ -12,20 +12,24 @@ an isometry of the full blow-up lattice fixing f and K: solving the
 linear conditions for the image of the section class forces half-integer
 coordinates.  Nothing downstream needs more than the root-lattice action
 (plus K, which is fixed), so the domain is enforced instead.
+
+The same sigma forces the relations among a case's blow-up points
+(``case_points``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import integer_kernel
-from .cases import case_spec
-from .lattice import DivisorClass, IntersectionLattice
+from ._linalg import integer_kernel, reduced_echelon, smith_normal_form
+from .cases import Rows, case_spec
+from .lattice import F1, DivisorClass, IntersectionLattice, make_blowup_lattice
 from .rootsys import (
     CoxeterWeylGroup,
     RootSystemData,
@@ -35,7 +39,6 @@ from .rootsys import (
     basis_coordinates,
     cartan_matrix_of,
     reflect,
-    reflection,
     restrict_to_basis,
     root_sublattice,
     simple_reflections,
@@ -58,6 +61,19 @@ class OuterAutomorphism:
     simple_system: SimpleSystem
     permutation: tuple[int, ...]
     orthogonal_to: tuple[DivisorClass, ...] = ()
+    zero_sums: Rows = ()  # rows r with r x = 0 on the points of every ambient configuration
+
+    @cached_property
+    def invariance_rows(self) -> Rows:
+        """D: row i is l(sigma a_i) - l(a_i), so D x = 0 iff u = u o sigma on the simple roots."""
+        coeffs = [self.lattice.l_coeffs(r) for r in self.simple_system.roots]
+        return tuple(tuple(a - b for a, b in zip(coeffs[p], coeffs[i]))
+                     for i, p in enumerate(self.permutation))
+
+    @cached_property
+    def reflections(self) -> tuple[WeylElement, ...]:
+        """The ambient simple reflections, built once per fold for both Weyl groups."""
+        return tuple(simple_reflections(self.simple_system, self.lattice))
 
     @property
     def order(self) -> int:
@@ -85,13 +101,15 @@ def outer_automorphism(ambient: str, lat: IntersectionLattice) -> OuterAutomorph
     the cubic-surface E6 labelling the two chain ends swap (1<->6, 2<->5);
     triality cycles the three D4 fork ends.  The ambient roots are
     orthogonal to K and to f (D, triality), to f and s (A) or to K alone
-    (E6).  The key is the ambient type, not a case name: one D lives on
-    many lattices.  The Cartan-matrix check runs once per (ambient, lat);
-    callers share the frozen result.
+    (E6), and the points of A sum to zero.  The key is the ambient type,
+    not a case name: one D lives on many lattices.  The Cartan-matrix check
+    runs once per (ambient, lat); callers share the frozen result.
     """
+    sums = ()
     if ambient == "A":
         delta, others = standard_simple_system("A", lat), (lat.f, lat.s)
         perm = tuple(reversed(range(len(delta))))  # the chain of 2n - 1 roots, reversed
+        sums = ((1,) * lat.npoints,)
     elif ambient == "D":
         delta, others = standard_simple_system("D", lat), (lat.f,)
         perm = (1, 0) + tuple(range(2, len(delta)))
@@ -109,13 +127,57 @@ def outer_automorphism(ambient: str, lat: IntersectionLattice) -> OuterAutomorph
     if sorted(perm) != list(range(n)) or any(a[perm[i]][perm[j]] != a[i][j]
                                              for i in range(n) for j in range(n)):
         raise ValueError("permutation is not a diagram automorphism")
-    return OuterAutomorphism(ambient, lat, delta, perm, others)
+    return OuterAutomorphism(ambient, lat, delta, perm, others, sums)
 
 
 def case_fold(case: str) -> OuterAutomorphism:
     """The folding automorphism of a case name, on the case's own lattice."""
     spec = case_spec(case)
     return outer_automorphism(spec.ambient, spec.lattice)
+
+
+class FreePoints(NamedTuple):
+    """The blow-up points x with D x = 0 (``free_points``)."""
+
+    points: Rows  # P: x = P t, one row per blow-up point
+    relations: Rows  # R: a basis of the integer vectors r with r P = 0
+    torsion: int  # order of the torsion points that label the fixed components
+
+
+def free_points(rows: Rows, npoints: int) -> FreePoints:
+    """P, R and the torsion order of the integer solutions x of D x = 0, D the rows.
+
+    x = P t, t the values of the first independent points: P is D's Smith-form
+    kernel in reduced echelon form (``ValueError`` unless integral).  R has a
+    row x_j - P[j] t per other point j, so R x = 0 holds exactly on the image
+    of P, over Z and over every finite abelian group.  The torsion order is
+    D's last nonzero invariant factor, 1 when D is zero.
+    """
+    snf = smith_normal_form([list(r) for r in rows] or [[0] * npoints])
+    basis, free = reduced_echelon(snf.kernel())
+    if any(v.denominator != 1 for vec in basis for v in vec):
+        raise ValueError("no integral basis is the identity on the first independent points")
+    points = tuple(tuple(int(vec[i]) for vec in basis) for i in range(npoints))
+    relations = tuple(tuple(int(i == j) - (points[j][free.index(i)] if i in free else 0)
+                            for i in range(npoints)) for j in range(npoints) if j not in free)
+    return FreePoints(points, relations, next((d for d in reversed(snf.diag) if d), 1))
+
+
+@lru_cache(maxsize=None)
+def case_points(case: str) -> FreePoints:
+    """``free_points`` of the fold's invariance rows and zero sums, derived once per case."""
+    rho = case_fold(case)
+    return free_points(rho.invariance_rows + rho.zero_sums, rho.lattice.npoints)
+
+
+def point_relations(constraint: str, npoints: int) -> Rows:
+    """The rows R of a case name on an npoints-tuple, or for "A" the ambient zero sum."""
+    if constraint == "A":
+        return outer_automorphism("A", make_blowup_lattice(F1, npoints)).zero_sums
+    points = case_points(constraint)
+    if len(points.points) != npoints:
+        raise ValueError(f"{constraint} expects {len(points.points)} points, got {npoints}")
+    return points.relations
 
 
 def ambient_root_system(ambient: str, lat: IntersectionLattice) -> RootSystemData:
@@ -150,14 +212,13 @@ def _simple_orbit_sums(rho: OuterAutomorphism) -> np.ndarray:
 
 def folded_weyl_generators(rho: OuterAutomorphism) -> list[WeylElement]:
     """One generator per orbit: the product of its (commuting) reflections."""
-    delta, lat = rho.simple_system, rho.lattice
+    delta, lat, refl = rho.simple_system, rho.lattice, rho.reflections
     gens = []
     for orb in rho.orbits():
         for i, j in combinations(orb, 2):
             if lat.pair(delta.roots[i], delta.roots[j]) != 0:
                 raise ValueError("roots in an automorphism orbit must be orthogonal")
-        refl = [reflection(lat, delta.roots[i]) for i in orb]
-        gens.append(reduce(lambda a, b: a @ b, refl))
+        gens.append(reduce(lambda a, b: a @ b, (refl[i] for i in orb)))
     return gens
 
 
@@ -180,10 +241,10 @@ def _weyl_group(case: str, cap: int, folded: bool) -> WeylGroup:
     sigma-orbit, or the ambient one with its simple reflections.
     """
     rho = case_fold(case)
-    delta, lat = rho.simple_system, rho.lattice
     if folded:
-        return CoxeterWeylGroup(folded_weyl_generators(rho), folded_simple_system(case), lat, cap)
-    return CoxeterWeylGroup(simple_reflections(delta, lat), delta, lat, cap)
+        return CoxeterWeylGroup(folded_weyl_generators(rho), folded_simple_system(case),
+                                rho.lattice, cap)
+    return CoxeterWeylGroup(rho.reflections, rho.simple_system, rho.lattice, cap)
 
 
 @lru_cache(maxsize=None)

@@ -27,13 +27,16 @@ from itertools import islice, product
 import numpy as np
 
 from .abelian import SigmaModel, solve_group_stack
-from .cases import case_spec, holds, point_relations
+from .cases import case_spec, holds
 from .folding import (
     ambient_weyl_group,
     case_fold,
+    case_points,
     fixed_sublattice,
     folded_simple_system,
     folded_weyl_group,
+    free_points,
+    point_relations,
 )
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
@@ -56,7 +59,7 @@ class PointAssignment:
         return len(self.points)
 
     def validate(self, constraint: str | None):
-        """Check the point relations of a case (see cases.point_relations); returns self."""
+        """Check the point relations of a case (see folding.point_relations); returns self."""
         if constraint is None:
             return self
         if not holds(point_relations(constraint, len(self.points)), self.sigma, self.points):
@@ -66,7 +69,7 @@ class PointAssignment:
 
 def point_table(case: str, t: np.ndarray, sigma: SigmaModel) -> np.ndarray:
     """x = P t mod (m1, m2): an (n, rank, 2) int64 table of parameters to (n, npoints, 2)."""
-    return np.array(case_spec(case).points, dtype=np.int64) @ t % np.array([sigma.m1, sigma.m2])
+    return np.array(case_points(case).points, dtype=np.int64) @ t % np.array([sigma.m1, sigma.m2])
 
 
 def u_point(lat: IntersectionLattice, pa: PointAssignment, d: DivisorClass):
@@ -92,23 +95,6 @@ def invariance_literal_c(pa: PointAssignment) -> bool:
     return all(s.is_zero(s.scale(n, s.add(x[i], x[2 * n - 1 - i]))) for i in range(n))
 
 
-@lru_cache(maxsize=None)
-def _invariance_data(case: str):
-    rho = case_fold(case)
-    lat = rho.lattice
-    coeffs = tuple(lat.l_coeffs(r) for r in rho.simple_system.roots)
-    return lat, rho.permutation, coeffs
-
-
-def invariance_direct(case: str, pa: PointAssignment) -> bool:
-    """Compare u with u composed with the diagram automorphism on simple roots."""
-    lat, perm, coeffs = _invariance_data(case)
-    if len(pa.points) != lat.npoints:
-        raise ValueError(f"{case} expects {lat.npoints} points")
-    imgs = [pa.sigma.combine(c, pa.points) for c in coeffs]
-    return all(imgs[perm[i]] == imgs[i] for i in range(len(imgs)))
-
-
 @dataclass(frozen=True)
 class FixedComponents:
     labels: tuple
@@ -126,8 +112,8 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
     zero label.  When the group lacks full torsion the count degrades
     and a warning is emitted.
     """
-    spec = case_spec(case)
-    labels, expected = sigma.torsion(spec.torsion), spec.torsion**2
+    torsion = case_points(case).torsion
+    labels, expected = sigma.torsion(torsion), torsion**2
     full = len(labels) == expected
     if not full:
         warnings.warn(
@@ -137,7 +123,7 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
         )
     return FixedComponents(
         labels=tuple(sorted(labels)),
-        component_size=sigma.order**spec.rank,
+        component_size=sigma.order**case_spec(case).rank,
         identity_label=sigma.zero,
         full_torsion=full,
     )
@@ -158,9 +144,9 @@ def case_system_matrix(case: str) -> tuple[tuple[int, ...], ...]:
     folded restriction of the points x = P t; the unknowns are the free
     parameters t.
     """
-    spec = case_spec(case)
-    return tuple(tuple(sum(c * row[j] for c, row in zip(coeffs, spec.points))
-                       for j in range(spec.rank)) for coeffs in _folded_simple_coeffs(case))
+    columns = list(zip(*case_points(case).points))
+    return tuple(tuple(sum(c * v for c, v in zip(coeffs, col)) for col in columns)
+                 for coeffs in _folded_simple_coeffs(case))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,14 +210,14 @@ def invariance_agreement_exhaustive(case: str, sigma: SigmaModel) -> int:
 
     Both sides are forms in x = params t that must vanish, over every t in
     Sigma^k (``SigmaModel.form_chunks``): u(a_{perm(i)}) - u(a_i) on the
-    simple roots, and Q.  params is the identity, or x = (t, -sum t) for
-    the C cases, where the ambient configuration assumes a zero sum.
+    simple roots, and Q.  params is the ``free_points`` basis of the
+    ambient's ``zero_sums``: the identity, or x = (t, -sum t) for A.
     Returns the number of tuples checked.
     """
-    lat, perm, coeffs = _invariance_data(case)
-    k = lat.npoints - (case_spec(case).family == "C")  # C: x = (t, -sum t)
-    params = np.vstack([np.eye(k, dtype=np.int64), -np.ones((lat.npoints - k, k), dtype=np.int64)])
-    direct = [np.subtract(coeffs[p], coeffs[i]) for i, p in enumerate(perm) if p != i]
+    rho = case_fold(case)
+    params = np.array(free_points(rho.zero_sums, rho.lattice.npoints).points, dtype=np.int64)
+    k = params.shape[1]
+    direct = [row for row in rho.invariance_rows if any(row)]
     forms = np.array(direct + list(case_spec(case).invariance), dtype=np.int64) @ params
     for cols, r in sigma.form_chunks(forms):
         hit = r.any(axis=0)  # (forms, tuples): the form is nonzero there
@@ -276,7 +262,7 @@ def conjugacy_class_walk(perm: np.ndarray, gens: np.ndarray):
 
 
 def chi_injectivity_check(case: str, sigma: SigmaModel,
-                          action_cap: int = 10**8) -> ChiReport:
+                          action_cap: int = 10**8, weyl_cap: int = 10**6) -> ChiReport:
     """Exhaustive injectivity check for the folded moduli inclusion.
 
     For every pair x, y in the fixed sublattice tensored with the group:
@@ -303,7 +289,8 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     Both groups come from ``folding`` as ``CoxeterWeylGroup``s: |W_big| and
     |W_small| are products of fundamental-weight orbit sizes, read from the
     Cartan matrices, and the subgroup test descends each small generator
-    to the dominant chamber of W_big.
+    to the dominant chamber of W_big.  A group of order above ``weyl_cap``
+    raises ``BudgetExceededError`` before it is built.
 
     Two budget terms are checked against ``action_cap`` before anything
     is allocated: the domain size times |W_big|, and |Sigma|^r' plus one
@@ -314,8 +301,8 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     """
     rho = case_fold(case)
     delta, lat = rho.simple_system, rho.lattice
-    w_big = ambient_weyl_group(case)
-    w_small = folded_weyl_group(case)
+    w_big = ambient_weyl_group(case, weyl_cap)
+    w_small = folded_weyl_group(case, weyl_cap)
     basis = fixed_sublattice(rho)
     k = len(basis)
     rprime = len(delta)

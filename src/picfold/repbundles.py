@@ -36,8 +36,8 @@ import numpy as np
 
 from ._linalg import integer_left_inverse
 from .abelian import SigmaModel
-from .cases import case_spec, holds, point_relations
-from .folding import f4_short_roots, fixed_sublattice, outer_automorphism
+from .cases import holds
+from .folding import case_points, f4_short_roots, fixed_sublattice, outer_automorphism
 from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes, gram_matrix
 from .moduli import PointAssignment, u_point
 
@@ -221,10 +221,10 @@ def spinor_locus(lat: IntersectionLattice, sigma: SigmaModel):
 
     Returns (per_index_identity, per_index_zero): two boolean arrays of
     shape (m, N) where row i states 'spinor_plus ⊗ O(-l_{i+1}) matches
-    spinor_minus', resp. the registry's B relation x_1 = 0 with index
+    spinor_minus', resp. the B_{m-1} relation x_1 = 0 with index
     i + 1 moved first, for every point tuple.
     """
-    m, rel = lat.npoints, point_relations("B", lat.npoints)
+    m, rel = lat.npoints, case_points(f"B{lat.npoints - 1}").relations
     sp, sm = (weight_bundle(kind, lat).summands for kind in ("spinor_plus", "spinor_minus"))
     masks = _locus_masks(lat, sigma, np.eye(m, dtype=np.int64),
                          [((sp, -lat.l(i + 1)), (sm, lat.zero)) for i in range(m)],
@@ -238,12 +238,13 @@ def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel):
     Returns a dict of boolean arrays: 'sp_sm' (spinor identity with
     twist -l1), 'w_sp' (vector identity: spinor_plus = vector ⊗
     O(s - l4)), 'w_sm' (vector ⊗ O(-l4) = spinor_minus) and 'relations'
-    (the G2 point relations R x = 0 of the case registry).
+    (the G2 point relations R x = 0 of ``folding.case_points``).
     """
     sp, sm, w = (weight_bundle(k, lat).summands for k in ("spinor_plus", "spinor_minus", "vector"))
     pairs = [((sp, -lat.l(1)), (sm, lat.zero)), ((w, lat.s - lat.l(4)), (sp, lat.zero)),
              ((w, -lat.l(4)), (sm, lat.zero))]
-    masks = _locus_masks(lat, sigma, np.eye(4, dtype=np.int64), pairs, [case_spec("G2").relations])
+    masks = _locus_masks(lat, sigma, np.eye(4, dtype=np.int64), pairs,
+                         [case_points("G2").relations])
     return dict(zip(("sp_sm", "w_sp", "w_sm", "relations"), masks))
 
 
@@ -306,7 +307,7 @@ def f4_rep_decomposition(lat: IntersectionLattice, pa: PointAssignment) -> F4Rep
     """
     s = pa.sigma
     x = pa.points
-    if len(x) != 6 or not holds(case_spec("F4").relations, s, x):
+    if len(x) != 6 or not holds(case_points("F4").relations, s, x):
         raise ConstraintViolatedError("points do not satisfy the three-way sum")
     p = s.add(x[0], x[5])
     h, l = lat.h, lat.l

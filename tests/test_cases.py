@@ -1,21 +1,24 @@
-"""The case registry against the hand-written relations it replaced.
+"""The case registry and the derived point relations against the hand-written ones they replaced.
 
 The oracles below are the per-case bodies that ``PointAssignment.validate``,
 ``invariance_closed_form``, ``case_system_matrix`` and the F4
 reconstruction system had before every case fact was read from
-``picfold.cases``.
+``picfold.cases``, and the point matrices P and torsion orders that
+``picfold.cases`` wrote out before ``folding.case_points`` derived them.
 """
 
+import dataclasses
 import random
 from itertools import product
 
 import numpy as np
 import pytest
 
-from picfold import cli
-from picfold._linalg import smith_normal_form
+from picfold import cli, folding
+from picfold._linalg import bareiss_det, smith_normal_form
 from picfold.abelian import make_sigma_model, solve_group_system
-from picfold.cases import case_spec, point_relations
+from picfold.cases import case_spec
+from picfold.folding import case_points, point_relations
 from picfold.moduli import (
     PointAssignment,
     case_system_matrix,
@@ -26,6 +29,7 @@ from picfold.moduli import (
 from picfold.rootsys import BudgetExceededError
 
 CASES = ["B2", "B3", "C2", "C3", "G2", "F4"]
+ALL_CASES = ["B2", "B3", "B4", "B5", "B6", "C2", "C3", "C4", "C5", "G2", "F4"]
 
 
 def validate_oracle(constraint, s, x):
@@ -56,6 +60,21 @@ def closed_form_oracle(case, s, x):
         return s.is_zero(s.scale(2, x[0])) and s.add(x[0], x[3]) == s.add(x[1], x[2])
     p16 = s.add(x[0], x[5])  # F4
     return p16 == s.add(x[1], x[4]) and p16 == s.add(x[2], x[3])
+
+
+def points_oracle(case):
+    """The hand-written P (x = P t) and torsion order of a case."""
+    n = case_spec(case).rank
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if case.startswith("B"):  # x1 = 0; x2, ..., x_{n+1} free
+        return ((0,) * n,) + tuple(unit), 2
+    if case.startswith("C"):  # x_{2n+1-i} = -x_i
+        return tuple(unit) + tuple(tuple(-v for v in row) for row in reversed(unit)), n
+    if case == "G2":  # x1 = 0, x4 = x2 + x3
+        return ((0, 0), (1, 0), (0, 1), (1, 1)), 2
+    # F4: x1 + x6 = x2 + x5 = x3 + x4 = p, with t = (x1, x2, x3, p)
+    return ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+            (0, 0, -1, 1), (0, -1, 0, 1), (-1, 0, 0, 1)), 1
 
 
 def system_matrix_oracle(case):
@@ -100,9 +119,10 @@ def random_admissible_oracle(case, sigma, rng):
     elif case == "G2":
         a, b = rng.choice(els), rng.choice(els)
         pts = (sigma.zero, a, b, sigma.add(a, b))
-    else:
-        x1, x2, x3, p = (rng.choice(els) for _ in range(4))
-        pts = (x1, x2, x3, sigma.sub(p, x3), sigma.sub(p, x2), sigma.sub(p, x1))
+    else:  # F4, t = (x1, x2, x3, x4): the pair sums equal p = x3 + x4
+        x1, x2, x3, x4 = (rng.choice(els) for _ in range(4))
+        p = sigma.add(x3, x4)
+        pts = (x1, x2, x3, x4, sigma.sub(p, x2), sigma.sub(p, x1))
     return PointAssignment(sigma, pts)
 
 
@@ -116,10 +136,67 @@ def _diagonal(a):
     return [s[i][i] for i in range(min(len(s), len(s[0])))]
 
 
-@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("case", ALL_CASES[:-1])
+def test_case_points_match_the_hand_written_oracle(case):
+    points = case_points(case)
+    assert (points.points, points.torsion) == points_oracle(case)
+
+
+def test_f4_points_span_the_hand_written_lattice():
+    # t = (x1, x2, x3, x4) now, not (x1, x2, x3, p): P_old = P_new U with U unimodular
+    new, (old, torsion) = case_points("F4"), points_oracle("F4")
+    p = np.array(new.points, dtype=np.int64)
+    assert np.array_equal(p[:4], np.eye(4, dtype=np.int64))  # t = (x1, x2, x3, x4)
+    u = np.array(old[:4], dtype=np.int64)
+    assert np.array_equal(p @ u, np.array(old, dtype=np.int64))
+    assert abs(bareiss_det(u.tolist())) == 1
+    assert new.torsion == torsion
+    assert new.relations == ((0, 1, -1, -1, 1, 0), (1, 0, -1, -1, 0, 1))
+
+
+def test_free_points_of_the_ambient_zero_sums():
+    # no rows: every point free; the A zero sum: x = (t, -sum t); no integral echelon basis
+    assert folding.free_points((), 3) == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (), 1)
+    assert folding.free_points(((1, 1, 1),), 3) == (((1, 0), (0, 1), (-1, -1)), ((1, 1, 1),), 1)
+    assert point_relations("A", 3) == ((1, 1, 1),)
+    with pytest.raises(ValueError, match="no integral basis"):
+        folding.free_points(((1, 2),), 2)  # x1 = -2 x2: x2 = -x1 / 2
+
+
+def _points_of_mutated_fold(monkeypatch, case, **changes):
+    """(P, torsion) of case_points, uncached, on the case's fold with the given fields replaced."""
+    fold = folding.case_fold
+    monkeypatch.setattr(folding, "case_fold",
+                        lambda name: dataclasses.replace(fold(name), **changes))
+    points = folding.case_points.__wrapped__(case)
+    return points.points, points.torsion
+
+
+@pytest.mark.parametrize("case", ["B3", "C2", "G2"])
+def test_case_points_read_the_fold(monkeypatch, case):
+    assert _points_of_mutated_fold(monkeypatch, case) == points_oracle(case)
+
+
+def test_case_points_need_the_zero_sum_row(monkeypatch):
+    # without sum x = 0 the C2 pair sums are equal but need not vanish
+    p, torsion = _points_of_mutated_fold(monkeypatch, "C2", zero_sums=())
+    assert (p, torsion) != points_oracle("C2")
+    assert (len(p[0]), torsion) == (3, 1)
+
+
+@pytest.mark.parametrize("case, permutation", [
+    ("B3", (2, 1, 0, 3)),  # a1 <-> a3 in place of the fork ends a1 <-> a2
+    ("C2", (1, 0, 2)),  # a1 <-> a2 in place of the chain reversal a1 <-> a3
+])
+def test_case_points_need_the_right_sigma(monkeypatch, case, permutation):
+    assert _points_of_mutated_fold(monkeypatch, case, permutation=permutation) != (
+        points_oracle(case))
+
+
+@pytest.mark.parametrize("case", ALL_CASES)
 def test_relations_are_the_saturated_left_kernel_of_p(case):
-    spec = case_spec(case)
-    p, r = spec.points, spec.relations
+    spec, points = case_spec(case), case_points(case)
+    p, r = points.points, points.relations
     assert len(p) == spec.npoints and all(len(row) == spec.rank for row in p)
     assert len(r) == spec.npoints - spec.rank
     assert all(sum(r_i * p_i[j] for r_i, p_i in zip(row, p)) == 0
@@ -131,18 +208,14 @@ def test_relations_are_the_saturated_left_kernel_of_p(case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_relations_and_closed_form_match_the_oracles(case):
-    spec = case_spec(case)
     sigma = _sigma_for(case)
-    names = [case, case[0]] if spec.family in ("B", "C") else [case]
-    for x in product(list(sigma.elements()), repeat=spec.npoints):
+    for x in product(list(sigma.elements()), repeat=case_spec(case).npoints):
         pa = PointAssignment(sigma, x)
-        for name in names:
-            expected = validate_oracle(name, sigma, x)
-            if expected:
-                assert pa.validate(name) is pa
-            else:
-                with pytest.raises(ValueError):
-                    pa.validate(name)
+        if validate_oracle(case, sigma, x):
+            assert pa.validate(case) is pa
+        else:
+            with pytest.raises(ValueError):
+                pa.validate(case)
         assert invariance_closed_form(case, pa) == closed_form_oracle(case, sigma, x)
 
 
@@ -158,13 +231,14 @@ def test_ambient_zero_sum_matches_the_oracle():
 
 
 def test_point_relations_reject_unknown_names_and_counts():
-    for name in ("A3", "D4", "E6", "B", "Bx", "C0", "G3", "F", ""):
+    # the bare family names "B" and "C" are not case names
+    for name in ("A3", "D4", "E6", "B", "C", "Bx", "C0", "G3", "F", ""):
         with pytest.raises(ValueError):
-            point_relations(name, 1 if name == "B" else 4)
+            point_relations(name, 4)
     with pytest.raises(ValueError):
         point_relations("B3", 3)
     with pytest.raises(ValueError):
-        point_relations("C", 5)
+        point_relations("C2", 5)
     # a closed form never reads a tuple of the wrong length
     sigma = make_sigma_model(2, 2)
     with pytest.raises(ValueError):

@@ -236,6 +236,23 @@ def test_weyl_cap_reaches_every_group_the_folding_suite_builds(tmp_path, capsys)
     capsys.readouterr()
 
 
+def test_weyl_cap_reaches_the_groups_of_both_chi_claims(tmp_path, capsys):
+    # |W(D4)| = 192 (B3) and |W(E6)| = 51840 (F4) exceed the cap; F4 turns the refusal into a skip
+    cfg, out = tmp_path / "cap.cfg", tmp_path / "r.json"
+    cfg.write_text("budget.weyl_cap = 100\n")
+    assert main(["verify", "moduli", "--config", str(cfg), "--format", "json",
+                 "--out", str(out)]) == 1
+    status = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    small, f4 = status["moduli.chi.injective.small"], status["moduli.chi.injective.F4"]
+    assert small["status"] == "fail"
+    assert small["witness"].startswith("BudgetExceededError")
+    assert "exceeds cap 100" in small["witness"]
+    assert f4["status"] == "skipped"
+    assert "exceeds cap 100" in f4["witness"]
+    assert {v["status"] for r, v in status.items() if "chi" not in r} == {"pass"}
+    capsys.readouterr()
+
+
 def test_report_diff_ignores_ms_and_names_the_first_differing_claim(tmp_path, capsys):
     a, b, edited = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "edited.json"
     for out in (a, b):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from picfold.cases import case_spec
-from picfold.folding import ambient_weyl_group, folded_weyl_group
+from picfold.folding import ambient_weyl_group, case_points, folded_weyl_group
 from picfold.lattice import F1, P2, DivisorClass, exceptional_classes, make_blowup_lattice
 from picfold.configs import (
     ConfigurationError,
@@ -24,7 +24,6 @@ from picfold.configs import (
     is_blowdown_sequence,
     simple_transitivity_check,
     symbolic_point,
-    symbolic_point_rows,
     triangle_stabilizer,
     _relation_search,
 )
@@ -416,12 +415,12 @@ def brute_force_systems(case, lat):
     of l_i -> f - l_i flips, kept when its points satisfy R x = 0."""
     m = lat.npoints
     classes = [(lat.l(i), lat.f - lat.l(i)) for i in range(1, m + 1)]
-    rows = symbolic_point_rows(case)
+    rows = np.array(case_points(case).points)
     point = np.array([[symbolic_point(lat, rows, e) for e in pair] for pair in classes])
     perms = np.array(list(permutations(range(m))))
     flips = np.array([f for f in product((0, 1), repeat=m) if sum(f) % 2 == 0])
     keep = np.ones((len(perms), len(flips)), dtype=bool)
-    for rel in case_spec(case).relations:
+    for rel in case_points(case).relations:
         total = sum(c * point[perms[:, None, j], flips[None, :, j]] for j, c in enumerate(rel) if c)
         keep &= ~total.any(axis=-1)
     return in_class_order(tuple(classes[i][fl] for i, fl in zip(perms[p], flips[f]))
@@ -431,7 +430,7 @@ def brute_force_systems(case, lat):
 def pair_sum_f4_systems(lat):
     """F4 oracle: the depth-first search on the three pair sums x1 + x6 = x2 + x5 = x3 + x4."""
     lines = exceptional_classes(lat)
-    rows = symbolic_point_rows("F4")
+    rows = np.array(case_points("F4").points)
     pts = {e: symbolic_point(lat, rows, e) for e in lines}
     disjoint = {e: {o for o in lines if o != e and lat.pair(e, o) == 0} for e in lines}
     add = lambda u, v: tuple(a + b for a, b in zip(u, v))
@@ -479,13 +478,13 @@ def skew_sixes(cubic):
             rec(current + [e], allowed & disjoint[e])
 
     rec([], set(lines))
-    rows = symbolic_point_rows("F4")
+    rows = np.array(case_points("F4").points)
     point = {e: symbolic_point(cubic, rows, e) for e in lines}
     return out, np.array([[point[e] for e in six] for six in out])
 
 
 @pytest.mark.parametrize("relations", [
-    case_spec("F4").relations,
+    case_points("F4").relations,
     ((1, 1, -2, -2, 1, 1),),  # the sum of the F4 relations, alone
     ((0, 1, -1, 1, -1, 0),),  # other slots, checked at another depth
     ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)),  # no solutions
@@ -495,7 +494,7 @@ def test_f4_level_search_matches_brute_force_filter(cubic, skew_sixes, relations
     assert len(sixes) == 51840
     ok = ~np.einsum("rj,sjk->srk", np.array(relations), pts).any(axis=(1, 2))
     lines = exceptional_classes(cubic)
-    idx = _relation_search(cubic, lines, symbolic_point_rows("F4"), relations)
+    idx = _relation_search(cubic, lines, np.array(case_points("F4").points), relations)
     assert sorted(tuple(lines[i] for i in row) for row in idx.tolist()) == sorted(
         s for s, keep in zip(sixes, ok) if keep)
 

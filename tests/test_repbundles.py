@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from picfold import abelian, repbundles
 from picfold.abelian import SigmaModel, SymbolicSigma, make_sigma_model
-from picfold.cases import case_spec, holds, point_relations
+from picfold.cases import holds
 from picfold._linalg import rational_solve
 from picfold.configs import enumerate_exceptional_systems
-from picfold.folding import fixed_sublattice, outer_automorphism
+from picfold.folding import case_points, fixed_sublattice, outer_automorphism, point_relations
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.moduli import PointAssignment, invariance_agreement_exhaustive, u_point
 from picfold.repbundles import (
@@ -191,7 +191,7 @@ def test_middle_wedge_self_dual_under_constraint(lat4):
     mid = wedge_power(v, 2)
     for _ in range(100):
         a, b = rng.choice(els), rng.choice(els)
-        pa = PointAssignment(sigma, (a, b, sigma.neg(b), sigma.neg(a))).validate("C")
+        pa = PointAssignment(sigma, (a, b, sigma.neg(b), sigma.neg(a))).validate("C2")
         restricted = restrict_bundle(mid, lat4, pa)
         det = line_class_of(lat4, pa, sum((lat4.l(i) for i in range(2, 5)), lat4.l(1)))
         other = tensor_line(dual(restricted, sigma), det, sigma)
@@ -252,7 +252,7 @@ def test_loci_match_the_scalar_oracle(lat3, lat4, m1, m2):
     sigma = make_sigma_model(m1, m2)
     els = list(sigma.elements())
     ident, zero = spinor_locus(lat3, sigma)
-    b_rel = point_relations("B", 3)
+    b_rel = point_relations("B2", 3)
     for col, x in enumerate(product(els, repeat=3)):
         pa = PointAssignment(sigma, x)
         for i in range(3):
@@ -260,7 +260,7 @@ def test_loci_match_the_scalar_oracle(lat3, lat4, m1, m2):
             assert ident[i, col] == twisted
             assert zero[i, col] == holds(b_rel, sigma, (x[i],) + x[:i] + x[i + 1:])
     masks = g2_triple_locus(lat4, sigma)
-    g2_rel = case_spec("G2").relations
+    g2_rel = case_points("G2").relations
     for col, x in enumerate(product(els, repeat=4)):
         pa = PointAssignment(sigma, x)
         l1, l4, s = lat4.l(1), lat4.l(4), lat4.s

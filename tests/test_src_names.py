@@ -24,7 +24,6 @@ TEST_ONLY = {
     "_linalg.mat_vec": "the integer matrix-vector oracle of the solver tests",
     "configs.GConfiguration": "the defining conditions of a G-configuration, points included",
     "moduli.invariance_closed_form": "Q x = 0, checked per assignment against the direct form",
-    "moduli.invariance_direct": "u against u composed with sigma, per assignment",
     "moduli.invariance_literal_c": "the pairwise C_n form, equivalent only for n = 2",
     "repbundles.dual": "the dual of a weight bundle, and its double dual",
     "repbundles.twisted_identity": "the twisted identity on a weight bundle",
@@ -84,3 +83,11 @@ def test_every_src_import_is_used():
                 if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{mod}.{bound}")
     assert unused == []
+
+
+def test_only_cases_reads_the_family_of_a_case():
+    # every other module reads what a case's family implies from cases or folding
+    readers = sorted(f"{mod}.py:{node.lineno}" for mod, tree in _modules().items() if mod != "cases"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "family")
+    assert readers == []
