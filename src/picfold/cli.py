@@ -263,8 +263,8 @@ def _suite_folding(cfg: RunConfig):
             check(len(wbn) == len(wdn) * 2, f"B{n}: {rows[f'B{n}']}")
         f14 = cases.case_spec("G2").lattice
         l = f14.l
-        a2 = [l(2) - l(3), l(3) - f14.f + l(4)]
-        wa2 = rootsys.weyl_generate([rootsys.reflection(f14, r) for r in a2], cap=cap)
+        a2 = rootsys.SimpleSystem((l(2) - l(3), l(3) - f14.f + l(4)), "A2")
+        wa2 = rootsys.CoxeterWeylGroup(rootsys.simple_reflections(a2, f14), a2, f14, cap)
         rows["G2"] = (len(folding.folded_weyl_group("G2", cap)), len(wa2), 2)
         check(rows["G2"][0] == rows["G2"][1] * rows["G2"][2] == 12, f"G2: {rows['G2']}")
         wd4 = folding.ambient_weyl_group("G2", cap)  # W(D4)
@@ -277,9 +277,8 @@ def _suite_folding(cfg: RunConfig):
     def presentations():
         out = {}
         for case in ("B2", "B3", "C2", "G2", "F4"):
-            a, b, _ = folding.restricted_reflection_matrices(case, cfg.weyl_cap)
-            check(a == b, f"{case}: presentations differ")
-            out[case] = len(a)
+            folding.check_presentations(case)
+            out[case] = len(folding.folded_weyl_group(case, cfg.weyl_cap))
         return out
 
     claims.append(("fold.presentations.agree", presentations))
@@ -356,21 +355,21 @@ def _suite_configs(cfg: RunConfig):
     def counts():
         out = {}
         for case in names:
-            systems = configs.enumerate_exceptional_systems(case)
+            systems = configs.enumerate_exceptional_systems(case, cfg.weyl_cap)
             n = cases.case_spec(case).rank
             expected = {"G2": 12, "F4": 1152}.get(case, 2**n * factorial(n))
             _expect(len(systems), expected, f"{case} system count")
             out[case] = len(systems)
         lat = cases.case_spec("G2").lattice
         listed = (lat.f - lat.l(1), lat.f - lat.l(2), lat.l(4), lat.l(3))
-        check(listed in configs.enumerate_exceptional_systems("G2"),
+        check(listed in configs.enumerate_exceptional_systems("G2", cfg.weyl_cap),
               f"listed G2 system {listed} not enumerated")
         return out
 
     def transitive():
         out = {}
         for case in names:
-            systems = configs.enumerate_exceptional_systems(case)
+            systems = configs.enumerate_exceptional_systems(case, cfg.weyl_cap)
             w = folding.folded_weyl_group(case, cfg.weyl_cap)
             rep = configs.simple_transitivity_check(systems, w)
             check(rep.simply_transitive, f"{case}: {rep.offending}")

@@ -37,7 +37,7 @@ from .lattice import (
 )
 from .abelian import SymbolicSigma
 from .cases import holds
-from .folding import case_fold, case_points
+from .folding import case_fold, case_points, folded_weyl_group
 from .moduli import PointAssignment
 from .rootsys import (
     BudgetExceededError,
@@ -134,7 +134,7 @@ class ExceptionalSystems:
                 and bool((self.rows == row).all(axis=1).any()))
 
 
-def enumerate_exceptional_systems(case: str) -> ExceptionalSystems:
+def enumerate_exceptional_systems(case: str, cap: int = 10**6) -> ExceptionalSystems:
     """Every exceptional system of the case, as ``ExceptionalSystems``.
 
     The table is the orbit of l_1 under the ambient Weyl group: the classes
@@ -147,8 +147,10 @@ def enumerate_exceptional_systems(case: str) -> ExceptionalSystems:
     carries (l_1, ..., l_m) to the system, so the test is blow-down validity:
     on F1 an even number of l -> f - l flips; on the A and E6 tables it
     always holds.  Computed once per case, on the case's lattice, and shared
-    between callers.
+    between callers.  The systems are a W(G)-torsor, so ``folded_weyl_group(case,
+    cap)`` is built first: an order above cap refuses before the search.
     """
+    folded_weyl_group(case, cap)
     return _enumerate_systems(case)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._linalg import integer_kernel, reduced_echelon, smith_normal_form
 from .cases import Rows, case_spec
-from .lattice import F1, DivisorClass, IntersectionLattice, make_blowup_lattice
+from .lattice import F1, DivisorClass, IntersectionLattice, gram_matrix, make_blowup_lattice
 from .rootsys import (
     CoxeterWeylGroup,
     RootSystemData,
@@ -38,12 +38,11 @@ from .rootsys import (
     WeylGroup,
     basis_coordinates,
     cartan_matrix_of,
-    reflect,
     restrict_to_basis,
     root_sublattice,
+    row_keys,
     simple_reflections,
     standard_simple_system,
-    weyl_generate,
 )
 
 
@@ -306,28 +305,59 @@ def f4_short_roots(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     return tuple(sorted({DivisorClass(tuple(c)) for c in sums.T.tolist()}))
 
 
-def _restricted_root_reflections(case: str, basis) -> list[WeylElement]:
-    """Reflections in every folded root, as matrices on the sublattice basis."""
-    bmat, lat = _columns(basis), case_fold(case).lattice
-    images = np.array([[reflect(lat, root, b).coords for b in basis]
-                       for root in sorted(folded_root_system(case).roots)], dtype=np.int64)
-    return [WeylElement.from_matrix(m) for m in basis_coordinates(bmat, images.transpose(0, 2, 1))]
+def _fixed_coords(basis, classes) -> np.ndarray:
+    """The classes as (N, k) rows of coordinates in the sublattice basis."""
+    return basis_coordinates(_columns(basis), _columns(classes)).T
 
 
-def restricted_reflection_matrices(case: str, cap: int = 10**6):
+def restricted_reflection_matrices(case: str):
     """The two presentations of the folded Weyl group on the fixed sublattice.
 
     Folded roots have self-intersection -4, -6, -8, -18, so their
-    reflections are not integral on the whole blow-up lattice; they are
-    integral on the automorphism-fixed sublattice, and there they
-    generate the same group as the folded Weyl generators. Returns
-    (group of the folded-root reflections, group of the restricted folded
-    generators, sublattice basis); the two groups should be equal.
+    reflections are integral only on the automorphism-fixed sublattice.
+    Returns (the reflections in the sorted roots of ``folded_root_system``,
+    the restricted folded generators, the sublattice basis): two int64
+    stacks in basis coordinates.  Each reflection is I - p q^T, p the
+    primitive root, q = 2 G p / (p, p) and G the basis's Gram matrix, all
+    in one product; a remainder raises ``ValueError``.
     """
     rho = case_fold(case)
-    basis = fixed_sublattice(rho)
-    side_a = weyl_generate(_restricted_root_reflections(case, basis), cap=cap)
-    gens = restrict_to_basis(np.stack([g.mat for g in folded_weyl_generators(rho)]), basis,
-                             rho.lattice)
-    side_b = weyl_generate(map(WeylElement.from_matrix, gens), cap=cap)
-    return side_a, side_b, basis
+    basis, lat = fixed_sublattice(rho), rho.lattice
+    roots = _fixed_coords(basis, sorted(folded_root_system(case).roots))
+    prim = roots // np.gcd.reduce(roots, axis=1, keepdims=True)
+    num = 2 * prim @ gram_matrix(lat, basis)
+    norms = (num * prim).sum(axis=1, keepdims=True) // 2
+    if (num % norms).any():
+        raise ValueError(f"{case}: a folded root reflection leaves the fixed sublattice")
+    reflections = np.eye(len(basis), dtype=np.int64) - prim[:, :, None] * (num // norms)[:, None]
+    gens = restrict_to_basis(np.stack([g.mat for g in folded_weyl_generators(rho)]), basis, lat)
+    return reflections, gens, basis
+
+
+def check_presentations(case: str) -> None:
+    """Certify, with no closure, that the stacks of ``restricted_reflection_matrices`` agree.
+
+    Each generator g_i must be the reflection in its folded simple root b_i,
+    so <g> lies in <s_beta>.  A walk from the b_i by the g_j must stay in R(G)
+    and reach all of it, with s_beta' = g_j s_beta g_j at each new root
+    beta' = g_j beta (Humphreys, *Reflection Groups and Coxeter Groups*, §1.14),
+    so every s_beta is a word in the g_j: the groups are one.  Raises ``ValueError``.
+    """
+    reflections, gens, basis = restricted_reflection_matrices(case)
+    roots = _fixed_coords(basis, sorted(folded_root_system(case).roots))
+    index = {key: n for n, key in enumerate(row_keys(roots))}
+    queue = [index.get(key) for key in row_keys(_fixed_coords(basis, folded_simple_system(case)))]
+    if None in queue or not np.array_equal(gens, reflections[queue]):
+        raise ValueError(f"{case}: a folded generator is not the reflection in its simple root")
+    for n in queue:  # grows while it is walked
+        for j, key in enumerate(row_keys(gens @ roots[n])):
+            m = index.get(key)
+            if m is None:
+                raise ValueError(f"{case}: generator {j} maps {roots[n].tolist()} out of R(G)")
+            if m not in queue:
+                if not np.array_equal(reflections[m], gens[j] @ reflections[n] @ gens[j]):
+                    raise ValueError(f"{case}: the reflection in {roots[m].tolist()} is not "
+                                     f"its conjugate by generator {j}")
+                queue.append(m)
+    if len(queue) != len(roots):
+        raise ValueError(f"{case}: the walk reaches {len(queue)} of {len(roots)} folded roots")

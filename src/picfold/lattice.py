@@ -121,19 +121,6 @@ class IntersectionLattice:
         """Degree against the anticanonical class, d.(-K)."""
         return -self.pair(d, self.K)
 
-    def format(self, d: DivisorClass) -> str:
-        parts = []
-        for c, lbl in zip(d.coords, self.basis_labels):
-            if c == 0:
-                continue
-            sign = "+" if c > 0 else "-"
-            mag = abs(c)
-            parts.append(f"{sign}{'' if mag == 1 else mag}{lbl}")
-        if not parts:
-            return "0"
-        out = "".join(parts)
-        return out[1:] if out.startswith("+") else out
-
 
 def make_blowup_lattice(model: str, n: int) -> IntersectionLattice:
     """Blow-up lattice with n exceptional classes for the given model."""
@@ -216,10 +203,11 @@ def enumerate_classes(lat: IntersectionLattice, constraints) -> tuple[DivisorCla
     ``constraints`` is an iterable of pairs (against, value) where
     ``against`` is a DivisorClass or the string "self" (for the
     self-intersection).  The search is complete: the self-intersection
-    together with pairings against K (or f, s on the F1 model) bound
-    first the hyperbolic-part coefficients and then, via Cauchy-Schwarz
-    on the negative-definite part, each exceptional coefficient.  Raises
-    UnboundedSearchError when no such bound can be derived.
+    and the pairing against K, both required, bound first the
+    hyperbolic-part coefficients (a pairing against f or s on the F1 model
+    pins its own) and then, via Cauchy-Schwarz on the negative-definite
+    part, each exceptional coefficient.  Raises UnboundedSearchError when
+    either is missing, or when no such bound can be derived.
     """
     self_val = None
     linear: list[tuple[DivisorClass, int]] = []
@@ -242,6 +230,8 @@ def enumerate_classes(lat: IntersectionLattice, constraints) -> tuple[DivisorCla
         return None
 
     k_val = pinned(lat.K)
+    if k_val is None:
+        raise UnboundedSearchError(f"the {lat.model} model needs a pairing against K")
     n = lat.npoints
     d = self_val
     results = []
@@ -256,22 +246,18 @@ def enumerate_classes(lat: IntersectionLattice, constraints) -> tuple[DivisorCla
         results.append(cand)
 
     if lat.model == P2:
-        if k_val is None:
-            raise UnboundedSearchError("the P2 model needs a pairing against K")
         # D = a h + sum ci li; D.K = -3a - sum ci, D.D = a^2 - sum ci^2.
         for a in _quad_range(9 - n, 6 * k_val, k_val * k_val + n * d):
             q = a * a - d
             if q < 0:
                 continue
-            t = -k_val - 3 * a
-            for cs in _sum_sq_vectors(n, t, q):
+            for cs in _sum_sq_vectors(n, -k_val - 3 * a, q):
                 emit((a,), cs)
     else:
-        f_val = pinned(lat.f)
-        s_val = pinned(lat.s)
+        f_val, s_val = pinned(lat.f), pinned(lat.s)
         if f_val is not None:
             a_range = [f_val]
-        elif k_val is not None:
+        else:
             # |-K|^2 > 0 slice: ellipsoid bound on a = D.f.
             p2 = 8 - n
             if p2 <= 0:
@@ -281,39 +267,20 @@ def enumerate_classes(lat: IntersectionLattice, constraints) -> tuple[DivisorCla
             rad = math.sqrt(max(rad2, 0.0))
             center = 2 * mu / p2
             a_range = range(math.floor(center - rad) - 1, math.ceil(center + rad) + 2)
-        else:
-            raise UnboundedSearchError("need a pairing against f or K to bound D.f")
         for a in a_range:
             if s_val is not None:
                 b_range = [s_val + a]
-            elif k_val is not None:
+            else:
                 qb = 4 * (k_val + a) - 2 * n * a
                 qc = (k_val + a) ** 2 + n * (a * a + d)
                 b_range = _quad_range(4, qb, qc)
-            else:
-                raise UnboundedSearchError("need a pairing against s or K to bound D.s")
             for b in b_range:
                 q = 2 * a * b - a * a - d
                 if q < 0:
                     continue
-                if k_val is not None:
-                    t_opts = [-k_val - a - 2 * b]
-                else:
-                    # Only f and s pinned: sum of c is free, but the sum of
-                    # squares is fixed, so enumerate all short vectors.
-                    t_opts = None
-                if t_opts is None:
-                    seen = set()
-                    for t in range(-n * math.isqrt(q) - 1, n * math.isqrt(q) + 2):
-                        for cs in _sum_sq_vectors(n, t, q):
-                            if cs not in seen:
-                                seen.add(cs)
-                                emit((a, b), cs)
-                else:
-                    for t in t_opts:
-                        for cs in _sum_sq_vectors(n, t, q):
-                            emit((a, b), cs)
-    return tuple(sorted(set(results)))
+                for cs in _sum_sq_vectors(n, -k_val - a - 2 * b, q):
+                    emit((a, b), cs)
+    return tuple(sorted(results))
 
 
 def exceptional_classes(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:

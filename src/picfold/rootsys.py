@@ -3,7 +3,9 @@
 Weyl elements are integer matrices acting on lattice coordinates (column
 vectors).  A Weyl group is never enumerated.  It is built in one of two
 ways, and both keep the same surface (``WeylGroup``: generators, order,
-membership, equality, orbits).
+membership, equality, orbits).  Every group the other modules build is a
+``CoxeterWeylGroup``; ``weyl_generate`` serves the benchmark's pin and the
+tests, where it is the oracle the Coxeter groups are checked against.
 
 ``weyl_generate`` takes arbitrary generators.  It keeps a stabilizer
 chain of their permutation action on a finite domain, the union of the

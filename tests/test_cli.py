@@ -122,7 +122,7 @@ def test_claim_check_fails_under_optimize():
     code = (
         "import json, sys\n"
         "from picfold import cli, configs\n"
-        "configs.enumerate_exceptional_systems = lambda case: ()\n"
+        "configs.enumerate_exceptional_systems = lambda case, cap=10**6: ()\n"
         "rc = cli.main(['verify', 'configs', '--format', 'json'])\n"
         "sys.stdout.flush()\n"
         "raise SystemExit(rc)\n"
@@ -233,6 +233,21 @@ def test_weyl_cap_reaches_every_group_the_folding_suite_builds(tmp_path, capsys)
         assert status[claim]["status"] == "fail"
         assert status[claim]["witness"].startswith("BudgetExceededError"), claim
     assert status["fold.tags"]["status"] == status["fold.root.counts"]["status"] == "pass"
+    capsys.readouterr()
+
+
+def test_weyl_cap_refuses_the_system_search_with_its_estimate(tmp_path, capsys):
+    # the systems are a W(G)-torsor: W(B4), of order 384, is refused before B4's search
+    cfg, out = tmp_path / "cap.cfg", tmp_path / "r.json"
+    cfg.write_text("budget.weyl_cap = 100\n")
+    assert main(["verify", "configs", "--config", str(cfg), "--format", "json",
+                 "--out", str(out)]) == 1
+    status = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    for claim in ("configs.counts", "configs.simply.transitive"):
+        assert status[claim]["status"] == "fail"
+        assert status[claim]["witness"] == ("BudgetExceededError: group order 192+ "
+                                            "exceeds cap 100"), claim
+    assert status["configs.blowdown.examples"]["status"] == "pass"
     capsys.readouterr()
 
 

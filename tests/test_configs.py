@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from picfold import configs
 from picfold.cases import case_spec
 from picfold.folding import ambient_weyl_group, case_points, folded_weyl_group
 from picfold.lattice import F1, P2, DivisorClass, exceptional_classes, make_blowup_lattice
@@ -531,6 +532,17 @@ def test_systems_memoized_per_case():
     assert tuple(enumerate_exceptional_systems("G2")) != tuple(first)
     f4 = enumerate_exceptional_systems("F4")
     assert enumerate_exceptional_systems("F4") is f4
+
+
+def test_system_search_refuses_past_the_weyl_cap(monkeypatch):
+    # the systems are a W(G)-torsor: the group's order is read before the search
+    with pytest.raises(BudgetExceededError, match="exceeds cap 47"):
+        enumerate_exceptional_systems("B3", cap=47)
+    assert len(enumerate_exceptional_systems("B3", cap=48)) == 48
+    # |W(B8)| = 10,321,920: refused before the search, which is never reached
+    monkeypatch.setattr(configs, "_enumerate_systems", None)
+    with pytest.raises(BudgetExceededError, match="exceeds cap 1000000"):
+        enumerate_exceptional_systems("B8")
 
 
 def test_exceptional_systems_contract():

@@ -1,7 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,10 +336,124 @@ def test_fixed_sublattice_identity_is_whole(f1_4):
     assert len(fixed_sublattice(ident)) == len(rho.simple_system)
 
 
+PRESENTED = ["B2", "B3", "B4", "B5", "C2", "C3", "C4", "G2", "F4"]
+
+
 def test_presentations_agree():
-    for case in ("B2", "B3", "C2", "G2", "F4"):
-        side_a, side_b, _ = restricted_reflection_matrices(case)
+    # the check against the Schreier-Sims oracle on both stacks
+    for case in PRESENTED:
+        reflections, gens, basis = restricted_reflection_matrices(case)
+        assert reflections.dtype == gens.dtype == np.int64
+        # each reflection against ``reflect`` on every basis vector, in basis coordinates
+        lat, bmat = case_fold(case).lattice, np.array([b.coords for b in basis]).T
+        for root, mat in zip(sorted(folded_root_system(case).roots), reflections):
+            images = np.array([rootsys.reflect(lat, root, b).coords for b in basis]).T
+            assert np.array_equal(basis_coordinates(bmat, images), mat)
+        folding.check_presentations(case)
+        side_a, side_b = (weyl_generate(map(WeylElement.from_matrix, stack))
+                          for stack in (reflections, gens))
         assert side_a == side_b, case
+        assert len(side_a) == len(folded_weyl_group(case))
+
+
+def _patched_stacks(monkeypatch, edit):
+    """Make ``restricted_reflection_matrices`` return its stacks after edit(reflections, gens)."""
+
+    def patched(case):
+        reflections, gens, basis = restricted_reflection_matrices(case)  # the unpatched one
+        reflections, gens = reflections.copy(), gens.copy()
+        edit(reflections, gens)
+        return reflections, gens, basis
+
+    monkeypatch.setattr(folding, "restricted_reflection_matrices", patched)
+
+
+@pytest.mark.parametrize("case", PRESENTED)
+def test_every_broken_presentation_fails_the_check(case, monkeypatch):
+    count, rank = (len(stack) for stack in restricted_reflection_matrices(case)[:2])
+    for k in range(count):  # one root reflection swapped for the rotation g_0 g_1
+
+        def swap(reflections, gens):
+            reflections[k] = gens[0] @ gens[1]
+
+        _patched_stacks(monkeypatch, swap)
+        with pytest.raises(ValueError):
+            folding.check_presentations(case)
+    for i in range(rank):  # one generator swapped for -I
+
+        def minus(reflections, gens):
+            gens[i] = -np.eye(gens.shape[1], dtype=np.int64)
+
+        _patched_stacks(monkeypatch, minus)
+        with pytest.raises(ValueError, match="not the reflection in its simple root"):
+            folding.check_presentations(case)
+    monkeypatch.undo()
+    roots = folded_root_system(case)
+    for dropped in roots:  # one folded root missing from R(G)
+        monkeypatch.setattr(folding, "folded_root_system", lambda case: type(roots)(
+            roots.ambient, roots.roots - {dropped}))
+        with pytest.raises(ValueError):
+            folding.check_presentations(case)
+    # a class outside the orbit of the simple roots, with a reflection of its own
+    monkeypatch.setattr(folding, "folded_root_system", lambda case: type(roots)(
+        roots.ambient, roots.roots | {2 * max(roots)}))
+    with pytest.raises(ValueError, match=f"reaches {len(roots)} of {len(roots) + 1}"):
+        folding.check_presentations(case)
+    # a class of the fixed sublattice whose reflection is not integral there
+    b = folded_simple_system(case).roots
+    monkeypatch.setattr(folding, "folded_root_system", lambda case: type(roots)(
+        roots.ambient, roots.roots | {b[0] + 2 * b[1]}))
+    with pytest.raises(ValueError, match="leaves the fixed sublattice"):
+        folding.check_presentations(case)
+    monkeypatch.undo()
+    folding.check_presentations(case)
+
+
+# each broken presentation, set up in a fresh interpreter before the folding suite runs
+BREAKS = {
+    "swapped reflection": (
+        "original = folding.restricted_reflection_matrices\n"
+        "def patched(case):\n"
+        "    reflections, gens, basis = original(case)\n"
+        "    reflections = reflections.copy()\n"
+        "    reflections[-1] = gens[0] @ gens[1]\n"
+        "    return reflections, gens, basis\n"
+        "folding.restricted_reflection_matrices = patched\n"),
+    "generator -I": (
+        "original = folding.restricted_reflection_matrices\n"
+        "def patched(case):\n"
+        "    reflections, gens, basis = original(case)\n"
+        "    return reflections, np.concatenate([-np.eye(len(basis), dtype=np.int64)[None],\n"
+        "                                        gens[1:]]), basis\n"
+        "folding.restricted_reflection_matrices = patched\n"),
+    "dropped root": (
+        "original = folding.folded_root_system\n"
+        "def patched(case):\n"
+        "    roots = original(case)\n"
+        "    return type(roots)(roots.ambient, roots.roots - {max(roots.roots)})\n"
+        "folding.folded_root_system = patched\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(BREAKS))
+def test_a_broken_presentation_fails_the_claim_under_optimize(name):
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "from picfold import cli, folding\n"
+            + BREAKS[name] +
+            "rc = cli.main(['verify', 'folding', '--format', 'json'])\n"
+            "sys.stdout.flush()\n"
+            "raise SystemExit(rc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+    failed = {claim for claim, r in status.items() if r["status"] == "fail"}
+    # a dropped root also changes the root counts, which read the same function
+    assert failed == {"fold.presentations.agree"} | (
+        {"fold.root.counts"} if name == "dropped root" else set())
+    assert status["fold.presentations.agree"]["witness"].startswith("ValueError: B2: ")
 
 
 def test_second_reduction_order_identities(f1_4, cubic):

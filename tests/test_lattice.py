@@ -152,6 +152,10 @@ def test_unbounded_reported():
         enumerate_classes(lat, [(SELF, -1)])
     with pytest.raises(UnboundedSearchError):
         enumerate_classes(lat, [(lat.K, -1)])
+    # on F1 too: f and s pin D.f and D.s, but without K the sum of the li is free
+    f1 = make_blowup_lattice(F1, 4)
+    with pytest.raises(UnboundedSearchError, match="needs a pairing against K"):
+        enumerate_classes(f1, [(SELF, -2), (f1.f, 0), (f1.s, 0)])
 
 
 def test_a3_root_count_with_section_constraint():

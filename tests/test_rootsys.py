@@ -305,10 +305,11 @@ def _group_gens():
     }
     for case in ("B5", "C4", "G2", "F4"):
         out[case] = folding.folded_weyl_generators(folding.case_fold(case))
-    # both sides of fold.presentations.agree, on the fixed sublattice
+    # both presentations of fold.presentations.agree, on the fixed sublattice
     for case in ("B2", "B3", "C2", "G2", "F4"):
-        side_a, side_b, _ = folding.restricted_reflection_matrices(case)
-        out[f"{case}.roots"], out[f"{case}.restricted"] = side_a.gens, side_b.gens
+        reflections, gens, _ = folding.restricted_reflection_matrices(case)
+        out[f"{case}.roots"] = [WeylElement.from_matrix(m) for m in reflections]
+        out[f"{case}.restricted"] = [WeylElement.from_matrix(m) for m in gens]
     return out
 
 

@@ -91,3 +91,14 @@ def test_only_cases_reads_the_family_of_a_case():
                      for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute) and node.attr == "family")
     assert readers == []
+
+
+def test_only_rootsys_closes_generators_with_schreier_sims():
+    # src groups are CoxeterWeylGroups; weyl_generate serves the benchmark pin
+    # (moduli imports it by name, which is not a call) and the tests' oracle
+    callers = sorted(f"{mod}.py:{node.lineno}" for mod, tree in _modules().items()
+                     if mod != "rootsys" for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                     in ("weyl_generate", "WeylGroup"))
+    assert callers == []
