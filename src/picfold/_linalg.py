@@ -20,10 +20,6 @@ def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
-
-
 def bareiss_det(a) -> int:
     """Fraction-free determinant of a square integer matrix."""
     n = len(a)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linalg_oracles import mat_vec
 from picfold import abelian
-from picfold._linalg import bareiss_det, integer_kernel, mat_mul, mat_vec, smith_normal_form
+from picfold._linalg import bareiss_det, integer_kernel, mat_mul, smith_normal_form
 from picfold.abelian import (
     SingularCurveError,
     make_sigma_model,

@@ -136,6 +136,55 @@ def test_claim_check_fails_under_optimize():
     assert status["configs.counts"]["witness"].startswith("assertion failed: B2 system count")
 
 
+_RAISED_MAGNITUDE = (
+    "def broken(table):\n"
+    "    a, b = np.argwhere(table.N)[0]\n"
+    "    table.N[a, b] += np.sign(table.N[a, b])\n"
+    "    return table\n"
+    # the Jacobi check would catch the raised constant first: pass it over, so that
+    # the string check is the one that must fail
+    "liealg.verify_jacobi = lambda table: liealg.JacobiReport(True, 0, None)\n"
+)
+_FLIPPED_SIGN = (
+    "def broken(table):\n"
+    "    index = {rt: i for i, rt in enumerate(table.roots)}\n"
+    "    a, b = next((a, b) for i, a in enumerate(table.positive)\n"
+    "                for b in table.positive[i + 1:]\n"
+    "                if a + b in index and (a, b) not in table.extraspecial)\n"
+    "    for x, y in ((a, b), (b, a), (-a, -b), (-b, -a)):\n"
+    "        table.N[index[x], index[y]] *= -1\n"
+    "    return table\n"
+)
+
+
+@pytest.mark.parametrize("mutation, witness", [
+    (_RAISED_MAGNITUDE, "assertion failed: D4: N(DivisorClass"),
+    (_FLIPPED_SIGN, "assertion failed: D4: Jacobi fails at"),
+], ids=["magnitude", "sign"])
+def test_jacobi_claim_fails_under_optimize_on_a_broken_table(mutation, witness):
+    # liealg.jacobi.all must fail on a broken table even when -O strips asserts
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from picfold import cli, liealg\n"
+        "build = liealg.structure_constants\n"
+        f"{mutation}"
+        "liealg.structure_constants = lambda rs, simple: broken(build(rs, simple))\n"
+        "rc = cli.main(['verify', 'liealg', '--format', 'json'])\n"
+        "sys.stdout.flush()\n"
+        "raise SystemExit(rc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    [result] = json.loads(proc.stdout)["results"]
+    assert result["id"] == "liealg.jacobi.all" and result["status"] == "fail"
+    assert result["witness"].startswith(witness), result["witness"]
+    if mutation is _RAISED_MAGNITUDE:
+        assert result["witness"].endswith("= 2, string length 0")
+
+
 def test_f4_decomposition_fails_under_optimize():
     # with one short root missing, bundles.F4.rep.27=3+24 must fail even under -O
     code = (

@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.liealg import (
     JacobiReport,
     StructureConstantError,
-    StructureConstantTable,
     root_codes,
     root_string,
     structure_constants,
@@ -43,6 +43,27 @@ def test_root_string_b2():
     # no string at all when neither sum nor difference is a root
     c = lat4.l(3) - lat4.l(4)
     assert root_string(d4, a, c) == (0, 0)
+
+
+def as_dicts(t):
+    """The table's arrays as dicts keyed by roots: n_map (nonzero N), cartan and coroot_coords."""
+    n_map = {(t.roots[a], t.roots[b]): int(t.N[a, b]) for a, b in zip(*np.nonzero(t.N))}
+    cartan = {(rt, i): int(t.cartan[a, i]) for a, rt in enumerate(t.roots) for i in range(t.rank)}
+    coroot_coords = {rt: tuple(t.coroots[a].tolist()) for a, rt in enumerate(t.roots)}
+    return SimpleNamespace(rank=t.rank, roots=t.roots, n_map=n_map, cartan=cartan,
+                           coroot_coords=coroot_coords)
+
+
+def from_dicts(t, n_map, cartan, coroot_coords):
+    """The table t with its arrays rebuilt from dicts of the form ``as_dicts`` gives."""
+    index = {rt: a for a, rt in enumerate(t.roots)}
+    N = np.zeros_like(t.N)
+    for (a, b), v in n_map.items():
+        N[index[a], index[b]] = v
+    rows = [[cartan[(rt, i)] for i in range(t.rank)] for rt in t.roots]
+    return replace(t, N=N, cartan=np.array(rows, dtype=np.int64).reshape(t.cartan.shape),
+                   coroots=np.array([coroot_coords[rt] for rt in t.roots],
+                                    dtype=np.int64).reshape(t.coroots.shape))
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +163,9 @@ def fraction_structure_constants(rs, simple):
                            f"coroot of {rt} is not integral")
         for rt in roots
     }
-    return StructureConstantTable(
-        lattice=lat, simple=simple, roots=tuple(sorted(roots)), positive=tuple(positive),
-        n_map=n_map, cartan=cartan, coroot_coords=coroot_coords,
-        extraspecial=frozenset(extraspecial),
+    return SimpleNamespace(
+        roots=tuple(sorted(roots)), positive=tuple(positive), n_map=n_map, cartan=cartan,
+        coroot_coords=coroot_coords, extraspecial=frozenset(extraspecial),
     )
 
 
@@ -154,15 +174,15 @@ def test_integer_tables_match_the_fraction_oracle(tables):
     for case, t in tables.items():
         want = fraction_structure_constants(RootSystemData(t.lattice, frozenset(t.roots)),
                                             t.simple)
+        got = as_dicts(t)
         assert t.roots == want.roots, case
         assert t.positive == want.positive, case
-        assert t.n_map == want.n_map, case
-        assert t.cartan == want.cartan, case
-        assert t.coroot_coords == want.coroot_coords, case
+        assert got.n_map == want.n_map, case
+        assert got.cartan == want.cartan, case
+        assert got.coroot_coords == want.coroot_coords, case
         assert t.extraspecial == want.extraspecial, case
-        values = list(t.n_map.values()) + list(t.cartan.values())
-        values += [c for cs in t.coroot_coords.values() for c in cs]
-        assert all(type(v) is int for v in values), case
+        assert [t.codes.dtype, t.N.dtype, t.cartan.dtype, t.coroots.dtype] == [np.int64] * 4, case
+        assert np.array_equal(t.codes, root_codes(t.roots)), case
 
 
 def test_a_root_set_without_integral_constants_is_refused():
@@ -182,24 +202,24 @@ def test_single_pair_table():
     rs, simple = _simply_laced("A", lat)
     assert len(rs) == 2
     t = structure_constants(rs, simple)
-    assert t.n_map == {}
+    assert not t.N.any()
     a = simple.roots[0]
-    assert t.coroot_coords[a] == (1,)
+    assert as_dicts(t).coroot_coords[a] == (1,)
     assert verify_jacobi(t).ok
 
 
 def test_b2_constants(tables):
     t = tables["B2"]
-    lat = t.lattice
+    n_map = as_dicts(t).n_map
     b1, b2 = t.simple.roots
     # every pair with a root sum gets a nonzero constant
     brute = sum(
         1 for a in t.roots for b in t.roots if a + b in set(t.roots)
     )
-    assert len(t.n_map) == brute
-    assert all(v != 0 for v in t.n_map.values())
-    assert abs(t.n(b1, b2)) == 1
-    assert abs(t.n(b1, b1 + b2)) == 2
+    assert len(n_map) == brute
+    assert all(v != 0 for v in n_map.values())
+    assert abs(n_map[(b1, b2)]) == 1
+    assert abs(n_map[(b1, b1 + b2)]) == 2
 
 
 def test_jacobi_all_cases(tables):
@@ -212,9 +232,10 @@ def test_n_values_match_string_lengths(tables):
     seen_three = set()
     for case, t in tables.items():
         roots = set(t.roots)
-        code = root_codes(t.roots)
+        code = dict(zip(t.roots, t.codes.tolist()))
         codes = set(code.values())
-        for (a, b), v in t.n_map.items():
+        n_map = as_dicts(t).n_map
+        for (a, b), v in n_map.items():
             string = root_string(None, a, b, roots=roots)
             assert root_string(None, code[a], code[b], roots=codes) == string
             r = string[0]
@@ -223,37 +244,37 @@ def test_n_values_match_string_lengths(tables):
             if abs(v) == 3:
                 seen_three.add(case)
         if case in ("D4", "E6"):
-            assert all(abs(v) == 1 for v in t.n_map.values())
+            assert all(abs(v) == 1 for v in n_map.values())
     assert seen_three == {"G2"}
 
 
 def test_antisymmetry_and_negation(tables):
-    t = tables["F4"]
-    for (a, b), v in t.n_map.items():
-        assert t.n(b, a) == -v
-        assert t.n(-a, -b) == -v
+    n_map = as_dicts(tables["F4"]).n_map
+    for (a, b), v in n_map.items():
+        assert n_map[(b, a)] == -v
+        assert n_map[(-a, -b)] == -v
 
 
 def test_grading_compatibility(tables):
     for t in tables.values():
         roots = set(t.roots)
-        for (a, b), v in t.n_map.items():
+        for (a, b), v in as_dicts(t).n_map.items():
             assert v != 0
             assert a + b in roots  # the bracket lands in the summand of the sum class
 
 
 def test_h_alpha_integral(tables):
     for t in tables.values():
+        d = as_dicts(t)
         for rt in t.roots:
-            coords = t.coroot_coords[rt]
-            assert all(isinstance(c, int) for c in coords)
+            coords = d.coroot_coords[rt]
             # h_alpha acting on x_alpha gives 2
-            acc = sum(c * t.cartan[(rt, i)] for i, c in enumerate(coords))
+            acc = sum(c * d.cartan[(rt, i)] for i, c in enumerate(coords))
             assert acc == 2
 
 
-def _bracket_basis(table: StructureConstantTable, e1, e2):
-    """[e1, e2] for two basis labels, as a dict of basis labels to coefficients."""
+def _bracket_basis(table, e1, e2):
+    """[e1, e2] for two basis labels of an ``as_dicts`` table, as labels to coefficients."""
     k1, v1 = e1
     k2, v2 = e2
     if k1 == "h" and k2 == "h":
@@ -278,8 +299,9 @@ def _bracket(table, d1: dict, d2: dict) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def brute_force_jacobi(table: StructureConstantTable) -> JacobiReport:
+def brute_force_jacobi(table) -> JacobiReport:
     """Oracle: evaluate the Jacobi sum of every basis triple, no grading."""
+    table = as_dicts(table)
     basis = [("h", i) for i in range(table.rank)]
     basis += [("x", rt) for rt in table.roots]
     singles = {b: {b: 1} for b in basis}
@@ -307,24 +329,22 @@ def brute_force_jacobi(table: StructureConstantTable) -> JacobiReport:
 
 
 def _with_n_map(t, n_map):
-    return StructureConstantTable(
-        lattice=t.lattice, simple=t.simple, roots=t.roots, positive=t.positive,
-        n_map=n_map, cartan=t.cartan, coroot_coords=t.coroot_coords,
-        extraspecial=t.extraspecial,
-    )
+    d = as_dicts(t)
+    return from_dicts(t, n_map, d.cartan, d.coroot_coords)
 
 
 def _sign_flipped(t):
     """The table with one non-extraspecial constant (and its images) negated."""
     index = {rt: i for i, rt in enumerate(t.positive)}
+    n_map = as_dicts(t).n_map
     flip = None
-    for (a, b) in t.n_map:
+    for (a, b) in n_map:
         if a in index and b in index and index[a] < index[b] and (a, b) not in t.extraspecial:
             flip = (a, b)
             break
     assert flip is not None
     a, b = flip
-    mutated = dict(t.n_map)
+    mutated = dict(n_map)
     for key in [(a, b), (b, a), (-a, -b), (-b, -a)]:
         mutated[key] = -mutated[key]
     return _with_n_map(t, mutated)
@@ -340,6 +360,27 @@ def test_graded_jacobi_matches_brute_force(tables):
     assert verify_jacobi(tables["F4"]).triples_checked == 24804
 
 
+def test_jacobi_forms_exactly_the_graded_triples(tables, monkeypatch):
+    """Each triple i <= j <= k of root or zero weight is evaluated once, and no other."""
+    ranges, formed = liealg._ranges, []
+
+    def recorded(lo, count):
+        formed.append(int(count.sum()))
+        return ranges(lo, count)
+
+    monkeypatch.setattr(liealg, "_ranges", recorded)
+    for case in ("G2", "F4", "E6"):
+        t = tables[case]
+        w = np.concatenate((np.zeros(t.rank, dtype=np.int64), t.codes))
+        i, j, k = np.array([(i, j, k) for i in range(len(w)) for j in range(i, len(w))
+                            for k in range(j, len(w))]).T
+        want = np.isin(w[i] + w[j] + w[k], np.append(t.codes, 0)).sum()
+        formed.clear()
+        assert verify_jacobi(t).ok
+        assert sum(formed) == want, case
+    assert want == 15416  # E6: of its 82,160 triples
+
+
 def test_graded_jacobi_matches_brute_force_on_broken_tables(tables):
     for case in ("G2", "F4"):
         broken = _sign_flipped(tables[case])
@@ -353,7 +394,7 @@ def test_n_map_key_off_the_grading_fails(tables):
     roots = set(t.roots)
     a, b = next((a, b) for a in t.roots for b in t.roots
                 if a + b not in roots and a + b != t.lattice.zero)
-    rep = verify_jacobi(_with_n_map(t, {**t.n_map, (a, b): 1}))
+    rep = verify_jacobi(_with_n_map(t, {**as_dicts(t).n_map, (a, b): 1}))
     assert rep == JacobiReport(False, 0, (("x", a), ("x", b)))
 
 
@@ -367,11 +408,12 @@ def test_sign_flip_breaks_jacobi(tables):
 def test_graded_jacobi_matches_brute_force_on_mutated_tables(tables, monkeypatch, data):
     """One to three entries of n_map (alone or with their images), cartan or coroot_coords.
 
-    The slab size is drawn too, so that slab boundaries fall between many i values.
+    The block size is drawn too, so that block boundaries fall between many i values.
     """
-    monkeypatch.setattr(liealg, "_SLAB", data.draw(st.sampled_from([1, 50, 1000, 1 << 14])))
+    monkeypatch.setattr(liealg, "_CHUNK", data.draw(st.sampled_from([1, 50, 1000, 1 << 13])))
     t = tables[data.draw(st.sampled_from(["B2", "B3", "G2", "F4"]))]
-    n_map, cartan, coroots = dict(t.n_map), dict(t.cartan), dict(t.coroot_coords)
+    d = as_dicts(t)
+    n_map, cartan, coroots = d.n_map, d.cartan, d.coroot_coords
     delta = st.sampled_from([-3, -2, -1, 1, 2, 3])
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(["n_map", "n_map_images", "cartan", "coroot"]))
@@ -388,16 +430,15 @@ def test_graded_jacobi_matches_brute_force_on_mutated_tables(tables, monkeypatch
             n_map[(a, b)] = v
             if kind == "n_map_images":
                 n_map[(b, a)], n_map[(-a, -b)], n_map[(-b, -a)] = -v, -v, v
-    mutated = replace(t, n_map=n_map, cartan=cartan, coroot_coords=coroots)
+    mutated = from_dicts(t, n_map, cartan, coroots)
     assert verify_jacobi(mutated) == brute_force_jacobi(mutated)
 
 
 def test_root_codes_are_injective_on_sums_of_three_roots(tables):
     for case in ("D4", "B3", "C3", "G2", "F4"):
         t = tables[case]
-        code = root_codes(t.roots)
         rows = np.array([rt.coords for rt in t.roots], dtype=np.int64)
-        codes = np.array([code[rt] for rt in t.roots], dtype=np.int64)
+        codes = root_codes(t.roots)
         sums = rows[:, None, None] + rows[None, :, None] + rows[None, None, :]
         sum_codes = codes[:, None, None] + codes[None, :, None] + codes[None, None, :]
         assert (len(np.unique(sums.reshape(-1, rows.shape[1]), axis=0))
@@ -406,9 +447,29 @@ def test_root_codes_are_injective_on_sums_of_three_roots(tables):
 
 def test_a_constant_beyond_int64_sums_is_refused(tables):
     t = tables["B3"]
-    key = next(iter(t.n_map))
+    n_map = as_dicts(t).n_map
+    key = next(iter(n_map))
     with pytest.raises(OverflowError):
-        verify_jacobi(_with_n_map(t, {**t.n_map, key: 2**40}))
+        verify_jacobi(_with_n_map(t, {**n_map, key: 2**40}))
+
+
+def test_codes_beyond_int64_are_refused_before_any_product(tables):
+    # on F1 with 25 points l1 - l25 is (0, 0, 1, 0, ..., 0, -1), of code 7^2 - 7^26,
+    # and 7^26 > 2^63: the table must refuse it, not wrap it
+    lat = make_blowup_lattice(F1, 25)
+    a = lat.l(1) - lat.l(25)
+    with pytest.raises(OverflowError):
+        structure_constants(RootSystemData(lat, frozenset({a, -a})), SimpleSystem((a,), "A1"))
+    t = tables["B3"]
+    codes = t.codes.copy()
+    codes[0] = 2**61  # three of them reach 2^62
+    with pytest.raises(OverflowError):
+        verify_jacobi(replace(t, codes=codes))
+    N = t.N.copy()
+    a, b = np.argwhere(N)[0]
+    N[a, b] = np.iinfo(np.int64).min  # np.abs wraps it to itself
+    with pytest.raises(OverflowError):
+        verify_jacobi(replace(t, N=N))
 
 
 def test_jacobi_memory_is_bounded(tables):
@@ -420,7 +481,7 @@ def test_jacobi_memory_is_bounded(tables):
     finally:
         tracemalloc.stop()
     assert rep.ok and rep.triples_checked == 82160
-    assert peak < 4 * 2**20
+    assert peak < 1.5 * 2**20
 
 
 def test_bundle_decompositions():

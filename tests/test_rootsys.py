@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linalg_oracles import mat_vec
 from picfold import folding, rootsys
 from picfold._linalg import (
     bareiss_det,
     bareiss_solve,
     integer_left_inverse,
     mat_mul,
-    mat_vec,
     rational_solve,
 )
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice

@@ -21,7 +21,6 @@ SPANS = set(runpy.run_path(str(ROOT / "perfbench" / "run.py"), run_name="perfben
 # public names no src code calls, each kept for a fact its tests record
 TEST_ONLY = {
     "_linalg.bareiss_det": "the exact determinants of the reconstruction systems M P",
-    "_linalg.mat_vec": "the integer matrix-vector oracle of the solver tests",
     "configs.GConfiguration": "the defining conditions of a G-configuration, points included",
     "moduli.invariance_closed_form": "Q x = 0, checked per assignment against the direct form",
     "moduli.invariance_literal_c": "the pairwise C_n form, equivalent only for n = 2",
