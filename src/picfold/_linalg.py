@@ -71,16 +71,16 @@ def bareiss_solve(a, b) -> tuple[list[int], int]:
 
 
 class SNFDecomposition:
-    """A = U * S * V with U, V unimodular and S diagonal, d1 | d2 | ...
+    """U^-1 A V^-1 = S with U^-1, V^-1 unimodular and S diagonal, d1 | d2 | ...
 
-    ``uinv`` and ``vinv`` are the exact integer inverses, kept around so
-    linear systems can be solved without re-inverting.
+    Only the inverses are kept: linear systems are solved with them, and
+    the kernel is read off V^-1.
     """
 
-    __slots__ = ("u", "s", "v", "uinv", "vinv", "diag")
+    __slots__ = ("s", "uinv", "vinv", "diag")
 
-    def __init__(self, u, s, v, uinv, vinv):
-        self.u, self.s, self.v, self.uinv, self.vinv = u, s, v, uinv, vinv
+    def __init__(self, s, uinv, vinv):
+        self.s, self.uinv, self.vinv = s, uinv, vinv
         m, n = len(s), len(s[0]) if s else 0
         self.diag = [s[i][i] for i in range(min(m, n))]
 
@@ -98,41 +98,32 @@ def smith_normal_form(a) -> SNFDecomposition:
     remainder, at most half the pivot, makes the next round pick a smaller
     pivot; a block entry the pivot does not divide is first added into the
     pivot row.  So d_1 | d_2 | ... holds when the block is done.  A fresh
-    pivot each round keeps the growth moderate, but U, V and their inverses
+    pivot each round keeps the growth moderate, but U^-1 and V^-1
     are Python ints of no fixed size (past 2^62 on random 8 x 8 matrices
     with entries <= 4): a caller that moves them into int64 checks first.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     s = [list(map(int, row)) for row in a]
-    u = identity_matrix(m)
     uinv = identity_matrix(m)
-    v = identity_matrix(n)
     vinv = identity_matrix(n)
 
-    # Row op L applied to S (S <- L S) keeps A = (U L^-1)(L S) V.
+    # each row op on S is applied to U^-1 and each column op to V^-1: U^-1 A V^-1 = S
     def row_swap(i, k):
         s[i], s[k] = s[k], s[i]
         uinv[i], uinv[k] = uinv[k], uinv[i]
-        for r in range(m):
-            u[r][i], u[r][k] = u[r][k], u[r][i]
 
     def row_add(i, k, q):  # row i += q * row k
         s[i] = [x + q * y for x, y in zip(s[i], s[k])]
         uinv[i] = [x + q * y for x, y in zip(uinv[i], uinv[k])]
-        for r in range(m):
-            u[r][k] -= q * u[r][i]
 
     def row_neg(i):
         s[i] = [-x for x in s[i]]
         uinv[i] = [-x for x in uinv[i]]
-        for r in range(m):
-            u[r][i] = -u[r][i]
 
     def col_swap(j, k):
         for r in range(m):
             s[r][j], s[r][k] = s[r][k], s[r][j]
-        v[j], v[k] = v[k], v[j]
         for r in range(n):
             vinv[r][j], vinv[r][k] = vinv[r][k], vinv[r][j]
 
@@ -141,7 +132,6 @@ def smith_normal_form(a) -> SNFDecomposition:
             s[r][j] += q * s[r][k]
         for r in range(n):
             vinv[r][j] += q * vinv[r][k]
-        v[k] = [x - q * y for x, y in zip(v[k], v[j])]
 
     def pivot_from(t):
         best = None
@@ -177,7 +167,7 @@ def smith_normal_form(a) -> SNFDecomposition:
             row_add(t, bad, 1)
             continue
         t += 1
-    return SNFDecomposition(u, s, v, uinv, vinv)
+    return SNFDecomposition(s, uinv, vinv)
 
 
 def integer_kernel(a):

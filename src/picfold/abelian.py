@@ -60,9 +60,6 @@ class SigmaModel:
     def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
         return ((x[0] + y[0]) % self.m1, (x[1] + y[1]) % self.m2)
 
-    def sub(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return ((x[0] - y[0]) % self.m1, (x[1] - y[1]) % self.m2)
-
     def neg(self, x: GroupElement) -> GroupElement:
         return ((-x[0]) % self.m1, (-x[1]) % self.m2)
 
@@ -151,9 +148,6 @@ class SymbolicSigma:
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
-
-    def sub(self, x, y):
-        return tuple(a - b for a, b in zip(x, y))
 
     def neg(self, x):
         return tuple(-a for a in x)
@@ -266,29 +260,6 @@ def weierstrass_group(p: int, a: int, b: int):
 
 def _key(pt):
     return pt if pt is not None else "O"
-
-
-@dataclass(frozen=True, eq=False)
-class GroupSolveResult:
-    """Solvability, one solution, the kernel size and, within the cap, every solution.
-
-    ``table`` is a read-only (n, ncols, 2) int64 array, row k the k-th solution's
-    (mod m1, mod m2) residue pairs, rows sorted; ``solutions`` and iteration read it.
-    """
-
-    solvable: bool
-    solution: tuple[GroupElement, ...] | None
-    kernel_size: int
-    table: np.ndarray | None
-
-    @property
-    def solutions(self) -> tuple[tuple[GroupElement, ...], ...] | None:
-        if self.table is None:
-            return None
-        return tuple(tuple(map(tuple, rows)) for rows in self.table.tolist())
-
-    def __iter__(self):
-        return iter(self.solutions or ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,24 +395,14 @@ def solve_group_stack(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> G
                            np.repeat(image, data.kernel_size))
 
 
-def solve_group_system(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> GroupSolveResult:
-    """Solve A x = rhs over the group, where A is an integer matrix.
+def solve_group_system(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> GroupSolveStack:
+    """Solve A x = rhs over the group, rhs one vector of group elements.
 
-    rhs is a vector of group elements: the one-row case of
-    ``solve_group_stack``, with the same cached data and overflow guard.
-    Past ``enumerate_cap`` the result keeps the particular solution and the
-    kernel size and has no table; within it, the table is sorted.
+    The one-row stack of ``solve_group_stack``: same cached data, overflow
+    guard and cap, which refuses with ``BudgetExceededError`` past
+    ``enumerate_cap`` rather than return part of the solutions.
     """
     if len(rhs) != len(a):
         raise ValueError("rhs length does not match the matrix")
-    data = _solver_data(tuple(map(tuple, a)), sigma.m1, sigma.m2)
-    solvable, particular = data.particular(np.array(rhs, dtype=np.int64).reshape(1, len(a), 2))
-    if not solvable[0]:
-        return GroupSolveResult(False, None, data.kernel_size, None)
-    solution = tuple(map(tuple, particular[0].tolist()))
-    if data.kernel_size > enumerate_cap:
-        return GroupSolveResult(True, solution, data.kernel_size, None)
-    table = data.solutions(particular)[0]
-    table = table[np.lexsort(table.reshape(len(table), -1).T[::-1])]
-    table.flags.writeable = False
-    return GroupSolveResult(True, solution, data.kernel_size, table)
+    return solve_group_stack(a, np.array(rhs, dtype=np.int64).reshape(1, len(a), 2), sigma,
+                             enumerate_cap)

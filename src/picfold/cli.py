@@ -100,16 +100,22 @@ def config_from(values: dict, args) -> RunConfig:
     cfg.weyl_cap = values.get("budget.weyl_cap", cfg.weyl_cap)
     cfg.action_cap = values.get("budget.action_cap", cfg.action_cap)
     # command-line flags win
-    if args.sigma:
+    if args.sigma is not None:
         m1, m2 = (int(x) for x in args.sigma.split(","))
         cfg.sigma = (m1, m2)
-    if args.curve:
+    if args.curve is not None:
         p, a, b = (int(x) for x in args.curve.split(","))
         cfg.curve = (p, a, b)
-    if args.rank_b:
+    if args.rank_b is not None:
         cfg.rank_b = args.rank_b
-    if args.rank_c:
+    if args.rank_c is not None:
         cfg.rank_c = args.rank_c
+    # a rank below 2 names no B or C case; a cap below 1 refuses every claim
+    if min(cfg.rank_b, cfg.rank_c) < 2:
+        raise ConfigError(f"ranks must be at least 2, got b = {cfg.rank_b}, c = {cfg.rank_c}")
+    if min(cfg.weyl_cap, cfg.action_cap) < 1:
+        raise ConfigError(f"caps must be at least 1, got weyl_cap = {cfg.weyl_cap}, "
+                          f"action_cap = {cfg.action_cap}")
     return cfg
 
 
@@ -158,6 +164,12 @@ class SkipClaim(Exception):
 def _expect(value, expected, label):
     check(value == expected, f"{label}: got {value}, expected {expected}")
     return value
+
+
+def _weyl_order(case: str) -> int:
+    """|W(G)| in closed form: 2^n n! for B_n and C_n, 12 for G2, 1152 for F4."""
+    n = cases.case_spec(case).rank
+    return {"G2": 12, "F4": 1152}.get(case, 2**n * factorial(n))
 
 
 # --------------------------------------------------------------------------
@@ -240,11 +252,9 @@ def _suite_folding(cfg: RunConfig):
 
     def weyl_orders():
         out = {}
-        for n in range(2, cfg.rank_b + 1):
-            out[f"W.B{n}"] = _expect(len(folding.folded_weyl_group(f"B{n}", cfg.weyl_cap)),
-                                     2**n * factorial(n), f"|W(B{n})|")
-        out["W.G2"] = _expect(len(folding.folded_weyl_group("G2", cfg.weyl_cap)), 12, "|W(G2)|")
-        out["W.F4"] = _expect(len(folding.folded_weyl_group("F4", cfg.weyl_cap)), 1152, "|W(F4)|")
+        for case in [f"B{n}" for n in range(2, cfg.rank_b + 1)] + ["G2", "F4"]:
+            out[f"W.{case}"] = _expect(len(folding.folded_weyl_group(case, cfg.weyl_cap)),
+                                       _weyl_order(case), f"|W({case})|")
         return out
 
     claims.append(("W.folded.orders", weyl_orders))
@@ -266,10 +276,12 @@ def _suite_folding(cfg: RunConfig):
         a2 = rootsys.SimpleSystem((l(2) - l(3), l(3) - f14.f + l(4)), "A2")
         wa2 = rootsys.CoxeterWeylGroup(rootsys.simple_reflections(a2, f14), a2, f14, cap)
         rows["G2"] = (len(folding.folded_weyl_group("G2", cap)), len(wa2), 2)
-        check(rows["G2"][0] == rows["G2"][1] * rows["G2"][2] == 12, f"G2: {rows['G2']}")
+        check(rows["G2"][0] == rows["G2"][1] * rows["G2"][2] == _weyl_order("G2"),
+              f"G2: {rows['G2']}")
         wd4 = folding.ambient_weyl_group("G2", cap)  # W(D4)
         rows["F4"] = (len(folding.folded_weyl_group("F4", cap)), len(wd4), 6)
-        check(rows["F4"][0] == rows["F4"][1] * rows["F4"][2] == 1152, f"F4: {rows['F4']}")
+        check(rows["F4"][0] == rows["F4"][1] * rows["F4"][2] == _weyl_order("F4"),
+              f"F4: {rows['F4']}")
         return {k: list(v) for k, v in rows.items()}
 
     claims.append(("W.second.reduction.identities", second_reduction))
@@ -323,7 +335,7 @@ def _suite_cubic(cfg: RunConfig):
         h, l = lat.h, lat.l
         tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
         unord = configs.triangle_stabilizer(tri, False, w)
-        _expect(unord.order, 1152, "unordered stabilizer")
+        _expect(unord.order, _weyl_order("F4"), "unordered stabilizer")
         _expect(unord.orbit_size, 45, "triangle orbit")
         ordered = configs.triangle_stabilizer(tri, True, w)
         _expect(ordered.order, 192, "ordered stabilizer")
@@ -333,7 +345,7 @@ def _suite_cubic(cfg: RunConfig):
         check(len(wf4) == unord.order
               and all({g.apply(e) for e in tri} == set(tri) for g in wf4.gens),
               "triangle stabilizer is not W(F4)")
-        return {"unordered": 1152, "ordered": 192, "orbit": 45, "ordered_orbit": 270}
+        return {"unordered": unord.order, "ordered": 192, "orbit": 45, "ordered_orbit": 270}
 
     return [
         ("E6.cubic.combinatorics", combinatorics),
@@ -356,10 +368,7 @@ def _suite_configs(cfg: RunConfig):
         out = {}
         for case in names:
             systems = configs.enumerate_exceptional_systems(case, cfg.weyl_cap)
-            n = cases.case_spec(case).rank
-            expected = {"G2": 12, "F4": 1152}.get(case, 2**n * factorial(n))
-            _expect(len(systems), expected, f"{case} system count")
-            out[case] = len(systems)
+            out[case] = _expect(len(systems), _weyl_order(case), f"{case} system count")
         lat = cases.case_spec("G2").lattice
         listed = (lat.f - lat.l(1), lat.f - lat.l(2), lat.l(4), lat.l(3))
         check(listed in configs.enumerate_exceptional_systems("G2", cfg.weyl_cap),
@@ -408,13 +417,9 @@ def _suite_moduli(cfg: RunConfig):
 
     def components():
         out = {}
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            for case in ("B2", "C2", "G2"):
-                fc = moduli.fixed_components(case, sigma)
-                out[case] = {"labels": len(fc.labels), "full": fc.full_torsion}
+        for case in ("B2", "C2", "G2"):
+            fc = moduli.fixed_components(case, sigma)
+            out[case] = {"labels": len(fc.labels), "full": fc.full_torsion}
         return out
 
     claims.append(("moduli.fixed.components", components))

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._linalg import integer_kernel, reduced_echelon, smith_normal_form
 from .cases import Rows, case_spec
-from .lattice import F1, DivisorClass, IntersectionLattice, gram_matrix, make_blowup_lattice
+from .lattice import DivisorClass, IntersectionLattice, gram_matrix
 from .rootsys import (
     CoxeterWeylGroup,
     RootSystemData,
@@ -167,16 +167,6 @@ def case_points(case: str) -> FreePoints:
     """``free_points`` of the fold's invariance rows and zero sums, derived once per case."""
     rho = case_fold(case)
     return free_points(rho.invariance_rows + rho.zero_sums, rho.lattice.npoints)
-
-
-def point_relations(constraint: str, npoints: int) -> Rows:
-    """The rows R of a case name on an npoints-tuple, or for "A" the ambient zero sum."""
-    if constraint == "A":
-        return outer_automorphism("A", make_blowup_lattice(F1, npoints)).zero_sums
-    points = case_points(constraint)
-    if len(points.points) != npoints:
-        raise ValueError(f"{constraint} expects {len(points.points)} points, got {npoints}")
-    return points.relations
 
 
 def ambient_root_system(ambient: str, lat: IntersectionLattice) -> RootSystemData:

@@ -19,7 +19,6 @@ stack in one call, on the solver data ``abelian`` caches per
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
@@ -36,7 +35,6 @@ from .folding import (
     folded_simple_system,
     folded_weyl_group,
     free_points,
-    point_relations,
 )
 from .lattice import DivisorClass, IntersectionLattice
 from .rootsys import (
@@ -57,14 +55,6 @@ class PointAssignment:
 
     def __len__(self):
         return len(self.points)
-
-    def validate(self, constraint: str | None):
-        """Check the point relations of a case (see folding.point_relations); returns self."""
-        if constraint is None:
-            return self
-        if not holds(point_relations(constraint, len(self.points)), self.sigma, self.points):
-            raise ValueError(f"points violate the {constraint} relations")
-        return self
 
 
 def point_table(case: str, t: np.ndarray, sigma: SigmaModel) -> np.ndarray:
@@ -109,23 +99,16 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
     The label is the distinguished torsion datum of the case: x1 for B
     and G2 (a 2-torsion point), the common pair-sum value for C_n (an
     n-torsion point).  The component of the trivial bundle carries the
-    zero label.  When the group lacks full torsion the count degrades
-    and a warning is emitted.
+    zero label.  When the group lacks full torsion fewer labels are
+    visible, and ``full_torsion`` is False.
     """
     torsion = case_points(case).torsion
-    labels, expected = sigma.torsion(torsion), torsion**2
-    full = len(labels) == expected
-    if not full:
-        warnings.warn(
-            f"{case}: group (Z/{sigma.m1})x(Z/{sigma.m2}) lacks full torsion; "
-            f"{len(labels)} of {expected} components are visible",
-            stacklevel=2,
-        )
+    labels = sigma.torsion(torsion)
     return FixedComponents(
         labels=tuple(sorted(labels)),
         component_size=sigma.order**case_spec(case).rank,
         identity_label=sigma.zero,
-        full_torsion=full,
+        full_torsion=len(labels) == torsion**2,
     )
 
 
@@ -156,6 +139,7 @@ class ReconstructionStack:
     ``table`` is a read-only (N, npoints, 2) int64 array of points, block by
     block in the order of the images, each block sorted by points; ``image``
     (N,) is the index of the image each row solves, ``solvable`` is (n,) bool.
+    Block i is ``table[image == i]``.
     """
 
     solvable: np.ndarray
@@ -163,11 +147,6 @@ class ReconstructionStack:
     sigma: SigmaModel
     table: np.ndarray
     image: np.ndarray
-
-    def block(self, i: int) -> np.ndarray:
-        """The read-only (k, npoints, 2) rows that solve image i, sorted by points."""
-        lo, hi = np.searchsorted(self.image, [i, i + 1]).tolist()
-        return self.table[lo:hi]
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         """(n,) bool: whether row i of the (n, npoints, 2) point table x is in block i."""
@@ -180,7 +159,7 @@ def reconstruct_points(case: str, p_images, sigma: SigmaModel,
     """Recover all point assignments whose folded restriction data is each image of p_images.
 
     p_images is an (n, rank, 2) stack of images, rank points each; a single
-    image is passed as a stack of one and read back with ``block(0)``.
+    image is passed as a stack of one, and its rows are the whole table.
     Solves M P t = p_images over the group for the whole stack at once
     (``solve_group_stack``, which caches the Smith form of M P, its reduced
     inverses and the homogeneous solutions), maps every solution through P

@@ -123,13 +123,6 @@ class WeylElement:
     def apply(self, d: DivisorClass) -> DivisorClass:
         return DivisorClass(tuple(int(x) for x in self.mat @ np.array(d.coords, dtype=np.int64)))
 
-    def preserves_gram(self, lat: IntersectionLattice) -> bool:
-        g = np.array(lat.gram, dtype=np.int64)
-        return bool(np.array_equal(self.mat.T @ g @ self.mat, g))
-
-    def fixes(self, d: DivisorClass) -> bool:
-        return self.apply(d) == d
-
 
 def root_sublattice(lat: IntersectionLattice, orthogonal_to) -> RootSystemData:
     """All classes x with x.x = -2 orthogonal to the given classes."""
@@ -604,20 +597,11 @@ def weyl_generate(gens, cap: int = DEFAULT_CAP, rank: int | None = None) -> Weyl
     return WeylGroup(gens, gens[0].mat.shape[0] if gens else rank, cap)
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    elements: tuple
-    stabilizer_size: int | None
+def orbit(gens, seed, cap: int = DEFAULT_CAP) -> tuple:
+    """The sorted orbit of a class, or of a tuple of classes, under the generators.
 
-    def __len__(self):
-        return len(self.elements)
-
-
-def orbit(gens, seed, group: WeylGroup | None = None, cap: int = DEFAULT_CAP) -> OrbitResult:
-    """Orbit of a class (or tuple of classes) under the generated group.
-
-    When the group is supplied, the stabilizer size |G| / |orbit| is
-    reported alongside.
+    Read off ``_orbit_rows``, so it refuses past ``cap`` points and before
+    an entry could reach 2^62, as the group's own orbit walks do.
     """
     parts = [seed] if isinstance(seed, DivisorClass) else list(seed)
     rank = len(parts[0].coords)
@@ -627,11 +611,7 @@ def orbit(gens, seed, group: WeylGroup | None = None, cap: int = DEFAULT_CAP) ->
     for row in _orbit_rows(mats, vec, cap):
         classes = [DivisorClass(tuple(row[i:i + rank].tolist())) for i in range(0, len(row), rank)]
         elems.append(classes[0] if isinstance(seed, DivisorClass) else tuple(classes))
-    elems = tuple(sorted(elems))
-    stab = None
-    if group is not None and len(group) % len(elems) == 0:
-        stab = len(group) // len(elems)
-    return OrbitResult(elems, stab)
+    return tuple(sorted(elems))
 
 
 @lru_cache(maxsize=128)

@@ -116,12 +116,12 @@ def test_snf_invariants_random():
     mats += [_random_matrix(rng, 8) for _ in range(60)] + [_GROWTH_8X8]
     for a in mats:
         res = smith_normal_form(a)
-        u, s, v = [list(map(list, x)) for x in (res.u, res.s, res.v)]
-        assert mat_mul(mat_mul(u, s), v) == [list(r) for r in a]
-        assert abs(bareiss_det(u)) == 1
-        assert abs(bareiss_det(v)) == 1
-        assert all(abs(x) < 2**62 for t in (res.u, res.v, res.uinv, res.vinv)
-                   for row in t for x in row)
+        uinv, s, vinv = [list(map(list, x)) for x in (res.uinv, res.s, res.vinv)]
+        assert mat_mul(mat_mul(uinv, [list(r) for r in a]), vinv) == s
+        assert all(s[i][j] == 0 for i in range(len(s)) for j in range(len(s[0])) if i != j)
+        assert abs(bareiss_det(uinv)) == 1
+        assert abs(bareiss_det(vinv)) == 1
+        assert all(abs(x) < 2**62 for t in (res.uinv, res.vinv) for row in t for x in row)
         diag = res.diag
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:
@@ -169,6 +169,14 @@ def _brute_solutions(a, rhs, sigma):
     return sorted(out)
 
 
+def _rows(table):
+    return sorted(tuple(map(tuple, rows)) for rows in table.tolist())
+
+
+def _solution(res):
+    return tuple(map(tuple, res.particular[0].tolist()))
+
+
 def test_solver_agrees_with_brute_force():
     rng = random.Random(4)
     models = [make_sigma_model(1, 5), make_sigma_model(2, 2), make_sigma_model(2, 4), make_sigma_model(1, 8), make_sigma_model(3, 3)]
@@ -180,13 +188,12 @@ def test_solver_agrees_with_brute_force():
         res = solve_group_system(a, rhs, sigma)
         brute = _brute_solutions(a, rhs, sigma)
         if not brute:
-            assert not res.solvable
+            assert not res.solvable[0] and len(res.table) == 0
         else:
-            assert res.solvable
-            assert res.solutions is not None
-            assert list(res.solutions) == brute
+            assert res.solvable[0]
+            assert _rows(res.table) == brute
             assert res.kernel_size == len(brute)
-            assert res.solution in brute
+            assert _solution(res) in brute
         # kernel size x image size = |Sigma|^k
         hom = _brute_solutions(a, [sigma.zero] * k, sigma)
         images = set()
@@ -206,8 +213,8 @@ def test_solver_identity_matrix():
     sigma = make_sigma_model(2, 4)
     rhs = [(1, 3), (0, 2)]
     res = solve_group_system([[1, 0], [0, 1]], rhs, sigma)
-    assert res.solvable and res.kernel_size == 1
-    assert res.solution == tuple(rhs)
+    assert res.solvable[0] and res.kernel_size == 1
+    assert _solution(res) == tuple(rhs)
 
 
 def test_b2_style_system_over_coprime_and_torsion():
@@ -216,14 +223,14 @@ def test_b2_style_system_over_coprime_and_torsion():
     sig5 = make_sigma_model(1, 5)
     for rhs in product(list(sig5.elements()), repeat=2):
         res = solve_group_system(b2, list(rhs), sig5)
-        assert res.solvable and res.kernel_size == 1
+        assert res.solvable[0] and res.kernel_size == 1
     sig22 = make_sigma_model(2, 2)
     res = solve_group_system(b2, [sig22.zero, sig22.zero], sig22)
-    assert res.solvable and res.kernel_size == 16
+    assert res.solvable[0] and res.kernel_size == 16
     unsolvable = 0
     for rhs in product(list(sig22.elements()), repeat=2):
         r = solve_group_system(b2, list(rhs), sig22)
-        if not r.solvable:
+        if not r.solvable[0]:
             unsolvable += 1
     assert unsolvable == 15  # image has size |Sigma|^2 / 16 = 1
 
@@ -293,8 +300,8 @@ def test_solver_reduces_vinv_before_int64(a):
         rhs = [sigma.combine(row, x0) for row in a]
         res = solve_group_system(a, rhs, sigma)
         brute = _brute_solutions(a, rhs, sigma)
-        assert res.solvable and list(res.solutions) == list(res) == brute
-        assert res.solution in brute and res.kernel_size == len(brute)
+        assert res.solvable[0] and _rows(res.table) == brute
+        assert _solution(res) in brute and res.kernel_size == len(brute)
 
 
 def test_solver_tables_are_read_only_and_the_cache_holds():
@@ -302,19 +309,34 @@ def test_solver_tables_are_read_only_and_the_cache_holds():
     a, rhs = [[-2, 0], [2, -2]], [(0, 0), (0, 2)]
     first = solve_group_system(a, rhs, sigma)
     assert first.table.shape == (first.kernel_size, 2, 2)
+    kernel = abelian._solver_data(tuple(map(tuple, a)), sigma.m1, sigma.m2).kernel
     with pytest.raises(ValueError):
-        first.table[0, 0, 0] = 1
+        kernel[0, 0, 0] = 1
     with pytest.raises(ValueError):
-        first.table[...] = 0
+        kernel[...] = 0
+    # a returned table is the caller's own: writing to it leaves the cache intact
+    expected, first.table[...] = first.table.copy(), 0
     again = solve_group_system(a, rhs, sigma)
-    assert np.array_equal(again.table, first.table) and again.solutions == first.solutions
-    assert again.solutions == tuple(_brute_solutions(a, rhs, sigma))
+    assert abelian._solver_data(tuple(map(tuple, a)), sigma.m1, sigma.m2).kernel is kernel
+    assert np.array_equal(again.table, expected)
+    assert _rows(again.table) == _brute_solutions(a, rhs, sigma)
 
 
 def test_solver_refuses_moduli_that_could_overflow():
     with pytest.raises(OverflowError):
         solve_group_system([[1, 0]], [(0, 0)], make_sigma_model(1, 2**31))
-    assert solve_group_system([[1]], [(0, 5)], make_sigma_model(1, 2**30)).solution == ((0, 5),)
+    assert _solution(solve_group_system([[1]], [(0, 5)], make_sigma_model(1, 2**30))) == ((0, 5),)
+
+
+def test_one_row_solver_refuses_past_its_cap():
+    # x = 0 over (Z/2)^2 in four unknowns has 2^8 solutions; the cap refuses, it never truncates
+    sigma, a = make_sigma_model(2, 2), [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+    assert solve_group_system(a, [sigma.zero] * 4, sigma, enumerate_cap=256).kernel_size == 256
+    with pytest.raises(BudgetExceededError, match="256 solutions per image exceed"):
+        solve_group_system(a, [sigma.zero] * 4, sigma, enumerate_cap=255)
+    # an unsolvable right-hand side has no solutions to refuse
+    unsolvable = solve_group_system([[2]], [(0, 1)], sigma, enumerate_cap=1)
+    assert not unsolvable.solvable[0] and len(unsolvable.table) == 0
 
 
 _STACK_GROUPS = [(m1, m2) for m2 in range(1, 13) for m1 in range(1, m2 + 1)
@@ -340,10 +362,6 @@ def _stacked_systems(draw):
     return sigma, a, rhs
 
 
-def _rows(table):
-    return sorted(tuple(map(tuple, rows)) for rows in table.tolist())
-
-
 @settings(max_examples=120, deadline=None)
 @given(_stacked_systems())
 def test_stacked_solver_matches_brute_force_and_the_one_row_solver(system):
@@ -352,12 +370,12 @@ def test_stacked_solver_matches_brute_force_and_the_one_row_solver(system):
     assert stack.solvable.shape == (len(rhs),) and len(stack.table) == len(stack.image)
     for i, b in enumerate(rhs):
         one, brute = solve_group_system(a, b, sigma), _brute_solutions(a, b, sigma)
-        assert bool(stack.solvable[i]) == one.solvable == bool(brute)
+        assert bool(stack.solvable[i]) == bool(one.solvable[0]) == bool(brute)
         assert stack.kernel_size == one.kernel_size
-        assert _rows(stack.table[stack.image == i]) == list(one) == brute
+        assert _rows(stack.table[stack.image == i]) == _rows(one.table) == brute
         if brute:
             assert one.kernel_size == len(brute)
-            assert tuple(map(tuple, stack.particular[i].tolist())) == one.solution
+            assert tuple(map(tuple, stack.particular[i].tolist())) == _solution(one)
     # one cap below the kernel: a batch with a solvable row refuses before any table is built
     with mock.patch.object(abelian._SolverData, "solutions", side_effect=AssertionError("built")):
         if stack.solvable.any():

@@ -1,6 +1,6 @@
 """The case registry and the derived point relations against the hand-written ones they replaced.
 
-The oracles below are the per-case bodies that ``PointAssignment.validate``,
+The oracles below are the per-case bodies that the point-relation check,
 ``invariance_closed_form``, ``case_system_matrix`` and the F4
 reconstruction system had before every case fact was read from
 ``picfold.cases``, and the point matrices P and torsion orders that
@@ -17,8 +17,9 @@ import pytest
 from picfold import cli, folding
 from picfold._linalg import bareiss_det, smith_normal_form
 from picfold.abelian import make_sigma_model, solve_group_system
-from picfold.cases import case_spec
-from picfold.folding import case_points, point_relations
+from picfold.cases import case_spec, holds
+from picfold.folding import case_points
+from picfold.lattice import F1, make_blowup_lattice
 from picfold.moduli import (
     PointAssignment,
     case_system_matrix,
@@ -122,7 +123,7 @@ def random_admissible_oracle(case, sigma, rng):
     else:  # F4, t = (x1, x2, x3, x4): the pair sums equal p = x3 + x4
         x1, x2, x3, x4 = (rng.choice(els) for _ in range(4))
         p = sigma.add(x3, x4)
-        pts = (x1, x2, x3, x4, sigma.sub(p, x2), sigma.sub(p, x1))
+        pts = (x1, x2, x3, x4, sigma.add(p, sigma.neg(x2)), sigma.add(p, sigma.neg(x1)))
     return PointAssignment(sigma, pts)
 
 
@@ -158,9 +159,14 @@ def test_free_points_of_the_ambient_zero_sums():
     # no rows: every point free; the A zero sum: x = (t, -sum t); no integral echelon basis
     assert folding.free_points((), 3) == (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (), 1)
     assert folding.free_points(((1, 1, 1),), 3) == (((1, 0), (0, 1), (-1, -1)), ((1, 1, 1),), 1)
-    assert point_relations("A", 3) == ((1, 1, 1),)
+    assert _ambient_zero_sums(3) == ((1, 1, 1),)
     with pytest.raises(ValueError, match="no integral basis"):
         folding.free_points(((1, 2),), 2)  # x1 = -2 x2: x2 = -x1 / 2
+
+
+def _ambient_zero_sums(npoints):
+    """The zero-sum rows of the A fold on npoints points."""
+    return folding.outer_automorphism("A", make_blowup_lattice(F1, npoints)).zero_sums
 
 
 def _points_of_mutated_fold(monkeypatch, case, **changes):
@@ -209,38 +215,30 @@ def test_relations_are_the_saturated_left_kernel_of_p(case):
 @pytest.mark.parametrize("case", CASES)
 def test_relations_and_closed_form_match_the_oracles(case):
     sigma = _sigma_for(case)
+    relations = case_points(case).relations
     for x in product(list(sigma.elements()), repeat=case_spec(case).npoints):
         pa = PointAssignment(sigma, x)
-        if validate_oracle(case, sigma, x):
-            assert pa.validate(case) is pa
-        else:
-            with pytest.raises(ValueError):
-                pa.validate(case)
+        assert holds(relations, sigma, x) == validate_oracle(case, sigma, x)
         assert invariance_closed_form(case, pa) == closed_form_oracle(case, sigma, x)
 
 
 def test_ambient_zero_sum_matches_the_oracle():
-    sigma = make_sigma_model(2, 4)
+    sigma, zero_sums = make_sigma_model(2, 4), _ambient_zero_sums(4)
     for x in product(list(sigma.elements()), repeat=4):
-        pa = PointAssignment(sigma, x)
-        if validate_oracle("A", sigma, x):
-            assert pa.validate("A") is pa
-        else:
-            with pytest.raises(ValueError):
-                pa.validate("A")
+        assert holds(zero_sums, sigma, x) == validate_oracle("A", sigma, x)
 
 
 def test_point_relations_reject_unknown_names_and_counts():
     # the bare family names "B" and "C" are not case names
     for name in ("A3", "D4", "E6", "B", "C", "Bx", "C0", "G3", "F", ""):
         with pytest.raises(ValueError):
-            point_relations(name, 4)
-    with pytest.raises(ValueError):
-        point_relations("B3", 3)
-    with pytest.raises(ValueError):
-        point_relations("C2", 5)
-    # a closed form never reads a tuple of the wrong length
+            case_points(name)
+    # neither the relations nor a closed form read a tuple of the wrong length
     sigma = make_sigma_model(2, 2)
+    with pytest.raises(ValueError):
+        holds(case_points("B3").relations, sigma, (sigma.zero,) * 3)
+    with pytest.raises(ValueError):
+        holds(case_points("C2").relations, sigma, (sigma.zero,) * 5)
     with pytest.raises(ValueError):
         invariance_closed_form("F4", PointAssignment(sigma, (sigma.zero,) * 5))
 
@@ -252,8 +250,8 @@ def test_system_matrix_is_m_times_p(case):
 
 def _six_unknown_f4(p_images, sigma):
     res = solve_group_system(F4_SIX_UNKNOWNS, list(p_images) + [sigma.zero] * 2, sigma)
-    pts = sorted(res.solutions) if res.solvable else []
-    return res.solvable, res.kernel_size, pts
+    pts = sorted(tuple(map(tuple, x)) for x in res.table.tolist())
+    return res.solvable[0], res.kernel_size, pts
 
 
 @pytest.mark.parametrize("m1,m2", [(2, 2), (3, 3)])
@@ -263,7 +261,7 @@ def test_f4_reconstruction_matches_the_six_unknown_system(m1, m2):
         res = reconstruct_points("F4", [imgs], sigma)
         solvable, kernel, pts = _six_unknown_f4(imgs, sigma)
         assert (res.solvable[0], res.kernel_size) == (solvable, kernel)
-        assert [tuple(map(tuple, x)) for x in res.block(0).tolist()] == pts
+        assert [tuple(map(tuple, x)) for x in res.table.tolist()] == pts
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -276,7 +274,7 @@ def test_random_admissible_is_p_times_t(case):
             assert x.shape == (20, case_spec(case).npoints, 2)
             drawn = [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in x.tolist()]
             assert drawn == [random_admissible_oracle(case, sigma, old) for _ in range(20)]
-            assert all(pa.validate(case) is pa for pa in drawn)
+            assert all(holds(case_points(case).relations, sigma, pa.points) for pa in drawn)
             assert new.random() == old.random()
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,31 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert doc["run"]["config"]["sigma"] == [2, 2]  # flag overrides file
     assert doc["run"]["config"]["rank_b"] == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("--rank-b", "0"), ("--rank-c", "0"), ("--rank-b", "1")])
+def test_a_rank_below_two_is_a_configuration_error(tmp_path, capsys, flag, value):
+    # an explicit 0 is not dropped in favour of the default; no claim runs
+    out = tmp_path / "r.json"
+    assert main(["verify", "configs", flag, value, "--format", "json", "--out", str(out)]) == 2
+    assert "ranks must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+    p = tmp_path / "cfg"
+    p.write_text("ranks.c = 1\n")
+    assert main(["verify", "configs", "--config", str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("line", ["budget.weyl_cap = -5", "budget.weyl_cap = 0",
+                                  "budget.action_cap = 0"])
+def test_a_cap_below_one_is_a_configuration_error(tmp_path, capsys, line):
+    cfg, out = tmp_path / "cap.cfg", tmp_path / "r.json"
+    cfg.write_text(line + "\n")
+    assert main(["verify", "folding", "--config", str(cfg), "--format", "json",
+                 "--out", str(out)]) == 2
+    assert "caps must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_curve_adapter_drives_sigma(tmp_path, capsys):
@@ -268,6 +294,21 @@ def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
     assert "exceeds the action cap 100000000" in status["moduli.chi.injective.F4"]["witness"]
     others = [r["status"] for cid, r in status.items() if cid != "moduli.chi.injective.F4"]
     assert set(others) == {"pass"}
+    capsys.readouterr()
+
+
+def test_moduli_suite_emits_no_warning(tmp_path, capsys):
+    # at 3 x 3 there is no full 2-torsion: B2, C2 and G2 say so in the witness, not in a warning
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify", "moduli", "--sigma", "3,3", "--format", "json", "--out", str(out)])
+    assert rc == 0
+    status = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    components = status["moduli.fixed.components"]
+    assert components["status"] == "pass"
+    assert {case: v["full"] for case, v in components["witness"].items()} == {
+        "B2": False, "C2": False, "G2": False}
     capsys.readouterr()
 
 

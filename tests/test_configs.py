@@ -163,8 +163,8 @@ def test_transitivity_reports_unreached_for_a_proper_subgroup(case):
     sub = weyl_generate(w.gens[:-1])
     rep = simple_transitivity_check(systems, sub)
     assert rep.offending[0] == "unreached"
-    assert rep.orbit_size == len(orbit(sub.gens, systems[0]).elements) < len(systems)
-    assert rep.offending[1] not in orbit(sub.gens, systems[0]).elements
+    assert rep.orbit_size == len(orbit(sub.gens, systems[0])) < len(systems)
+    assert rep.offending[1] not in orbit(sub.gens, systems[0])
     assert rep == bytes_transitivity_check(systems, sub)
 
 
@@ -211,7 +211,7 @@ def test_transitivity_reports_the_stabilizer_of_a_partial_system():
     lat = case_spec("B3").lattice
     w = folded_weyl_group("B3")
     full = enumerate_exceptional_systems("B3")
-    systems = rows_over(full.table, orbit(w.gens, full[0][:2]).elements)
+    systems = rows_over(full.table, orbit(w.gens, full[0][:2]))
     rep = simple_transitivity_check(systems, w)
     assert rep.offending == ("stabilizer", len(w) // len(systems))
     assert len(systems) < len(w) and rep.orbit_size == len(systems)
@@ -261,7 +261,7 @@ def test_blowdown_matches_weyl_orbit_exactly():
     base = tuple(lat.l(i) for i in range(1, 5))
     from picfold.rootsys import orbit
 
-    reachable = set(orbit(gens, base).elements)
+    reachable = set(orbit(gens, base))
     # candidates: all sign/permutation patterns
     from itertools import permutations, product
 
@@ -390,7 +390,7 @@ def test_triangle_stabilizers(cubic, weyl_e6):
 
     wd4 = weyl_generate([reflection(cubic, r) for r in d4_simple])
     assert len(wd4) == ordered.order
-    assert all(g.fixes(e) for g in wd4.gens for e in tri)
+    assert all(g.apply(e) == e for g in wd4.gens for e in tri)
 
 
 def test_triangle_orbits(cubic, weyl_e6):
@@ -399,9 +399,10 @@ def test_triangle_orbits(cubic, weyl_e6):
     gens = simple_reflections(standard_simple_system("E6", cubic), cubic)
     h, l = cubic.h, cubic.l
     tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
-    ordered_orbit = orbit(gens, tri, group=weyl_e6)
-    assert len(ordered_orbit) == 270
-    unordered = {frozenset(t) for t in ordered_orbit.elements}
+    ordered_orbit = orbit(gens, tri)
+    assert len(ordered_orbit) == 270 and len(weyl_e6) // len(ordered_orbit) == 192
+    assert len(weyl_e6) % len(ordered_orbit) == 0
+    unordered = {frozenset(t) for t in ordered_orbit}
     assert len(unordered) == 45
     data = cubic_combinatorics(cubic)
     assert unordered == set(data.triangles)  # transitive on all triangles

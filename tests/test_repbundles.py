@@ -13,7 +13,7 @@ from picfold.abelian import SigmaModel, SymbolicSigma, make_sigma_model
 from picfold.cases import holds
 from picfold._linalg import rational_solve
 from picfold.configs import enumerate_exceptional_systems
-from picfold.folding import case_points, fixed_sublattice, outer_automorphism, point_relations
+from picfold.folding import case_points, fixed_sublattice, outer_automorphism
 from picfold.lattice import F1, P2, make_blowup_lattice
 from picfold.moduli import PointAssignment, invariance_agreement_exhaustive, u_point
 from picfold.repbundles import (
@@ -166,11 +166,17 @@ def test_wedge_powers(lat4):
         wedge_power(v, 5)
 
 
+def _checked(sigma, pts, relations):
+    """The assignment of pts, which must satisfy the relation rows."""
+    assert holds(relations, sigma, pts)
+    return PointAssignment(sigma, tuple(pts))
+
+
 def test_determinant_restricts_to_trivial_point(lat4):
     # with points summing to zero, det(standard) = (2n, 0)
     sigma = make_sigma_model(1, 9)
     pts = [(0, 2), (0, 3), (0, 1), (0, 3)]
-    pa = PointAssignment(sigma, tuple(pts)).validate("A")
+    pa = _checked(sigma, pts, outer_automorphism("A", lat4).zero_sums)
     det = sum((lat4.l(i) for i in range(2, 5)), lat4.l(1))
     assert line_class_of(lat4, pa, det) == (4, sigma.zero)
 
@@ -191,7 +197,7 @@ def test_middle_wedge_self_dual_under_constraint(lat4):
     mid = wedge_power(v, 2)
     for _ in range(100):
         a, b = rng.choice(els), rng.choice(els)
-        pa = PointAssignment(sigma, (a, b, sigma.neg(b), sigma.neg(a))).validate("C2")
+        pa = _checked(sigma, (a, b, sigma.neg(b), sigma.neg(a)), case_points("C2").relations)
         restricted = restrict_bundle(mid, lat4, pa)
         det = line_class_of(lat4, pa, sum((lat4.l(i) for i in range(2, 5)), lat4.l(1)))
         other = tensor_line(dual(restricted, sigma), det, sigma)
@@ -204,8 +210,8 @@ def test_f4_rep_decomposition(cubic):
     els = list(sigma.elements())
     for _ in range(5):
         x1, x2, x3, p = (rng.choice(els) for _ in range(4))
-        pts = (x1, x2, x3, sigma.sub(p, x3), sigma.sub(p, x2), sigma.sub(p, x1))
-        pa = PointAssignment(sigma, pts).validate("F4")
+        pts = (x1, x2, x3, *(sigma.add(p, sigma.neg(x)) for x in (x3, x2, x1)))
+        pa = _checked(sigma, pts, case_points("F4").relations)
         dec = f4_rep_decomposition(cubic, pa)
         assert dec.trace_kernel_rank == 2
         assert dec.common_class == (1, sigma.neg(p))
@@ -234,8 +240,8 @@ def test_f4_decomposition_symbolic(cubic):
     # generic check with formal parameters x1, x2, x3, p
     sym = SymbolicSigma(4)
     x1, x2, x3, p = (sym.gen(i) for i in range(4))
-    pts = (x1, x2, x3, sym.sub(p, x3), sym.sub(p, x2), sym.sub(p, x1))
-    pa = PointAssignment(sym, pts).validate("F4")
+    pts = (x1, x2, x3, *(sym.add(p, sym.neg(x)) for x in (x3, x2, x1)))
+    pa = _checked(sym, pts, case_points("F4").relations)
     dec = f4_rep_decomposition(cubic, pa)
     assert dec.common_class == (1, sym.neg(p))
     assert len(set(dec.short_root_map.values())) == 24
@@ -252,7 +258,7 @@ def test_loci_match_the_scalar_oracle(lat3, lat4, m1, m2):
     sigma = make_sigma_model(m1, m2)
     els = list(sigma.elements())
     ident, zero = spinor_locus(lat3, sigma)
-    b_rel = point_relations("B2", 3)
+    b_rel = case_points("B2").relations
     for col, x in enumerate(product(els, repeat=3)):
         pa = PointAssignment(sigma, x)
         for i in range(3):
@@ -269,10 +275,10 @@ def test_loci_match_the_scalar_oracle(lat3, lat4, m1, m2):
         assert masks["w_sm"][col] == twisted_identity(lat4, pa, "vector", -l4, "spinor_minus")
         assert masks["relations"][col] == holds(g2_rel, sigma, x)
     identity, paired = wedge_locus(lat4, sigma)
-    v = weight_bundle("standard", lat4)
+    v, zero_sum = weight_bundle("standard", lat4), outer_automorphism("A", lat4).zero_sums
     for col, t in enumerate(product(els, repeat=3)):
         x = t + (sigma.neg(sigma.combine((1, 1, 1), t)),)
-        pa = PointAssignment(sigma, x).validate("A")
+        pa = _checked(sigma, x, zero_sum)
         lhs = tensor_line(restrict_bundle(v, lat4, pa), line_class_of(lat4, pa, lat4.f), sigma)
         assert identity[col] == check_identification(
             lhs, restrict_bundle(wedge_power(v, 3), lat4, pa))
