@@ -7,7 +7,11 @@ The Weierstrass adapter grounds the group law on an actual curve over a
 small prime field by brute-force point enumeration.
 
 Every exhaustive check over point tuples walks Sigma^k in bounded chunks
-through one generator, ``SigmaModel.form_chunks``.
+through one generator, ``SigmaModel.form_chunks``, which yields the point
+codes a m2 + b of a block of integer forms: each chunk is one gather from
+a table of the forms' trailing values, translated by every element.  The
+walk's size, |Sigma|^k, is checked against a cap first
+(``SigmaModel.tuple_count``).
 
 Integer linear systems A x = b over a SigmaModel are solved through the
 Smith normal form, both cyclic factors at once, for a whole (n, nrows, 2)
@@ -31,7 +35,6 @@ from .rootsys import BudgetExceededError
 GroupElement = tuple[int, int]
 
 _CHUNK_ROWS = 1 << 15  # the most tuples in a chunk of SigmaModel.form_chunks
-_TABLE_ROWS = 1 << 11  # the most tuples of trailing coordinates tabulated once
 
 
 class SingularCurveError(ValueError):
@@ -92,40 +95,69 @@ class SigmaModel:
     def is_zero(self, x: GroupElement) -> bool:
         return x == (0, 0)
 
+    def tuple_count(self, k: int, cap: int) -> int:
+        """|Sigma|^k, the tuples a walk of Sigma^k visits; ``BudgetExceededError`` past ``cap``."""
+        n = self.order**k
+        if n > cap:
+            raise BudgetExceededError(f"{n} tuples of Sigma^{k} exceed the action cap {cap}")
+        return n
+
     def form_chunks(self, forms):
-        """Yield (cols, residues) for integer forms (K, k) at every t in Sigma^k, chunk by chunk.
+        """Yield (cols, codes) for integer forms (K, k) at every t in Sigma^k, chunk by chunk.
 
         Tuples come in the order of ``itertools.product(self.elements(),
         repeat=k)``; ``cols`` is the chunk's slice of tuple numbers, at most
-        ``_CHUNK_ROWS`` long, and ``residues`` is (2, K, len) holding forms @ t
-        mod (m1, m2) in the smallest unsigned dtype that holds two residues.
-        The trailing coordinates' values are tabulated once (at most
-        ``_TABLE_ROWS`` tuples); each chunk adds the leading ones to them.
+        ``_CHUNK_ROWS`` long, and ``codes`` is (K, len) holding the point code
+        a m2 + b of forms @ t = (a, b), in the smallest unsigned dtype that
+        holds |Sigma| - 1.  The code of an element is its index in
+        ``elements()``.
 
-        Every chunk is built in two buffers allocated once per walk, the sum
-        and its wrapped difference, and ``residues`` is a view into the
-        first: a chunk is valid until the next one is requested.  A caller
-        that keeps one must copy it.
+        A tuple is a head, its leading k - w coordinates, and a tail, the
+        last w, with w < k the largest such that |Sigma|^(w+1) <=
+        ``_CHUNK_ROWS`` (w = 0 past that).  Once per walk, each form's value
+        on every tail is translated by every g in Sigma, componentwise: the
+        table T[f, g] = code(g + tail_f), K |Sigma| rows of |Sigma|^w codes,
+        no larger than a chunk nor than the whole walk.  A chunk is a run of
+        heads with all their tails: each form's head value g picks its row
+        T[f, g], one ``np.take`` for the chunk.
+
+        Every chunk is gathered into one contiguous buffer allocated once per
+        walk, and ``codes`` is a view into it: a chunk is valid until the
+        next one is requested.  A caller that keeps one must copy it.
         """
-        k, order = forms.shape[1], self.order
-        t = max(j for j in range(k + 1) if order**j <= min(_CHUNK_ROWS, _TABLE_ROWS))
-        width, nlead, step = order**t, order ** (k - t), _CHUNK_ROWS // order**t
-        mods = np.array([[[self.m1]], [[self.m2]]], np.min_scalar_type(max(2 * self.m2, order)))
+        nforms, k, order = *forms.shape, self.order
+        w = max([j for j in range(k) if order ** (j + 1) <= _CHUNK_ROWS], default=0)
+        width, nhead = order**w, order ** (k - w)
+        step = _CHUNK_ROWS // width
+        m1, m2, code = self.m1, self.m2, np.min_scalar_type(order - 1)
 
-        def values(idx, f):  # f on the tuples numbered idx, read as base-|Sigma| digits
-            e = idx // order ** np.arange(f.shape[1])[::-1, None] % order
-            return (np.stack([f @ (e // self.m2), f @ (e % self.m2)]) % mods).astype(mods.dtype)
+        el, wide = np.arange(order), np.min_scalar_type(max(2 * m2, order))
 
-        tail = values(np.arange(width), forms[:, k - t:])[:, :, None, :]
-        total, wrapped = (np.empty((2, len(forms), min(step, nlead), width), mods.dtype)
-                          for _ in range(2))
-        for g0 in range(0, nlead, step):  # step leading tuples, each with every tail
-            head = values(np.arange(g0, min(g0 + step, nlead)), forms[:, :k - t])
-            s, d = (buf[:, :, :head.shape[2]] for buf in (total, wrapped))
-            np.add(tail, head[..., None], out=s)
-            np.subtract(s, mods[..., None], out=d)  # wrap, then min
-            yield (slice(g0 * width, g0 * width + s.shape[2] * width),
-                   np.minimum(s, d, out=s).reshape(2, len(forms), -1))
+        def wrapped(x, m):  # x mod m for 0 <= x < 2m: below m, x - m wraps past x
+            return np.minimum(x, x - wide.type(m), out=x)
+
+        # the tails' residues mod m1 and mod m2, each coordinate broadcast onto the ones before
+        ta, tb = (np.zeros((nforms, 1), wide) for _ in range(2))
+        for c in forms[:, k - w:].T:
+            ta, tb = (wrapped(v[:, :, None] + (c[:, None] * e % m).astype(wide)[:, None], m)
+                      .reshape(nforms, -1) for v, e, m in ((ta, el // m2, m1), (tb, el % m2, m2)))
+        # T[f, (a, b)] = code(tail_f + (a, b)): each factor translated by each of its residues
+        ga = wrapped(ta[:, None] + np.arange(m1, dtype=wide)[:, None], m1) * wide.type(m2)
+        gb = wrapped(tb[:, None] + np.arange(m2, dtype=wide)[:, None], m2)
+        table = np.empty((nforms, m1, m2, width), code)
+        np.add(ga[:, :, None], gb[:, None], out=table)
+        table = table.reshape(nforms * order, width)
+
+        rows, head = np.arange(nforms)[:, None] * order, forms[:, :k - w]
+        buf = np.empty(nforms * min(step, nhead) * width, code)
+        for h0 in range(0, nhead, step):
+            idx = np.arange(h0, min(h0 + step, nhead))
+            e = idx // order ** np.arange(k - w)[::-1, None] % order  # the heads' elements
+            g = head @ (e // m2) % m1 * m2 + head @ (e % m2) % m2
+            codes = buf[:g.size * width].reshape(nforms, len(idx), width)  # contiguous
+            # in range by construction; mode "raise" would gather into a copy of out
+            np.take(table, rows + g, axis=0, out=codes, mode="clip")
+            yield slice(h0 * width, (h0 + len(idx)) * width), codes.reshape(nforms, -1)
 
 
 class SymbolicSigma:

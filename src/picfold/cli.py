@@ -410,7 +410,7 @@ def _suite_moduli(cfg: RunConfig):
     def agreement():
         out = {}
         for case in ("B2", "C2", "G2", "F4"):
-            out[case] = moduli.invariance_agreement_exhaustive(case, sigma)
+            out[case] = moduli.invariance_agreement_exhaustive(case, sigma, cfg.action_cap)
         return out
 
     claims.append(("moduli.invariance.agreement", agreement))
@@ -510,14 +510,14 @@ def _suite_repbundles(cfg: RunConfig):
     def spinor_iff():
         lat = lattice.make_blowup_lattice("F1", 3)
         sig = abelian.make_sigma_model(5, 5)
-        ident, zero = repbundles.spinor_locus(lat, sig)
+        ident, zero = repbundles.spinor_locus(lat, sig, cfg.action_cap)
         check(np.array_equal(ident, zero), "spinor identity locus differs from the zero locus")
         return {"tuples": int(ident.shape[1]), "indices": 3}
 
     def g2_iff():
         lat = lattice.make_blowup_lattice("F1", 4)
         sig = abelian.make_sigma_model(5, 5)
-        masks = repbundles.g2_triple_locus(lat, sig)
+        masks = repbundles.g2_triple_locus(lat, sig, cfg.action_cap)
         lhs = masks["sp_sm"] & masks["w_sp"]
         rhs = masks["relations"]
         check(np.array_equal(lhs, rhs), "G2 triple locus differs from the G2 point relations")
@@ -526,7 +526,7 @@ def _suite_repbundles(cfg: RunConfig):
     def wedge_iff():
         lat = lattice.make_blowup_lattice("F1", 4)
         sig = abelian.make_sigma_model(7, 7)
-        identity, paired = repbundles.wedge_locus(lat, sig)
+        identity, paired = repbundles.wedge_locus(lat, sig, cfg.action_cap)
         check(np.array_equal(identity, paired), "wedge identity locus differs from the paired locus")
         return {"tuples": int(identity.shape[0]), "locus": int(paired.sum())}
 

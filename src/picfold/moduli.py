@@ -184,28 +184,30 @@ def folded_images(case: str, x: np.ndarray, sigma: SigmaModel) -> np.ndarray:
     return np.array(_folded_simple_coeffs(case), dtype=np.int64) @ x % np.array([sigma.m1, sigma.m2])
 
 
-def invariance_agreement_exhaustive(case: str, sigma: SigmaModel) -> int:
+def invariance_agreement_exhaustive(case: str, sigma: SigmaModel, cap: int = 10**8) -> int:
     """Check closed form == direct comparison on every point tuple; raise at the first miss.
 
     Both sides are forms in x = params t that must vanish, over every t in
-    Sigma^k (``SigmaModel.form_chunks``): u(a_{perm(i)}) - u(a_i) on the
-    simple roots, and Q.  params is the ``free_points`` basis of the
-    ambient's ``zero_sums``: the identity, or x = (t, -sum t) for A.
-    Returns the number of tuples checked.
+    Sigma^k: u(a_{perm(i)}) - u(a_i) on the simple roots, and Q.  params is
+    the ``free_points`` basis of the ambient's ``zero_sums``: the identity,
+    or x = (t, -sum t) for A.  The walk (``SigmaModel.form_chunks``) yields
+    each form's point codes, and a form is nonzero where its code is.  The
+    |Sigma|^k tuples are checked against ``cap`` before the walk starts
+    (``SigmaModel.tuple_count``).  Returns the number of tuples checked.
     """
     rho = case_fold(case)
     params = np.array(free_points(rho.zero_sums, rho.lattice.npoints).points, dtype=np.int64)
     k = params.shape[1]
+    count = sigma.tuple_count(k, cap)
     direct = [row for row in rho.invariance_rows if any(row)]
     forms = np.array(direct + list(case_spec(case).invariance), dtype=np.int64) @ params
-    for cols, r in sigma.form_chunks(forms):
-        hit = r.any(axis=0)  # (forms, tuples): the form is nonzero there
-        miss = np.flatnonzero(hit[:len(direct)].any(axis=0) != hit[len(direct):].any(axis=0))
+    for cols, codes in sigma.form_chunks(forms):
+        miss = np.flatnonzero(codes[:len(direct)].any(axis=0) != codes[len(direct):].any(axis=0))
         if len(miss):
             t = next(islice(product(sigma.elements(), repeat=k), cols.start + miss[0], None))
             raise AssertionError(f"{case}: closed form and direct comparison disagree at "
                                  f"{tuple(sigma.combine(row, t) for row in params.tolist())}")
-    return sigma.order**k
+    return count
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,14 @@ point is a linear form in the blow-up points, and a twisted summand's
 form is the sum of the two (-x_i for -l_i; s and f restrict to 0).
 The degree multisets of two compared sides are checked once (a mismatch
 raises), and the (degree, form) summands the sides share are cancelled.
-Sigma^k is walked chunk by chunk through ``SigmaModel.form_chunks``;
-each distinct form left is evaluated once per chunk, as one row of point
-codes a m2 + b, and the rest of each side is compared per degree after
-Batcher's odd-even merge network (*Sorting networks and their
-applications*, 1968).  A relation side R x = 0 is a block of forms whose
-codes must vanish.
+Sigma^k is walked chunk by chunk through ``SigmaModel.form_chunks``,
+which yields each distinct form as one row of point codes a m2 + b; the
+rest of each side is compared per degree after Batcher's odd-even merge
+network (*Sorting networks and their applications*, 1968), whose
+comparators write into buffers kept for the walk.  A relation side
+R x = 0 is a block of forms whose codes must vanish.  Every walk is
+checked against its cap before anything is allocated
+(``SigmaModel.tuple_count``).
 """
 
 from __future__ import annotations
@@ -147,15 +149,35 @@ def _merge_network(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(net)
 
 
-def _sorted_rows(rows):
-    """Sort every column of k rows through ``_merge_network(k)``."""
+def _sorted_rows(rows, work=None):
+    """Sort every column of k rows through ``_merge_network(k)``; the rows are only read.
+
+    Each comparator writes its min and max with ``out=`` into rows of
+    ``work``, k + 1 buffers shaped like a row (allocated when None), so none
+    allocates: a row whose buffer the network has already taken is
+    overwritten in place, and a buffer is released when its row is
+    replaced.  Returns the k sorted rows, as views of ``work`` or of the
+    input rows the network never touched.
+    """
     rows = list(rows)
-    for i, j in _merge_network(len(rows)):
-        rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+    net = _merge_network(len(rows))
+    if not net:
+        return rows
+    free = list(np.empty((len(rows) + 1, *rows[0].shape), rows[0].dtype) if work is None else work)
+    owned = [False] * len(rows)
+    for i, j in net:
+        a, b = rows[i], rows[j]
+        lo, hi = free.pop(), b if owned[j] else free.pop()
+        np.minimum(a, b, out=lo)
+        np.maximum(a, b, out=hi)
+        if owned[i]:
+            free.append(a)
+        rows[i], rows[j] = lo, hi
+        owned[i] = owned[j] = True
     return rows
 
 
-def _locus_masks(lat, sigma, params, pairs, relations=()):
+def _locus_masks(lat, sigma, params, pairs, relations=(), cap=10**8):
     """Masks over t in Sigma^k, in ``SigmaModel.form_chunks`` order, with the points x = params t.
 
     One row per pair ((summands, twist), (summands, twist)) of sides that
@@ -164,9 +186,11 @@ def _locus_masks(lat, sigma, params, pairs, relations=()):
     the full sides must agree (else ``ValueError``).  The summands the two
     sides share are cancelled first, which is exact: A ⊎ C = B ⊎ C as
     multisets at a point iff A = B there.  What is left is compared per
-    degree, point codes a m2 + b sorted by a merge network; a degree with
-    nothing left holds everywhere.  Each distinct form is one row of codes
-    per chunk.
+    degree, the forms' point codes sorted by a merge network into buffers
+    kept for the walk; a degree with nothing left holds everywhere.  Each
+    distinct form is one row of the walk's codes, read as they come.  The
+    |Sigma|^k tuples are checked against ``cap`` before the masks are
+    allocated (``SigmaModel.tuple_count``).
     """
     where = {}  # form in t -> its row
 
@@ -187,19 +211,17 @@ def _locus_masks(lat, sigma, params, pairs, relations=()):
                      for deg in sorted({d for d, _ in left})])
     vanish = [place(rows) for rows in relations]
 
-    out = np.empty((len(plan) + len(vanish), sigma.order ** params.shape[1]), dtype=bool)
-    code = None
-    for cols, c in sigma.form_chunks(np.array(list(where), dtype=np.int64).reshape(len(where), -1)):
-        if code is None:  # the first chunk is the longest
-            code = np.empty(c.shape[1:], np.min_scalar_type(sigma.order - 1))
-        x = code[:, :c.shape[2]]
-        np.multiply(c[0], sigma.m2, out=x)
-        np.add(x, c[1], out=x)
-        done = {}
+    out = np.empty((len(plan) + len(vanish), sigma.tuple_count(params.shape[1], cap)), dtype=bool)
+    forms = np.array(list(where), dtype=np.int64).reshape(len(where), -1)
+    work = {}  # rows of forms -> the merge network's buffers, kept for the walk
+    for cols, codes in sigma.form_chunks(forms):
+        n, done = codes.shape[1], {}
 
         def sorted_codes(rows):
             if rows not in done:
-                done[rows] = _sorted_rows(x[r] for r in rows)
+                if rows not in work:  # the first chunk is the longest
+                    work[rows] = np.empty((len(rows) + 1, n), codes.dtype)
+                done[rows] = _sorted_rows((codes[r] for r in rows), work[rows][:, :n])
             return done[rows]
 
         for row, groups in enumerate(plan):
@@ -212,57 +234,61 @@ def _locus_masks(lat, sigma, params, pairs, relations=()):
             mask = out[row, cols]
             mask[...] = True
             for r in rows:
-                mask &= x[r] == 0
+                mask &= codes[r] == 0
     return out
 
 
-def spinor_locus(lat: IntersectionLattice, sigma: SigmaModel):
+def spinor_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
     """Masks over Sigma^m: twisted spinor identity per index, and x_i = 0.
 
     Returns (per_index_identity, per_index_zero): two boolean arrays of
     shape (m, N) where row i states 'spinor_plus ⊗ O(-l_{i+1}) matches
     spinor_minus', resp. the B_{m-1} relation x_1 = 0 with index
-    i + 1 moved first, for every point tuple.
+    i + 1 moved first, for every point tuple.  The |Sigma|^m walk is
+    refused past ``cap`` tuples (``BudgetExceededError``).
     """
     m, rel = lat.npoints, case_points(f"B{lat.npoints - 1}").relations
     sp, sm = (weight_bundle(kind, lat).summands for kind in ("spinor_plus", "spinor_minus"))
     masks = _locus_masks(lat, sigma, np.eye(m, dtype=np.int64),
                          [((sp, -lat.l(i + 1)), (sm, lat.zero)) for i in range(m)],
-                         [tuple(r[1:i + 1] + r[:1] + r[i + 1:] for r in rel) for i in range(m)])
+                         [tuple(r[1:i + 1] + r[:1] + r[i + 1:] for r in rel) for i in range(m)],
+                         cap=cap)
     return masks[:m], masks[m:]
 
 
-def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel):
+def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
     """Masks over Sigma^4 for the three twisted triality identities.
 
     Returns a dict of boolean arrays: 'sp_sm' (spinor identity with
     twist -l1), 'w_sp' (vector identity: spinor_plus = vector ⊗
     O(s - l4)), 'w_sm' (vector ⊗ O(-l4) = spinor_minus) and 'relations'
-    (the G2 point relations R x = 0 of ``folding.case_points``).
+    (the G2 point relations R x = 0 of ``folding.case_points``).  The
+    walk is refused past ``cap`` tuples (``BudgetExceededError``).
     """
     sp, sm, w = (weight_bundle(k, lat).summands for k in ("spinor_plus", "spinor_minus", "vector"))
     pairs = [((sp, -lat.l(1)), (sm, lat.zero)), ((w, lat.s - lat.l(4)), (sp, lat.zero)),
              ((w, -lat.l(4)), (sm, lat.zero))]
     masks = _locus_masks(lat, sigma, np.eye(4, dtype=np.int64), pairs,
-                         [case_points("G2").relations])
+                         [case_points("G2").relations], cap=cap)
     return dict(zip(("sp_sm", "w_sp", "w_sm", "relations"), masks))
 
 
-def wedge_locus(lat: IntersectionLattice, sigma: SigmaModel):
+def wedge_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
     """Masks over zero-sum tuples x = (t, -sum t), t in Sigma^{2n-1}, for the wedge identity.
 
     Returns (identity, paired): 'standard ⊗ O((n-i) f) matches
     wedge^{2n-i}(standard)' for i = 1, and 'the point multiset is
     symmetric under negation' (the pairing condition up to renumbering),
     compared as standard against its dual twisted by f, which has degree
-    2 and restricts to the identity.
+    2 and restricts to the identity.  The walk is refused past ``cap``
+    tuples (``BudgetExceededError``).
     """
     m, v = lat.npoints, weight_bundle("standard", lat)
     n, i = m // 2, 1
     zero_sum = np.vstack([np.eye(m - 1, dtype=np.int64), -np.ones((1, m - 1), dtype=np.int64)])
     return tuple(_locus_masks(lat, sigma, zero_sum, [
         ((v.summands, (n - i) * lat.f), (wedge_power(v, 2 * n - i).summands, lat.zero)),
-        ((v.summands, lat.zero), (tuple(-d for d in v.summands), lat.f))]))
+        ((v.summands, lat.zero), (tuple(-d for d in v.summands), lat.f))], cap=cap))
 
 
 # ---------------------------------------------------------------------------

@@ -240,45 +240,53 @@ _SMALL_GROUPS = [(m1, m2) for m2 in range(1, 9) for m1 in range(1, m2 + 1)
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(_SMALL_GROUPS), st.integers(0, 4), st.data(),
-       st.integers(1, 70), st.integers(1, 70))
-def test_form_chunks_match_brute_force(group, k, data, chunk_rows, table_rows):
+@given(st.sampled_from(_SMALL_GROUPS), st.integers(0, 4), st.data(), st.integers(1, 70))
+def test_form_chunks_match_brute_force(group, k, data, chunk_rows):
     sigma = make_sigma_model(*group)
     rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
                               min_size=1, max_size=4))
     forms = np.array(rows, dtype=np.int64).reshape(len(rows), k)
-    with mock.patch.multiple(abelian, _CHUNK_ROWS=chunk_rows, _TABLE_ROWS=table_rows):
+    with mock.patch.object(abelian, "_CHUNK_ROWS", chunk_rows):
         # a chunk is valid until the next one is requested: keep copies
-        chunks = [(cols, residues.copy()) for cols, residues in sigma.form_chunks(forms)]
-    expected = [[sigma.combine(row, t) for row in forms.tolist()]
+        chunks = [(cols, codes.copy()) for cols, codes in sigma.form_chunks(forms)]
+    expected = [[a * sigma.m2 + b for a, b in (sigma.combine(row, t) for row in forms.tolist())]
                 for t in product(sigma.elements(), repeat=k)]
     start, got = 0, []
-    for cols, residues in chunks:
+    for cols, codes in chunks:
         assert cols.start == start and 0 < cols.stop - start <= chunk_rows
-        assert residues.shape == (2, len(forms), cols.stop - start)
-        assert residues.dtype.kind == "u"
-        got += [list(map(tuple, col)) for col in residues.transpose(2, 1, 0).tolist()]
+        assert codes.shape == (len(forms), cols.stop - start)
+        assert codes.dtype == np.min_scalar_type(sigma.order - 1)
+        got += codes.T.tolist()
         start = cols.stop
     assert got == expected
 
 
-def test_form_chunks_reuse_one_buffer():
-    # 5^3 tuples in chunks of 50, 50 and 25 (two leading values at a time,
-    # each with all 25 tails): every chunk, the short last one too, is a
-    # view into the same memory
-    sigma = make_sigma_model(1, 5)
+def _check_one_buffer(group, rows, lengths):
+    """Walk two forms over Sigma^3 in chunks of ``lengths``: every chunk, the short last
+    one too, is a contiguous view into the same memory, and the first one held its codes."""
+    sigma = make_sigma_model(*group)
     forms = np.array([[1, 2, 3], [-1, 0, 4]], dtype=np.int64)
-    with mock.patch.multiple(abelian, _CHUNK_ROWS=50, _TABLE_ROWS=25):
+    with mock.patch.object(abelian, "_CHUNK_ROWS", rows):
         walk = sigma.form_chunks(forms)
         first = next(walk)[1]
         kept = first.copy()
-        rest = [residues for _, residues in walk]
-    assert [r.shape[2] for r in rest] == [50, 25]
-    assert all(np.shares_memory(first, r) for r in rest)
+        rest = [codes for _, codes in walk]
+    assert [first.shape[1]] + [c.shape[1] for c in rest] == lengths
+    assert all(np.shares_memory(first, c) and c.flags.c_contiguous for c in rest)
     assert not np.array_equal(first, kept)  # the walk overwrote the first chunk
-    expected = [[sigma.combine(row, t) for row in forms.tolist()]
-                for t in product(sigma.elements(), repeat=3)][:50]
-    assert [list(map(tuple, col)) for col in kept.transpose(2, 1, 0).tolist()] == expected
+    expected = [[a * sigma.m2 + b for a, b in (sigma.combine(row, t) for row in forms.tolist())]
+                for t in product(sigma.elements(), repeat=3)][:rows]
+    assert kept.T.tolist() == expected
+
+
+def test_form_chunks_reuse_one_buffer():
+    # 5^3 tuples in chunks of 50, 50 and 25: ten heads at a time, each with its 5 tails
+    _check_one_buffer((1, 5), 50, [50, 50, 25])
+
+
+def test_form_chunks_without_a_tail():
+    # |Sigma| = 7 exceeds the chunk size: no tail, five heads at a time, 7^3 = 68 * 5 + 3
+    _check_one_buffer((1, 7), 5, [5] * 68 + [3])
 
 
 # V^-1 of this matrix's Smith form has an entry past 2^62: a few of them times a

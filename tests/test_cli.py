@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from picfold import abelian
 from picfold.cli import (
     ConfigError,
     RunConfig,
@@ -295,6 +296,31 @@ def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
     others = [r["status"] for cid, r in status.items() if cid != "moduli.chi.injective.F4"]
     assert set(others) == {"pass"}
     capsys.readouterr()
+
+
+def test_walks_refuse_past_the_action_cap(monkeypatch):
+    # |Sigma|^k tuples are checked before anything is allocated: the loci walk 25^3, 25^4
+    # and 49^3 tuples, and the agreement check's largest walk at 2 x 2 is F4's 4^6 = 4096
+    cfg, walked = RunConfig(action_cap=5000), []
+    walk = abelian.SigmaModel.form_chunks
+
+    def spy(self, forms):
+        walked.append(len(forms))
+        return walk(self, forms)
+
+    monkeypatch.setattr(abelian.SigmaModel, "form_chunks", spy)
+    status = {r.claim_id: r for r in run_suite("repbundles", cfg)}
+    for claim, k, tuples in [("bundles.spinor.iff.zero", 3, 15625),
+                             ("bundles.G2.triple.iff", 4, 390625),
+                             ("bundles.C2.wedge.iff", 3, 117649)]:
+        assert status[claim].status == "fail"
+        assert status[claim].witness == (f"BudgetExceededError: {tuples} tuples of Sigma^{k} "
+                                         f"exceed the action cap 5000")
+    assert walked == []
+    status = {r.claim_id: r for r in run_suite("moduli", cfg)}
+    agreement = status["moduli.invariance.agreement"]
+    assert agreement.status == "pass" and agreement.witness["F4"] == 4096
+    assert len(walked) == 4
 
 
 def test_moduli_suite_emits_no_warning(tmp_path, capsys):

@@ -310,9 +310,9 @@ def test_loci_do_not_depend_on_the_chunk_size(monkeypatch, rows):
     walk = SigmaModel.form_chunks
 
     def spy(self, forms):
-        for cols, residues in walk(self, forms):
-            seen.append(residues.shape[2])
-            yield cols, residues
+        for cols, codes in walk(self, forms):
+            seen.append(codes.shape[1])
+            yield cols, codes
 
     monkeypatch.setattr(abelian, "_CHUNK_ROWS", rows)
     monkeypatch.setattr(SigmaModel, "form_chunks", spy)
@@ -344,6 +344,31 @@ def test_g2_locus_memory_is_bounded(lat4):
         tracemalloc.stop()
     assert masks["relations"].shape == (5**8,)
     assert peak < 16 * 2**20
+
+
+def test_the_walk_memory_is_bounded(lat4, monkeypatch):
+    # the translated tail table and the one chunk buffer: under three bytes per form and
+    # chunk row, where a walk that keeps two residue planes per chunk takes more
+    sigma, walked = make_sigma_model(5, 5), []
+    walk = SigmaModel.form_chunks
+
+    def spy(self, forms):
+        walked.append(forms)
+        return walk(self, forms)
+
+    with monkeypatch.context() as m:
+        m.setattr(SigmaModel, "form_chunks", spy)
+        g2_triple_locus(lat4, sigma)
+    (forms,) = walked
+    assert forms.shape == (26, 4)
+    tracemalloc.start()
+    try:
+        chunks = sum(1 for _ in sigma.form_chunks(forms))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunks > 1  # the buffer is reused, not grown
+    assert peak < 3 * len(forms) * abelian._CHUNK_ROWS
 
 
 def test_mixed_degree_sides_compare_per_degree(lat4):
@@ -398,7 +423,8 @@ def _transposition_sorted(rows):
 
 
 def _transposition_locus_masks(lat, sigma, params, pairs, relations=()):
-    """The kernel before cancellation: whole sides, blocks of forms, transposition sorts."""
+    """The kernel before cancellation, on codes computed one tuple at a time: whole sides,
+    blocks of forms, transposition sorts."""
     forms, where, plan = [], {}, []
 
     def place(rows):
@@ -416,25 +442,27 @@ def _transposition_locus_masks(lat, sigma, params, pairs, relations=()):
         plan.append(sides)
     vanish = [place(rows) for rows in relations]
 
-    out = np.empty((len(plan) + len(vanish), sigma.order ** params.shape[1]), dtype=bool)
-    for cols, c in sigma.form_chunks(np.array(forms, dtype=np.int64) @ params):
-        done = {}
+    tuples, known = list(product(sigma.elements(), repeat=params.shape[1])), {}
 
-        def side_sorted(side, deg):
-            (a, b), degs = side
-            pick = degs == deg
-            key = (a, b, pick.tobytes())
-            if key not in done:
-                p = c[:, a:b][:, pick]
-                done[key] = _transposition_sorted(p[0] * sigma.m2 + p[1])
-            return done[key]
+    def codes(form):  # a m2 + b at every tuple, by sigma.combine
+        if form not in known:
+            known[form] = [a * sigma.m2 + b for a, b in (sigma.combine(form, t) for t in tuples)]
+        return known[form]
 
-        for row, (lhs, rhs) in enumerate(plan):
-            out[row, cols] = np.logical_and.reduce(
-                [u == v for deg in set(lhs[1].tolist())
-                 for u, v in zip(side_sorted(lhs, deg), side_sorted(rhs, deg))])
-        for row, (a, b) in enumerate(vanish, len(plan)):
-            out[row, cols] = ~c[:, a:b].any(axis=(0, 1))
+    c = np.array([codes(tuple(row)) for row in (np.array(forms, dtype=np.int64) @ params).tolist()],
+                 dtype=np.int64).reshape(len(forms), len(tuples))
+
+    def side_sorted(side, deg):
+        (a, b), degs = side
+        return _transposition_sorted(c[a:b][degs == deg])
+
+    out = np.empty((len(plan) + len(vanish), len(tuples)), dtype=bool)
+    for row, (lhs, rhs) in enumerate(plan):
+        out[row] = np.logical_and.reduce(
+            [u == v for deg in set(lhs[1].tolist())
+             for u, v in zip(side_sorted(lhs, deg), side_sorted(rhs, deg))])
+    for row, (a, b) in enumerate(vanish, len(plan)):
+        out[row] = ~c[a:b].any(axis=0)
     return out
 
 
