@@ -191,8 +191,9 @@ def _suite_lattice(cfg: RunConfig):
         lat = lattice.make_blowup_lattice("P2", 6)
         lines = lattice.exceptional_classes(lat)
         _expect(len(lines), 27, "line count")
-        meets = lattice.lines_meeting(lat, lines)
-        check(all(len(m) == 10 for m in meets.values()), "a line meets other than 10 lines")
+        gram = lattice.gram_matrix(lat, lines)
+        _expect(set((gram == 1).sum(axis=1).tolist()), {10}, "lines met by each line")
+        _expect(set((gram == 0).sum(axis=1).tolist()), {16}, "lines disjoint from each line")
         return {"lines": 27, "meets_each": 10, "disjoint_each": 16}
 
     def root_counts():
@@ -305,11 +306,8 @@ def _suite_cubic(cfg: RunConfig):
         _expect(len(data.lines), 27, "lines")
         _expect(len(data.triangles), 45, "triangles")
         _expect(len(data.double_sixes), 36, "double sixes")
-        per = {e: 0 for e in data.lines}
-        for tri in data.triangles:
-            for e in tri:
-                per[e] += 1
-        check(set(per.values()) == {5}, f"triangles per line: {sorted(set(per.values()))}")
+        per = set(np.bincount(data.triangles.ravel(), minlength=len(data.lines)).tolist())
+        check(per == {5}, f"triangles per line: {sorted(per)}")
         return {"lines": 27, "triangles": 45, "double_sixes": 36, "per_line": 5}
 
     def weyl_order():
@@ -319,33 +317,41 @@ def _suite_cubic(cfg: RunConfig):
     def bijection():
         data = configs.cubic_combinatorics(lat)
         simple = rootsys.standard_simple_system("E6", lat)
-        images = set()
-        for ds in data.double_sixes:
-            images.add(configs.double_six_to_root(ds, lat, simple))
-        _expect(len(images), 36, "distinct positive roots")
-        base = frozenset(lat.l(i) for i in range(1, 7))
-        ds0 = next(d for d in data.double_sixes if base in (d.first, d.second))
-        alpha0 = configs.double_six_to_root(ds0, lat, simple)
-        expected = 2 * lat.h - sum((lat.l(i) for i in range(2, 7)), lat.l(1))
+        roots = configs.double_six_roots(data, lat, simple)
+        _expect(len(set(rootsys.row_keys(roots))), 36, "distinct positive roots")
+        # the images and their negatives are the E6 roots, and the images sum to 2 rho:
+        # a set with a negative root in place of a positive one sums to less
+        e6 = folding.ambient_root_system("E6", lat)
+        check(sorted(map(tuple, np.concatenate([roots, -roots]).tolist()))
+              == sorted(r.coords for r in e6), "the images and their negatives are not the E6 roots")
+        total = lattice.DivisorClass(tuple(roots.sum(axis=0).tolist()))
+        pairings = [lat.pair(total, b) for b in simple.roots]
+        check(pairings == [-2] * len(pairings), f"(sum of images, simple roots) = {pairings}")
+        base = sorted(data.lines.index(lat.l(i)) for i in range(1, 7))
+        [k] = np.flatnonzero((data.double_sixes == base).all(axis=2).any(axis=1))
+        alpha0 = roots[k].tolist()
+        expected = list((2 * lat.h - sum((lat.l(i) for i in range(2, 7)), lat.l(1))).coords)
         check(alpha0 == expected, f"base double six maps to {alpha0}, expected {expected}")
-        return {"image_size": 36, "base_root": list(alpha0.coords)}
+        return {"image_size": 36, "base_root": alpha0}
 
     def stabilizers():
+        lines, rows = configs.cubic_combinatorics(lat)[:2]
         w = folding.ambient_weyl_group("F4", cfg.weyl_cap)  # W(E6)
         h, l = lat.h, lat.l
         tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
-        unord = configs.triangle_stabilizer(tri, False, w)
-        _expect(unord.order, _weyl_order("F4"), "unordered stabilizer")
-        _expect(unord.orbit_size, 45, "triangle orbit")
-        ordered = configs.triangle_stabilizer(tri, True, w)
-        _expect(ordered.order, 192, "ordered stabilizer")
-        _expect(ordered.orbit_size, 270, "ordered orbit")
+        check(sorted(map(lines.index, tri)) in rows.tolist(), f"{tri} is not a triangle")
+        order, orbit = configs.triangle_stabilizer(tri, False, w)
+        _expect(order, _weyl_order("F4"), "unordered stabilizer")
+        _expect(orbit, 45, "triangle orbit")
+        ordered, ordered_orbit = configs.triangle_stabilizer(tri, True, w)
+        _expect(ordered, 192, "ordered stabilizer")
+        _expect(ordered_orbit, 270, "ordered orbit")
         # W(F4) fixes the triangle and has the stabilizer's order, so it is the stabilizer
         wf4 = folding.folded_weyl_group("F4", cfg.weyl_cap)
-        check(len(wf4) == unord.order
+        check(len(wf4) == order
               and all({g.apply(e) for e in tri} == set(tri) for g in wf4.gens),
               "triangle stabilizer is not W(F4)")
-        return {"unordered": unord.order, "ordered": 192, "orbit": 45, "ordered_orbit": 270}
+        return {"unordered": order, "ordered": 192, "orbit": 45, "ordered_orbit": 270}
 
     return [
         ("E6.cubic.combinatorics", combinatorics),
@@ -419,6 +425,10 @@ def _suite_moduli(cfg: RunConfig):
         out = {}
         for case in ("B2", "C2", "G2"):
             fc = moduli.fixed_components(case, sigma)
+            n = folding.case_points(case).torsion
+            torsion = [g for g in sigma.elements() if sigma.scale(n, g) == sigma.zero]
+            _expect(list(fc.labels), torsion, f"{case} labels, the {n}-torsion points")
+            _expect(fc.full_torsion, len(fc.labels) == n * n, f"{case} full torsion")
             out[case] = {"labels": len(fc.labels), "full": fc.full_torsion}
         return out
 

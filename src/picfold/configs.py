@@ -16,6 +16,10 @@ orthogonal to what the ambient roots are orthogonal to (l_i and f - l_i
 for B and G2, l_i for C, the 27 sorted lines for F4).  Incidences are
 read off the table's Gram matrix and relations off its symbolic points;
 the transitivity check codes the systems on the same table.
+
+The cubic surface is kept the same way: its triangles and double sixes are
+index rows into the 27 sorted lines, read off their Gram matrix, and the
+double-six roots and the plane blow-down test read these rows.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,18 +48,13 @@ from .rootsys import (
     BudgetExceededError,
     SimpleSystem,
     WeylGroup,
-    decompose_in_basis,
+    basis_coordinates,
     row_keys,
-    standard_simple_system,
 )
 
 
-class NoRootFoundError(LookupError):
-    """No reflection exchanges the two halves (malformed double-six)."""
-
-
 class ConfigurationError(ValueError):
-    """A configuration or double-six breaks one of its defining conditions."""
+    """A configuration, triangle or double six breaks one of its defining conditions."""
 
 
 def symbolic_point(lat: IntersectionLattice, rows: np.ndarray, d: DivisorClass):
@@ -205,8 +205,12 @@ def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
 
     True iff the classes are pairwise-orthogonal (-1)-classes and some
     lattice automorphism preserving the form, K (and f on the Hirzebruch
-    model) carries them, in order, to (l_1, ..., l_k).
+    model) carries them, in order, to (l_1, ..., l_k).  The plane is decided
+    on the cubic (other point counts raise ``ValueError``): W(E6) is simply
+    transitive on the 72 * 6! ordered sixes, so valid means in one six.
     """
+    if lat.model != F1 and lat.npoints != 6:
+        raise ValueError(f"plane blow-downs are decided on the cubic, not on {lat.npoints} points")
     classes = list(classes)
     for e in classes:
         if lat.pair(e, e) != -1 or lat.pair(e, lat.K) != -1:
@@ -225,24 +229,9 @@ def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
         if len(classes) == lat.npoints and sum(fl for _, fl in pat) % 2 != 0:
             return False  # an odd flip pattern is not in the Weyl orbit
         return True
-    # plane model: pairwise-disjoint lines always extend to a full
-    # six-point blow-down; confirm by explicit extension
-    if len(classes) > lat.npoints:
-        return False
-    pool = [e for e in exceptional_classes(lat) if e not in classes]
-
-    def extend(current, depth):
-        if depth == lat.npoints:
-            return True
-        for cand in pool:
-            if cand in current:
-                continue
-            if all(lat.pair(cand, e) == 0 for e in current):
-                if extend(current + [cand], depth + 1):
-                    return True
-        return False
-
-    return extend(classes, len(classes))
+    data = cubic_combinatorics(lat)  # the classes are distinct skew lines
+    row = [data.lines.index(e) for e in classes]
+    return bool((np.isin(data.double_sixes.reshape(-1, 6), row).sum(axis=1) == len(row)).any())
 
 
 @dataclass(frozen=True)
@@ -305,30 +294,12 @@ def simple_transitivity_check(systems: ExceptionalSystems, weyl: WeylGroup) -> T
     return TransitivityReport(offending is None, len(weyl), len(systems), reached, offending)
 
 
-@dataclass(frozen=True)
-class DoubleSix:
-    first: frozenset
-    second: frozenset
+class CubicData(NamedTuple):
+    """The sorted lines, and the triangles and double sixes as int64 index rows into them."""
 
-    def validate(self, lat: IntersectionLattice):
-        lines = sorted(self.first) + sorted(self.second)
-        if len(self.first) != 6 or len(self.second) != 6:
-            raise ConfigurationError(f"halves of {len(self.first)} and {len(self.second)} lines")
-        gram = gram_matrix(lat, lines)
-        for h in (0, 6):
-            for i, j in h + np.argwhere(np.triu(gram[h:h + 6, h:h + 6], 1))[:1]:
-                raise ConfigurationError(f"{lines[i]} and {lines[j]} in one half meet")
-        short = np.flatnonzero((gram[:6, 6:] == 1).sum(axis=1) != 5)
-        if short.size:
-            raise ConfigurationError(f"{lines[short[0]]} does not meet 5 lines of the other half")
-        return True
-
-
-@dataclass(frozen=True)
-class CubicData:
     lines: tuple[DivisorClass, ...]
-    triangles: tuple[frozenset, ...]
-    double_sixes: tuple[DoubleSix, ...]
+    triangles: np.ndarray  # (45, 3), increasing rows
+    double_sixes: np.ndarray  # (36, 2, 6): (smaller six, partner), in the order of the first
 
 
 def cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
@@ -341,13 +312,10 @@ def _cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
     lines = exceptional_classes(lat)
     gram = gram_matrix(lat, lines)
     meets = np.triu(gram == 1, 1)  # meets[i, j]: i < j and the lines meet
-    triangles = []
-    for i, j, k in zip(*np.nonzero(meets[:, :, None] & meets[None] & meets[:, None])):
-        a, b, c = lines[i], lines[j], lines[k]
-        if a + b + c != -lat.K:
-            raise ConfigurationError(f"triangle {a}, {b}, {c} does not sum to -K")
-        triangles.append(frozenset((a, b, c)))
-
+    triangles = np.argwhere(meets[:, :, None] & meets[None] & meets[:, None])
+    coords = np.array([e.coords for e in lines], dtype=np.int64).reshape(-1, lat.rank)
+    for row in triangles[(coords[triangles].sum(axis=1) != -np.array(lat.K.coords)).any(axis=1)]:
+        raise ConfigurationError(f"triangle {[lines[i] for i in row]} does not sum to -K")
     # sixes level by level, as increasing index rows (so in lexicographic order)
     later = np.triu(gram == 0, 1)
     sixes = np.zeros((1, 0), dtype=np.int64)
@@ -355,55 +323,54 @@ def _cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
     for _ in range(6):
         f, c = np.nonzero(allowed)
         sixes, allowed = np.column_stack([sixes[f], c]), allowed[f] & later[c]
-    sixes = [tuple(six) for six in sixes.tolist()]
-    # hits[l, s]: the lines of six s that line l meets (none, for a line of the six)
-    hits = (gram == 1)[:, sixes].sum(axis=2)
-    known, paired, double_sixes = set(sixes), set(), []
-    for n, six in enumerate(sixes):
-        partner = tuple(np.flatnonzero(hits[:, n] == 5).tolist())
-        if six in paired or partner not in known:
-            continue
-        paired.update((six, partner))
-        first, second = sorted((six, partner), key=lambda h: sorted(lines[i] for i in h))
-        ds = DoubleSix(frozenset(lines[i] for i in first), frozenset(lines[i] for i in second))
-        ds.validate(lat)
-        double_sixes.append(ds)
-    return CubicData(lines, tuple(triangles), tuple(double_sixes))
+    # a six's partner: the lines that meet exactly five of its lines, as a bit set
+    bits = 1 << np.arange(len(lines), dtype=np.int64)
+    where = {code: n for n, code in enumerate(bits[sixes].sum(axis=1).tolist())}
+    partner_bits = ((gram == 1)[:, sixes].sum(axis=2) == 5).T @ bits
+    partner = np.array([where.get(code, -1) for code in partner_bits.tolist()], dtype=np.int64)
+    for n in np.flatnonzero((partner < 0) | (partner[partner] != np.arange(len(sixes)))):
+        raise ConfigurationError(f"the lines meeting five of {[lines[i] for i in sixes[n]]} "
+                                 f"are not a six paired back with it")
+    first = np.flatnonzero(np.arange(len(sixes)) < partner)
+    double_sixes = np.stack([sixes[first], sixes[partner[first]]], axis=1)
+    triangles.flags.writeable = double_sixes.flags.writeable = False  # shared through the cache
+    return CubicData(lines, triangles, double_sixes)
 
 
-def double_six_to_root(ds: DoubleSix, lat: IntersectionLattice,
-                       simple: SimpleSystem | None = None) -> DivisorClass:
-    """The unique positive root whose reflection exchanges the two sixes."""
-    simple = simple or standard_simple_system("E6", lat)
-    a0 = next(iter(ds.first))
-    partners = [b for b in ds.second if lat.pair(a0, b) == 0]
-    if len(partners) != 1:
-        raise NoRootFoundError("no unique disjoint partner")
-    alpha = partners[0] - a0
-    if lat.pair(alpha, alpha) != -2:
-        raise NoRootFoundError("partner difference is not a root")
-    from .rootsys import reflect
+def double_six_roots(data: CubicData, lat: IntersectionLattice,
+                     simple: SimpleSystem) -> np.ndarray:
+    """The positive root exchanging the halves of each double six, as (N, rank) int64 rows.
 
-    image = {reflect(lat, alpha, e) for e in ds.first}
-    if image != set(ds.second):
-        raise NoRootFoundError("reflection does not exchange the sixes")
-    coords = decompose_in_basis(alpha, list(simple.roots))
-    if all(c >= 0 for c in coords):
-        return alpha
-    coords_neg = [-c for c in coords]
-    if all(c >= 0 for c in coords_neg):
-        return -alpha
-    raise NoRootFoundError("exchanged root is neither positive nor negative")
+    alpha = b - a, for a the first line of the first half and b the one line
+    of the second half disjoint from it, must be a root whose reflection
+    x + (x.alpha) alpha carries the first half onto the second; its sign
+    comes from one solve in the simple roots.  Else ``ConfigurationError``.
+    """
+    coords = np.array([e.coords for e in data.lines], dtype=np.int64).reshape(-1, lat.rank)
+    form = np.array(lat.gram, dtype=np.int64)
+    first, second = data.double_sixes[:, 0], data.double_sixes[:, 1]
+    disjoint = gram_matrix(lat, data.lines)[first[:, :1], second] == 0
+    for n in np.flatnonzero(disjoint.sum(axis=1) != 1):
+        raise ConfigurationError(f"double six {n}: no unique disjoint partner")
+    alpha = coords[second[np.arange(len(second)), disjoint.argmax(axis=1)]] - coords[first[:, 0]]
+    for n in np.flatnonzero(np.einsum("ni,ij,nj->n", alpha, form, alpha) != -2):
+        raise ConfigurationError(f"double six {n}: partner difference is not a root")
+    x = coords[first]
+    images = x + np.einsum("nki,ij,nj->nk", x, form, alpha)[:, :, None] * alpha[:, None]
+    index = {key: i for i, key in enumerate(row_keys(coords))}
+    mapped = np.array([index.get(key, -1) for key in row_keys(images.reshape(-1, lat.rank))],
+                      dtype=np.int64).reshape(second.shape)
+    for n in np.flatnonzero((np.sort(mapped, axis=1) != second).any(axis=1)):
+        raise ConfigurationError(f"double six {n}: reflection does not exchange the sixes")
+    signs = basis_coordinates(np.array([b.coords for b in simple.roots], dtype=np.int64).T, alpha.T)
+    positive, negative = (signs >= 0).all(axis=0), (signs <= 0).all(axis=0)
+    for n in np.flatnonzero(~positive & ~negative):
+        raise ConfigurationError(f"double six {n}: exchanged root is neither positive nor negative")
+    return np.where(positive[:, None], alpha, -alpha)
 
 
-@dataclass(frozen=True)
-class StabilizerResult:
-    order: int
-    orbit_size: int
-
-
-def triangle_stabilizer(triangle, ordered: bool, weyl: WeylGroup) -> StabilizerResult:
-    """Order of the stabilizer of a (possibly ordered) triangle in the group.
+def triangle_stabilizer(triangle, ordered: bool, weyl: WeylGroup) -> tuple[int, int]:
+    """(stabilizer order, orbit size) of a (possibly ordered) triangle in the group.
 
     The orbit of the ordered triangle, as one int64 row of its three lines,
     is walked by the generators; the unordered orbit is its set of
@@ -412,4 +379,4 @@ def triangle_stabilizer(triangle, ordered: bool, weyl: WeylGroup) -> StabilizerR
     rows = weyl.orbit_rows(np.array([c for line in triangle for c in line.coords], dtype=np.int64))
     if not ordered:
         rows = {frozenset(row_keys(r.reshape(len(triangle), -1))) for r in rows}
-    return StabilizerResult(len(weyl) // len(rows), len(rows))
+    return len(weyl) // len(rows), len(rows)

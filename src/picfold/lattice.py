@@ -296,8 +296,3 @@ def gram_matrix(lat: IntersectionLattice, classes) -> np.ndarray:
         raise OverflowError("intersection numbers could exceed 2^62")
     return c @ g @ c.T
 
-
-def lines_meeting(lat, lines):
-    """Incidence map: line -> set of the other lines it meets (pairing 1)."""
-    meets = (gram_matrix(lat, lines) == 1) & ~np.eye(len(lines), dtype=bool)
-    return {a: {lines[j] for j in np.flatnonzero(row)} for a, row in zip(lines, meets)}

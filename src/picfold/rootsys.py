@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -261,13 +261,8 @@ def identify_cartan_type(a) -> str:
 
 
 def _primitive(alpha: DivisorClass) -> DivisorClass:
-    g = 0
-    for c in alpha.coords:
-        g = np.gcd(g, abs(c))
-    g = int(g)
-    if g <= 1:
-        return alpha
-    return DivisorClass(tuple(c // g for c in alpha.coords))
+    g = gcd(*alpha.coords)
+    return alpha if g <= 1 else DivisorClass(tuple(c // g for c in alpha.coords))
 
 
 def reflect(lat: IntersectionLattice, alpha: DivisorClass, x: DivisorClass) -> DivisorClass:
@@ -294,7 +289,7 @@ def reflect(lat: IntersectionLattice, alpha: DivisorClass, x: DivisorClass) -> D
 def reflection(lat: IntersectionLattice, alpha: DivisorClass) -> WeylElement:
     """The reflection in alpha as a lattice matrix: I - a q^T, q = 2 G a / (a, a).
 
-    a is alpha made primitive, as in ``reflect``; an error names the first e_i it fails on.
+    a is alpha divided by the gcd of its coordinates; an error names the first e_i it fails on.
     """
     if lat.pair(alpha, alpha) == 0:
         raise ValueError("cannot reflect in an isotropic class")
@@ -651,8 +646,3 @@ def restrict_to_basis(mats: np.ndarray, basis, lat: IntersectionLattice) -> np.n
     bmat = np.array([[b.coords[i] for b in basis] for i in range(lat.rank)], dtype=np.int64)
     return basis_coordinates(bmat, np.asarray(mats, dtype=np.int64) @ bmat)
 
-
-def decompose_in_basis(x: DivisorClass, basis) -> list[int]:
-    """Integer coordinates of x in the given (independent) class basis."""
-    bmat = np.array([b.coords for b in basis], dtype=np.int64).T
-    return basis_coordinates(bmat, np.array(x.coords, dtype=np.int64)).tolist()

@@ -1,9 +1,5 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
@@ -17,6 +13,7 @@ from picfold.cli import (
     main,
     run_suite,
 )
+from under_optimize import run_under_optimize
 
 
 def test_lattice_suite_reports():
@@ -146,19 +143,9 @@ def test_trivial_group_passes_moduli(capsys):
 
 def test_claim_check_fails_under_optimize():
     # with no systems enumerated, configs.counts must fail even when -O strips asserts
-    code = (
-        "import json, sys\n"
-        "from picfold import cli, configs\n"
-        "configs.enumerate_exceptional_systems = lambda case, cap=10**6: ()\n"
-        "rc = cli.main(['verify', 'configs', '--format', 'json'])\n"
-        "sys.stdout.flush()\n"
-        "raise SystemExit(rc)\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+    status = run_under_optimize(
+        "from picfold import configs\n"
+        "configs.enumerate_exceptional_systems = lambda case, cap=10**6: ()\n", "configs")
     assert status["configs.counts"]["status"] == "fail"
     assert status["configs.counts"]["witness"].startswith("assertion failed: B2 system count")
 
@@ -190,22 +177,13 @@ _FLIPPED_SIGN = (
 ], ids=["magnitude", "sign"])
 def test_jacobi_claim_fails_under_optimize_on_a_broken_table(mutation, witness):
     # liealg.jacobi.all must fail on a broken table even when -O strips asserts
-    code = (
-        "import json, sys\n"
+    [result] = run_under_optimize(
         "import numpy as np\n"
-        "from picfold import cli, liealg\n"
+        "from picfold import liealg\n"
         "build = liealg.structure_constants\n"
         f"{mutation}"
-        "liealg.structure_constants = lambda rs, simple: broken(build(rs, simple))\n"
-        "rc = cli.main(['verify', 'liealg', '--format', 'json'])\n"
-        "sys.stdout.flush()\n"
-        "raise SystemExit(rc)\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    [result] = json.loads(proc.stdout)["results"]
+        "liealg.structure_constants = lambda rs, simple: broken(build(rs, simple))\n",
+        "liealg").values()
     assert result["id"] == "liealg.jacobi.all" and result["status"] == "fail"
     assert result["witness"].startswith(witness), result["witness"]
     if mutation is _RAISED_MAGNITUDE:
@@ -214,28 +192,17 @@ def test_jacobi_claim_fails_under_optimize_on_a_broken_table(mutation, witness):
 
 def test_f4_decomposition_fails_under_optimize():
     # with one short root missing, bundles.F4.rep.27=3+24 must fail even under -O
-    code = (
-        "import json, sys\n"
-        "from picfold import cli, repbundles\n"
+    status = run_under_optimize(
+        "from picfold import repbundles\n"
         "roots = repbundles.f4_short_roots\n"
-        "repbundles.f4_short_roots = lambda lat: roots(lat)[1:]\n"
-        "rc = cli.main(['verify', 'repbundles', '--format', 'json'])\n"
-        "sys.stdout.flush()\n"
-        "raise SystemExit(rc)\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+        "repbundles.f4_short_roots = lambda lat: roots(lat)[1:]\n", "repbundles")
     assert status["bundles.F4.rep.27=3+24"]["status"] == "fail"
     assert [r for r, v in status.items() if v["status"] == "fail"] == ["bundles.F4.rep.27=3+24"]
 
 
 def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
     # reconstruct_points drops the rows of the drawn assignments: the roundtrip must fail under -O
-    code = (
-        "import json, sys\n"
+    status = run_under_optimize(
         "from picfold import cli, moduli\n"
         "draw, solve, drawn = cli._random_admissible, moduli.reconstruct_points, []\n"
         "def random_admissible(case, sigma, rng, count):\n"
@@ -246,16 +213,8 @@ def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
         "    keep = ~(res.table == drawn[-1][res.image]).all(axis=(1, 2))\n"
         "    return moduli.ReconstructionStack(res.solvable, res.kernel_size, sigma,\n"
         "                                      res.table[keep], res.image[keep])\n"
-        "cli._random_admissible, moduli.reconstruct_points = random_admissible, reconstruct_points\n"
-        "rc = cli.main(['verify', 'moduli', '--format', 'json'])\n"
-        "sys.stdout.flush()\n"
-        "raise SystemExit(rc)\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+        "cli._random_admissible, moduli.reconstruct_points = random_admissible, reconstruct_points\n",
+        "moduli")
     assert [r for r, v in status.items() if v["status"] == "fail"] == [
         "moduli.reconstruction.roundtrip"]
     assert "not reconstructed" in status["moduli.reconstruction.roundtrip"]["witness"]
@@ -263,22 +222,12 @@ def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
 
 def test_chi_claims_fail_under_optimize_with_a_trivial_small_group():
     # with W(G) replaced by the trivial group, both chi claims must fail under -O, and only they
-    code = (
-        "import json, sys\n"
-        "from picfold import cli, moduli\n"
+    status = run_under_optimize(
+        "from picfold import moduli\n"
         "from picfold.cases import case_spec\n"
         "from picfold.rootsys import weyl_generate\n"
         "moduli.folded_weyl_group = lambda case, cap=10**6: weyl_generate(\n"
-        "    [], rank=case_spec(case).lattice.rank)\n"
-        "rc = cli.main(['verify', 'moduli', '--format', 'json'])\n"
-        "sys.stdout.flush()\n"
-        "raise SystemExit(rc)\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+        "    [], rank=case_spec(case).lattice.rank)\n", "moduli")
     assert [r for r, v in status.items() if v["status"] == "fail"] == [
         "moduli.chi.injective.small", "moduli.chi.injective.F4"]
     assert {v["status"] for r, v in status.items() if "chi" not in r} == {"pass"}

@@ -1,9 +1,5 @@
-import os
-import subprocess
-import sys
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +10,11 @@ from picfold.folding import ambient_weyl_group, case_points, folded_weyl_group
 from picfold.lattice import F1, P2, DivisorClass, exceptional_classes, make_blowup_lattice
 from picfold.configs import (
     ConfigurationError,
-    DoubleSix,
     ExceptionalSystems,
     GConfiguration,
-    NoRootFoundError,
     TransitivityReport,
     cubic_combinatorics,
-    double_six_to_root,
+    double_six_roots,
     enumerate_exceptional_systems,
     is_blowdown_sequence,
     simple_transitivity_check,
@@ -32,13 +26,15 @@ from picfold.moduli import PointAssignment, point_table
 from picfold.abelian import make_sigma_model
 from picfold.rootsys import (
     BudgetExceededError,
-    decompose_in_basis,
+    SimpleSystem,
     orbit,
     root_sublattice,
     simple_reflections,
     standard_simple_system,
     weyl_generate,
 )
+from linalg_oracles import decompose_in_basis
+from under_optimize import run_under_optimize
 
 
 @pytest.fixture(scope="module")
@@ -283,19 +279,79 @@ def test_blowdown_on_cubic(cubic):
     assert not is_blowdown_sequence(cubic, (lines[0], lines[0]))
 
 
+def extend_oracle(lat, classes):
+    """Plane blow-downs by explicit extension: a depth-first search for skew
+    lines completing the tuple to six."""
+    classes = list(classes)
+    for e in classes:
+        if lat.pair(e, e) != -1 or lat.pair(e, lat.K) != -1:
+            return False
+    if any(lat.pair(a, b) != 0 for a, b in combinations(classes, 2)):
+        return False
+    if len(classes) > lat.npoints:
+        return False
+    pool = [e for e in exceptional_classes(lat) if e not in classes]
+
+    def extend(current):
+        if len(current) == lat.npoints:
+            return True
+        return any(extend(current + [cand]) for cand in pool
+                   if cand not in current and all(lat.pair(cand, e) == 0 for e in current))
+
+    return extend(classes)
+
+
+def test_plane_blowdowns_match_the_extension_search(cubic):
+    lines = exceptional_classes(cubic)
+    for k in (1, 2):
+        for tup in product(lines, repeat=k):
+            assert is_blowdown_sequence(cubic, tup) == extend_oracle(cubic, tup), tup
+    skew = [t for k in (4, 5, 6) for t in combinations(lines, k)
+            if all(cubic.pair(a, b) == 0 for a, b in combinations(t, 2))]
+    assert len([t for t in skew if len(t) == 6]) == 72
+    for tup in skew:
+        assert is_blowdown_sequence(cubic, tup) == extend_oracle(cubic, tup), tup
+    # classes that are not lines, and a line with a class off the cubic
+    h, l = cubic.h, cubic.l
+    for tup in ((h,), (l(1) - l(2),), (l(1), h - l(2) - l(3), cubic.K)):
+        assert not is_blowdown_sequence(cubic, tup) and not extend_oracle(cubic, tup)
+
+
+def test_plane_blowdowns_refuse_other_point_counts():
+    for n in (5, 7):
+        lat = make_blowup_lattice(P2, n)
+        with pytest.raises(ValueError, match=f"not on {n} points"):
+            is_blowdown_sequence(lat, (lat.l(1),))
+
+
 def test_cubic_combinatorics(cubic):
     data = cubic_combinatorics(cubic)
-    assert len(data.lines) == 27
-    assert len(data.triangles) == 45
-    assert len(data.double_sixes) == 36
-    per_line = {e: 0 for e in data.lines}
-    for tri in data.triangles:
-        for e in tri:
-            per_line[e] += 1
-    assert set(per_line.values()) == {5}
+    assert data.lines == exceptional_classes(cubic)
+    assert data.triangles.shape == (45, 3) and data.double_sixes.shape == (36, 2, 6)
+    assert data.triangles.dtype == data.double_sixes.dtype == np.int64
+    assert not data.triangles.flags.writeable and not data.double_sixes.flags.writeable
+    assert set(np.bincount(data.triangles.ravel()).tolist()) == {5}
     h, l = cubic.h, cubic.l
-    delta0 = frozenset((h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4)))
-    assert delta0 in data.triangles
+    delta0 = sorted(map(data.lines.index, (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))))
+    assert delta0 in data.triangles.tolist()
+    # increasing rows; each double six is (smaller six, partner), in the order of the first six
+    for rows in (data.triangles, data.double_sixes.reshape(-1, 6)):
+        assert (np.diff(rows, axis=1) > 0).all()
+    firsts, seconds = data.double_sixes[:, 0].tolist(), data.double_sixes[:, 1].tolist()
+    assert firsts == sorted(firsts) and all(a < b for a, b in zip(firsts, seconds))
+    coords = np.array([e.coords for e in data.lines])
+    assert (coords[data.triangles].sum(axis=1) == -np.array(cubic.K.coords)).all()
+
+
+def brute_force_triangles(lat, lines):
+    """Every increasing triple of pairwise-meeting lines."""
+    return [list(t) for t in combinations(range(len(lines)), 3)
+            if all(lat.pair(lines[a], lines[b]) == 1 for a, b in combinations(t, 2))]
+
+
+def test_triangles_match_brute_force(cubic):
+    data = cubic_combinatorics(cubic)
+    assert data.triangles.tolist() == brute_force_triangles(cubic, data.lines)
 
 
 def test_cubic_combinatorics_is_built_once_per_lattice(cubic):
@@ -303,27 +359,39 @@ def test_cubic_combinatorics_is_built_once_per_lattice(cubic):
     assert cubic_combinatorics(cubic) is cubic_combinatorics(make_blowup_lattice(P2, 6))
 
 
+def positive_e6_roots(cubic, simple):
+    roots = root_sublattice(cubic, [cubic.K])
+    return [r for r in roots if all(c >= 0 for c in decompose_in_basis(r, simple.roots))]
+
+
 def test_double_six_bijection(cubic, weyl_e6):
     data = cubic_combinatorics(cubic)
     simple = standard_simple_system("E6", cubic)
-    roots = root_sublattice(cubic, [cubic.K])
-    positive = {
-        r for r in roots
-        if all(c >= 0 for c in decompose_in_basis(r, list(simple.roots)))
-    }
+    positive = positive_e6_roots(cubic, simple)
     assert len(positive) == 36
-    images = set()
-    for ds in data.double_sixes:
-        alpha = double_six_to_root(ds, cubic, simple)
-        assert alpha in positive
-        images.add(alpha)
-    assert images == positive
+    roots = double_six_roots(data, cubic, simple)
+    assert roots.shape == (36, cubic.rank) and roots.dtype == np.int64
+    assert sorted(map(tuple, roots.tolist())) == sorted(r.coords for r in positive)
     # base case: the standard six maps to 2h - sum(l)
-    base = frozenset(cubic.l(i) for i in range(1, 7))
-    ds0 = next(d for d in data.double_sixes if base in (d.first, d.second))
-    alpha0 = double_six_to_root(ds0, cubic, simple)
+    base = sorted(data.lines.index(cubic.l(i)) for i in range(1, 7))
+    [k] = np.flatnonzero((data.double_sixes == base).all(axis=2).any(axis=1))
     expected = 2 * cubic.h - sum((cubic.l(i) for i in range(2, 7)), cubic.l(1))
-    assert alpha0 == expected
+    assert tuple(roots[k].tolist()) == expected.coords
+
+
+def test_double_six_roots_match_the_sixes_of_each_root(cubic):
+    # a positive root alpha gives the double six ({e.alpha = 1}, {e.alpha = -1})
+    data = cubic_combinatorics(cubic)
+    simple = standard_simple_system("E6", cubic)
+    oracle = {}
+    for alpha in positive_e6_roots(cubic, simple):
+        pairing = [cubic.pair(e, alpha) for e in data.lines]
+        halves = [tuple(i for i, p in enumerate(pairing) if p == v) for v in (1, -1)]
+        assert [len(half) for half in halves] == [6, 6]
+        oracle[frozenset(halves)] = alpha.coords
+    roots = double_six_roots(data, cubic, simple)
+    assert {frozenset(map(tuple, ds)): tuple(r)
+            for ds, r in zip(data.double_sixes.tolist(), roots.tolist())} == oracle
 
 
 def test_double_six_bijection_takes_one_smith_form(cubic, monkeypatch):
@@ -334,54 +402,78 @@ def test_double_six_bijection_takes_one_smith_form(cubic, monkeypatch):
     monkeypatch.setattr(rootsys, "integer_left_inverse", lambda b: calls.append(b) or inverse(b))
     rootsys._left_inverse.cache_clear()
     simple = standard_simple_system("E6", cubic)
-    roots = [double_six_to_root(ds, cubic, simple) for ds in cubic_combinatorics(cubic).double_sixes]
-    assert len(set(roots)) == 36
+    roots = double_six_roots(cubic_combinatorics(cubic), cubic, simple)
+    assert len(set(map(tuple, roots.tolist()))) == 36
     assert len(calls) == 1  # the 36 double sixes share the simple-root basis
 
 
 def test_double_six_reflection_involution(cubic):
-    data = cubic_combinatorics(cubic)
-    ds = data.double_sixes[0]
-    alpha = double_six_to_root(ds, cubic)
     from picfold.rootsys import reflect
 
-    for e in ds.first:
-        assert reflect(cubic, alpha, reflect(cubic, alpha, e)) == e
+    data = cubic_combinatorics(cubic)
+    roots = double_six_roots(data, cubic, standard_simple_system("E6", cubic))
+    for (first, second), root in zip(data.double_sixes.tolist(), roots.tolist()):
+        alpha = DivisorClass(tuple(root))
+        assert sorted(reflect(cubic, alpha, data.lines[i]) for i in first) == [
+            data.lines[i] for i in second]
+        for i in first:
+            e = data.lines[i]
+            assert reflect(cubic, alpha, reflect(cubic, alpha, e)) == e
 
 
 def test_malformed_double_six_rejected(cubic):
-    lines = [cubic.l(i) for i in range(1, 7)]
-    with pytest.raises((NoRootFoundError, ConfigurationError)):
-        bad = DoubleSix(frozenset(lines), frozenset(lines))
-        bad.validate(cubic)
-        double_six_to_root(bad, cubic)
+    data = cubic_combinatorics(cubic)
+    simple = standard_simple_system("E6", cubic)
+    six = data.double_sixes[:1, 0]
+    bad = data._replace(double_sixes=np.stack([six, six], axis=1))
+    with pytest.raises(ConfigurationError, match="double six 0: no unique disjoint partner"):
+        double_six_roots(bad, cubic, simple)
 
 
-def test_double_six_validate_names_the_broken_condition(cubic):
-    l, h = cubic.l, cubic.h
-    six = frozenset(l(i) for i in range(1, 7))
-    bad = frozenset([l(1), h - l(1) - l(2), l(3), l(4), l(5), l(6)])
-    with pytest.raises(ConfigurationError, match="in one half meet"):
-        DoubleSix(six, bad).validate(cubic)
-    with pytest.raises(ConfigurationError, match="does not meet 5 lines"):
-        DoubleSix(six, six).validate(cubic)
-    with pytest.raises(ConfigurationError, match="halves of 6 and 5 lines"):
-        DoubleSix(six, frozenset(sorted(six)[:5])).validate(cubic)
+def test_double_six_checks_name_the_broken_condition(cubic):
+    data = cubic_combinatorics(cubic)
+    simple = standard_simple_system("E6", cubic)
+    first, second = data.double_sixes[0].tolist()
+    a = first[0]
+    # a line of the first half doubled: still disjoint from one line, but b - 2a is no root
+    lines = list(data.lines)
+    lines[a] = 2 * lines[a]
+    with pytest.raises(ConfigurationError, match="double six 0: partner difference is not a root"):
+        double_six_roots(data._replace(lines=tuple(lines)), cubic, simple)
+    # a line of the second half that a meets swapped for another such line
+    meets = [i for i, e in enumerate(data.lines) if cubic.pair(data.lines[a], e) == 1]
+    out, into = next(i for i in meets if i in second), next(i for i in meets if i not in second)
+    rows = data.double_sixes.copy()
+    rows[0, 1] = sorted(set(second) - {out} | {into})
+    with pytest.raises(ConfigurationError, match="double six 0: reflection does not exchange"):
+        double_six_roots(data._replace(double_sixes=rows), cubic, simple)
+    # a basis of roots that is no simple system: alpha_1 = (alpha_1 + alpha_2) - alpha_2
+    r = simple.roots
+    skew = SimpleSystem((r[0] + r[1],) + r[1:], "E6")
+    with pytest.raises(ConfigurationError, match="neither positive nor negative"):
+        double_six_roots(data, cubic, skew)
+
+
+def test_cubic_combinatorics_names_the_broken_condition(cubic, monkeypatch):
+    # on the seven-point blow-up three pairwise-meeting lines have degree 3, and -K degree 2
+    with pytest.raises(ConfigurationError, match="does not sum to -K"):
+        cubic_combinatorics(make_blowup_lattice(P2, 7))
+    # with one line left out, a six's partner loses that line
+    lines = exceptional_classes(cubic)
+    monkeypatch.setattr(configs, "exceptional_classes", lambda lat: lines[:-1])
+    with pytest.raises(ConfigurationError, match="are not a six paired back with it"):
+        configs._cubic_combinatorics.__wrapped__(cubic)
 
 
 def test_triangle_stabilizers(cubic, weyl_e6):
     h, l = cubic.h, cubic.l
     tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
-    unord = triangle_stabilizer(tri, False, weyl_e6)
-    assert unord.order == 1152
-    assert unord.orbit_size == 45
-    ordered = triangle_stabilizer(tri, True, weyl_e6)
-    assert ordered.order == 192
-    assert ordered.orbit_size == 270
+    assert triangle_stabilizer(tri, False, weyl_e6) == (1152, 45)
+    assert triangle_stabilizer(tri, True, weyl_e6) == (192, 270)
     # the unordered stabilizer is exactly the folded Weyl group: W(F4) fixes
     # the triangle as a set and has the stabilizer's order
     wf4 = folded_weyl_group("F4")
-    assert len(wf4) == unord.order
+    assert len(wf4) == 1152
     assert all({g.apply(e) for e in tri} == set(tri) for g in wf4.gens)
     # the ordered stabilizer is the Weyl group of the fixed sub-root-system:
     # W(D4) fixes each line of the triangle and has the stabilizer's order
@@ -389,7 +481,7 @@ def test_triangle_stabilizers(cubic, weyl_e6):
     from picfold.rootsys import reflection
 
     wd4 = weyl_generate([reflection(cubic, r) for r in d4_simple])
-    assert len(wd4) == ordered.order
+    assert len(wd4) == 192
     assert all(g.apply(e) == e for g in wd4.gens for e in tri)
 
 
@@ -402,10 +494,10 @@ def test_triangle_orbits(cubic, weyl_e6):
     ordered_orbit = orbit(gens, tri)
     assert len(ordered_orbit) == 270 and len(weyl_e6) // len(ordered_orbit) == 192
     assert len(weyl_e6) % len(ordered_orbit) == 0
-    unordered = {frozenset(t) for t in ordered_orbit}
-    assert len(unordered) == 45
     data = cubic_combinatorics(cubic)
-    assert unordered == set(data.triangles)  # transitive on all triangles
+    unordered = {tuple(sorted(map(data.lines.index, t))) for t in ordered_orbit}
+    assert len(unordered) == 45
+    assert unordered == set(map(tuple, data.triangles.tolist()))  # transitive on all triangles
 
 
 def in_class_order(systems):
@@ -654,7 +746,7 @@ def test_check_invariants_rejects_broken_points():
 
 
 def test_check_invariants_raises_under_optimize():
-    code = (
+    run_under_optimize(
         "from picfold.configs import ConfigurationError, GConfiguration\n"
         "from picfold.cases import case_spec\n"
         "from picfold.moduli import PointAssignment\n"
@@ -664,9 +756,4 @@ def test_check_invariants_raises_under_optimize():
         "try:\n"
         "    cfg.check_invariants(lat)\n"
         "except ConfigurationError:\n"
-        "    raise SystemExit(3)\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60)
-    assert proc.returncode == 3, proc.stderr
+        "    raise SystemExit(3)\n", exit_code=3)

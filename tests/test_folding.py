@@ -1,12 +1,7 @@
-import json
-import os
 import random
-import subprocess
-import sys
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import factorial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,13 +30,14 @@ from picfold.rootsys import (
     WeylElement,
     basis_coordinates,
     cartan_matrix_of,
-    decompose_in_basis,
     identify_cartan_type,
     reflection,
     simple_reflections,
     standard_simple_system,
     weyl_generate,
 )
+from linalg_oracles import decompose_in_basis
+from under_optimize import run_under_optimize
 
 
 def _apply(rho, x):
@@ -437,18 +433,8 @@ BREAKS = {
 
 @pytest.mark.parametrize("name", list(BREAKS))
 def test_a_broken_presentation_fails_the_claim_under_optimize(name):
-    code = ("import json, sys\n"
-            "import numpy as np\n"
-            "from picfold import cli, folding\n"
-            + BREAKS[name] +
-            "rc = cli.main(['verify', 'folding', '--format', 'json'])\n"
-            "sys.stdout.flush()\n"
-            "raise SystemExit(rc)\n")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1, proc.stderr
-    status = {r["id"]: r for r in json.loads(proc.stdout)["results"]}
+    status = run_under_optimize("import numpy as np\n"
+                                "from picfold import folding\n" + BREAKS[name], "folding")
     failed = {claim for claim, r in status.items() if r["status"] == "fail"}
     # a dropped root also changes the root counts, which read the same function
     assert failed == {"fold.presentations.agree"} | (

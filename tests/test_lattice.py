@@ -13,7 +13,6 @@ from picfold.lattice import (
     enumerate_classes,
     exceptional_classes,
     gram_matrix,
-    lines_meeting,
     make_blowup_lattice,
 )
 
@@ -97,14 +96,12 @@ def test_27_lines():
     lat = make_blowup_lattice(P2, 6)
     lines = exceptional_classes(lat)
     assert len(lines) == 27
-    # each line meets 10 others and is disjoint from 16
-    meets = lines_meeting(lat, lines)
-    for line in lines:
-        assert len(meets[line]) == 10
-        disjoint = sum(
-            1 for other in lines if other != line and lat.pair(line, other) == 0
-        )
-        assert disjoint == 16
+    # each line meets 10 others and is disjoint from 16: one Gram matrix, read per row
+    gram = gram_matrix(lat, lines)
+    assert (np.diag(gram) == -1).all()
+    assert ((gram == 1).sum(axis=1) == 10).all() and ((gram == 0).sum(axis=1) == 16).all()
+    for line, row in zip(lines, gram.tolist()):
+        assert row == [lat.pair(line, other) for other in lines]
 
 
 def test_d4_roots_by_enumeration():
@@ -164,13 +161,6 @@ def test_a3_root_count_with_section_constraint():
         lat, [(SELF, -2), (lat.K, 0), (lat.f, 0), (lat.s, 0)]
     )
     assert len(roots) == 12
-
-
-def test_lines_meeting_leaves_out_the_class_itself():
-    # h.h = 1, so the diagonal of the Gram matrix must not count as meeting
-    lat = make_blowup_lattice(P2, 6)
-    h, l1 = lat.h, lat.l(1)
-    assert lines_meeting(lat, [h, h - l1, l1]) == {h: {h - l1}, h - l1: {h, l1}, l1: {h - l1}}
 
 
 def test_gram_matrix_matches_pair_and_refuses_overflow():

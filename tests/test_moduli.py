@@ -28,13 +28,13 @@ from picfold.moduli import (
 from picfold.rootsys import (
     BudgetExceededError,
     WeylElement,
-    decompose_in_basis,
     restrict_to_basis,
     simple_reflections,
     standard_simple_system,
     weyl_generate,
 )
 from picfold._linalg import bareiss_det
+from linalg_oracles import decompose_in_basis
 
 from test_rootsys import einsum_closure_stack
 

@@ -14,8 +14,8 @@ a src statement outside its own definition reads it as an attribute
 ``module.Class.method``; a listed class covers its own methods.  Methods
 are matched by attribute name alone, whatever the class of the object read
 from, so a method escapes the rule when src reads another method of the
-same name: ``PointAssignment.validate`` went unflagged while src called
-``DoubleSix.validate``, and was removed by hand.
+same name: a ``validate`` method of one class went unflagged while src
+called the ``validate`` of another.
 """
 
 import ast
@@ -36,6 +36,7 @@ TEST_ONLY = {
     "moduli.invariance_literal_c": "the pairwise C_n form, equivalent only for n = 2",
     "repbundles.dual": "the dual of a weight bundle, and its double dual",
     "repbundles.twisted_identity": "the twisted identity on a weight bundle",
+    "rootsys.reflect": "the reference the reflection matrices and double-six roots are checked on",
 }
 
 
