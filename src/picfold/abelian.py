@@ -23,9 +23,9 @@ and the sorted homogeneous solution table, is computed once and cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,16 +41,22 @@ class SingularCurveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class SigmaModel:
-    """Z/m1 x Z/m2 with m1 | m2, elements reduced componentwise."""
+    """Z/m1 x Z/m2 with m1 | m2, elements reduced componentwise; equal and hashed by (m1, m2)."""
 
-    m1: int
-    m2: int
+    __slots__ = ("m1", "m2")
 
-    def __post_init__(self):
-        if self.m1 < 1 or self.m2 < 1 or self.m2 % self.m1 != 0:
+    def __init__(self, m1: int, m2: int):
+        if m1 < 1 or m2 < 1 or m2 % m1 != 0:
             raise ValueError("need m1 | m2 with both positive")
+        self.m1, self.m2 = m1, m2
+
+    def __eq__(self, other):
+        same = other.__class__ is SigmaModel
+        return (self.m1, self.m2) == (other.m1, other.m2) if same else NotImplemented
+
+    def __hash__(self):
+        return hash((self.m1, self.m2))
 
     @property
     def order(self) -> int:
@@ -248,23 +254,29 @@ def weierstrass_group(p: int, a: int, b: int):
             k >>= 1
         return acc
 
-    def order_of(pt):
-        o, cur = 1, pt
-        while cur is not None:
-            cur = add(cur, pt)
-            o += 1
+    def order_of(pt):  # the order divides n: strip each prime q of n while (o / q) pt = O
+        o = n
+        for q in primes:
+            while o % q == 0 and mul(o // q, pt) is None:
+                o //= q
         return o
 
-    orders = {pt: order_of(pt) for pt in points}
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+    orders = {}
+    for pt in points:  # -(x, y) = (x, -y) has the order of (x, y)
+        orders[pt] = orders.get(pt and (pt[0], -pt[1] % p)) or order_of(pt)
     m2 = 1
     for o in orders.values():
         m2 = m2 * o // gcd(m2, o)
-    # groups of rank <= 2 always contain an element of maximal order
-    g2 = next((pt for pt, o in orders.items() if o == m2), None)
-    if g2 is None:
+    # groups of rank <= 2 always contain an element of maximal order (O when the group is trivial)
+    g2 = max(orders, key=orders.get)
+    if orders[g2] != m2:
         raise AssertionError("no element of maximal order")
     m1 = n // m2
-    sub2 = {mul(j, g2) for j in range(m2)}
+    multiples = [None]  # j g2 for j < m2, one addition each
+    while len(multiples) < m2:
+        multiples.append(add(multiples[-1], g2))
+    sub2 = set(multiples)
     g1 = None
     if m1 > 1:
         # an element of order m1 whose nonzero multiples all avoid <g2>
@@ -277,8 +289,8 @@ def weierstrass_group(p: int, a: int, b: int):
     table = {}
     for i in range(m1):
         base = mul(i, g1) if g1 is not None else None
-        for j in range(m2):
-            table[_key(add(base, mul(j, g2)))] = (i, j)
+        for j, q in enumerate(multiples):
+            table[_key(add(base, q))] = (i, j)
     if len(table) != n:
         raise AssertionError(f"the generators reach {len(table)} of {n} points")
 
@@ -286,7 +298,7 @@ def weierstrass_group(p: int, a: int, b: int):
         return table[_key(pt)]
 
     encode.add = add  # expose the raw chord-tangent law for tests
-    encode.points = points
+    encode.points, encode.orders = points, orders
     return model, encode
 
 
@@ -294,8 +306,7 @@ def _key(pt):
     return pt if pt is not None else "O"
 
 
-@dataclass(frozen=True, eq=False)
-class GroupSolveStack:
+class GroupSolveStack(NamedTuple):
     """The solutions of A x = b for a stack of n right-hand sides b.
 
     ``solvable`` is (n,) bool and ``particular`` (n, ncols, 2) int64, one solution

@@ -17,8 +17,8 @@ this closed form against the direct comparison with the automorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .lattice import F1, P2, IntersectionLattice, make_blowup_lattice
 
@@ -28,8 +28,7 @@ FOLDED_TO_SIMPLY_LACED = {"B": "D", "C": "A", "F4": "E6", "G2": "D4-triality"}
 Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class CaseSpec(NamedTuple):
     """The record of one case name: the facts that are not derived from its fold."""
 
     name: str
@@ -39,10 +38,7 @@ class CaseSpec:
     npoints: int
     ambient: str  # the folded simply-laced type: "D", "A", "D4-triality" or "E6"
     invariance: Rows  # Q: the fixed-point condition is Q x = 0
-
-    @cached_property
-    def lattice(self) -> IntersectionLattice:
-        return make_blowup_lattice(self.model, self.npoints)
+    lattice: IntersectionLattice  # make_blowup_lattice(model, npoints)
 
 
 def _row(n: int, *terms: tuple[int, int]) -> tuple[int, ...]:
@@ -60,21 +56,18 @@ def case_spec(name: str) -> CaseSpec:
     if family not in FOLDED_TO_SIMPLY_LACED or not name[1:].isdigit() or int(name[1:]) < 1:
         raise ValueError(f"unknown case {name!r}")
     n = int(name[1:])
-    ambient = FOLDED_TO_SIMPLY_LACED[family]
     if family == "B":  # 2 x1 = 0
-        return CaseSpec(name, family, n, F1, n + 1, ambient, (_row(n + 1, (1, 2)),))
-    if family == "C":  # the pair sums x_i + x_{2n+1-i} are all equal
-        m = 2 * n
-        return CaseSpec(name, family, n, F1, m, ambient,
-                        tuple(_row(m, (i, 1), (m + 1 - i, 1), (1, -1), (m, -1))
-                              for i in range(2, n + 1)))
-    if family == "G2":  # 2 x1 = 0, x1 + x4 = x2 + x3
-        return CaseSpec(name, family, n, F1, 4, ambient,
-                        (_row(4, (1, 2)), _row(4, (1, 1), (2, -1), (3, -1), (4, 1))))
-    # F4: x1 + x6 = x2 + x5 = x3 + x4
-    return CaseSpec(name, family, n, P2, 6, ambient,
-                    (_row(6, (1, 1), (6, 1), (2, -1), (5, -1)),
-                     _row(6, (1, 1), (6, 1), (3, -1), (4, -1))))
+        model, m, q = F1, n + 1, (_row(n + 1, (1, 2)),)
+    elif family == "C":  # the pair sums x_i + x_{2n+1-i} are all equal
+        model, m = F1, 2 * n
+        q = tuple(_row(m, (i, 1), (m + 1 - i, 1), (1, -1), (m, -1)) for i in range(2, n + 1))
+    elif family == "G2":  # 2 x1 = 0, x1 + x4 = x2 + x3
+        model, m, q = F1, 4, (_row(4, (1, 2)), _row(4, (1, 1), (2, -1), (3, -1), (4, 1)))
+    else:  # F4: x1 + x6 = x2 + x5 = x3 + x4
+        model, m, q = P2, 6, (_row(6, (1, 1), (6, 1), (2, -1), (5, -1)),
+                              _row(6, (1, 1), (6, 1), (3, -1), (4, -1)))
+    return CaseSpec(name, family, n, model, m, FOLDED_TO_SIMPLY_LACED[family], q,
+                    make_blowup_lattice(model, m))
 
 
 def holds(rows: Rows, sigma, points) -> bool:

@@ -19,9 +19,9 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 from itertools import zip_longest
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ VERSION = "0.1.0"
 SUITES = ("lattice", "folding", "cubic", "configs", "moduli", "liealg", "repbundles")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     sigma: tuple[int, int] = (2, 2)
     curve: tuple[int, int, int] | None = None
     rank_b: int = 4
@@ -89,27 +88,25 @@ def load_config_file(path: str) -> dict:
 
 
 def config_from(values: dict, args) -> RunConfig:
-    cfg = RunConfig()
+    """The file's values over the defaults, and the command-line flags over both."""
+    merged = {}
     if "sigma.m1" in values or "sigma.m2" in values:
-        cfg.sigma = (values.get("sigma.m1", 1), values.get("sigma.m2", 1))
+        merged["sigma"] = (values.get("sigma.m1", 1), values.get("sigma.m2", 1))
     if {"curve.p", "curve.a", "curve.b"} & values.keys():
-        cfg.curve = (values.get("curve.p", 5), values.get("curve.a", 1),
-                     values.get("curve.b", 0))
-    cfg.rank_b = values.get("ranks.b", cfg.rank_b)
-    cfg.rank_c = values.get("ranks.c", cfg.rank_c)
-    cfg.weyl_cap = values.get("budget.weyl_cap", cfg.weyl_cap)
-    cfg.action_cap = values.get("budget.action_cap", cfg.action_cap)
-    # command-line flags win
+        merged["curve"] = (values.get("curve.p", 5), values.get("curve.a", 1),
+                           values.get("curve.b", 0))
+    for field, key in (("rank_b", "ranks.b"), ("rank_c", "ranks.c"),
+                       ("weyl_cap", "budget.weyl_cap"), ("action_cap", "budget.action_cap")):
+        if key in values:
+            merged[field] = values[key]
     if args.sigma is not None:
         m1, m2 = (int(x) for x in args.sigma.split(","))
-        cfg.sigma = (m1, m2)
+        merged["sigma"] = (m1, m2)
     if args.curve is not None:
         p, a, b = (int(x) for x in args.curve.split(","))
-        cfg.curve = (p, a, b)
-    if args.rank_b is not None:
-        cfg.rank_b = args.rank_b
-    if args.rank_c is not None:
-        cfg.rank_c = args.rank_c
+        merged["curve"] = (p, a, b)
+    merged.update((f, v) for f in ("rank_b", "rank_c") if (v := getattr(args, f)) is not None)
+    cfg = RunConfig(**merged)
     # a rank below 2 names no B or C case; a cap below 1 refuses every claim
     if min(cfg.rank_b, cfg.rank_c) < 2:
         raise ConfigError(f"ranks must be at least 2, got b = {cfg.rank_b}, c = {cfg.rank_c}")
@@ -128,8 +125,7 @@ def check(cond, msg: str) -> None:
         raise CheckFailed(msg)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim_id: str
     status: str
     witness: object
@@ -335,15 +331,13 @@ def _suite_cubic(cfg: RunConfig):
         return {"image_size": 36, "base_root": alpha0}
 
     def stabilizers():
-        lines, rows = configs.cubic_combinatorics(lat)[:2]
         w = folding.ambient_weyl_group("F4", cfg.weyl_cap)  # W(E6)
         h, l = lat.h, lat.l
         tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
-        check(sorted(map(lines.index, tri)) in rows.tolist(), f"{tri} is not a triangle")
-        order, orbit = configs.triangle_stabilizer(tri, False, w)
+        (order, orbit), (ordered, ordered_orbit) = configs.triangle_stabilizer(
+            configs.cubic_combinatorics(lat), tri, w)
         _expect(order, _weyl_order("F4"), "unordered stabilizer")
         _expect(orbit, 45, "triangle orbit")
-        ordered, ordered_orbit = configs.triangle_stabilizer(tri, True, w)
         _expect(ordered, 192, "ordered stabilizer")
         _expect(ordered_orbit, 270, "ordered orbit")
         # W(F4) fixes the triangle and has the stabilizer's order, so it is the stabilizer

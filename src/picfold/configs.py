@@ -24,7 +24,6 @@ double-six roots and the plane blow-down test read these rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
@@ -62,8 +61,7 @@ def symbolic_point(lat: IntersectionLattice, rows: np.ndarray, d: DivisorClass):
     return tuple(int(v) for v in coeffs @ rows)
 
 
-@dataclass(frozen=True)
-class GConfiguration:
+class GConfiguration(NamedTuple):
     case: str
     classes: tuple  # in the slot order of the case's points
     pa: PointAssignment | None = None
@@ -234,8 +232,7 @@ def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
     return bool((np.isin(data.double_sixes.reshape(-1, 6), row).sum(axis=1) == len(row)).any())
 
 
-@dataclass(frozen=True)
-class TransitivityReport:
+class TransitivityReport(NamedTuple):
     simply_transitive: bool
     group_order: int
     system_count: int
@@ -369,14 +366,23 @@ def double_six_roots(data: CubicData, lat: IntersectionLattice,
     return np.where(positive[:, None], alpha, -alpha)
 
 
-def triangle_stabilizer(triangle, ordered: bool, weyl: WeylGroup) -> tuple[int, int]:
-    """(stabilizer order, orbit size) of a (possibly ordered) triangle in the group.
+def triangle_stabilizer(data: CubicData, triangle, weyl: WeylGroup) -> tuple[tuple[int, int], ...]:
+    """(stabilizer order, orbit size) of a triangle, unordered then ordered, from one orbit walk.
 
     The orbit of the ordered triangle, as one int64 row of its three lines,
-    is walked by the generators; the unordered orbit is its set of
-    underlying triangles.  The stabilizer order is |W| / |orbit|.
+    is walked by the generators.  Each row's lines are mapped to their
+    indices in ``data.lines`` and sorted; every sorted row must be a row of
+    ``data.triangles``, else ``ConfigurationError``.  The unordered orbit is
+    the set of distinct sorted rows.  A stabilizer's order is |W| / |orbit|.
     """
+    n, rank = len(data.lines), len(triangle[0].coords)
     rows = weyl.orbit_rows(np.array([c for line in triangle for c in line.coords], dtype=np.int64))
-    if not ordered:
-        rows = {frozenset(row_keys(r.reshape(len(triangle), -1))) for r in rows}
-    return len(weyl) // len(rows), len(rows)
+    index = {key: i for i, key in enumerate(row_keys(np.array([e.coords for e in data.lines],
+                                                              dtype=np.int64)))}
+    # a class off the table sorts first with -n^3, so its row's code is below every triangle's
+    idx = [index.get(key, -n**3) for key in row_keys(np.reshape(rows, (-1, rank)))]
+    codes = (np.sort(np.reshape(idx, (-1, 3)), axis=1) @ [n * n, n, 1]).tolist()
+    known = set((data.triangles @ [n * n, n, 1]).tolist())
+    for k in (k for k, code in enumerate(codes) if code not in known):
+        raise ConfigurationError(f"orbit row {k} of {triangle} is not a triangle")
+    return tuple((len(weyl) // size, size) for size in (len(set(codes)), len(rows)))

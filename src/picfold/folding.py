@@ -19,7 +19,6 @@ The same sigma forces the relations among a case's blow-up points
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import lcm
@@ -46,21 +45,23 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
 class OuterAutomorphism:
     """A diagram automorphism acting on a chosen simple system.
 
     ``permutation`` maps simple-root indices (0-based) to indices; it acts
     on the span of the simple roots plus K, fixing K.  Besides K, the
-    ambient roots are orthogonal to the classes ``orthogonal_to``.
+    ambient roots are orthogonal to the classes ``orthogonal_to``, and
+    ``zero_sums`` holds rows r with r x = 0 on the points of every ambient
+    configuration.  ``outer_automorphism`` builds one per (ambient, lattice),
+    and each is equal only to itself.
     """
 
-    ambient: str  # the simply-laced type: "A", "D", "E6" or "D4-triality"
-    lattice: IntersectionLattice
-    simple_system: SimpleSystem
-    permutation: tuple[int, ...]
-    orthogonal_to: tuple[DivisorClass, ...] = ()
-    zero_sums: Rows = ()  # rows r with r x = 0 on the points of every ambient configuration
+    def __init__(self, ambient: str, lattice: IntersectionLattice, simple_system: SimpleSystem,
+                 permutation: tuple[int, ...], orthogonal_to: tuple[DivisorClass, ...] = (),
+                 zero_sums: Rows = ()):
+        self.ambient = ambient  # the simply-laced type: "A", "D", "E6" or "D4-triality"
+        self.lattice, self.simple_system, self.permutation = lattice, simple_system, permutation
+        self.orthogonal_to, self.zero_sums = orthogonal_to, zero_sums
 
     @cached_property
     def invariance_rows(self) -> Rows:
@@ -102,7 +103,7 @@ def outer_automorphism(ambient: str, lat: IntersectionLattice) -> OuterAutomorph
     orthogonal to K and to f (D, triality), to f and s (A) or to K alone
     (E6), and the points of A sum to zero.  The key is the ambient type,
     not a case name: one D lives on many lattices.  The Cartan-matrix check
-    runs once per (ambient, lat); callers share the frozen result.
+    runs once per (ambient, lat); callers share the one result.
     """
     sums = ()
     if ambient == "A":

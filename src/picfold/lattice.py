@@ -14,8 +14,7 @@ All coordinates are plain Python integers, so arithmetic never overflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 
 import numpy as np
@@ -28,11 +27,22 @@ class UnboundedSearchError(ValueError):
     """The given constraints do not bound the set of solution classes."""
 
 
-@dataclass(frozen=True, order=True)
 class DivisorClass:
-    """An integer coordinate vector over the ambient lattice basis."""
+    """An integer coordinate vector over the ambient lattice basis, compared by ``coords``."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        self.coords = coords
+
+    def __eq__(self, other):
+        return self.coords == other.coords if other.__class__ is DivisorClass else NotImplemented
+
+    def __lt__(self, other):  # > falls back to the reflected <, >= to <=
+        return self.coords < other.coords if other.__class__ is DivisorClass else NotImplemented
+
+    def __le__(self, other):
+        return self.coords <= other.coords if other.__class__ is DivisorClass else NotImplemented
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
@@ -48,22 +58,28 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
-    def __hash__(self):  # the generated hash builds (coords,) on every lookup
+    def __hash__(self):
         return hash(self.coords)
 
     def __repr__(self):
         return f"DivisorClass{self.coords}"
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
-    """A unimodular lattice of signature (1, rank-1) with a fixed basis."""
+    """A unimodular lattice of signature (1, rank-1) with a fixed basis, equal by its fields."""
 
-    model: str
-    npoints: int
-    basis_labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    K: DivisorClass
+    def __init__(self, model: str, npoints: int, basis_labels: tuple[str, ...],
+                 gram: tuple[tuple[int, ...], ...], K: DivisorClass):
+        self.model, self.npoints, self.basis_labels, self.gram, self.K = (
+            model, npoints, basis_labels, gram, K)
+        self._key = (model, npoints, basis_labels, gram, K)
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is IntersectionLattice else NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rank(self) -> int:
@@ -123,7 +139,12 @@ class IntersectionLattice:
 
 
 def make_blowup_lattice(model: str, n: int) -> IntersectionLattice:
-    """Blow-up lattice with n exceptional classes for the given model."""
+    """Blow-up lattice with n exceptional classes for the given model, built once."""
+    return _blowup_lattice(model, n)
+
+
+@lru_cache(maxsize=None)
+def _blowup_lattice(model: str, n: int) -> IntersectionLattice:
     if n < 1:
         raise ValueError("need at least one blown-up point")
     if model == F1:
@@ -145,13 +166,7 @@ def make_blowup_lattice(model: str, n: int) -> IntersectionLattice:
         k = (-3,) + (1,) * n
     else:
         raise ValueError(f"unknown model {model!r}")
-    return IntersectionLattice(
-        model=model,
-        npoints=n,
-        basis_labels=labels,
-        gram=tuple(tuple(row) for row in gram),
-        K=DivisorClass(k),
-    )
+    return IntersectionLattice(model, n, labels, tuple(map(tuple, gram)), DivisorClass(k))
 
 
 SELF = "self"

@@ -78,7 +78,6 @@ certified zero, not left out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from typing import NamedTuple
 
@@ -138,8 +137,7 @@ def root_string(lat_or_rs, alpha, beta, roots=None):
     return r, q
 
 
-@dataclass
-class StructureConstantTable:
+class StructureConstantTable(NamedTuple):
     """A Chevalley table on the sorted roots, as int64 arrays indexed by root (module docstring)."""
 
     lattice: IntersectionLattice

@@ -19,9 +19,9 @@ stack in one call, on the solver data ``abelian`` caches per
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,12 +46,20 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
 class PointAssignment:
-    """Blow-up points on the anticanonical curve, one per exceptional class."""
+    """Blow-up points on the anticanonical curve, one per exceptional class; equal by both."""
 
-    sigma: object
-    points: tuple
+    __slots__ = ("sigma", "points")
+
+    def __init__(self, sigma, points: tuple):
+        self.sigma, self.points = sigma, points
+
+    def __eq__(self, other):
+        same = other.__class__ is PointAssignment
+        return (self.sigma, self.points) == (other.sigma, other.points) if same else NotImplemented
+
+    def __hash__(self):
+        return hash((self.sigma, self.points))
 
     def __len__(self):
         return len(self.points)
@@ -85,8 +93,7 @@ def invariance_literal_c(pa: PointAssignment) -> bool:
     return all(s.is_zero(s.scale(n, s.add(x[i], x[2 * n - 1 - i]))) for i in range(n))
 
 
-@dataclass(frozen=True)
-class FixedComponents:
+class FixedComponents(NamedTuple):
     labels: tuple
     component_size: int
     identity_label: object
@@ -132,8 +139,7 @@ def case_system_matrix(case: str) -> tuple[tuple[int, ...], ...]:
                  for coeffs in _folded_simple_coeffs(case))
 
 
-@dataclass(frozen=True, eq=False)
-class ReconstructionStack:
+class ReconstructionStack(NamedTuple):
     """The assignments x = P t that solve a stack of n reconstruction systems.
 
     ``table`` is a read-only (N, npoints, 2) int64 array of points, block by
@@ -210,8 +216,7 @@ def invariance_agreement_exhaustive(case: str, sigma: SigmaModel, cap: int = 10*
     return count
 
 
-@dataclass(frozen=True)
-class ChiReport:
+class ChiReport(NamedTuple):
     passed: bool
     domain_size: int
     group_size: int

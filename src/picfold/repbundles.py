@@ -30,9 +30,9 @@ checked against its cap before anything is allocated
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class ConstraintViolatedError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WeightBundle:
+class WeightBundle(NamedTuple):
     name: str
     summands: tuple[DivisorClass, ...]
 
@@ -295,8 +294,7 @@ def wedge_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
 # the 27-line decomposition under the folding constraint
 
 
-@dataclass(frozen=True)
-class F4RepDecomposition:
+class F4RepDecomposition(NamedTuple):
     zero_lines: tuple[DivisorClass, ...]
     common_class: tuple
     short_root_map: dict

@@ -43,8 +43,7 @@ never in wrapped integers.  A finite group of order above ``cap`` raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
 from math import gcd, prod
 
@@ -78,10 +77,11 @@ def row_keys(arr: np.ndarray) -> list[bytes]:
     return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
 
 
-@dataclass(frozen=True)
 class RootSystemData:
-    ambient: IntersectionLattice
-    roots: frozenset[DivisorClass]
+    __slots__ = ("ambient", "roots")
+
+    def __init__(self, ambient: IntersectionLattice, roots: frozenset[DivisorClass]):
+        self.ambient, self.roots = ambient, roots
 
     def __len__(self):
         return len(self.roots)
@@ -93,10 +93,11 @@ class RootSystemData:
         return iter(sorted(self.roots))
 
 
-@dataclass(frozen=True)
 class SimpleSystem:
-    roots: tuple[DivisorClass, ...]
-    type_tag: str
+    __slots__ = ("roots", "type_tag")
+
+    def __init__(self, roots: tuple[DivisorClass, ...], type_tag: str):
+        self.roots, self.type_tag = roots, type_tag
 
     def __len__(self):
         return len(self.roots)
@@ -105,13 +106,19 @@ class SimpleSystem:
         return iter(self.roots)
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    entries: tuple[tuple[int, ...], ...]
+    """A lattice matrix: its integer ``entries``, equal and hashed by them, and ``mat``, int64."""
 
-    @cached_property
-    def mat(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
+    __slots__ = ("entries", "mat")
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        self.entries, self.mat = entries, np.array(entries, dtype=np.int64)
+
+    def __eq__(self, other):
+        return self.entries == other.entries if other.__class__ is WeylElement else NotImplemented
+
+    def __hash__(self):
+        return hash(self.entries)
 
     @staticmethod
     def from_matrix(m) -> "WeylElement":

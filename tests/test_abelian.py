@@ -83,6 +83,34 @@ def test_weierstrass_encoding_is_isomorphism():
         assert enc(enc.add(p, q)) == model.add(enc(p), enc(q))
 
 
+def _brute_force_order(add, pt):
+    o, cur = 1, pt
+    while cur is not None:
+        cur, o = add(cur, pt), o + 1
+    return o
+
+
+def test_weierstrass_orders_match_brute_force_for_small_p():
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for a, b in product(range(p), repeat=2):
+            if (4 * a**3 + 27 * b**2) % p == 0:
+                continue
+            model, enc = weierstrass_group(p, a, b)
+            assert enc.orders == {pt: _brute_force_order(enc.add, pt) for pt in enc.points}
+            assert model.order == len(enc.points)
+
+
+def test_weierstrass_near_the_prime_bound():
+    model, enc = weierstrass_group(9973, 5, 0)
+    n = len(enc.points)
+    assert model.m1 * model.m2 == n and model.m2 % model.m1 == 0
+    rng = random.Random(3)
+    for pt, qt in zip(rng.sample(enc.points, 50), rng.sample(enc.points, 50)):
+        assert enc(enc.add(pt, qt)) == model.add(enc(pt), enc(qt))
+    with pytest.raises(ValueError, match="10\\^4"):
+        weierstrass_group(10007, 1, 1)
+
+
 def test_weierstrass_rejects_singular():
     with pytest.raises(SingularCurveError):
         weierstrass_group(5, 0, 0)

@@ -7,7 +7,6 @@ reconstruction system had before every case fact was read from
 ``picfold.cases`` wrote out before ``folding.case_points`` derived them.
 """
 
-import dataclasses
 import random
 from itertools import product
 
@@ -172,8 +171,9 @@ def _ambient_zero_sums(npoints):
 def _points_of_mutated_fold(monkeypatch, case, **changes):
     """(P, torsion) of case_points, uncached, on the case's fold with the given fields replaced."""
     fold = folding.case_fold
-    monkeypatch.setattr(folding, "case_fold",
-                        lambda name: dataclasses.replace(fold(name), **changes))
+    fields = ("ambient", "lattice", "simple_system", "permutation", "orthogonal_to", "zero_sums")
+    monkeypatch.setattr(folding, "case_fold", lambda name: folding.OuterAutomorphism(
+        *(changes.get(f, getattr(fold(name), f)) for f in fields)))
     points = folding.case_points.__wrapped__(case)
     return points.points, points.torsion
 

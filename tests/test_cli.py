@@ -11,6 +11,7 @@ from picfold.cli import (
     emit_report,
     load_config_file,
     main,
+    report_difference,
     run_suite,
 )
 from under_optimize import run_under_optimize
@@ -134,6 +135,20 @@ def test_curve_adapter_drives_sigma(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["run"]["config"]["curve"] == [5, 1, 0]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("curve, sigma", [("5,1,0", "2,2"), ("7,0,2", "3,3")])
+def test_curve_and_sigma_of_one_group_give_one_report(tmp_path, capsys, curve, sigma):
+    # the claims see only the group, so only run.config and ms may differ
+    docs = []
+    for flag, value in (("--curve", curve), ("--sigma", sigma)):
+        out = tmp_path / f"{flag[2:]}.json"
+        assert main(["verify", "moduli", flag, value, "--format", "json", "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    capsys.readouterr()
+    assert docs[0]["run"] != docs[1]["run"]
+    docs[1]["run"] = docs[0]["run"]
+    assert report_difference(*docs) is None
 
 
 def test_trivial_group_passes_moduli(capsys):

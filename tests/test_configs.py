@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from picfold import configs
+from picfold import cli, configs, rootsys
 from picfold.cases import case_spec
 from picfold.folding import ambient_weyl_group, case_points, folded_weyl_group
 from picfold.lattice import F1, P2, DivisorClass, exceptional_classes, make_blowup_lattice
@@ -454,6 +454,30 @@ def test_double_six_checks_name_the_broken_condition(cubic):
         double_six_roots(data, cubic, skew)
 
 
+def test_triangle_stabilizers_walk_one_orbit_per_claim_run(monkeypatch):
+    claim = dict(cli._suite_cubic(cli.RunConfig()))["F4.triangle.stabilizers"]
+    claim()  # the groups and the cubic data are cached from here on
+    walks, orbit_rows = [], rootsys._orbit_rows
+
+    def spy(mats, vec, cap):
+        walks.append(len(vec))
+        return orbit_rows(mats, vec, cap)
+
+    monkeypatch.setattr(rootsys, "_orbit_rows", spy)
+    assert claim()["ordered_orbit"] == 270
+    assert walks == [3 * 7]  # one walk, of the ordered triangle's row
+
+
+def test_triangle_stabilizer_refuses_an_orbit_row_off_the_triangles(cubic, weyl_e6):
+    h, l = cubic.h, cubic.l
+    data = cubic_combinatorics(cubic)
+    tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
+    with pytest.raises(ConfigurationError, match=r"orbit row \d+ of .* is not a triangle"):
+        triangle_stabilizer(data._replace(triangles=data.triangles[1:]), tri, weyl_e6)
+    with pytest.raises(ConfigurationError, match="is not a triangle"):
+        triangle_stabilizer(data._replace(lines=data.lines[1:]), tri, weyl_e6)
+
+
 def test_cubic_combinatorics_names_the_broken_condition(cubic, monkeypatch):
     # on the seven-point blow-up three pairwise-meeting lines have degree 3, and -K degree 2
     with pytest.raises(ConfigurationError, match="does not sum to -K"):
@@ -468,8 +492,8 @@ def test_cubic_combinatorics_names_the_broken_condition(cubic, monkeypatch):
 def test_triangle_stabilizers(cubic, weyl_e6):
     h, l = cubic.h, cubic.l
     tri = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
-    assert triangle_stabilizer(tri, False, weyl_e6) == (1152, 45)
-    assert triangle_stabilizer(tri, True, weyl_e6) == (192, 270)
+    # (order, orbit) of the unordered triangle, then of the ordered one
+    assert triangle_stabilizer(cubic_combinatorics(cubic), tri, weyl_e6) == ((1152, 45), (192, 270))
     # the unordered stabilizer is exactly the folded Weyl group: W(F4) fixes
     # the triangle as a set and has the stabilizer's order
     wf4 = folded_weyl_group("F4")

@@ -16,13 +16,14 @@ FALSIFIERS = {
         "from picfold import lattice\n"
         "lines = lattice.exceptional_classes\n"
         "lattice.exceptional_classes = lambda lat: lines(lat)[:-1] + (lat.h,)\n")),
-    # one triangle row dropped
-    "E6.cubic.combinatorics": ("cubic", "triangles: got 44", (
+    # one triangle row repeated (a dropped row also fails F4.triangle.stabilizers, whose
+    # orbit must land on the rows)
+    "E6.cubic.combinatorics": ("cubic", "triangles: got 46", (
         "from picfold import configs\n"
         "build = configs.cubic_combinatorics\n"
         "def broken(lat):\n"
         "    data = build(lat)\n"
-        "    return data._replace(triangles=data.triangles[1:])\n"
+        "    return data._replace(triangles=data.triangles[[0, *range(45)]])\n"
         "configs.cubic_combinatorics = broken\n")),
     # one root negated: the images and their negatives are still the E6 roots
     "E6.doublesix.root.bijection": ("cubic", "(sum of images, simple roots)", (

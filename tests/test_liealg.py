@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -61,9 +60,9 @@ def from_dicts(t, n_map, cartan, coroot_coords):
     for (a, b), v in n_map.items():
         N[index[a], index[b]] = v
     rows = [[cartan[(rt, i)] for i in range(t.rank)] for rt in t.roots]
-    return replace(t, N=N, cartan=np.array(rows, dtype=np.int64).reshape(t.cartan.shape),
-                   coroots=np.array([coroot_coords[rt] for rt in t.roots],
-                                    dtype=np.int64).reshape(t.coroots.shape))
+    return t._replace(N=N, cartan=np.array(rows, dtype=np.int64).reshape(t.cartan.shape),
+                      coroots=np.array([coroot_coords[rt] for rt in t.roots],
+                                       dtype=np.int64).reshape(t.coroots.shape))
 
 
 @pytest.fixture(scope="module")
@@ -464,12 +463,12 @@ def test_codes_beyond_int64_are_refused_before_any_product(tables):
     codes = t.codes.copy()
     codes[0] = 2**61  # three of them reach 2^62
     with pytest.raises(OverflowError):
-        verify_jacobi(replace(t, codes=codes))
+        verify_jacobi(t._replace(codes=codes))
     N = t.N.copy()
     a, b = np.argwhere(N)[0]
     N[a, b] = np.iinfo(np.int64).min  # np.abs wraps it to itself
     with pytest.raises(OverflowError):
-        verify_jacobi(replace(t, N=N))
+        verify_jacobi(t._replace(N=N))
 
 
 def test_jacobi_memory_is_bounded(tables):

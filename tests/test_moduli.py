@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import tracemalloc
 from itertools import product
@@ -120,8 +119,8 @@ def test_closed_vs_direct_exhaustive(case, m1, m2):
 def drop_last_invariance_row(monkeypatch):
     """Make moduli read every case with the last row of Q removed."""
     spec_of = moduli.case_spec
-    monkeypatch.setattr(moduli, "case_spec", lambda name: dataclasses.replace(
-        spec_of(name), invariance=spec_of(name).invariance[:-1]))
+    monkeypatch.setattr(moduli, "case_spec", lambda name: spec_of(name)._replace(
+        invariance=spec_of(name).invariance[:-1]))
 
 
 @pytest.mark.parametrize("case, first", [
