@@ -16,14 +16,12 @@ walk's size, |Sigma|^k, is checked against a cap first
 Integer linear systems A x = b over a SigmaModel are solved through the
 Smith normal form, both cyclic factors at once, for a whole (n, nrows, 2)
 stack of right-hand sides b (``solve_group_stack``); a single b is the
-one-row case (``solve_group_system``).  What depends only on (A, m1, m2),
-U^-1 and V^-1 reduced mod each factor, the invariant orders gcd(d_i, m)
-and the sorted homogeneous solution table, is computed once and cached.
+one-row case (``solve_group_system``).  Every solution is a particular
+one plus a row of the sorted homogeneous table.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -155,6 +153,8 @@ class SigmaModel:
         table = table.reshape(nforms * order, width)
 
         rows, head = np.arange(nforms)[:, None] * order, forms[:, :k - w]
+        # one buffer for the walk: allocating each chunk raised the peak RSS of
+        # `verify repbundles` 34.90 -> 35.63 MiB (10 of 10 pairs)
         buf = np.empty(nforms * min(step, nhead) * width, code)
         for h0 in range(0, nhead, step):
             idx = np.arange(h0, min(h0 + step, nhead))
@@ -324,126 +324,81 @@ class GroupSolveStack(NamedTuple):
     image: np.ndarray
 
 
-@lru_cache(maxsize=1024)
-def _smith_data(a: tuple[tuple[int, ...], ...]):
-    """(d, U^-1, V^-1) of A = U S V as tuples; d is padded with zeros to the column count."""
-    dec = _snf_raw([list(row) for row in a])
-    ncols = len(a[0]) if a else 0
-    d = tuple(dec.diag) + (0,) * (ncols - len(dec.diag))
-    return d, tuple(map(tuple, dec.uinv)), tuple(map(tuple, dec.vinv))
+def _homogeneous(vinv: np.ndarray, steps: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The (kernel_size, ncols, 2) table of solutions of A x = 0, sorted.
 
-
-class _SolverData:
-    """What solving A x = b over Z/m1 x Z/m2 reads that depends on (A, m1, m2) only.
-
-    Arrays are int64 with a leading axis of length 2, one entry per factor m:
-    ``uinv`` is U^-1 mod m, padded with zero rows to max(nrows, ncols) rows;
-    ``vinv`` is V^-1 mod m; ``orders`` holds g_i = gcd(d_i, m), and m on the rows
-    past the column count, where c_i = 0 is needed; ``steps`` holds m / g_i and
-    ``units`` the inverse of d_i / g_i mod m / g_i (0 where m / g_i = 1).  All
-    are read-only; the homogeneous table is built on first use.
+    Per factor m: V^-1 mod m applied to every combination of the multiples
+    k_i m / g_i, k_i < g_i, both factors in one int64 matmul; the rows are
+    sorted and checked distinct.
     """
-
-    def __init__(self, a, m1: int, m2: int):
-        nrows = len(a)
-        self.ncols = ncols = len(a[0]) if nrows else 0
-        if m2 * m2 * max(nrows, ncols) >= 1 << 62:
-            raise OverflowError(f"solutions mod {m2} of {nrows} x {ncols} systems could exceed 2^62")
-        d, uinv, vinv = _smith_data(a)
-        self.mods = mods = (m1, m2)
-        orders = [[gcd(di, m) for di in d] + [m] * (nrows - ncols) for m in mods]
-        self.kernel_size = prod(orders[0][:ncols]) * prod(orders[1][:ncols])
-        pad = [(0,) * nrows] * (ncols - nrows)
-        self.uinv = np.array([[[u % m for u in row] for row in uinv + tuple(pad)] for m in mods],
-                             dtype=np.int64).reshape(2, len(orders[0]), nrows)
-        self.vinv = np.array([[[v % m for v in row] for row in vinv] for m in mods],
-                             dtype=np.int64).reshape(2, ncols, ncols)
-        self.orders = np.array(orders, dtype=np.int64).reshape(2, -1, 1)
-        self.steps = np.array(mods, dtype=np.int64).reshape(2, 1, 1) // self.orders[:, :ncols]
-        self.units = np.array([[pow(di // g, -1, m // g) if g < m else 0
-                                for di, g in zip(d, gs)] for gs, m in zip(orders, mods)],
-                              dtype=np.int64).reshape(2, ncols, 1)
-        for arr in (self.uinv, self.vinv, self.orders, self.steps, self.units):
-            arr.flags.writeable = False  # cached and shared (_solver_data)
-
-    def particular(self, b: np.ndarray):
-        """(solvable, particular) for b, an (n, nrows, 2) stack of right-hand sides.
-
-        With c = U^-1 b mod m, coordinate i solves d_i y_i = c_i mod m, which has
-        g_i solutions m / g_i apart when g_i divides c_i; x = V^-1 y mod m.
-        """
-        mods = np.array(self.mods, dtype=np.int64).reshape(2, 1, 1)
-        c = self.uinv @ (b.transpose(2, 1, 0) % mods) % mods  # (2, rows, n)
-        solvable = ~(c % self.orders).any(axis=(0, 1))
-        y = c[:, :self.ncols] // self.orders[:, :self.ncols] * self.units % self.steps
-        return solvable, (self.vinv @ y % mods).transpose(2, 1, 0)
-
-    def solutions(self, particular: np.ndarray) -> np.ndarray:
-        """(n, kernel_size, ncols, 2): each particular solution plus the homogeneous table."""
-        return (particular[:, None] + self.kernel[None]) % np.array(self.mods, dtype=np.int64)
-
-    @cached_property
-    def kernel(self) -> np.ndarray:
-        """The read-only (kernel_size, ncols, 2) table of solutions of A x = 0, sorted.
-
-        Per factor: V^-1 applied to every combination of the steps m / g_i, in
-        one int64 matmul; the factors are paired, sorted and checked distinct.
-        """
-        ncols, cosets = self.ncols, []
-        for vinv, g, step, m in zip(self.vinv, self.orders[:, :ncols, 0], self.steps, self.mods):
-            ticks = np.indices(tuple(g.tolist())).reshape(ncols, -1)
-            cosets.append((vinv @ (step * ticks) % m).T)
-        c1, c2 = cosets
-        flat = np.stack([np.repeat(c1, len(c2), axis=0), np.tile(c2, (len(c1), 1))],
-                        axis=2).reshape(self.kernel_size, 2 * ncols)
-        flat = flat[np.lexsort(flat.T[::-1])]
-        distinct = 1 + int(np.count_nonzero((flat[1:] != flat[:-1]).any(axis=1)))
-        if distinct != self.kernel_size:
-            raise AssertionError(f"{distinct} distinct solutions, kernel size {self.kernel_size}")
-        table = flat.reshape(self.kernel_size, ncols, 2)
-        table.flags.writeable = False
-        return table
-
-
-@lru_cache(maxsize=1024)
-def _solver_data(a: tuple[tuple[int, ...], ...], m1: int, m2: int) -> _SolverData:
-    return _SolverData(a, m1, m2)
+    ncols = vinv.shape[1]
+    ticks = np.indices(tuple((m // steps).ravel().tolist())).reshape(2, ncols, -1)
+    flat = (vinv @ (steps * ticks) % m).T.reshape(-1, 2 * ncols)
+    flat = flat[np.lexsort(flat.T[::-1])]
+    distinct = 1 + int(np.count_nonzero((flat[1:] != flat[:-1]).any(axis=1)))
+    if distinct != len(flat):
+        raise AssertionError(f"{distinct} distinct solutions, kernel size {len(flat)}")
+    return flat.reshape(-1, ncols, 2)
 
 
 def solve_group_stack(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> GroupSolveStack:
     """Solve A x = b over the group for each b of rhs, an (n, nrows, 2) stack.
 
-    Everything that depends on (A, m1, m2) alone is cached (``_solver_data``):
-    the Smith form, U^-1 and V^-1 reduced mod each factor, the invariant
-    orders gcd(d_i, m) and the sorted homogeneous table.  The stack itself
-    costs a few int64 operations: c = U^-1 b mod m, one solvability mask,
-    the particular solutions and (particular + homogeneous) mod m.
+    Through the Smith form A = U S V, both factors m at once: with
+    c = U^-1 b mod m, coordinate i solves d_i y_i = c_i mod m, which has
+    g_i = gcd(d_i, m) solutions m / g_i apart when g_i divides c_i (c_i = 0
+    on the rows past the column count), and x = V^-1 y mod m.  U^-1 and V^-1
+    are reduced mod m in Python ints before they enter int64, and
     ``OverflowError`` is raised when max(nrows, ncols) * m^2 could reach
-    2^62.  When some b is solvable and the kernel is larger than
-    ``enumerate_cap``, ``BudgetExceededError`` is raised before the table is
-    built: the cap refuses, it never truncates.
+    2^62.  Every solution is a particular one plus a row of the sorted
+    homogeneous table.  When some b is solvable and the kernel is larger
+    than ``enumerate_cap``, ``BudgetExceededError`` is raised before the
+    table is built: the cap refuses, it never truncates.
     """
-    data = _solver_data(tuple(map(tuple, a)), sigma.m1, sigma.m2)
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    mods = (sigma.m1, sigma.m2)
+    if sigma.m2 * sigma.m2 * max(nrows, ncols) >= 1 << 62:
+        raise OverflowError(f"solutions mod {sigma.m2} of {nrows} x {ncols} systems could exceed 2^62")
     b = np.asarray(rhs, dtype=np.int64)
-    if b.ndim != 3 or b.shape[1:] != (len(a), 2):
-        raise ValueError(f"need an (n, {len(a)}, 2) stack of right-hand sides, not {b.shape}")
-    solvable, particular = data.particular(b)
+    if b.ndim != 3 or b.shape[1:] != (nrows, 2):
+        raise ValueError(f"need an (n, {nrows}, 2) stack of right-hand sides, not {b.shape}")
+    dec = _snf_raw([list(row) for row in a])
+    d = list(dec.diag) + [0] * (ncols - len(dec.diag))
+    # g_i per factor, and m on the rows past the column count, where c_i = 0 is needed
+    orders = [[gcd(di, m) for di in d] + [m] * (nrows - ncols) for m in mods]
+    kernel_size = prod(orders[0][:ncols]) * prod(orders[1][:ncols])
+    uinv = np.zeros((2, len(orders[0]), nrows), dtype=np.int64)  # zero rows past nrows
+    uinv[:, :nrows] = [[[u % m for u in row] for row in dec.uinv] for m in mods]
+    vinv = np.array([[[v % m for v in row] for row in dec.vinv] for m in mods], dtype=np.int64)
+    g = np.array(orders, dtype=np.int64).reshape(2, -1, 1)
+    m = np.array(mods, dtype=np.int64).reshape(2, 1, 1)
+    steps = m // g[:, :ncols]
+    # the inverse of d_i / g_i mod m / g_i (0 where m / g_i = 1)
+    units = np.array([[pow(di // gi, -1, mi // gi) if gi < mi else 0 for di, gi in zip(d, gs)]
+                      for gs, mi in zip(orders, mods)], dtype=np.int64).reshape(2, ncols, 1)
+
+    c = uinv @ (b.transpose(2, 1, 0) % m) % m  # (2, rows, n)
+    solvable = ~(c % g).any(axis=(0, 1))
+    y = c[:, :ncols] // g[:, :ncols] * units % steps
+    particular = (vinv @ y % m).transpose(2, 1, 0)
     image = np.flatnonzero(solvable)
-    if len(image) and data.kernel_size > enumerate_cap:
-        raise BudgetExceededError(
-            f"{data.kernel_size} solutions per image exceed the enumerate cap {enumerate_cap}")
-    table = (data.solutions(particular[image]).reshape(-1, data.ncols, 2) if len(image)
-             else np.zeros((0, data.ncols, 2), dtype=np.int64))
-    return GroupSolveStack(solvable, particular, data.kernel_size, table,
-                           np.repeat(image, data.kernel_size))
+    table = np.zeros((0, ncols, 2), dtype=np.int64)
+    if len(image):
+        if kernel_size > enumerate_cap:
+            raise BudgetExceededError(
+                f"{kernel_size} solutions per image exceed the enumerate cap {enumerate_cap}")
+        table = (particular[image, None] + _homogeneous(vinv, steps, m)) % m.ravel()
+    return GroupSolveStack(solvable, particular, kernel_size, table.reshape(-1, ncols, 2),
+                           np.repeat(image, kernel_size))
 
 
 def solve_group_system(a, rhs, sigma: SigmaModel, enumerate_cap: int = 4096) -> GroupSolveStack:
     """Solve A x = rhs over the group, rhs one vector of group elements.
 
-    The one-row stack of ``solve_group_stack``: same cached data, overflow
-    guard and cap, which refuses with ``BudgetExceededError`` past
-    ``enumerate_cap`` rather than return part of the solutions.
+    The one-row stack of ``solve_group_stack``: same overflow guard and
+    cap, which refuses with ``BudgetExceededError`` past ``enumerate_cap``
+    rather than return part of the solutions.
     """
     if len(rhs) != len(a):
         raise ValueError("rhs length does not match the matrix")

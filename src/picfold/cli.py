@@ -51,9 +51,6 @@ class RunConfig(NamedTuple):
         }
 
     def sigma_model(self):
-        if self.curve is not None:
-            model, _ = abelian.weierstrass_group(*self.curve)
-            return model
         return abelian.make_sigma_model(*self.sigma)
 
 
@@ -88,7 +85,11 @@ def load_config_file(path: str) -> dict:
 
 
 def config_from(values: dict, args) -> RunConfig:
-    """The file's values over the defaults, and the command-line flags over both."""
+    """The file's values over the defaults, and the command-line flags over both.
+
+    A curve's group E(F_p) is built once, here, and its (m1, m2) is the sigma
+    of the run.
+    """
     merged = {}
     if "sigma.m1" in values or "sigma.m2" in values:
         merged["sigma"] = (values.get("sigma.m1", 1), values.get("sigma.m2", 1))
@@ -106,7 +107,11 @@ def config_from(values: dict, args) -> RunConfig:
         p, a, b = (int(x) for x in args.curve.split(","))
         merged["curve"] = (p, a, b)
     merged.update((f, v) for f in ("rank_b", "rank_c") if (v := getattr(args, f)) is not None)
+    if "curve" in merged:
+        model, _ = abelian.weierstrass_group(*merged["curve"])
+        merged["sigma"] = (model.m1, model.m2)
     cfg = RunConfig(**merged)
+    cfg.sigma_model()  # m1 | m2, both positive
     # a rank below 2 names no B or C case; a cap below 1 refuses every claim
     if min(cfg.rank_b, cfg.rank_c) < 2:
         raise ConfigError(f"ranks must be at least 2, got b = {cfg.rank_b}, c = {cfg.rank_c}")
@@ -590,7 +595,7 @@ def emit_report(reports, fmt: str, cfg: RunConfig) -> str:
     lines.append("-" * (width + 18))
     for r in reports:
         lines.append(f"{r.claim_id:<{width}}  {r.status:<7}  {r.ms:9.1f}")
-        if r.status == "fail":
+        if r.status in ("fail", "skipped"):  # the witness, or why the claim was skipped
             lines.append(f"    {r.witness}")
     npass = sum(r.status == "pass" for r in reports)
     nfail = sum(r.status == "fail" for r in reports)
@@ -664,7 +669,6 @@ def main(argv=None) -> int:
     try:
         values = load_config_file(args.config) if args.config else {}
         cfg = config_from(values, args)
-        cfg.sigma_model()  # validate early
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -261,6 +261,8 @@ def enumerate_classes(lat: IntersectionLattice, constraints) -> tuple[DivisorCla
         results.append(cand)
 
     if lat.model == P2:
+        if n >= 9:
+            raise UnboundedSearchError("anticanonical square is not positive")
         # D = a h + sum ci li; D.K = -3a - sum ci, D.D = a^2 - sum ci^2.
         for a in _quad_range(9 - n, 6 * k_val, k_val * k_val + n * d):
             q = a * a - d

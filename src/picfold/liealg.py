@@ -115,13 +115,12 @@ def root_index(codes: np.ndarray, values) -> np.ndarray:
     return np.where(ranked[loc] == values, order[loc], -1)
 
 
-def root_string(lat_or_rs, alpha, beta, roots=None):
+def root_string(alpha, beta, roots):
     """(r, q): beta - r alpha ... beta + q alpha is the alpha-string through beta.
 
-    alpha and beta are classes, or root codes with ``roots`` a set of codes.
+    alpha and beta are classes with ``roots`` a set of classes, or root codes
+    with ``roots`` a set of codes.
     """
-    if roots is None:
-        roots = set(lat_or_rs.roots)
     r = 0
     cur = beta - alpha
     while cur in roots:
@@ -216,7 +215,7 @@ def structure_constants(rs: RootSystemData, simple: SimpleSystem) -> StructureCo
         decomps = [(alpha, gamma - alpha) for alpha in positive[:index[gamma]]
                    if gamma - alpha in index]
         a0, b0 = decomps[0]  # minimal first member: the extraspecial pair
-        n0 = root_string(None, a0, b0, roots=roots)[0] + 1
+        n0 = root_string(a0, b0, roots)[0] + 1
         fill(a0, b0, n0)
         extraspecial.add((listed[at[a0]], listed[at[b0]]))
         for alpha, beta in decomps[1:]:
@@ -228,7 +227,7 @@ def structure_constants(rs: RootSystemData, simple: SimpleSystem) -> StructureCo
             if a0 - alpha in roots:
                 terms += n_of(-alpha, a0) * n_of(b0, -beta) * (scale // norm[a0 - alpha])
             val = _exact(norm[gamma] * terms, scale * n0, "sign propagation produced a non-integer")
-            r, _ = root_string(None, alpha, beta, roots=roots)
+            r, _ = root_string(alpha, beta, roots)
             if abs(val) != r + 1:
                 raise StructureConstantError(
                     f"sign-propagation conflict at {listed[at[alpha]]}, {listed[at[beta]]}")

@@ -13,8 +13,7 @@ Point tables are int64 arrays: x = P t (``point_table``) maps an
 (n, rank, 2) stack of parameters to (n, npoints, 2) points, M x
 (``folded_images``) maps points to an (n, rank, 2) stack of folded
 restriction data, and ``reconstruct_points`` inverts M P t on such a
-stack in one call, on the solver data ``abelian`` caches per
-(M P, m1, m2).  A single image is a stack of one.
+stack in one call.  A single image is a stack of one.
 """
 
 from __future__ import annotations
@@ -126,8 +125,7 @@ def _folded_simple_coeffs(case: str) -> tuple[tuple[int, ...], ...]:
     return tuple(lat.l_coeffs(b) for b in folded_simple_system(case).roots)
 
 
-@lru_cache(maxsize=None)
-def case_system_matrix(case: str) -> tuple[tuple[int, ...], ...]:
+def case_system_matrix(case: str) -> list[list[int]]:
     """Coefficient matrix M P of the point-reconstruction system.
 
     M holds the l-coefficients of the folded simple roots, so M P t is the
@@ -135,8 +133,8 @@ def case_system_matrix(case: str) -> tuple[tuple[int, ...], ...]:
     parameters t.
     """
     columns = list(zip(*case_points(case).points))
-    return tuple(tuple(sum(c * v for c, v in zip(coeffs, col)) for col in columns)
-                 for coeffs in _folded_simple_coeffs(case))
+    return [[sum(c * v for c, v in zip(coeffs, col)) for col in columns]
+            for coeffs in _folded_simple_coeffs(case)]
 
 
 class ReconstructionStack(NamedTuple):
@@ -167,12 +165,11 @@ def reconstruct_points(case: str, p_images, sigma: SigmaModel,
     p_images is an (n, rank, 2) stack of images, rank points each; a single
     image is passed as a stack of one, and its rows are the whole table.
     Solves M P t = p_images over the group for the whole stack at once
-    (``solve_group_stack``, which caches the Smith form of M P, its reduced
-    inverses and the homogeneous solutions), maps every solution through P
-    in one matmul mod (m1, m2) and sorts each image's block by points (one
-    lexsort, keyed on the image index first).  Raises BudgetExceededError
-    when the solution set of an image is larger than ``enumerate_cap``,
-    rather than return part of it.
+    (``solve_group_stack``: one Smith form of M P), maps every solution
+    through P in one matmul mod (m1, m2) and sorts each image's block by
+    points (one lexsort, keyed on the image index first).  Raises
+    BudgetExceededError when the solution set of an image is larger than
+    ``enumerate_cap``, rather than return part of it.
     """
     rank = case_spec(case).rank
     imgs = np.asarray(p_images, dtype=np.int64)

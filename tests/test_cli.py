@@ -1,5 +1,6 @@
 import json
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -55,6 +56,16 @@ def test_failing_claim_has_witness_and_exit_code(tmp_path, capsys):
     rc = main(["verify", "lattice", "--format", "json"])
     assert rc == 0
     capsys.readouterr()
+
+
+def test_text_report_says_why_a_claim_was_skipped(capsys):
+    assert main(["verify", "moduli", "--sigma", "3,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("moduli.chi.injective.F4"))
+    assert "skipped" in lines[at]
+    assert "action cap" in lines[at + 1] and lines[at + 1].startswith("    ")
+    # a passing claim prints no line under it
+    assert lines[at + 2].startswith("moduli.reconstruction.roundtrip")
 
 
 def test_cli_json_deterministic_modulo_timing(tmp_path, capsys):
@@ -149,6 +160,17 @@ def test_curve_and_sigma_of_one_group_give_one_report(tmp_path, capsys, curve, s
     assert docs[0]["run"] != docs[1]["run"]
     docs[1]["run"] = docs[0]["run"]
     assert report_difference(*docs) is None
+
+
+def test_curve_group_is_built_once(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with mock.patch.object(abelian, "weierstrass_group", wraps=abelian.weierstrass_group) as spy:
+        assert main(["verify", "moduli", "--curve", "7,0,2", "--format", "json",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert spy.call_count == 1
+    # run.config names the group the claims used
+    assert json.loads(out.read_text())["run"]["config"]["sigma"] == [3, 3]
 
 
 def test_trivial_group_passes_moduli(capsys):

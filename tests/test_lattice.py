@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -153,6 +153,19 @@ def test_unbounded_reported():
     f1 = make_blowup_lattice(F1, 4)
     with pytest.raises(UnboundedSearchError, match="needs a pairing against K"):
         enumerate_classes(f1, [(SELF, -2), (f1.f, 0), (f1.s, 0)])
+
+
+def test_unbounded_past_eight_points_on_p2():
+    # K^2 = 9 - n: at 9 points the bound on the h coefficient degenerates, and
+    # at 10 there are infinitely many roots
+    for n, self_val, k_val in product((9, 10), (-2, -1), (0, -1)):
+        lat = make_blowup_lattice(P2, n)
+        with pytest.raises(UnboundedSearchError, match="anticanonical square is not positive"):
+            enumerate_classes(lat, [(SELF, self_val), (lat.K, k_val)])
+    p2 = make_blowup_lattice(P2, 8)
+    assert len(enumerate_classes(p2, [(SELF, -2), (p2.K, 0)])) == 240
+    f1 = make_blowup_lattice(F1, 7)
+    assert len(enumerate_classes(f1, [(SELF, -2), (f1.K, 0)])) == 240
 
 
 def test_a3_root_count_with_section_constraint():
