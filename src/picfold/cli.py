@@ -77,6 +77,8 @@ def load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: repeated key {key!r}")
             try:
                 values[key] = int(val.strip())
             except ValueError as exc:

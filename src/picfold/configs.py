@@ -14,8 +14,13 @@ Systems are enumerated by one search for every case, as sorted int64 rows
 of indices into a class table derived from the fold: the (-1)-classes
 orthogonal to what the ambient roots are orthogonal to (l_i and f - l_i
 for B and G2, l_i for C, the 27 sorted lines for F4).  Incidences are
-read off the table's Gram matrix and relations off its symbolic points;
-the transitivity check codes the systems on the same table.
+read off the table's Gram matrix.  Each class's symbolic point is one
+int64 code in a balanced base wide enough that a relation holds iff its
+sum of codes is zero, and the integrality test carries only residues mod
+|K_0|, in the smallest integer dtype that holds their sums (int8 for every
+case).  The transitivity check codes the systems on the same table, builds
+a successor table (generators x systems) with one ``searchsorted``, and
+walks the orbit on indices into it.
 
 The cubic surface is kept the same way: its triangles and double sixes are
 index rows into the 27 sorted lines, read off their Gram matrix, and the
@@ -161,16 +166,43 @@ def _enumerate_systems(case: str) -> ExceptionalSystems:
         lat, table, np.array(points.points, dtype=np.int64), points.relations))
 
 
+def _point_codes(pts: np.ndarray, relations) -> np.ndarray:
+    """Each symbolic point (a row of ``pts``) as one int64 in balanced base B.
+
+    B = 2 reach max|pts| + 1, for reach the largest sum of |c| over the
+    relations, so every coordinate of a relation's sum lies within
+    +-(B - 1) / 2 and the sum is zero iff its code is.  Raises
+    ``OverflowError`` when B^k >= 2^62 (k coordinates), before any product.
+    """
+    reach = max((sum(map(abs, rel)) for rel in relations), default=0)
+    base = 2 * reach * int(np.abs(pts).max(initial=0)) + 1
+    if base ** pts.shape[1] >= 2**62:
+        raise OverflowError(f"point codes in base {base} over {pts.shape[1]} coordinates "
+                            f"do not fit in int64")
+    return pts @ base ** np.arange(pts.shape[1], dtype=np.int64)
+
+
+def _residue_dtype(bound: int):
+    """The smallest signed integer dtype that holds 0..bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
 def _relation_search(lat: IntersectionLattice, table, rows: np.ndarray, relations):
     """The (S, m) index rows into ``table`` of the systems (as above), in search order.
 
     The slots are filled relation by relation, a level at a time, each
     partial row with a mask of the classes that miss all of its own and
-    its sum e - sum l; a relation whose last slot is next narrows the mask
-    to its solutions.
+    the residues of its sum e - sum l mod |K_0|; a relation whose last slot
+    is next narrows the mask to its solutions.  A relation compares point
+    codes (``_point_codes``): one (rows x table) test per relation.  The
+    residues are carried in ``_residue_dtype`` of (m + 1)(|K_0| - 1), the
+    most that m classes and the -l_i add up to.
     """
     coords = np.array([e.coords for e in table], dtype=np.int64)
-    pts = coords[:, lat.l_offset:] @ rows  # symbolic points
+    codes = _point_codes(coords[:, lat.l_offset:] @ rows, relations)
+    k0 = abs(lat.K.coords[0])
+    dtype = _residue_dtype((lat.npoints + 1) * (k0 - 1))
+    residues = (coords % k0).astype(dtype)
     order = []
     for rel in relations:
         order += [j for j, c in enumerate(rel) if c and j not in order]
@@ -180,22 +212,23 @@ def _relation_search(lat: IntersectionLattice, table, rows: np.ndarray, relation
     for rel in relations:
         due[max(pos[j] for j, c in enumerate(rel) if c)].append([rel[j] for j in order])
     disjoint = gram_matrix(lat, table) == 0
-    picked = np.zeros((1, 0), dtype=np.int64)  # one column per depth
+    picked = []  # one column of table indices per depth
     allowed = np.ones((1, len(table)), dtype=bool)
-    total = np.zeros((1, lat.rank), dtype=np.int64)  # sum e - sum l, per row
-    total[0, lat.l_offset:] = -1
+    total = np.zeros((1, lat.rank), dtype=dtype)  # sum e - sum l mod |K_0|, unreduced, per row
+    total[0, lat.l_offset:] = -1 % k0
     for depth, rels in enumerate(due):
         choice = allowed
         for rel in rels:  # rel fixes c x_slot = -(the sum over its other slots)
-            rest = sum((c * pts[picked[:, j]] for j, c in enumerate(rel[:depth]) if c),
-                       np.zeros((len(picked), pts.shape[1]), dtype=np.int64))
-            for k in range(pts.shape[1]):
-                choice = choice & (rest[:, k, None] + rel[depth] * pts[:, k] == 0)
+            rest = sum((c * np.take(codes, picked[j]) for j, c in enumerate(rel[:depth]) if c),
+                       np.zeros(len(choice), dtype=np.int64))
+            choice = choice & (rest[:, None] == -rel[depth] * codes)
         f, c = np.nonzero(choice)
-        picked, allowed, total = (np.column_stack([picked[f], c]), allowed[f] & disjoint[c],
-                                  total[f] + coords[c])
-    integral = ~(total % abs(lat.K.coords[0])).any(axis=1)
-    return picked[integral][:, [pos[j] for j in range(lat.npoints)]]
+        picked = [np.take(col, f) for col in picked] + [c]
+        total = np.take(total, f, axis=0) + np.take(residues, c, axis=0)
+        if depth < len(due) - 1:
+            allowed = np.take(allowed, f, axis=0) & np.take(disjoint, c, axis=0)
+    integral = ~(total % k0).any(axis=1)
+    return np.stack([picked[pos[j]][integral] for j in range(lat.npoints)], axis=1)
 
 
 def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
@@ -247,13 +280,17 @@ def simple_transitivity_check(systems: ExceptionalSystems, weyl: WeylGroup) -> T
     set of systems, with as many elements as the group has.  A system is
     coded as the mixed-radix int64 of its row of indices into the systems'
     table, and each generator as a partial permutation of that table (-1
-    off it).  The walk stays on the systems; the first image that is not
-    one is reported as outside, ahead of unreached systems.  Raises
-    ``OverflowError`` unless the codes fit in int64.
+    off it).  One successor table (generators x systems, in code order)
+    holds the index of each image among the sorted codes, or -1: a slot
+    adds perm[c] n^j to the image's code, or -n^m off the table, and one
+    ``searchsorted`` finds the sums.  The walk then steps on indices.  It
+    stays on the systems; the first image that is not one is reported as
+    outside, ahead of unreached systems.  Raises ``OverflowError`` unless
+    m n^m fits in int64.
     """
     rows = systems.rows
     n, m = len(systems.table), rows.shape[1]
-    if n**m >= 2**63:
+    if m * n**m >= 2**63:
         raise OverflowError(f"codes of {m} slots over {n} classes do not fit in int64")
     radix = n ** np.arange(m, dtype=np.int64)
     coords = np.array([e.coords for e in systems.table], dtype=np.int64)
@@ -261,31 +298,38 @@ def simple_transitivity_check(systems: ExceptionalSystems, weyl: WeylGroup) -> T
     perms = np.array([[where.get(key, -1) for key in row_keys(coords @ g.T)] for g in weyl.mats],
                      dtype=np.int64).reshape(-1, n)
     codes = rows @ radix
-    targets = np.sort(codes)
-    seen = np.arange(targets.size) == np.searchsorted(targets, codes[0])  # per first occurrence
-    frontier = codes[:1]
-    witness = None  # (code, generator) of the first image that is not a system
+    order = np.argsort(codes)
+    targets, cols = codes[order], np.ascontiguousarray(rows[order].T)  # cols: (slots, systems)
+    parts = np.where(perms < 0, -(n**m), perms * radix[:, None, None])  # (slots, generators, table)
+    out = sum(np.take(parts[j], cols[j], axis=1) for j in range(m))  # (generators, systems)
+    pos = np.searchsorted(targets, out)
+    succ = np.where(targets[np.minimum(pos, targets.size - 1)] == out, pos, -1)  # first occurrence
+    start = np.searchsorted(targets, codes[0])
+    seen = np.arange(targets.size + 1) == start  # per first occurrence; the last slot, which
+    seen[-1] = True  # a step of -1 marks, stands for every image off the systems
+    frontier = np.array([start])  # indices into targets, in code order
+    reached = 1
+    witness = None  # (index, generator) of the first image that is not a system
     while frontier.size:
-        imgs = perms[:, frontier[:, None] // radix % n]  # (generators, frontier, slots)
-        out = np.where((imgs < 0).any(axis=2), -1, imgs @ radix)
-        pos = np.minimum(np.searchsorted(targets, out), targets.size - 1)
-        hit = targets[pos] == out
-        if witness is None and not hit.all():
-            g, f = divmod(int(np.argmin(hit)), frontier.size)
+        step = succ[:, frontier]
+        fresh = np.zeros_like(seen)
+        fresh[step] = True
+        if witness is None and fresh[-1]:
+            g, f = divmod(int(np.argmin(step)), frontier.size)
             witness = (int(frontier[f]), g)
-        fresh = np.bincount(pos[hit], minlength=seen.size).astype(bool) & ~seen
+        fresh &= ~seen
         seen |= fresh
-        frontier = targets[fresh]
-        if seen.sum() > len(weyl):
+        frontier = np.flatnonzero(fresh)
+        reached += frontier.size
+        if reached > len(weyl):
             raise BudgetExceededError(f"orbit exceeded cap {len(weyl)}")
-    reached = int(seen.sum())
-    missing = np.flatnonzero(~seen[np.searchsorted(targets, codes)])
+    missing = order[~seen[np.searchsorted(targets, targets)]]  # row indices of unreached systems
     offending = None
     if witness is not None:
-        images = coords[witness[0] // radix % n] @ weyl.mats[witness[1]].T
+        images = coords[cols[:, witness[0]]] @ weyl.mats[witness[1]].T
         offending = ("outside", tuple(DivisorClass(tuple(v)) for v in images.tolist()))
     elif missing.size:
-        offending = ("unreached", systems[int(missing[0])])
+        offending = ("unreached", systems[int(missing.min())])
     elif not reached == len(weyl) == len(systems):
         offending = ("stabilizer", len(weyl) // max(reached, 1))
     return TransitivityReport(offending is None, len(weyl), len(systems), reached, offending)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from unittest import mock
 
@@ -92,6 +93,18 @@ def test_bad_config_file(tmp_path, capsys):
     p.write_text("mystery.key = 3\n")
     assert main(["verify", "lattice", "--config", str(p)]) == 2
     capsys.readouterr()
+
+
+def test_a_repeated_config_key_is_an_error(tmp_path, capsys):
+    # the second sigma.m1 used to override the first in silence
+    p = tmp_path / "cfg"
+    p.write_text("sigma.m1 = 2\n# again\nsigma.m1 = 3\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}:3: repeated key 'sigma.m1'")):
+        load_config_file(str(p))
+    out = tmp_path / "r.json"
+    assert main(["verify", "lattice", "--config", str(p), "--out", str(out)]) == 2
+    assert "repeated key 'sigma.m1'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -1,8 +1,11 @@
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picfold import cli, configs, rootsys
 from picfold.cases import case_spec
@@ -236,6 +239,88 @@ def test_transitivity_walk_refuses_past_its_caps():
     assert len(table) == 22
     with pytest.raises(OverflowError):
         simple_transitivity_check(rows_over(table, pair), weyl_generate([], rank=big.rank))
+
+
+def walk_reference(systems, weyl):
+    """Reference for ``simple_transitivity_check`` on class tuples: a level walk that stays
+    on the systems, its frontier in code order, the first image off the systems taken in
+    (generator, frontier) order."""
+    systems, table = list(systems), systems.table
+    index, n = {e: i for i, e in enumerate(table)}, len(table)
+    code = lambda s: sum(index[e] * n**j for j, e in enumerate(s))
+    coords = np.array([e.coords for e in table], dtype=np.int64)
+    images = [dict(zip(table, (DivisorClass(tuple(v)) for v in (coords @ g.T).tolist())))
+              for g in weyl.mats]
+    known = set(systems)
+    seen, frontier, witness = {systems[0]}, [systems[0]], None
+    while frontier:
+        fresh = set()
+        for image in images:
+            for s in sorted(frontier, key=code):
+                t = tuple(image[e] for e in s)
+                if t not in known:
+                    witness = witness or t
+                elif t not in seen:
+                    fresh.add(t)
+        seen |= fresh
+        frontier = list(fresh)
+    missing = [s for s in systems if s not in seen]
+    offending = None
+    if witness is not None:
+        offending = ("outside", witness)
+    elif missing:
+        offending = ("unreached", missing[0])
+    elif not len(seen) == len(weyl) == len(systems):
+        offending = ("stabilizer", len(weyl) // len(seen))
+    return TransitivityReport(offending is None, len(weyl), len(systems), len(seen), offending)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["B2", "B3", "B4", "C2", "C3", "G2", "F4"]), st.data())
+def test_transitivity_matches_the_references_on_subgroups_and_deletions(case, data):
+    full, w = enumerate_exceptional_systems(case), folded_weyl_group(case)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(w.gens), max_size=len(w.gens)))
+    sub = weyl_generate([g for g, k in zip(w.gens, keep) if k], rank=w.rank)
+    dropped = data.draw(st.sets(st.integers(0, len(full) - 1), max_size=min(24, len(full) - 1)))
+    systems = ExceptionalSystems(full.table, np.delete(full.rows, sorted(dropped), axis=0))
+    rep = simple_transitivity_check(systems, sub)
+    assert rep == walk_reference(systems, sub)
+    ref = bytes_transitivity_check(systems, sub)
+    if not dropped:
+        assert rep == ref
+    else:  # the bytes walk goes on through the dropped systems, so only the verdict agrees
+        assert rep[:3] == ref[:3] and rep.orbit_size <= ref.orbit_size
+
+
+@pytest.mark.parametrize("case", ["B3", "C3"])
+def test_the_first_image_off_the_systems_is_taken_in_generator_then_code_order(case):
+    # two dropped systems reached at one level from different frontier systems: a few of
+    # these pairs tell the (generator, frontier) order from the others
+    full, w = enumerate_exceptional_systems(case), folded_weyl_group(case)
+    for a in (2, 3):
+        for b in range(a + 1, len(full)):
+            systems = ExceptionalSystems(full.table, np.delete(full.rows, (a, b), axis=0))
+            assert simple_transitivity_check(systems, w) == walk_reference(systems, w), (a, b)
+
+
+def test_transitivity_guard_counts_the_off_table_marker_of_every_slot():
+    # f - l_i (i > 1) meets s - l_1, so its reflection takes all ten classes off the table:
+    # the image's code is -10 n^10, which fits for n = 62 classes and wraps for n = 64
+    for npoints, fits in ((31, True), (32, False)):
+        lat = make_blowup_lattice(F1, npoints)
+        table = [e for i in range(1, npoints + 1) for e in (lat.l(i), lat.f - lat.l(i))]
+        system = tuple(lat.f - lat.l(i) for i in range(2, 12))
+        beta = lat.s - lat.l(1)
+        w = weyl_generate([rootsys.reflection(lat, beta)])
+        systems = rows_over(table, [system])
+        assert len(table) ** 10 < 2**63  # the codes themselves fit on both lattices
+        if fits:
+            rep = simple_transitivity_check(systems, w)
+            assert rep.offending == ("outside", tuple(rootsys.reflect(lat, beta, e)
+                                                      for e in system))
+        else:
+            with pytest.raises(OverflowError):
+                simple_transitivity_check(systems, w)
 
 
 def test_blowdown_examples():
@@ -615,6 +700,62 @@ def test_f4_level_search_matches_brute_force_filter(cubic, skew_sixes, relations
     idx = _relation_search(cubic, lines, np.array(case_points("F4").points), relations)
     assert sorted(tuple(lines[i] for i in row) for row in idx.tolist()) == sorted(
         s for s, keep in zip(sixes, ok) if keep)
+
+
+@lru_cache(maxsize=None)
+def disjoint_tuples(case):
+    """Every ordered tuple of pairwise-disjoint classes of the case's table, as index rows,
+    with their symbolic points and whether b_0 + (sum e - sum l) / |K_0| is integral."""
+    lat, table = case_spec(case).lattice, enumerate_exceptional_systems(case).table
+    m, k0 = lat.npoints, abs(lat.K.coords[0])
+    rows = np.array([t for t in permutations(range(len(table)), m)
+                     if all(lat.pair(table[a], table[b]) == 0 for a, b in combinations(t, 2))])
+    coords = np.array([e.coords for e in table])
+    total = coords[rows].sum(axis=1) - sum(np.array(lat.l(i).coords) for i in range(1, m + 1))
+    points = np.array([symbolic_point(lat, np.array(case_points(case).points), e) for e in table])
+    return rows, points[rows], ~(total % k0).any(axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["B3", "C3", "G2"]), st.data())
+def test_relation_search_matches_brute_force_filter(case, data):
+    lat, table = case_spec(case).lattice, enumerate_exceptional_systems(case).table
+    row = st.lists(st.integers(-3, 3), min_size=lat.npoints, max_size=lat.npoints)
+    relations = data.draw(st.lists(row.filter(any).map(tuple), min_size=1, max_size=3))
+    tuples, points, integral = disjoint_tuples(case)
+    ok = integral & ~np.einsum("rj,sjk->srk", np.array(relations), points).any(axis=(1, 2))
+    found = _relation_search(lat, table, np.array(case_points(case).points), relations)
+    assert sorted(map(tuple, found.tolist())) == sorted(map(tuple, tuples[ok].tolist()))
+
+
+def test_point_codes_are_exact_up_to_their_guard():
+    # B = 2 reach max|pts| + 1 over k = 2 coordinates must keep B^2 below 2^62
+    rel = ((1, -1),)  # reach 2
+    for big, fits in ((2**29 - 1, True), (2**29, False)):
+        pts = np.array([[big, -big], [-1, 3], [big, -big]], dtype=np.int64)
+        if fits:
+            base = 4 * big + 1
+            assert configs._point_codes(pts, rel).tolist() == [
+                int(p[0]) + int(p[1]) * base for p in pts]
+        else:
+            with pytest.raises(OverflowError, match="do not fit in int64"):
+                configs._point_codes(pts, rel)
+
+
+def test_a_relation_with_large_coefficients_refuses_before_the_search(monkeypatch):
+    lat, table = case_spec("G2").lattice, enumerate_exceptional_systems("G2").table
+    monkeypatch.setattr(configs, "gram_matrix", None)  # read after the codes: never reached
+    with pytest.raises(OverflowError):
+        _relation_search(lat, table, np.array(case_points("G2").points), ((2**40, 1, 0, -1),))
+
+
+def test_residues_take_the_smallest_dtype_that_holds_their_sums():
+    for bound, dtype in ((0, np.int8), (127, np.int8), (128, np.int16), (2**15, np.int32),
+                         (2**31 - 1, np.int32), (2**31, np.int64)):
+        assert configs._residue_dtype(bound) is dtype
+    for case in ("B2", "B5", "B8", "C2", "C4", "G2", "F4"):
+        lat = case_spec(case).lattice
+        assert configs._residue_dtype((lat.npoints + 1) * (abs(lat.K.coords[0]) - 1)) is np.int8
 
 
 @pytest.mark.parametrize("case", ["B2", "B3", "B4", "B5", "B6", "G2"])

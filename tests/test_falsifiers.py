@@ -41,6 +41,19 @@ FALSIFIERS = {
         "build = folding.folded_weyl_group\n"
         "folding.folded_weyl_group = lambda case, cap=10**6: weyl_generate(\n"
         "    build(case, cap).gens[:-1])\n")),
+    # W(G) short of a generator: its orbit misses systems (configs imports its own binding, so
+    # the systems and their count are unchanged)
+    "configs.simply.transitive": ("configs", "B2: ('unreached'", (
+        "from picfold import folding\n"
+        "from picfold.rootsys import weyl_generate\n"
+        "build = folding.folded_weyl_group\n"
+        "folding.folded_weyl_group = lambda case, cap=10**6: weyl_generate(\n"
+        "    build(case, cap).gens[:-1])\n")),
+    # the Hirzebruch table without its f - l_i: l_1 and l_2 read as one point
+    "configs.blowdown.examples": ("configs", "(l1, l2, l3, l4) rejected", (
+        "from picfold import configs\n"
+        "table = configs._hirzebruch_table\n"
+        "configs._hirzebruch_table = lambda lat: table(lat)[::2]\n")),
     # the zero label missing from the n-torsion
     "moduli.fixed.components": ("moduli", "B2 labels, the 2-torsion points", (
         "from picfold import abelian\n"
