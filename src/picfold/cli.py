@@ -7,9 +7,11 @@ same configuration produce identical reports apart from timings, and
 ``picfold report diff A.json B.json`` checks that of two JSON reports.
 
 Exit codes: 0 all claims pass (or are skipped), 1 at least one claim
-failed, 2 usage or configuration error.  ``report diff`` exits 0 when the
-reports differ only in ``ms``, 1 when they differ (it names the first
-claim id that does, or ``run``) and 2 when a report cannot be read.
+failed, 2 usage or configuration error, or a report that cannot be
+written (``--out`` is opened before the first claim runs).  ``report
+diff`` exits 0 when the reports differ only in ``ms``, 1 when they differ
+(it names the first claim id that does, or ``run``) and 2 when a report
+cannot be read.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from . import abelian, cases, configs, folding, lattice, liealg, moduli, repbund
 
 VERSION = "0.1.0"
 
-SUITES = ("lattice", "folding", "cubic", "configs", "moduli", "liealg", "repbundles")
-
 
 class RunConfig(NamedTuple):
     sigma: tuple[int, int] = (2, 2)
@@ -39,16 +39,6 @@ class RunConfig(NamedTuple):
     rank_c: int = 3
     weyl_cap: int = 10**6
     action_cap: int = 10**8
-
-    def as_dict(self):
-        return {
-            "sigma": list(self.sigma),
-            "curve": list(self.curve) if self.curve else None,
-            "rank_b": self.rank_b,
-            "rank_c": self.rank_c,
-            "weyl_cap": self.weyl_cap,
-            "action_cap": self.action_cap,
-        }
 
     def sigma_model(self):
         return abelian.make_sigma_model(*self.sigma)
@@ -86,6 +76,17 @@ def load_config_file(path: str) -> dict:
     return values
 
 
+def _int_tuple(flag: str, text: str, form: str) -> tuple[int, ...]:
+    """The comma-separated integers of a flag, as many as ``form`` names, else ``ConfigError``."""
+    try:
+        values = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        values = ()
+    if len(values) != len(form.split(",")):
+        raise ConfigError(f"{flag} expects {form}, got {text!r}")
+    return values
+
+
 def config_from(values: dict, args) -> RunConfig:
     """The file's values over the defaults, and the command-line flags over both.
 
@@ -103,11 +104,9 @@ def config_from(values: dict, args) -> RunConfig:
         if key in values:
             merged[field] = values[key]
     if args.sigma is not None:
-        m1, m2 = (int(x) for x in args.sigma.split(","))
-        merged["sigma"] = (m1, m2)
+        merged["sigma"] = _int_tuple("--sigma", args.sigma, "m1,m2")
     if args.curve is not None:
-        p, a, b = (int(x) for x in args.curve.split(","))
-        merged["curve"] = (p, a, b)
+        merged["curve"] = _int_tuple("--curve", args.curve, "p,a,b")
     merged.update((f, v) for f in ("rank_b", "rank_c") if (v := getattr(args, f)) is not None)
     if "curve" in merged:
         model, _ = abelian.weierstrass_group(*merged["curve"])
@@ -214,7 +213,7 @@ def _suite_lattice(cfg: RunConfig):
     def spinor_counts():
         f14 = lattice.make_blowup_lattice("F1", 4)
         return {
-            kind: _expect(repbundles.weight_bundle(kind, f14).rank, 8, kind)
+            kind: _expect(len(repbundles.weight_bundle(kind, f14)), 8, kind)
             for kind in ("vector", "spinor_plus", "spinor_minus")
         }
 
@@ -233,7 +232,7 @@ def _suite_folding(cfg: RunConfig):
         out = {}
         # the fold of each ambient type, on the lattice of one case it folds to
         for key, case in (("B", "B3"), ("C", "C2"), ("E6", "F4"), ("D4-triality", "G2")):
-            roots = folding.folded_simple_system(case).roots
+            roots = folding.folded_simple_system(case)
             out[key] = rootsys.identify_cartan_type(
                 rootsys.cartan_matrix_of(roots, cases.case_spec(case).lattice))
         _expect(out["D4-triality"], "G2", "triality fold")
@@ -277,7 +276,7 @@ def _suite_folding(cfg: RunConfig):
             check(len(wbn) == len(wdn) * 2, f"B{n}: {rows[f'B{n}']}")
         f14 = cases.case_spec("G2").lattice
         l = f14.l
-        a2 = rootsys.SimpleSystem((l(2) - l(3), l(3) - f14.f + l(4)), "A2")
+        a2 = (l(2) - l(3), l(3) - f14.f + l(4))
         wa2 = rootsys.CoxeterWeylGroup(rootsys.simple_reflections(a2, f14), a2, f14, cap)
         rows["G2"] = (len(folding.folded_weyl_group("G2", cap)), len(wa2), 2)
         check(rows["G2"][0] == rows["G2"][1] * rows["G2"][2] == _weyl_order("G2"),
@@ -328,7 +327,7 @@ def _suite_cubic(cfg: RunConfig):
         check(sorted(map(tuple, np.concatenate([roots, -roots]).tolist()))
               == sorted(r.coords for r in e6), "the images and their negatives are not the E6 roots")
         total = lattice.DivisorClass(tuple(roots.sum(axis=0).tolist()))
-        pairings = [lat.pair(total, b) for b in simple.roots]
+        pairings = [lat.pair(total, b) for b in simple]
         check(pairings == [-2] * len(pairings), f"(sum of images, simple roots) = {pairings}")
         base = sorted(data.lines.index(lat.l(i)) for i in range(1, 7))
         [k] = np.flatnonzero((data.double_sixes == base).all(axis=2).any(axis=1))
@@ -484,17 +483,15 @@ def _suite_liealg(cfg: RunConfig):
         out = {}
         f14 = lattice.make_blowup_lattice("F1", 4)
         cub = lattice.make_blowup_lattice("P2", 6)
-        systems = {
-            "D4": (folding.ambient_root_system("D", f14),
-                   rootsys.standard_simple_system("D", f14)),
-            "E6": (folding.ambient_root_system("E6", cub),
-                   rootsys.standard_simple_system("E6", cub)),
-        }
+        systems = {name: (lat, folding.ambient_root_system(kind, lat),
+                          rootsys.standard_simple_system(kind, lat))
+                   for name, kind, lat in (("D4", "D", f14), ("E6", "E6", cub))}
         for case in ("B2", "B3", "C2", "G2", "F4"):
-            systems[case] = (folding.folded_root_system(case), folding.folded_simple_system(case))
+            systems[case] = (cases.case_spec(case).lattice, folding.folded_root_system(case),
+                             folding.folded_simple_system(case))
         seen3 = set()
-        for name, (rs, delta) in systems.items():
-            table = liealg.structure_constants(rs, delta)
+        for name, (lat, roots, delta) in systems.items():
+            table = liealg.structure_constants(lat, roots, delta)
             rep = liealg.verify_jacobi(table)
             check(rep.ok, f"{name}: Jacobi fails at {rep.first_failure}")
             a, b = np.nonzero(table.N)
@@ -569,13 +566,12 @@ _SUITE_BUILDERS = {
     "repbundles": _suite_repbundles,
 }
 
+SUITES = tuple(_SUITE_BUILDERS)
+
 
 def run_suite(name: str, cfg: RunConfig) -> list[VerificationReport]:
     if name == "all":
-        reports = []
-        for suite in SUITES:
-            reports.extend(run_suite(suite, cfg))
-        return reports
+        return [r for suite in SUITES for r in run_suite(suite, cfg)]
     if name not in _SUITE_BUILDERS:
         raise ConfigError(f"unknown suite {name!r}")
     return _run_claims(_SUITE_BUILDERS[name](cfg))
@@ -584,7 +580,7 @@ def run_suite(name: str, cfg: RunConfig) -> list[VerificationReport]:
 def emit_report(reports, fmt: str, cfg: RunConfig) -> str:
     if fmt == "json":
         doc = {
-            "run": {"config": cfg.as_dict(), "version": VERSION},
+            "run": {"config": _jsonable(cfg._asdict()), "version": VERSION},
             "results": [
                 {"id": r.claim_id, "status": r.status,
                  "witness": _jsonable(r.witness), "ms": round(r.ms, 3)}
@@ -676,16 +672,17 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        reports = run_suite(args.suite, cfg)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        if args.out:  # refused before any claim runs; an existing report is kept till the end
+            open(args.out, "a", encoding="utf-8").close()
+        reports = run_suite(args.suite, cfg)  # a claim's errors are its witness, not raised
+        rendered = emit_report(reports, args.format, cfg)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered + "\n")
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
         return 2
-
-    rendered = emit_report(reports, args.format, cfg)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-    else:
+    if not args.out:
         print(rendered)
     return 0 if all(r.status in ("pass", "skipped") for r in reports) else 1
 

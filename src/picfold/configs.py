@@ -50,7 +50,6 @@ from .folding import case_fold, case_points, folded_weyl_group
 from .moduli import PointAssignment
 from .rootsys import (
     BudgetExceededError,
-    SimpleSystem,
     WeylGroup,
     basis_coordinates,
     row_keys,
@@ -378,8 +377,7 @@ def _cubic_combinatorics(lat: IntersectionLattice) -> CubicData:
     return CubicData(lines, triangles, double_sixes)
 
 
-def double_six_roots(data: CubicData, lat: IntersectionLattice,
-                     simple: SimpleSystem) -> np.ndarray:
+def double_six_roots(data: CubicData, lat: IntersectionLattice, simple) -> np.ndarray:
     """The positive root exchanging the halves of each double six, as (N, rank) int64 rows.
 
     alpha = b - a, for a the first line of the first half and b the one line
@@ -403,7 +401,7 @@ def double_six_roots(data: CubicData, lat: IntersectionLattice,
                       dtype=np.int64).reshape(second.shape)
     for n in np.flatnonzero((np.sort(mapped, axis=1) != second).any(axis=1)):
         raise ConfigurationError(f"double six {n}: reflection does not exchange the sixes")
-    signs = basis_coordinates(np.array([b.coords for b in simple.roots], dtype=np.int64).T, alpha.T)
+    signs = basis_coordinates(np.array([b.coords for b in simple], dtype=np.int64).T, alpha.T)
     positive, negative = (signs >= 0).all(axis=0), (signs <= 0).all(axis=0)
     for n in np.flatnonzero(~positive & ~negative):
         raise ConfigurationError(f"double six {n}: exchanged root is neither positive nor negative")

@@ -15,6 +15,10 @@ coordinates.  Nothing downstream needs more than the root-lattice action
 
 The same sigma forces the relations among a case's blow-up points
 (``case_points``).
+
+As in ``rootsys``, a root system is the sorted tuple of its roots and a
+simple system the tuple of its simple roots in diagram order, which for
+``folded_simple_system`` is the order of ``rho.orbits()``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from .cases import Rows, case_spec
 from .lattice import DivisorClass, IntersectionLattice, gram_matrix
 from .rootsys import (
     CoxeterWeylGroup,
-    RootSystemData,
-    SimpleSystem,
     WeylElement,
     WeylGroup,
     basis_coordinates,
@@ -56,7 +58,7 @@ class OuterAutomorphism:
     and each is equal only to itself.
     """
 
-    def __init__(self, ambient: str, lattice: IntersectionLattice, simple_system: SimpleSystem,
+    def __init__(self, ambient: str, lattice: IntersectionLattice, simple_system: tuple,
                  permutation: tuple[int, ...], orthogonal_to: tuple[DivisorClass, ...] = (),
                  zero_sums: Rows = ()):
         self.ambient = ambient  # the simply-laced type: "A", "D", "E6" or "D4-triality"
@@ -66,7 +68,7 @@ class OuterAutomorphism:
     @cached_property
     def invariance_rows(self) -> Rows:
         """D: row i is l(sigma a_i) - l(a_i), so D x = 0 iff u = u o sigma on the simple roots."""
-        coeffs = [self.lattice.l_coeffs(r) for r in self.simple_system.roots]
+        coeffs = [self.lattice.l_coeffs(r) for r in self.simple_system]
         return tuple(tuple(a - b for a, b in zip(coeffs[p], coeffs[i]))
                      for i, p in enumerate(self.permutation))
 
@@ -123,7 +125,7 @@ def outer_automorphism(ambient: str, lat: IntersectionLattice) -> OuterAutomorph
         perm = (1, 3, 2, 0)  # a1 -> a2 -> a4 -> a1, a3 fixed
     else:
         raise ValueError(f"unknown ambient type {ambient!r}")
-    a, n = cartan_matrix_of(list(delta.roots), lat), len(delta)
+    a, n = cartan_matrix_of(delta, lat), len(delta)
     if sorted(perm) != list(range(n)) or any(a[perm[i]][perm[j]] != a[i][j]
                                              for i in range(n) for j in range(n)):
         raise ValueError("permutation is not a diagram automorphism")
@@ -170,7 +172,7 @@ def case_points(case: str) -> FreePoints:
     return free_points(rho.invariance_rows + rho.zero_sums, rho.lattice.npoints)
 
 
-def ambient_root_system(ambient: str, lat: IntersectionLattice) -> RootSystemData:
+def ambient_root_system(ambient: str, lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     """The ambient type's roots, built once per (lat, orthogonal_to): D and triality share."""
     return _root_sublattice(lat, outer_automorphism(ambient, lat).orthogonal_to)
 
@@ -197,7 +199,7 @@ def _orbit_sums(coords: np.ndarray, rho: OuterAutomorphism) -> np.ndarray:
 def _simple_orbit_sums(rho: OuterAutomorphism) -> np.ndarray:
     """The orbit sums of rho's simple roots, as lattice columns in ``rho.orbits()`` order."""
     unit = np.eye(len(rho.permutation), dtype=np.int64)[:, [orb[0] for orb in rho.orbits()]]
-    return _columns(rho.simple_system.roots) @ _orbit_sums(unit, rho)
+    return _columns(rho.simple_system) @ _orbit_sums(unit, rho)
 
 
 def folded_weyl_generators(rho: OuterAutomorphism) -> list[WeylElement]:
@@ -206,7 +208,7 @@ def folded_weyl_generators(rho: OuterAutomorphism) -> list[WeylElement]:
     gens = []
     for orb in rho.orbits():
         for i, j in combinations(orb, 2):
-            if lat.pair(delta.roots[i], delta.roots[j]) != 0:
+            if lat.pair(delta[i], delta[j]) != 0:
                 raise ValueError("roots in an automorphism orbit must be orthogonal")
         gens.append(reduce(lambda a, b: a @ b, (refl[i] for i in orb)))
     return gens
@@ -246,29 +248,29 @@ def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:
     """
     unit = np.eye(len(rho.permutation), dtype=np.int64)
     kernel = np.array(integer_kernel((unit[:, rho.permutation] - unit).tolist()), dtype=np.int64)
-    basis = kernel @ _columns(rho.simple_system.roots).T
+    basis = kernel @ _columns(rho.simple_system).T
     return tuple(DivisorClass(tuple(v)) for v in basis.tolist())
 
 
-def folded_simple_system(case: str) -> SimpleSystem:
+def folded_simple_system(case: str) -> tuple[DivisorClass, ...]:
     """The orbit sums of the ambient simple roots, in ``rho.orbits()`` order."""
     sums = _simple_orbit_sums(case_fold(case))
-    return SimpleSystem(tuple(DivisorClass(tuple(col)) for col in sums.T.tolist()), case)
+    return tuple(DivisorClass(tuple(col)) for col in sums.T.tolist())
 
 
 def _ambient_root_coords(rho: OuterAutomorphism) -> tuple[np.ndarray, np.ndarray]:
     """The simple roots as lattice columns, and the ambient roots in their coordinates."""
-    bmat, ambient = _columns(rho.simple_system.roots), ambient_root_system(rho.ambient, rho.lattice)
-    return bmat, basis_coordinates(bmat, _columns(ambient.roots))
+    bmat, ambient = _columns(rho.simple_system), ambient_root_system(rho.ambient, rho.lattice)
+    return bmat, basis_coordinates(bmat, _columns(ambient))
 
 
-def folded_root_system(case: str) -> RootSystemData:
+def folded_root_system(case: str) -> tuple[DivisorClass, ...]:
     """R(G) of a folded case, the sigma-orbit sums of the ambient roots, built once."""
     return _folded_roots(case)
 
 
 @lru_cache(maxsize=None)
-def _folded_roots(case: str) -> RootSystemData:
+def _folded_roots(case: str) -> tuple[DivisorClass, ...]:
     """The sums in simple-root coordinates; ``ValueError`` unless nonzero, one per orbit.
 
     The orbits are counted by Burnside's lemma, (1/ord sigma) sum_k |Fix(sigma^k)|.
@@ -284,7 +286,7 @@ def _folded_roots(case: str) -> RootSystemData:
     if lat.zero in sums or len(sums) * rho.order != fixed:
         raise ValueError(f"{case} on {lat.npoints} points: {len(sums)} orbit sums "
                          f"for {fixed // rho.order} sigma-orbits")
-    return RootSystemData(lat, frozenset(sums))
+    return tuple(sorted(sums))
 
 
 def f4_short_roots(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
@@ -314,7 +316,7 @@ def restricted_reflection_matrices(case: str):
     """
     rho = case_fold(case)
     basis, lat = fixed_sublattice(rho), rho.lattice
-    roots = _fixed_coords(basis, sorted(folded_root_system(case).roots))
+    roots = _fixed_coords(basis, folded_root_system(case))
     prim = roots // np.gcd.reduce(roots, axis=1, keepdims=True)
     num = 2 * prim @ gram_matrix(lat, basis)
     norms = (num * prim).sum(axis=1, keepdims=True) // 2
@@ -335,7 +337,7 @@ def check_presentations(case: str) -> None:
     so every s_beta is a word in the g_j: the groups are one.  Raises ``ValueError``.
     """
     reflections, gens, basis = restricted_reflection_matrices(case)
-    roots = _fixed_coords(basis, sorted(folded_root_system(case).roots))
+    roots = _fixed_coords(basis, folded_root_system(case))
     index = {key: n for n, key in enumerate(row_keys(roots))}
     queue = [index.get(key) for key in row_keys(_fixed_coords(basis, folded_simple_system(case)))]
     if None in queue or not np.array_equal(gens, reflections[queue]):

@@ -5,10 +5,13 @@ Brackets follow the four classical relations on a Chevalley basis
 [x_a x_-a] = h_a, and [x_a x_b] = N(a, b) x_{a+b} with |N| = r + 1,
 r the length of the a-string below b.
 
-A table is a set of int64 arrays over the roots in sorted order, so every
-root is an index: ``codes[a]`` is the code of root a (below), ``N[a, b]``
-is N(a, b) (0 where a + b is not a root), ``cartan[a, i]`` is <a, a_i^v>
-and ``coroots[a]`` holds the coordinates of a^v in the simple coroots.
+``structure_constants(lat, roots, simple)`` takes the roots in any order
+and the simple roots as a tuple in diagram order; the table keeps that
+tuple as ``simple``, and its rank is its length.  A table is a set of
+int64 arrays over the roots in sorted order, so every root is an index:
+``codes[a]`` is the code of root a (below), ``N[a, b]`` is N(a, b) (0
+where a + b is not a root), ``cartan[a, i]`` is <a, a_i^v> and
+``coroots[a]`` holds the coordinates of a^v in the simple coroots.
 
 Sign determination: positive roots are ordered by height (ties broken
 lexicographically); for each non-simple positive root the extraspecial
@@ -84,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import DivisorClass, IntersectionLattice, gram_matrix
-from .rootsys import _INT64_SAFE, RootSystemData, SimpleSystem, basis_coordinates
+from .rootsys import _INT64_SAFE, basis_coordinates
 
 _CHUNK = 1 << 13  # evaluated triples per block of the Jacobi check
 
@@ -140,7 +143,7 @@ class StructureConstantTable(NamedTuple):
     """A Chevalley table on the sorted roots, as int64 arrays indexed by root (module docstring)."""
 
     lattice: IntersectionLattice
-    simple: SimpleSystem
+    simple: tuple[DivisorClass, ...]
     roots: tuple[DivisorClass, ...]
     positive: tuple[DivisorClass, ...]
     extraspecial: frozenset
@@ -151,7 +154,7 @@ class StructureConstantTable(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return len(self.simple.roots)
+        return len(self.simple)
 
 
 def _exact(num, den, message):
@@ -170,10 +173,9 @@ def _exact_rows(num: np.ndarray, den: np.ndarray, message: str, roots) -> np.nda
     return q
 
 
-def structure_constants(rs: RootSystemData, simple: SimpleSystem) -> StructureConstantTable:
-    lat = rs.ambient
-    srl = list(simple.roots)
-    listed = sorted(rs.roots)
+def structure_constants(lat: IntersectionLattice, roots, simple) -> StructureConstantTable:
+    srl = tuple(simple)
+    listed = sorted(roots)
     codes = root_codes(listed)
     code = codes.tolist()
     at = {v: a for a, v in enumerate(code)}  # root code -> root index
@@ -240,7 +242,7 @@ def structure_constants(rs: RootSystemData, simple: SimpleSystem) -> StructureCo
                           "coroot of {} is not integral", listed)
     return StructureConstantTable(
         lattice=lat,
-        simple=simple,
+        simple=srl,
         roots=tuple(listed),
         positive=tuple(listed[at[v]] for v in positive),
         extraspecial=frozenset(extraspecial),

@@ -122,7 +122,7 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
 def _folded_simple_coeffs(case: str) -> tuple[tuple[int, ...], ...]:
     """The l-coefficients of the folded simple roots, in the simple system's order."""
     lat = case_spec(case).lattice
-    return tuple(lat.l_coeffs(b) for b in folded_simple_system(case).roots)
+    return tuple(lat.l_coeffs(b) for b in folded_simple_system(case))
 
 
 def case_system_matrix(case: str) -> list[list[int]]:
@@ -304,7 +304,7 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
             f"generator tables) exceed the action cap {action_cap}"
         )
 
-    embed = basis_coordinates(np.array([r.coords for r in delta.roots], dtype=np.int64).T,
+    embed = basis_coordinates(np.array([r.coords for r in delta], dtype=np.int64).T,
                               np.array([b.coords for b in basis], dtype=np.int64).T)  # (r', k)
     coords = [np.array(list(product(range(m), repeat=k)), dtype=np.int64) for m in mods]
     weights = [m ** np.arange(rprime, dtype=np.int64) for m in mods]
@@ -332,14 +332,14 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
                 lab = jumped
         return lab
 
-    small = restrict_to_basis(w_small.mats, delta.roots, lat)
+    small = restrict_to_basis(w_small.mats, delta, lat)
     small_maps = maps(small)
     if any((m < 0).any() for m in small_maps):
         raise ValueError(f"{case}: a small orbit leaves the domain part of its big orbit")
     if not all(g in w_big for g in w_small.gens):
         raise ValueError(f"{case}: the small group is not a subgroup of the big one")
     lab = labels(*small_maps)
-    big = restrict_to_basis(w_big.mats, delta.roots, lat)
+    big = restrict_to_basis(w_big.mats, delta, lat)
     perm = np.eye(rprime, dtype=np.int64)[:, list(rho.permutation)]
     us, taus, (ids, gen, src) = conjugacy_class_walk(perm, big)
     certified = (np.array_equal(small @ perm, perm @ small)

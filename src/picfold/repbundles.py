@@ -1,5 +1,8 @@
 """Weight multisets of representation bundles and their curve restrictions.
 
+A weight bundle is the sorted tuple of its summand classes
+(``weight_bundle``, ``wedge_power``), and its rank is its length.
+
 A restricted line bundle is encoded as (degree, point): degree is the
 pairing with the anticanonical class, the point is the image under the
 normalized restriction map (identity section and fiber classes restrict
@@ -48,15 +51,6 @@ class ConstraintViolatedError(ValueError):
     pass
 
 
-class WeightBundle(NamedTuple):
-    name: str
-    summands: tuple[DivisorClass, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.summands)
-
-
 _F1_KINDS = {
     "vector": ((SELF, -1), ("K", -1), ("f", 0)),
     "spinor_plus": ((SELF, -1), ("K", -1), ("f", 1)),
@@ -65,13 +59,13 @@ _F1_KINDS = {
 }
 
 
-def weight_bundle(kind: str, lat: IntersectionLattice) -> WeightBundle:
+def weight_bundle(kind: str, lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
     """The weight-class multiset of a named representation bundle."""
     if kind == "lines":
         summands = enumerate_classes(lat, [(SELF, -1), (lat.K, -1)])
         if len(summands) != 27:
             raise ValueError(f"{len(summands)} lines, not 27: not the cubic surface")
-        return WeightBundle(kind, summands)
+        return summands
     if kind not in _F1_KINDS:
         raise ValueError(f"unknown bundle kind {kind!r}")
     named = {"K": lat.K, "f": lat.f, "s": lat.s, SELF: SELF}
@@ -81,12 +75,12 @@ def weight_bundle(kind: str, lat: IntersectionLattice) -> WeightBundle:
                 "spinor_minus": 2 ** (m - 1), "standard": m}[kind]
     if len(summands) != expected:
         raise ValueError(f"{kind}: {len(summands)} summands, not {expected}")
-    return WeightBundle(kind, summands)
+    return summands
 
 
-def restrict_bundle(bundle: WeightBundle, lat: IntersectionLattice, pa: PointAssignment) -> tuple:
+def restrict_bundle(bundle, lat: IntersectionLattice, pa: PointAssignment) -> tuple:
     """Sorted multiset of (degree, point) pairs of the restricted summands."""
-    return tuple(sorted((lat.deg(d), u_point(lat, pa, d)) for d in bundle.summands))
+    return tuple(sorted((lat.deg(d), u_point(lat, pa, d)) for d in bundle))
 
 
 def tensor_line(restricted, twist, sigma) -> tuple:
@@ -116,12 +110,11 @@ def twisted_identity(lat, pa, lhs_kind: str, twist: DivisorClass | None, rhs_kin
     return check_identification(lhs, rhs)
 
 
-def wedge_power(bundle: WeightBundle, i: int) -> WeightBundle:
+def wedge_power(bundle, i: int) -> tuple[DivisorClass, ...]:
     """Summands are all i-fold sums of distinct summands."""
-    if not 1 <= i <= bundle.rank:
+    if not 1 <= i <= len(bundle):
         raise ValueError("wedge power out of range")
-    sums = [sum(combo[1:], combo[0]) for combo in combinations(bundle.summands, i)]
-    return WeightBundle(f"wedge{i}({bundle.name})", tuple(sorted(sums)))
+    return tuple(sorted(sum(combo[1:], combo[0]) for combo in combinations(bundle, i)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +243,7 @@ def spinor_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
     refused past ``cap`` tuples (``BudgetExceededError``).
     """
     m, rel = lat.npoints, case_points(f"B{lat.npoints - 1}").relations
-    sp, sm = (weight_bundle(kind, lat).summands for kind in ("spinor_plus", "spinor_minus"))
+    sp, sm = (weight_bundle(kind, lat) for kind in ("spinor_plus", "spinor_minus"))
     masks = _locus_masks(lat, sigma, np.eye(m, dtype=np.int64),
                          [((sp, -lat.l(i + 1)), (sm, lat.zero)) for i in range(m)],
                          [tuple(r[1:i + 1] + r[:1] + r[i + 1:] for r in rel) for i in range(m)],
@@ -267,7 +260,7 @@ def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**
     (the G2 point relations R x = 0 of ``folding.case_points``).  The
     walk is refused past ``cap`` tuples (``BudgetExceededError``).
     """
-    sp, sm, w = (weight_bundle(k, lat).summands for k in ("spinor_plus", "spinor_minus", "vector"))
+    sp, sm, w = (weight_bundle(k, lat) for k in ("spinor_plus", "spinor_minus", "vector"))
     pairs = [((sp, -lat.l(1)), (sm, lat.zero)), ((w, lat.s - lat.l(4)), (sp, lat.zero)),
              ((w, -lat.l(4)), (sm, lat.zero))]
     masks = _locus_masks(lat, sigma, np.eye(4, dtype=np.int64), pairs,
@@ -289,8 +282,8 @@ def wedge_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
     n, i = m // 2, 1
     zero_sum = np.vstack([np.eye(m - 1, dtype=np.int64), -np.ones((1, m - 1), dtype=np.int64)])
     return tuple(_locus_masks(lat, sigma, zero_sum, [
-        ((v.summands, (n - i) * lat.f), (wedge_power(v, 2 * n - i).summands, lat.zero)),
-        ((v.summands, lat.zero), (tuple(-d for d in v.summands), lat.f))], cap=cap))
+        ((v, (n - i) * lat.f), (wedge_power(v, 2 * n - i), lat.zero)),
+        ((v, lat.zero), (tuple(-d for d in v), lat.f))], cap=cap))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +340,7 @@ def f4_rep_decomposition(lat: IntersectionLattice, pa: PointAssignment) -> F4Rep
         raise AssertionError("the three zero lines do not sum to -K")
 
     shorts = set(f4_short_roots(lat))
-    lines = weight_bundle("lines", lat).summands
+    lines = weight_bundle("lines", lat)
     short_map = {}
     for e, img in zip(lines, _fixed_part_projection(lat, lines)):
         if e in zero_lines:

@@ -1,5 +1,9 @@
 """Root systems inside Picard lattices, and their Weyl groups.
 
+A root system is the sorted tuple of its roots, as ``root_sublattice``
+has it from ``lattice.enumerate_classes``, and a simple system is the
+tuple of its simple roots in diagram order (``standard_simple_system``).
+
 Weyl elements are integer matrices acting on lattice coordinates (column
 vectors).  A Weyl group is never enumerated.  It is built in one of two
 ways, and both keep the same surface (``WeylGroup``: generators, order,
@@ -77,35 +81,6 @@ def row_keys(arr: np.ndarray) -> list[bytes]:
     return flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel().tolist()
 
 
-class RootSystemData:
-    __slots__ = ("ambient", "roots")
-
-    def __init__(self, ambient: IntersectionLattice, roots: frozenset[DivisorClass]):
-        self.ambient, self.roots = ambient, roots
-
-    def __len__(self):
-        return len(self.roots)
-
-    def __contains__(self, item):
-        return item in self.roots
-
-    def __iter__(self):
-        return iter(sorted(self.roots))
-
-
-class SimpleSystem:
-    __slots__ = ("roots", "type_tag")
-
-    def __init__(self, roots: tuple[DivisorClass, ...], type_tag: str):
-        self.roots, self.type_tag = roots, type_tag
-
-    def __len__(self):
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
-
-
 class WeylElement:
     """A lattice matrix: its integer ``entries``, equal and hashed by them, and ``mat``, int64."""
 
@@ -131,21 +106,21 @@ class WeylElement:
         return DivisorClass(tuple(int(x) for x in self.mat @ np.array(d.coords, dtype=np.int64)))
 
 
-def root_sublattice(lat: IntersectionLattice, orthogonal_to) -> RootSystemData:
-    """All classes x with x.x = -2 orthogonal to the given classes."""
+def root_sublattice(lat: IntersectionLattice, orthogonal_to) -> tuple[DivisorClass, ...]:
+    """All classes x with x.x = -2 orthogonal to the given classes, sorted."""
     constraints = [(SELF, -2)] + [(c, 0) for c in orthogonal_to]
     if not any(c == lat.K or c == -lat.K for c in orthogonal_to):
         constraints.append((lat.K, 0))
     roots = enumerate_classes(lat, constraints)
-    data = RootSystemData(lat, frozenset(roots))
-    for r in data.roots:
-        if -r not in data.roots:
+    found = set(roots)
+    for r in roots:
+        if -r not in found:
             raise ValueError(f"root set is not closed under negation: {r} without {-r}")
-    return data
+    return roots
 
 
-def standard_simple_system(case: str, lat: IntersectionLattice) -> SimpleSystem:
-    """The simple systems of the types A, D and E6; ``folding`` derives the folded ones."""
+def standard_simple_system(case: str, lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
+    """The simple roots of the types A, D and E6 in diagram order; ``folding`` folds them."""
     m = lat.npoints
     l = lat.l
     if case == "D":
@@ -153,19 +128,17 @@ def standard_simple_system(case: str, lat: IntersectionLattice) -> SimpleSystem:
             raise ValueError("D-type needs an F1 blow-up of at least 2 points")
         roots = [l(1) - l(2), lat.f - l(1) - l(2)]
         roots += [l(i - 1) - l(i) for i in range(3, m + 1)]
-        return SimpleSystem(tuple(roots), f"D{m}")
+        return tuple(roots)
     if case == "A":
         if lat.model != "F1":
             raise ValueError("A-type lives on the F1 model here")
-        roots = [l(i) - l(i + 1) for i in range(1, m)]
-        return SimpleSystem(tuple(roots), f"A{m - 1}")
+        return tuple(l(i) - l(i + 1) for i in range(1, m))
     if case == "E6":
         if lat.model != "P2" or m != 6:
             raise ValueError("E6 needs the 6-point P2 blow-up")
         h = lat.h
-        roots = (l(1) - l(2), l(2) - l(3), h - l(1) - l(2) - l(3),
-                 l(3) - l(4), l(4) - l(5), l(5) - l(6))
-        return SimpleSystem(roots, "E6")
+        return (l(1) - l(2), l(2) - l(3), h - l(1) - l(2) - l(3),
+                l(3) - l(4), l(4) - l(5), l(5) - l(6))
     raise ValueError(f"unknown simple-system case {case!r}")
 
 
@@ -310,8 +283,8 @@ def reflection(lat: IntersectionLattice, alpha: DivisorClass) -> WeylElement:
     return WeylElement.from_matrix(np.eye(lat.rank, dtype=np.int64) - np.outer(a, num // n2))
 
 
-def simple_reflections(simple: SimpleSystem, lat: IntersectionLattice) -> list[WeylElement]:
-    return [reflection(lat, r) for r in simple.roots]
+def simple_reflections(simple, lat: IntersectionLattice) -> list[WeylElement]:
+    return [reflection(lat, r) for r in simple]
 
 
 def _orbit_rows(mats: np.ndarray, vec: np.ndarray, cap: int) -> list[np.ndarray]:
@@ -513,7 +486,7 @@ def _fundamental_orbit_sizes(a, cap: int) -> list[int]:
 class CoxeterWeylGroup(WeylGroup):
     """The Weyl group of a simple system, read from its Cartan matrix; no stabilizer chain.
 
-    ``gens[i]`` belongs to ``simple.roots[i]`` = b_i.  With A the
+    ``gens[i]`` belongs to ``simple[i]`` = b_i.  With A the
     ``cartan_matrix_of`` the roots, no two roots may be at an acute angle
     (A_ij <= 0 for i != j), every generator must map each b_j to
     b_j - A_ji b_i (the tie check), and the generators must satisfy the
@@ -529,14 +502,14 @@ class CoxeterWeylGroup(WeylGroup):
     across the two classes; ``in`` is the descent test of the module docstring.
     """
 
-    def __init__(self, gens, simple: SimpleSystem, lat: IntersectionLattice,
+    def __init__(self, gens, simple, lat: IntersectionLattice,
                  cap: int = DEFAULT_CAP):
         self.gens, self.rank = tuple(gens), lat.rank
         self.mats = np.array([g.mat for g in self.gens], dtype=np.int64).reshape(-1, lat.rank,
                                                                                  lat.rank)
-        a = cartan_matrix_of(simple.roots, lat)
+        a = cartan_matrix_of(simple, lat)
         n = len(a)
-        bmat = np.array([b.coords for b in simple.roots], dtype=np.int64).reshape(n, lat.rank).T
+        bmat = np.array([b.coords for b in simple], dtype=np.int64).reshape(n, lat.rank).T
         at = np.array(a, dtype=np.int64).reshape(n, n).T  # at[i, j] = A_ji
         rowsum = int(np.abs(self.mats).sum(axis=2).max(initial=1))
         if rowsum ** 12 * int(np.abs(bmat).max(initial=1)) >= _INT64_SAFE:

@@ -1,11 +1,12 @@
 import json
 import re
+import shutil
 import warnings
 from unittest import mock
 
 import pytest
 
-from picfold import abelian
+from picfold import abelian, cli
 from picfold.cli import (
     ConfigError,
     RunConfig,
@@ -105,6 +106,43 @@ def test_a_repeated_config_key_is_an_error(tmp_path, capsys):
     assert main(["verify", "lattice", "--config", str(p), "--out", str(out)]) == 2
     assert "repeated key 'sigma.m1'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, form", [
+    ("--sigma", "2", "m1,m2"), ("--sigma", "a,b", "m1,m2"), ("--sigma", "2,2,2", "m1,m2"),
+    ("--curve", "5,1", "p,a,b"), ("--curve", "5,x,0", "p,a,b")])
+def test_a_flag_of_the_wrong_form_names_the_flag_and_its_form(tmp_path, capsys, flag, value, form):
+    out = tmp_path / "r.json"
+    assert main(["verify", "lattice", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {flag} expects {form}, got {value!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_an_unwritable_out_path_fails_before_any_claim_runs(tmp_path, capsys, where):
+    # a missing directory, or a directory in place of the file
+    with mock.patch.object(cli, "_run_claims", wraps=cli._run_claims) as spy:
+        assert main(["verify", "lattice", "--out", str(tmp_path / where)]) == 2
+    assert spy.call_count == 0
+    assert capsys.readouterr().err.startswith("cannot write report: ")
+
+
+def test_a_report_that_cannot_be_written_at_the_end_exits_2(tmp_path, capsys):
+    folder = tmp_path / "out"
+    folder.mkdir()
+    run = cli.run_suite
+
+    def run_then_remove(name, cfg):
+        reports = run(name, cfg)
+        shutil.rmtree(folder)
+        return reports
+
+    with mock.patch.object(cli, "run_suite", run_then_remove):
+        assert main(["verify", "lattice", "--out", str(folder / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write report: ") and "Traceback" not in captured.err
+    assert not folder.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -232,7 +270,8 @@ def test_jacobi_claim_fails_under_optimize_on_a_broken_table(mutation, witness):
         "from picfold import liealg\n"
         "build = liealg.structure_constants\n"
         f"{mutation}"
-        "liealg.structure_constants = lambda rs, simple: broken(build(rs, simple))\n",
+        "liealg.structure_constants = lambda lat, roots, simple: (\n"
+        "    broken(build(lat, roots, simple)))\n",
         "liealg").values()
     assert result["id"] == "liealg.jacobi.all" and result["status"] == "fail"
     assert result["witness"].startswith(witness), result["witness"]

@@ -29,7 +29,6 @@ from picfold.moduli import PointAssignment, point_table
 from picfold.abelian import make_sigma_model
 from picfold.rootsys import (
     BudgetExceededError,
-    SimpleSystem,
     orbit,
     root_sublattice,
     simple_reflections,
@@ -446,7 +445,7 @@ def test_cubic_combinatorics_is_built_once_per_lattice(cubic):
 
 def positive_e6_roots(cubic, simple):
     roots = root_sublattice(cubic, [cubic.K])
-    return [r for r in roots if all(c >= 0 for c in decompose_in_basis(r, simple.roots))]
+    return [r for r in roots if all(c >= 0 for c in decompose_in_basis(r, simple))]
 
 
 def test_double_six_bijection(cubic, weyl_e6):
@@ -533,8 +532,7 @@ def test_double_six_checks_name_the_broken_condition(cubic):
     with pytest.raises(ConfigurationError, match="double six 0: reflection does not exchange"):
         double_six_roots(data._replace(double_sixes=rows), cubic, simple)
     # a basis of roots that is no simple system: alpha_1 = (alpha_1 + alpha_2) - alpha_2
-    r = simple.roots
-    skew = SimpleSystem((r[0] + r[1],) + r[1:], "E6")
+    skew = (simple[0] + simple[1],) + simple[1:]
     with pytest.raises(ConfigurationError, match="neither positive nor negative"):
         double_six_roots(data, cubic, skew)
 

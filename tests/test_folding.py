@@ -46,7 +46,7 @@ def _apply(rho, x):
     Raises ValueError unless x has integer coordinates in (simple roots,
     K); K is primitive, so an integral image needs an integral K part.
     """
-    basis = np.array([r.coords for r in rho.simple_system.roots] + [rho.lattice.K.coords],
+    basis = np.array([r.coords for r in rho.simple_system] + [rho.lattice.K.coords],
                      dtype=np.int64).T
     coeffs = basis_coordinates(basis, np.array(x.coords, dtype=np.int64))
     perm = list(rho.permutation) + [len(rho.permutation)]
@@ -65,12 +65,12 @@ def cubic():
 
 def test_outer_automorphism_permutes_simple_roots(f1_4, cubic):
     rho = outer_automorphism("D", f1_4)
-    d = rho.simple_system.roots
+    d = rho.simple_system
     assert _apply(rho, d[0]) == d[1]
     assert _apply(rho, d[1]) == d[0]
     assert _apply(rho, d[2]) == d[2]
     e6 = outer_automorphism("E6", cubic)
-    r = e6.simple_system.roots
+    r = e6.simple_system
     assert _apply(e6, r[0]) == r[5]
     assert _apply(e6, r[1]) == r[4]
     assert _apply(e6, r[2]) == r[2]
@@ -79,7 +79,7 @@ def test_outer_automorphism_permutes_simple_roots(f1_4, cubic):
 def test_triality_has_order_three(f1_4):
     rho = outer_automorphism("D4-triality", f1_4)
     assert rho.order == 3
-    d = rho.simple_system.roots
+    d = rho.simple_system
     assert _apply(rho, d[0]) == d[1]
     assert _apply(rho, d[1]) == d[3]
     assert _apply(rho, d[3]) == d[0]
@@ -99,15 +99,15 @@ def test_rho_rejects_classes_outside_domain(f1_4):
 
 
 def _tag(case):
-    return identify_cartan_type(cartan_matrix_of(folded_simple_system(case).roots,
+    return identify_cartan_type(cartan_matrix_of(folded_simple_system(case),
                                                  case_spec(case).lattice))
 
 
 def test_fold_simple_system_tags(f1_4):
     tri = outer_automorphism("D4-triality", f1_4)
-    d = tri.simple_system.roots
+    d = tri.simple_system
     # the triality orbit {a1, a2, a4} sums to one simple root of G2, in integers
-    assert folded_simple_system("G2").roots[0] == d[0] + d[1] + d[3]
+    assert folded_simple_system("G2")[0] == d[0] + d[1] + d[3]
     assert (_tag("G2"), _tag("F4"), _tag("B3")) == ("G2", "F4", "B3")
     assert _tag("C2") in ("B2", "C2")
 
@@ -117,7 +117,7 @@ def test_identity_fold_is_noop(f1_4):
     ident = type(rho)(rho.ambient, rho.lattice, rho.simple_system,
                       tuple(range(len(rho.simple_system))))
     sums = folding._simple_orbit_sums(ident)
-    assert [tuple(col) for col in sums.T.tolist()] == [r.coords for r in rho.simple_system.roots]
+    assert [tuple(col) for col in sums.T.tolist()] == [r.coords for r in rho.simple_system]
 
 
 def test_folded_weyl_orders():
@@ -145,7 +145,7 @@ def test_folded_root_counts(cubic):
     assert len(folded_root_system("F4")) == 48
     # the 2-orbit sums are exactly the roots of self-intersection -4
     assert f4_short_roots(cubic) == tuple(sorted(
-        r for r in folded_root_system("F4").roots if cubic.pair(r, r) == -4))
+        r for r in folded_root_system("F4") if cubic.pair(r, r) == -4))
     assert len(f4_short_roots(cubic)) == 24
 
 
@@ -213,17 +213,17 @@ LITERAL_CASES = ([(f"B{n}", (F1, n + 1)) for n in range(2, 7)]
 @pytest.mark.parametrize("case,model", LITERAL_CASES)
 def test_folded_roots_are_the_literal_presentations(case, model):
     lat = make_blowup_lattice(*model)
-    assert set(folded_root_system(case).roots) == _literal_roots(case, lat)
+    assert folded_root_system(case) == tuple(sorted(_literal_roots(case, lat)))
 
 
 def test_b2_and_g2_simple_systems():
     lat3 = make_blowup_lattice(F1, 3)
     b2 = folded_simple_system("B2")
-    assert b2.roots == (lat3.f - 2 * lat3.l(2), 2 * (lat3.l(2) - lat3.l(3)))
-    assert identify_cartan_type(cartan_matrix_of(b2.roots, lat3)) == "B2"
+    assert b2 == (lat3.f - 2 * lat3.l(2), 2 * (lat3.l(2) - lat3.l(3)))
+    assert identify_cartan_type(cartan_matrix_of(b2, lat3)) == "B2"
     lat4 = make_blowup_lattice(F1, 4)
     g2 = folded_simple_system("G2")
-    a = cartan_matrix_of(g2.roots, lat4)
+    a = cartan_matrix_of(g2, lat4)
     assert identify_cartan_type(a) == "G2"
     assert sorted(x for row in a for x in row) == [-3, -1, 2, 2]
 
@@ -231,13 +231,13 @@ def test_b2_and_g2_simple_systems():
 def test_f4_simple_system(cubic):
     f4 = folded_simple_system("F4")
     l, h = cubic.l, cubic.h
-    assert f4.roots == (
+    assert f4 == (
         l(1) - l(2) + l(5) - l(6),
         l(2) - l(3) + l(4) - l(5),
         2 * (h - l(1) - l(2) - l(3)),
         2 * (l(3) - l(4)),
     )
-    assert identify_cartan_type(cartan_matrix_of(f4.roots, cubic)) == "F4"
+    assert identify_cartan_type(cartan_matrix_of(f4, cubic)) == "F4"
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -245,11 +245,11 @@ def test_b_and_c_simple_systems(n):
     for case, lat, tag in ((f"B{n}", make_blowup_lattice(F1, n + 1), f"B{n}"),
                            (f"C{n}", make_blowup_lattice(F1, 2 * n), "B2" if n == 2 else f"C{n}")):
         simple = folded_simple_system(case)
-        assert simple.roots == _literal_simple_roots(case, lat)
-        assert identify_cartan_type(cartan_matrix_of(simple.roots, lat)) == tag
+        assert simple == _literal_simple_roots(case, lat)
+        assert identify_cartan_type(cartan_matrix_of(simple, lat)) == tag
         # every folded root is an integral combination of the simple roots
         for root in folded_root_system(case):
-            decompose_in_basis(root, simple.roots)
+            decompose_in_basis(root, simple)
 
 
 def _sum_over_orbit(coords, rho):
@@ -270,8 +270,8 @@ def test_summing_over_the_orbit_instead_of_ord_sigma_fails(monkeypatch):
     try:
         for case, model in LITERAL_CASES:
             lat = make_blowup_lattice(*model)
-            assert set(folded_root_system(case).roots) != _literal_roots(case, lat), case
-            assert folded_simple_system(case).roots != _literal_simple_roots(case, lat), case
+            assert set(folded_root_system(case)) != _literal_roots(case, lat), case
+            assert folded_simple_system(case) != _literal_simple_roots(case, lat), case
     finally:
         folding._folded_roots.cache_clear()
 
@@ -342,7 +342,7 @@ def test_presentations_agree():
         assert reflections.dtype == gens.dtype == np.int64
         # each reflection against ``reflect`` on every basis vector, in basis coordinates
         lat, bmat = case_fold(case).lattice, np.array([b.coords for b in basis]).T
-        for root, mat in zip(sorted(folded_root_system(case).roots), reflections):
+        for root, mat in zip(folded_root_system(case), reflections):
             images = np.array([rootsys.reflect(lat, root, b).coords for b in basis]).T
             assert np.array_equal(basis_coordinates(bmat, images), mat)
         folding.check_presentations(case)
@@ -386,19 +386,19 @@ def test_every_broken_presentation_fails_the_check(case, monkeypatch):
     monkeypatch.undo()
     roots = folded_root_system(case)
     for dropped in roots:  # one folded root missing from R(G)
-        monkeypatch.setattr(folding, "folded_root_system", lambda case: type(roots)(
-            roots.ambient, roots.roots - {dropped}))
+        monkeypatch.setattr(folding, "folded_root_system",
+                            lambda case: tuple(r for r in roots if r != dropped))
         with pytest.raises(ValueError):
             folding.check_presentations(case)
     # a class outside the orbit of the simple roots, with a reflection of its own
-    monkeypatch.setattr(folding, "folded_root_system", lambda case: type(roots)(
-        roots.ambient, roots.roots | {2 * max(roots)}))
+    monkeypatch.setattr(folding, "folded_root_system",
+                        lambda case: tuple(sorted(roots + (2 * max(roots),))))
     with pytest.raises(ValueError, match=f"reaches {len(roots)} of {len(roots) + 1}"):
         folding.check_presentations(case)
     # a class of the fixed sublattice whose reflection is not integral there
-    b = folded_simple_system(case).roots
-    monkeypatch.setattr(folding, "folded_root_system", lambda case: type(roots)(
-        roots.ambient, roots.roots | {b[0] + 2 * b[1]}))
+    b = folded_simple_system(case)
+    monkeypatch.setattr(folding, "folded_root_system",
+                        lambda case: tuple(sorted(roots + (b[0] + 2 * b[1],))))
     with pytest.raises(ValueError, match="leaves the fixed sublattice"):
         folding.check_presentations(case)
     monkeypatch.undo()
@@ -426,7 +426,7 @@ BREAKS = {
         "original = folding.folded_root_system\n"
         "def patched(case):\n"
         "    roots = original(case)\n"
-        "    return type(roots)(roots.ambient, roots.roots - {max(roots.roots)})\n"
+        "    return roots[:-1]\n"
         "folding.folded_root_system = patched\n"),
 }
 
@@ -452,8 +452,7 @@ def test_second_reduction_order_identities(f1_4, cubic):
     l = f1_4.l
     a2 = [3 * (l(2) - l(3)), 3 * (l(3) - (f1_4.f - l(4)))]
     a2_scaled = [l(2) - l(3), l(3) - f1_4.f + l(4)]
-    wa2 = weyl_generate([r for r in simple_reflections(
-        type(standard_simple_system("D", f1_4))(tuple(a2_scaled), "A2"), f1_4)])
+    wa2 = weyl_generate(simple_reflections(a2_scaled, f1_4))
     assert len(folded_weyl_group("G2")) == len(wa2) * 2 == 12
     # B_n: G'' = D_n, Out = Z2
     for n, lat_dn in ((2, make_blowup_lattice(F1, 2)), (3, lat3), (4, f1_4)):
@@ -493,14 +492,14 @@ def test_automorphisms_and_fixed_sublattices_are_built_once_and_not_mutated(f1_4
 
     rho = outer_automorphism("D", f1_4)
     basis = fixed_sublattice(rho)
-    before = (rho.permutation, rho.simple_system.roots, basis)
+    before = (rho.permutation, rho.simple_system, basis)
     big = ambient_weyl_group("B3")
     mats = big.mats.copy()
     assert chi_injectivity_check("B3", make_sigma_model(2, 2)).passed  # reads all three
     # an equal lattice hits the same entries, which the check left as they were
     assert outer_automorphism("D", make_blowup_lattice(F1, 4)) is rho
     assert fixed_sublattice(outer_automorphism("D", f1_4)) is basis
-    assert (rho.permutation, rho.simple_system.roots, basis) == before
+    assert (rho.permutation, rho.simple_system, basis) == before
     assert rho.permutation == (1, 0, 2, 3)
     assert np.array_equal(big.mats, mats) and not big.mats.flags.writeable
     assert outer_automorphism("E6", cubic) is outer_automorphism("E6", cubic)
@@ -589,7 +588,7 @@ def test_a_negated_simple_root_is_refused(cubic):
     # the reflections and the tie check do not see the sign, but the chain would:
     # on (-b1, b2, ..., b6) it multiplies out to 3840, not 51840
     e6 = outer_automorphism("E6", cubic).simple_system
-    flipped = type(e6)((-e6.roots[0],) + e6.roots[1:], "E6")
+    flipped = (-e6[0],) + e6[1:]
     with pytest.raises(ValueError, match="not a simple system"):
         CoxeterWeylGroup(simple_reflections(e6, cubic), flipped, cubic)
 
@@ -599,7 +598,7 @@ def test_a_generator_that_breaks_a_relation_is_refused(f1_4):
     # (g0 + b3 (K, .))^2 = I + 2 b3 (K, .): g0 fixes b3 and K, and (K, b3) = 0
     delta = outer_automorphism("D", f1_4).simple_system
     gens = simple_reflections(delta, f1_4)
-    b3, k = (np.array(c.coords, dtype=np.int64) for c in (delta.roots[3], f1_4.K))
+    b3, k = (np.array(c.coords, dtype=np.int64) for c in (delta[3], f1_4.K))
     bent = gens[0].mat + np.outer(b3, np.array(f1_4.gram, dtype=np.int64) @ k)
     with pytest.raises(ValueError, match="Coxeter relation of order 1"):
         CoxeterWeylGroup([WeylElement.from_matrix(bent)] + gens[1:], delta, f1_4)

@@ -20,11 +20,11 @@ from picfold.liealg import (
     structure_constants,
     verify_jacobi,
 )
-from picfold.rootsys import RootSystemData, SimpleSystem, standard_simple_system
+from picfold.rootsys import standard_simple_system
 
 
 def _simply_laced(case, lat):
-    return ambient_root_system(case, lat), standard_simple_system(case, lat)
+    return lat, ambient_root_system(case, lat), standard_simple_system(case, lat)
 
 
 def test_root_string_b2():
@@ -32,13 +32,13 @@ def test_root_string_b2():
     rs = folded_root_system("B2")
     b1 = lat.f - 2 * lat.l(2)
     b2 = 2 * (lat.l(2) - lat.l(3))
-    assert root_string(b1, b2, set(rs.roots)) == (0, 2)
+    assert root_string(b1, b2, set(rs)) == (0, 2)
     # D4 is simply laced: strings have length at most 2
     lat4 = make_blowup_lattice(F1, 4)
     d4 = ambient_root_system("D", lat4)
     a = lat4.l(1) - lat4.l(2)
     b = lat4.l(2) - lat4.l(3)
-    d4_roots = set(d4.roots)
+    d4_roots = set(d4)
     assert lat4.pair(a, b) == 1 and root_string(a, b, d4_roots) == (0, 1)
     # no string at all when neither sum nor difference is a root
     c = lat4.l(3) - lat4.l(4)
@@ -74,15 +74,15 @@ def tables():
     cubic = make_blowup_lattice(P2, 6)
     out["E6"] = structure_constants(*_simply_laced("E6", cubic))
     for case in ("B2", "B3", "B4", "C2", "C3", "G2", "F4"):
-        out[case] = structure_constants(folded_root_system(case), folded_simple_system(case))
+        out[case] = structure_constants(case_spec(case).lattice, folded_root_system(case),
+                                        folded_simple_system(case))
     return out
 
 
-def fraction_structure_constants(rs, simple):
+def fraction_structure_constants(lat, roots, simple):
     """Oracle: the table computed in Fractions, with a rational solve per coroot."""
-    lat = rs.ambient
-    roots = set(rs.roots)
-    srl = list(simple.roots)
+    roots = set(roots)
+    srl = list(simple)
 
     def integral_solve(a, b, message):
         sol = rational_solve(a, b)
@@ -172,8 +172,7 @@ def fraction_structure_constants(rs, simple):
 def test_integer_tables_match_the_fraction_oracle(tables):
     assert set(tables) == {"D4", "E6", "B2", "B3", "B4", "C2", "C3", "G2", "F4"}
     for case, t in tables.items():
-        want = fraction_structure_constants(RootSystemData(t.lattice, frozenset(t.roots)),
-                                            t.simple)
+        want = fraction_structure_constants(t.lattice, t.roots, t.simple)
         got = as_dicts(t)
         assert t.roots == want.roots, case
         assert t.positive == want.positive, case
@@ -190,20 +189,19 @@ def test_a_root_set_without_integral_constants_is_refused():
     # (a1 + a2, a1 + a2) = -6, so no Chevalley table exists
     lat = make_blowup_lattice(F1, 3)
     a1, a2 = lat.l(1) - lat.l(2), 2 * (lat.l(2) - lat.l(3))
-    rs = RootSystemData(lat, frozenset({a1, -a1, a2, -a2, a1 + a2, -a1 - a2}))
-    simple = SimpleSystem((a1, a2), "B2")
+    roots = (a1, -a1, a2, -a2, a1 + a2, -a1 - a2)
     for build in (structure_constants, fraction_structure_constants):
         with pytest.raises(StructureConstantError, match="not an integer"):
-            build(rs, simple)
+            build(lat, roots, (a1, a2))
 
 
 def test_single_pair_table():
     lat = make_blowup_lattice(F1, 2)
-    rs, simple = _simply_laced("A", lat)
+    _, rs, simple = _simply_laced("A", lat)
     assert len(rs) == 2
-    t = structure_constants(rs, simple)
+    t = structure_constants(lat, rs, simple)
     assert not t.N.any()
-    a = simple.roots[0]
+    a = simple[0]
     assert as_dicts(t).coroot_coords[a] == (1,)
     assert verify_jacobi(t).ok
 
@@ -211,7 +209,7 @@ def test_single_pair_table():
 def test_b2_constants(tables):
     t = tables["B2"]
     n_map = as_dicts(t).n_map
-    b1, b2 = t.simple.roots
+    b1, b2 = t.simple
     # every pair with a root sum gets a nonzero constant
     brute = sum(
         1 for a in t.roots for b in t.roots if a + b in set(t.roots)
@@ -459,7 +457,7 @@ def test_codes_beyond_int64_are_refused_before_any_product(tables):
     lat = make_blowup_lattice(F1, 25)
     a = lat.l(1) - lat.l(25)
     with pytest.raises(OverflowError):
-        structure_constants(RootSystemData(lat, frozenset({a, -a})), SimpleSystem((a,), "A1"))
+        structure_constants(lat, (a, -a), (a,))
     t = tables["B3"]
     codes = t.codes.copy()
     codes[0] = 2**61  # three of them reach 2^62
@@ -488,4 +486,4 @@ def test_bundle_decompositions():
     """The Lie(G)-bundle is O^rank plus one line bundle per root of the folded system."""
     for case, rank, nroots in (("B3", 3, 18), ("G2", 2, 12), ("F4", 4, 48)):
         assert case_spec(case).rank == rank
-        assert len(folded_root_system(case).roots) == nroots
+        assert len(folded_root_system(case)) == nroots

@@ -47,7 +47,7 @@ def test_restriction_values_on_simple_roots():
     sym = SymbolicSigma(3)
     pa = _pa(sym, sym.gen(0), sym.gen(1), sym.gen(2))
     d = standard_simple_system("D", lat)
-    images = [u_point(lat, pa, b) for b in d.roots]
+    images = [u_point(lat, pa, b) for b in d]
     x1, x2, x3 = pa.points
     assert images[0] == sym.add(x1, sym.neg(x2))  # l1 - l2
     assert images[1] == sym.neg(sym.add(x1, x2))  # f - l1 - l2
@@ -58,7 +58,7 @@ def test_restriction_values_on_simple_roots():
 def invariance_direct(case, pa):
     """u against u composed with the diagram automorphism, compared on the simple roots."""
     rho = case_fold(case)
-    images = [u_point(rho.lattice, pa, r) for r in rho.simple_system.roots]
+    images = [u_point(rho.lattice, pa, r) for r in rho.simple_system]
     return all(images[p] == images[i] for i, p in enumerate(rho.permutation))
 
 
@@ -225,7 +225,7 @@ def _assignments(sigma, rows):
 def folded_restriction(case, pa):
     """The images of the folded simple roots under restriction, one assignment at a time."""
     lat = case_spec(case).lattice
-    return tuple(u_point(lat, pa, b) for b in folded_simple_system(case).roots)
+    return tuple(u_point(lat, pa, b) for b in folded_simple_system(case))
 
 
 def test_reconstruct_trivial_and_unique():
@@ -387,10 +387,10 @@ def full_group_chi_check(case, sigma):
     w_small = einsum_closure_stack(moduli.folded_weyl_group(case).mats, 10**6)
     basis = fixed_sublattice(rho)
     k = len(basis)
-    m_big = restrict_to_basis(w_big, delta.roots, lat)
-    m_small = restrict_to_basis(w_small, delta.roots, lat)
+    m_big = restrict_to_basis(w_big, delta, lat)
+    m_small = restrict_to_basis(w_small, delta, lat)
     embed = np.array(
-        [decompose_in_basis(b, delta.roots) for b in basis], dtype=np.int64
+        [decompose_in_basis(b, delta) for b in basis], dtype=np.int64
     ).T
     mods = (sigma.m1, sigma.m2)
     base = max(mods) if max(mods) > 1 else 2
@@ -469,7 +469,7 @@ def test_folded_group_is_the_centralizer_of_sigma(case, class_size):
     rho = case_fold(case)
     lat = rho.lattice
     w_big, w_small = ambient_weyl_group(case), moduli.folded_weyl_group(case)
-    big, small = (restrict_to_basis(g.mats, rho.simple_system.roots, lat) for g in (w_big, w_small))
+    big, small = (restrict_to_basis(g.mats, rho.simple_system, lat) for g in (w_big, w_small))
     perm = np.eye(len(rho.permutation), dtype=np.int64)[:, list(rho.permutation)]
     assert (small @ perm == perm @ small).all()
     us, taus, (ids, gen, src) = conjugacy_class_walk(perm, big)
