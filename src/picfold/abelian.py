@@ -2,9 +2,13 @@
 
 A SigmaModel is Z/m1 x Z/m2 with m1 | m2; every finite abelian group of
 rank <= 2 arises this way, which covers all torsion arguments needed for
-the configuration checks.  Group elements are canonical residue pairs.
-The Weierstrass adapter grounds the group law on an actual curve over a
-small prime field by brute-force point enumeration.
+the configuration checks.  Group elements are canonical residue pairs
+(a, b), and points are int64 arrays of them: a set of npoints points is
+(npoints, 2), a stack of n sets (n, npoints, 2), and every sum of points
+is one integer matmul reduced mod (m1, m2) on the last axis.  The model
+has no per-element arithmetic.  The Weierstrass adapter grounds the group
+law on an actual curve over a small prime field by brute-force point
+enumeration.
 
 Every exhaustive check over point tuples walks Sigma^k in bounded chunks
 through one generator, ``SigmaModel.form_chunks``, which yields the point
@@ -40,7 +44,7 @@ class SingularCurveError(ValueError):
 
 
 class SigmaModel:
-    """Z/m1 x Z/m2 with m1 | m2, elements reduced componentwise; equal and hashed by (m1, m2)."""
+    """Z/m1 x Z/m2 with m1 | m2; its elements are the residue pairs (a, b), a < m1 and b < m2."""
 
     __slots__ = ("m1", "m2")
 
@@ -49,38 +53,9 @@ class SigmaModel:
             raise ValueError("need m1 | m2 with both positive")
         self.m1, self.m2 = m1, m2
 
-    def __eq__(self, other):
-        same = other.__class__ is SigmaModel
-        return (self.m1, self.m2) == (other.m1, other.m2) if same else NotImplemented
-
-    def __hash__(self):
-        return hash((self.m1, self.m2))
-
     @property
     def order(self) -> int:
         return self.m1 * self.m2
-
-    @property
-    def zero(self) -> GroupElement:
-        return (0, 0)
-
-    def add(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        return ((x[0] + y[0]) % self.m1, (x[1] + y[1]) % self.m2)
-
-    def neg(self, x: GroupElement) -> GroupElement:
-        return ((-x[0]) % self.m1, (-x[1]) % self.m2)
-
-    def scale(self, k: int, x: GroupElement) -> GroupElement:
-        return ((k * x[0]) % self.m1, (k * x[1]) % self.m2)
-
-    def combine(self, coeffs, points) -> GroupElement:
-        """sum_j coeffs[j] points[j], reduced once at the end."""
-        a = b = 0
-        for k, p in zip(coeffs, points):
-            if k:
-                a += k * p[0]
-                b += k * p[1]
-        return (a % self.m1, b % self.m2)
 
     def elements(self):
         for a in range(self.m1):
@@ -95,9 +70,6 @@ class SigmaModel:
             for i in range(g1)
             for j in range(g2)
         ]
-
-    def is_zero(self, x: GroupElement) -> bool:
-        return x == (0, 0)
 
     def tuple_count(self, k: int, cap: int) -> int:
         """|Sigma|^k, the tuples a walk of Sigma^k visits; ``BudgetExceededError`` past ``cap``."""
@@ -164,45 +136,6 @@ class SigmaModel:
             # in range by construction; mode "raise" would gather into a copy of out
             np.take(table, rows + g, axis=0, out=codes, mode="clip")
             yield slice(h0 * width, (h0 + len(idx)) * width), codes.reshape(nforms, -1)
-
-
-class SymbolicSigma:
-    """Free abelian group Z^k used for 'generic point' arguments.
-
-    Duck-types the part of SigmaModel the restriction machinery needs, so
-    all point computations can be run with formal generators; a relation
-    holds generically exactly when it holds here.
-    """
-
-    def __init__(self, nfree: int):
-        self.nfree = nfree
-
-    @property
-    def zero(self):
-        return (0,) * self.nfree
-
-    def gen(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.nfree))
-
-    def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def neg(self, x):
-        return tuple(-a for a in x)
-
-    def scale(self, k, x):
-        return tuple(k * a for a in x)
-
-    def combine(self, coeffs, points):
-        terms = [(k, p) for k, p in zip(coeffs, points) if k]
-        return tuple(sum(k * p[i] for k, p in terms) for i in range(self.nfree))
-
-    def is_zero(self, x) -> bool:
-        return all(a == 0 for a in x)
-
-
-def make_sigma_model(m1: int, m2: int) -> SigmaModel:
-    return SigmaModel(m1, m2)
 
 
 def weierstrass_group(p: int, a: int, b: int):

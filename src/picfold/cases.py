@@ -69,9 +69,3 @@ def case_spec(name: str) -> CaseSpec:
     return CaseSpec(name, family, n, model, m, FOLDED_TO_SIMPLY_LACED[family], q,
                     make_blowup_lattice(model, m))
 
-
-def holds(rows: Rows, sigma, points) -> bool:
-    """Whether sum_j r_j x_j = 0 in the group of ``sigma`` for every row r."""
-    if any(len(r) != len(points) for r in rows):
-        raise ValueError(f"relations on {len(rows[0])} points applied to {len(points)}")
-    return all(sigma.is_zero(sigma.combine(r, points)) for r in rows)

@@ -44,10 +44,9 @@ from .lattice import (
     exceptional_classes,
     gram_matrix,
 )
-from .abelian import SymbolicSigma
-from .cases import holds
+from .abelian import SigmaModel
 from .folding import case_fold, case_points, folded_weyl_group
-from .moduli import PointAssignment
+from .moduli import restriction
 from .rootsys import (
     BudgetExceededError,
     WeylGroup,
@@ -60,21 +59,18 @@ class ConfigurationError(ValueError):
     """A configuration, triangle or double six breaks one of its defining conditions."""
 
 
-def symbolic_point(lat: IntersectionLattice, rows: np.ndarray, d: DivisorClass):
-    coeffs = np.array(lat.l_coeffs(d), dtype=np.int64)
-    return tuple(int(v) for v in coeffs @ rows)
-
-
 class GConfiguration(NamedTuple):
     case: str
     classes: tuple  # in the slot order of the case's points
-    pa: PointAssignment | None = None
+    sigma: SigmaModel | None = None
+    points: np.ndarray | None = None  # (npoints, 2) residue pairs in sigma
 
     def check_invariants(self, lat: IntersectionLattice):
         """Raise ConfigurationError unless every defining condition holds.
 
-        With a point assignment this includes the case's point relations,
-        both on the classes' symbolic points and on the assigned points.
+        With points this includes the case's point relations R x = 0, both
+        on the classes' symbolic points (their restrictions to the rows P
+        of ``case_points``, exactly) and on the given points, mod (m1, m2).
         """
         classes = self.classes
         for e in classes:
@@ -87,16 +83,15 @@ class GConfiguration(NamedTuple):
             for e in classes:
                 if lat.pair(e, lat.f) != 0:
                     raise ConfigurationError(f"{e} meets the fiber")
-        if self.pa is not None:
+        if self.points is not None:
             points = case_points(self.case)
-            rows = np.array(points.points, dtype=np.int64)
-            if not holds(points.relations, SymbolicSigma(rows.shape[1]),
-                         [symbolic_point(lat, rows, e) for e in classes]):
+            rel = np.array(points.relations, dtype=np.int64)
+            if (rel @ restriction(lat, classes, np.array(points.points, dtype=np.int64))).any():
                 raise ConfigurationError(f"the classes' points break the {self.case} relations")
-            x = self.pa.points
-            if len(x) != lat.npoints or not holds(points.relations, self.pa.sigma, x):
+            x = np.asarray(self.points, dtype=np.int64)
+            if x.shape != (lat.npoints, 2) or (rel @ x % [self.sigma.m1, self.sigma.m2]).any():
                 raise ConfigurationError(
-                    f"the assigned points {x} break the {self.case} relations")
+                    f"the assigned points {x.tolist()} break the {self.case} relations")
         return True
 
 

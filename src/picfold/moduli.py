@@ -2,16 +2,18 @@
 
 The restriction homomorphism is normalized by u(s) = u(f) = u(h) = 0 and
 u(l_i) = x_i; this is the convention forced by the displayed values of u
-on simple roots (for instance u(f - l1 - l2) = -x1 - x2).  Points live in
-a SigmaModel (or a SymbolicSigma for generic arguments).
+on simple roots (for instance u(f - l1 - l2) = -x1 - x2).  Points are
+integer arrays: (..., npoints, 2) residue pairs in a SigmaModel, or, for
+generic arguments, the (npoints, k) coefficient rows over free parameters
+t, such as the P of ``case_points`` (x = P t).
 
 The folded Weyl group is the centralizer of the diagram automorphism in
 the ambient one, W(G) = W(G~)^sigma (Steinberg, *Endomorphisms of linear
 algebraic groups*, 1968); ``chi_injectivity_check`` certifies it per case.
 
-Point tables are int64 arrays: x = P t (``point_table``) maps an
-(n, rank, 2) stack of parameters to (n, npoints, 2) points, M x
-(``folded_images``) maps points to an (n, rank, 2) stack of folded
+x = P t (``point_table``) maps an (n, rank, 2) stack of parameters to
+(n, npoints, 2) points, M x (``folded_images``, the ``restriction`` of the
+folded simple roots) maps points to an (n, rank, 2) stack of folded
 restriction data, and ``reconstruct_points`` inverts M P t on such a
 stack in one call.  A single image is a stack of one.
 """
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .abelian import SigmaModel, solve_group_stack
-from .cases import case_spec, holds
+from .cases import case_spec
 from .folding import (
     ambient_weyl_group,
     case_fold,
@@ -35,7 +37,7 @@ from .folding import (
     folded_weyl_group,
     free_points,
 )
-from .lattice import DivisorClass, IntersectionLattice
+from .lattice import IntersectionLattice
 from .rootsys import (
     BudgetExceededError,
     basis_coordinates,
@@ -45,57 +47,24 @@ from .rootsys import (
 )
 
 
-class PointAssignment:
-    """Blow-up points on the anticanonical curve, one per exceptional class; equal by both."""
-
-    __slots__ = ("sigma", "points")
-
-    def __init__(self, sigma, points: tuple):
-        self.sigma, self.points = sigma, points
-
-    def __eq__(self, other):
-        same = other.__class__ is PointAssignment
-        return (self.sigma, self.points) == (other.sigma, other.points) if same else NotImplemented
-
-    def __hash__(self):
-        return hash((self.sigma, self.points))
-
-    def __len__(self):
-        return len(self.points)
-
-
 def point_table(case: str, t: np.ndarray, sigma: SigmaModel) -> np.ndarray:
     """x = P t mod (m1, m2): an (n, rank, 2) int64 table of parameters to (n, npoints, 2)."""
     return np.array(case_points(case).points, dtype=np.int64) @ t % np.array([sigma.m1, sigma.m2])
 
 
-def u_point(lat: IntersectionLattice, pa: PointAssignment, d: DivisorClass):
-    """The point part of the restriction of O(d): sum of c_i x_i."""
-    return pa.sigma.combine(lat.l_coeffs(d), pa.points)
+def restriction(lat: IntersectionLattice, classes, x: np.ndarray, sigma: SigmaModel | None = None):
+    """u(d) = sum_i c_i x_i per class d, (..., len(classes), last) from x (..., npoints, last).
 
-
-def invariance_closed_form(case: str, pa: PointAssignment) -> bool:
-    """The closed-form fixed-point condition on the blow-up points: Q x = 0.
-
-    For C_n the n pair sums must share a single common value (an
-    n-torsion point, automatically, since the points sum to zero); the
-    weaker elementwise condition n (x_i + x_{2n+1-i}) = 0 is equivalent
-    only for n = 2.
+    Reduced mod (m1, m2) on the last axis when ``sigma`` is given, exact otherwise.
     """
-    return holds(case_spec(case).invariance, pa.sigma, pa.points)
-
-
-def invariance_literal_c(pa: PointAssignment) -> bool:
-    """n (x_i + x_{2n+1-i}) = 0 for every i (necessary, not sufficient for n >= 3)."""
-    s, x = pa.sigma, pa.points
-    n = len(x) // 2
-    return all(s.is_zero(s.scale(n, s.add(x[i], x[2 * n - 1 - i]))) for i in range(n))
+    coeffs = np.array([d.coords for d in classes], dtype=np.int64).reshape(-1, lat.rank)
+    u = coeffs[:, lat.l_offset:] @ x
+    return u if sigma is None else u % np.array([sigma.m1, sigma.m2])
 
 
 class FixedComponents(NamedTuple):
     labels: tuple
     component_size: int
-    identity_label: object
     full_torsion: bool
 
 
@@ -113,16 +82,11 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
     return FixedComponents(
         labels=tuple(sorted(labels)),
         component_size=sigma.order**case_spec(case).rank,
-        identity_label=sigma.zero,
         full_torsion=len(labels) == torsion**2,
     )
 
 
-@lru_cache(maxsize=None)
-def _folded_simple_coeffs(case: str) -> tuple[tuple[int, ...], ...]:
-    """The l-coefficients of the folded simple roots, in the simple system's order."""
-    lat = case_spec(case).lattice
-    return tuple(lat.l_coeffs(b) for b in folded_simple_system(case))
+_folded_simple_system = lru_cache(maxsize=None)(folded_simple_system)
 
 
 def case_system_matrix(case: str) -> list[list[int]]:
@@ -132,9 +96,8 @@ def case_system_matrix(case: str) -> list[list[int]]:
     folded restriction of the points x = P t; the unknowns are the free
     parameters t.
     """
-    columns = list(zip(*case_points(case).points))
-    return [[sum(c * v for c, v in zip(coeffs, col)) for col in columns]
-            for coeffs in _folded_simple_coeffs(case)]
+    p = np.array(case_points(case).points, dtype=np.int64)
+    return restriction(case_spec(case).lattice, _folded_simple_system(case), p).tolist()
 
 
 class ReconstructionStack(NamedTuple):
@@ -148,7 +111,6 @@ class ReconstructionStack(NamedTuple):
 
     solvable: np.ndarray
     kernel_size: int
-    sigma: SigmaModel
     table: np.ndarray
     image: np.ndarray
 
@@ -179,12 +141,12 @@ def reconstruct_points(case: str, p_images, sigma: SigmaModel,
     x = point_table(case, res.table, sigma)
     x = x[np.lexsort(np.vstack([x.reshape(len(x), 2 * x.shape[1]).T[::-1], res.image]))]
     x.flags.writeable = False
-    return ReconstructionStack(res.solvable, res.kernel_size, sigma, x, res.image)
+    return ReconstructionStack(res.solvable, res.kernel_size, x, res.image)
 
 
 def folded_images(case: str, x: np.ndarray, sigma: SigmaModel) -> np.ndarray:
     """M x mod (m1, m2): the folded restriction of an (n, npoints, 2) point table, (n, rank, 2)."""
-    return np.array(_folded_simple_coeffs(case), dtype=np.int64) @ x % np.array([sigma.m1, sigma.m2])
+    return restriction(case_spec(case).lattice, _folded_simple_system(case), x, sigma)
 
 
 def invariance_agreement_exhaustive(case: str, sigma: SigmaModel, cap: int = 10**8) -> int:
@@ -208,8 +170,9 @@ def invariance_agreement_exhaustive(case: str, sigma: SigmaModel, cap: int = 10*
         miss = np.flatnonzero(codes[:len(direct)].any(axis=0) != codes[len(direct):].any(axis=0))
         if len(miss):
             t = next(islice(product(sigma.elements(), repeat=k), cols.start + miss[0], None))
+            x = params @ np.array(t, dtype=np.int64) % np.array([sigma.m1, sigma.m2])
             raise AssertionError(f"{case}: closed form and direct comparison disagree at "
-                                 f"{tuple(sigma.combine(row, t) for row in params.tolist())}")
+                                 f"{tuple(map(tuple, x.tolist()))}")
     return count
 
 

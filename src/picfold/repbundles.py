@@ -1,12 +1,11 @@
 """Weight multisets of representation bundles and their curve restrictions.
 
 A weight bundle is the sorted tuple of its summand classes
-(``weight_bundle``, ``wedge_power``), and its rank is its length.
-
-A restricted line bundle is encoded as (degree, point): degree is the
-pairing with the anticanonical class, the point is the image under the
-normalized restriction map (identity section and fiber classes restrict
-to the group identity).  Tensoring adds both entries, duals negate.
+(``weight_bundle``, ``wedge_power``), and its rank is its length.  A
+summand restricts to the curve as its degree, the pairing with the
+anticanonical class, and its point, the image under the normalized
+restriction map (``moduli.restriction``: the section and fiber classes
+restrict to the group identity).
 
 The spinor identifications are degree-sensitive: both sides of a claimed
 isomorphism must carry the same summand degrees, which pins down the
@@ -41,10 +40,9 @@ import numpy as np
 
 from ._linalg import integer_left_inverse
 from .abelian import SigmaModel
-from .cases import holds
 from .folding import case_points, f4_short_roots, fixed_sublattice, outer_automorphism
 from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes, gram_matrix
-from .moduli import PointAssignment, u_point
+from .moduli import restriction
 
 
 class ConstraintViolatedError(ValueError):
@@ -76,38 +74,6 @@ def weight_bundle(kind: str, lat: IntersectionLattice) -> tuple[DivisorClass, ..
     if len(summands) != expected:
         raise ValueError(f"{kind}: {len(summands)} summands, not {expected}")
     return summands
-
-
-def restrict_bundle(bundle, lat: IntersectionLattice, pa: PointAssignment) -> tuple:
-    """Sorted multiset of (degree, point) pairs of the restricted summands."""
-    return tuple(sorted((lat.deg(d), u_point(lat, pa, d)) for d in bundle))
-
-
-def tensor_line(restricted, twist, sigma) -> tuple:
-    d0, p0 = twist
-    return tuple(sorted((d + d0, sigma.add(p, p0)) for d, p in restricted))
-
-
-def dual(restricted, sigma) -> tuple:
-    return tuple(sorted((-d, sigma.neg(p)) for d, p in restricted))
-
-
-def line_class_of(lat: IntersectionLattice, pa: PointAssignment, d: DivisorClass):
-    return (lat.deg(d), u_point(lat, pa, d))
-
-
-def check_identification(lhs, rhs) -> bool:
-    """Multiset equality of restricted summand data."""
-    return tuple(sorted(lhs)) == tuple(sorted(rhs))
-
-
-def twisted_identity(lat, pa, lhs_kind: str, twist: DivisorClass | None, rhs_kind: str) -> bool:
-    """Whether lhs ⊗ O(twist) and rhs restrict to the same multiset."""
-    lhs = restrict_bundle(weight_bundle(lhs_kind, lat), lat, pa)
-    if twist is not None:
-        lhs = tensor_line(lhs, line_class_of(lat, pa, twist), pa.sigma)
-    rhs = restrict_bundle(weight_bundle(rhs_kind, lat), lat, pa)
-    return check_identification(lhs, rhs)
 
 
 def wedge_power(bundle, i: int) -> tuple[DivisorClass, ...]:
@@ -291,11 +257,13 @@ def wedge_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
 
 
 class F4RepDecomposition(NamedTuple):
+    """The 3 + 24 split; a point is a row over the free parameters, or a residue pair."""
+
     zero_lines: tuple[DivisorClass, ...]
-    common_class: tuple
+    common_class: tuple  # (degree, point) of each zero line
     short_root_map: dict
     trace_kernel_rank: int
-    kernel_det: tuple
+    kernel_det: tuple  # (degree, point)
 
 
 def _fixed_part_projection(lat: IntersectionLattice, classes) -> list[DivisorClass]:
@@ -316,45 +284,50 @@ def _fixed_part_projection(lat: IntersectionLattice, classes) -> list[DivisorCla
     return [DivisorClass(tuple(col)) for col in (num // den).T.tolist()]
 
 
-def f4_rep_decomposition(lat: IntersectionLattice, pa: PointAssignment) -> F4RepDecomposition:
-    """Split the 27 lines as 3 + 24 under the three-way sum constraint.
+def f4_rep_decomposition(lat: IntersectionLattice, x, sigma: SigmaModel | None = None
+                         ) -> F4RepDecomposition:
+    """Split the 27 lines as 3 + 24 at points x with x1 + x6 = x2 + x5 = x3 + x4.
 
-    The three lines through the triple point restrict to one common
-    degree-1 class whose classes sum to the anticanonical class; the
-    remaining 24 project (doubled, onto the fixed sublattice) to the 24
-    short roots, and their restrictions are compatible: the image root
-    restricts to twice the line's class relative to the common one.
+    x is (6, k) coefficient rows over free parameters, computed exactly, or
+    with ``sigma`` (6, 2) residue pairs, computed mod (m1, m2); other points
+    raise ``ConstraintViolatedError``.  The zero lines, whose doubled
+    projection onto the fixed sublattice vanishes, must be the three
+    h - l_i - l_{7-i}; they sum to -K and restrict to one common class
+    (1, -(x1 + x6)).  The other 24 project onto the 24 short roots, and each
+    image restricts to twice its line's point plus x1 + x6.  The kernel of
+    the trace onto the common class has rank one less than the zero lines,
+    and determinant their sum minus the common class.
     """
-    s = pa.sigma
-    x = pa.points
-    if len(x) != 6 or not holds(case_points("F4").relations, s, x):
-        raise ConstraintViolatedError("points do not satisfy the three-way sum")
-    p = s.add(x[0], x[5])
-    h, l = lat.h, lat.l
-    zero_lines = (h - l(1) - l(6), h - l(2) - l(5), h - l(3) - l(4))
-    common = (1, s.neg(p))
-    for e in zero_lines:
-        if line_class_of(lat, pa, e) != common:
-            raise AssertionError(f"{e} does not restrict to the common class {common}")
-    if sum(zero_lines, lat.zero) != -lat.K:
-        raise AssertionError("the three zero lines do not sum to -K")
+    x = np.asarray(x, dtype=np.int64)
 
-    shorts = set(f4_short_roots(lat))
+    def reduced(a):
+        return a if sigma is None else a % np.array([sigma.m1, sigma.m2])
+
+    rel = np.array(case_points("F4").relations, dtype=np.int64)
+    if len(x) != 6 or reduced(rel @ x).any():
+        raise ConstraintViolatedError("points do not satisfy the three-way sum")
     lines = weight_bundle("lines", lat)
-    short_map = {}
-    for e, img in zip(lines, _fixed_part_projection(lat, lines)):
-        if e in zero_lines:
-            if img != lat.zero:
-                raise AssertionError(f"projection of the zero line {e} is {img}")
-            continue
-        if img not in shorts:
-            raise AssertionError(f"projection of {e} is not a short root")
-        short_map[e] = img
-        # compatibility between the two levels of restriction data
-        rel = s.add(u_point(lat, pa, e), p)
-        if u_point(lat, pa, img) != s.scale(2, rel):
-            raise AssertionError(f"restriction of {img} is not twice that of {e}")
-    if len(short_map) != 24 or set(short_map.values()) != shorts:
+    images = _fixed_part_projection(lat, lines)
+    zero_lines = tuple(e for e, img in zip(lines, images) if img == lat.zero)
+    if set(zero_lines) != {lat.h - lat.l(i) - lat.l(7 - i) for i in (1, 2, 3)}:
+        raise AssertionError(f"the lines of zero doubled projection are {zero_lines}, "
+                             f"not the three h - l_i - l_(7-i)")
+    if sum(zero_lines, lat.zero) != -lat.K:
+        raise AssertionError("the zero lines do not sum to -K")
+    p = x[0] + x[5]
+    common = (1, reduced(-p))
+    u = restriction(lat, zero_lines, x, sigma)
+    for e, pt in zip(zero_lines, u):
+        if lat.deg(e) != 1 or not np.array_equal(pt, common[1]):
+            raise AssertionError(f"{e} does not restrict to the common class {common}")
+    short_map = {e: img for e, img in zip(lines, images) if e not in zero_lines}
+    if set(short_map.values()) != set(f4_short_roots(lat)):
         raise AssertionError("the 24 lines do not project onto the 24 short roots")
-    det = (2, s.scale(-2, p))
-    return F4RepDecomposition(zero_lines, common, short_map, 2, det)
+    # compatibility between the two levels of restriction data
+    rest = tuple(short_map)
+    twice = reduced(restriction(lat, short_map.values(), x) - 2 * (restriction(lat, rest, x) + p))
+    for e, bad in zip(rest, twice.any(axis=1)):
+        if bad:
+            raise AssertionError(f"restriction of {short_map[e]} is not twice that of {e}")
+    det = (sum(map(lat.deg, zero_lines)) - common[0], reduced(u.sum(axis=0) - common[1]))
+    return F4RepDecomposition(zero_lines, common, short_map, len(zero_lines) - 1, det)

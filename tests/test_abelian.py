@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linalg_oracles import mat_vec
+from point_oracles import add, combine, is_zero, neg, scale
 from picfold import abelian
 from picfold._linalg import bareiss_det, integer_kernel, mat_mul, smith_normal_form
 from picfold.abelian import (
+    SigmaModel,
     SingularCurveError,
-    make_sigma_model,
     solve_group_system,
     weierstrass_group,
 )
@@ -21,40 +22,40 @@ from picfold.rootsys import BudgetExceededError
 
 
 def test_model_basics():
-    sig = make_sigma_model(2, 2)
+    sig = SigmaModel(2, 2)
     assert sig.order == 4
     assert len(sig.torsion(2)) == 4
     assert len(list(sig.elements())) == 4
-    sig5 = make_sigma_model(1, 5)
+    sig5 = SigmaModel(1, 5)
     assert sig5.order == 5
-    assert len(make_sigma_model(3, 3).torsion(3)) == 9
+    assert len(SigmaModel(3, 3).torsion(3)) == 9
     with pytest.raises(ValueError):
-        make_sigma_model(2, 3)
+        SigmaModel(2, 3)
 
 
 def test_torsion_count_formula():
     for m1, m2 in [(1, 12), (2, 4), (3, 9), (2, 6)]:
-        sig = make_sigma_model(m1, m2)
+        sig = SigmaModel(m1, m2)
         for n in range(1, 8):
-            count = sum(1 for x in sig.elements() if sig.is_zero(sig.scale(n, x)))
+            count = sum(1 for x in sig.elements() if is_zero(sig, scale(sig, n, x)))
             assert count == gcd(n, m1) * gcd(n, m2) == len(sig.torsion(n))
 
 
 def test_group_axioms_random():
-    sig = make_sigma_model(2, 6)
+    sig = SigmaModel(2, 6)
     rng = random.Random(0)
     els = list(sig.elements())
     for _ in range(100):
         x, y, z = (rng.choice(els) for _ in range(3))
-        assert sig.add(x, y) == sig.add(y, x)
-        assert sig.add(sig.add(x, y), z) == sig.add(x, sig.add(y, z))
-        assert sig.add(x, sig.neg(x)) == sig.zero
+        assert add(sig, x, y) == add(sig, y, x)
+        assert add(sig, add(sig, x, y), z) == add(sig, x, add(sig, y, z))
+        assert add(sig, x, neg(sig, x)) == (0, 0)
 
 
 def test_weierstrass_small_curve():
     model, enc = weierstrass_group(5, 1, 0)  # y^2 = x^3 + x over F5
     assert model.order == 4
-    assert model == make_sigma_model(2, 2)
+    assert (model.m1, model.m2) == (2, 2)
 
 
 def test_weierstrass_identity_inverse_assoc():
@@ -80,7 +81,7 @@ def test_weierstrass_encoding_is_isomorphism():
     rng = random.Random(2)
     for _ in range(200):
         p, q = rng.choice(pts), rng.choice(pts)
-        assert enc(enc.add(p, q)) == model.add(enc(p), enc(q))
+        assert enc(enc.add(p, q)) == add(model, enc(p), enc(q))
 
 
 def _brute_force_order(add, pt):
@@ -106,7 +107,7 @@ def test_weierstrass_near_the_prime_bound():
     assert model.m1 * model.m2 == n and model.m2 % model.m1 == 0
     rng = random.Random(3)
     for pt, qt in zip(rng.sample(enc.points, 50), rng.sample(enc.points, 50)):
-        assert enc(enc.add(pt, qt)) == model.add(enc(pt), enc(qt))
+        assert enc(enc.add(pt, qt)) == add(model, enc(pt), enc(qt))
     with pytest.raises(ValueError, match="10\\^4"):
         weierstrass_group(10007, 1, 1)
 
@@ -181,20 +182,8 @@ def test_integer_kernel_is_saturated(a):
 
 
 def _brute_solutions(a, rhs, sigma):
-    n = len(a[0])
-    out = []
-    for xs in product(list(sigma.elements()), repeat=n):
-        ok = True
-        for i, row in enumerate(a):
-            acc = sigma.zero
-            for c, x in zip(row, xs):
-                acc = sigma.add(acc, sigma.scale(c, x))
-            if acc != rhs[i]:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(xs))
-    return sorted(out)
+    return sorted(xs for xs in product(list(sigma.elements()), repeat=len(a[0]))
+                  if all(combine(sigma, row, xs) == r for row, r in zip(a, rhs)))
 
 
 def _rows(table):
@@ -207,7 +196,7 @@ def _solution(res):
 
 def test_solver_agrees_with_brute_force():
     rng = random.Random(4)
-    models = [make_sigma_model(1, 5), make_sigma_model(2, 2), make_sigma_model(2, 4), make_sigma_model(1, 8), make_sigma_model(3, 3)]
+    models = [SigmaModel(1, 5), SigmaModel(2, 2), SigmaModel(2, 4), SigmaModel(1, 8), SigmaModel(3, 3)]
     for _ in range(50):
         sigma = rng.choice(models)
         k = rng.randint(1, 3)
@@ -223,22 +212,19 @@ def test_solver_agrees_with_brute_force():
             assert res.kernel_size == len(brute)
             assert _solution(res) in brute
         # kernel size x image size = |Sigma|^k
-        hom = _brute_solutions(a, [sigma.zero] * k, sigma)
+        hom = _brute_solutions(a, [(0, 0)] * k, sigma)
         images = set()
         for xs in product(list(sigma.elements()), repeat=k):
             img = []
             for row in a:
-                acc = sigma.zero
-                for c, x in zip(row, xs):
-                    acc = sigma.add(acc, sigma.scale(c, x))
-                img.append(acc)
+                img.append(combine(sigma, row, xs))
             images.add(tuple(img))
         assert len(hom) * len(images) == sigma.order ** k
         assert res.kernel_size == len(hom)
 
 
 def test_solver_identity_matrix():
-    sigma = make_sigma_model(2, 4)
+    sigma = SigmaModel(2, 4)
     rhs = [(1, 3), (0, 2)]
     res = solve_group_system([[1, 0], [0, 1]], rhs, sigma)
     assert res.solvable[0] and res.kernel_size == 1
@@ -248,12 +234,12 @@ def test_solver_identity_matrix():
 def test_b2_style_system_over_coprime_and_torsion():
     # matrix with determinant 4: unique solutions over odd order, kernel 16 over (2,2)
     b2 = [[-2, 0], [2, -2]]
-    sig5 = make_sigma_model(1, 5)
+    sig5 = SigmaModel(1, 5)
     for rhs in product(list(sig5.elements()), repeat=2):
         res = solve_group_system(b2, list(rhs), sig5)
         assert res.solvable[0] and res.kernel_size == 1
-    sig22 = make_sigma_model(2, 2)
-    res = solve_group_system(b2, [sig22.zero, sig22.zero], sig22)
+    sig22 = SigmaModel(2, 2)
+    res = solve_group_system(b2, [(0, 0), (0, 0)], sig22)
     assert res.solvable[0] and res.kernel_size == 16
     unsolvable = 0
     for rhs in product(list(sig22.elements()), repeat=2):
@@ -270,14 +256,14 @@ _SMALL_GROUPS = [(m1, m2) for m2 in range(1, 9) for m1 in range(1, m2 + 1)
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(_SMALL_GROUPS), st.integers(0, 4), st.data(), st.integers(1, 70))
 def test_form_chunks_match_brute_force(group, k, data, chunk_rows):
-    sigma = make_sigma_model(*group)
+    sigma = SigmaModel(*group)
     rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=k, max_size=k),
                               min_size=1, max_size=4))
     forms = np.array(rows, dtype=np.int64).reshape(len(rows), k)
     with mock.patch.object(abelian, "_CHUNK_ROWS", chunk_rows):
         # a chunk is valid until the next one is requested: keep copies
         chunks = [(cols, codes.copy()) for cols, codes in sigma.form_chunks(forms)]
-    expected = [[a * sigma.m2 + b for a, b in (sigma.combine(row, t) for row in forms.tolist())]
+    expected = [[a * sigma.m2 + b for a, b in (combine(sigma, row, t) for row in forms.tolist())]
                 for t in product(sigma.elements(), repeat=k)]
     start, got = 0, []
     for cols, codes in chunks:
@@ -292,7 +278,7 @@ def test_form_chunks_match_brute_force(group, k, data, chunk_rows):
 def _check_one_buffer(group, rows, lengths):
     """Walk two forms over Sigma^3 in chunks of ``lengths``: every chunk, the short last
     one too, is a contiguous view into the same memory, and the first one held its codes."""
-    sigma = make_sigma_model(*group)
+    sigma = SigmaModel(*group)
     forms = np.array([[1, 2, 3], [-1, 0, 4]], dtype=np.int64)
     with mock.patch.object(abelian, "_CHUNK_ROWS", rows):
         walk = sigma.form_chunks(forms)
@@ -302,7 +288,7 @@ def _check_one_buffer(group, rows, lengths):
     assert [first.shape[1]] + [c.shape[1] for c in rest] == lengths
     assert all(np.shares_memory(first, c) and c.flags.c_contiguous for c in rest)
     assert not np.array_equal(first, kept)  # the walk overwrote the first chunk
-    expected = [[a * sigma.m2 + b for a, b in (sigma.combine(row, t) for row in forms.tolist())]
+    expected = [[a * sigma.m2 + b for a, b in (combine(sigma, row, t) for row in forms.tolist())]
                 for t in product(sigma.elements(), repeat=3)][:rows]
     assert kept.T.tolist() == expected
 
@@ -327,13 +313,13 @@ _WIDE_VINV_8X8 = [[-2, 0, 4, -1, 2, 0, 3, 3], [4, 0, -1, 4, -1, 4, 2, 0],
 
 @pytest.mark.parametrize("a", [_GROWTH_8X8, _WIDE_VINV_8X8])
 def test_solver_reduces_vinv_before_int64(a):
-    sigma = make_sigma_model(1, 3)
+    sigma = SigmaModel(1, 3)
     if a is _WIDE_VINV_8X8:
         assert max(abs(x) for row in smith_normal_form(a).vinv for x in row) >= 2**62
     rng = random.Random(8)
     for _ in range(4):
         x0 = [rng.choice(list(sigma.elements())) for _ in range(8)]
-        rhs = [sigma.combine(row, x0) for row in a]
+        rhs = [combine(sigma, row, x0) for row in a]
         res = solve_group_system(a, rhs, sigma)
         brute = _brute_solutions(a, rhs, sigma)
         assert res.solvable[0] and _rows(res.table) == brute
@@ -341,7 +327,7 @@ def test_solver_reduces_vinv_before_int64(a):
 
 
 def test_a_returned_table_is_the_callers_own():
-    sigma = make_sigma_model(2, 4)
+    sigma = SigmaModel(2, 4)
     a, rhs = [[-2, 0], [2, -2]], [(0, 0), (0, 2)]
     first = solve_group_system(a, rhs, sigma)
     assert first.table.shape == (first.kernel_size, 2, 2)
@@ -354,16 +340,16 @@ def test_a_returned_table_is_the_callers_own():
 
 def test_solver_refuses_moduli_that_could_overflow():
     with pytest.raises(OverflowError):
-        solve_group_system([[1, 0]], [(0, 0)], make_sigma_model(1, 2**31))
-    assert _solution(solve_group_system([[1]], [(0, 5)], make_sigma_model(1, 2**30))) == ((0, 5),)
+        solve_group_system([[1, 0]], [(0, 0)], SigmaModel(1, 2**31))
+    assert _solution(solve_group_system([[1]], [(0, 5)], SigmaModel(1, 2**30))) == ((0, 5),)
 
 
 def test_one_row_solver_refuses_past_its_cap():
     # x = 0 over (Z/2)^2 in four unknowns has 2^8 solutions; the cap refuses, it never truncates
-    sigma, a = make_sigma_model(2, 2), [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
-    assert solve_group_system(a, [sigma.zero] * 4, sigma, enumerate_cap=256).kernel_size == 256
+    sigma, a = SigmaModel(2, 2), [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+    assert solve_group_system(a, [(0, 0)] * 4, sigma, enumerate_cap=256).kernel_size == 256
     with pytest.raises(BudgetExceededError, match="256 solutions per image exceed"):
-        solve_group_system(a, [sigma.zero] * 4, sigma, enumerate_cap=255)
+        solve_group_system(a, [(0, 0)] * 4, sigma, enumerate_cap=255)
     # an unsolvable right-hand side has no solutions to refuse
     unsolvable = solve_group_system([[2]], [(0, 1)], sigma, enumerate_cap=1)
     assert not unsolvable.solvable[0] and len(unsolvable.table) == 0
@@ -377,7 +363,7 @@ _STACK_GROUPS = [(m1, m2) for m2 in range(1, 13) for m1 in range(1, m2 + 1)
 def _stacked_systems(draw):
     """(sigma, A, rhs): A is 1-3 x 1-3 (2 columns past |Sigma| = 6, to bound the brute force),
     rhs a batch of 1-5 right-hand sides, each A x0 for a drawn x0 or drawn outright."""
-    sigma = make_sigma_model(*draw(st.sampled_from(_STACK_GROUPS)))
+    sigma = SigmaModel(*draw(st.sampled_from(_STACK_GROUPS)))
     nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3 if sigma.order <= 6 else 2))
     a = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
                       min_size=nrows, max_size=nrows))
@@ -386,7 +372,7 @@ def _stacked_systems(draw):
     for _ in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
             x0 = draw(st.lists(point, min_size=ncols, max_size=ncols))
-            rhs.append([sigma.combine(row, x0) for row in a])
+            rhs.append([combine(sigma, row, x0) for row in a])
         else:
             rhs.append(draw(st.lists(point, min_size=nrows, max_size=nrows)))
     return sigma, a, rhs
@@ -418,7 +404,7 @@ def test_stacked_solver_matches_brute_force_and_the_one_row_solver(system):
 
 def test_stacked_solver_mixes_solvable_and_unsolvable_rows():
     # determinant 4: over (2, 2) only the zero image is solvable, with 16 solutions
-    sigma, b2 = make_sigma_model(2, 2), [[-2, 0], [2, -2]]
+    sigma, b2 = SigmaModel(2, 2), [[-2, 0], [2, -2]]
     rhs = [[(1, 0), (0, 0)], [(0, 0), (0, 0)], [(0, 1), (1, 1)], [(0, 0), (0, 0)]]
     stack = abelian.solve_group_stack(b2, rhs, sigma)
     assert stack.solvable.tolist() == [False, True, False, True]

@@ -1,10 +1,11 @@
 """The case registry and the derived point relations against the hand-written ones they replaced.
 
 The oracles below are the per-case bodies that the point-relation check,
-``invariance_closed_form``, ``case_system_matrix`` and the F4
-reconstruction system had before every case fact was read from
-``picfold.cases``, and the point matrices P and torsion orders that
-``picfold.cases`` wrote out before ``folding.case_points`` derived them.
+the closed-form invariance (``point_oracles.invariance_closed_form``),
+``case_system_matrix`` and the F4 reconstruction system had before every
+case fact was read from ``picfold.cases``, and the point matrices P and
+torsion orders that ``picfold.cases`` wrote out before
+``folding.case_points`` derived them.
 """
 
 import random
@@ -15,18 +16,13 @@ import pytest
 
 from picfold import cli, folding
 from picfold._linalg import bareiss_det, smith_normal_form
-from picfold.abelian import make_sigma_model, solve_group_system
-from picfold.cases import case_spec, holds
+from picfold.abelian import SigmaModel, solve_group_system
+from picfold.cases import case_spec
 from picfold.folding import case_points
 from picfold.lattice import F1, make_blowup_lattice
-from picfold.moduli import (
-    PointAssignment,
-    case_system_matrix,
-    folded_images,
-    invariance_closed_form,
-    reconstruct_points,
-)
+from picfold.moduli import case_system_matrix, folded_images, reconstruct_points
 from picfold.rootsys import BudgetExceededError
+from point_oracles import add, holds, invariance_closed_form, is_zero, neg, scale
 
 CASES = ["B2", "B3", "C2", "C3", "G2", "F4"]
 ALL_CASES = ["B2", "B3", "B4", "B5", "B6", "C2", "C3", "C4", "C5", "G2", "F4"]
@@ -34,32 +30,29 @@ ALL_CASES = ["B2", "B3", "B4", "B5", "B6", "C2", "C3", "C4", "C5", "G2", "F4"]
 
 def validate_oracle(constraint, s, x):
     if constraint.startswith("B"):
-        return s.is_zero(x[0])
+        return is_zero(s, x[0])
     if constraint.startswith("A"):
-        acc = s.zero
-        for p in x:
-            acc = s.add(acc, p)
-        return s.is_zero(acc)
+        return is_zero(s, add(s, *x))
     if constraint.startswith("C"):
         n = len(x) // 2
-        return all(s.is_zero(s.add(x[i], x[2 * n - 1 - i])) for i in range(n))
+        return all(is_zero(s, add(s, x[i], x[2 * n - 1 - i])) for i in range(n))
     if constraint == "G2":
-        return s.is_zero(x[0]) and s.add(x[0], x[3]) == s.add(x[1], x[2])
-    p16 = s.add(x[0], x[5])  # F4
-    return p16 == s.add(x[1], x[4]) and p16 == s.add(x[2], x[3])
+        return is_zero(s, x[0]) and add(s, x[0], x[3]) == add(s, x[1], x[2])
+    p16 = add(s, x[0], x[5])  # F4
+    return p16 == add(s, x[1], x[4]) and p16 == add(s, x[2], x[3])
 
 
 def closed_form_oracle(case, s, x):
     if case.startswith("B"):
-        return s.is_zero(s.scale(2, x[0]))
+        return is_zero(s, scale(s, 2, x[0]))
     if case.startswith("C"):
         n = len(x) // 2
-        sums = [s.add(x[i], x[2 * n - 1 - i]) for i in range(n)]
+        sums = [add(s, x[i], x[2 * n - 1 - i]) for i in range(n)]
         return all(t == sums[0] for t in sums[1:])
     if case == "G2":
-        return s.is_zero(s.scale(2, x[0])) and s.add(x[0], x[3]) == s.add(x[1], x[2])
-    p16 = s.add(x[0], x[5])  # F4
-    return p16 == s.add(x[1], x[4]) and p16 == s.add(x[2], x[3])
+        return is_zero(s, scale(s, 2, x[0])) and add(s, x[0], x[3]) == add(s, x[1], x[2])
+    p16 = add(s, x[0], x[5])  # F4
+    return p16 == add(s, x[1], x[4]) and p16 == add(s, x[2], x[3])
 
 
 def points_oracle(case):
@@ -112,23 +105,22 @@ def random_admissible_oracle(case, sigma, rng):
     els = list(sigma.elements())
     n = case_spec(case).npoints
     if case.startswith("B"):
-        pts = (sigma.zero,) + tuple(rng.choice(els) for _ in range(n - 1))
-    elif case.startswith("C"):
+        return ((0, 0),) + tuple(rng.choice(els) for _ in range(n - 1))
+    if case.startswith("C"):
         half = [rng.choice(els) for _ in range(n // 2)]
-        pts = tuple(half) + tuple(sigma.neg(p) for p in reversed(half))
-    elif case == "G2":
+        return tuple(half) + tuple(neg(sigma, p) for p in reversed(half))
+    if case == "G2":
         a, b = rng.choice(els), rng.choice(els)
-        pts = (sigma.zero, a, b, sigma.add(a, b))
-    else:  # F4, t = (x1, x2, x3, x4): the pair sums equal p = x3 + x4
-        x1, x2, x3, x4 = (rng.choice(els) for _ in range(4))
-        p = sigma.add(x3, x4)
-        pts = (x1, x2, x3, x4, sigma.add(p, sigma.neg(x2)), sigma.add(p, sigma.neg(x1)))
-    return PointAssignment(sigma, pts)
+        return ((0, 0), a, b, add(sigma, a, b))
+    # F4, t = (x1, x2, x3, x4): the pair sums equal p = x3 + x4
+    x1, x2, x3, x4 = (rng.choice(els) for _ in range(4))
+    p = add(sigma, x3, x4)
+    return (x1, x2, x3, x4, add(sigma, p, neg(sigma, x2)), add(sigma, p, neg(sigma, x1)))
 
 
 def _sigma_for(case):
     # every tuple at 2x4, or at 2x2 for the six-point cases
-    return make_sigma_model(2, 2) if case_spec(case).npoints == 6 else make_sigma_model(2, 4)
+    return SigmaModel(2, 2) if case_spec(case).npoints == 6 else SigmaModel(2, 4)
 
 
 def _diagonal(a):
@@ -216,14 +208,19 @@ def test_relations_are_the_saturated_left_kernel_of_p(case):
 def test_relations_and_closed_form_match_the_oracles(case):
     sigma = _sigma_for(case)
     relations = case_points(case).relations
-    for x in product(list(sigma.elements()), repeat=case_spec(case).npoints):
-        pa = PointAssignment(sigma, x)
-        assert holds(relations, sigma, x) == validate_oracle(case, sigma, x)
-        assert invariance_closed_form(case, pa) == closed_form_oracle(case, sigma, x)
+    x = np.array(list(product(list(sigma.elements()), repeat=case_spec(case).npoints)),
+                 dtype=np.int64)
+    mods = (sigma.m1, sigma.m2)
+    rel = ~(np.array(relations, dtype=np.int64) @ x % mods).any(axis=(1, 2))
+    closed = ~(np.array(case_spec(case).invariance, dtype=np.int64) @ x % mods).any(axis=(1, 2))
+    for pts, r, c in zip(x.tolist(), rel, closed):
+        pts = tuple(map(tuple, pts))
+        assert holds(relations, sigma, pts) == r == validate_oracle(case, sigma, pts)
+        assert invariance_closed_form(case, sigma, pts) == c == closed_form_oracle(case, sigma, pts)
 
 
 def test_ambient_zero_sum_matches_the_oracle():
-    sigma, zero_sums = make_sigma_model(2, 4), _ambient_zero_sums(4)
+    sigma, zero_sums = SigmaModel(2, 4), _ambient_zero_sums(4)
     for x in product(list(sigma.elements()), repeat=4):
         assert holds(zero_sums, sigma, x) == validate_oracle("A", sigma, x)
 
@@ -234,13 +231,13 @@ def test_point_relations_reject_unknown_names_and_counts():
         with pytest.raises(ValueError):
             case_points(name)
     # neither the relations nor a closed form read a tuple of the wrong length
-    sigma = make_sigma_model(2, 2)
+    sigma = SigmaModel(2, 2)
     with pytest.raises(ValueError):
-        holds(case_points("B3").relations, sigma, (sigma.zero,) * 3)
+        holds(case_points("B3").relations, sigma, ((0, 0),) * 3)
     with pytest.raises(ValueError):
-        holds(case_points("C2").relations, sigma, (sigma.zero,) * 5)
+        holds(case_points("C2").relations, sigma, ((0, 0),) * 5)
     with pytest.raises(ValueError):
-        invariance_closed_form("F4", PointAssignment(sigma, (sigma.zero,) * 5))
+        invariance_closed_form("F4", sigma, ((0, 0),) * 5)
 
 
 @pytest.mark.parametrize("case", ["B2", "B3", "B4", "B5", "C2", "C3", "C4", "G2"])
@@ -249,14 +246,14 @@ def test_system_matrix_is_m_times_p(case):
 
 
 def _six_unknown_f4(p_images, sigma):
-    res = solve_group_system(F4_SIX_UNKNOWNS, list(p_images) + [sigma.zero] * 2, sigma)
+    res = solve_group_system(F4_SIX_UNKNOWNS, list(p_images) + [(0, 0)] * 2, sigma)
     pts = sorted(tuple(map(tuple, x)) for x in res.table.tolist())
     return res.solvable[0], res.kernel_size, pts
 
 
 @pytest.mark.parametrize("m1,m2", [(2, 2), (3, 3)])
 def test_f4_reconstruction_matches_the_six_unknown_system(m1, m2):
-    sigma = make_sigma_model(m1, m2)
+    sigma = SigmaModel(m1, m2)
     for imgs in product(list(sigma.elements()), repeat=4):
         res = reconstruct_points("F4", [imgs], sigma)
         solvable, kernel, pts = _six_unknown_f4(imgs, sigma)
@@ -267,19 +264,19 @@ def test_f4_reconstruction_matches_the_six_unknown_system(m1, m2):
 @pytest.mark.parametrize("case", CASES)
 def test_random_admissible_is_p_times_t(case):
     # one batched draw equals 20 sequential oracle draws from the same seed, and uses as much
-    for sigma in (make_sigma_model(2, 2), make_sigma_model(2, 4), make_sigma_model(1, 5)):
+    for sigma in (SigmaModel(2, 2), SigmaModel(2, 4), SigmaModel(1, 5)):
         for seed in (7, 42, 20240801):
             new, old = random.Random(seed), random.Random(seed)
             x = cli._random_admissible(case, sigma, new, 20)
             assert x.shape == (20, case_spec(case).npoints, 2)
-            drawn = [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in x.tolist()]
+            drawn = [tuple(map(tuple, pts)) for pts in x.tolist()]
             assert drawn == [random_admissible_oracle(case, sigma, old) for _ in range(20)]
-            assert all(holds(case_points(case).relations, sigma, pa.points) for pa in drawn)
+            assert all(holds(case_points(case).relations, sigma, pts) for pts in drawn)
             assert new.random() == old.random()
 
 
 def test_reconstruction_refuses_more_solutions_than_the_cap():
-    sigma = make_sigma_model(2, 4)
+    sigma = SigmaModel(2, 4)
     imgs = folded_images("C2", np.zeros((1, 4, 2), dtype=np.int64), sigma)  # of x = 0
     assert reconstruct_points("C2", imgs, sigma).kernel_size > 1
     with pytest.raises(BudgetExceededError):

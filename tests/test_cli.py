@@ -300,8 +300,8 @@ def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
         "def reconstruct_points(case, imgs, sigma, **kw):\n"
         "    res = solve(case, imgs, sigma, **kw)\n"
         "    keep = ~(res.table == drawn[-1][res.image]).all(axis=(1, 2))\n"
-        "    return moduli.ReconstructionStack(res.solvable, res.kernel_size, sigma,\n"
-        "                                      res.table[keep], res.image[keep])\n"
+        "    return moduli.ReconstructionStack(res.solvable, res.kernel_size, res.table[keep],\n"
+        "                                      res.image[keep])\n"
         "cli._random_admissible, moduli.reconstruct_points = random_admissible, reconstruct_points\n",
         "moduli")
     assert [r for r, v in status.items() if v["status"] == "fail"] == [

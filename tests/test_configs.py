@@ -21,12 +21,11 @@ from picfold.configs import (
     enumerate_exceptional_systems,
     is_blowdown_sequence,
     simple_transitivity_check,
-    symbolic_point,
     triangle_stabilizer,
     _relation_search,
 )
-from picfold.moduli import PointAssignment, point_table
-from picfold.abelian import make_sigma_model
+from picfold.moduli import point_table, restriction
+from picfold.abelian import SigmaModel
 from picfold.rootsys import (
     BudgetExceededError,
     orbit,
@@ -617,7 +616,7 @@ def brute_force_systems(case, lat):
     m = lat.npoints
     classes = [(lat.l(i), lat.f - lat.l(i)) for i in range(1, m + 1)]
     rows = np.array(case_points(case).points)
-    point = np.array([[symbolic_point(lat, rows, e) for e in pair] for pair in classes])
+    point = np.array([restriction(lat, pair, rows) for pair in classes])
     perms = np.array(list(permutations(range(m))))
     flips = np.array([f for f in product((0, 1), repeat=m) if sum(f) % 2 == 0])
     keep = np.ones((len(perms), len(flips)), dtype=bool)
@@ -632,7 +631,7 @@ def pair_sum_f4_systems(lat):
     """F4 oracle: the depth-first search on the three pair sums x1 + x6 = x2 + x5 = x3 + x4."""
     lines = exceptional_classes(lat)
     rows = np.array(case_points("F4").points)
-    pts = {e: symbolic_point(lat, rows, e) for e in lines}
+    pts = dict(zip(lines, map(tuple, restriction(lat, lines, rows).tolist())))
     disjoint = {e: {o for o in lines if o != e and lat.pair(e, o) == 0} for e in lines}
     add = lambda u, v: tuple(a + b for a, b in zip(u, v))
     slot_order = (0, 5, 1, 4, 2, 3)
@@ -680,7 +679,7 @@ def skew_sixes(cubic):
 
     rec([], set(lines))
     rows = np.array(case_points("F4").points)
-    point = {e: symbolic_point(cubic, rows, e) for e in lines}
+    point = dict(zip(lines, restriction(cubic, lines, rows)))
     return out, np.array([[point[e] for e in six] for six in out])
 
 
@@ -710,7 +709,7 @@ def disjoint_tuples(case):
                      if all(lat.pair(table[a], table[b]) == 0 for a, b in combinations(t, 2))])
     coords = np.array([e.coords for e in table])
     total = coords[rows].sum(axis=1) - sum(np.array(lat.l(i).coords) for i in range(1, m + 1))
-    points = np.array([symbolic_point(lat, np.array(case_points(case).points), e) for e in table])
+    points = restriction(lat, table, np.array(case_points(case).points))
     return rows, points[rows], ~(total % k0).any(axis=1)
 
 
@@ -869,19 +868,21 @@ def test_blowdown_matches_oracle_on_g2_lattice():
             assert is_blowdown_sequence(lat, tup) == blowdown_oracle(lat, tup), tup
 
 
+_Z11 = SigmaModel(1, 11)
+
+
 def _admissible(case):
-    """x = P t for t = (1, 2, ..., rank) in Z/11."""
-    sigma = make_sigma_model(1, 11)
+    """x = P t for t = (1, 2, ..., rank) in Z/11: an (npoints, 2) point array."""
     t = np.array([[(0, k + 1) for k in range(case_spec(case).rank)]], dtype=np.int64)
-    return PointAssignment(sigma, tuple(map(tuple, point_table(case, t, sigma)[0].tolist())))
+    return point_table(case, t, _Z11)[0]
 
 
 @pytest.mark.parametrize("case", ["B3", "C3", "G2", "F4"])
 def test_check_invariants_with_points_on_every_system(case):
     lat = case_spec(case).lattice
-    pa = _admissible(case)
+    x = _admissible(case)
     for system in enumerate_exceptional_systems(case):
-        assert GConfiguration(case, system, pa).check_invariants(lat)
+        assert GConfiguration(case, system, _Z11, x).check_invariants(lat)
 
 
 @pytest.mark.parametrize("case", ["B3", "C3", "G2", "F4"])
@@ -889,19 +890,18 @@ def test_check_invariants_checks_the_assigned_points(case):
     lat = case_spec(case).lattice
     system = enumerate_exceptional_systems(case)[0]
     good = _admissible(case)
-    sigma = good.sigma
     # every case has a relation on x1, so moving x1 alone breaks one
-    moved = PointAssignment(sigma, (sigma.add(good.points[0], (0, 1)),) + good.points[1:])
-    for pa in (PointAssignment(sigma, ()), PointAssignment(sigma, good.points[:-1]), moved):
+    moved = good.copy()
+    moved[0, 1] = (moved[0, 1] + 1) % 11
+    for x in (good[:0], good[:-1], moved):
         with pytest.raises(ConfigurationError):
-            GConfiguration(case, system, pa).check_invariants(lat)
+            GConfiguration(case, system, _Z11, x).check_invariants(lat)
 
 
 def test_check_invariants_rejects_broken_points():
     lat = case_spec("B3").lattice
     l = lat.l
-    pa = _admissible("B3")
-    bad = GConfiguration("B3", (l(2), l(1), l(3), l(4)), pa)
+    bad = GConfiguration("B3", (l(2), l(1), l(3), l(4)), _Z11, _admissible("B3"))
     with pytest.raises(ConfigurationError):
         bad.check_invariants(lat)
     # without a point assignment only the incidence conditions are checked
@@ -912,10 +912,10 @@ def test_check_invariants_raises_under_optimize():
     run_under_optimize(
         "from picfold.configs import ConfigurationError, GConfiguration\n"
         "from picfold.cases import case_spec\n"
-        "from picfold.moduli import PointAssignment\n"
+        "from picfold.abelian import SigmaModel\n"
         "lat = case_spec('B3').lattice\n"
         "l = lat.l\n"
-        "cfg = GConfiguration('B3', (l(2), l(1), l(3), l(4)), PointAssignment(None, ()))\n"
+        "cfg = GConfiguration('B3', (l(2), l(1), l(3), l(4)), SigmaModel(2, 2), [[0, 0]] * 4)\n"
         "try:\n"
         "    cfg.check_invariants(lat)\n"
         "except ConfigurationError:\n"

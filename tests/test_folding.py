@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from picfold import folding, rootsys
-from picfold.abelian import make_sigma_model
+from picfold.abelian import SigmaModel
 from picfold.cases import case_spec
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.folding import (
@@ -487,7 +487,7 @@ def test_groups_are_built_once_and_read_only():
 
 
 def test_automorphisms_and_fixed_sublattices_are_built_once_and_not_mutated(f1_4, cubic):
-    from picfold.abelian import make_sigma_model
+    from picfold.abelian import SigmaModel
     from picfold.moduli import chi_injectivity_check
 
     rho = outer_automorphism("D", f1_4)
@@ -495,7 +495,7 @@ def test_automorphisms_and_fixed_sublattices_are_built_once_and_not_mutated(f1_4
     before = (rho.permutation, rho.simple_system, basis)
     big = ambient_weyl_group("B3")
     mats = big.mats.copy()
-    assert chi_injectivity_check("B3", make_sigma_model(2, 2)).passed  # reads all three
+    assert chi_injectivity_check("B3", SigmaModel(2, 2)).passed  # reads all three
     # an equal lattice hits the same entries, which the check left as they were
     assert outer_automorphism("D", make_blowup_lattice(F1, 4)) is rho
     assert fixed_sublattice(outer_automorphism("D", f1_4)) is basis
@@ -626,7 +626,7 @@ def test_chi_checks_and_folded_groups_never_sift(monkeypatch):
     # a fresh cache, so that no group built before the patch is read
     monkeypatch.setattr(folding, "_weyl_group", lru_cache(maxsize=None)(
         folding._weyl_group.__wrapped__))
-    sigma = make_sigma_model(3, 3)
+    sigma = SigmaModel(3, 3)
     for case in ("B2", "B3", "C2", "G2", "F4"):
         assert chi_injectivity_check(case, sigma, action_cap=10**10).passed
     for case in ("B2", "B3", "B4", "B5", "C2", "C3", "C4", "G2", "F4"):

@@ -8,21 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picfold import moduli
-from picfold.abelian import SymbolicSigma, make_sigma_model
+from picfold.abelian import SigmaModel
 from picfold.cases import case_spec
 from picfold.folding import ambient_weyl_group, case_fold, fixed_sublattice, folded_simple_system
 from picfold.lattice import F1, make_blowup_lattice
 from picfold.moduli import (
-    PointAssignment,
     case_system_matrix,
     chi_injectivity_check,
     conjugacy_class_walk,
     fixed_components,
     invariance_agreement_exhaustive,
-    invariance_closed_form,
-    invariance_literal_c,
     reconstruct_points,
-    u_point,
+    restriction,
 )
 from picfold.rootsys import (
     BudgetExceededError,
@@ -34,64 +31,59 @@ from picfold.rootsys import (
 )
 from picfold._linalg import bareiss_det
 from linalg_oracles import decompose_in_basis
+from point_oracles import add, invariance_closed_form, invariance_literal_c, neg, u_point
 
 from test_rootsys import einsum_closure_stack
 
 
-def _pa(sigma, *pts):
-    return PointAssignment(sigma, tuple(pts))
-
-
 def test_restriction_values_on_simple_roots():
+    # on the rows of the free points x_i = t_i, exactly, and on residue pairs mod (m1, m2)
     lat = make_blowup_lattice(F1, 3)
-    sym = SymbolicSigma(3)
-    pa = _pa(sym, sym.gen(0), sym.gen(1), sym.gen(2))
+    rows = np.eye(3, dtype=np.int64)
     d = standard_simple_system("D", lat)
-    images = [u_point(lat, pa, b) for b in d]
-    x1, x2, x3 = pa.points
-    assert images[0] == sym.add(x1, sym.neg(x2))  # l1 - l2
-    assert images[1] == sym.neg(sym.add(x1, x2))  # f - l1 - l2
-    assert images[2] == sym.add(x2, sym.neg(x3))
-    assert u_point(lat, pa, lat.zero) == sym.zero
+    images = restriction(lat, d, rows)
+    assert images.tolist() == [[1, -1, 0], [-1, -1, 0], [0, 1, -1]]  # l1 - l2, f - l1 - l2, ...
+    assert images.tolist() == [list(u_point(lat, None, rows.tolist(), b)) for b in d]
+    assert restriction(lat, [lat.zero], rows).tolist() == [[0, 0, 0]]
+    sigma, x = SigmaModel(2, 4), np.array([[1, 3], [0, 2], [1, 1]])
+    assert restriction(lat, d, x, sigma).tolist() == [[1, 1], [1, 3], [1, 1]]
+    assert np.array_equal(restriction(lat, d, rows) @ x % (2, 4), restriction(lat, d, x, sigma))
+    stack = np.stack([x, (x + 1) % (2, 4)])  # a stack of point sets restricts set by set
+    assert np.array_equal(restriction(lat, d, stack, sigma)[1], restriction(lat, d, stack[1], sigma))
 
 
-def invariance_direct(case, pa):
+def invariance_direct(case, sigma, x):
     """u against u composed with the diagram automorphism, compared on the simple roots."""
     rho = case_fold(case)
-    images = [u_point(rho.lattice, pa, r) for r in rho.simple_system]
+    images = [u_point(rho.lattice, sigma, x, r) for r in rho.simple_system]
     return all(images[p] == images[i] for i, p in enumerate(rho.permutation))
 
 
-def _both(case, pa):
+def _both(case, sigma, *x):
     """The fixed-point condition in closed form and by direct comparison."""
-    return invariance_closed_form(case, pa), invariance_direct(case, pa)
+    return invariance_closed_form(case, sigma, x), invariance_direct(case, sigma, x)
 
 
 def test_invariance_b_case():
-    sig = make_sigma_model(2, 2)
+    sig = SigmaModel(2, 2)
     nonzero_tors = (1, 0)
-    pa = _pa(sig, nonzero_tors, (0, 1), (1, 1))
-    assert _both("B2", pa) == (True, True)  # 2 x1 = 0 holds, not the identity component
-    pa2 = _pa(make_sigma_model(1, 5), (0, 1), (0, 2), (0, 3))
-    assert _both("B2", pa2) == (False, False)
-    assert _both("B2", _pa(make_sigma_model(1, 5), (0, 0), (0, 2), (0, 3))) == (True, True)
+    assert _both("B2", sig, nonzero_tors, (0, 1), (1, 1)) == (True, True)  # not the identity one
+    assert _both("B2", SigmaModel(1, 5), (0, 1), (0, 2), (0, 3)) == (False, False)
+    assert _both("B2", SigmaModel(1, 5), (0, 0), (0, 2), (0, 3)) == (True, True)
 
 
 def test_invariance_g2_case():
-    sig = make_sigma_model(1, 7)
+    sig = SigmaModel(1, 7)
     a, b = (0, 2), (0, 3)
-    pa = _pa(sig, sig.zero, a, b, sig.add(a, b))
-    assert _both("G2", pa) == (True, True)
-    bad = _pa(sig, sig.zero, a, b, (0, 1))
-    assert _both("G2", bad) == (False, False)
+    assert _both("G2", sig, (0, 0), a, b, add(sig, a, b)) == (True, True)
+    assert _both("G2", sig, (0, 0), a, b, (0, 1)) == (False, False)
 
 
 def test_invariance_trivial_bundle_all_cases():
     for case in ("B2", "B3", "C2", "C3", "G2", "F4"):
-        sig = make_sigma_model(2, 2)
+        sig = SigmaModel(2, 2)
         n = case_spec(case).npoints
-        pa = _pa(sig, *([sig.zero] * n))
-        assert _both(case, pa) == (True, True)
+        assert _both(case, sig, *([(0, 0)] * n)) == (True, True)
 
 
 def _all_assignments(sigma, n, zero_sum=False):
@@ -100,16 +92,13 @@ def _all_assignments(sigma, n, zero_sum=False):
         yield from product(els, repeat=n)
         return
     for head in product(els, repeat=n - 1):
-        acc = sigma.zero
-        for p in head:
-            acc = sigma.add(acc, p)
-        yield head + (sigma.neg(acc),)
+        yield head + (neg(sigma, add(sigma, *head)),)
 
 
 @pytest.mark.parametrize("m1,m2", [(2, 2), (3, 3)])
 @pytest.mark.parametrize("case", ["B2", "C2", "G2", "F4"])
 def test_closed_vs_direct_exhaustive(case, m1, m2):
-    sigma = make_sigma_model(m1, m2)
+    sigma = SigmaModel(m1, m2)
     n = case_spec(case).npoints
     zero_sum = case.startswith("C")
     checked = invariance_agreement_exhaustive(case, sigma)
@@ -134,12 +123,12 @@ def test_agreement_fails_without_a_row_of_q(monkeypatch, case, first):
     # the check names the first such tuple in product order, with plain ints
     drop_last_invariance_row(monkeypatch)
     with pytest.raises(AssertionError) as err:
-        invariance_agreement_exhaustive(case, make_sigma_model(3, 3))
+        invariance_agreement_exhaustive(case, SigmaModel(3, 3))
     assert str(err.value) == f"{case}: closed form and direct comparison disagree at {first}"
 
 
 def test_agreement_memory_is_bounded():
-    sigma = make_sigma_model(3, 3)
+    sigma = SigmaModel(3, 3)
     invariance_agreement_exhaustive("F4", sigma)  # lattice and automorphism caches filled outside
     tracemalloc.start()
     try:
@@ -154,32 +143,26 @@ def test_agreement_memory_is_bounded():
 @pytest.mark.parametrize("case", ["B2", "C2", "G2", "F4"])
 def test_vectorized_agreement_matches_scalar_path(case):
     # the vectorized helper and the per-assignment functions see the same truth
-    sigma = make_sigma_model(2, 4)
+    sigma = SigmaModel(2, 4)
     n = case_spec(case).npoints
     rng = random.Random(13)
     els = list(sigma.elements())
     for _ in range(200):
         pts = [rng.choice(els) for _ in range(n)]
         if case.startswith("C"):
-            acc = sigma.zero
-            for p in pts[:-1]:
-                acc = sigma.add(acc, p)
-            pts[-1] = sigma.neg(acc)
-        pa = _pa(sigma, *pts)
-        assert invariance_closed_form(case, pa) == invariance_direct(case, pa)
+            pts[-1] = neg(sigma, add(sigma, *pts[:-1]))
+        assert invariance_closed_form(case, sigma, pts) == invariance_direct(case, sigma, pts)
 
 
 def test_literal_c_form_matches_for_n2_but_not_n3():
-    sig = make_sigma_model(3, 3)
+    sig = SigmaModel(3, 3)
     # n = 2: literal pairwise-torsion form is equivalent to the common-value form
     for pts in _all_assignments(sig, 4, zero_sum=True):
-        pa = _pa(sig, *pts)
-        assert invariance_literal_c(pa) == invariance_closed_form("C2", pa)
+        assert invariance_literal_c(sig, pts) == invariance_closed_form("C2", sig, pts)
     # n = 3: the literal form admits strictly more assignments
     weaker_only = 0
     for pts in _all_assignments(sig, 6, zero_sum=True):
-        pa = _pa(sig, *pts)
-        lit, closed = invariance_literal_c(pa), invariance_closed_form("C3", pa)
+        lit, closed = invariance_literal_c(sig, pts), invariance_closed_form("C3", sig, pts)
         assert not (closed and not lit)
         if lit and not closed:
             weaker_only += 1
@@ -187,24 +170,23 @@ def test_literal_c_form_matches_for_n2_but_not_n3():
 
 
 def test_fixed_component_counts():
-    assert len(fixed_components("B3", make_sigma_model(2, 2)).labels) == 4
-    assert len(fixed_components("C2", make_sigma_model(2, 2)).labels) == 4
-    assert len(fixed_components("C3", make_sigma_model(3, 3)).labels) == 9
-    assert len(fixed_components("G2", make_sigma_model(2, 2)).labels) == 4
-    fc = fixed_components("C2", make_sigma_model(1, 5))
+    assert len(fixed_components("B3", SigmaModel(2, 2)).labels) == 4
+    assert len(fixed_components("C2", SigmaModel(2, 2)).labels) == 4
+    assert len(fixed_components("C3", SigmaModel(3, 3)).labels) == 9
+    assert len(fixed_components("G2", SigmaModel(2, 2)).labels) == 4
+    fc = fixed_components("C2", SigmaModel(1, 5))
     assert len(fc.labels) == 1 and not fc.full_torsion
-    fc = fixed_components("B2", make_sigma_model(2, 2))
-    assert fc.identity_label == (0, 0) and fc.full_torsion
+    fc = fixed_components("B2", SigmaModel(2, 2))
+    assert fc.labels[0] == (0, 0) and fc.full_torsion  # the trivial bundle's component
 
 
 def test_component_labels_partition_solutions():
     # over (2,2), the B2 invariance locus is partitioned by the value of x1
-    sigma = make_sigma_model(2, 2)
+    sigma = SigmaModel(2, 2)
     fc = fixed_components("B2", sigma)
     byl = {lab: 0 for lab in fc.labels}
     for pts in _all_assignments(sigma, 3):
-        pa = _pa(sigma, *pts)
-        if invariance_closed_form("B2", pa):
+        if invariance_closed_form("B2", sigma, pts):
             byl[pts[0]] += 1
     assert all(v == fc.component_size for v in byl.values())
 
@@ -217,23 +199,23 @@ def test_system_matrices_and_determinants():
     assert bareiss_det(case_system_matrix("F4")) != 0
 
 
-def _assignments(sigma, rows):
-    """The (k, npoints, 2) point rows of a reconstruction block, as assignments."""
-    return [PointAssignment(sigma, tuple(map(tuple, pts))) for pts in rows.tolist()]
+def _assignments(rows):
+    """The (k, npoints, 2) point rows of a reconstruction block, as tuples of points."""
+    return [tuple(map(tuple, pts)) for pts in rows.tolist()]
 
 
-def folded_restriction(case, pa):
+def folded_restriction(case, sigma, x):
     """The images of the folded simple roots under restriction, one assignment at a time."""
     lat = case_spec(case).lattice
-    return tuple(u_point(lat, pa, b) for b in folded_simple_system(case))
+    return tuple(u_point(lat, sigma, x, b) for b in folded_simple_system(case))
 
 
 def test_reconstruct_trivial_and_unique():
-    sig = make_sigma_model(1, 5)
-    res = reconstruct_points("B3", [[sig.zero] * 3], sig)
+    sig = SigmaModel(1, 5)
+    res = reconstruct_points("B3", [[(0, 0)] * 3], sig)
     assert res.solvable[0] and res.kernel_size == 1
-    assert all(p == sig.zero for p in _assignments(sig, res.table)[0].points)
-    sig7 = make_sigma_model(1, 7)
+    assert all(p == (0, 0) for p in _assignments(res.table)[0])
+    sig7 = SigmaModel(1, 7)
     for p in product(list(sig7.elements()), repeat=2):
         r = reconstruct_points("G2", [list(p)], sig7)
         assert r.solvable[0] and r.kernel_size == 1
@@ -245,31 +227,31 @@ def _random_admissible(case, sigma, rng):
     els = list(sigma.elements())
     n = case_spec(case).npoints
     if case.startswith("B"):
-        return _pa(sigma, sigma.zero, *(rng.choice(els) for _ in range(n - 1)))
+        return ((0, 0), *(rng.choice(els) for _ in range(n - 1)))
     if case.startswith("C"):
         half = [rng.choice(els) for _ in range(n // 2)]
-        return _pa(sigma, *half, *(sigma.neg(p) for p in reversed(half)))
+        return (*half, *(neg(sigma, p) for p in reversed(half)))
     if case == "G2":
         a, b = rng.choice(els), rng.choice(els)
-        return _pa(sigma, sigma.zero, a, b, sigma.add(a, b))
+        return ((0, 0), a, b, add(sigma, a, b))
     x1, x2, x3, p = (rng.choice(els) for _ in range(4))
-    return _pa(sigma, x1, x2, x3, *(sigma.add(p, sigma.neg(x)) for x in (x3, x2, x1)))
+    return (x1, x2, x3, *(add(sigma, p, neg(sigma, x)) for x in (x3, x2, x1)))
 
 
 @pytest.mark.parametrize("case", ["B2", "B3", "C2", "C3", "G2", "F4"])
 def test_reconstruction_round_trip(case):
     rng = random.Random(42)
-    for sigma in (make_sigma_model(2, 2), make_sigma_model(2, 4), make_sigma_model(1, 5)):
+    for sigma in (SigmaModel(2, 2), SigmaModel(2, 4), SigmaModel(1, 5)):
         for _ in range(25):
-            pa = _random_admissible(case, sigma, rng)
-            p_imgs = folded_restriction(case, pa)
+            x = _random_admissible(case, sigma, rng)
+            p_imgs = folded_restriction(case, sigma, x)
             res = reconstruct_points(case, [p_imgs], sigma)
             assert res.solvable[0]
-            block = _assignments(sigma, res.table)
-            assert pa in block
+            block = _assignments(res.table)
+            assert x in block
             # every returned assignment restricts back to the same data
             for cand in block:
-                assert folded_restriction(case, cand) == tuple(p_imgs)
+                assert folded_restriction(case, sigma, cand) == tuple(p_imgs)
             assert len(block) == res.kernel_size
 
 
@@ -277,7 +259,7 @@ def test_reconstruction_round_trip(case):
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_stacked_reconstruction_is_blockwise_the_single_image_result(case, m):
     # every t in Sigma^rank at once; at 5 x 5 the map t -> M P t is injective
-    sigma = make_sigma_model(m, m)
+    sigma = SigmaModel(m, m)
     t = np.array(list(product(sigma.elements(), repeat=case_spec(case).rank)), dtype=np.int64)
     x = moduli.point_table(case, t, sigma)
     imgs = moduli.folded_images(case, x, sigma)
@@ -293,9 +275,9 @@ def test_stacked_reconstruction_is_blockwise_the_single_image_result(case, m):
         block, one = stack.table[stack.image == i], reconstruct_points(case, [img], sigma)
         assert (stack.solvable[i], stack.kernel_size) == (one.solvable[0], one.kernel_size)
         assert np.array_equal(block, one.table)
-        pa = PointAssignment(sigma, tuple(map(tuple, x[i].tolist())))
-        assert pa in _assignments(sigma, block)
-        assert folded_restriction(case, pa) == tuple(map(tuple, img))
+        pts = tuple(map(tuple, x[i].tolist()))
+        assert pts in _assignments(block)
+        assert folded_restriction(case, sigma, pts) == tuple(map(tuple, img))
     if m == 5:
         assert stack.kernel_size == 1 and len(stack.table) == len(t)
 
@@ -303,19 +285,18 @@ def test_stacked_reconstruction_is_blockwise_the_single_image_result(case, m):
 @pytest.mark.parametrize("case", ["B2", "C2", "G2"])
 @pytest.mark.parametrize("m1,m2,other", [(2, 2, (1, 4)), (3, 3, (1, 9))])
 def test_reconstruction_membership_matches_the_assignments(case, m1, m2, other):
-    sigma, elsewhere = make_sigma_model(m1, m2), make_sigma_model(*other)
-    for t in product(list(sigma.elements()), repeat=case_spec(case).rank):
-        x = moduli.point_table(case, np.array([t], dtype=np.int64), sigma)
-        res = reconstruct_points(case, moduli.folded_images(case, x, sigma), sigma)
-        rows = _assignments(sigma, res.table)
-        pa = _assignments(sigma, x)[0]
-        assert res.contains(x)[0] and pa in rows
-        moved = x.copy()  # x1 + (0, 1)
-        moved[0, 0, 1] = (moved[0, 0, 1] + 1) % m2
-        assert not res.contains(moved)[0] and _assignments(sigma, moved)[0] not in rows
-        assert PointAssignment(elsewhere, pa.points) not in rows
-        with pytest.raises(ValueError):
-            res.table[0, 0, 0] = 1
+    # over Sigma and over the cyclic group of its order, every t in Sigma^rank
+    for sigma in (SigmaModel(m1, m2), SigmaModel(*other)):
+        for t in product(list(sigma.elements()), repeat=case_spec(case).rank):
+            x = moduli.point_table(case, np.array([t], dtype=np.int64), sigma)
+            res = reconstruct_points(case, moduli.folded_images(case, x, sigma), sigma)
+            rows = _assignments(res.table)
+            assert res.contains(x)[0] and _assignments(x)[0] in rows
+            moved = x.copy()  # x1 + (0, 1)
+            moved[0, 0, 1] = (moved[0, 0, 1] + 1) % sigma.m2
+            assert not res.contains(moved)[0] and _assignments(moved)[0] not in rows
+            with pytest.raises(ValueError):
+                res.table[0, 0, 0] = 1
 
 
 @pytest.mark.parametrize(
@@ -324,13 +305,13 @@ def test_reconstruction_membership_matches_the_assignments(case, m1, m2, other):
      ("C2", 2, 2), ("C2", 3, 3), ("G2", 2, 2), ("G2", 3, 3)],
 )
 def test_chi_injectivity_small(case, m1, m2):
-    rep = chi_injectivity_check(case, make_sigma_model(m1, m2))
+    rep = chi_injectivity_check(case, SigmaModel(m1, m2))
     assert rep.passed, rep.counterexample
 
 
 def test_chi_budget_respected():
     with pytest.raises(BudgetExceededError):
-        chi_injectivity_check("F4", make_sigma_model(2, 2), action_cap=10)
+        chi_injectivity_check("F4", SigmaModel(2, 2), action_cap=10)
 
 
 def test_chi_refuses_a_small_group_that_leaves_the_domain(monkeypatch):
@@ -341,18 +322,18 @@ def test_chi_refuses_a_small_group_that_leaves_the_domain(monkeypatch):
 
     monkeypatch.setattr(moduli, "folded_weyl_group", big_as_small)
     with pytest.raises(ValueError, match="leaves the domain part of its big orbit"):
-        chi_injectivity_check("B2", make_sigma_model(2, 2))
+        chi_injectivity_check("B2", SigmaModel(2, 2))
 
 
 def test_chi_walk_budget_refuses_before_allocating():
     # B2 in A3 at Sigma = Z/30: 30^2 domain tuples x |W(A3)| = 21,600 fit the cap,
     # the 30^3 = 27,000 states of the walk over Sigma^3 do not
     with pytest.raises(BudgetExceededError, match=r"orbit-walk entries \(30\^3 states"):
-        chi_injectivity_check("B2", make_sigma_model(1, 30), action_cap=25_000)
+        chi_injectivity_check("B2", SigmaModel(1, 30), action_cap=25_000)
 
 
 def test_chi_memory_is_bounded():
-    sigma = make_sigma_model(3, 3)
+    sigma = SigmaModel(3, 3)
     chi_injectivity_check("F4", sigma, action_cap=10**10)  # lattice and automorphism caches
     tracemalloc.start()
     try:
@@ -436,7 +417,7 @@ def full_group_chi_check(case, sigma):
      for m1, m2 in ((2, 2), (3, 3), (2, 4), (1, 6))] + [("F4", 2, 2)],
 )
 def test_chi_generator_orbits_match_full_group(case, m1, m2):
-    sigma = make_sigma_model(m1, m2)
+    sigma = SigmaModel(m1, m2)
     rep = chi_injectivity_check(case, sigma)
     assert rep.passed
     assert rep == full_group_chi_check(case, sigma)
@@ -452,7 +433,7 @@ def test_chi_forced_failure_matches_full_group(case, m1, m2, monkeypatch):
     # unequal moduli give different code weights per factor, the oracle one uniform base
     monkeypatch.setattr(moduli, "folded_weyl_group", lambda case, cap=10**6: weyl_generate(
         [], rank=case_spec(case).lattice.rank))
-    sigma = make_sigma_model(m1, m2)
+    sigma = SigmaModel(m1, m2)
     rep = chi_injectivity_check(case, sigma)
     assert not rep.passed and rep.counterexample is not None
     assert rep == full_group_chi_check(case, sigma)
@@ -497,7 +478,7 @@ def test_chi_with_a_proper_subgroup_matches_full_group(case, drop, monkeypatch):
     # a nontrivial proper subgroup of the centralizer fails the certificate: the
     # centralizer's orbits then come from its Schreier generators
     folded = _drop_generator(monkeypatch, drop)
-    sigma = make_sigma_model(2, 2)
+    sigma = SigmaModel(2, 2)
     assert 1 < len(moduli.folded_weyl_group(case)) < len(folded(case))
     rep = chi_injectivity_check(case, sigma)
     assert not rep.passed
@@ -511,7 +492,7 @@ def test_chi_with_a_proper_subgroup_matches_full_group(case, drop, monkeypatch):
        st.sampled_from((None, 0, 1)))
 def test_chi_matches_full_group_over_small_sigma(case, m, drop):
     # the certified path (drop None) and the Schreier path (one folded generator dropped)
-    sigma = make_sigma_model(*m)
+    sigma = SigmaModel(*m)
     with pytest.MonkeyPatch.context() as mp:
         if drop is not None:
             _drop_generator(mp, drop)
@@ -523,4 +504,4 @@ def test_chi_refuses_a_small_group_outside_the_big_one(monkeypatch):
     monkeypatch.setattr(moduli, "folded_weyl_group", lambda case, cap=10**6: weyl_generate(
         [WeylElement.from_matrix(-np.eye(case_spec(case).lattice.rank, dtype=np.int64))]))
     with pytest.raises(ValueError, match="not a subgroup of the big one"):
-        chi_injectivity_check("B2", make_sigma_model(2, 2))
+        chi_injectivity_check("B2", SigmaModel(2, 2))

@@ -1,9 +1,10 @@
 """The records keep the semantics their callers rely on, and no src module needs ``dataclasses``.
 
-``DivisorClass``, ``IntersectionLattice``, ``WeylElement``, ``SigmaModel``
-and ``PointAssignment`` are hand-written classes, the plain results are
+``DivisorClass``, ``IntersectionLattice``, ``WeylElement`` and
+``SigmaModel`` are hand-written classes, the plain results are
 ``typing.NamedTuple``s, and a fresh ``import picfold.cli`` loads no
-``dataclasses``.
+``dataclasses``.  Points are not records: they are integer arrays, and a
+``SigmaModel`` is read by its (m1, m2).
 """
 
 import ast
@@ -15,7 +16,6 @@ import pytest
 from picfold import cli, configs, lattice
 from picfold.abelian import SigmaModel
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
-from picfold.moduli import PointAssignment
 from picfold.rootsys import WeylElement
 from under_optimize import run_under_optimize
 
@@ -61,15 +61,8 @@ def test_sigma_model_validates_every_construction():
         SigmaModel(2, 3)
     with pytest.raises(ValueError):
         SigmaModel(0, 0)
-    assert SigmaModel(2, 4) == SigmaModel(2, 4) != SigmaModel(1, 8)
-    assert hash(SigmaModel(2, 4)) == hash(SigmaModel(2, 4))
-
-
-def test_point_assignments_compare_by_group_and_points():
-    pts = ((0, 1), (1, 0))
-    assert PointAssignment(SigmaModel(2, 2), pts) == PointAssignment(SigmaModel(2, 2), pts)
-    assert PointAssignment(SigmaModel(2, 2), pts) != PointAssignment(SigmaModel(2, 4), pts)
-    assert len({PointAssignment(SigmaModel(2, 2), pts), PointAssignment(SigmaModel(2, 2), pts)}) == 1
+    sigma = SigmaModel(2, 4)
+    assert (sigma.m1, sigma.m2, sigma.order) == (2, 4, 8)
 
 
 def test_no_src_module_imports_dataclasses():

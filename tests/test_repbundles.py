@@ -9,27 +9,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picfold import abelian, repbundles
-from picfold.abelian import SigmaModel, SymbolicSigma, make_sigma_model
-from picfold.cases import holds
+from picfold.abelian import SigmaModel
 from picfold._linalg import rational_solve
 from picfold.configs import enumerate_exceptional_systems
-from picfold.folding import case_points, fixed_sublattice, outer_automorphism
-from picfold.lattice import F1, P2, make_blowup_lattice
-from picfold.moduli import PointAssignment, invariance_agreement_exhaustive, u_point
+from picfold.folding import case_points, f4_short_roots, fixed_sublattice, outer_automorphism
+from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
+from picfold.moduli import invariance_agreement_exhaustive, restriction
 from picfold.repbundles import (
     ConstraintViolatedError,
-    check_identification,
-    dual,
     f4_rep_decomposition,
     g2_triple_locus,
-    line_class_of,
-    restrict_bundle,
     spinor_locus,
-    tensor_line,
-    twisted_identity,
     wedge_locus,
     wedge_power,
     weight_bundle,
+)
+from point_oracles import (
+    add,
+    check_identification,
+    combine,
+    dual,
+    holds,
+    line_class_of,
+    neg,
+    restrict_bundle,
+    scale,
+    tensor_line,
+    twisted_identity,
+    u_point,
 )
 
 from test_moduli import drop_last_invariance_row
@@ -64,12 +71,15 @@ def test_bundle_ranks(lat3, lat4, cubic):
         assert weight_bundle(kind, lat4) == tuple(sorted(weight_bundle(kind, lat4)))
 
 
+def _free_rows(k):
+    """The coefficient rows of k free points x_i = t_i."""
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+
 def test_degree_bookkeeping(lat4):
-    sym = SymbolicSigma(4)
-    pa = PointAssignment(sym, tuple(sym.gen(i) for i in range(4)))
     for kind, deg in [("vector", 1), ("spinor_plus", 1), ("spinor_minus", 0)]:
         bundle = weight_bundle(kind, lat4)
-        restricted = restrict_bundle(bundle, lat4, pa)
+        restricted = restrict_bundle(bundle, lat4, None, _free_rows(4))
         assert all(d == deg for d, _ in restricted)
         assert [d for d, _ in restricted] == sorted(lat4.deg(s) for s in bundle)
     det = sum(weight_bundle("standard", lat4), lat4.zero)
@@ -77,37 +87,35 @@ def test_degree_bookkeeping(lat4):
 
 
 def test_vector_restriction_is_plus_minus_points(lat4):
-    sym = SymbolicSigma(4)
-    pa = PointAssignment(sym, tuple(sym.gen(i) for i in range(4)))
-    got = restrict_bundle(weight_bundle("vector", lat4), lat4, pa)
-    expected = sorted(
-        [(1, sym.gen(i)) for i in range(4)] + [(1, sym.neg(sym.gen(i))) for i in range(4)]
-    )
+    rows = _free_rows(4)
+    got = restrict_bundle(weight_bundle("vector", lat4), lat4, None, rows)
+    expected = sorted([(1, x) for x in rows] + [(1, neg(None, x)) for x in rows])
     assert list(got) == expected
+    # the array restriction on the same rows: the points +-x_i, one row per summand
+    u = restriction(lat4, weight_bundle("vector", lat4), np.eye(4, dtype=np.int64))
+    assert sorted(map(tuple, u.tolist())) == sorted(p for _, p in expected)
 
 
 def test_symbolic_spinor_display_three_points(lat3):
     # generic four-summand spinor restrictions over three blown-up points
-    sym = SymbolicSigma(3)
-    x = [sym.gen(i) for i in range(3)]
-    pa = PointAssignment(sym, tuple(x))
-    plus = restrict_bundle(weight_bundle("spinor_plus", lat3), lat3, pa)
-    pairs = [sym.neg(sym.add(x[i], x[j])) for i, j in ((0, 1), (0, 2), (1, 2))]
-    total = sym.neg(sym.add(sym.add(x[0], x[1]), x[2]))
-    assert sorted(plus) == sorted([(1, sym.zero)] + [(1, q) for q in pairs])
-    minus = restrict_bundle(weight_bundle("spinor_minus", lat3), lat3, pa)
+    x = _free_rows(3)
+    plus = restrict_bundle(weight_bundle("spinor_plus", lat3), lat3, None, x)
+    pairs = [neg(None, add(None, x[i], x[j])) for i, j in ((0, 1), (0, 2), (1, 2))]
+    total = neg(None, add(None, *x))
+    assert sorted(plus) == sorted([(1, (0, 0, 0))] + [(1, q) for q in pairs])
+    minus = restrict_bundle(weight_bundle("spinor_minus", lat3), lat3, None, x)
     assert sorted(minus) == sorted(
-        [(0, sym.neg(q)) for q in x] + [(0, total)]
+        [(0, neg(None, q)) for q in x] + [(0, total)]
     )
     # with x1 = 0 the twisted identity holds symbolically
-    pa0 = PointAssignment(sym, (sym.zero, sym.gen(1), sym.gen(2)))
-    assert twisted_identity(lat3, pa0, "spinor_plus", -lat3.l(1), "spinor_minus")
+    x0 = ((0, 0, 0),) + x[1:]
+    assert twisted_identity(lat3, None, x0, "spinor_plus", -lat3.l(1), "spinor_minus")
     # and fails for generic points
-    assert not twisted_identity(lat3, pa, "spinor_plus", -lat3.l(1), "spinor_minus")
+    assert not twisted_identity(lat3, None, x, "spinor_plus", -lat3.l(1), "spinor_minus")
 
 
 def test_spinor_identity_iff_zero_point_exhaustive(lat3):
-    sigma = make_sigma_model(5, 5)
+    sigma = SigmaModel(5, 5)
     ident, zero = spinor_locus(lat3, sigma)
     assert ident.shape == (3, 5**6)
     for i in range(3):
@@ -116,7 +124,7 @@ def test_spinor_identity_iff_zero_point_exhaustive(lat3):
 
 
 def test_g2_triple_identification_iff_conditions(lat4):
-    sigma = make_sigma_model(5, 5)
+    sigma = SigmaModel(5, 5)
     masks = g2_triple_locus(lat4, sigma)
     # the spinor half detects x1 = 0, the vector half detects x1+x2+x3 = x4
     # tuples come in product order, so x1 = 0 exactly on the first |Sigma|^3 of them
@@ -130,25 +138,24 @@ def test_g2_triple_identification_iff_conditions(lat4):
 
 
 def test_g2_identity_invariant_under_configuration_action(lat4):
-    sigma = make_sigma_model(5, 5)
+    sigma = SigmaModel(5, 5)
     rng = random.Random(8)
     els = list(sigma.elements())
     systems = enumerate_exceptional_systems("G2")
     for _ in range(5):
         a, b = rng.choice(els), rng.choice(els)
-        pa = PointAssignment(sigma, (sigma.zero, a, b, sigma.add(a, b)))
+        x = ((0, 0), a, b, add(sigma, a, b))
         base = (
-            twisted_identity(lat4, pa, "spinor_plus", -lat4.l(1), "spinor_minus")
-            and twisted_identity(lat4, pa, "vector", lat4.s - lat4.l(4), "spinor_plus")
+            twisted_identity(lat4, sigma, x, "spinor_plus", -lat4.l(1), "spinor_minus")
+            and twisted_identity(lat4, sigma, x, "vector", lat4.s - lat4.l(4), "spinor_plus")
         )
         assert base
         for system in systems:
-            moved = PointAssignment(
-                sigma, tuple(u_point(lat4, pa, e) for e in system)
-            )
+            moved = tuple(u_point(lat4, sigma, x, e) for e in system)
             again = (
-                twisted_identity(lat4, moved, "spinor_plus", -lat4.l(1), "spinor_minus")
-                and twisted_identity(lat4, moved, "vector", lat4.s - lat4.l(4), "spinor_plus")
+                twisted_identity(lat4, sigma, moved, "spinor_plus", -lat4.l(1), "spinor_minus")
+                and twisted_identity(lat4, sigma, moved, "vector", lat4.s - lat4.l(4),
+                                     "spinor_plus")
             )
             assert again
 
@@ -169,61 +176,73 @@ def test_wedge_powers(lat4):
 
 
 def _checked(sigma, pts, relations):
-    """The assignment of pts, which must satisfy the relation rows."""
+    """The points pts, which must satisfy the relation rows."""
     assert holds(relations, sigma, pts)
-    return PointAssignment(sigma, tuple(pts))
+    return tuple(pts)
 
 
 def test_determinant_restricts_to_trivial_point(lat4):
     # with points summing to zero, det(standard) = (2n, 0)
-    sigma = make_sigma_model(1, 9)
+    sigma = SigmaModel(1, 9)
     pts = [(0, 2), (0, 3), (0, 1), (0, 3)]
-    pa = _checked(sigma, pts, outer_automorphism("A", lat4).zero_sums)
+    x = _checked(sigma, pts, outer_automorphism("A", lat4).zero_sums)
     det = sum((lat4.l(i) for i in range(2, 5)), lat4.l(1))
-    assert line_class_of(lat4, pa, det) == (4, sigma.zero)
+    assert line_class_of(lat4, sigma, x, det) == (4, (0, 0))
 
 
 def test_wedge_identity_iff_pairing_exhaustive():
     lat = make_blowup_lattice(F1, 4)
-    sigma = make_sigma_model(7, 7)
+    sigma = SigmaModel(7, 7)
     identity, paired = wedge_locus(lat, sigma)
     assert identity.shape[0] == 49**3
     assert np.array_equal(identity, paired)
 
 
 def test_middle_wedge_self_dual_under_constraint(lat4):
-    sigma = make_sigma_model(7, 7)
+    sigma = SigmaModel(7, 7)
     rng = random.Random(3)
     els = list(sigma.elements())
     v = weight_bundle("standard", lat4)
     mid = wedge_power(v, 2)
     for _ in range(100):
         a, b = rng.choice(els), rng.choice(els)
-        pa = _checked(sigma, (a, b, sigma.neg(b), sigma.neg(a)), case_points("C2").relations)
-        restricted = restrict_bundle(mid, lat4, pa)
-        det = line_class_of(lat4, pa, sum((lat4.l(i) for i in range(2, 5)), lat4.l(1)))
+        x = _checked(sigma, (a, b, neg(sigma, b), neg(sigma, a)), case_points("C2").relations)
+        restricted = restrict_bundle(mid, lat4, sigma, x)
+        det = line_class_of(lat4, sigma, x, sum((lat4.l(i) for i in range(2, 5)), lat4.l(1)))
         other = tensor_line(dual(restricted, sigma), det, sigma)
         assert check_identification(restricted, other)
 
 
+def _point(pair):
+    """(degree, point) of the decomposition, with the point array as a tuple of ints."""
+    return pair[0], tuple(pair[1].tolist())
+
+
 def test_f4_rep_decomposition(cubic):
-    sigma = make_sigma_model(5, 5)
+    sigma = SigmaModel(5, 5)
     rng = random.Random(17)
     els = list(sigma.elements())
+    h, l = cubic.h, cubic.l
     for _ in range(5):
         x1, x2, x3, p = (rng.choice(els) for _ in range(4))
-        pts = (x1, x2, x3, *(sigma.add(p, sigma.neg(x)) for x in (x3, x2, x1)))
-        pa = _checked(sigma, pts, case_points("F4").relations)
-        dec = f4_rep_decomposition(cubic, pa)
+        pts = (x1, x2, x3, *(add(sigma, p, neg(sigma, x)) for x in (x3, x2, x1)))
+        x = _checked(sigma, pts, case_points("F4").relations)
+        dec = f4_rep_decomposition(cubic, np.array(x), sigma)
         assert dec.trace_kernel_rank == 2
-        assert dec.common_class == (1, sigma.neg(p))
-        assert dec.kernel_det == (2, sigma.scale(-2, p))
+        assert _point(dec.common_class) == (1, neg(sigma, p))
+        assert _point(dec.kernel_det) == (2, scale(sigma, -2, p))
         assert len(dec.short_root_map) == 24
+        assert dec.zero_lines == tuple(sorted(h - l(i) - l(7 - i) for i in (1, 2, 3)))
         assert sum(dec.zero_lines, cubic.zero) == -cubic.K
+        for e, img in dec.short_root_map.items():  # the image root restricts to 2 (u(e) + p)
+            assert u_point(cubic, sigma, x, img) == scale(sigma, 2, add(sigma, u_point(
+                cubic, sigma, x, e), p))
     # rejects assignments violating the constraint
-    bad = PointAssignment(sigma, ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)))
+    bad = np.array(((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)))
     with pytest.raises(ConstraintViolatedError):
-        f4_rep_decomposition(cubic, bad)
+        f4_rep_decomposition(cubic, bad, sigma)
+    with pytest.raises(ConstraintViolatedError):
+        f4_rep_decomposition(cubic, bad[:5], sigma)
 
 
 def test_fixed_part_projection_matches_rational_solve(cubic):
@@ -239,14 +258,44 @@ def test_fixed_part_projection_matches_rational_solve(cubic):
 
 
 def test_f4_decomposition_symbolic(cubic):
-    # generic check with formal parameters x1, x2, x3, p
-    sym = SymbolicSigma(4)
-    x1, x2, x3, p = (sym.gen(i) for i in range(4))
-    pts = (x1, x2, x3, *(sym.add(p, sym.neg(x)) for x in (x3, x2, x1)))
-    pa = _checked(sym, pts, case_points("F4").relations)
-    dec = f4_rep_decomposition(cubic, pa)
-    assert dec.common_class == (1, sym.neg(p))
+    # generic check with formal parameters x1, x2, x3, p: the points are their rows
+    rows = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1), (0, -1, 0, 1), (-1, 0, 0, 1))
+    _checked(None, rows, case_points("F4").relations)
+    dec = f4_rep_decomposition(cubic, rows)
+    assert _point(dec.common_class) == (1, (0, 0, 0, -1))
+    assert _point(dec.kernel_det) == (2, (0, 0, 0, -2))
     assert len(set(dec.short_root_map.values())) == 24
+    # the rows P of the case's points, t = (x1, x2, x3, x4): p = x3 + x4
+    claim = f4_rep_decomposition(cubic, case_points("F4").points)
+    assert (claim.zero_lines, claim.short_root_map) == (dec.zero_lines, dec.short_root_map)
+    assert _point(claim.common_class) == (1, (0, 0, -1, -1))
+
+
+_CUBIC = make_blowup_lattice(P2, 6)
+_SMALL_SIGMAS = [(m1, m2) for m2 in range(1, 26) for m1 in range(1, m2 + 1)
+                 if m2 % m1 == 0 and m1 * m2 <= 25]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SMALL_SIGMAS), st.data(),
+       st.lists(st.lists(st.integers(-3, 3), min_size=7, max_size=7), max_size=4))
+def test_exact_f4_decomposition_specialises_to_every_group(group, data, drawn):
+    # x = P t mod Sigma for t in Sigma^4: the exact run on P, specialised at t, is the run on x
+    sigma, mods = SigmaModel(*group), np.array(group)
+    t = np.array(data.draw(st.lists(st.sampled_from(list(sigma.elements())), min_size=4,
+                                    max_size=4)), dtype=np.int64)
+    p = np.array(case_points("F4").points, dtype=np.int64)
+    x = p @ t % mods
+    exact, dec = f4_rep_decomposition(_CUBIC, p), f4_rep_decomposition(_CUBIC, x, sigma)
+    assert (dec.zero_lines, dec.short_root_map) == (exact.zero_lines, exact.short_root_map)
+    assert dec.trace_kernel_rank == exact.trace_kernel_rank
+    for got, want in ((dec.common_class, exact.common_class), (dec.kernel_det, exact.kernel_det)):
+        assert got[0] == want[0] and np.array_equal(got[1], want[1] @ t % mods)
+    # the restriction commutes with the specialisation
+    classes = (weight_bundle("lines", _CUBIC) + f4_short_roots(_CUBIC) + (_CUBIC.h, _CUBIC.K)
+               + tuple(DivisorClass(tuple(c)) for c in drawn))
+    assert np.array_equal(restriction(_CUBIC, classes, p) @ t % mods,
+                          restriction(_CUBIC, classes, x, sigma))
 
 
 def _all_loci(sigma):
@@ -257,34 +306,36 @@ def _all_loci(sigma):
 
 @pytest.mark.parametrize("m1, m2", [(2, 2), (1, 3), (1, 4)])
 def test_loci_match_the_scalar_oracle(lat3, lat4, m1, m2):
-    sigma = make_sigma_model(m1, m2)
+    sigma = SigmaModel(m1, m2)
     els = list(sigma.elements())
     ident, zero = spinor_locus(lat3, sigma)
     b_rel = case_points("B2").relations
     for col, x in enumerate(product(els, repeat=3)):
-        pa = PointAssignment(sigma, x)
         for i in range(3):
-            twisted = twisted_identity(lat3, pa, "spinor_plus", -lat3.l(i + 1), "spinor_minus")
+            twisted = twisted_identity(lat3, sigma, x, "spinor_plus", -lat3.l(i + 1),
+                                       "spinor_minus")
             assert ident[i, col] == twisted
             assert zero[i, col] == holds(b_rel, sigma, (x[i],) + x[:i] + x[i + 1:])
     masks = g2_triple_locus(lat4, sigma)
     g2_rel = case_points("G2").relations
     for col, x in enumerate(product(els, repeat=4)):
-        pa = PointAssignment(sigma, x)
         l1, l4, s = lat4.l(1), lat4.l(4), lat4.s
-        assert masks["sp_sm"][col] == twisted_identity(lat4, pa, "spinor_plus", -l1, "spinor_minus")
-        assert masks["w_sp"][col] == twisted_identity(lat4, pa, "vector", s - l4, "spinor_plus")
-        assert masks["w_sm"][col] == twisted_identity(lat4, pa, "vector", -l4, "spinor_minus")
+        assert masks["sp_sm"][col] == twisted_identity(lat4, sigma, x, "spinor_plus", -l1,
+                                                       "spinor_minus")
+        assert masks["w_sp"][col] == twisted_identity(lat4, sigma, x, "vector", s - l4,
+                                                      "spinor_plus")
+        assert masks["w_sm"][col] == twisted_identity(lat4, sigma, x, "vector", -l4,
+                                                      "spinor_minus")
         assert masks["relations"][col] == holds(g2_rel, sigma, x)
     identity, paired = wedge_locus(lat4, sigma)
     v, zero_sum = weight_bundle("standard", lat4), outer_automorphism("A", lat4).zero_sums
     for col, t in enumerate(product(els, repeat=3)):
-        x = t + (sigma.neg(sigma.combine((1, 1, 1), t)),)
-        pa = _checked(sigma, x, zero_sum)
-        lhs = tensor_line(restrict_bundle(v, lat4, pa), line_class_of(lat4, pa, lat4.f), sigma)
+        x = _checked(sigma, t + (neg(sigma, add(sigma, *t)),), zero_sum)
+        lhs = tensor_line(restrict_bundle(v, lat4, sigma, x), line_class_of(lat4, sigma, x, lat4.f),
+                          sigma)
         assert identity[col] == check_identification(
-            lhs, restrict_bundle(wedge_power(v, 3), lat4, pa))
-        assert paired[col] == (sorted(x) == sorted(sigma.neg(p) for p in x))
+            lhs, restrict_bundle(wedge_power(v, 3), lat4, sigma, x))
+        assert paired[col] == (sorted(x) == sorted(neg(sigma, p) for p in x))
     # at 2x2 every point is 2-torsion: every tuple is paired and the identities hold everywhere
     assert paired.all() == masks["sp_sm"].all() == (m1 == 2)
 
@@ -305,7 +356,7 @@ def _invariance_outcomes(sigma, monkeypatch):
 @pytest.mark.parametrize("rows", [7, 200])
 def test_loci_do_not_depend_on_the_chunk_size(monkeypatch, rows):
     # |Sigma| = 8: 8^3 and 8^4 tuples, which neither row count divides
-    sigma = make_sigma_model(2, 4)
+    sigma = SigmaModel(2, 4)
     default = _all_loci(sigma)
     default_checks = _invariance_outcomes(sigma, monkeypatch)
     seen = []
@@ -331,12 +382,12 @@ def test_degree_mismatch_is_refused(lat4):
     sp = weight_bundle("spinor_plus", lat4)
     sm = weight_bundle("spinor_minus", lat4)
     with pytest.raises(ValueError, match="degrees"):
-        repbundles._locus_masks(lat4, make_sigma_model(1, 2), np.eye(4, dtype=np.int64),
+        repbundles._locus_masks(lat4, SigmaModel(1, 2), np.eye(4, dtype=np.int64),
                                 [((sp, lat4.zero), (sm, lat4.zero))])
 
 
 def test_g2_locus_memory_is_bounded(lat4):
-    sigma = make_sigma_model(5, 5)
+    sigma = SigmaModel(5, 5)
     g2_triple_locus(lat4, sigma)  # bundles and lattice caches filled outside the trace
     tracemalloc.start()
     try:
@@ -351,7 +402,7 @@ def test_g2_locus_memory_is_bounded(lat4):
 def test_the_walk_memory_is_bounded(lat4, monkeypatch):
     # the translated tail table and the one chunk buffer: under three bytes per form and
     # chunk row, where a walk that keeps two residue planes per chunk takes more
-    sigma, walked = make_sigma_model(5, 5), []
+    sigma, walked = SigmaModel(5, 5), []
     walk = SigmaModel.form_chunks
 
     def spy(self, forms):
@@ -377,13 +428,12 @@ def test_mixed_degree_sides_compare_per_degree(lat4):
     # degrees {1, 3} on both sides and always the same points {x1, x2}; as
     # (degree, point) multisets the sides agree exactly where x1 = x2
     l1, l2, f = lat4.l(1), lat4.l(2), lat4.f
-    sigma = make_sigma_model(1, 3)
+    sigma = SigmaModel(1, 3)
     lhs, rhs = (l1, l2 + f), (l2, l1 + f)
     (mask,) = repbundles._locus_masks(lat4, sigma, np.eye(4, dtype=np.int64),
                                       [((lhs, lat4.zero), (rhs, lat4.zero))])
     for col, x in enumerate(product(list(sigma.elements()), repeat=4)):
-        pa = PointAssignment(sigma, x)
-        restricted = [[line_class_of(lat4, pa, d) for d in side] for side in (lhs, rhs)]
+        restricted = [[line_class_of(lat4, sigma, x, d) for d in side] for side in (lhs, rhs)]
         assert mask[col] == check_identification(*restricted) == (x[0] == x[1])
 
 
@@ -446,9 +496,9 @@ def _transposition_locus_masks(lat, sigma, params, pairs, relations=()):
 
     tuples, known = list(product(sigma.elements(), repeat=params.shape[1])), {}
 
-    def codes(form):  # a m2 + b at every tuple, by sigma.combine
+    def codes(form):  # a m2 + b at every tuple, by the per-tuple combine
         if form not in known:
-            known[form] = [a * sigma.m2 + b for a, b in (sigma.combine(form, t) for t in tuples)]
+            known[form] = [a * sigma.m2 + b for a, b in (combine(sigma, form, t) for t in tuples)]
         return known[form]
 
     c = np.array([codes(tuple(row)) for row in (np.array(forms, dtype=np.int64) @ params).tolist()],
@@ -505,7 +555,7 @@ def _side_pairs(draw):
                 max_size=2),
        st.sampled_from([5, 64, 1 << 15]))
 def test_locus_masks_match_the_transposition_kernel(group, zero_sum, drawn, relations, rows):
-    sigma = make_sigma_model(*group)
+    sigma = SigmaModel(*group)
     params = np.eye(4, dtype=np.int64)
     if zero_sum:  # x = (t, -sum t), as for the wedge locus
         params = np.vstack([params[:3, :3], -np.ones((1, 3), dtype=np.int64)])
