@@ -31,8 +31,6 @@ Rows = tuple[tuple[int, ...], ...]
 class CaseSpec(NamedTuple):
     """The record of one case name: the facts that are not derived from its fold."""
 
-    name: str
-    family: str  # "B", "C", "G2" or "F4"
     rank: int
     model: str  # the lattice model, F1 or P2
     npoints: int
@@ -66,6 +64,6 @@ def case_spec(name: str) -> CaseSpec:
     else:  # F4: x1 + x6 = x2 + x5 = x3 + x4
         model, m, q = P2, 6, (_row(6, (1, 1), (6, 1), (2, -1), (5, -1)),
                               _row(6, (1, 1), (6, 1), (3, -1), (4, -1)))
-    return CaseSpec(name, family, n, model, m, FOLDED_TO_SIMPLY_LACED[family], q,
+    return CaseSpec(n, model, m, FOLDED_TO_SIMPLY_LACED[family], q,
                     make_blowup_lattice(model, m))
 

@@ -456,8 +456,11 @@ def _suite_moduli(cfg: RunConfig):
         out = {}
         for case in ("B2", "B3", "C2", "G2", "F4"):
             x = _random_admissible(case, sigma, rng, 20)
-            res = moduli.reconstruct_points(case, moduli.folded_images(case, x, sigma), sigma)
-            missing = np.flatnonzero(~res.contains(x))
+            images = moduli.folded_images(case, x, sigma)
+            # one solve per distinct image; each draw must lie in the block of its own
+            first, block = moduli.distinct_images(images, sigma)
+            res = moduli.reconstruct_points(case, images[first], sigma)
+            missing = np.flatnonzero(~res.contains(x, block))
             if len(missing):
                 points = tuple(map(tuple, x[missing[0]].tolist()))
                 raise CheckFailed(f"{case}: {points} not reconstructed")
@@ -522,11 +525,11 @@ def _suite_repbundles(cfg: RunConfig):
     def g2_iff():
         lat = lattice.make_blowup_lattice("F1", 4)
         sig = abelian.SigmaModel(5, 5)
-        masks = repbundles.g2_triple_locus(lat, sig, cfg.action_cap)
-        lhs = masks["sp_sm"] & masks["w_sp"]
-        rhs = masks["relations"]
-        check(np.array_equal(lhs, rhs), "G2 triple locus differs from the G2 point relations")
-        return {"tuples": int(lhs.shape[0]), "locus": int(rhs.sum())}
+        locus = repbundles.g2_triple_locus(lat, sig, cfg.action_cap)
+        check(np.array_equal(locus.identity, locus.relations),
+              "G2 triple locus differs from the G2 point relations")
+        check(locus.w_sm.all(), "vector ⊗ O(-l4) differs from spinor_minus on the G2 locus")
+        return {"tuples": int(locus.identity.shape[0]), "locus": int(locus.relations.sum())}
 
     def wedge_iff():
         lat = lattice.make_blowup_lattice("F1", 4)

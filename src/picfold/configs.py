@@ -261,8 +261,6 @@ def is_blowdown_sequence(lat: IntersectionLattice, classes) -> bool:
 
 class TransitivityReport(NamedTuple):
     simply_transitive: bool
-    group_order: int
-    system_count: int
     orbit_size: int
     offending: tuple | None
 
@@ -326,7 +324,7 @@ def simple_transitivity_check(systems: ExceptionalSystems, weyl: WeylGroup) -> T
         offending = ("unreached", systems[int(missing.min())])
     elif not reached == len(weyl) == len(systems):
         offending = ("stabilizer", len(weyl) // max(reached, 1))
-    return TransitivityReport(offending is None, len(weyl), len(systems), reached, offending)
+    return TransitivityReport(offending is None, reached, offending)
 
 
 class CubicData(NamedTuple):

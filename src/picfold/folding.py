@@ -252,8 +252,9 @@ def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:
     return tuple(DivisorClass(tuple(v)) for v in basis.tolist())
 
 
+@lru_cache(maxsize=None)
 def folded_simple_system(case: str) -> tuple[DivisorClass, ...]:
-    """The orbit sums of the ambient simple roots, in ``rho.orbits()`` order."""
+    """The orbit sums of the ambient simple roots, in ``rho.orbits()`` order, built once."""
     sums = _simple_orbit_sums(case_fold(case))
     return tuple(DivisorClass(tuple(col)) for col in sums.T.tolist())
 

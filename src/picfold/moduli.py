@@ -15,12 +15,14 @@ x = P t (``point_table``) maps an (n, rank, 2) stack of parameters to
 (n, npoints, 2) points, M x (``folded_images``, the ``restriction`` of the
 folded simple roots) maps points to an (n, rank, 2) stack of folded
 restriction data, and ``reconstruct_points`` inverts M P t on such a
-stack in one call.  A single image is a stack of one.
+stack in one call.  A single image is a stack of one.  Draws that share an
+image share its solve: ``distinct_images`` keys each image by one int64,
+and ``ReconstructionStack.contains`` looks each draw up in the block of its
+own image.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice, product
 from typing import NamedTuple
 
@@ -64,7 +66,6 @@ def restriction(lat: IntersectionLattice, classes, x: np.ndarray, sigma: SigmaMo
 
 class FixedComponents(NamedTuple):
     labels: tuple
-    component_size: int
     full_torsion: bool
 
 
@@ -79,14 +80,7 @@ def fixed_components(case: str, sigma: SigmaModel) -> FixedComponents:
     """
     torsion = case_points(case).torsion
     labels = sigma.torsion(torsion)
-    return FixedComponents(
-        labels=tuple(sorted(labels)),
-        component_size=sigma.order**case_spec(case).rank,
-        full_torsion=len(labels) == torsion**2,
-    )
-
-
-_folded_simple_system = lru_cache(maxsize=None)(folded_simple_system)
+    return FixedComponents(labels=tuple(sorted(labels)), full_torsion=len(labels) == torsion**2)
 
 
 def case_system_matrix(case: str) -> list[list[int]]:
@@ -97,7 +91,7 @@ def case_system_matrix(case: str) -> list[list[int]]:
     parameters t.
     """
     p = np.array(case_points(case).points, dtype=np.int64)
-    return restriction(case_spec(case).lattice, _folded_simple_system(case), p).tolist()
+    return restriction(case_spec(case).lattice, folded_simple_system(case), p).tolist()
 
 
 class ReconstructionStack(NamedTuple):
@@ -105,8 +99,8 @@ class ReconstructionStack(NamedTuple):
 
     ``table`` is a read-only (N, npoints, 2) int64 array of points, block by
     block in the order of the images, each block sorted by points; ``image``
-    (N,) is the index of the image each row solves, ``solvable`` is (n,) bool.
-    Block i is ``table[image == i]``.
+    (N,) is the index of the image each row solves, nondecreasing, and
+    ``solvable`` is (n,) bool.  Block i is ``table[image == i]``.
     """
 
     solvable: np.ndarray
@@ -114,10 +108,19 @@ class ReconstructionStack(NamedTuple):
     table: np.ndarray
     image: np.ndarray
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        """(n,) bool: whether row i of the (n, npoints, 2) point table x is in block i."""
-        hit = (self.table == x[self.image]).all(axis=(1, 2))
-        return np.bincount(self.image[hit], minlength=len(x)) > 0
+    def contains(self, x: np.ndarray, blocks=None) -> np.ndarray:
+        """(n,) bool: whether row i of the (n, npoints, 2) point table x is in block blocks[i].
+
+        ``blocks`` defaults to 0, ..., n - 1, so that row i is looked up in
+        block i.  Each row is compared with every row of its block, which
+        ``image`` delimits.
+        """
+        b = np.arange(len(x)) if blocks is None else np.asarray(blocks)
+        lo, hi = (np.searchsorted(self.image, b, side) for side in ("left", "right"))
+        at = lo[:, None] + np.arange((hi - lo).max(initial=0))
+        inside = at < hi[:, None]
+        hit = (self.table[np.where(inside, at, 0)] == x[:, None]).all(axis=(2, 3))
+        return (hit & inside).any(axis=1)
 
 
 def reconstruct_points(case: str, p_images, sigma: SigmaModel,
@@ -146,7 +149,22 @@ def reconstruct_points(case: str, p_images, sigma: SigmaModel,
 
 def folded_images(case: str, x: np.ndarray, sigma: SigmaModel) -> np.ndarray:
     """M x mod (m1, m2): the folded restriction of an (n, npoints, 2) point table, (n, rank, 2)."""
-    return restriction(case_spec(case).lattice, _folded_simple_system(case), x, sigma)
+    return restriction(case_spec(case).lattice, folded_simple_system(case), x, sigma)
+
+
+def distinct_images(images: np.ndarray, sigma: SigmaModel) -> tuple[np.ndarray, np.ndarray]:
+    """(first, block) of an (n, rank, 2) stack: the distinct images are ``images[first]``.
+
+    ``block[i]`` is the index of image i among them.  An image is keyed by
+    one int64, sum_j c_j |Sigma|^j over its point codes c_j = a m2 + b, when
+    |Sigma|^rank < 2^62, and by its row of codes otherwise.
+    """
+    codes = images[..., 0] * sigma.m2 + images[..., 1]
+    if sigma.order ** codes.shape[1] < 1 << 62:
+        codes = codes @ sigma.order ** np.arange(codes.shape[1])
+    _, first, block = np.unique(codes, return_index=True, return_inverse=True,
+                                axis=0 if codes.ndim > 1 else None)
+    return first, block.reshape(-1)
 
 
 def invariance_agreement_exhaustive(case: str, sigma: SigmaModel, cap: int = 10**8) -> int:
@@ -179,7 +197,6 @@ def invariance_agreement_exhaustive(case: str, sigma: SigmaModel, cap: int = 10*
 class ChiReport(NamedTuple):
     passed: bool
     domain_size: int
-    group_size: int
     orbits_checked: int
     counterexample: tuple | None
 
@@ -320,9 +337,9 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     met = (np.append(np.bincount(clab, minlength=domain_size), 0)[reached] * first).sum(axis=0)
     bad = np.flatnonzero(met > np.bincount(lab, minlength=domain_size)[reps])
     if not len(bad):
-        return ChiReport(True, domain_size, len(w_big), len(reps), None)
+        return ChiReport(True, domain_size, len(reps), None)
     x = reps[bad[0]]
     ys = np.flatnonzero(np.isin(clab, reached[:, bad[0]]) & (lab != x))
     y = ys[np.argmin(codes[0][ys // n2] + sizes[0] * codes[1][ys % n2])]
-    return ChiReport(False, domain_size, len(w_big), int(bad[0]) + 1,
+    return ChiReport(False, domain_size, int(bad[0]) + 1,
                      tuple((tuple(coords[0][t // n2]), tuple(coords[1][t % n2])) for t in (x, y)))

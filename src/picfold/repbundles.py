@@ -27,6 +27,12 @@ comparators write into buffers kept for the walk.  A relation side
 R x = 0 is a block of forms whose codes must vanish.  Every walk is
 checked against its cap before anything is allocated
 (``SigmaModel.tuple_count``).
+
+The G2 locus decides each identity only where it can still change the
+verdict: the spinor identity and the relations on every tuple, the first
+vector identity on the columns where the spinor identity holds (their
+conjunction is False elsewhere), and the second vector identity on the
+columns of the relation locus, where it must hold.
 """
 
 from __future__ import annotations
@@ -135,28 +141,26 @@ def _sorted_rows(rows, work=None):
     return rows
 
 
-def _locus_masks(lat, sigma, params, pairs, relations=(), cap=10**8):
-    """Masks over t in Sigma^k, in ``SigmaModel.form_chunks`` order, with the points x = params t.
+def _locus_plan(lat, params, pairs, relations=()):
+    """(forms, tests): the distinct forms (K, k) in t of a walk with the points x = params t.
 
-    One row per pair ((summands, twist), (summands, twist)) of sides that
+    One test per pair ((summands, twist), (summands, twist)) of sides that
     restrict alike, then one per relation block R: R x = 0.  A side is the
     multiset of its summands' (degree, form in t); the degree multisets of
     the full sides must agree (else ``ValueError``).  The summands the two
     sides share are cancelled first, which is exact: A ⊎ C = B ⊎ C as
-    multisets at a point iff A = B there.  What is left is compared per
-    degree, the forms' point codes sorted by a merge network into buffers
-    kept for the walk; a degree with nothing left holds everywhere.  Each
-    distinct form is one row of the walk's codes, read as they come.  The
-    |Sigma|^k tuples are checked against ``cap`` before the masks are
-    allocated (``SigmaModel.tuple_count``).
+    multisets at a point iff A = B there.  A pair's test is one group (lhs
+    rows, rhs rows) of forms per degree left, whose sorted codes must agree;
+    a degree with nothing left holds everywhere.  A relation block's test is
+    the one group (rows, ()), whose codes must vanish.
     """
     where = {}  # form in t -> its row
 
     def place(rows):
         forms = np.array(rows, dtype=np.int64).reshape(-1, len(params)) @ params
-        return [where.setdefault(form, len(where)) for form in map(tuple, forms.tolist())]
+        return tuple(where.setdefault(form, len(where)) for form in map(tuple, forms.tolist()))
 
-    plan = []
+    tests = []
     for pair in pairs:
         sides = [Counter(zip([lat.deg(d + tw) for d in summands],
                              place([lat.l_coeffs(d + tw) for d in summands]))) for summands, tw in pair]
@@ -164,38 +168,62 @@ def _locus_masks(lat, sigma, params, pairs, relations=(), cap=10**8):
         if lhs != rhs:
             raise ValueError(f"summand degrees {lhs} and {rhs} differ: no identification")
         left, right = sides[0] - sides[1], sides[1] - sides[0]
-        plan.append([tuple(tuple(sorted(r for d, r in side.elements() if d == deg))
-                           for side in (left, right))
-                     for deg in sorted({d for d, _ in left})])
-    vanish = [place(rows) for rows in relations]
+        tests.append(tuple(tuple(tuple(sorted(r for d, r in side.elements() if d == deg))
+                                 for side in (left, right))
+                           for deg in sorted({d for d, _ in left})))
+    tests += [((place(rows), ()),) for rows in relations]
+    return np.array(list(where), dtype=np.int64).reshape(len(where), -1), tests
 
-    out = np.empty((len(plan) + len(vanish), sigma.tuple_count(params.shape[1], cap)), dtype=bool)
-    forms = np.array(list(where), dtype=np.int64).reshape(len(where), -1)
+
+def _test_masks(tests, codes, out=None, work=None):
+    """Each test of ``_locus_plan`` over the columns of codes (K, n), one boolean row each.
+
+    The rows go into ``out`` (allocated when None), which is returned.  A
+    group side's codes are sorted once per call by the merge network, into
+    buffers of ``work`` kept across the calls of a walk (keyed by rows;
+    allocated per call when ``work`` is None).
+    """
+    n, done = codes.shape[1], {}
+    out = np.empty((len(tests), n), dtype=bool) if out is None else out
+
+    def sorted_codes(rows):
+        if rows not in done:
+            buf = None
+            if work is not None:
+                if rows not in work:  # the first chunk is the longest
+                    work[rows] = np.empty((len(rows) + 1, n), codes.dtype)
+                buf = work[rows][:, :n]
+            done[rows] = _sorted_rows((codes[r] for r in rows), buf)
+        return done[rows]
+
+    for mask, test in zip(out, tests):
+        mask[...] = True
+        for lhs, rhs in test:
+            if not rhs:
+                for r in lhs:
+                    mask &= codes[r] == 0
+                continue
+            for u, v in zip(sorted_codes(lhs), sorted_codes(rhs)):
+                mask &= u == v
+    return out
+
+
+def _locus_masks(lat, sigma, params, pairs, relations=(), cap=10**8):
+    """Masks over t in Sigma^k, in ``SigmaModel.form_chunks`` order, with the points x = params t.
+
+    One row per test of ``_locus_plan``: per pair of sides, then per
+    relation block.  Each distinct form is one row of the walk's codes, read
+    as they come.  The |Sigma|^k tuples are checked against ``cap`` before
+    the masks are allocated (``SigmaModel.tuple_count``).
+    """
+    forms, tests = _locus_plan(lat, params, pairs, relations)
+    out = np.empty((len(tests), sigma.tuple_count(params.shape[1], cap)), dtype=bool)
     # rows of forms -> the merge network's buffers, kept for the walk: a network that
     # allocated on each comparator made the cold G2 locus 18.1 -> 21.8 ms (slower in 29
     # of 30 pinned pairs, 2 vCPU Xeon) for a peak RSS 33.72 -> 33.41 MiB
     work = {}
     for cols, codes in sigma.form_chunks(forms):
-        n, done = codes.shape[1], {}
-
-        def sorted_codes(rows):
-            if rows not in done:
-                if rows not in work:  # the first chunk is the longest
-                    work[rows] = np.empty((len(rows) + 1, n), codes.dtype)
-                done[rows] = _sorted_rows((codes[r] for r in rows), work[rows][:, :n])
-            return done[rows]
-
-        for row, groups in enumerate(plan):
-            mask = out[row, cols]
-            mask[...] = True
-            for lhs, rhs in groups:
-                for u, v in zip(sorted_codes(lhs), sorted_codes(rhs)):
-                    mask &= u == v
-        for row, rows in enumerate(vanish, len(plan)):
-            mask = out[row, cols]
-            mask[...] = True
-            for r in rows:
-                mask &= codes[r] == 0
+        _test_masks(tests, codes, out[:, cols], work)
     return out
 
 
@@ -217,21 +245,51 @@ def spinor_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
     return masks[:m], masks[m:]
 
 
-def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):
-    """Masks over Sigma^4 for the three twisted triality identities.
+class G2TripleLocus(NamedTuple):
+    """The triality identities over Sigma^4, tuples in ``SigmaModel.form_chunks`` order."""
 
-    Returns a dict of boolean arrays: 'sp_sm' (spinor identity with
-    twist -l1), 'w_sp' (vector identity: spinor_plus = vector ⊗
-    O(s - l4)), 'w_sm' (vector ⊗ O(-l4) = spinor_minus) and 'relations'
-    (the G2 point relations R x = 0 of ``folding.case_points``).  The
-    walk is refused past ``cap`` tuples (``BudgetExceededError``).
+    identity: np.ndarray  # sp_sm and w_sp, on every tuple
+    relations: np.ndarray  # the G2 point relations R x = 0, on every tuple
+    w_sm: np.ndarray  # the third identity on the tuples where relations holds, in order
+
+
+def _triality_identities(lat: IntersectionLattice):
+    """The pairs sp_sm, w_sp and w_sm of sides the G2 locus identifies, on the four-point F1.
+
+    sp_sm is the spinor identity spinor_plus ⊗ O(-l1) = spinor_minus, w_sp
+    and w_sm the vector identities vector ⊗ O(s - l4) = spinor_plus and
+    vector ⊗ O(-l4) = spinor_minus.
     """
     sp, sm, w = (weight_bundle(k, lat) for k in ("spinor_plus", "spinor_minus", "vector"))
-    pairs = [((sp, -lat.l(1)), (sm, lat.zero)), ((w, lat.s - lat.l(4)), (sp, lat.zero)),
-             ((w, -lat.l(4)), (sm, lat.zero))]
-    masks = _locus_masks(lat, sigma, np.eye(4, dtype=np.int64), pairs,
-                         [case_points("G2").relations], cap=cap)
-    return dict(zip(("sp_sm", "w_sp", "w_sm", "relations"), masks))
+    return (((sp, -lat.l(1)), (sm, lat.zero)), ((w, lat.s - lat.l(4)), (sp, lat.zero)),
+            ((w, -lat.l(4)), (sm, lat.zero)))
+
+
+def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8
+                    ) -> G2TripleLocus:
+    """The triality identities of ``_triality_identities`` over Sigma^4, each decided once.
+
+    One ``SigmaModel.form_chunks`` walk yields the codes of all their forms
+    and of the G2 point relations R x = 0 of ``folding.case_points``.  sp_sm
+    and the relations are decided on every tuple.  w_sp is compared only on
+    the tuples where sp_sm holds, since their conjunction is False wherever
+    sp_sm is False, and w_sm only on the tuples where the relations hold,
+    the locus on which it must hold.  So ``identity`` is exactly sp_sm and w_sp
+    on every tuple, and ``w_sm`` is the third identity on the locus.  The
+    walk is refused past ``cap`` tuples (``BudgetExceededError``).
+    """
+    walked, (sp_sm, w_sp, w_sm, rel) = _locus_plan(lat, np.eye(4, dtype=np.int64),
+                                                  _triality_identities(lat),
+                                                  [case_points("G2").relations])
+    n = sigma.tuple_count(4, cap)
+    identity, relations, on_locus, work = np.empty(n, bool), np.empty(n, bool), [], {}
+    for cols, codes in sigma.form_chunks(walked):
+        ident, held = identity[cols], relations[cols]
+        _test_masks((sp_sm, rel), codes, (ident, held), work)
+        at = np.flatnonzero(ident)
+        ident[at] = _test_masks((w_sp,), codes[:, at])[0]
+        on_locus.append(_test_masks((w_sm,), codes[:, held])[0])
+    return G2TripleLocus(identity, relations, np.concatenate(on_locus))
 
 
 def wedge_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**8):

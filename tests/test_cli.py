@@ -4,9 +4,10 @@ import shutil
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from picfold import abelian, cli
+from picfold import abelian, cli, moduli
 from picfold.cli import (
     ConfigError,
     RunConfig,
@@ -289,8 +290,36 @@ def test_f4_decomposition_fails_under_optimize():
     assert [r for r, v in status.items() if v["status"] == "fail"] == ["bundles.F4.rep.27=3+24"]
 
 
+def test_the_roundtrip_solves_each_distinct_image_once():
+    # at 2 x 2 the 20 draws of B2, B3, C2 and F4 share one image each; G2's fall on 12
+    drawn, solved = {}, {}
+    draw, solve = cli._random_admissible, moduli.reconstruct_points
+
+    def random_admissible(case, sigma, rng, count):
+        drawn[case] = draw(case, sigma, rng, count)
+        return drawn[case]
+
+    def reconstruct_points(case, imgs, sigma, **kw):
+        solved.setdefault(case, []).append(np.array(imgs))
+        return solve(case, imgs, sigma, **kw)
+
+    with mock.patch.object(cli, "_random_admissible", random_admissible), \
+            mock.patch.object(moduli, "reconstruct_points", reconstruct_points):
+        claims = dict(cli._suite_moduli(RunConfig()))
+        assert claims["moduli.reconstruction.roundtrip"]() == dict.fromkeys(drawn, 20)
+    assert {case: len(calls) for case, calls in solved.items()} == dict.fromkeys(drawn, 1)
+    counts = {}
+    for case, [imgs] in solved.items():
+        rows = {tuple(r) for r in imgs.reshape(len(imgs), -1).tolist()}
+        want = moduli.folded_images(case, drawn[case], abelian.SigmaModel(2, 2))
+        assert len(rows) == len(imgs) and rows == {tuple(r) for r in want.reshape(20, -1).tolist()}
+        counts[case] = len(imgs)
+    assert counts == {"B2": 1, "B3": 1, "C2": 1, "G2": 12, "F4": 1}
+
+
 def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
-    # reconstruct_points drops the rows of the drawn assignments: the roundtrip must fail under -O
+    # reconstruct_points drops every row that is a drawn assignment: the roundtrip must fail
+    # under -O
     status = run_under_optimize(
         "from picfold import cli, moduli\n"
         "draw, solve, drawn = cli._random_admissible, moduli.reconstruct_points, []\n"
@@ -299,7 +328,7 @@ def test_roundtrip_fails_under_optimize_when_the_drawn_row_is_missing():
         "    return drawn[-1]\n"
         "def reconstruct_points(case, imgs, sigma, **kw):\n"
         "    res = solve(case, imgs, sigma, **kw)\n"
-        "    keep = ~(res.table == drawn[-1][res.image]).all(axis=(1, 2))\n"
+        "    keep = ~(res.table[:, None] == drawn[-1]).all(axis=(2, 3)).any(axis=1)\n"
         "    return moduli.ReconstructionStack(res.solvable, res.kernel_size, res.table[keep],\n"
         "                                      res.image[keep])\n"
         "cli._random_admissible, moduli.reconstruct_points = random_admissible, reconstruct_points\n",

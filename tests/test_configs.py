@@ -133,7 +133,7 @@ def bytes_transitivity_check(systems, weyl):
             offending = ("outside", tuple(DivisorClass(tuple(v)) for v in coords.tolist()))
         else:
             offending = ("stabilizer", len(weyl) // max(len(reached), 1))
-    return TransitivityReport(ok, len(weyl), len(systems), len(reached), offending)
+    return TransitivityReport(ok, len(reached), offending)
 
 
 def rows_over(table, systems):
@@ -270,7 +270,7 @@ def walk_reference(systems, weyl):
         offending = ("unreached", missing[0])
     elif not len(seen) == len(weyl) == len(systems):
         offending = ("stabilizer", len(weyl) // len(seen))
-    return TransitivityReport(offending is None, len(weyl), len(systems), len(seen), offending)
+    return TransitivityReport(offending is None, len(seen), offending)
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,7 +287,7 @@ def test_transitivity_matches_the_references_on_subgroups_and_deletions(case, da
     if not dropped:
         assert rep == ref
     else:  # the bytes walk goes on through the dropped systems, so only the verdict agrees
-        assert rep[:3] == ref[:3] and rep.orbit_size <= ref.orbit_size
+        assert rep.simply_transitive == ref.simply_transitive and rep.orbit_size <= ref.orbit_size
 
 
 @pytest.mark.parametrize("case", ["B3", "C3"])

@@ -267,6 +267,7 @@ def _sum_over_orbit(coords, rho):
 def test_summing_over_the_orbit_instead_of_ord_sigma_fails(monkeypatch):
     monkeypatch.setattr(folding, "_orbit_sums", _sum_over_orbit)
     folding._folded_roots.cache_clear()
+    folding.folded_simple_system.cache_clear()
     try:
         for case, model in LITERAL_CASES:
             lat = make_blowup_lattice(*model)
@@ -274,6 +275,7 @@ def test_summing_over_the_orbit_instead_of_ord_sigma_fails(monkeypatch):
             assert folded_simple_system(case) != _literal_simple_roots(case, lat), case
     finally:
         folding._folded_roots.cache_clear()
+        folding.folded_simple_system.cache_clear()
 
 
 def test_folded_roots_refuse_sums_that_are_not_one_per_orbit(monkeypatch):

@@ -123,9 +123,17 @@ def test_spinor_identity_iff_zero_point_exhaustive(lat3):
     assert np.array_equal(ident.any(axis=0), zero.any(axis=0))
 
 
+def _g2_masks(lat, sigma):
+    """The full masks of the three triality identities and the G2 relations, on every tuple."""
+    masks = repbundles._locus_masks(lat, sigma, np.eye(4, dtype=np.int64),
+                                    repbundles._triality_identities(lat),
+                                    [case_points("G2").relations])
+    return dict(zip(("sp_sm", "w_sp", "w_sm", "relations"), masks))
+
+
 def test_g2_triple_identification_iff_conditions(lat4):
     sigma = SigmaModel(5, 5)
-    masks = g2_triple_locus(lat4, sigma)
+    masks = _g2_masks(lat4, sigma)
     # the spinor half detects x1 = 0, the vector half detects x1+x2+x3 = x4
     # tuples come in product order, so x1 = 0 exactly on the first |Sigma|^3 of them
     assert np.array_equal(masks["sp_sm"], np.arange(sigma.order**4) < sigma.order**3)
@@ -135,6 +143,10 @@ def test_g2_triple_identification_iff_conditions(lat4):
     # the remaining vector/spinor comparison holds on the whole locus and
     # forces a vanishing point wherever it holds
     assert np.all(~rhs | masks["w_sm"])
+    # the claim's result: the same verdicts, with w_sm read on the locus only
+    locus = g2_triple_locus(lat4, sigma)
+    assert np.array_equal(locus.identity, combined) and np.array_equal(locus.relations, rhs)
+    assert np.array_equal(locus.w_sm, masks["w_sm"][rhs]) and locus.w_sm.all()
 
 
 def test_g2_identity_invariant_under_configuration_action(lat4):
@@ -300,8 +312,8 @@ def test_exact_f4_decomposition_specialises_to_every_group(group, data, drawn):
 
 def _all_loci(sigma):
     lat3, lat4 = make_blowup_lattice(F1, 3), make_blowup_lattice(F1, 4)
-    return (*spinor_locus(lat3, sigma), *g2_triple_locus(lat4, sigma).values(),
-            *wedge_locus(lat4, sigma))
+    return (*spinor_locus(lat3, sigma), *_g2_masks(lat4, sigma).values(),
+            *g2_triple_locus(lat4, sigma), *wedge_locus(lat4, sigma))
 
 
 @pytest.mark.parametrize("m1, m2", [(2, 2), (1, 3), (1, 4)])
@@ -316,7 +328,7 @@ def test_loci_match_the_scalar_oracle(lat3, lat4, m1, m2):
                                        "spinor_minus")
             assert ident[i, col] == twisted
             assert zero[i, col] == holds(b_rel, sigma, (x[i],) + x[:i] + x[i + 1:])
-    masks = g2_triple_locus(lat4, sigma)
+    masks = _g2_masks(lat4, sigma)
     g2_rel = case_points("G2").relations
     for col, x in enumerate(product(els, repeat=4)):
         l1, l4, s = lat4.l(1), lat4.l(4), lat4.s
@@ -371,7 +383,7 @@ def test_loci_do_not_depend_on_the_chunk_size(monkeypatch, rows):
     monkeypatch.setattr(SigmaModel, "form_chunks", spy)
     chunked = _all_loci(sigma)
     assert len(seen) > 0 and max(seen) <= rows
-    assert len(chunked) == len(default) == 8
+    assert len(chunked) == len(default) == 11
     for a, b in zip(default, chunked):
         assert a.shape == b.shape and np.array_equal(a, b)
     assert _invariance_outcomes(sigma, monkeypatch) == default_checks
@@ -391,11 +403,11 @@ def test_g2_locus_memory_is_bounded(lat4):
     g2_triple_locus(lat4, sigma)  # bundles and lattice caches filled outside the trace
     tracemalloc.start()
     try:
-        masks = g2_triple_locus(lat4, sigma)
+        locus = g2_triple_locus(lat4, sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert masks["relations"].shape == (5**8,)
+    assert locus.relations.shape == (5**8,)
     assert peak < 16 * 2**20
 
 
@@ -567,3 +579,42 @@ def test_locus_masks_match_the_transposition_kernel(group, zero_sum, drawn, rela
     assert np.array_equal(got, want)
     for row, (_, identical) in enumerate(drawn):
         assert got[row].all() or not identical
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_SIGMAS), st.sampled_from([5, 64, 1 << 15]))
+def test_g2_triple_locus_is_the_full_masks_decided_where_they_count(group, rows):
+    # |Sigma| <= 8: the claim's result against the three identities compared on every tuple
+    sigma = SigmaModel(*group)
+    with mock.patch.object(abelian, "_CHUNK_ROWS", rows):
+        locus = g2_triple_locus(_LAT4, sigma)
+    full = _g2_masks(_LAT4, sigma)
+    assert np.array_equal(locus.identity, full["sp_sm"] & full["w_sp"])
+    assert np.array_equal(locus.relations, full["relations"])
+    assert np.array_equal(locus.w_sm, full["w_sm"][full["relations"]])
+    assert locus.w_sm.all() == np.all(~full["relations"] | full["w_sm"])
+
+
+def test_g2_vector_identities_are_compared_only_where_they_decide(lat4, monkeypatch):
+    # w_sp on exactly the columns where sp_sm holds (4% of them), w_sm on exactly the locus
+    sigma = SigmaModel(5, 5)
+    forms, (sp_sm, w_sp, w_sm, rel) = repbundles._locus_plan(
+        lat4, np.eye(4, dtype=np.int64), repbundles._triality_identities(lat4),
+        [case_points("G2").relations])
+    compared = {sp_sm: [], w_sp: [], w_sm: [], rel: []}
+    test_masks = repbundles._test_masks
+
+    def spy(tests, codes, out=None, work=None):
+        for test in tests:
+            compared[test].append(codes.copy())
+        return test_masks(tests, codes, out, work)
+
+    full = _g2_masks(lat4, sigma)
+    codes = np.concatenate([c.copy() for _, c in sigma.form_chunks(forms)], axis=1)
+    monkeypatch.setattr(repbundles, "_test_masks", spy)
+    g2_triple_locus(lat4, sigma)
+    assert np.array_equal(np.concatenate(compared[sp_sm], axis=1), codes)
+    assert np.array_equal(np.concatenate(compared[rel], axis=1), codes)
+    assert np.array_equal(np.concatenate(compared[w_sp], axis=1), codes[:, full["sp_sm"]])
+    assert np.array_equal(np.concatenate(compared[w_sm], axis=1), codes[:, full["relations"]])
+    assert [full["sp_sm"].sum(), full["relations"].sum()] == [5**6, 5**4]

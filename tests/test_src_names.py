@@ -142,3 +142,80 @@ def test_no_src_module_holds_an_assert_statement():
     asserts = sorted(f"{mod}.py:{node.lineno}" for mod, tree in _modules().items()
                      for node in ast.walk(tree) if isinstance(node, ast.Assert))
     assert asserts == []
+
+
+# "<module>.<Class>.<field>" -> why a record field that no src module reads is kept
+UNREAD_FIELDS = {
+    "abelian.GroupSolveStack.particular": "the solution per image that test_abelian compares "
+                                          "with the one-row solves",
+    "repbundles.F4RepDecomposition.common_class": "the common class (1, -(x1 + x6)) of the zero "
+                                                  "lines, which the decomposition tests record",
+    "repbundles.F4RepDecomposition.kernel_det": "the determinant of the trace kernel, which the "
+                                                "decomposition tests record",
+    "liealg.StructureConstantTable.positive": "the height order of the positive roots, which "
+                                              "test_liealg compares with the Fraction oracle",
+    "liealg.StructureConstantTable.extraspecial": "the extraspecial pairs, which test_liealg "
+                                                  "compares with the oracle and test_cli breaks",
+}
+
+
+def _records(modules):
+    """Map each src NamedTuple class name to (module, its field names)."""
+    return {cls.name: (mod, [stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)])
+            for mod, tree in modules.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and any(getattr(base, "id", None) == "NamedTuple" for base in cls.bases)}
+
+
+def _annotation_name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "value", None)
+
+
+def _wholly_read_records(modules, records) -> set[str]:
+    """Records whose every field src reads at once: by ``_asdict()`` or by unpacking.
+
+    An expression is known to hold a record when it is a parameter
+    annotated with the record's class, or a call of the class or of a src
+    function whose return annotation names it.
+    """
+    returns = {fn.name: _annotation_name(fn.returns) for tree in modules.values()
+               for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.returns}
+    out = set()
+    for tree in modules.values():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = {a.arg: _annotation_name(a.annotation) for a in fn.args.args if a.annotation}
+
+            def record_of(expr):
+                if isinstance(expr, ast.Name):
+                    return params.get(expr.id)
+                if isinstance(expr, ast.Call):
+                    name = _annotation_name(expr.func)
+                    return name if name in records else returns.get(name)
+                return None
+
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "_asdict"):
+                    out.add(record_of(node.func.value))
+                elif isinstance(node, (ast.Assign, ast.For)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    value = node.value if isinstance(node, ast.Assign) else None
+                    if value is not None and any(isinstance(t, ast.Tuple) for t in targets):
+                        out.add(record_of(value))
+    return out & records.keys()
+
+
+def test_every_record_field_is_read_by_src_or_has_a_reason():
+    modules = _modules()
+    records = _records(modules)
+    reads = sum((_attribute_reads(tree) for tree in modules.values()), Counter())
+    whole = _wholly_read_records(modules, records)
+    fields = {f"{mod}.{cls}.{field}" for cls, (mod, names) in records.items() for field in names}
+    unread = sorted(key for key in fields if not reads[key.rsplit(".", 1)[1]]
+                    and key.split(".")[1] not in whole and key not in UNREAD_FIELDS)
+    assert unread == []
+    # no entry names a field that src reads after all, or one that is gone
+    assert sorted(key for key in UNREAD_FIELDS if key not in fields
+                  or reads[key.rsplit(".", 1)[1]] or key.split(".")[1] in whole) == []
