@@ -458,7 +458,7 @@ def _suite_moduli(cfg: RunConfig):
             x = _random_admissible(case, sigma, rng, 20)
             images = moduli.folded_images(case, x, sigma)
             # one solve per distinct image; each draw must lie in the block of its own
-            first, block = moduli.distinct_images(images, sigma)
+            first, block = moduli.distinct_images(images)
             res = moduli.reconstruct_points(case, images[first], sigma)
             missing = np.flatnonzero(~res.contains(x, block))
             if len(missing):

@@ -16,7 +16,7 @@ x = P t (``point_table``) maps an (n, rank, 2) stack of parameters to
 folded simple roots) maps points to an (n, rank, 2) stack of folded
 restriction data, and ``reconstruct_points`` inverts M P t on such a
 stack in one call.  A single image is a stack of one.  Draws that share an
-image share its solve: ``distinct_images`` keys each image by one int64,
+image share its solve: ``distinct_images`` groups the rows of a stack,
 and ``ReconstructionStack.contains`` looks each draw up in the block of its
 own image.
 """
@@ -108,15 +108,13 @@ class ReconstructionStack(NamedTuple):
     table: np.ndarray
     image: np.ndarray
 
-    def contains(self, x: np.ndarray, blocks=None) -> np.ndarray:
+    def contains(self, x: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         """(n,) bool: whether row i of the (n, npoints, 2) point table x is in block blocks[i].
 
-        ``blocks`` defaults to 0, ..., n - 1, so that row i is looked up in
-        block i.  Each row is compared with every row of its block, which
-        ``image`` delimits.
+        Each row is compared with every row of its block, which ``image``
+        delimits.
         """
-        b = np.arange(len(x)) if blocks is None else np.asarray(blocks)
-        lo, hi = (np.searchsorted(self.image, b, side) for side in ("left", "right"))
+        lo, hi = (np.searchsorted(self.image, blocks, side) for side in ("left", "right"))
         at = lo[:, None] + np.arange((hi - lo).max(initial=0))
         inside = at < hi[:, None]
         hit = (self.table[np.where(inside, at, 0)] == x[:, None]).all(axis=(2, 3))
@@ -152,18 +150,13 @@ def folded_images(case: str, x: np.ndarray, sigma: SigmaModel) -> np.ndarray:
     return restriction(case_spec(case).lattice, folded_simple_system(case), x, sigma)
 
 
-def distinct_images(images: np.ndarray, sigma: SigmaModel) -> tuple[np.ndarray, np.ndarray]:
+def distinct_images(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, block) of an (n, rank, 2) stack: the distinct images are ``images[first]``.
 
-    ``block[i]`` is the index of image i among them.  An image is keyed by
-    one int64, sum_j c_j |Sigma|^j over its point codes c_j = a m2 + b, when
-    |Sigma|^rank < 2^62, and by its row of codes otherwise.
+    ``block[i]`` is the index of image i among them.
     """
-    codes = images[..., 0] * sigma.m2 + images[..., 1]
-    if sigma.order ** codes.shape[1] < 1 << 62:
-        codes = codes @ sigma.order ** np.arange(codes.shape[1])
-    _, first, block = np.unique(codes, return_index=True, return_inverse=True,
-                                axis=0 if codes.ndim > 1 else None)
+    _, first, block = np.unique(images.reshape(len(images), -1), axis=0,
+                                return_index=True, return_inverse=True)
     return first, block.reshape(-1)
 
 

@@ -264,10 +264,10 @@ def test_stacked_reconstruction_is_blockwise_the_single_image_result(case, m):
     x = moduli.point_table(case, t, sigma)
     imgs = moduli.folded_images(case, x, sigma)
     stack = reconstruct_points(case, imgs, sigma)
-    assert stack.solvable.all() and stack.contains(x).all()
+    assert stack.solvable.all() and stack.contains(x, np.arange(len(x))).all()
     moved = x.copy()  # x1 + (0, 1) breaks the case's point relations
     moved[:, 0, 1] = (moved[:, 0, 1] + 1) % m
-    assert not stack.contains(moved).any()
+    assert not stack.contains(moved, np.arange(len(x))).any()
     assert np.array_equal(stack.image, np.repeat(np.arange(len(t)), stack.kernel_size))
     assert np.array_equal(moduli.folded_images(case, stack.table, sigma), imgs[stack.image])
     assert not stack.table.flags.writeable
@@ -289,14 +289,14 @@ def test_draws_are_looked_up_in_the_block_of_their_own_image(case, m):
     sigma, rng = SigmaModel(m, m), np.random.default_rng(5)
     x = moduli.point_table(case, rng.integers(0, m, (30, case_spec(case).rank, 2)), sigma)
     images = moduli.folded_images(case, x, sigma)
-    first, block = moduli.distinct_images(images, sigma)
+    first, block = moduli.distinct_images(images)
     assert np.array_equal(images[first][block], images)
     assert len(np.unique(images[first].reshape(len(first), -1), axis=0)) == len(first)
     res = reconstruct_points(case, images[first], sigma)
     assert res.contains(x, block).all()
     for shift in range(1, len(first)):
         assert not res.contains(x, (block + shift) % len(first)).any()
-    assert reconstruct_points(case, images, sigma).contains(x).all()
+    assert reconstruct_points(case, images, sigma).contains(x, np.arange(len(x))).all()
     # a block short of a draw's row: that draw alone is missed
     keep = ~(res.table == x[0]).all(axis=(1, 2))
     short = moduli.ReconstructionStack(res.solvable, res.kernel_size, res.table[keep],
@@ -307,11 +307,11 @@ def test_draws_are_looked_up_in_the_block_of_their_own_image(case, m):
 
 @pytest.mark.parametrize("group", [(2, 2), (1, 2**16)])
 def test_distinct_images_group_the_rows_of_the_stack(group):
-    # |Sigma|^4 below 2^62 keys an image by one int64; 2^64 keys it by its row of codes
-    sigma, rng = SigmaModel(*group), np.random.default_rng(11)
+    # a small group, and one whose images have |Sigma|^4 = 2^64 possible values
+    rng = np.random.default_rng(11)
     pool = np.stack([rng.integers(0, group[0], (5, 4)), rng.integers(0, group[1], (5, 4))], axis=-1)
     images = pool[rng.integers(0, 5, 40)]
-    first, block = moduli.distinct_images(images, sigma)
+    first, block = moduli.distinct_images(images)
     assert np.array_equal(images[first][block], images)
     rows = [tuple(r) for r in images.reshape(40, -1).tolist()]
     assert len(first) == len(set(rows)) and block.shape == (40,)
@@ -326,10 +326,10 @@ def test_reconstruction_membership_matches_the_assignments(case, m1, m2, other):
             x = moduli.point_table(case, np.array([t], dtype=np.int64), sigma)
             res = reconstruct_points(case, moduli.folded_images(case, x, sigma), sigma)
             rows = _assignments(res.table)
-            assert res.contains(x)[0] and _assignments(x)[0] in rows
+            assert res.contains(x, [0])[0] and _assignments(x)[0] in rows
             moved = x.copy()  # x1 + (0, 1)
             moved[0, 0, 1] = (moved[0, 0, 1] + 1) % sigma.m2
-            assert not res.contains(moved)[0] and _assignments(moved)[0] not in rows
+            assert not res.contains(moved, [0])[0] and _assignments(moved)[0] not in rows
             with pytest.raises(ValueError):
                 res.table[0, 0, 0] = 1
 

@@ -199,12 +199,54 @@ def _wholly_read_records(modules, records) -> set[str]:
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr == "_asdict"):
                     out.add(record_of(node.func.value))
-                elif isinstance(node, (ast.Assign, ast.For)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    value = node.value if isinstance(node, ast.Assign) else None
-                    if value is not None and any(isinstance(t, ast.Tuple) for t in targets):
-                        out.add(record_of(value))
+                elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Tuple)
+                                                          for t in node.targets):
+                    out.add(record_of(node.value))
     return out & records.keys()
+
+
+def test_whole_record_reads_are_detected_in_each_form():
+    # one record per form the guard accepts, and two it does not: a record
+    # unpacked in a for-loop target, and one whose value src never holds
+    source = '''
+from typing import NamedTuple
+
+class Dumped(NamedTuple):
+    a: int
+
+class Built(NamedTuple):
+    a: int
+    b: int
+
+class Returned(NamedTuple):
+    a: int
+    b: int
+
+class Looped(NamedTuple):
+    a: int
+    b: int
+
+class Unread(NamedTuple):
+    a: int
+    b: int
+
+def make() -> Returned:
+    return Returned(1, 2)
+
+def dump(rec: Dumped):
+    return rec._asdict()
+
+def unpack():
+    a, b = Built(1, 2)
+    c, d = make()
+    for e, f in [Looped(1, 2)]:
+        pass
+    return Unread(a, c)
+'''
+    modules = {"toy": ast.parse(source)}
+    records = _records(modules)
+    assert sorted(records) == ["Built", "Dumped", "Looped", "Returned", "Unread"]
+    assert _wholly_read_records(modules, records) == {"Dumped", "Built", "Returned"}
 
 
 def test_every_record_field_is_read_by_src_or_has_a_reason():
