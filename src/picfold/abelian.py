@@ -116,7 +116,8 @@ class SigmaModel:
         ta, tb = (np.zeros((nforms, 1), wide) for _ in range(2))
         for c in forms[:, k - w:].T:
             ta, tb = (wrapped(v[:, :, None] + (c[:, None] * e % m).astype(wide)[:, None], m)
-                      .reshape(nforms, -1) for v, e, m in ((ta, el // m2, m1), (tb, el % m2, m2)))
+                      .reshape(nforms, v.shape[1] * order)
+                      for v, e, m in ((ta, el // m2, m1), (tb, el % m2, m2)))
         # T[f, (a, b)] = code(tail_f + (a, b)): each factor translated by each of its residues
         ga = wrapped(ta[:, None] + np.arange(m1, dtype=wide)[:, None], m1) * wide.type(m2)
         gb = wrapped(tb[:, None] + np.arange(m2, dtype=wide)[:, None], m2)
@@ -135,7 +136,8 @@ class SigmaModel:
             codes = buf[:g.size * width].reshape(nforms, len(idx), width)  # contiguous
             # in range by construction; mode "raise" would gather into a copy of out
             np.take(table, rows + g, axis=0, out=codes, mode="clip")
-            yield slice(h0 * width, (h0 + len(idx)) * width), codes.reshape(nforms, -1)
+            yield (slice(h0 * width, (h0 + len(idx)) * width),
+                   codes.reshape(nforms, len(idx) * width))
 
 
 def weierstrass_group(p: int, a: int, b: int):

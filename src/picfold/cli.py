@@ -523,6 +523,8 @@ def _suite_repbundles(cfg: RunConfig):
         return {"tuples": int(ident.shape[1]), "indices": 3}
 
     def g2_iff():
+        # 5 x 5 has odd order: the identities cut out the G2 locus only where |Sigma| has no
+        # 2-torsion, and hold off it too at even |Sigma| (``g2_triple_locus``)
         lat = lattice.make_blowup_lattice("F1", 4)
         sig = abelian.SigmaModel(5, 5)
         locus = repbundles.g2_triple_locus(lat, sig, cfg.action_cap)

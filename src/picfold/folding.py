@@ -259,12 +259,6 @@ def folded_simple_system(case: str) -> tuple[DivisorClass, ...]:
     return tuple(DivisorClass(tuple(col)) for col in sums.T.tolist())
 
 
-def _ambient_root_coords(rho: OuterAutomorphism) -> tuple[np.ndarray, np.ndarray]:
-    """The simple roots as lattice columns, and the ambient roots in their coordinates."""
-    bmat, ambient = _columns(rho.simple_system), ambient_root_system(rho.ambient, rho.lattice)
-    return bmat, basis_coordinates(bmat, _columns(ambient))
-
-
 def folded_root_system(case: str) -> tuple[DivisorClass, ...]:
     """R(G) of a folded case, the sigma-orbit sums of the ambient roots, built once."""
     return _folded_roots(case)
@@ -278,7 +272,8 @@ def _folded_roots(case: str) -> tuple[DivisorClass, ...]:
     """
     rho = case_fold(case)
     lat = rho.lattice
-    bmat, coords = _ambient_root_coords(rho)
+    bmat = _columns(rho.simple_system)
+    coords = basis_coordinates(bmat, _columns(ambient_root_system(rho.ambient, lat)))
     sums = {DivisorClass(tuple(col)) for col in (bmat @ _orbit_sums(coords, rho)).T.tolist()}
     inv, images, fixed = np.argsort(rho.permutation), coords, 0
     for _ in range(rho.order):
@@ -288,15 +283,6 @@ def _folded_roots(case: str) -> tuple[DivisorClass, ...]:
         raise ValueError(f"{case} on {lat.npoints} points: {len(sums)} orbit sums "
                          f"for {fixed // rho.order} sigma-orbits")
     return tuple(sorted(sums))
-
-
-def f4_short_roots(lat: IntersectionLattice) -> tuple[DivisorClass, ...]:
-    """The 24 short roots of F4: the sums alpha + sigma alpha over the 2-orbits of R(E6)."""
-    rho = outer_automorphism("E6", lat)
-    bmat, coords = _ambient_root_coords(rho)
-    moved = coords[:, (coords[np.argsort(rho.permutation)] != coords).any(axis=0)]
-    sums = bmat @ _orbit_sums(moved, rho)
-    return tuple(sorted({DivisorClass(tuple(c)) for c in sums.T.tolist()}))
 
 
 def _fixed_coords(basis, classes) -> np.ndarray:

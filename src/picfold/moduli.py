@@ -9,7 +9,9 @@ t, such as the P of ``case_points`` (x = P t).
 
 The folded Weyl group is the centralizer of the diagram automorphism in
 the ambient one, W(G) = W(G~)^sigma (Steinberg, *Endomorphisms of linear
-algebraic groups*, 1968); ``chi_injectivity_check`` certifies it per case.
+algebraic groups*, 1968).  ``chi_injectivity_check`` requires it per case,
+raising ``ValueError`` otherwise, and then has one verdict; its budget
+counts the entries it stores.
 
 x = P t (``point_table``) maps an (n, rank, 2) stack of parameters to
 (n, npoints, 2) points, M x (``folded_images``, the ``restriction`` of the
@@ -197,24 +199,22 @@ class ChiReport(NamedTuple):
 def conjugacy_class_walk(perm: np.ndarray, gens: np.ndarray):
     """The class of perm under conjugation by the group of the involutions gens, level by level.
 
-    Returns (us, taus, edges): the class is {us[j] perm us[j]^-1} and taus[j] = us[j]^-1, so
-    the group is the disjoint union of the cosets C taus[j], C the centralizer of perm; edges
-    are index arrays (i, g, j), one entry per j and g, with gens[g] conjugating j into i.
+    Returns (us, taus): the class is {us[j] perm us[j]^-1} and taus[j] = us[j]^-1, so the
+    group is the disjoint union of the cosets C taus[j], C the centralizer of perm.
     """
     conj, us = perm[None], np.eye(len(perm), dtype=np.int64)[None]
-    taus, index, edges, done = us, {perm.tobytes(): 0}, [], 0
+    taus, index, done = us, {perm.tobytes(): 0}, 0
     while done < len(conj):
         gen, src = (a.ravel() for a in np.indices((len(gens), len(conj) - done)))
         src += done
         ids = np.array([index.setdefault(key, len(index))
                         for key in row_keys(gens[gen] @ conj[src] @ gens[gen])], dtype=np.int64)
-        edges.append((ids, gen, src))
         fresh, at = np.unique(ids, return_index=True)
         g, j = gen[at[fresh >= len(conj)]], src[at[fresh >= len(conj)]]
         done = len(conj)
         conj = np.concatenate([conj, gens[g] @ conj[j] @ gens[g]])
         us, taus = np.concatenate([us, gens[g] @ us[j]]), np.concatenate([taus, taus[j] @ gens[g]])
-    return us, taus, tuple(map(np.concatenate, zip(*edges)))
+    return us, taus
 
 
 def chi_injectivity_check(case: str, sigma: SigmaModel,
@@ -231,51 +231,47 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     Its centralizer C in W_big preserves the domain, and W_big is the union
     of the cosets C tau, tau in T (``conjugacy_class_walk``), so the big
     orbit of x meets the domain in the C-orbits of the tau x inside it.
-    A small generator that leaves the domain or W_big raises ``ValueError``
-    before any orbit is compared.  W_small = C is certified when its
-    generators commute with P and |W_small| |T| = |W_big|; otherwise the
-    C-orbits are labelled from the Schreier generators of C.  Orbits of
-    domain tuples (positions in product order) are labelled with their
-    least position by min-label propagation and pointer jumping, and T is
-    applied to these orbit representatives only.  The first representative
-    whose big orbit meets the domain outside its small orbit fails, with
-    the point there of least code c1 + m1^r' c2 (each factor little-endian,
-    x2 the more significant half) and the representatives checked so far.
+    W_small = C is required, in this order: the small generators commute
+    with P, lie in W_big and keep the domain, and |W_small| |T| = |W_big|;
+    a part that fails raises ``ValueError`` naming it, before any orbit is
+    compared.  Orbits of domain tuples (positions in product order) are
+    labelled with their least position by min-label propagation and pointer
+    jumping, and T is applied to these orbit representatives only.  A
+    representative x fails when some tau x in the domain has a label other
+    than x; the first one fails, with the point there of least code
+    c1 + m1^r' c2 (each factor little-endian, x2 the more significant half)
+    and the representatives checked so far.
 
     Both groups come from ``folding`` as ``CoxeterWeylGroup``s: |W_big| and
     |W_small| are products of fundamental-weight orbit sizes, read from the
     Cartan matrices, and the subgroup test descends each small generator
     to the dominant chamber of W_big.  A group of order above ``weyl_cap``
-    raises ``BudgetExceededError`` before it is built.
-
-    Two budget terms are checked against ``action_cap`` before anything
-    is allocated: the domain size times |W_big|, and |Sigma|^r' plus one
-    entry per generator and per point of each factor, what an orbit walk
-    over Sigma^r' would store.  Nothing that large is allocated, so the
-    second term is conservative; it is kept so that the same inputs run or
-    refuse.
+    raises ``BudgetExceededError`` before it is built, and so do more stored
+    entries than ``action_cap``, counted before anything is allocated with
+    |T| = |W_big| / |W_small|: the code -> position tables, sum_j m_j^r';
+    the generator and coset maps of each factor's domain, (gens of W_big and
+    W_small + |T|) sum_j m_j^k; the label maps and the coset images of the
+    representatives, domain (gens of W_small + |T|).
     """
     rho = case_fold(case)
     delta, lat = rho.simple_system, rho.lattice
-    w_big = ambient_weyl_group(case, weyl_cap)
-    w_small = folded_weyl_group(case, weyl_cap)
+    w_big, w_small = ambient_weyl_group(case, weyl_cap), folded_weyl_group(case, weyl_cap)
     basis = fixed_sublattice(rho)
-    k = len(basis)
-    rprime = len(delta)
-    domain_size = sigma.order**k
-    if domain_size * len(w_big) > action_cap:
-        raise BudgetExceededError(
-            f"{domain_size} domain elements x {len(w_big)} group elements "
-            f"exceeds the action cap {action_cap}"
-        )
-    mods = (sigma.m1, sigma.m2)
+    k, rprime, mods = len(basis), len(delta), (sigma.m1, sigma.m2)
     sizes = [m**rprime for m in mods]
-    walk_entries = sigma.order**rprime + (len(w_big.mats) + len(w_small.mats)) * sum(sizes)
-    if walk_entries > action_cap:
-        raise BudgetExceededError(
-            f"{walk_entries} orbit-walk entries ({sigma.order}^{rprime} states and the "
-            f"generator tables) exceed the action cap {action_cap}"
-        )
+    domain_size, cosets = sigma.order**k, len(w_big) // len(w_small)
+    work = (sum(sizes) + (len(w_big.mats) + len(w_small.mats) + cosets) * sum(m**k for m in mods)
+            + domain_size * (len(w_small.mats) + cosets))
+    if work > action_cap:
+        raise BudgetExceededError(f"{work} entries ({domain_size} domain elements, {cosets} "
+                                  f"cosets of W(G)) exceed the action cap {action_cap}")
+
+    small = restrict_to_basis(w_small.mats, delta, lat)
+    perm = np.eye(rprime, dtype=np.int64)[:, list(rho.permutation)]
+    if not np.array_equal(small @ perm, perm @ small):
+        raise ValueError(f"{case}: the small group does not commute with sigma")
+    if not all(g in w_big for g in w_small.gens):
+        raise ValueError(f"{case}: the small group is not a subgroup of the big one")
 
     embed = basis_coordinates(np.array([r.coords for r in delta], dtype=np.int64).T,
                               np.array([b.coords for b in basis], dtype=np.int64).T)  # (r', k)
@@ -293,46 +289,33 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
         return [at[p @ mats.transpose(0, 2, 1) % m @ w]
                 for at, p, m, w in zip(where, pts, mods, weights)]
 
-    def labels(maps1, maps2):
-        """The least position of each domain tuple's orbit under the generators."""
-        gens = [(a[:, None] * n2 + b).ravel() for a, b in zip(maps1, maps2)]  # maps of positions
-        lab, prev = np.arange(domain_size), None
-        while not np.array_equal(lab, prev):
-            prev = lab
-            for p in gens:
-                lab = np.minimum(lab, lab[p])
-            while not np.array_equal(lab, jumped := lab[lab]):
-                lab = jumped
-        return lab
-
-    small = restrict_to_basis(w_small.mats, delta, lat)
     small_maps = maps(small)
     if any((m < 0).any() for m in small_maps):
         raise ValueError(f"{case}: a small orbit leaves the domain part of its big orbit")
-    if not all(g in w_big for g in w_small.gens):
-        raise ValueError(f"{case}: the small group is not a subgroup of the big one")
-    lab = labels(*small_maps)
-    big = restrict_to_basis(w_big.mats, delta, lat)
-    perm = np.eye(rprime, dtype=np.int64)[:, list(rho.permutation)]
-    us, taus, (ids, gen, src) = conjugacy_class_walk(perm, big)
-    certified = (np.array_equal(small @ perm, perm @ small)
-                 and len(w_small) * len(taus) == len(w_big))
-    clab = lab
-    if not certified:  # the orbits of C, from its distinct Schreier generators
-        clab = labels(*maps(np.unique(taus[ids] @ big[gen] @ us[src], axis=0)))
+    _, taus = conjugacy_class_walk(perm, restrict_to_basis(w_big.mats, delta, lat))
+    if len(w_small) * len(taus) != len(w_big):
+        raise ValueError(f"{case}: the small group is not the centralizer of sigma: "
+                         f"|W(G)| |T| = {len(w_small)} x {len(taus)}, not {len(w_big)}")
+
+    # the least position of each domain tuple's orbit under the small generators
+    gens = [(a[:, None] * n2 + b).ravel() for a, b in zip(*small_maps)]  # maps of positions
+    lab, prev = np.arange(domain_size), None
+    while not np.array_equal(lab, prev):
+        prev = lab
+        for p in gens:
+            lab = np.minimum(lab, lab[p])
+        while not np.array_equal(lab, jumped := lab[lab]):
+            lab = jumped
 
     reps = np.flatnonzero(lab == np.arange(domain_size))
     t1, t2 = maps(taus)
     a, b = t1[:, reps // n2], t2[:, reps % n2]
-    reached = np.sort(np.where((a >= 0) & (b >= 0), clab[a * n2 + b], domain_size), axis=0)
-    first = np.diff(reached, axis=0, prepend=-1) != 0
-    # met: the size of the big orbit on the domain; it holds the small one, so equal iff as big
-    met = (np.append(np.bincount(clab, minlength=domain_size), 0)[reached] * first).sum(axis=0)
-    bad = np.flatnonzero(met > np.bincount(lab, minlength=domain_size)[reps])
+    reached = np.where((a >= 0) & (b >= 0), lab[a * n2 + b], reps)
+    bad = np.flatnonzero((reached != reps).any(axis=0))
     if not len(bad):
         return ChiReport(True, domain_size, len(reps), None)
     x = reps[bad[0]]
-    ys = np.flatnonzero(np.isin(clab, reached[:, bad[0]]) & (lab != x))
+    ys = np.flatnonzero(np.isin(lab, reached[:, bad[0]]) & (lab != x))
     y = ys[np.argmin(codes[0][ys // n2] + sizes[0] * codes[1][ys % n2])]
     return ChiReport(False, domain_size, int(bad[0]) + 1,
                      tuple((tuple(coords[0][t // n2]), tuple(coords[1][t % n2])) for t in (x, y)))

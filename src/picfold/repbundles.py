@@ -46,7 +46,7 @@ import numpy as np
 
 from ._linalg import integer_left_inverse
 from .abelian import SigmaModel
-from .folding import case_points, f4_short_roots, fixed_sublattice, outer_automorphism
+from .folding import case_points, fixed_sublattice, folded_root_system, outer_automorphism
 from .lattice import SELF, DivisorClass, IntersectionLattice, enumerate_classes, gram_matrix
 from .moduli import restriction
 
@@ -152,27 +152,31 @@ def _locus_plan(lat, params, pairs, relations=()):
     multisets at a point iff A = B there.  A pair's test is one group (lhs
     rows, rhs rows) of forms per degree left, whose sorted codes must agree;
     a degree with nothing left holds everywhere.  A relation block's test is
-    the one group (rows, ()), whose codes must vanish.
+    the one group (rows, ()), whose codes must vanish.  Only the forms a test
+    reads are placed: a summand that cancels has no row.
     """
     where = {}  # form in t -> its row
 
-    def place(rows):
+    def formed(rows):
         forms = np.array(rows, dtype=np.int64).reshape(-1, len(params)) @ params
-        return tuple(where.setdefault(form, len(where)) for form in map(tuple, forms.tolist()))
+        return map(tuple, forms.tolist())
+
+    def place(forms):
+        return tuple(sorted(where.setdefault(form, len(where)) for form in forms))
 
     tests = []
     for pair in pairs:
         sides = [Counter(zip([lat.deg(d + tw) for d in summands],
-                             place([lat.l_coeffs(d + tw) for d in summands]))) for summands, tw in pair]
+                             formed([lat.l_coeffs(d + tw) for d in summands]))) for summands, tw in pair]
         lhs, rhs = (sorted(deg for deg, _ in side.elements()) for side in sides)
         if lhs != rhs:
             raise ValueError(f"summand degrees {lhs} and {rhs} differ: no identification")
         left, right = sides[0] - sides[1], sides[1] - sides[0]
-        tests.append(tuple(tuple(tuple(sorted(r for d, r in side.elements() if d == deg))
+        tests.append(tuple(tuple(place(f for d, f in side.elements() if d == deg)
                                  for side in (left, right))
                            for deg in sorted({d for d, _ in left})))
-    tests += [((place(rows), ()),) for rows in relations]
-    return np.array(list(where), dtype=np.int64).reshape(len(where), -1), tests
+    tests += [((place(formed(rows)), ()),) for rows in relations]
+    return np.array(list(where), dtype=np.int64).reshape(len(where), params.shape[1]), tests
 
 
 def _test_masks(tests, codes, out=None, work=None):
@@ -277,6 +281,11 @@ def g2_triple_locus(lat: IntersectionLattice, sigma: SigmaModel, cap: int = 10**
     the locus on which it must hold.  So ``identity`` is exactly sp_sm and w_sp
     on every tuple, and ``w_sm`` is the third identity on the locus.  The
     walk is refused past ``cap`` tuples (``BudgetExceededError``).
+
+    ``identity`` equals ``relations`` only when |Sigma| has no 2-torsion
+    (|Sigma| odd); at even |Sigma| it holds off the locus too, on 8 tuples
+    against 4 at Z/2 and 64 against 16 at 2 x 2.  ``w_sm`` holds on the locus
+    at every Sigma.
     """
     walked, (sp_sm, w_sp, w_sm, rel) = _locus_plan(lat, np.eye(4, dtype=np.int64),
                                                   _triality_identities(lat),
@@ -379,7 +388,8 @@ def f4_rep_decomposition(lat: IntersectionLattice, x, sigma: SigmaModel | None =
         if lat.deg(e) != 1 or not np.array_equal(pt, common[1]):
             raise AssertionError(f"{e} does not restrict to the common class {common}")
     short_map = {e: img for e, img in zip(lines, images) if e not in zero_lines}
-    if set(short_map.values()) != set(f4_short_roots(lat)):
+    short = {r for r in folded_root_system("F4") if lat.pair(r, r) == -4}  # the 2-orbit sums
+    if set(short_map.values()) != short:
         raise AssertionError("the 24 lines do not project onto the 24 short roots")
     # compatibility between the two levels of restriction data
     rest = tuple(short_map)

@@ -303,6 +303,19 @@ def test_form_chunks_without_a_tail():
     _check_one_buffer((1, 7), 5, [5] * 68 + [3])
 
 
+@pytest.mark.parametrize("group,k,rows", [((1, 5), 3, 50), ((1, 7), 3, 5), ((2, 2), 4, 70),
+                                          ((2, 4), 0, 70)])
+def test_form_chunks_walk_zero_forms(group, k, rows):
+    # no forms, as when every summand of a pair cancels: the chunks of a one-form walk,
+    # each with (0, n) codes
+    sigma = SigmaModel(*group)
+    with mock.patch.object(abelian, "_CHUNK_ROWS", rows):
+        one = [cols for cols, _ in sigma.form_chunks(np.ones((1, k), dtype=np.int64))]
+        none = list(sigma.form_chunks(np.zeros((0, k), dtype=np.int64)))
+    assert [cols for cols, _ in none] == one
+    assert [codes.shape for _, codes in none] == [(0, c.stop - c.start) for c in one]
+
+
 # V^-1 of this matrix's Smith form has an entry past 2^62: a few of them times a
 # residue overflow int64 unless V^-1 is reduced mod m first.
 _WIDE_VINV_8X8 = [[-2, 0, 4, -1, 2, 0, 3, 3], [4, 0, -1, 4, -1, 4, 2, 0],

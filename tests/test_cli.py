@@ -61,8 +61,14 @@ def test_failing_claim_has_witness_and_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_text_report_says_why_a_claim_was_skipped(capsys):
-    assert main(["verify", "moduli", "--sigma", "3,3"]) == 0
+def _cap_config(tmp_path, cap=10_000):
+    cfg = tmp_path / "cap.cfg"
+    cfg.write_text(f"budget.action_cap = {cap}\n")
+    return str(cfg)
+
+
+def test_text_report_says_why_a_claim_was_skipped(tmp_path, capsys):
+    assert main(["verify", "moduli", "--config", _cap_config(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("moduli.chi.injective.F4"))
     assert "skipped" in lines[at]
@@ -284,8 +290,13 @@ def test_f4_decomposition_fails_under_optimize():
     # with one short root missing, bundles.F4.rep.27=3+24 must fail even under -O
     status = run_under_optimize(
         "from picfold import repbundles\n"
-        "roots = repbundles.f4_short_roots\n"
-        "repbundles.f4_short_roots = lambda lat: roots(lat)[1:]\n", "repbundles")
+        "from picfold.cases import case_spec\n"
+        "roots = repbundles.folded_root_system\n"
+        "def broken(case):\n"
+        "    lat = case_spec(case).lattice\n"
+        "    short = [r for r in roots(case) if lat.pair(r, r) == -4]\n"
+        "    return tuple(r for r in roots(case) if r != short[0])\n"
+        "repbundles.folded_root_system = broken\n", "repbundles")
     assert status["bundles.F4.rep.27=3+24"]["status"] == "fail"
     assert [r for r, v in status.items() if v["status"] == "fail"] == ["bundles.F4.rep.27=3+24"]
 
@@ -349,19 +360,35 @@ def test_chi_claims_fail_under_optimize_with_a_trivial_small_group():
     assert [r for r, v in status.items() if v["status"] == "fail"] == [
         "moduli.chi.injective.small", "moduli.chi.injective.F4"]
     assert {v["status"] for r, v in status.items() if "chi" not in r} == {"pass"}
-    assert status["moduli.chi.injective.small"]["witness"].startswith("assertion failed: B2: ")
+    assert status["moduli.chi.injective.small"]["witness"] == (
+        "ValueError: B2: the small group is not the centralizer of sigma: "
+        "|W(G)| |T| = 1 x 3, not 24")
 
 
 def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
-    # 9^4 domain tuples x |W(E6)| = 340,122,240 exceeds the default action cap of 10^8
+    # at 2 x 2 F4 stores an estimated 14,432 entries, past a cap of 10,000; the small cases
+    # (at most 656) and the invariance walk (4,096 tuples) fit
     out = tmp_path / "r.json"
-    rc = main(["verify", "moduli", "--sigma", "3,3", "--format", "json", "--out", str(out)])
+    rc = main(["verify", "moduli", "--config", _cap_config(tmp_path), "--format", "json",
+               "--out", str(out)])
     assert rc == 0
     status = {r["id"]: r for r in json.loads(out.read_text())["results"]}
     assert status["moduli.chi.injective.F4"]["status"] == "skipped"
-    assert "exceeds the action cap 100000000" in status["moduli.chi.injective.F4"]["witness"]
+    assert status["moduli.chi.injective.F4"]["witness"] == (
+        "14432 entries (256 domain elements, 45 cosets of W(G)) exceed the action cap 10000")
     others = [r["status"] for cid, r in status.items() if cid != "moduli.chi.injective.F4"]
     assert set(others) == {"pass"}
+    capsys.readouterr()
+
+
+def test_moduli_at_3x3_passes_every_claim_at_the_default_caps(tmp_path, capsys):
+    # F4 stores an estimated 331,857 entries at 3 x 3, within the default cap of 10^8
+    out = tmp_path / "r.json"
+    assert main(["verify", "moduli", "--sigma", "3,3", "--format", "json",
+                 "--out", str(out)]) == 0
+    status = {r["id"]: r for r in json.loads(out.read_text())["results"]}
+    assert len(status) == 5 and {r["status"] for r in status.values()} == {"pass"}
+    assert status["moduli.chi.injective.F4"]["witness"] == {"domain": 6561, "orbits": 40}
     capsys.readouterr()
 
 

@@ -14,7 +14,6 @@ from picfold.folding import (
     ambient_root_system,
     ambient_weyl_group,
     case_fold,
-    f4_short_roots,
     fixed_sublattice,
     folded_root_system,
     folded_simple_system,
@@ -143,10 +142,10 @@ def test_folded_root_counts(cubic):
         assert len(folded_root_system(f"C{n}")) == 2 * n * n
     assert len(folded_root_system("G2")) == 12
     assert len(folded_root_system("F4")) == 48
-    # the 2-orbit sums are exactly the roots of self-intersection -4
-    assert f4_short_roots(cubic) == tuple(sorted(
-        r for r in folded_root_system("F4") if cubic.pair(r, r) == -4))
-    assert len(f4_short_roots(cubic)) == 24
+    # the F4 roots have self-intersection -8 (the sigma-fixed roots, doubled) or -4 (the
+    # 2-orbit sums), 24 of each
+    norms = [cubic.pair(r, r) for r in folded_root_system("F4")]
+    assert (norms.count(-8), norms.count(-4)) == (24, 24)
 
 
 def _literal_roots(case, lat):

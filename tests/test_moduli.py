@@ -349,37 +349,54 @@ def test_chi_budget_respected():
         chi_injectivity_check("F4", SigmaModel(2, 2), action_cap=10)
 
 
-def test_chi_refuses_a_small_group_that_leaves_the_domain(monkeypatch):
-    # W_big in place of W_small: its orbits leave the fixed domain, so no check applies
+def test_chi_refuses_a_small_group_that_does_not_commute_with_sigma(monkeypatch):
+    # W_big in place of W_small: its generators do not commute with sigma, the first check
     def big_as_small(case, cap=10**6):
         rho = case_fold(case)
         return weyl_generate(simple_reflections(rho.simple_system, rho.lattice))
 
     monkeypatch.setattr(moduli, "folded_weyl_group", big_as_small)
+    with pytest.raises(ValueError, match="B2: the small group does not commute with sigma"):
+        chi_injectivity_check("B2", SigmaModel(2, 2))
+
+
+def test_chi_refuses_a_small_group_that_leaves_the_domain(monkeypatch):
+    # the domain cut to the span of the second basis vector, which W(B2) commuting with
+    # sigma and lying in W(A3) does not preserve: no orbit is labelled off the domain
+    monkeypatch.setattr(moduli, "fixed_sublattice", lambda rho: fixed_sublattice(rho)[1:])
     with pytest.raises(ValueError, match="leaves the domain part of its big orbit"):
         chi_injectivity_check("B2", SigmaModel(2, 2))
 
 
 def test_chi_walk_budget_refuses_before_allocating():
-    # B2 in A3 at Sigma = Z/30: 30^2 domain tuples x |W(A3)| = 21,600 fit the cap,
-    # the 30^3 = 27,000 states of the walk over Sigma^3 do not
-    with pytest.raises(BudgetExceededError, match=r"orbit-walk entries \(30\^3 states"):
+    # B2 in A3 at Sigma = Z/30: the code tables hold 1 + 30^3 entries, the generator and
+    # coset maps (3 + 2 + 3) (1 + 30^2) and the label and coset maps 30^2 (2 + 3)
+    with pytest.raises(BudgetExceededError, match=r"^38709 entries \(900 domain elements, "
+                                                   r"3 cosets of W\(G\)\) exceed the action cap 25000$"):
         chi_injectivity_check("B2", SigmaModel(1, 30), action_cap=25_000)
 
 
 def test_chi_memory_is_bounded():
     sigma = SigmaModel(3, 3)
-    chi_injectivity_check("F4", sigma, action_cap=10**10)  # lattice and automorphism caches
-    tracemalloc.start()
-    try:
-        rep = chi_injectivity_check("F4", sigma, action_cap=10**10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (rep.passed, rep.domain_size, rep.orbits_checked) == (True, 6561, 40)
-    # nothing sized |Sigma|^6 = 531,441 is allocated: the domain state is a few int64
-    # vectors of 6,561 entries, and coordinates are taken per factor, not per domain tuple
-    assert peak < 2 * 2**20
+    for case, want in (("B3", (True, 729, 35)), ("F4", (True, 6561, 40))):
+        with pytest.raises(BudgetExceededError) as refused:
+            chi_injectivity_check(case, sigma, action_cap=0)
+        estimate = int(str(refused.value).split()[0])  # the entries the check stores
+        chi_injectivity_check(case, sigma, action_cap=10**10)  # lattice and automorphism caches
+        tracemalloc.start()
+        try:
+            rep = chi_injectivity_check(case, sigma, action_cap=10**10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rep.passed, rep.domain_size, rep.orbits_checked) == want
+        # the estimate counts int64 entries: the peak stays within twice their bytes
+        # (B3 ~1.3x, F4 ~0.3x), and for F4 nothing sized |Sigma|^6 = 531,441 is allocated:
+        # the domain state is a few int64 vectors of 6,561 entries, and coordinates are
+        # taken per factor, not per domain tuple
+        assert peak < 2 * 8 * estimate, (case, peak, estimate)
+        if case == "F4":
+            assert estimate == 331_857 and peak < 2 * 2**20
 
 
 def _encode(arrs, base):
@@ -458,17 +475,52 @@ def test_chi_generator_orbits_match_full_group(case, m1, m2):
     assert rep == full_group_chi_check(case, sigma)
 
 
+NOT_THE_CENTRALIZER = "the small group is not the centralizer of sigma"
+
+
 @pytest.mark.parametrize(
     "case,m1,m2",
     [pytest.param(case, 2, 2, id=case) for case in ("B2", "G2", "F4")]
     + [(case, m1, m2) for case in ("B2", "G2") for m1, m2 in ((2, 4), (1, 6))],
 )
 def test_chi_forced_failure_matches_full_group(case, m1, m2, monkeypatch):
-    # with a trivial small group every nontrivial big orbit is a counterexample;
-    # unequal moduli give different code weights per factor, the oracle one uniform base
+    # a trivial small group, under which the oracle finds a counterexample, is refused:
+    # it commutes with sigma and lies in W_big, but |T| alone is not |W_big|
     monkeypatch.setattr(moduli, "folded_weyl_group", lambda case, cap=10**6: weyl_generate(
         [], rank=case_spec(case).lattice.rank))
     sigma = SigmaModel(m1, m2)
+    assert not full_group_chi_check(case, sigma).passed
+    with pytest.raises(ValueError, match=f"^{case}: {NOT_THE_CENTRALIZER}: "):
+        chi_injectivity_check(case, sigma)
+
+
+class _LabelledByFewer:
+    """W(G) to the certificate (``gens`` and the order), one generator fewer to the labels.
+
+    The check restricts ``mats`` to label the orbits, and so does ``full_group_chi_check``:
+    both then read the subgroup H of the other generators in place of W(G).
+    """
+
+    def __init__(self, group, drop):
+        self.gens, self.order = group.gens, len(group)
+        self.mats = np.delete(group.mats, drop, axis=0)
+
+    def __len__(self):
+        return self.order
+
+
+@pytest.mark.parametrize("case,m,drop", [("F4", (2, 2), 1), ("F4", (2, 2), 3),
+                                         ("C2", (3, 3), 1), ("C2", (1, 4), 1)])
+def test_chi_counterexample_under_a_smaller_labelling_matches_full_group(case, m, drop,
+                                                                         monkeypatch):
+    # the counterexample branch, reached past a certificate that reads the full W(G): a
+    # tau x in the domain outside its H-orbit is in the big orbit and not in the small
+    # one, so the check fails no earlier than the oracle; here at the same representative,
+    # with the same least point outside its orbit
+    folded = moduli.folded_weyl_group
+    monkeypatch.setattr(moduli, "folded_weyl_group",
+                        lambda case, cap=10**6: _LabelledByFewer(folded(case, cap), drop))
+    sigma = SigmaModel(*m)
     rep = chi_injectivity_check(case, sigma)
     assert not rep.passed and rep.counterexample is not None
     assert rep == full_group_chi_check(case, sigma)
@@ -488,10 +540,9 @@ def test_folded_group_is_the_centralizer_of_sigma(case, class_size):
     big, small = (restrict_to_basis(g.mats, rho.simple_system, lat) for g in (w_big, w_small))
     perm = np.eye(len(rho.permutation), dtype=np.int64)[:, list(rho.permutation)]
     assert (small @ perm == perm @ small).all()
-    us, taus, (ids, gen, src) = conjugacy_class_walk(perm, big)
+    us, taus = conjugacy_class_walk(perm, big)
     assert len(taus) == class_size
     assert (taus @ us == np.eye(len(perm), dtype=np.int64)).all()
-    assert (big[gen] @ us[src] @ perm @ taus[src] @ big[gen] == us[ids] @ perm @ taus[ids]).all()
     assert class_size * len(w_small) == len(w_big)
 
 
@@ -510,14 +561,14 @@ def _drop_generator(monkeypatch, drop):
 
 @pytest.mark.parametrize("case,drop", [("B3", 0), ("B3", 2), ("F4", 1), ("F4", 3)])
 def test_chi_with_a_proper_subgroup_matches_full_group(case, drop, monkeypatch):
-    # a nontrivial proper subgroup of the centralizer fails the certificate: the
-    # centralizer's orbits then come from its Schreier generators
+    # a nontrivial proper subgroup of the centralizer, under which the oracle finds a
+    # counterexample, fails the certificate
     folded = _drop_generator(monkeypatch, drop)
     sigma = SigmaModel(2, 2)
     assert 1 < len(moduli.folded_weyl_group(case)) < len(folded(case))
-    rep = chi_injectivity_check(case, sigma)
-    assert not rep.passed
-    assert rep == full_group_chi_check(case, sigma)
+    assert not full_group_chi_check(case, sigma).passed
+    with pytest.raises(ValueError, match=f"^{case}: {NOT_THE_CENTRALIZER}: "):
+        chi_injectivity_check(case, sigma)
 
 
 @settings(max_examples=40, deadline=None)
@@ -526,12 +577,16 @@ def test_chi_with_a_proper_subgroup_matches_full_group(case, drop, monkeypatch):
                         if m2 % m1 == 0 and m1 * m2 <= 8]),
        st.sampled_from((None, 0, 1)))
 def test_chi_matches_full_group_over_small_sigma(case, m, drop):
-    # the certified path (drop None) and the Schreier path (one folded generator dropped)
+    # W(G) itself matches the oracle; with one folded generator dropped the certificate
+    # fails, also where the oracle passes the smaller group (B2 and C2 at 2 x 2)
     sigma = SigmaModel(*m)
-    with pytest.MonkeyPatch.context() as mp:
-        if drop is not None:
-            _drop_generator(mp, drop)
+    if drop is None:
         assert chi_injectivity_check(case, sigma) == full_group_chi_check(case, sigma)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        _drop_generator(mp, drop)
+        with pytest.raises(ValueError, match=f"^{case}: {NOT_THE_CENTRALIZER}: "):
+            chi_injectivity_check(case, sigma)
 
 
 def test_chi_refuses_a_small_group_outside_the_big_one(monkeypatch):

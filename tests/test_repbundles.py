@@ -12,7 +12,7 @@ from picfold import abelian, repbundles
 from picfold.abelian import SigmaModel
 from picfold._linalg import rational_solve
 from picfold.configs import enumerate_exceptional_systems
-from picfold.folding import case_points, f4_short_roots, fixed_sublattice, outer_automorphism
+from picfold.folding import case_points, fixed_sublattice, folded_root_system, outer_automorphism
 from picfold.lattice import F1, P2, DivisorClass, make_blowup_lattice
 from picfold.moduli import invariance_agreement_exhaustive, restriction
 from picfold.repbundles import (
@@ -147,6 +147,53 @@ def test_g2_triple_identification_iff_conditions(lat4):
     locus = g2_triple_locus(lat4, sigma)
     assert np.array_equal(locus.identity, combined) and np.array_equal(locus.relations, rhs)
     assert np.array_equal(locus.w_sm, masks["w_sm"][rhs]) and locus.w_sm.all()
+
+
+@pytest.mark.parametrize("m1,m2", [(m1, m2) for m2 in range(1, 9) for m1 in range(1, m2 + 1)
+                                   if m2 % m1 == 0 and m1 * m2 <= 8])
+def test_g2_triple_identifies_the_locus_only_at_odd_order(lat4, m1, m2):
+    # at even |Sigma| the identities hold on more tuples than the relations: the claim's
+    # 5 x 5 is an odd order.  The relation locus is always |Sigma|^2 tuples, and w_sm holds on it
+    sigma = SigmaModel(m1, m2)
+    locus = g2_triple_locus(lat4, sigma)
+    held = {(1, 2): 8, (2, 2): 64, (1, 4): 68, (2, 4): 400, (1, 6): 72, (1, 8): 164}
+    assert int(locus.relations.sum()) == sigma.order**2
+    assert int(locus.identity.sum()) == held.get((m1, m2), sigma.order**2)
+    assert (sigma.order % 2 == 1) == np.array_equal(locus.identity, locus.relations)
+    assert np.all(locus.identity | ~locus.relations) and locus.w_sm.all()
+
+
+def test_spinor_walk_reads_every_form_it_walks(lat3, monkeypatch):
+    # a summand that cancels on both sides of a pair has no row: 12 forms, all of them read
+    plans, walked = [], []
+    plan, walk = repbundles._locus_plan, SigmaModel.form_chunks
+
+    def plan_spy(*args, **kwargs):
+        plans.append(plan(*args, **kwargs))
+        return plans[-1]
+
+    def walk_spy(self, forms):
+        walked.append(forms)
+        return walk(self, forms)
+
+    monkeypatch.setattr(repbundles, "_locus_plan", plan_spy)
+    monkeypatch.setattr(SigmaModel, "form_chunks", walk_spy)
+    spinor_locus(lat3, SigmaModel(5, 5))
+    [(forms, tests)], [seen] = plans, walked
+    read = {r for test in tests for group in test for side in group for r in side}
+    assert seen is forms and forms.shape == (12, 3)
+    assert read == set(range(len(forms)))
+
+
+def test_a_pair_that_cancels_completely_holds_everywhere(lat4):
+    # both sides the same bundle: nothing is left to compare, and no form is walked
+    sp = weight_bundle("spinor_plus", lat4)
+    forms, tests = repbundles._locus_plan(lat4, np.eye(4, dtype=np.int64),
+                                          [((sp, lat4.zero), (sp, lat4.zero))])
+    assert forms.shape == (0, 4) and tests == [()]
+    mask = repbundles._locus_masks(lat4, SigmaModel(2, 2), np.eye(4, dtype=np.int64),
+                                   [((sp, lat4.zero), (sp, lat4.zero))])
+    assert mask.shape == (1, 4**4) and mask.all()
 
 
 def test_g2_identity_invariant_under_configuration_action(lat4):
@@ -304,7 +351,7 @@ def test_exact_f4_decomposition_specialises_to_every_group(group, data, drawn):
     for got, want in ((dec.common_class, exact.common_class), (dec.kernel_det, exact.kernel_det)):
         assert got[0] == want[0] and np.array_equal(got[1], want[1] @ t % mods)
     # the restriction commutes with the specialisation
-    classes = (weight_bundle("lines", _CUBIC) + f4_short_roots(_CUBIC) + (_CUBIC.h, _CUBIC.K)
+    classes = (weight_bundle("lines", _CUBIC) + folded_root_system("F4") + (_CUBIC.h, _CUBIC.K)
                + tuple(DivisorClass(tuple(c)) for c in drawn))
     assert np.array_equal(restriction(_CUBIC, classes, p) @ t % mods,
                           restriction(_CUBIC, classes, x, sigma))
