@@ -170,16 +170,6 @@ def smith_normal_form(a) -> SNFDecomposition:
     return SNFDecomposition(s, uinv, vinv)
 
 
-def integer_kernel(a):
-    """Basis of the integer kernel {x : a x = 0}, one vector per column.
-
-    The basis spans a saturated (primitive) sublattice.
-    """
-    if not a or not a[0]:
-        return []
-    return smith_normal_form(a).kernel()
-
-
 def reduced_echelon(a) -> tuple[list[list[Fraction]], list[int]]:
     """(E, pivots): the reduced row echelon form E of a over Q without its zero rows.
 

@@ -193,7 +193,7 @@ def _relation_search(lat: IntersectionLattice, table, rows: np.ndarray, relation
     most that m classes and the -l_i add up to.
     """
     coords = np.array([e.coords for e in table], dtype=np.int64)
-    codes = _point_codes(coords[:, lat.l_offset:] @ rows, relations)
+    codes = _point_codes(restriction(lat, table, rows), relations)
     k0 = abs(lat.K.coords[0])
     dtype = _residue_dtype((lat.npoints + 1) * (k0 - 1))
     residues = (coords % k0).astype(dtype)

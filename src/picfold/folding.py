@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import integer_kernel, reduced_echelon, smith_normal_form
+from ._linalg import reduced_echelon, smith_normal_form
 from .cases import Rows, case_spec
 from .lattice import DivisorClass, IntersectionLattice, gram_matrix
 from .rootsys import (
@@ -241,15 +241,13 @@ def _weyl_group(case: str, cap: int, folded: bool) -> WeylGroup:
 
 @lru_cache(maxsize=None)
 def fixed_sublattice(rho: OuterAutomorphism) -> tuple[DivisorClass, ...]:
-    """Integral basis of the automorphism-fixed part of the root lattice, computed once per rho.
+    """A basis of the automorphism-fixed part of the root lattice, built once per rho.
 
-    Computed as the integer kernel of (P - id) in simple-root
-    coordinates, so the result is a saturated sublattice.
+    sigma permutes the simple-root coordinates, so the cycle sums
+    sum_{i in c} a_i, in ``rho.orbits()`` order, are a basis.
     """
-    unit = np.eye(len(rho.permutation), dtype=np.int64)
-    kernel = np.array(integer_kernel((unit[:, rho.permutation] - unit).tolist()), dtype=np.int64)
-    basis = kernel @ _columns(rho.simple_system).T
-    return tuple(DivisorClass(tuple(v)) for v in basis.tolist())
+    delta = rho.simple_system
+    return tuple(sum((delta[i] for i in orb[1:]), delta[orb[0]]) for orb in rho.orbits())
 
 
 @lru_cache(maxsize=None)
@@ -329,15 +327,17 @@ def check_presentations(case: str) -> None:
     queue = [index.get(key) for key in row_keys(_fixed_coords(basis, folded_simple_system(case)))]
     if None in queue or not np.array_equal(gens, reflections[queue]):
         raise ValueError(f"{case}: a folded generator is not the reflection in its simple root")
+    seen = np.isin(np.arange(len(roots)), queue)
     for n in queue:  # grows while it is walked
         for j, key in enumerate(row_keys(gens @ roots[n])):
             m = index.get(key)
             if m is None:
                 raise ValueError(f"{case}: generator {j} maps {roots[n].tolist()} out of R(G)")
-            if m not in queue:
+            if not seen[m]:
                 if not np.array_equal(reflections[m], gens[j] @ reflections[n] @ gens[j]):
                     raise ValueError(f"{case}: the reflection in {roots[m].tolist()} is not "
                                      f"its conjugate by generator {j}")
+                seen[m] = True
                 queue.append(m)
     if len(queue) != len(roots):
         raise ValueError(f"{case}: the walk reaches {len(queue)} of {len(roots)} folded roots")

@@ -36,7 +36,6 @@ from .folding import (
     ambient_weyl_group,
     case_fold,
     case_points,
-    fixed_sublattice,
     folded_simple_system,
     folded_weyl_group,
     free_points,
@@ -44,7 +43,6 @@ from .folding import (
 from .lattice import IntersectionLattice
 from .rootsys import (
     BudgetExceededError,
-    basis_coordinates,
     restrict_to_basis,
     row_keys,
     weyl_generate,  # noqa: F401 (perfbench/tracer.py binds it here by name)
@@ -221,26 +219,28 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
                           action_cap: int = 10**8, weyl_cap: int = 10**6) -> ChiReport:
     """Exhaustive injectivity check for the folded moduli inclusion.
 
-    For every pair x, y in the fixed sublattice tensored with the group:
+    For every pair x, y in Lambda^sigma tensored with the group:
     if some element of the big Weyl group maps x to y, some element of
     the folded Weyl group already does.  Budgeted; refuses rather than
     samples, since the value of the statement is exhaustiveness.
 
     In the r' simple-root coordinates of Sigma^r' the diagram automorphism
-    is a permutation matrix P, and the domain is the set of points P fixes.
-    Its centralizer C in W_big preserves the domain, and W_big is the union
+    is a permutation matrix P.  The domain is the set of points P fixes by
+    construction: a point is its value on each cycle of ``rho.orbits()``,
+    the cycle coordinates in which a counterexample is written.  The
+    centralizer C of P in W_big preserves the domain, and W_big is the union
     of the cosets C tau, tau in T (``conjugacy_class_walk``), so the big
     orbit of x meets the domain in the C-orbits of the tau x inside it.
-    W_small = C is required, in this order: the small generators commute
-    with P, lie in W_big and keep the domain, and |W_small| |T| = |W_big|;
-    a part that fails raises ``ValueError`` naming it, before any orbit is
-    compared.  Orbits of domain tuples (positions in product order) are
-    labelled with their least position by min-label propagation and pointer
-    jumping, and T is applied to these orbit representatives only.  A
-    representative x fails when some tau x in the domain has a label other
-    than x; the first one fails, with the point there of least code
-    c1 + m1^r' c2 (each factor little-endian, x2 the more significant half)
-    and the representatives checked so far.
+    W_small = C is certified in three steps, each raising ``ValueError``
+    before any orbit is compared: the small generators commute with P, so
+    keep the domain; they lie in W_big; and |W_small| |T| = |W_big|.
+    Domain tuples (positions in product order) are labelled with the least
+    position of their orbit by min-label propagation and pointer jumping,
+    and T is applied to these orbit representatives only.  A representative
+    x fails when some tau x in the domain has a label other than x; the
+    first one fails, with the point there of least code c1 + m1^r' c2 (each
+    factor little-endian, x2 the more significant half) and the
+    representatives checked so far.
 
     Both groups come from ``folding`` as ``CoxeterWeylGroup``s: |W_big| and
     |W_small| are products of fundamental-weight orbit sizes, read from the
@@ -256,8 +256,8 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     rho = case_fold(case)
     delta, lat = rho.simple_system, rho.lattice
     w_big, w_small = ambient_weyl_group(case, weyl_cap), folded_weyl_group(case, weyl_cap)
-    basis = fixed_sublattice(rho)
-    k, rprime, mods = len(basis), len(delta), (sigma.m1, sigma.m2)
+    cycles = rho.orbits()
+    k, rprime, mods = len(cycles), len(delta), (sigma.m1, sigma.m2)
     sizes = [m**rprime for m in mods]
     domain_size, cosets = sigma.order**k, len(w_big) // len(w_small)
     work = (sum(sizes) + (len(w_big.mats) + len(w_small.mats) + cosets) * sum(m**k for m in mods)
@@ -273,8 +273,7 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
     if not all(g in w_big for g in w_small.gens):
         raise ValueError(f"{case}: the small group is not a subgroup of the big one")
 
-    embed = basis_coordinates(np.array([r.coords for r in delta], dtype=np.int64).T,
-                              np.array([b.coords for b in basis], dtype=np.int64).T)  # (r', k)
+    embed = np.array([[i in c for c in cycles] for i in range(rprime)], dtype=np.int64)  # (r', k)
     coords = [np.array(list(product(range(m), repeat=k)), dtype=np.int64) for m in mods]
     weights = [m ** np.arange(rprime, dtype=np.int64) for m in mods]
     pts = [c @ embed.T % m for c, m in zip(coords, mods)]  # each factor's domain, (m^k, r')
@@ -289,16 +288,13 @@ def chi_injectivity_check(case: str, sigma: SigmaModel,
         return [at[p @ mats.transpose(0, 2, 1) % m @ w]
                 for at, p, m, w in zip(where, pts, mods, weights)]
 
-    small_maps = maps(small)
-    if any((m < 0).any() for m in small_maps):
-        raise ValueError(f"{case}: a small orbit leaves the domain part of its big orbit")
     _, taus = conjugacy_class_walk(perm, restrict_to_basis(w_big.mats, delta, lat))
     if len(w_small) * len(taus) != len(w_big):
         raise ValueError(f"{case}: the small group is not the centralizer of sigma: "
                          f"|W(G)| |T| = {len(w_small)} x {len(taus)}, not {len(w_big)}")
 
     # the least position of each domain tuple's orbit under the small generators
-    gens = [(a[:, None] * n2 + b).ravel() for a, b in zip(*small_maps)]  # maps of positions
+    gens = [(a[:, None] * n2 + b).ravel() for a, b in zip(*maps(small))]  # maps of positions
     lab, prev = np.arange(domain_size), None
     while not np.array_equal(lab, prev):
         prev = lab

@@ -157,8 +157,7 @@ def _locus_plan(lat, params, pairs, relations=()):
     """
     where = {}  # form in t -> its row
 
-    def formed(rows):
-        forms = np.array(rows, dtype=np.int64).reshape(-1, len(params)) @ params
+    def formed(forms):
         return map(tuple, forms.tolist())
 
     def place(forms):
@@ -167,7 +166,8 @@ def _locus_plan(lat, params, pairs, relations=()):
     tests = []
     for pair in pairs:
         sides = [Counter(zip([lat.deg(d + tw) for d in summands],
-                             formed([lat.l_coeffs(d + tw) for d in summands]))) for summands, tw in pair]
+                             formed(restriction(lat, [d + tw for d in summands], params))))
+                 for summands, tw in pair]
         lhs, rhs = (sorted(deg for deg, _ in side.elements()) for side in sides)
         if lhs != rhs:
             raise ValueError(f"summand degrees {lhs} and {rhs} differ: no identification")
@@ -175,7 +175,9 @@ def _locus_plan(lat, params, pairs, relations=()):
         tests.append(tuple(tuple(place(f for d, f in side.elements() if d == deg)
                                  for side in (left, right))
                            for deg in sorted({d for d, _ in left})))
-    tests += [((place(formed(rows)), ()),) for rows in relations]
+    for rows in relations:
+        forms = np.array(rows, dtype=np.int64).reshape(-1, len(params)) @ params
+        tests.append(((place(formed(forms)), ()),))
     return np.array(list(where), dtype=np.int64).reshape(len(where), params.shape[1]), tests
 
 

@@ -2,10 +2,22 @@
 
 from fractions import Fraction
 
+from picfold._linalg import smith_normal_form
+
 
 def mat_vec(a, v):
     """The product of the integer matrix a (a list of rows) and the vector v."""
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
+
+
+def integer_kernel(a):
+    """Basis of the integer kernel {x : a x = 0}, one vector per column, from a's Smith form.
+
+    The basis spans a saturated (primitive) sublattice.
+    """
+    if not a or not a[0]:
+        return []
+    return smith_normal_form(a).kernel()
 
 
 def decompose_in_basis(x, basis):

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linalg_oracles import mat_vec
+from linalg_oracles import integer_kernel, mat_vec
 from point_oracles import add, combine, is_zero, neg, scale
 from picfold import abelian
-from picfold._linalg import bareiss_det, integer_kernel, mat_mul, smith_normal_form
+from picfold._linalg import bareiss_det, mat_mul, smith_normal_form
 from picfold.abelian import (
     SigmaModel,
     SingularCurveError,

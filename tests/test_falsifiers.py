@@ -6,12 +6,36 @@ patch of one fact the claim certifies), then any other claims of the suite
 that certify the same fact.  The witness follows "assertion failed: ",
 unless it names the exception the claim raised.  The claim's suite runs
 under ``python -O`` after the patch; the claim must read "fail", and with
-the others it names it must be the only claims of the suite that do.
+the others it names it must be the only claims of the suite that do; a
+budget refusal reads "skipped" and falsifies nothing.  Every claim id of
+``verify all`` has an entry, so a new claim without one fails here.
 """
 
 import pytest
 
+from picfold import cli
+from picfold.cli import RunConfig
 from under_optimize import run_under_optimize
+
+# a Chevalley table of liealg.structure_constants passed through broken(table) first
+_BROKEN_TABLE = (
+    "import numpy as np\n"
+    "from picfold import liealg\n"
+    "build = liealg.structure_constants\n"
+    "def broken(table):\n"
+    "{}"
+    "liealg.structure_constants = lambda lat, roots, simple: broken(build(lat, roots, simple))\n")
+
+# the two stacks of folding.restricted_reflection_matrices, edited before they are returned
+_BROKEN_STACKS = (
+    "import numpy as np\n"
+    "from picfold import folding\n"
+    "original = folding.restricted_reflection_matrices\n"
+    "def patched(case):\n"
+    "    reflections, gens, basis = original(case)\n"
+    "{}"
+    "    return reflections, gens, basis\n"
+    "folding.restricted_reflection_matrices = patched\n")
 
 FALSIFIERS = {
     # D4 short of one root (A3 and E6 read the same function, but D4 is checked first)
@@ -168,6 +192,73 @@ FALSIFIERS = {
             "build = moduli.folded_weyl_group\n"
             "moduli.folded_weyl_group = lambda case, cap=10**6: (\n"
             "    weyl_generate(build(case, cap).gens[:1]) if case == 'B2' else build(case, cap))\n")),
+    # W(G) replaced by the trivial group: it commutes with sigma and lies in W(G~), but is
+    # not the centralizer, for F4 as for the small cases
+    "moduli.chi.injective.F4": (
+        "moduli", "ValueError: F4: the small group is not the centralizer of sigma: "
+        "|W(G)| |T| = 1 x 45, not 51840", (
+            "from picfold import moduli\n"
+            "from picfold.cases import case_spec\n"
+            "from picfold.rootsys import weyl_generate\n"
+            "moduli.folded_weyl_group = lambda case, cap=10**6: weyl_generate(\n"
+            "    [], rank=case_spec(case).lattice.rank)\n"),
+        "moduli.chi.injective.small"),
+    # reconstruct_points without the rows that are drawn assignments
+    "moduli.reconstruction.roundtrip": (
+        "moduli", "B2: ((0, 0), (1, 1), (0, 0)) not reconstructed", (
+            "from picfold import cli, moduli\n"
+            "draw, solve, drawn = cli._random_admissible, moduli.reconstruct_points, []\n"
+            "def random_admissible(case, sigma, rng, count):\n"
+            "    drawn.append(draw(case, sigma, rng, count))\n"
+            "    return drawn[-1]\n"
+            "def reconstruct_points(case, imgs, sigma, **kw):\n"
+            "    res = solve(case, imgs, sigma, **kw)\n"
+            "    keep = ~(res.table[:, None] == drawn[-1]).all(axis=(2, 3)).any(axis=1)\n"
+            "    return moduli.ReconstructionStack(res.solvable, res.kernel_size,\n"
+            "                                      res.table[keep], res.image[keep])\n"
+            "cli._random_admissible = random_admissible\n"
+            "moduli.reconstruct_points = reconstruct_points\n")),
+    # no systems enumerated; simple transitivity, which makes their number |W(G)|, reads
+    # the same systems
+    "configs.counts": ("configs", "B2 system count: got 0, expected 8", (
+        "from picfold import configs\n"
+        "configs.enumerate_exceptional_systems = lambda case, cap=10**6: ()\n"),
+        "configs.simply.transitive"),
+    # a structure constant raised by one in magnitude; the Jacobi check, which would catch
+    # it first, is passed over so that the string check is the one that must fail
+    "liealg.jacobi.all#magnitude": (
+        "liealg", "D4: N(DivisorClass(0, -1, 0, 0, 1, 1), DivisorClass(0, 0, 0, 1, -1, 0)) = 2, "
+        "string length 0", _BROKEN_TABLE.format(
+            "    a, b = np.argwhere(table.N)[0]\n"
+            "    table.N[a, b] += np.sign(table.N[a, b])\n"
+            "    return table\n"
+            "liealg.verify_jacobi = lambda table: liealg.JacobiReport(True, 0, None)\n")),
+    # the sign of N(a, b) flipped, with its three companions, at a non-extraspecial pair
+    "liealg.jacobi.all#sign": ("liealg", "D4: Jacobi fails at", _BROKEN_TABLE.format(
+        "    index = {rt: i for i, rt in enumerate(table.roots)}\n"
+        "    a, b = next((a, b) for i, a in enumerate(table.positive)\n"
+        "                for b in table.positive[i + 1:]\n"
+        "                if a + b in index and (a, b) not in table.extraspecial)\n"
+        "    for x, y in ((a, b), (b, a), (-a, -b), (-b, -a)):\n"
+        "        table.N[index[x], index[y]] *= -1\n"
+        "    return table\n")),
+    # one folded root dropped: the walk of the presentations leaves R(G) too
+    "fold.root.counts": ("folding", "R(B2): got 7, expected 8", (
+        "from picfold import folding\n"
+        "original = folding.folded_root_system\n"
+        "folding.folded_root_system = lambda case: original(case)[:-1]\n"),
+        "fold.presentations.agree"),
+    # the reflection in the last root replaced by the product of the two generators
+    "fold.presentations.agree#swapped": (
+        "folding", "ValueError: B2: the reflection in [2, 2] is not its conjugate by generator 0",
+        _BROKEN_STACKS.format(
+            "    reflections = reflections.copy()\n"
+            "    reflections[-1] = gens[0] @ gens[1]\n")),
+    # the first generator replaced by -I
+    "fold.presentations.agree#minus_identity": (
+        "folding", "ValueError: B2: a folded generator is not the reflection in its simple root",
+        _BROKEN_STACKS.format(
+            "    gens = np.concatenate([-np.eye(len(basis), dtype=np.int64)[None], gens[1:]])\n")),
 }
 
 
@@ -181,3 +272,11 @@ def test_a_broken_fact_fails_its_claim_alone_under_optimize(entry):
     if not witness.startswith("ValueError: "):
         witness = f"assertion failed: {witness}"
     assert status[claim]["witness"].startswith(witness), status[claim]
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(rank_b=5, rank_c=4)],
+                         ids=["default", "rank-b5-rank-c4"])
+def test_every_claim_of_verify_all_has_a_falsifier_in_its_suite(cfg):
+    claims = {(claim, suite) for suite in cli.SUITES
+              for claim, _ in cli._SUITE_BUILDERS[suite](cfg)}
+    assert {(entry.partition("#")[0], FALSIFIERS[entry][0]) for entry in FALSIFIERS} == claims

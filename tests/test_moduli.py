@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from itertools import product
 
@@ -360,14 +361,6 @@ def test_chi_refuses_a_small_group_that_does_not_commute_with_sigma(monkeypatch)
         chi_injectivity_check("B2", SigmaModel(2, 2))
 
 
-def test_chi_refuses_a_small_group_that_leaves_the_domain(monkeypatch):
-    # the domain cut to the span of the second basis vector, which W(B2) commuting with
-    # sigma and lying in W(A3) does not preserve: no orbit is labelled off the domain
-    monkeypatch.setattr(moduli, "fixed_sublattice", lambda rho: fixed_sublattice(rho)[1:])
-    with pytest.raises(ValueError, match="leaves the domain part of its big orbit"):
-        chi_injectivity_check("B2", SigmaModel(2, 2))
-
-
 def test_chi_walk_budget_refuses_before_allocating():
     # B2 in A3 at Sigma = Z/30: the code tables hold 1 + 30^3 entries, the generator and
     # coset maps (3 + 2 + 3) (1 + 30^2) and the label and coset maps 30^2 (2 + 3)
@@ -515,15 +508,68 @@ def test_chi_counterexample_under_a_smaller_labelling_matches_full_group(case, m
                                                                          monkeypatch):
     # the counterexample branch, reached past a certificate that reads the full W(G): a
     # tau x in the domain outside its H-orbit is in the big orbit and not in the small
-    # one, so the check fails no earlier than the oracle; here at the same representative,
-    # with the same least point outside its orbit
+    # one, so the check fails no earlier than the oracle, which labels by H too; its x and
+    # y lie in one W(G~)-orbit and in different H-orbits, both closed by the oracle
     folded = moduli.folded_weyl_group
     monkeypatch.setattr(moduli, "folded_weyl_group",
                         lambda case, cap=10**6: _LabelledByFewer(folded(case, cap), drop))
     sigma = SigmaModel(*m)
-    rep = chi_injectivity_check(case, sigma)
-    assert not rep.passed and rep.counterexample is not None
-    assert rep == full_group_chi_check(case, sigma)
+    rep, oracle = chi_injectivity_check(case, sigma), full_group_chi_check(case, sigma)
+    assert not rep.passed and not oracle.passed
+    assert rep.domain_size == oracle.domain_size and rep.orbits_checked >= oracle.orbits_checked
+    rho = case_fold(case)
+    x, y = (_cycle_point(case, point, sigma) for point in rep.counterexample)
+    big = weyl_generate(simple_reflections(rho.simple_system, rho.lattice)).mats
+    assert y in _closure_orbit(case, big, x, sigma)
+    assert y not in _closure_orbit(case, moduli.folded_weyl_group(case).mats, x, sigma)
+
+
+def _cycle_point(case, point, sigma):
+    """The point of Sigma^r' with the per-factor coordinates ``point`` in the cycle sums."""
+    rho = case_fold(case)
+    embed = np.array([decompose_in_basis(b, rho.simple_system) for b in fixed_sublattice(rho)],
+                     dtype=np.int64).T
+    return tuple(tuple((embed @ np.array(c, dtype=np.int64) % m).tolist())
+                 for c, m in zip(point, (sigma.m1, sigma.m2)))
+
+
+def _closure_orbit(case, mats, x, sigma):
+    """The orbit of the point x = (x1, x2) under the group of mats, every element applied."""
+    rho = case_fold(case)
+    group = restrict_to_basis(einsum_closure_stack(mats, 10**6), rho.simple_system, rho.lattice)
+    images = [group @ np.array(xj, dtype=np.int64) % m for xj, m in zip(x, (sigma.m1, sigma.m2))]
+    return {(tuple(a), tuple(b)) for a, b in zip(*(im.tolist() for im in images))}
+
+
+def _chi_domain(case, sigma):
+    """(report, per-factor domain points) of ``chi_injectivity_check``, read off its frame."""
+    local = {}
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is chi_injectivity_check.__code__:
+            local.update(frame.f_locals)
+
+    sys.setprofile(profile)
+    try:
+        rep = chi_injectivity_check(case, sigma)
+    finally:
+        sys.setprofile(None)
+    return rep, local["pts"]
+
+
+@pytest.mark.parametrize("m", [(1, 2), (2, 2), (3, 3), (1, 4)], ids=lambda m: f"{m[0]}x{m[1]}")
+@pytest.mark.parametrize("case", ["B2", "B3", "B4", "C2", "C3", "G2", "F4"])
+def test_chi_domain_is_the_fixed_points_of_sigma(case, m):
+    # each factor's domain is exactly the points of (Z/m_j)^r' that P fixes, x_{p(i)} = x_i,
+    # found by brute force, each once: no fixed point is left out
+    perm = case_fold(case).permutation
+    rep, pts = _chi_domain(case, SigmaModel(*m))
+    for points, mj in zip(pts, m):
+        fixed = {x for x in product(range(mj), repeat=len(perm))
+                 if all(x[p] == x[i] for i, p in enumerate(perm))}
+        rows = [tuple(row) for row in points.tolist()]
+        assert len(rows) == len(set(rows)) and set(rows) == fixed
+    assert rep.passed and rep.domain_size == len(pts[0]) * len(pts[1])
 
 
 @pytest.mark.parametrize(
