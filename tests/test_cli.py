@@ -278,6 +278,22 @@ def test_the_roundtrip_solves_each_distinct_image_once():
     assert counts == {"B2": 1, "B3": 1, "C2": 1, "G2": 12, "F4": 1}
 
 
+def test_chi_claims_fail_under_optimize_with_a_trivial_small_group():
+    # with W(G) replaced by the trivial group, both chi claims must fail under -O, and only they
+    status = run_under_optimize(
+        "from picfold import moduli\n"
+        "from picfold.cases import case_spec\n"
+        "from picfold.rootsys import weyl_generate\n"
+        "moduli.folded_weyl_group = lambda case, cap=10**6: weyl_generate(\n"
+        "    [], rank=case_spec(case).lattice.rank)\n", "moduli")
+    assert [r for r, v in status.items() if v["status"] == "fail"] == [
+        "moduli.chi.injective.small", "moduli.chi.injective.F4"]
+    assert {v["status"] for r, v in status.items() if "chi" not in r} == {"pass"}
+    assert status["moduli.chi.injective.small"]["witness"] == (
+        "ValueError: B2: the small group is not the centralizer of sigma: "
+        "|W(G)| |T| = 1 x 3, not 24")
+
+
 def test_f4_chi_skips_past_the_action_cap(tmp_path, capsys):
     # at 2 x 2 F4 stores an estimated 14,432 entries, past a cap of 10,000; the small cases
     # (at most 656) and the invariance walk (4,096 tuples) fit

@@ -26,17 +26,6 @@ _BROKEN_TABLE = (
     "{}"
     "liealg.structure_constants = lambda lat, roots, simple: broken(build(lat, roots, simple))\n")
 
-# the two stacks of folding.restricted_reflection_matrices, edited before they are returned
-_BROKEN_STACKS = (
-    "import numpy as np\n"
-    "from picfold import folding\n"
-    "original = folding.restricted_reflection_matrices\n"
-    "def patched(case):\n"
-    "    reflections, gens, basis = original(case)\n"
-    "{}"
-    "    return reflections, gens, basis\n"
-    "folding.restricted_reflection_matrices = patched\n")
-
 FALSIFIERS = {
     # D4 short of one root (A3 and E6 read the same function, but D4 is checked first)
     "roots.counts": ("lattice", "D4 roots: got 23", (
@@ -192,17 +181,17 @@ FALSIFIERS = {
             "build = moduli.folded_weyl_group\n"
             "moduli.folded_weyl_group = lambda case, cap=10**6: (\n"
             "    weyl_generate(build(case, cap).gens[:1]) if case == 'B2' else build(case, cap))\n")),
-    # W(G) replaced by the trivial group: it commutes with sigma and lies in W(G~), but is
-    # not the centralizer, for F4 as for the small cases
+    # W(F4) replaced by the trivial group: it commutes with sigma and lies in W(E6), but is
+    # not the centralizer (test_cli.py makes every W(G) trivial, failing both chi claims)
     "moduli.chi.injective.F4": (
         "moduli", "ValueError: F4: the small group is not the centralizer of sigma: "
         "|W(G)| |T| = 1 x 45, not 51840", (
             "from picfold import moduli\n"
             "from picfold.cases import case_spec\n"
             "from picfold.rootsys import weyl_generate\n"
-            "moduli.folded_weyl_group = lambda case, cap=10**6: weyl_generate(\n"
-            "    [], rank=case_spec(case).lattice.rank)\n"),
-        "moduli.chi.injective.small"),
+            "build = moduli.folded_weyl_group\n"
+            "moduli.folded_weyl_group = lambda case, cap=10**6: (weyl_generate(\n"
+            "    [], rank=case_spec(case).lattice.rank) if case == 'F4' else build(case, cap))\n")),
     # reconstruct_points without the rows that are drawn assignments
     "moduli.reconstruction.roundtrip": (
         "moduli", "B2: ((0, 0), (1, 1), (0, 0)) not reconstructed", (
@@ -248,17 +237,20 @@ FALSIFIERS = {
         "original = folding.folded_root_system\n"
         "folding.folded_root_system = lambda case: original(case)[:-1]\n"),
         "fold.presentations.agree"),
-    # the reflection in the last root replaced by the product of the two generators
-    "fold.presentations.agree#swapped": (
-        "folding", "ValueError: B2: the reflection in [2, 2] is not its conjugate by generator 0",
-        _BROKEN_STACKS.format(
-            "    reflections = reflections.copy()\n"
-            "    reflections[-1] = gens[0] @ gens[1]\n")),
-    # the first generator replaced by -I
-    "fold.presentations.agree#minus_identity": (
-        "folding", "ValueError: B2: a folded generator is not the reflection in its simple root",
-        _BROKEN_STACKS.format(
-            "    gens = np.concatenate([-np.eye(len(basis), dtype=np.int64)[None], gens[1:]])\n")),
+    # F4's reflection in its last root replaced by the product of two generators, so the walk
+    # must reach the last case (test_folding.py breaks B2's stacks in two ways)
+    "fold.presentations.agree": (
+        "folding", "ValueError: F4: the reflection in [2, 4, 4, 6] is not its conjugate by "
+        "generator 2", (
+            "from picfold import folding\n"
+            "original = folding.restricted_reflection_matrices\n"
+            "def patched(case):\n"
+            "    reflections, gens, basis = original(case)\n"
+            "    if case == 'F4':\n"
+            "        reflections = reflections.copy()\n"
+            "        reflections[-1] = gens[0] @ gens[1]\n"
+            "    return reflections, gens, basis\n"
+            "folding.restricted_reflection_matrices = patched\n")),
 }
 
 

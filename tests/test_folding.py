@@ -38,6 +38,7 @@ from picfold.rootsys import (
     weyl_generate,
 )
 from linalg_oracles import decompose_in_basis, integer_kernel
+from under_optimize import run_under_optimize
 
 
 def _apply(rho, x):
@@ -423,6 +424,35 @@ def test_every_broken_presentation_fails_the_check(case, monkeypatch):
         folding.check_presentations(case)
     monkeypatch.undo()
     folding.check_presentations(case)
+
+
+# each broken B2 presentation, set up in a fresh interpreter before the folding suite runs
+BREAKS = {
+    "swapped reflection": (
+        "original = folding.restricted_reflection_matrices\n"
+        "def patched(case):\n"
+        "    reflections, gens, basis = original(case)\n"
+        "    reflections = reflections.copy()\n"
+        "    reflections[-1] = gens[0] @ gens[1]\n"
+        "    return reflections, gens, basis\n"
+        "folding.restricted_reflection_matrices = patched\n"),
+    "generator -I": (
+        "original = folding.restricted_reflection_matrices\n"
+        "def patched(case):\n"
+        "    reflections, gens, basis = original(case)\n"
+        "    return reflections, np.concatenate([-np.eye(len(basis), dtype=np.int64)[None],\n"
+        "                                        gens[1:]]), basis\n"
+        "folding.restricted_reflection_matrices = patched\n"),
+}
+
+
+@pytest.mark.parametrize("name", list(BREAKS))
+def test_a_broken_presentation_fails_the_claim_under_optimize(name):
+    status = run_under_optimize("import numpy as np\n"
+                                "from picfold import folding\n" + BREAKS[name], "folding")
+    failed = {claim for claim, r in status.items() if r["status"] == "fail"}
+    assert failed == {"fold.presentations.agree"}
+    assert status["fold.presentations.agree"]["witness"].startswith("ValueError: B2: ")
 
 
 def test_second_reduction_order_identities(f1_4, cubic):
